@@ -30,16 +30,11 @@ from .randcore import (
     PoissonShifted,
     RandomStream,
     Uniform,
-    fork_stream,
-    next_uniform,
-    sample,
 )
 from .pathloss import LinkBudget, fspl_1m, link_budget, path_loss_ci
 from .generate import (
     ChannelDrop,
     SpatialLobe,
-    Subpath,
-    TimeCluster,
     generate_drop,
     generate_drops,
 )

@@ -82,11 +82,9 @@ def inter_cluster_offsets(drop: ChannelDrop, mti_ns: float) -> np.ndarray:
     the sorted-draw offsets, so fitting them recovers the generating
     distribution's order statistics, not its raw parameter.
     """
-    offsets = []
-    for prev, cur in zip(drop.clusters, drop.clusters[1:]):
-        offsets.append(cur.excess_delay_ns - prev.excess_delay_ns
-                       - prev.last_intra_delay_ns - mti_ns)
-    return np.asarray(offsets)
+    tau = drop.cluster_delays_ns
+    last_intra = drop.intra_delays_ns[drop.cluster_start[1:] - 1]
+    return tau[1:] - tau[:-1] - last_intra - mti_ns
 
 
 def intra_delay_samples(drop: ChannelDrop) -> np.ndarray:
@@ -96,10 +94,7 @@ def intra_delay_samples(drop: ChannelDrop) -> np.ndarray:
     again independent exponentials with the same mean, so these samples
     estimate mu_rho without sorting bias.
     """
-    parts = [c.intra_delays_ns[1:] for c in drop.clusters if c.num_subpaths > 1]
-    if not parts:
-        return np.empty(0)
-    return np.concatenate(parts)
+    return np.delete(drop.intra_delays_ns, drop.cluster_start)
 
 
 # --- spatial-lobe extraction -------------------------------------------------

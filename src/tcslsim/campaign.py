@@ -57,23 +57,26 @@ class CampaignResult:
         return np.array([getattr(r, name) for r in self.records])
 
 
-def config_digest(config: SimConfig) -> str:
-    """Hash of everything that determines campaign content.
+def _config_payload(config: SimConfig) -> dict:
+    """Everything that determines campaign content.
 
     Worker count and output settings are presentation, not content, so
     they do not participate.
     """
-    payload = {
+    return {
         "scenario": config.scenario.label(),
         "distance_m": list(config.distance_m) if isinstance(config.distance_m, tuple)
         else config.distance_m,
         "tx_power_dbm": config.tx_power_dbm,
         "num_drops": config.num_drops,
         "master_seed": config.master_seed,
-        "pdp_bin_ns": config.pdp_bin_ns,
         "overrides": {k: config.overrides[k] for k in sorted(config.overrides)},
     }
-    blob = json.dumps(payload, sort_keys=True).encode()
+
+
+def config_digest(config: SimConfig) -> str:
+    """Hash of the campaign content payload (`summary.json`'s config block)."""
+    blob = json.dumps(_config_payload(config), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -178,14 +181,13 @@ def emit_outputs(result: CampaignResult, drops, config: SimConfig | None = None,
 
 
 def _write_pdp_rows(fh, drop) -> None:
-    for sp in drop.subpaths():
-        power_dbm = 10.0 * np.log10(sp.power_mw)
-        fields = (
-            str(drop.drop_index), str(sp.cluster_index), str(sp.subpath_index),
-            CSV_FLOAT.format(sp.excess_delay_ns), CSV_FLOAT.format(sp.absolute_delay_ns),
-            CSV_FLOAT.format(sp.power_mw), CSV_FLOAT.format(power_dbm),
-        )
-        fh.write(",".join(fields) + "\n")
+    powers = drop.powers_mw()
+    columns = zip(drop.excess_delays_ns().tolist(), drop.absolute_delays_ns().tolist(),
+                  powers.tolist(), (10.0 * np.log10(powers)).tolist())
+    for cluster, size in enumerate(drop.cluster_sizes().tolist(), start=1):
+        for subpath in range(1, size + 1):
+            fh.write(f"{drop.drop_index},{cluster},{subpath},"
+                     + ",".join(map(CSV_FLOAT.format, next(columns))) + "\n")
 
 
 def _write_pas_rows(fh, drop) -> None:
@@ -196,24 +198,11 @@ def _write_pas_rows(fh, drop) -> None:
                      f"{CSV_FLOAT.format(pas.grid[az, el_idx])}\n")
 
 
-def _config_dict(config: SimConfig) -> dict:
-    return {
-        "scenario": config.scenario.label(),
-        "distance_m": list(config.distance_m) if isinstance(config.distance_m, tuple)
-        else config.distance_m,
-        "tx_power_dbm": config.tx_power_dbm,
-        "num_drops": config.num_drops,
-        "master_seed": config.master_seed,
-        "pdp_bin_ns": config.pdp_bin_ns,
-        "overrides": {k: config.overrides[k] for k in sorted(config.overrides)},
-    }
-
-
 def _write_summary(path: Path, result: CampaignResult) -> None:
     body = {
         "provenance": dict(result.provenance),
         "created_at": datetime.now(timezone.utc).isoformat(),  # only nondeterministic field
-        "config": _config_dict(result.config),
+        "config": _config_payload(result.config),
         "metrics": {
             name: {"count": s.count, "median": s.median, "mean": s.mean}
             for name, s in result.aggregates.items()

@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--drops", type=int, default=1)
     gen.add_argument("--seed", type=int, default=1, help="master seed (printed in all outputs)")
     gen.add_argument("--tx-power-dbm", type=float, default=0.0)
-    gen.add_argument("--pdp-bin-ns", type=float, default=0.5)
     gen.add_argument("--out-dir", default=None,
                      help="output directory (default: $TCSLSIM_OUT_DIR or '.')")
     gen.add_argument("--format", default="summary",
@@ -139,7 +138,6 @@ def _cmd_generate(args) -> int:
         tx_power_dbm=args.tx_power_dbm,
         num_drops=args.drops,
         master_seed=args.seed,
-        pdp_bin_ns=args.pdp_bin_ns,
         workers=args.workers,
         overrides=_parse_overrides(args),
         out_dir=args.out_dir,

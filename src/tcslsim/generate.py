@@ -10,17 +10,19 @@ perturb the values produced by earlier ones:
     -> cluster_delay -> cluster_power -> subpath_power -> phase
     -> num_lobes -> lobe_angle -> angle_offset
 
-Cluster and subpath powers are stored both in absolute mW and as
-fractions of the total received power. The fractions never touch the
-link budget, so delay- and angle-spread statistics computed from them
-are bit-identical across transmit power and distance changes.
+Every per-subpath quantity is drawn for the whole drop in one call and
+stored as one flat array, clusters one after another; `cluster_start`
+marks where each cluster begins. Powers are stored only as fractions of
+the total received power. The fractions never touch the link budget, so
+delay- and angle-spread statistics computed from them are bit-identical
+across transmit power and distance changes; the mW values are derived.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +46,15 @@ SUBSTREAM_LABELS = (
     "num_lobes", "lobe_angle", "angle_offset",
 )
 
+# Per-subpath fields stored under the same name in each JSON cluster;
+# `power_fractions` is stored as `subpath_power_fraction`, next to the
+# derived `subpath_power_mw`.
+_SUBPATH_ARRAYS = (
+    ("intra_delays_ns", float), ("phase_rad", float),
+    ("aod_az_deg", float), ("aod_el_deg", float), ("aoa_az_deg", float), ("aoa_el_deg", float),
+    ("aod_lobe_index", np.int64), ("aoa_lobe_index", np.int64),
+)
+
 
 @dataclass(frozen=True)
 class SpatialLobe:
@@ -59,141 +70,83 @@ class SpatialLobe:
         return 90.0 - self.mean_el_deg
 
 
-@dataclass(frozen=True)
-class Subpath:
-    """Read-only view of one multipath component."""
-
-    cluster_index: int
-    subpath_index: int
-    power_mw: float
-    power_fraction: float
-    phase_rad: float
-    intra_delay_ns: float
-    excess_delay_ns: float
-    absolute_delay_ns: float
-    aod_az_deg: float
-    aod_el_deg: float
-    aoa_az_deg: float
-    aoa_el_deg: float
-    aod_lobe_index: int
-    aoa_lobe_index: int
-
-    @property
-    def magnitude(self) -> float:
-        """Amplitude in sqrt-mW."""
-        return math.sqrt(self.power_mw)
-
-    @property
-    def aod_zenith_deg(self) -> float:
-        return 90.0 - self.aod_el_deg
-
-    @property
-    def aoa_zenith_deg(self) -> float:
-        return 90.0 - self.aoa_el_deg
-
-
 @dataclass
-class TimeCluster:
-    """Subpaths arriving close together in time.
+class ChannelDrop:
+    """One realization of the omnidirectional channel.
 
-    Per-subpath arrays are ordered by intra-cluster delay ascending;
-    the first intra delay is always exactly zero.
+    Per-subpath arrays hold one entry per subpath, cluster 1's subpaths
+    first, then cluster 2's, and so on; within a cluster, subpaths are in
+    ascending intra-cluster delay and the first intra delay is exactly
+    zero. `cluster_start[n]` is the index of the first subpath of cluster
+    n + 1. It is the one place cluster membership lives: cluster sizes,
+    subpath excess delays and the nested JSON form are all derived from it.
+    Powers are kept as shares of the received power; `powers_mw()` scales
+    them by `link.rx_power_mw`.
     """
 
-    index: int
-    excess_delay_ns: float
-    power_mw: float
-    power_fraction: float
-    intra_delays_ns: np.ndarray
-    subpath_power_mw: np.ndarray
-    subpath_power_fraction: np.ndarray
+    scenario: Scenario
+    distance_m: float
+    link: LinkBudget
+    aod_lobes: list
+    aoa_lobes: list
+    master_seed: int
+    drop_index: int
+    # per cluster
+    cluster_start: np.ndarray            # index of the cluster's first subpath
+    cluster_delays_ns: np.ndarray        # excess delay of the cluster's first subpath
+    cluster_power_fractions: np.ndarray  # share of the received power
+    # per subpath
+    intra_delays_ns: np.ndarray          # delay after the cluster's first subpath
+    power_fractions: np.ndarray          # share of the received power
     phase_rad: np.ndarray
     aod_az_deg: np.ndarray
     aod_el_deg: np.ndarray
     aoa_az_deg: np.ndarray
     aoa_el_deg: np.ndarray
-    aod_lobe_index: np.ndarray
+    aod_lobe_index: np.ndarray           # 1-based
     aoa_lobe_index: np.ndarray
+
+    @property
+    def num_clusters(self) -> int:
+        return len(self.cluster_start)
 
     @property
     def num_subpaths(self) -> int:
         return len(self.intra_delays_ns)
 
     @property
-    def subpath_excess_delays_ns(self) -> np.ndarray:
-        return self.excess_delay_ns + self.intra_delays_ns
-
-    @property
-    def last_intra_delay_ns(self) -> float:
-        return float(self.intra_delays_ns[-1])
-
-
-@dataclass
-class ChannelDrop:
-    """One realization of the omnidirectional channel."""
-
-    scenario: Scenario
-    distance_m: float
-    link: LinkBudget
-    clusters: list
-    aod_lobes: list
-    aoa_lobes: list
-    master_seed: int
-    drop_index: int
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
-
-    @property
-    def num_subpaths(self) -> int:
-        return sum(c.num_subpaths for c in self.clusters)
-
-    @property
     def propagation_delay_ns(self) -> float:
         """First-arrival time assuming a free-space line path."""
         return self.distance_m / SPEED_OF_LIGHT_M_PER_NS
 
+    def cluster_sizes(self) -> np.ndarray:
+        return np.diff(self.cluster_start, append=self.num_subpaths)
+
     def excess_delays_ns(self) -> np.ndarray:
-        return np.concatenate([c.subpath_excess_delays_ns for c in self.clusters])
+        return np.repeat(self.cluster_delays_ns, self.cluster_sizes()) + self.intra_delays_ns
 
     def absolute_delays_ns(self) -> np.ndarray:
         return self.propagation_delay_ns + self.excess_delays_ns()
 
     def powers_mw(self) -> np.ndarray:
-        return np.concatenate([c.subpath_power_mw for c in self.clusters])
-
-    def power_fractions(self) -> np.ndarray:
-        return np.concatenate([c.subpath_power_fraction for c in self.clusters])
-
-    def angles_deg(self, side: str, plane: str) -> np.ndarray:
-        """Per-subpath angles: side in {aod, aoa}, plane in {azimuth, elevation}."""
-        attr = f"{side}_{'az' if plane == 'azimuth' else 'el'}_deg"
-        return np.concatenate([getattr(c, attr) for c in self.clusters])
-
-    def subpaths(self) -> Iterator[Subpath]:
-        t0 = self.propagation_delay_ns
-        for c in self.clusters:
-            for m in range(c.num_subpaths):
-                excess = float(c.subpath_excess_delays_ns[m])
-                yield Subpath(
-                    cluster_index=c.index,
-                    subpath_index=m + 1,
-                    power_mw=float(c.subpath_power_mw[m]),
-                    power_fraction=float(c.subpath_power_fraction[m]),
-                    phase_rad=float(c.phase_rad[m]),
-                    intra_delay_ns=float(c.intra_delays_ns[m]),
-                    excess_delay_ns=excess,
-                    absolute_delay_ns=t0 + excess,
-                    aod_az_deg=float(c.aod_az_deg[m]),
-                    aod_el_deg=float(c.aod_el_deg[m]),
-                    aoa_az_deg=float(c.aoa_az_deg[m]),
-                    aoa_el_deg=float(c.aoa_el_deg[m]),
-                    aod_lobe_index=int(c.aod_lobe_index[m]),
-                    aoa_lobe_index=int(c.aoa_lobe_index[m]),
-                )
+        return self.power_fractions * self.link.rx_power_mw
 
     def to_dict(self) -> dict:
+        rx_mw = self.link.rx_power_mw
+        subpath = {name: getattr(self, name).tolist() for name, _ in _SUBPATH_ARRAYS}
+        subpath["subpath_power_mw"] = self.powers_mw().tolist()
+        subpath["subpath_power_fraction"] = self.power_fractions.tolist()
+        starts = self.cluster_start.tolist()
+        clusters = []
+        for n, (first, end) in enumerate(zip(starts, starts[1:] + [self.num_subpaths])):
+            cluster = {name: values[first:end] for name, values in subpath.items()}
+            cluster.update(
+                index=n + 1,
+                excess_delay_ns=float(self.cluster_delays_ns[n]),
+                power_mw=float(self.cluster_power_fractions[n] * rx_mw),
+                power_fraction=float(self.cluster_power_fractions[n]),
+            )
+            clusters.append(cluster)
         return {
             "scenario": self.scenario.label(),
             "drop_index": self.drop_index,
@@ -217,60 +170,33 @@ class ChannelDrop:
                 {"index": l.index, "mean_az_deg": l.mean_az_deg, "mean_el_deg": l.mean_el_deg}
                 for l in self.aoa_lobes
             ],
-            "clusters": [
-                {
-                    "index": c.index,
-                    "excess_delay_ns": c.excess_delay_ns,
-                    "power_mw": c.power_mw,
-                    "power_fraction": c.power_fraction,
-                    "intra_delays_ns": c.intra_delays_ns.tolist(),
-                    "subpath_power_mw": c.subpath_power_mw.tolist(),
-                    "subpath_power_fraction": c.subpath_power_fraction.tolist(),
-                    "phase_rad": c.phase_rad.tolist(),
-                    "aod_az_deg": c.aod_az_deg.tolist(),
-                    "aod_el_deg": c.aod_el_deg.tolist(),
-                    "aoa_az_deg": c.aoa_az_deg.tolist(),
-                    "aoa_el_deg": c.aoa_el_deg.tolist(),
-                    "aod_lobe_index": c.aod_lobe_index.tolist(),
-                    "aoa_lobe_index": c.aoa_lobe_index.tolist(),
-                }
-                for c in self.clusters
-            ],
+            "clusters": clusters,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelDrop":
-        link = LinkBudget(**data["link"])
-        clusters = [
-            TimeCluster(
-                index=c["index"],
-                excess_delay_ns=c["excess_delay_ns"],
-                power_mw=c["power_mw"],
-                power_fraction=c["power_fraction"],
-                intra_delays_ns=np.asarray(c["intra_delays_ns"], dtype=float),
-                subpath_power_mw=np.asarray(c["subpath_power_mw"], dtype=float),
-                subpath_power_fraction=np.asarray(c["subpath_power_fraction"], dtype=float),
-                phase_rad=np.asarray(c["phase_rad"], dtype=float),
-                aod_az_deg=np.asarray(c["aod_az_deg"], dtype=float),
-                aod_el_deg=np.asarray(c["aod_el_deg"], dtype=float),
-                aoa_az_deg=np.asarray(c["aoa_az_deg"], dtype=float),
-                aoa_el_deg=np.asarray(c["aoa_el_deg"], dtype=float),
-                aod_lobe_index=np.asarray(c["aod_lobe_index"], dtype=np.int64),
-                aoa_lobe_index=np.asarray(c["aoa_lobe_index"], dtype=np.int64),
-            )
-            for c in data["clusters"]
-        ]
+        """Inverse of to_dict; the mW values are re-derived from the fractions."""
+        clusters = data["clusters"]
+
+        def flat(name, dtype):
+            return np.array([v for c in clusters for v in c[name]], dtype=dtype)
+
+        sizes = [len(c["intra_delays_ns"]) for c in clusters]
         return cls(
             scenario=Scenario.parse(data["scenario"]),
             distance_m=data["distance_m"],
-            link=link,
-            clusters=clusters,
+            link=LinkBudget(**data["link"]),
             aod_lobes=[SpatialLobe("aod", l["index"], l["mean_az_deg"], l["mean_el_deg"])
                        for l in data["aod_lobes"]],
             aoa_lobes=[SpatialLobe("aoa", l["index"], l["mean_az_deg"], l["mean_el_deg"])
                        for l in data["aoa_lobes"]],
             master_seed=data["master_seed"],
             drop_index=data["drop_index"],
+            cluster_start=np.cumsum([0] + sizes[:-1], dtype=np.int64),
+            cluster_delays_ns=np.array([c["excess_delay_ns"] for c in clusters], dtype=float),
+            cluster_power_fractions=np.array([c["power_fraction"] for c in clusters], dtype=float),
+            power_fractions=flat("subpath_power_fraction", float),
+            **{name: flat(name, dtype) for name, dtype in _SUBPATH_ARRAYS},
         )
 
 
@@ -298,40 +224,27 @@ def wrap_azimuth_deg(angle_deg):
     return angle_deg % 360.0
 
 
-def draw_intra_cluster_delays(params: ScenarioParams, stream: RandomStream,
-                              num_subpaths: int) -> np.ndarray:
-    """Sorted intra-cluster delays, shifted so the first subpath is at 0."""
-    return sort_from_first(stream.sample(Exponential(params.mu_rho), num_subpaths))
-
-
 def cluster_delay_spec(params: ScenarioParams):
     if params.cluster_delay_family == "lognormal":
         return Lognormal(params.mu_tau, params.sigma_tau)
     return Exponential(params.mu_tau)
 
 
-def place_cluster_delays(draws, intra_delays: Sequence[np.ndarray], mti: float) -> np.ndarray:
+def place_cluster_delays(draws, last_intra_delays, mti: float) -> np.ndarray:
     """Lay out cluster start times from raw delay draws.
 
     The draws are sorted and re-anchored at the smallest one; cluster n
     then starts `mti` plus its sorted offset after the last subpath of
-    cluster n-1, which guarantees every inter-cluster gap is at least
-    the void interval.
+    cluster n-1 (`last_intra_delays[n-1]` after that cluster's start),
+    which guarantees every inter-cluster gap is at least the void
+    interval.
     """
     deltas = sort_from_first(draws)
     tau = np.zeros(len(deltas))
     for n in range(1, len(deltas)):
-        prev_end = tau[n - 1] + intra_delays[n - 1][-1]
+        prev_end = tau[n - 1] + last_intra_delays[n - 1]
         tau[n] = prev_end + (mti + deltas[n])
     return tau
-
-
-def compose_cluster_delays(params: ScenarioParams, stream: RandomStream,
-                           num_clusters: int,
-                           intra_delays: Sequence[np.ndarray]) -> np.ndarray:
-    """Cluster excess delays with a guaranteed inter-cluster void."""
-    draws = stream.sample(cluster_delay_spec(params), num_clusters)
-    return place_cluster_delays(draws, intra_delays, params.mti)
 
 
 def cluster_power_fractions(params: ScenarioParams, stream: RandomStream,
@@ -342,28 +255,6 @@ def cluster_power_fractions(params: ScenarioParams, stream: RandomStream,
     z_db = stream.sample(Normal(0.0, params.sigma_z), n)
     raw = np.exp(-cluster_delays_ns / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
     return raw / raw.sum()
-
-
-def assign_cluster_powers(params: ScenarioParams, link: LinkBudget,
-                          stream: RandomStream,
-                          cluster_delays_ns: np.ndarray) -> np.ndarray:
-    """Cluster powers in mW, summing to the received power."""
-    return cluster_power_fractions(params, stream, cluster_delays_ns) * link.rx_power_mw
-
-
-def subpath_power_fractions(params: ScenarioParams, stream: RandomStream,
-                            intra_delays_ns: np.ndarray) -> np.ndarray:
-    """Within-cluster subpath power shares, normalized to sum to one."""
-    m = len(intra_delays_ns)
-    u_db = stream.sample(Normal(0.0, params.sigma_u), m)
-    raw = np.exp(-intra_delays_ns / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
-    return raw / raw.sum()
-
-
-def assign_subpath_powers(params: ScenarioParams, stream: RandomStream,
-                          cluster: TimeCluster) -> np.ndarray:
-    """Subpath powers in mW, summing to the cluster power."""
-    return subpath_power_fractions(params, stream, cluster.intra_delays_ns) * cluster.power_mw
 
 
 def draw_subpath_phases(stream: RandomStream, count: int) -> np.ndarray:
@@ -440,24 +331,28 @@ def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
     link = link_budget(config, params, streams.substream("shadow"), distance_m=distance_m)
 
     n_clusters = draw_num_time_clusters(params, streams.substream("num_clusters"))
-    m_per_cluster = draw_num_subpaths(params, streams.substream("num_subpaths"), n_clusters)
-    total_subpaths = int(np.sum(m_per_cluster))
-    splits = np.cumsum(m_per_cluster)[:-1]
+    sizes = draw_num_subpaths(params, streams.substream("num_subpaths"), n_clusters)
+    ends = np.cumsum(sizes)
+    cluster_start = ends - sizes
+    total_subpaths = int(ends[-1])
+    cluster_of = np.repeat(np.arange(n_clusters), sizes)
 
-    # batched draws consume the substreams in the same order as
-    # cluster-by-cluster calls of the single-cluster operations
-    rho_draws = streams.substream("intra_delay").sample(
-        Exponential(params.mu_rho), total_subpaths)
-    intra = [sort_from_first(part) for part in np.split(rho_draws, splits)]
+    # each cluster's intra delays are its own draws, sorted and
+    # re-anchored at the cluster's earliest one (sort_from_first)
+    rho = streams.substream("intra_delay").sample(Exponential(params.mu_rho), total_subpaths)
+    rho = rho[np.lexsort((rho, cluster_of))]
+    intra = rho - rho[cluster_start][cluster_of]
 
-    tau = compose_cluster_delays(params, streams.substream("cluster_delay"), n_clusters, intra)
+    cluster_draws = streams.substream("cluster_delay").sample(cluster_delay_spec(params), n_clusters)
+    tau = place_cluster_delays(cluster_draws, intra[ends - 1], params.mti)
     cluster_frac = cluster_power_fractions(params, streams.substream("cluster_power"), tau)
 
     u_db = streams.substream("subpath_power").sample(Normal(0.0, params.sigma_u), total_subpaths)
-    sp_frac_within = []
-    for rho, u_part in zip(intra, np.split(u_db, splits)):
-        raw = np.exp(-rho / params.gamma_subpath) * 10.0 ** (u_part / 10.0)
-        sp_frac_within.append(raw / raw.sum())
+    raw = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
+    # each cluster is normalized by its own raw.sum(): replay depends on
+    # the summation order, which a segmented sum does not promise to keep
+    cluster_raw = np.array([raw[s:e].sum() for s, e in zip(cluster_start.tolist(), ends.tolist())])
+    power_fractions = cluster_frac[cluster_of] * (raw / cluster_raw[cluster_of])
 
     phases = draw_subpath_phases(streams.substream("phase"), total_subpaths)
 
@@ -469,40 +364,26 @@ def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
     i_aod, j_aoa, aod_az, aod_el, aoa_az, aoa_el = draw_subpath_angle_offsets(
         params, streams.substream("angle_offset"), total_subpaths, aod_lobes, aoa_lobes)
 
-    rx_mw = link.rx_power_mw
-    clusters = []
-    offset = 0
-    for n in range(n_clusters):
-        m = int(m_per_cluster[n])
-        sl = slice(offset, offset + m)
-        fractions = cluster_frac[n] * sp_frac_within[n]
-        clusters.append(TimeCluster(
-            index=n + 1,
-            excess_delay_ns=float(tau[n]),
-            power_mw=float(cluster_frac[n] * rx_mw),
-            power_fraction=float(cluster_frac[n]),
-            intra_delays_ns=intra[n],
-            subpath_power_mw=fractions * rx_mw,
-            subpath_power_fraction=fractions,
-            phase_rad=phases[sl],
-            aod_az_deg=aod_az[sl],
-            aod_el_deg=aod_el[sl],
-            aoa_az_deg=aoa_az[sl],
-            aoa_el_deg=aoa_el[sl],
-            aod_lobe_index=i_aod[sl],
-            aoa_lobe_index=j_aoa[sl],
-        ))
-        offset += m
-
     return ChannelDrop(
         scenario=config.scenario,
         distance_m=distance_m,
         link=link,
-        clusters=clusters,
         aod_lobes=aod_lobes,
         aoa_lobes=aoa_lobes,
         master_seed=config.master_seed,
         drop_index=drop_index,
+        cluster_start=cluster_start,
+        cluster_delays_ns=tau,
+        cluster_power_fractions=cluster_frac,
+        intra_delays_ns=intra,
+        power_fractions=power_fractions,
+        phase_rad=phases,
+        aod_az_deg=aod_az,
+        aod_el_deg=aod_el,
+        aoa_az_deg=aoa_az,
+        aoa_el_deg=aoa_el,
+        aod_lobe_index=i_aod,
+        aoa_lobe_index=j_aoa,
     )
 
 

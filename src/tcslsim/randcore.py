@@ -110,20 +110,6 @@ class RandomStream:
         return out
 
 
-def fork_stream(master_seed: int, drop_index: int, label: str) -> RandomStream:
-    """Create an independent stream for the given provenance triple."""
-    return RandomStream(master_seed, drop_index, label)
-
-
-def next_uniform(stream: RandomStream) -> float:
-    """Advance the stream by one draw and return a float in [0, 1)."""
-    return stream.uniform()
-
-
-def sample(stream: RandomStream, spec: "DistSpec", size: int | None = None):
-    return stream.sample(spec, size)
-
-
 class StreamFamily:
     """Factory for the labeled substreams of one drop, sharing an engine."""
 

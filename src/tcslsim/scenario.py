@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import (
+    ConfigError,
     ConfigValidationError,
     DistanceOutOfRangeError,
     MalformedOverrideError,
@@ -252,7 +254,7 @@ def apply_overrides(params: ScenarioParams, overrides: Mapping[str, object]) -> 
             raise MalformedOverrideError(f"unknown parameter {key!r}")
         try:
             coerced[key] = _coerce_field(key, raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedOverrideError(f"bad value for {key!r}: {exc}") from exc
     try:
         return dataclasses.replace(params, **coerced)
@@ -304,7 +306,6 @@ class SimConfig:
     tx_power_dbm: float = 0.0
     num_drops: int = 1
     master_seed: int = 1
-    pdp_bin_ns: float = 0.5
     workers: int = 1
     overrides: Mapping[str, object] = dataclasses.field(default_factory=dict)
     out_dir: str | None = None
@@ -319,47 +320,74 @@ class SimConfig:
 VALID_OUTPUTS = ("jsonl", "pdp", "pas", "summary", "cdf")
 
 
+def _is_number(value) -> bool:
+    """An int or a finite float; a bool is a flag, not a number."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(config: SimConfig) -> SimConfig:
     """Check every SimConfig constraint, raising the full violation list.
 
     Returns the config (with overrides normalized) on success; raises
-    ConfigValidationError carrying one entry per violated constraint.
+    ConfigValidationError carrying one entry per violated constraint,
+    and no other exception, whatever the field values.
     """
     violations = []
 
-    distances = config.distance_m if isinstance(config.distance_m, tuple) else (config.distance_m,)
-    if isinstance(config.distance_m, tuple):
-        if len(config.distance_m) != 2 or config.distance_m[0] >= config.distance_m[1]:
-            violations.append(DistanceOutOfRangeError(
-                f"distance range must be (min, max) with min < max, got {config.distance_m}"))
+    scenario_ok = isinstance(config.scenario, Scenario)
+    if not scenario_ok:
+        violations.append(ConfigError(f"scenario must be a Scenario, got {config.scenario!r}"))
+
+    distance = config.distance_m
+    distances = distance if isinstance(distance, tuple) else (distance,)
+    if isinstance(distance, tuple) and not (
+            len(distance) == 2 and all(map(_is_number, distance)) and distance[0] < distance[1]):
+        violations.append(DistanceOutOfRangeError(
+            f"distance range must be (min, max) with min < max, got {distance}"))
     for d in distances:
-        if not isinstance(d, (int, float)) or not (MIN_DISTANCE_M <= d <= MAX_DISTANCE_M):
+        if not (_is_number(d) and MIN_DISTANCE_M <= d <= MAX_DISTANCE_M):
             violations.append(DistanceOutOfRangeError(
-                f"distance {d} m outside [{MIN_DISTANCE_M}, {MAX_DISTANCE_M}] m"))
+                f"distance {d!r} m outside [{MIN_DISTANCE_M}, {MAX_DISTANCE_M}] m"))
 
-    if not isinstance(config.num_drops, int) or config.num_drops < 1:
-        violations.append(NonPositiveDropsError(f"num_drops must be >= 1, got {config.num_drops}"))
+    if not _is_number(config.tx_power_dbm):
+        violations.append(ConfigError(
+            f"tx_power_dbm must be a finite number, got {config.tx_power_dbm!r}"))
 
-    if not isinstance(config.master_seed, int) or not (0 <= config.master_seed < 2**64):
+    if not (_is_count(config.num_drops) and config.num_drops >= 1):
+        violations.append(NonPositiveDropsError(f"num_drops must be >= 1, got {config.num_drops!r}"))
+
+    if not (_is_count(config.master_seed) and 0 <= config.master_seed < 2**64):
         violations.append(MalformedOverrideError(
-            f"master_seed must be an unsigned 64-bit integer, got {config.master_seed}"))
+            f"master_seed must be an unsigned 64-bit integer, got {config.master_seed!r}"))
 
-    if config.pdp_bin_ns <= 0:
-        violations.append(MalformedOverrideError(f"pdp_bin_ns must be > 0, got {config.pdp_bin_ns}"))
+    if not (_is_count(config.workers) and config.workers >= 1):
+        violations.append(MalformedOverrideError(f"workers must be >= 1, got {config.workers!r}"))
 
-    if config.workers < 1:
-        violations.append(MalformedOverrideError(f"workers must be >= 1, got {config.workers}"))
+    if not isinstance(config.outputs, (tuple, list)):
+        violations.append(ConfigError(f"outputs must be a sequence, got {config.outputs!r}"))
+    else:
+        for out in config.outputs:
+            if out not in VALID_OUTPUTS:
+                violations.append(MalformedOverrideError(
+                    f"unknown output {out!r}, expected one of {VALID_OUTPUTS}"))
 
-    for out in config.outputs:
-        if out not in VALID_OUTPUTS:
-            violations.append(MalformedOverrideError(
-                f"unknown output {out!r}, expected one of {VALID_OUTPUTS}"))
-
-    overrides = dict(config.overrides)
-    try:
-        apply_overrides(lookup_params(config.scenario), overrides)
-    except MalformedOverrideError as exc:
-        violations.append(exc)
+    overrides = {}
+    if not isinstance(config.overrides, Mapping):
+        violations.append(MalformedOverrideError(
+            f"overrides must be a mapping, got {config.overrides!r}"))
+    else:
+        overrides = dict(config.overrides)
+        if scenario_ok:
+            try:
+                apply_overrides(lookup_params(config.scenario), overrides)
+            except MalformedOverrideError as exc:
+                violations.append(exc)
 
     if violations:
         raise ConfigValidationError(violations)

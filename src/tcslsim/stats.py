@@ -91,7 +91,7 @@ def drop_rms_delay_spread(drop: ChannelDrop) -> float:
     Power fractions are used as weights, so the value does not depend on
     transmit power or distance in any bit.
     """
-    return _weighted_delay_spread(drop.excess_delays_ns(), drop.power_fractions())
+    return _weighted_delay_spread(drop.excess_delays_ns(), drop.power_fractions)
 
 
 def _weighted_delay_spread(delays: np.ndarray, weights: np.ndarray) -> float:
@@ -107,8 +107,8 @@ def _weighted_delay_spread(delays: np.ndarray, weights: np.ndarray) -> float:
 
 def build_pas(drop: ChannelDrop, side: str) -> PowerAngularSpectrum:
     """Deposit each subpath's power into its nearest 1-degree cell."""
-    az = drop.angles_deg(side, "azimuth")
-    el = drop.angles_deg(side, "elevation")
+    az = _angles(drop, side, "azimuth")
+    el = _angles(drop, side, "elevation")
     powers = drop.powers_mw()
     grid = np.zeros((AZ_CELLS, EL_CELLS))
     ai = np.rint(az).astype(np.int64) % AZ_CELLS
@@ -147,22 +147,26 @@ def global_rms_as(drop: ChannelDrop, side: str, plane: str) -> float:
     Power fractions weight the subpath directions, so the spread is
     invariant to transmit power and distance.
     """
-    return circular_angular_spread(drop.angles_deg(side, plane), drop.power_fractions())
+    return circular_angular_spread(_angles(drop, side, plane), drop.power_fractions)
+
+
+def _angles(drop: ChannelDrop, side: str, plane: str) -> np.ndarray:
+    return getattr(drop, f"{side}_{'az' if plane == 'azimuth' else 'el'}_deg")
 
 
 def drop_metrics(drop: ChannelDrop) -> dict:
     """All per-drop spread metrics in one pass over the subpaths.
 
     Equals {rms_ds_ns: drop_rms_delay_spread, as_<side>_<plane>_deg:
-    global_rms_as} but shares the concatenated weight vector.
+    global_rms_as}.
     """
-    weights = drop.power_fractions()
+    weights = drop.power_fractions
     return {
         "rms_ds_ns": _weighted_delay_spread(drop.excess_delays_ns(), weights),
-        "as_aod_az_deg": circular_angular_spread(drop.angles_deg("aod", "azimuth"), weights),
-        "as_aod_el_deg": circular_angular_spread(drop.angles_deg("aod", "elevation"), weights),
-        "as_aoa_az_deg": circular_angular_spread(drop.angles_deg("aoa", "azimuth"), weights),
-        "as_aoa_el_deg": circular_angular_spread(drop.angles_deg("aoa", "elevation"), weights),
+        "as_aod_az_deg": circular_angular_spread(drop.aod_az_deg, weights),
+        "as_aod_el_deg": circular_angular_spread(drop.aod_el_deg, weights),
+        "as_aoa_az_deg": circular_angular_spread(drop.aoa_az_deg, weights),
+        "as_aoa_el_deg": circular_angular_spread(drop.aoa_el_deg, weights),
     }
 
 

@@ -14,8 +14,8 @@ from tcslsim.randcore import (
     Lognormal,
     Normal,
     PoissonShifted,
+    RandomStream,
     Uniform,
-    fork_stream,
 )
 
 SCENARIO_LABELS = ("28GHz-LOS", "28GHz-NLOS", "140GHz-LOS", "140GHz-NLOS")
@@ -67,7 +67,7 @@ def family_gof_pvalue(spec, n=100_000, seed=99, label="gof"):
     Continuous families use the KS test, discrete families a chi-square
     with expected counts merged to at least five per bin.
     """
-    draws = fork_stream(seed, 0, label).sample(spec, n)
+    draws = RandomStream(seed, 0, label).sample(spec, n)
     if isinstance(spec, Uniform):
         return sps.kstest(draws, sps.uniform(loc=spec.a, scale=spec.b - spec.a).cdf).pvalue
     if isinstance(spec, Normal):

@@ -1,0 +1,81 @@
+"""The command line, and the names the benchmark in perfbench/ looks up.
+
+The benchmark drives tcslsim from outside: it replaces `cli.run_campaign`
+and `cli.reproduce_report` to capture their results, calls
+`emit_outputs` on pre-built drops and wraps the functions and methods
+named below to time each layer. A name it cannot find turns its metrics
+absent rather than failing, so these tests pin the names and call shapes.
+"""
+
+import contextlib
+import dataclasses
+import importlib
+import io
+
+import pytest
+
+import tcslsim as t
+from tcslsim import cli
+from tcslsim.campaign import emit_outputs, run_campaign
+from tcslsim.generate import generate_drop, generate_drops
+from tcslsim.randcore import Exponential, RandomStream, StreamFamily
+
+
+def test_generate_has_no_pdp_bin_flag():
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        cli.build_parser().parse_args(["generate", "--scenario", "28GHz-LOS",
+                                       "--pdp-bin-ns", "0.5"])
+
+
+def test_commands_call_campaign_entry_points_through_the_cli_module(tmp_path, monkeypatch):
+    captured = {}
+    for name in ("run_campaign", "reproduce_report"):
+        def capture(*args, _original=getattr(cli, name), _name=name, **kwargs):
+            captured[_name] = result = _original(*args, **kwargs)
+            return result
+        monkeypatch.setattr(cli, name, capture)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--scenario", "140GHz-LOS", "--drops", "3",
+                         "--format", "summary", "--out-dir", str(tmp_path)]) == 0
+        cli.main(["reproduce", "--drops", "3", "--seed", "1", "--workers", "1"])
+    assert len([dataclasses.astuple(r) for r in captured["run_campaign"].records]) == 3
+    assert len(captured["reproduce_report"].to_dict()["rows"]) == 4
+
+
+def test_emit_outputs_takes_drops_and_keyword_destination(tmp_path):
+    config = t.validate_config(t.SimConfig(scenario=t.Scenario.parse("28GHz-NLOS"),
+                                           distance_m=(5.0, 45.0), num_drops=3, master_seed=1))
+    result = run_campaign(config)
+    drops = list(generate_drops(config))
+    for fmt in ("jsonl", "pdp", "pas", "summary", "cdf"):
+        paths = emit_outputs(result, drops, out_dir=tmp_path / fmt, outputs=(fmt,))
+        assert paths[fmt].stat().st_size > 0
+
+
+def test_drop_and_stream_names_used_for_per_layer_counts():
+    config = t.SimConfig(scenario=t.Scenario.parse("28GHz-LOS"), distance_m=(5.0, 45.0),
+                         master_seed=7)
+    assert config.distance_range() == (5.0, 45.0)
+    drop = generate_drop(config, t.resolved_params(config), 3)
+    assert drop.num_clusters >= 1 and drop.num_subpaths >= drop.num_clusters
+    assert len(drop.aod_lobes) >= 1 and len(drop.aoa_lobes) >= 1
+    stream = RandomStream(7, 3, "x")
+    assert 0.0 <= stream.uniform() < 1.0
+    assert stream.uniform(4).shape == (4,)
+    assert stream.sample(Exponential(1.0), 2).shape == (2,)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("cli", "main"), ("cli", "_analyze_pdp"), ("cli", "_analyze_pas"),
+    ("campaign", "_record_chunk"), ("generate", "generate_drop"),
+])
+def test_wrapped_functions_exist(module, name):
+    assert callable(getattr(importlib.import_module(f"tcslsim.{module}"), name))
+
+
+@pytest.mark.parametrize("cls, method", [
+    (RandomStream, "__init__"), (RandomStream, "uniform"), (RandomStream, "sample"),
+    (StreamFamily, "substream"),
+])
+def test_wrapped_methods_are_defined_on_their_class(cls, method):
+    assert method in vars(cls)

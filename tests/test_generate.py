@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import tcslsim as t
 from tcslsim.generate import (
-    compose_cluster_delays,
-    draw_intra_cluster_delays,
+    cluster_delay_spec,
+    cluster_power_fractions,
     draw_lobe_mean_angles,
     draw_num_spatial_lobes,
     draw_num_subpaths,
@@ -20,7 +20,7 @@ from tcslsim.generate import (
     wrap_azimuth_deg,
 )
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS
-from tcslsim.randcore import DiscreteUniform, Normal, fork_stream
+from tcslsim.randcore import DiscreteUniform, Exponential, Normal, RandomStream
 
 from conftest import composite_pmf, make_config
 
@@ -30,27 +30,37 @@ def params_for(label, **overrides):
     return t.apply_overrides(p, overrides) if overrides else p
 
 
+def drops_for(label, count, master_seed=1234, **overrides):
+    cfg = make_config(label, master_seed=master_seed, overrides=overrides)
+    return list(t.generate_drops(cfg, count=count))
+
+
+def per_cluster(drop, values):
+    """Split a per-subpath array into one array per cluster."""
+    return np.split(values, drop.cluster_start[1:])
+
+
 # --- step 1: number of time clusters ---------------------------------------
 
 def test_num_clusters_los_uniform_frequencies():
     params = params_for("28-los")
-    draws = fork_stream(1, 0, "nc").sample(DiscreteUniform(1, params.n_c_max), 1_000_000)
+    draws = RandomStream(1, 0, "nc").sample(DiscreteUniform(1, params.n_c_max), 1_000_000)
     for k in range(1, 6):
         assert abs(np.mean(draws == k) - 0.2) < 0.005
-    counts = [draw_num_time_clusters(params, fork_stream(1, i, "nc")) for i in range(500)]
+    counts = [draw_num_time_clusters(params, RandomStream(1, i, "nc")) for i in range(500)]
     assert set(counts) <= set(range(1, 6))
 
 
 def test_num_clusters_140_nlos_mean():
     params = params_for("140-nlos")
-    stream = fork_stream(2, 0, "nc")
+    stream = RandomStream(2, 0, "nc")
     draws = np.array([draw_num_time_clusters(params, stream) for _ in range(200_000)])
     assert abs(draws.mean() - 2.3) < 0.01
 
 
 def test_num_clusters_28_nlos_single_cluster_probability():
     params = params_for("28-nlos")
-    stream = fork_stream(3, 0, "nc")
+    stream = RandomStream(3, 0, "nc")
     draws = np.array([draw_num_time_clusters(params, stream) for _ in range(200_000)])
     assert abs(np.mean(draws == 1) - math.exp(-3.4)) < 0.002
     assert draws.min() >= 1
@@ -60,19 +70,19 @@ def test_num_clusters_28_nlos_single_cluster_probability():
 
 def test_num_subpaths_140_nlos_single_subpath_probability():
     params = params_for("140-nlos")  # beta 1.0, mu_s 1.0
-    draws = draw_num_subpaths(params, fork_stream(4, 0, "m"), 1_000_000)
+    draws = draw_num_subpaths(params, RandomStream(4, 0, "m"), 1_000_000)
     assert abs(np.mean(draws == 1) - (1 - math.exp(-1))) < 0.005
 
 
 def test_num_subpaths_beta_zero_all_one():
     params = params_for("140-nlos", beta_s="0.0")
-    draws = draw_num_subpaths(params, fork_stream(4, 0, "m"), 10_000)
+    draws = draw_num_subpaths(params, RandomStream(4, 0, "m"), 10_000)
     assert (draws == 1).all()
 
 
 def test_num_subpaths_28_nlos_mean_matches_analytic():
     params = params_for("28-nlos")  # beta 0.6, mu_s 4.1
-    draws = draw_num_subpaths(params, fork_stream(5, 0, "m"), 1_000_000)
+    draws = draw_num_subpaths(params, RandomStream(5, 0, "m"), 1_000_000)
     q = math.exp(-1.0 / 4.1)
     analytic = 0.6 * q / (1.0 - q)  # mean of the composite extra count
     sample_mean = (draws - 1).mean()
@@ -82,8 +92,9 @@ def test_num_subpaths_28_nlos_mean_matches_analytic():
 # --- step 3: intra-cluster delays ---------------------------------------------
 
 def test_intra_delays_single_subpath_is_zero():
-    params = params_for("28-los")
-    assert draw_intra_cluster_delays(params, fork_stream(6, 0, "rho"), 1).tolist() == [0.0]
+    for drop in drops_for("28GHz-LOS", 50, master_seed=6, beta_s="0.0"):
+        assert drop.num_subpaths == drop.num_clusters
+        assert (drop.intra_delays_ns == 0.0).all()
 
 
 def test_sort_from_first_example():
@@ -99,92 +110,71 @@ def test_sort_from_first_properties(values):
 
 
 def test_intra_delays_nondecreasing_and_anchored():
-    params = params_for("28-nlos")
-    stream = fork_stream(7, 0, "rho")
-    for _ in range(200):
-        out = draw_intra_cluster_delays(params, stream, 8)
-        assert out[0] == 0.0
-        assert (np.diff(out) >= 0).all()
+    for drop in drops_for("28GHz-NLOS", 200, master_seed=7):
+        for intra in per_cluster(drop, drop.intra_delays_ns):
+            assert intra[0] == 0.0
+            assert (np.diff(intra) >= 0).all()
 
 
 # --- step 4: cluster delays ---------------------------------------------------
 
 def test_place_cluster_delays_example():
-    intra = [np.array([0.0, 4.0]), np.array([0.0, 2.0]), np.array([0.0])]
-    tau = place_cluster_delays([5.0, 10.0, 30.0], intra, mti=6.0)
+    tau = place_cluster_delays([5.0, 10.0, 30.0], [4.0, 2.0, 0.0], mti=6.0)
     assert tau.tolist() == [0.0, 15.0, 48.0]
 
 
 def test_compose_single_cluster_is_zero():
-    params = params_for("140-los")
-    tau = compose_cluster_delays(params, fork_stream(8, 0, "tau"), 1, [np.array([0.0])])
-    assert tau.tolist() == [0.0]
+    for drop in drops_for("140GHz-LOS", 20, master_seed=8, n_c_max="1"):
+        assert drop.cluster_delays_ns.tolist() == [0.0]
 
 
 def test_compose_respects_void_interval():
-    params = params_for("140-nlos")
-    stream = fork_stream(9, 0, "tau")
-    rho_stream = fork_stream(9, 0, "rho")
-    for _ in range(2000):
-        intra = [draw_intra_cluster_delays(params, rho_stream, 3) for _ in range(4)]
-        tau = compose_cluster_delays(params, stream, 4, intra)
-        for n in range(1, 4):
-            gap = tau[n] - (tau[n - 1] + intra[n - 1][-1])
-            assert gap >= params.mti
+    mti = params_for("140-nlos").mti
+    drops = drops_for("140GHz-NLOS", 1000, master_seed=9, lambda_c="3.0", mu_s="3.0")
+    assert sum(d.num_clusters >= 4 for d in drops) > 100
+    for drop in drops:
+        tau = drop.cluster_delays_ns
+        last_intra = drop.intra_delays_ns[drop.cluster_start[1:] - 1]
+        assert (tau[1:] - (tau[:-1] + last_intra) >= mti).all()
 
 
 # --- steps 5-6: powers ----------------------------------------------------------
 
 def test_cluster_power_single_cluster_gets_everything():
-    cfg = make_config("28GHz-NLOS")
-    params = t.resolved_params(cfg)
-    link = t.link_budget(cfg, params, fork_stream(10, 0, "shadow"))
-    powers = t.generate.assign_cluster_powers(
-        params, link, fork_stream(10, 0, "cp"), np.array([0.0]))
-    assert powers.tolist() == [link.rx_power_mw]
+    for drop in drops_for("140GHz-LOS", 20, master_seed=10, n_c_max="1"):
+        assert drop.cluster_power_fractions.tolist() == [1.0]
+        assert drop.to_dict()["clusters"][0]["power_mw"] == drop.link.rx_power_mw
 
 
 def test_cluster_power_decay_ratio():
-    cfg = make_config("28GHz-NLOS", overrides={"sigma_z": "0.0"})
-    params = t.resolved_params(cfg)  # gamma_cluster 20.1
-    link = t.link_budget(cfg, params, fork_stream(11, 0, "shadow"))
-    powers = t.generate.assign_cluster_powers(
-        params, link, fork_stream(11, 0, "cp"), np.array([0.0, 20.0]))
-    assert powers[1] / powers[0] == pytest.approx(math.exp(-20.0 / 20.1), rel=1e-12)
-    assert powers.sum() == pytest.approx(link.rx_power_mw, rel=1e-12)
+    drops = drops_for("28GHz-NLOS", 50, master_seed=11, sigma_z="0.0")  # gamma_cluster 20.1
+    assert sum(d.num_clusters > 1 for d in drops) > 25
+    for drop in drops:
+        frac = drop.cluster_power_fractions
+        expected = np.exp(-(drop.cluster_delays_ns - drop.cluster_delays_ns[0]) / 20.1)
+        assert frac / frac[0] == pytest.approx(expected, rel=1e-12)
+        assert frac.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_subpath_power_decay_ratio():
-    cfg = make_config("140GHz-NLOS", overrides={"sigma_u": "0.0"})
-    params = t.resolved_params(cfg)  # gamma_subpath 2.0
-    cluster = _single_cluster(rho=np.array([0.0, 2.0]), power_mw=5.0)
-    powers = t.generate.assign_subpath_powers(params, fork_stream(12, 0, "sp"), cluster)
-    assert powers[1] / powers[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert powers.sum() == pytest.approx(5.0, rel=1e-12)
+    drops = drops_for("140GHz-NLOS", 50, master_seed=12, sigma_u="0.0")  # gamma_subpath 2.0
+    assert sum(d.num_subpaths > d.num_clusters for d in drops) > 25
+    for drop in drops:
+        for n, (intra, frac) in enumerate(zip(per_cluster(drop, drop.intra_delays_ns),
+                                              per_cluster(drop, drop.power_fractions))):
+            assert frac / frac[0] == pytest.approx(np.exp(-intra / 2.0), rel=1e-12)
+            assert frac.sum() == pytest.approx(drop.cluster_power_fractions[n], rel=1e-12)
 
 
 def test_subpath_power_single_subpath_gets_cluster_power():
-    params = params_for("28-los")
-    cluster = _single_cluster(rho=np.array([0.0]), power_mw=2.5)
-    powers = t.generate.assign_subpath_powers(params, fork_stream(13, 0, "sp"), cluster)
-    assert powers.tolist() == [2.5]
-
-
-def _single_cluster(rho, power_mw):
-    m = len(rho)
-    zeros = np.zeros(m)
-    return t.TimeCluster(
-        index=1, excess_delay_ns=0.0, power_mw=power_mw, power_fraction=1.0,
-        intra_delays_ns=rho, subpath_power_mw=zeros, subpath_power_fraction=zeros,
-        phase_rad=zeros, aod_az_deg=zeros, aod_el_deg=zeros, aoa_az_deg=zeros,
-        aoa_el_deg=zeros, aod_lobe_index=np.ones(m, dtype=np.int64),
-        aoa_lobe_index=np.ones(m, dtype=np.int64))
+    for drop in drops_for("28GHz-LOS", 20, master_seed=13, beta_s="0.0"):
+        assert np.array_equal(drop.power_fractions, drop.cluster_power_fractions)
 
 
 # --- step 7: phases --------------------------------------------------------------
 
 def test_phases_range_and_isotropy():
-    phases = draw_subpath_phases(fork_stream(14, 0, "ph"), 1_000_000)
+    phases = draw_subpath_phases(RandomStream(14, 0, "ph"), 1_000_000)
     assert phases.min() >= 0.0
     assert phases.max() < 2.0 * math.pi
     resultant = abs(np.exp(1j * phases).mean())
@@ -196,14 +186,14 @@ def test_phases_range_and_isotropy():
 
 def test_num_lobes_28_nlos_aoa_frequencies():
     params = params_for("28-nlos")
-    draws = fork_stream(15, 0, "nl").sample(DiscreteUniform(1, params.l_aoa_max), 1_000_000)
+    draws = RandomStream(15, 0, "nl").sample(DiscreteUniform(1, params.l_aoa_max), 1_000_000)
     for k in (1, 2, 3):
         assert abs(np.mean(draws == k) - 1 / 3) < 0.005
 
 
 def test_num_lobes_ranges_and_degenerate():
     params = params_for("140-los")
-    stream = fork_stream(16, 0, "nl")
+    stream = RandomStream(16, 0, "nl")
     for _ in range(500):
         l_aod, l_aoa = draw_num_spatial_lobes(params, stream)
         assert l_aod in (1, 2) and l_aoa in (1, 2)
@@ -214,7 +204,7 @@ def test_num_lobes_ranges_and_degenerate():
 
 def test_lobe_sectors_partition_the_circle():
     params = params_for("28-los")
-    stream = fork_stream(17, 0, "la")
+    stream = RandomStream(17, 0, "la")
     for _ in range(500):
         lobes = draw_lobe_mean_angles(params, stream, 2, "aoa")
         assert 0.0 <= lobes[0].mean_az_deg < 180.0
@@ -226,10 +216,10 @@ def test_lobe_sectors_partition_the_circle():
 
 
 def test_lobe_elevation_mean_140_nlos_aoa():
-    draws = fork_stream(18, 0, "el").sample(Normal(4.8, 2.8), 1_000_000)
+    draws = RandomStream(18, 0, "el").sample(Normal(4.8, 2.8), 1_000_000)
     assert abs(draws.mean() - 4.8) < 0.02
     params = params_for("140-nlos")
-    stream = fork_stream(18, 0, "la")
+    stream = RandomStream(18, 0, "la")
     sample = [draw_lobe_mean_angles(params, stream, 1, "aoa")[0].mean_el_deg
               for _ in range(20_000)]
     assert abs(np.mean(sample) - 4.8) < 0.1
@@ -237,7 +227,7 @@ def test_lobe_elevation_mean_140_nlos_aoa():
 
 def test_lobe_elevation_uses_departure_params_for_aod():
     params = params_for("28-los")  # mu_l_zod -7.3
-    stream = fork_stream(19, 0, "la")
+    stream = RandomStream(19, 0, "la")
     sample = [draw_lobe_mean_angles(params, stream, 1, "aod")[0].mean_el_deg
               for _ in range(20_000)]
     assert abs(np.mean(sample) - (-7.3)) < 0.15
@@ -255,13 +245,13 @@ def test_zero_offsets_put_subpaths_on_lobe_means():
     aod = [t.SpatialLobe("aod", 1, 123.0, -5.0)]
     aoa = [t.SpatialLobe("aoa", 1, 321.0, 5.0)]
     _, _, aod_az, aod_el, aoa_az, aoa_el = draw_subpath_angle_offsets(
-        params, fork_stream(20, 0, "off"), 50, aod, aoa)
+        params, RandomStream(20, 0, "off"), 50, aod, aoa)
     assert (aod_az == 123.0).all() and (aod_el == -5.0).all()
     assert (aoa_az == 321.0).all() and (aoa_el == 5.0).all()
 
 
 def test_offset_std_28_nlos_aoa():
-    draws = fork_stream(21, 0, "off").sample(Normal(0.0, 25.5), 1_000_000)
+    draws = RandomStream(21, 0, "off").sample(Normal(0.0, 25.5), 1_000_000)
     assert abs(draws.std() - 25.5) < 0.1
 
 
@@ -270,7 +260,7 @@ def test_offsets_wrap_and_clamp():
     aod = [t.SpatialLobe("aod", 1, 355.0, 88.0)]
     aoa = [t.SpatialLobe("aoa", 1, 2.0, -88.0)]
     _, _, aod_az, aod_el, aoa_az, aoa_el = draw_subpath_angle_offsets(
-        params, fork_stream(22, 0, "off"), 5000, aod, aoa)
+        params, RandomStream(22, 0, "off"), 5000, aod, aoa)
     for arr in (aod_az, aoa_az):
         assert arr.min() >= 0.0 and arr.max() < 360.0
     assert aod_el.max() <= 90.0 and aoa_el.min() >= -90.0
@@ -281,7 +271,7 @@ def test_lobe_assignment_covers_all_lobes():
     aod = [t.SpatialLobe("aod", i + 1, 90.0 * (i + 1), 0.0) for i in range(2)]
     aoa = [t.SpatialLobe("aoa", i + 1, 120.0 * i + 10, 0.0) for i in range(3)]
     i_aod, j_aoa, *_ = draw_subpath_angle_offsets(
-        params, fork_stream(23, 0, "off"), 3000, aod, aoa)
+        params, RandomStream(23, 0, "off"), 3000, aod, aoa)
     assert set(np.unique(i_aod)) == {1, 2}
     assert set(np.unique(j_aoa)) == {1, 2, 3}
     for k in (1, 2):
@@ -302,9 +292,10 @@ def test_generate_drop_power_conservation(scenario_label):
     params = t.resolved_params(cfg)
     for drop in t.generate_drops(cfg, params, count=200):
         rx = drop.link.rx_power_mw
-        assert abs(sum(c.power_mw for c in drop.clusters) - rx) / rx < 1e-9
-        for c in drop.clusters:
-            assert abs(c.subpath_power_mw.sum() - c.power_mw) / c.power_mw < 1e-9
+        cluster_mw = drop.cluster_power_fractions * rx
+        assert abs(cluster_mw.sum() - rx) / rx < 1e-9
+        for mw, subpath_mw in zip(cluster_mw, per_cluster(drop, drop.powers_mw())):
+            assert abs(subpath_mw.sum() - mw) / mw < 1e-9
         assert abs(drop.powers_mw().sum() - rx) / rx < 1e-9
 
 
@@ -313,26 +304,28 @@ def test_generate_drop_invariant_sweep_140_nlos():
     params = t.resolved_params(cfg)
     for drop in t.generate_drops(cfg, params, count=1000):
         assert drop.num_clusters >= 1
-        for prev, cur in zip(drop.clusters, drop.clusters[1:]):
-            gap = cur.excess_delay_ns - (prev.excess_delay_ns + prev.last_intra_delay_ns)
-            assert gap >= 6.0
-        for side in ("aod", "aoa"):
-            az = drop.angles_deg(side, "azimuth")
+        tau = drop.cluster_delays_ns
+        last_intra = drop.intra_delays_ns[drop.cluster_start[1:] - 1]
+        assert (tau[1:] - (tau[:-1] + last_intra) >= 6.0).all()
+        for az in (drop.aod_az_deg, drop.aoa_az_deg):
             assert az.min() >= 0.0 and az.max() < 360.0
-            el = drop.angles_deg(side, "elevation")
+        for el in (drop.aod_el_deg, drop.aoa_el_deg):
             assert el.min() >= -90.0 and el.max() <= 90.0
 
 
 def test_cluster_structure_fields():
     cfg = make_config("28GHz-NLOS", master_seed=8)
     drop = t.generate_drop(cfg)
-    for c in drop.clusters:
-        assert c.intra_delays_ns[0] == 0.0
-        assert (np.diff(c.intra_delays_ns) >= 0).all()
-        assert len(c.subpath_power_mw) == c.num_subpaths
-        assert (c.phase_rad >= 0).all() and (c.phase_rad < 2 * math.pi).all()
-        assert abs(c.power_fraction * drop.link.rx_power_mw - c.power_mw) <= 1e-12 * c.power_mw
-    assert drop.num_subpaths == sum(c.num_subpaths for c in drop.clusters)
+    assert drop.cluster_start[0] == 0 and (np.diff(drop.cluster_start) >= 1).all()
+    assert drop.cluster_sizes().sum() == drop.num_subpaths
+    for intra in per_cluster(drop, drop.intra_delays_ns):
+        assert intra[0] == 0.0
+        assert (np.diff(intra) >= 0).all()
+    assert (drop.phase_rad >= 0).all() and (drop.phase_rad < 2 * math.pi).all()
+    rx = drop.link.rx_power_mw
+    for c, size in zip(drop.to_dict()["clusters"], drop.cluster_sizes()):
+        assert len(c["intra_delays_ns"]) == len(c["subpath_power_mw"]) == size
+        assert abs(c["power_fraction"] * rx - c["power_mw"]) <= 1e-12 * c["power_mw"]
 
 
 def test_absolute_delay_is_propagation_plus_excess():
@@ -340,21 +333,22 @@ def test_absolute_delay_is_propagation_plus_excess():
     drop = t.generate_drop(cfg)
     t0 = 30.0 / SPEED_OF_LIGHT_M_PER_NS
     assert drop.propagation_delay_ns == pytest.approx(t0, rel=1e-12)
-    for sp in drop.subpaths():
-        assert sp.absolute_delay_ns == pytest.approx(t0 + sp.excess_delay_ns, rel=1e-12)
     assert np.allclose(drop.absolute_delays_ns(), t0 + drop.excess_delays_ns(), rtol=1e-12)
+    expected = np.concatenate([tau + intra for tau, intra in zip(
+        drop.cluster_delays_ns, per_cluster(drop, drop.intra_delays_ns))])
+    assert np.array_equal(drop.excess_delays_ns(), expected)
 
 
-def test_subpath_view_consistency():
+def test_subpath_arrays_consistency():
     cfg = make_config("140GHz-LOS", master_seed=70)
     drop = t.generate_drop(cfg)
-    subpaths = list(drop.subpaths())
-    assert len(subpaths) == drop.num_subpaths
-    for sp in subpaths:
-        assert sp.magnitude == pytest.approx(math.sqrt(sp.power_mw), rel=1e-12)
-        assert sp.aoa_zenith_deg == pytest.approx(90.0 - sp.aoa_el_deg, abs=1e-12)
-        assert 1 <= sp.aod_lobe_index <= len(drop.aod_lobes)
-        assert 1 <= sp.aoa_lobe_index <= len(drop.aoa_lobes)
+    for name in ("intra_delays_ns", "power_fractions", "phase_rad", "aod_az_deg", "aod_el_deg",
+                 "aoa_az_deg", "aoa_el_deg", "aod_lobe_index", "aoa_lobe_index"):
+        assert len(getattr(drop, name)) == drop.num_subpaths, name
+    assert len(drop.cluster_delays_ns) == len(drop.cluster_power_fractions) == drop.num_clusters
+    assert np.array_equal(drop.powers_mw(), drop.power_fractions * drop.link.rx_power_mw)
+    assert 1 <= drop.aod_lobe_index.min() and drop.aod_lobe_index.max() <= len(drop.aod_lobes)
+    assert 1 <= drop.aoa_lobe_index.min() and drop.aoa_lobe_index.max() <= len(drop.aoa_lobes)
 
 
 def test_drop_roundtrip_through_json():
@@ -382,17 +376,46 @@ def test_fixed_distance_consumes_no_distance_stream():
     assert drop.link.distance_m == 25.0
 
 
+def test_json_roundtrip_every_scenario(scenario_label):
+    import json
+
+    cfg = make_config(scenario_label, master_seed=203)
+    for drop in t.generate_drops(cfg, count=10):
+        back = t.ChannelDrop.from_dict(json.loads(json.dumps(drop.to_dict())))
+        assert back.to_dict() == drop.to_dict()
+        for name, value in vars(drop).items():
+            if isinstance(value, np.ndarray):
+                restored = getattr(back, name)
+                assert restored.dtype == value.dtype and np.array_equal(restored, value), name
+
+
 def test_batched_draws_match_single_cluster_operations():
-    """generate_drop consumes the intra-delay substream exactly like
-    cluster-by-cluster calls of draw_intra_cluster_delays."""
+    """generate_drop consumes its substreams exactly like cluster-by-cluster
+    draws: intra delays, cluster delays and within-cluster power shares."""
     cfg = make_config("28GHz-NLOS", master_seed=909)
     params = t.resolved_params(cfg)
     drop = t.generate_drop(cfg, params, drop_index=4)
-    m = [c.num_subpaths for c in drop.clusters]
-    stream = fork_stream(909, 4, "intra_delay")
-    expected = [draw_intra_cluster_delays(params, stream, mi) for mi in m]
-    for c, ref in zip(drop.clusters, expected):
-        assert np.array_equal(c.intra_delays_ns, ref)
+    assert drop.num_clusters > 1 and drop.num_subpaths > drop.num_clusters
+
+    rho_stream = RandomStream(909, 4, "intra_delay")
+    intra = [sort_from_first(rho_stream.sample(Exponential(params.mu_rho), m))
+             for m in drop.cluster_sizes()]
+    assert np.array_equal(drop.intra_delays_ns, np.concatenate(intra))
+
+    draws = RandomStream(909, 4, "cluster_delay").sample(cluster_delay_spec(params),
+                                                          drop.num_clusters)
+    tau = place_cluster_delays(draws, [rho[-1] for rho in intra], params.mti)
+    assert np.array_equal(drop.cluster_delays_ns, tau)
+    cluster_frac = cluster_power_fractions(params, RandomStream(909, 4, "cluster_power"), tau)
+    assert np.array_equal(drop.cluster_power_fractions, cluster_frac)
+
+    u_stream = RandomStream(909, 4, "subpath_power")
+    shares = []
+    for frac, rho in zip(cluster_frac, intra):
+        u_db = u_stream.sample(Normal(0.0, params.sigma_u), len(rho))
+        raw = np.exp(-rho / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
+        shares.append(frac * (raw / raw.sum()))
+    assert np.array_equal(drop.power_fractions, np.concatenate(shares))
 
 
 def test_tx_power_scales_subpath_powers_only():
@@ -402,8 +425,7 @@ def test_tx_power_scales_subpath_powers_only():
     b = t.generate_drop(boosted)
     scale = 10.0 ** 2  # +20 dB
     assert np.allclose(b.powers_mw(), a.powers_mw() * scale, rtol=1e-12)
-    assert np.array_equal(a.power_fractions(), b.power_fractions())
+    assert np.array_equal(a.power_fractions, b.power_fractions)
     assert np.array_equal(a.excess_delays_ns(), b.excess_delays_ns())
-    for side in ("aod", "aoa"):
-        for plane in ("azimuth", "elevation"):
-            assert np.array_equal(a.angles_deg(side, plane), b.angles_deg(side, plane))
+    for name in ("aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))

@@ -15,38 +15,36 @@ from tcslsim.randcore import (
     Lognormal,
     Normal,
     PoissonShifted,
+    RandomStream,
     StreamFamily,
     Uniform,
     _invert,
-    fork_stream,
-    next_uniform,
-    sample,
 )
 
 
 def test_same_provenance_identical_sequence():
-    a = fork_stream(42, 0, "delay").uniform(100)
-    b = fork_stream(42, 0, "delay").uniform(100)
+    a = RandomStream(42, 0, "delay").uniform(100)
+    b = RandomStream(42, 0, "delay").uniform(100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_labels_differ():
-    a = fork_stream(42, 0, "delay").uniform(100)
-    b = fork_stream(42, 0, "power").uniform(100)
+    a = RandomStream(42, 0, "delay").uniform(100)
+    b = RandomStream(42, 0, "power").uniform(100)
     assert not np.array_equal(a, b)
 
 
 def test_distinct_drops_differ():
-    a = fork_stream(42, 0, "delay").uniform(100)
-    b = fork_stream(42, 1, "delay").uniform(100)
+    a = RandomStream(42, 0, "delay").uniform(100)
+    b = RandomStream(42, 1, "delay").uniform(100)
     assert not np.array_equal(a, b)
 
 
 def test_fork_independent_of_sibling_consumption():
-    lone = fork_stream(7, 3, "x").uniform(50)
-    first = fork_stream(7, 3, "y")
+    lone = RandomStream(7, 3, "x").uniform(50)
+    first = RandomStream(7, 3, "y")
     first.uniform(999)  # consuming a sibling must not disturb 'x'
-    again = fork_stream(7, 3, "x").uniform(50)
+    again = RandomStream(7, 3, "x").uniform(50)
     assert np.array_equal(lone, again)
 
 
@@ -58,31 +56,31 @@ def test_shared_engine_interleaving_matches_private_streams():
         got1.append(s1.uniform())
         got2.append(s2.uniform())
         got2.append(s2.uniform())
-    ref1 = fork_stream(11, 5, "a").uniform(10)
-    ref2 = fork_stream(11, 5, "b").uniform(20)
+    ref1 = RandomStream(11, 5, "a").uniform(10)
+    ref2 = RandomStream(11, 5, "b").uniform(20)
     assert np.array_equal(got1, ref1)
     assert np.array_equal(got2, ref2)
 
 
 def test_next_uniform_advances_and_bounds():
-    s = fork_stream(1, 0, "u")
-    vals = [next_uniform(s) for _ in range(1000)]
+    s = RandomStream(1, 0, "u")
+    vals = [s.uniform() for _ in range(1000)]
     assert len(set(vals)) > 990
     assert all(0.0 <= v < 1.0 for v in vals)
 
 
 def test_uniform_sample_mean():
-    u = fork_stream(123, 0, "mean").uniform(1_000_000)
+    u = RandomStream(123, 0, "mean").uniform(1_000_000)
     assert abs(u.mean() - 0.5) < 0.002
 
 
 def test_uniform_ks_statistic():
-    u = fork_stream(321, 0, "ks").uniform(100_000)
+    u = RandomStream(321, 0, "ks").uniform(100_000)
     assert sps.kstest(u, "uniform").statistic < 0.006
 
 
 def test_uniform_range_bounds():
-    u = fork_stream(7, 0, "rng").uniform(100_000)
+    u = RandomStream(7, 0, "rng").uniform(100_000)
     assert u.min() >= 0.0
     assert u.max() < 1.0
 
@@ -92,8 +90,8 @@ def test_uniform_range_bounds():
        label=st.text(min_size=0, max_size=12))
 @settings(max_examples=30, deadline=None)
 def test_replay_is_bit_identical(seed, drop, label):
-    a = fork_stream(seed, drop, label)
-    b = fork_stream(seed, drop, label)
+    a = RandomStream(seed, drop, label)
+    b = RandomStream(seed, drop, label)
     assert np.array_equal(a.uniform(16), b.uniform(16))
     assert a.sample(Normal(0, 1), 4).tolist() == b.sample(Normal(0, 1), 4).tolist()
 
@@ -111,54 +109,54 @@ def test_normal_inverse_median_and_quartile():
 
 
 def test_poisson_shifted_minimum_frequency():
-    draws = fork_stream(5, 0, "pois").sample(PoissonShifted(1.3), 1_000_000)
+    draws = RandomStream(5, 0, "pois").sample(PoissonShifted(1.3), 1_000_000)
     assert draws.min() >= 1
     freq = np.mean(draws == 1)
     assert abs(freq - math.exp(-1.3)) < 0.002
 
 
 def test_poisson_scalar_path_matches_vector_path():
-    vec = fork_stream(9, 0, "p").sample(PoissonShifted(3.4), 64)
-    scalars = fork_stream(9, 0, "p")
+    vec = RandomStream(9, 0, "p").sample(PoissonShifted(3.4), 64)
+    scalars = RandomStream(9, 0, "p")
     one_by_one = [scalars.sample(PoissonShifted(3.4)) for _ in range(64)]
     assert vec.tolist() == one_by_one
 
 
 def test_composite_point_mass_frequency():
     spec = CompositeSubpath(beta=0.8, mu_s=2.4)
-    draws = fork_stream(6, 0, "comp").sample(spec, 1_000_000)
+    draws = RandomStream(6, 0, "comp").sample(spec, 1_000_000)
     expected = composite_pmf(0, 0.8, 2.4)
     assert expected == pytest.approx(0.4726, abs=5e-4)
     assert abs(np.mean(draws == 1) - expected) < 0.002
 
 
 def test_composite_beta_zero_is_constant_one():
-    draws = fork_stream(6, 0, "comp0").sample(CompositeSubpath(0.0, 5.0), 10_000)
+    draws = RandomStream(6, 0, "comp0").sample(CompositeSubpath(0.0, 5.0), 10_000)
     assert (draws == 1).all()
 
 
 def test_composite_beta_one_reduces_to_discrete_exponential():
     spec = CompositeSubpath(beta=1.0, mu_s=1.7)
-    a = fork_stream(8, 0, "de").sample(spec, 50_000)
-    exp_draws = fork_stream(8, 0, "de").sample(Exponential(1.7), 50_000)
+    a = RandomStream(8, 0, "de").sample(spec, 50_000)
+    exp_draws = RandomStream(8, 0, "de").sample(Exponential(1.7), 50_000)
     assert np.array_equal(a, 1 + np.floor(exp_draws).astype(np.int64))
 
 
 def test_composite_tiny_scale_degenerates_to_one():
-    draws = fork_stream(6, 0, "tiny").sample(CompositeSubpath(1.0, 1e-12), 10_000)
+    draws = RandomStream(6, 0, "tiny").sample(CompositeSubpath(1.0, 1e-12), 10_000)
     assert (draws == 1).all()
 
 
 def test_discrete_uniform_bounds_and_balance():
-    draws = fork_stream(4, 0, "du").sample(DiscreteUniform(1, 5), 1_000_000)
+    draws = RandomStream(4, 0, "du").sample(DiscreteUniform(1, 5), 1_000_000)
     assert draws.min() == 1 and draws.max() == 5
     for k in range(1, 6):
         assert abs(np.mean(draws == k) - 0.2) < 0.005
 
 
 def test_lognormal_matches_exp_of_normal():
-    a = fork_stream(2, 0, "ln").sample(Lognormal(2.7, 1.4), 1000)
-    b = fork_stream(2, 0, "ln").sample(Normal(2.7, 1.4), 1000)
+    a = RandomStream(2, 0, "ln").sample(Lognormal(2.7, 1.4), 1000)
+    b = RandomStream(2, 0, "ln").sample(Normal(2.7, 1.4), 1000)
     assert np.allclose(a, np.exp(b), rtol=1e-12)
 
 
@@ -195,14 +193,9 @@ def test_each_family_fits_its_law_at_1pct(spec):
 
 
 def test_sample_scalar_and_vector_types():
-    s = fork_stream(1, 0, "types")
+    s = RandomStream(1, 0, "types")
     assert isinstance(s.sample(Exponential(1.0)), float)
     assert isinstance(s.sample(PoissonShifted(1.0)), int)
     arr = s.sample(Normal(0, 1), 5)
     assert arr.shape == (5,)
 
-
-def test_module_level_sample_matches_method():
-    a = sample(fork_stream(3, 1, "m"), Exponential(2.0), 10)
-    b = fork_stream(3, 1, "m").sample(Exponential(2.0), 10)
-    assert np.array_equal(a, b)

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcslsim as t
 from tcslsim.errors import (
@@ -173,6 +176,40 @@ def test_validate_master_seed_bounds():
     with pytest.raises(ConfigValidationError):
         t.validate_config(t.SimConfig(scenario=t.ALL_SCENARIOS[0], master_seed=-1))
     t.validate_config(t.SimConfig(scenario=t.ALL_SCENARIOS[0], master_seed=2**64 - 1))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("workers", None), ("workers", 2.5), ("overrides", None), ("distance_m", (5.0, "x")),
+    ("tx_power_dbm", math.nan), ("tx_power_dbm", "x"), ("num_drops", True), ("master_seed", True),
+    ("scenario", "28GHz-LOS"), ("outputs", None),
+])
+def test_validate_rejects_wrong_types(field, value):
+    cfg = dataclasses.replace(t.SimConfig(scenario=t.ALL_SCENARIOS[0]), **{field: value})
+    with pytest.raises(ConfigValidationError):
+        t.validate_config(cfg)
+
+
+_PARAM_NAMES = sorted(f.name for f in dataclasses.fields(t.ScenarioParams))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6))
+_ANY_VALUE = st.one_of(
+    _SCALARS,
+    st.sampled_from(t.ALL_SCENARIOS),
+    st.tuples(_SCALARS, _SCALARS),
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.one_of(st.sampled_from(_PARAM_NAMES), st.text(max_size=6)),
+                    _SCALARS, max_size=3),
+)
+
+
+@given(field=st.sampled_from([f.name for f in dataclasses.fields(t.SimConfig)]),
+       value=_ANY_VALUE)
+@settings(max_examples=400, deadline=None)
+def test_validate_config_raises_only_validation_error(field, value):
+    cfg = dataclasses.replace(t.SimConfig(scenario=t.ALL_SCENARIOS[1]), **{field: value})
+    try:
+        t.validate_config(cfg)
+    except ConfigValidationError:
+        pass
 
 
 def test_apply_overrides_changes_one_field():

@@ -92,9 +92,8 @@ def test_drop_rms_matches_pdp_route(scenario_label):
 def test_build_pas_nearest_cell():
     cfg = single_path_config(master_seed=5)
     drop = t.generate_drop(cfg)
-    c = drop.clusters[0]
-    c.aoa_az_deg[0] = 10.4
-    c.aoa_el_deg[0] = 5.2
+    drop.aoa_az_deg[0] = 10.4
+    drop.aoa_el_deg[0] = 5.2
     pas = t.build_pas(drop, "aoa")
     assert pas.cell_power(10, 5) == pytest.approx(drop.link.rx_power_mw, rel=1e-12)
     assert np.count_nonzero(pas.grid) == 1
@@ -123,9 +122,9 @@ def test_build_pas_same_direction_powers_add():
 def test_azimuth_wrap_rounds_to_cell_zero():
     cfg = single_path_config(master_seed=5)
     drop = t.generate_drop(cfg)
-    drop.clusters[0].aoa_az_deg[0] = 359.7
+    drop.aoa_az_deg[0] = 359.7
     pas = t.build_pas(drop, "aoa")
-    assert pas.cell_power(0, round(drop.clusters[0].aoa_el_deg[0])) > 0
+    assert pas.cell_power(0, round(drop.aoa_el_deg[0])) > 0
 
 
 def test_circular_spread_single_direction():

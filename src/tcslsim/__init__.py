@@ -35,6 +35,7 @@ from .pathloss import LinkBudget, fspl_1m, link_budget, path_loss_ci
 from .generate import (
     ChannelDrop,
     SpatialLobe,
+    generate_batch,
     generate_drop,
     generate_drops,
 )

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .generate import generate_drop, generate_drops
+from .generate import BLOCK_DROPS, generate_batch
 from .scenario import (
     ALL_SCENARIOS,
     Scenario,
@@ -93,8 +93,9 @@ def drop_record(drop) -> DropRecord:
 
 def _record_chunk(config: SimConfig, start: int, count: int) -> list:
     params = resolved_params(config)
-    return [drop_record(generate_drop(config, params, idx))
-            for idx in range(start, start + count)]
+    return [drop_record(drop) for first in range(start, start + count, BLOCK_DROPS)
+            for drop in generate_batch(config, params, first,
+                                       min(BLOCK_DROPS, start + count - first))]
 
 
 def run_campaign(config: SimConfig) -> CampaignResult:

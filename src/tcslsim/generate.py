@@ -2,20 +2,26 @@
 
 A drop is one statistical realization of the channel: subpaths grouped
 into time clusters (delay structure) and assigned to spatial lobes
-(angular structure). Generation runs a fixed sequence of draws, each on
-its own labeled substream, so adding or reordering later steps can never
-perturb the values produced by earlier ones:
+(angular structure). Every quantity is drawn on its own labeled
+substream of the drop, so adding or reordering later steps can never
+perturb the values produced by earlier ones.
 
-    distance -> shadow -> num_clusters -> num_subpaths -> intra_delay
-    -> cluster_delay -> cluster_power -> subpath_power -> phase
-    -> num_lobes -> lobe_angle -> angle_offset
+`generate_batch` draws a block of consecutive drops in three stages,
+each one Philox call over the block's streams (`randcore`) followed by
+CDF inversions over the whole block:
 
-Every per-subpath quantity is drawn for the whole drop in one call and
-stored as one flat array, clusters one after another; `cluster_start`
-marks where each cluster begins. Powers are stored only as fractions of
-the total received power. The fractions never touch the link budget, so
-delay- and angle-spread statistics computed from them are bit-identical
-across transmit power and distance changes; the mW values are derived.
+    1. per drop: distance (ranged configs only), shadow, num_clusters,
+       num_lobes (AOD, then AOA);
+    2. per cluster: num_subpaths, cluster_delay, cluster_power;
+    3. per subpath and per lobe: intra_delay, subpath_power, phase,
+       lobe_angle (two per lobe) and angle_offset (six per subpath).
+
+Per-subpath quantities are stored as flat arrays, clusters one after
+another; `cluster_start` marks where each cluster begins. Powers are
+stored only as fractions of the total received power. The fractions
+never touch the link budget, so delay- and angle-spread statistics
+computed from them are bit-identical across transmit power and distance
+changes; the mW values are derived.
 """
 
 from __future__ import annotations
@@ -34,17 +40,16 @@ from .randcore import (
     Lognormal,
     Normal,
     PoissonShifted,
-    RandomStream,
-    StreamFamily,
     Uniform,
+    _invert,
+    derive_keys,
+    stream_uniforms,
 )
 from .scenario import Scenario, ScenarioParams, SimConfig, resolved_params
 
-SUBSTREAM_LABELS = (
-    "distance", "shadow", "num_clusters", "num_subpaths", "intra_delay",
-    "cluster_delay", "cluster_power", "subpath_power", "phase",
-    "num_lobes", "lobe_angle", "angle_offset",
-)
+# Drops per generate_batch call when generating many: enough to spread
+# its per-call cost thin, few enough to bound memory whatever the run size.
+BLOCK_DROPS = 256
 
 # Per-subpath fields stored under the same name in each JSON cluster;
 # `power_fractions` is stored as `subpath_power_fraction`, next to the
@@ -64,10 +69,6 @@ class SpatialLobe:
     index: int           # 1-based lobe number
     mean_az_deg: float   # within the lobe's sector [360(i-1)/L, 360i/L)
     mean_el_deg: float   # elevation above horizon, positive up
-
-    @property
-    def mean_zenith_deg(self) -> float:
-        return 90.0 - self.mean_el_deg
 
 
 @dataclass
@@ -152,16 +153,7 @@ class ChannelDrop:
             "drop_index": self.drop_index,
             "master_seed": self.master_seed,
             "distance_m": self.distance_m,
-            "link": {
-                "frequency_hz": self.link.frequency_hz,
-                "distance_m": self.link.distance_m,
-                "tx_power_dbm": self.link.tx_power_dbm,
-                "fspl_1m_db": self.link.fspl_1m_db,
-                "shadow_fading_db": self.link.shadow_fading_db,
-                "path_loss_db": self.link.path_loss_db,
-                "rx_power_dbm": self.link.rx_power_dbm,
-                "rx_power_mw": self.link.rx_power_mw,
-            },
+            "link": dict(vars(self.link)),  # every LinkBudget field, as from_dict reads it
             "aod_lobes": [
                 {"index": l.index, "mean_az_deg": l.mean_az_deg, "mean_el_deg": l.mean_el_deg}
                 for l in self.aod_lobes
@@ -200,28 +192,18 @@ class ChannelDrop:
         )
 
 
-# --- generation steps -------------------------------------------------------
+# --- generation ------------------------------------------------------------
 
-def draw_num_time_clusters(params: ScenarioParams, stream: RandomStream) -> int:
+def cluster_count_spec(params: ScenarioParams):
     """Number of time clusters: discrete uniform (LOS) or shifted Poisson (NLOS)."""
     if params.n_c_max is not None:
-        return int(stream.sample(DiscreteUniform(1, params.n_c_max)))
-    return int(stream.sample(PoissonShifted(params.lambda_c)))
+        return DiscreteUniform(1, params.n_c_max)
+    return PoissonShifted(params.lambda_c)
 
 
-def draw_num_subpaths(params: ScenarioParams, stream: RandomStream, num_clusters: int) -> np.ndarray:
-    """Per-cluster subpath counts from the composite distribution, each >= 1."""
-    return stream.sample(CompositeSubpath(params.beta_s, params.mu_s), num_clusters)
-
-
-def sort_from_first(values) -> np.ndarray:
-    """Ascending order re-anchored at the earliest value (first entry 0)."""
-    ordered = np.sort(np.asarray(values, dtype=float))
-    return ordered - ordered[0]
-
-
-def wrap_azimuth_deg(angle_deg):
-    return angle_deg % 360.0
+def subpath_count_spec(params: ScenarioParams) -> CompositeSubpath:
+    """Per-cluster subpath count, at least one."""
+    return CompositeSubpath(params.beta_s, params.mu_s)
 
 
 def cluster_delay_spec(params: ScenarioParams):
@@ -230,169 +212,205 @@ def cluster_delay_spec(params: ScenarioParams):
     return Exponential(params.mu_tau)
 
 
-def place_cluster_delays(draws, last_intra_delays, mti: float) -> np.ndarray:
-    """Lay out cluster start times from raw delay draws.
+def sort_from_first(values) -> np.ndarray:
+    """Ascending order along the last axis, re-anchored at the earliest
+    value (first entry 0)."""
+    ordered = np.sort(np.asarray(values, dtype=float), axis=-1)
+    return ordered - ordered[..., :1]
 
-    The draws are sorted and re-anchored at the smallest one; cluster n
-    then starts `mti` plus its sorted offset after the last subpath of
-    cluster n-1 (`last_intra_delays[n-1]` after that cluster's start),
-    which guarantees every inter-cluster gap is at least the void
-    interval.
+
+def wrap_azimuth_deg(angle_deg):
+    return angle_deg % 360.0
+
+
+def place_cluster_delays(draws, last_intra_delays, mti: float) -> np.ndarray:
+    """Lay out cluster start times from raw delay draws, one drop per row.
+
+    Each row's draws are sorted and re-anchored at the smallest one;
+    cluster n then starts `mti` plus its sorted offset after the last
+    subpath of cluster n-1 (`last_intra_delays[..., n-1]` after that
+    cluster's start), so every inter-cluster gap is at least the void
+    interval. Rows padded with +inf past their drop's cluster count give
+    infinite entries there. The recurrence keeps its association,
+    `(tau + last) + (mti + delta)`, which replay depends on.
     """
     deltas = sort_from_first(draws)
-    tau = np.zeros(len(deltas))
-    for n in range(1, len(deltas)):
-        prev_end = tau[n - 1] + last_intra_delays[n - 1]
-        tau[n] = prev_end + (mti + deltas[n])
+    last = np.asarray(last_intra_delays, dtype=float)
+    tau = np.zeros_like(deltas)
+    for n in range(1, deltas.shape[-1]):
+        tau[..., n] = (tau[..., n - 1] + last[..., n - 1]) + (mti + deltas[..., n])
     return tau
 
 
-def cluster_power_fractions(params: ScenarioParams, stream: RandomStream,
-                            cluster_delays_ns: np.ndarray) -> np.ndarray:
-    """Per-cluster share of total power: exponential decay with lognormal
-    shadowing, normalized to sum to one."""
-    n = len(cluster_delays_ns)
-    z_db = stream.sample(Normal(0.0, params.sigma_z), n)
-    raw = np.exp(-cluster_delays_ns / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
-    return raw / raw.sum()
+def lobe_mean_angles(params: ScenarioParams, side: str, counts: np.ndarray,
+                     u_az: np.ndarray, u_el: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean directions of one side's lobes for a block of drops.
 
-
-def draw_subpath_phases(stream: RandomStream, count: int) -> np.ndarray:
-    """Independent phases, uniform on [0, 2*pi)."""
-    return stream.sample(Uniform(0.0, 2.0 * math.pi), count)
-
-
-def draw_num_spatial_lobes(params: ScenarioParams, stream: RandomStream) -> tuple[int, int]:
-    """Independent lobe counts for departure and arrival (AOD drawn first)."""
-    l_aod = int(stream.sample(DiscreteUniform(1, params.l_aod_max)))
-    l_aoa = int(stream.sample(DiscreteUniform(1, params.l_aoa_max)))
-    return l_aod, l_aoa
-
-
-def draw_lobe_mean_angles(params: ScenarioParams, stream: RandomStream,
-                          num_lobes: int, side: str) -> list:
-    """Lobe mean directions: azimuth uniform within the lobe's sector,
+    `counts[d]` is drop d's lobe count; lobes are laid out drop after
+    drop, one azimuth and one elevation uniform each. Lobe i of L has
+    its azimuth uniform within its sector [360(i-1)/L, 360i/L) and its
     elevation normal around the side's mean tilt, clamped to +/-90.
-
-    All azimuths are drawn before all elevations.
     """
-    u = stream.uniform(num_lobes)
-    sector = 360.0 / num_lobes
-    azimuths = (np.arange(num_lobes) + u) * sector
+    drop, index = _ragged(counts)
+    azimuths = (index + u_az) * (360.0 / counts[drop])
     mu_l, sigma_l = params.lobe_elevation_params(side)
-    elevations = np.clip(stream.sample(Normal(mu_l, sigma_l), num_lobes), -90.0, 90.0)
-    return [
-        SpatialLobe(side, i + 1, float(azimuths[i]), float(elevations[i]))
-        for i in range(num_lobes)
-    ]
+    elevations = np.clip(_invert(Normal(mu_l, sigma_l), u_el), -90.0, 90.0)
+    return azimuths, elevations
 
 
-def draw_subpath_angle_offsets(params: ScenarioParams, stream: RandomStream,
-                               count: int, aod_lobes: list, aoa_lobes: list):
-    """Assign every subpath a lobe per side and scatter it around the
-    lobe mean: azimuth offsets wrap modulo 360, elevation offsets clamp
-    to +/-90.
+def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For segments of `lengths` laid end to end: each element's segment
+    and its index within that segment."""
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    return segment, np.arange(len(segment)) - (np.cumsum(lengths) - lengths)[segment]
 
-    Draw order: AOD lobe picks, AOA lobe picks, then the four offset
-    vectors (AOD az, AOD el, AOA az, AOA el).
-    """
-    i_aod = stream.sample(DiscreteUniform(1, len(aod_lobes)), count)
-    j_aoa = stream.sample(DiscreteUniform(1, len(aoa_lobes)), count)
-    dphi_aod = stream.sample(Normal(0.0, params.sigma_phi_aod), count)
-    dtheta_aod = stream.sample(Normal(0.0, params.sigma_theta_aod), count)
-    dphi_aoa = stream.sample(Normal(0.0, params.sigma_phi_aoa), count)
-    dtheta_aoa = stream.sample(Normal(0.0, params.sigma_theta_aoa), count)
 
-    aod_az_means = np.array([l.mean_az_deg for l in aod_lobes])
-    aod_el_means = np.array([l.mean_el_deg for l in aod_lobes])
-    aoa_az_means = np.array([l.mean_az_deg for l in aoa_lobes])
-    aoa_el_means = np.array([l.mean_el_deg for l in aoa_lobes])
+def _slices(lengths: np.ndarray) -> list:
+    """The slice of each segment of `lengths` laid end to end."""
+    ends = np.cumsum(lengths).tolist()
+    return [slice(end - n, end) for end, n in zip(ends, lengths.tolist())]
 
-    aod_az = wrap_azimuth_deg(aod_az_means[i_aod - 1] + dphi_aod)
-    aod_el = np.clip(aod_el_means[i_aod - 1] + dtheta_aod, -90.0, 90.0)
-    aoa_az = wrap_azimuth_deg(aoa_az_means[j_aoa - 1] + dphi_aoa)
-    aoa_el = np.clip(aoa_el_means[j_aoa - 1] + dtheta_aoa, -90.0, 90.0)
-    return i_aod, j_aoa, aod_az, aod_el, aoa_az, aoa_el
+
+def _segment_sums(values: np.ndarray, slices: list) -> np.ndarray:
+    """`values[a:b].sum()` of each segment. Replay depends on the
+    summation order of each sum, which a segmented reduction does not
+    promise to keep."""
+    return np.array([values[s].sum() for s in slices])
+
+
+def _stage_uniforms(master_seed: int, drops: range, layout: dict) -> list:
+    """The uniforms of several labelled streams of a block of drops,
+    from one Philox call. `layout` maps each label to the lengths of the
+    runs of draws each drop makes on it, in stream order (an int, or one
+    length per drop); returns, per label, one array per run, drop after
+    drop."""
+    lengths = np.zeros((len(layout), len(drops), max(map(len, layout.values()))), dtype=np.int64)
+    for i, runs in enumerate(layout.values()):
+        for r, n in enumerate(runs):
+            lengths[i, :, r] = n
+    u = stream_uniforms(derive_keys(master_seed, drops, layout), lengths.sum(axis=2).ravel())
+    starts = np.cumsum(lengths).reshape(lengths.shape) - lengths
+    return [[u[np.repeat(starts[i, :, r], lengths[i, :, r]) + _ragged(lengths[i, :, r])[1]]
+             for r in range(len(runs))] for i, runs in enumerate(layout.values())]
+
+
+def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
+                   count: int) -> list:
+    """Generate drops `start` to `start + count - 1` at once. Each drop
+    reads only its own streams, from position 0, so it is the same in
+    any block."""
+    seed = config.master_seed
+    drops = range(start, start + count)
+
+    # stage 1: a fixed number of draws per drop
+    d_range = config.distance_range()
+    (u_shadow,), (u_clusters,), (u_aod, u_aoa), *u_distance = _stage_uniforms(
+        seed, drops, {"shadow": [1], "num_clusters": [1], "num_lobes": [1, 1],
+                      **({"distance": [1]} if d_range else {})})
+    distances = (_invert(Uniform(*d_range), u_distance[0][0]).tolist() if d_range
+                 else [float(config.distance_m)] * count)
+    shadow_db = _invert(Normal(0.0, params.sigma_sf), u_shadow).tolist()
+    n_clusters = _invert(cluster_count_spec(params), u_clusters)
+    lobe_counts = {"aod": _invert(DiscreteUniform(1, params.l_aod_max), u_aod),
+                   "aoa": _invert(DiscreteUniform(1, params.l_aoa_max), u_aoa)}
+
+    # stage 2: per-cluster draws
+    (u_sizes,), (u_cluster_delay,), (u_cluster_power,) = _stage_uniforms(
+        seed, drops, {"num_subpaths": [n_clusters], "cluster_delay": [n_clusters],
+                      "cluster_power": [n_clusters]})
+    sizes = _invert(subpath_count_spec(params), u_sizes)
+    cluster_slices = _slices(n_clusters)
+    n_subpaths = np.add.reduceat(sizes, np.cumsum(n_clusters) - n_clusters)
+
+    # stage 3: per-subpath and per-lobe draws. lobe_angle holds a drop's
+    # AOD azimuths, AOD elevations, AOA azimuths and AOA elevations;
+    # angle_offset its AOD and AOA lobe picks, then its AOD az, AOD el,
+    # AOA az and AOA el offsets.
+    l_aod, l_aoa = lobe_counts.values()
+    (u_rho,), (u_subpath_power,), (u_phase,), u_lobe, u_offset = _stage_uniforms(
+        seed, drops, {"intra_delay": [n_subpaths], "subpath_power": [n_subpaths],
+                      "phase": [n_subpaths], "lobe_angle": [l_aod, l_aod, l_aoa, l_aoa],
+                      "angle_offset": [n_subpaths] * 6})
+
+    # each cluster's intra delays are its own draws, sorted and
+    # re-anchored at the cluster's earliest one (sort_from_first)
+    cluster_of, _ = _ragged(sizes)
+    cluster_end = np.cumsum(sizes)
+    cluster_start = cluster_end - sizes
+    rho = _invert(Exponential(params.mu_rho), u_rho)
+    rho = rho[np.lexsort((rho, cluster_of))]
+    intra = rho - rho[cluster_start][cluster_of]
+
+    drop_of_cluster, cluster_number = _ragged(n_clusters)
+    padded = np.full((count, int(n_clusters.max())), np.inf)
+    padded[drop_of_cluster, cluster_number] = _invert(cluster_delay_spec(params), u_cluster_delay)
+    last_intra = np.zeros_like(padded)
+    last_intra[drop_of_cluster, cluster_number] = intra[cluster_end - 1]
+    tau = place_cluster_delays(padded, last_intra, params.mti)[drop_of_cluster, cluster_number]
+
+    z_db = _invert(Normal(0.0, params.sigma_z), u_cluster_power)
+    raw = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
+    cluster_frac = raw / _segment_sums(raw, cluster_slices)[drop_of_cluster]
+
+    u_db = _invert(Normal(0.0, params.sigma_u), u_subpath_power)
+    raw = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
+    cluster_raw = _segment_sums(raw, _slices(sizes))
+    subpath = {
+        "intra_delays_ns": intra,
+        "power_fractions": cluster_frac[cluster_of] * (raw / cluster_raw[cluster_of]),
+        "phase_rad": _invert(Uniform(0.0, 2.0 * math.pi), u_phase),
+    }
+
+    # each subpath picks a lobe of its drop per side and is scattered
+    # around the lobe mean: azimuths wrap modulo 360, elevations clamp
+    drop_of_subpath, _ = _ragged(n_subpaths)
+    lobes = {}
+    for k, (side, counts) in enumerate(lobe_counts.items()):
+        az, el = lobe_mean_angles(params, side, counts, u_lobe[2 * k], u_lobe[2 * k + 1])
+        number = (_ragged(counts)[1] + 1).tolist()
+        lobes[side] = [SpatialLobe(side, *lobe) for lobe in zip(number, az.tolist(), el.tolist())]
+        span = counts[drop_of_subpath]
+        index = 1 + np.minimum((u_offset[k] * span).astype(np.int64), span - 1)
+        lobe = (np.cumsum(counts) - counts)[drop_of_subpath] + index - 1
+        d_az = _invert(Normal(0.0, params.sigma_phi(side)), u_offset[2 + 2 * k])
+        d_el = _invert(Normal(0.0, params.sigma_theta(side)), u_offset[3 + 2 * k])
+        subpath[f"{side}_lobe_index"] = index
+        subpath[f"{side}_az_deg"] = wrap_azimuth_deg(az[lobe] + d_az)
+        subpath[f"{side}_el_deg"] = np.clip(el[lobe] + d_el, -90.0, 90.0)
+
+    out = []
+    per_drop = zip(cluster_slices, _slices(n_subpaths), _slices(l_aod), _slices(l_aoa))
+    for d, (c, p, a, b) in enumerate(per_drop):
+        out.append(ChannelDrop(
+            scenario=config.scenario,
+            distance_m=distances[d],
+            link=link_budget(config, params, shadow_db[d], distances[d]),
+            aod_lobes=lobes["aod"][a],
+            aoa_lobes=lobes["aoa"][b],
+            master_seed=seed,
+            drop_index=start + d,
+            cluster_start=cluster_start[c] - p.start,
+            cluster_delays_ns=tau[c],
+            cluster_power_fractions=cluster_frac[c],
+            **{name: values[p] for name, values in subpath.items()},
+        ))
+    return out
 
 
 def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
                   drop_index: int = 0) -> ChannelDrop:
-    """Run the full generation sequence for one drop."""
+    """Run the full generation sequence for one drop: a block of one."""
     if params is None:
         params = resolved_params(config)
-    streams = StreamFamily(config.master_seed, drop_index)
-
-    d_range = config.distance_range()
-    if d_range is not None:
-        distance_m = float(streams.substream("distance").sample(Uniform(*d_range)))
-    else:
-        distance_m = float(config.distance_m)
-
-    link = link_budget(config, params, streams.substream("shadow"), distance_m=distance_m)
-
-    n_clusters = draw_num_time_clusters(params, streams.substream("num_clusters"))
-    sizes = draw_num_subpaths(params, streams.substream("num_subpaths"), n_clusters)
-    ends = np.cumsum(sizes)
-    cluster_start = ends - sizes
-    total_subpaths = int(ends[-1])
-    cluster_of = np.repeat(np.arange(n_clusters), sizes)
-
-    # each cluster's intra delays are its own draws, sorted and
-    # re-anchored at the cluster's earliest one (sort_from_first)
-    rho = streams.substream("intra_delay").sample(Exponential(params.mu_rho), total_subpaths)
-    rho = rho[np.lexsort((rho, cluster_of))]
-    intra = rho - rho[cluster_start][cluster_of]
-
-    cluster_draws = streams.substream("cluster_delay").sample(cluster_delay_spec(params), n_clusters)
-    tau = place_cluster_delays(cluster_draws, intra[ends - 1], params.mti)
-    cluster_frac = cluster_power_fractions(params, streams.substream("cluster_power"), tau)
-
-    u_db = streams.substream("subpath_power").sample(Normal(0.0, params.sigma_u), total_subpaths)
-    raw = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
-    # each cluster is normalized by its own raw.sum(): replay depends on
-    # the summation order, which a segmented sum does not promise to keep
-    cluster_raw = np.array([raw[s:e].sum() for s, e in zip(cluster_start.tolist(), ends.tolist())])
-    power_fractions = cluster_frac[cluster_of] * (raw / cluster_raw[cluster_of])
-
-    phases = draw_subpath_phases(streams.substream("phase"), total_subpaths)
-
-    l_aod, l_aoa = draw_num_spatial_lobes(params, streams.substream("num_lobes"))
-    lobe_stream = streams.substream("lobe_angle")
-    aod_lobes = draw_lobe_mean_angles(params, lobe_stream, l_aod, "aod")
-    aoa_lobes = draw_lobe_mean_angles(params, lobe_stream, l_aoa, "aoa")
-
-    i_aod, j_aoa, aod_az, aod_el, aoa_az, aoa_el = draw_subpath_angle_offsets(
-        params, streams.substream("angle_offset"), total_subpaths, aod_lobes, aoa_lobes)
-
-    return ChannelDrop(
-        scenario=config.scenario,
-        distance_m=distance_m,
-        link=link,
-        aod_lobes=aod_lobes,
-        aoa_lobes=aoa_lobes,
-        master_seed=config.master_seed,
-        drop_index=drop_index,
-        cluster_start=cluster_start,
-        cluster_delays_ns=tau,
-        cluster_power_fractions=cluster_frac,
-        intra_delays_ns=intra,
-        power_fractions=power_fractions,
-        phase_rad=phases,
-        aod_az_deg=aod_az,
-        aod_el_deg=aod_el,
-        aoa_az_deg=aoa_az,
-        aoa_el_deg=aoa_el,
-        aod_lobe_index=i_aod,
-        aoa_lobe_index=j_aoa,
-    )
+    return generate_batch(config, params, drop_index, 1)[0]
 
 
 def generate_drops(config: SimConfig, params: ScenarioParams | None = None,
                    start: int = 0, count: int | None = None) -> Iterator[ChannelDrop]:
-    """Yield drops for consecutive drop indices."""
+    """Yield drops for consecutive drop indices, generated BLOCK_DROPS at a time."""
     if params is None:
         params = resolved_params(config)
     if count is None:
         count = config.num_drops
-    for idx in range(start, start + count):
-        yield generate_drop(config, params, idx)
+    for first in range(start, start + count, BLOCK_DROPS):
+        yield from generate_batch(config, params, first, min(BLOCK_DROPS, start + count - first))

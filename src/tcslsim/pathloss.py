@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DistanceBelowReferenceError, NonPositiveFrequencyError
-from .randcore import Normal, RandomStream
 from .scenario import ScenarioParams, SimConfig
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
@@ -46,18 +45,10 @@ def path_loss_ci(frequency_hz: float, distance_m: float, ple: float,
     return fspl_1m(frequency_hz) + 10.0 * ple * math.log10(distance_m) + shadow_db
 
 
-def link_budget(config: SimConfig, params: ScenarioParams, stream: RandomStream,
-                distance_m: float | None = None) -> LinkBudget:
-    """Compute received power for one drop, drawing the shadow fading.
-
-    One normal draw is consumed even when sigma_sf is zero, so the
-    stream layout does not depend on the shadowing setting.
-    """
-    if distance_m is None:
-        if isinstance(config.distance_m, tuple):
-            raise ValueError("distance range configs must pass the per-drop distance")
-        distance_m = config.distance_m
-    shadow_db = stream.sample(Normal(0.0, params.sigma_sf))
+def link_budget(config: SimConfig, params: ScenarioParams, shadow_db: float,
+                distance_m: float) -> LinkBudget:
+    """Compute received power for one drop at `distance_m` from its drawn
+    shadow fading (a Normal(0, sigma_sf) draw in dB)."""
     frequency_hz = config.scenario.frequency_hz
     pl_db = path_loss_ci(frequency_hz, distance_m, params.ple, shadow_db)
     rx_dbm = config.tx_power_dbm - pl_db

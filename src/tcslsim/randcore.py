@@ -1,18 +1,30 @@
 """Deterministic, stream-splittable random sampling.
 
-Every random quantity in the simulator is drawn from a RandomStream
-keyed by (master_seed, drop_index, substream_label). The key is hashed
-into a Philox counter-based generator, so any stream can be recreated
-independently of how many other streams exist or in what order they are
-consumed. All distribution families are sampled by inverting their CDF
-on uniform draws, consuming exactly one uniform per variate, which keeps
-replay stable if sampling code is reordered.
+Every random quantity in the simulator is drawn from a stream keyed by
+(master_seed, drop_index, substream_label). A stream position is a pure
+function of the key, so any stream can be recreated independently of
+how many other streams exist or in what order they are consumed. All
+distribution families are sampled by inverting their CDF on uniform
+draws, one uniform per variate, which keeps replay stable if sampling
+code is reordered. Layout of one stream:
+
+    key      the first 16 bytes of sha256("{seed}:{drop}:{label}") as
+             two little-endian uint64 words;
+    counter  uniforms 4j .. 4j+3 come from the Philox4x64-10 block
+             (Salmon et al., SC'11) of counter (j + 1, 0, 0, 0);
+    uniform  output word w gives (w >> 11) * 2**-53, in [0, 1).
+
+This is bit for bit `np.random.Generator(np.random.Philox(key=k))
+.random(n)`: numpy's Philox starts from counter 0 and increments it
+before each block, hands out the block's four words in order, and
+`Generator.random` converts a word with the same shift and scale. With
+no generator state, `stream_uniforms` computes the streams of a whole
+block of drops in one vectorized call.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -23,103 +35,96 @@ from .errors import InvalidParamsError
 
 _U_MIN = 2.0**-53  # smallest uniform passed to the normal inverse CDF
 
+# Philox4x64 multipliers (M) and Weyl key increments (W), one row per
+# multiplied counter word (0 and 2); uint64 arithmetic wraps modulo 2**64
+_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_32 = np.array(32, dtype=np.uint64)
+_M_LO, _M_HI = _M & _LOW32, _M >> _32
+_ROUNDS = 10
 
-def _derive_key(master_seed: int, drop_index: int, label: str) -> np.ndarray:
-    digest = hashlib.sha256(f"{master_seed}:{drop_index}:{label}".encode()).digest()
-    return np.frombuffer(digest[:16], dtype=np.uint64)
+
+def derive_keys(master_seed: int, drop_indices, labels) -> np.ndarray:
+    """Philox keys of every (label, drop) pair, label-major: row
+    `i * len(drop_indices) + j` is the key of `labels[i]` in drop
+    `drop_indices[j]`. Shape (len(labels) * len(drop_indices), 2)."""
+    digests = b"".join(hashlib.sha256(f"{master_seed}:{drop}:{label}".encode()).digest()[:16]
+                       for label in labels for drop in drop_indices)
+    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
 
 
-class _Engine:
-    """A Philox generator shared by the substreams of one drop.
+def _philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 blocks of counters (c, 0, 0, 0) under `keys`:
+    shape (n, 4) of uint64 for n keys and counters.
 
-    Streams save and restore the generator state when they take over,
-    so interleaved use of sibling streams still yields each stream's own
-    deterministic sequence.
+    A round maps counter words (c0, c1, c2, c3) under key (k0, k1) to
+    (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
+    hi/lo being the halves of the 128-bit product; the key gains W
+    before every round but the first. `x` holds (c0, c2), `y` (c1, c3).
     """
-
-    def __init__(self):
-        self._bit_gen = np.random.Philox(key=0)
-        self.generator = np.random.Generator(self._bit_gen)
-        self._owner = None
-
-    def acquire(self, stream: "RandomStream") -> np.random.Generator:
-        if self._owner is stream:
-            return self.generator
-        if self._owner is not None:
-            self._owner._saved_state = self._bit_gen.state
-        if stream._saved_state is not None:
-            self._bit_gen.state = stream._saved_state
-        else:
-            state = self._bit_gen.state
-            state["state"]["key"] = stream._key
-            state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-            state["buffer_pos"] = 4
-            state["has_uint32"] = 0
-            state["uinteger"] = 0
-            self._bit_gen.state = state
-        self._owner = stream
-        return self.generator
+    k = np.ascontiguousarray(keys.T)
+    x = np.zeros((2, len(counters)), dtype=np.uint64)
+    x[0] = counters
+    y = np.zeros_like(x)
+    for r in range(_ROUNDS):
+        if r:
+            k = k + _W
+        # high words of M * x from 32-bit limbs, so no partial product overflows
+        x_lo, x_hi = x & _LOW32, x >> _32
+        hi_lo, lo_hi = x_hi * _M_LO, x_lo * _M_HI
+        carry = ((x_lo * _M_LO) >> _32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)  # < 3 * 2**32
+        hi = x_hi * _M_HI + (hi_lo >> _32) + (lo_hi >> _32) + (carry >> _32)
+        x, y = hi[::-1] ^ y ^ k, (x * _M)[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]], axis=1)
 
 
-_local = threading.local()
-
-
-def _thread_engine() -> _Engine:
-    """Engine shared by all drop substreams on this thread.
-
-    Safe because acquire() saves and restores per-stream state on every
-    ownership change, so interleaved streams keep their own sequences.
-    """
-    engine = getattr(_local, "engine", None)
-    if engine is None:
-        engine = _local.engine = _Engine()
-    return engine
+def stream_uniforms(keys: np.ndarray, counts, starts=None) -> np.ndarray:
+    """Uniforms of many streams at once: stream i's positions
+    `starts[i]` to `starts[i] + counts[i] - 1` (starts default to 0),
+    stream after stream in one flat array."""
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.zeros_like(counts) if starts is None else np.asarray(starts, dtype=np.int64)
+    first_block = starts // 4
+    num_blocks = (starts + counts + 3) // 4 - first_block
+    block_start = np.cumsum(num_blocks) - num_blocks
+    stream_of_block = np.repeat(np.arange(len(counts)), num_blocks)
+    counters = (np.arange(len(stream_of_block)) - block_start[stream_of_block]
+                + first_block[stream_of_block] + 1).astype(np.uint64)
+    words = _philox4x64(keys[stream_of_block], counters).reshape(-1)
+    # stream i's position p sits at word 4 * (block_start[i] - first_block[i]) + p
+    shift = 4 * (block_start - first_block) + starts - (np.cumsum(counts) - counts)
+    picked = words[np.repeat(shift, counts) + np.arange(counts.sum())]
+    return (picked >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 class RandomStream:
-    """Deterministic uniform source for one (seed, drop, label) triple."""
+    """One (seed, drop, label) stream, read from its current position on.
 
-    __slots__ = ("master_seed", "drop_index", "label", "_key", "_engine", "_saved_state")
+    A view for inspection and tests: generation reads whole blocks of
+    streams through `stream_uniforms` and gets the same values.
+    """
 
-    def __init__(self, master_seed: int, drop_index: int, label: str, engine: _Engine | None = None):
+    __slots__ = ("master_seed", "drop_index", "label", "position", "_key")
+
+    def __init__(self, master_seed: int, drop_index: int, label: str):
         self.master_seed = master_seed
         self.drop_index = drop_index
         self.label = label
-        self._key = _derive_key(master_seed, drop_index, label)
-        self._engine = engine if engine is not None else _Engine()
-        self._saved_state = None
-
-    @property
-    def provenance(self) -> tuple[int, int, str]:
-        return (self.master_seed, self.drop_index, self.label)
+        self.position = 0  # uniforms read so far
+        self._key = derive_keys(master_seed, (drop_index,), (label,))
 
     def uniform(self, size: int | None = None):
         """Draw uniforms in [0, 1): a float for size=None, else an array."""
-        gen = self._engine.acquire(self)
-        if size is None:
-            return float(gen.random())
-        return gen.random(size)
+        count = 1 if size is None else size
+        u = stream_uniforms(self._key, (count,), (self.position,))
+        self.position += count
+        return float(u[0]) if size is None else u
 
     def sample(self, spec: "DistSpec", size: int | None = None):
         """Sample a distribution family by inverse CDF on this stream."""
-        scalar = size is None
-        u = np.atleast_1d(self.uniform(1 if scalar else size))
-        out = _invert(spec, u)
-        if scalar:
-            return out[0].item()
-        return out
-
-
-class StreamFamily:
-    """Factory for the labeled substreams of one drop, sharing an engine."""
-
-    def __init__(self, master_seed: int, drop_index: int):
-        self.master_seed = master_seed
-        self.drop_index = drop_index
-        self._engine = _thread_engine()
-
-    def substream(self, label: str) -> RandomStream:
-        return RandomStream(self.master_seed, self.drop_index, label, engine=self._engine)
+        out = _invert(spec, self.uniform(1 if size is None else size))
+        return out[0].item() if size is None else out
 
 
 # --- distribution families ------------------------------------------------
@@ -198,17 +203,6 @@ class CompositeSubpath:
         if self.mu_s <= 0:
             raise InvalidParamsError(f"CompositeSubpath mu_s must be > 0, got {self.mu_s}")
 
-    def pmf(self, m: int) -> float:
-        """P(value = m) for the shifted count m >= 1."""
-        k = m - 1
-        if k < 0:
-            return 0.0
-        q = np.exp(-1.0 / self.mu_s)
-        p = self.beta * q**k * (1.0 - q)
-        if k == 0:
-            p += 1.0 - self.beta
-        return float(p)
-
 
 DistSpec = Union[Uniform, Normal, Exponential, Lognormal, PoissonShifted,
                  DiscreteUniform, CompositeSubpath]
@@ -235,17 +229,6 @@ def _invert(spec: DistSpec, u: np.ndarray) -> np.ndarray:
 
 def _poisson_inverse(u: np.ndarray, lam: float, max_k: int = 1000) -> np.ndarray:
     """Poisson variates by sequential CDF search, one uniform per draw."""
-    if u.size == 1:
-        # scalar fast path, same operation order as the vector loop
-        target = float(u[0])
-        k = 0
-        pmf = np.exp(-lam)
-        cdf = pmf
-        while target >= cdf and k < max_k:
-            k += 1
-            pmf *= lam / k
-            cdf += pmf
-        return np.array([k], dtype=np.int64)
     k = np.zeros(u.shape, dtype=np.int64)
     pmf = np.full(u.shape, np.exp(-lam))
     cdf = pmf.copy()

@@ -243,8 +243,8 @@ def apply_overrides(params: ScenarioParams, overrides: Mapping[str, object]) -> 
 
     Values may be strings (as parsed from config files or CLI flags);
     they are coerced to the field's type. Raises MalformedOverrideError
-    for unknown keys, unparsable values or combinations that violate the
-    parameter invariants.
+    for unknown keys, unparsable or non-finite values or combinations
+    that violate the parameter invariants.
     """
     if not overrides:
         return params
@@ -266,12 +266,13 @@ def _coerce_field(key: str, raw: object):
     if key in _OPTIONAL_FIELDS and (raw is None or (isinstance(raw, str) and raw.lower() in ("none", "na"))):
         return None
     if key in _STR_FIELDS:
-        value = str(raw).strip().lower()
-        return value
+        return str(raw).strip().lower()
     if key in _INT_FIELDS:
-        value = int(str(raw))
-        return value
-    return float(raw)
+        return int(str(raw))
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
 
 def parse_override_file(path) -> dict[str, str]:

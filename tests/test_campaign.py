@@ -8,7 +8,8 @@ import pytest
 
 import tcslsim as t
 from tcslsim import cli
-from tcslsim.campaign import config_digest, emit_outputs, run_campaign
+from tcslsim.campaign import config_digest, drop_record, emit_outputs, run_campaign
+from tcslsim.generate import BLOCK_DROPS
 
 # sha256 of the per-drop files `tcslsim generate` writes, pinned so that
 # any change to generation or emission that is not bit-identical shows.
@@ -37,13 +38,18 @@ def test_generated_files_match_golden_digests(tmp_path, label):
 
 
 def test_records_identical_for_one_and_two_workers():
+    # two workers split the drops mid-block; each worker's chunk spans blocks
+    n = 2 * BLOCK_DROPS + 41
     config = t.SimConfig(scenario=t.Scenario.parse("28GHz-NLOS"), distance_m=(5.0, 45.0),
-                         num_drops=41, master_seed=5)
+                         num_drops=n, master_seed=5)
     one = run_campaign(config)
     two = run_campaign(dataclasses.replace(config, workers=2))
-    assert len(one.records) == 41
+    assert len(one.records) == n
     assert one.records == two.records
     assert one.provenance == two.provenance
+    params = t.resolved_params(config)
+    for idx in (0, BLOCK_DROPS - 1, BLOCK_DROPS, n // 2, n - 1):
+        assert one.records[idx] == drop_record(t.generate_drop(config, params, idx))
 
 
 def test_summary_config_block_is_the_hashed_payload(tmp_path):

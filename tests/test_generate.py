@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,23 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcslsim as t
+from tcslsim import generate
 from tcslsim.generate import (
+    BLOCK_DROPS,
+    cluster_count_spec,
     cluster_delay_spec,
-    cluster_power_fractions,
-    draw_lobe_mean_angles,
-    draw_num_spatial_lobes,
-    draw_num_subpaths,
-    draw_num_time_clusters,
-    draw_subpath_angle_offsets,
-    draw_subpath_phases,
+    generate_batch,
+    lobe_mean_angles,
     place_cluster_delays,
     sort_from_first,
+    subpath_count_spec,
     wrap_azimuth_deg,
 )
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS
-from tcslsim.randcore import DiscreteUniform, Exponential, Normal, RandomStream
+from tcslsim.randcore import Exponential, Normal, RandomStream, derive_keys
 
-from conftest import composite_pmf, make_config
+from conftest import SCENARIO_LABELS, make_config
 
 
 def params_for(label, **overrides):
@@ -40,28 +40,29 @@ def per_cluster(drop, values):
     return np.split(values, drop.cluster_start[1:])
 
 
+def five_sigma(p, n):
+    """Five standard errors of a frequency p estimated from n draws."""
+    return 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
 # --- step 1: number of time clusters ---------------------------------------
 
 def test_num_clusters_los_uniform_frequencies():
     params = params_for("28-los")
-    draws = RandomStream(1, 0, "nc").sample(DiscreteUniform(1, params.n_c_max), 1_000_000)
+    draws = RandomStream(1, 0, "nc").sample(cluster_count_spec(params), 1_000_000)
     for k in range(1, 6):
         assert abs(np.mean(draws == k) - 0.2) < 0.005
-    counts = [draw_num_time_clusters(params, RandomStream(1, i, "nc")) for i in range(500)]
-    assert set(counts) <= set(range(1, 6))
+    counts = [d.num_clusters for d in drops_for("28GHz-LOS", 500, master_seed=1)]
+    assert set(counts) == set(range(1, 6))
 
 
 def test_num_clusters_140_nlos_mean():
-    params = params_for("140-nlos")
-    stream = RandomStream(2, 0, "nc")
-    draws = np.array([draw_num_time_clusters(params, stream) for _ in range(200_000)])
+    draws = RandomStream(2, 0, "nc").sample(cluster_count_spec(params_for("140-nlos")), 200_000)
     assert abs(draws.mean() - 2.3) < 0.01
 
 
 def test_num_clusters_28_nlos_single_cluster_probability():
-    params = params_for("28-nlos")
-    stream = RandomStream(3, 0, "nc")
-    draws = np.array([draw_num_time_clusters(params, stream) for _ in range(200_000)])
+    draws = RandomStream(3, 0, "nc").sample(cluster_count_spec(params_for("28-nlos")), 200_000)
     assert abs(np.mean(draws == 1) - math.exp(-3.4)) < 0.002
     assert draws.min() >= 1
 
@@ -69,20 +70,20 @@ def test_num_clusters_28_nlos_single_cluster_probability():
 # --- step 2: subpath counts --------------------------------------------------
 
 def test_num_subpaths_140_nlos_single_subpath_probability():
-    params = params_for("140-nlos")  # beta 1.0, mu_s 1.0
-    draws = draw_num_subpaths(params, RandomStream(4, 0, "m"), 1_000_000)
+    spec = subpath_count_spec(params_for("140-nlos"))  # beta 1.0, mu_s 1.0
+    draws = RandomStream(4, 0, "m").sample(spec, 1_000_000)
     assert abs(np.mean(draws == 1) - (1 - math.exp(-1))) < 0.005
 
 
 def test_num_subpaths_beta_zero_all_one():
-    params = params_for("140-nlos", beta_s="0.0")
-    draws = draw_num_subpaths(params, RandomStream(4, 0, "m"), 10_000)
+    draws = RandomStream(4, 0, "m").sample(subpath_count_spec(params_for("140-nlos", beta_s="0.0")),
+                                           10_000)
     assert (draws == 1).all()
 
 
 def test_num_subpaths_28_nlos_mean_matches_analytic():
-    params = params_for("28-nlos")  # beta 0.6, mu_s 4.1
-    draws = draw_num_subpaths(params, RandomStream(5, 0, "m"), 1_000_000)
+    spec = subpath_count_spec(params_for("28-nlos"))  # beta 0.6, mu_s 4.1
+    draws = RandomStream(5, 0, "m").sample(spec, 1_000_000)
     q = math.exp(-1.0 / 4.1)
     analytic = 0.6 * q / (1.0 - q)  # mean of the composite extra count
     sample_mean = (draws - 1).mean()
@@ -121,6 +122,11 @@ def test_intra_delays_nondecreasing_and_anchored():
 def test_place_cluster_delays_example():
     tau = place_cluster_delays([5.0, 10.0, 30.0], [4.0, 2.0, 0.0], mti=6.0)
     assert tau.tolist() == [0.0, 15.0, 48.0]
+    # a block: one drop per row, padded with +inf past its cluster count
+    block = place_cluster_delays([[5.0, 10.0, 30.0], [7.0, math.inf, math.inf]],
+                                 [[4.0, 2.0, 0.0], [1.0, 0.0, 0.0]], mti=6.0)
+    assert block[0].tolist() == [0.0, 15.0, 48.0]
+    assert block[1, 0] == 0.0 and np.isinf(block[1, 1:]).all()
 
 
 def test_compose_single_cluster_is_zero():
@@ -174,63 +180,67 @@ def test_subpath_power_single_subpath_gets_cluster_power():
 # --- step 7: phases --------------------------------------------------------------
 
 def test_phases_range_and_isotropy():
-    phases = draw_subpath_phases(RandomStream(14, 0, "ph"), 1_000_000)
+    phases = np.concatenate([d.phase_rad for d in drops_for("28GHz-NLOS", 4000, master_seed=14)])
+    n = len(phases)
+    assert n > 40_000
     assert phases.min() >= 0.0
     assert phases.max() < 2.0 * math.pi
-    resultant = abs(np.exp(1j * phases).mean())
-    assert resultant < 0.003
-    assert abs(np.cos(phases).mean()) < 0.003
+    # the resultant of n uniform phases has mean square 1/n
+    assert abs(np.exp(1j * phases).mean()) < 4.0 / math.sqrt(n)
+    assert abs(np.cos(phases).mean()) < 5.0 / math.sqrt(2 * n)
 
 
 # --- steps 8-9: spatial lobes ------------------------------------------------------
 
 def test_num_lobes_28_nlos_aoa_frequencies():
-    params = params_for("28-nlos")
-    draws = RandomStream(15, 0, "nl").sample(DiscreteUniform(1, params.l_aoa_max), 1_000_000)
+    n = 6000
+    drops = drops_for("28GHz-NLOS", n, master_seed=15)  # l_aoa_max 3
+    counts = np.array([len(d.aoa_lobes) for d in drops])
     for k in (1, 2, 3):
-        assert abs(np.mean(draws == k) - 1 / 3) < 0.005
+        assert abs(np.mean(counts == k) - 1 / 3) < five_sigma(1 / 3, n)
 
 
 def test_num_lobes_ranges_and_degenerate():
-    params = params_for("140-los")
-    stream = RandomStream(16, 0, "nl")
-    for _ in range(500):
-        l_aod, l_aoa = draw_num_spatial_lobes(params, stream)
-        assert l_aod in (1, 2) and l_aoa in (1, 2)
-    degenerate = params_for("140-los", l_aod_max="1", l_aoa_max="1")
-    for _ in range(50):
-        assert draw_num_spatial_lobes(degenerate, stream) == (1, 1)
+    for drop in drops_for("140GHz-LOS", 500, master_seed=16):
+        assert len(drop.aod_lobes) in (1, 2) and len(drop.aoa_lobes) in (1, 2)
+    for drop in drops_for("140GHz-LOS", 50, master_seed=16, l_aod_max="1", l_aoa_max="1"):
+        assert len(drop.aod_lobes) == len(drop.aoa_lobes) == 1
+        assert (drop.aod_lobe_index == 1).all() and (drop.aoa_lobe_index == 1).all()
+
+
+def lobes_from_stream(params, side, counts, seed):
+    counts = np.asarray(counts)
+    stream = RandomStream(seed, 0, "la")
+    return lobe_mean_angles(params, side, counts, stream.uniform(counts.sum()),
+                            stream.uniform(counts.sum()))
 
 
 def test_lobe_sectors_partition_the_circle():
     params = params_for("28-los")
-    stream = RandomStream(17, 0, "la")
-    for _ in range(500):
-        lobes = draw_lobe_mean_angles(params, stream, 2, "aoa")
-        assert 0.0 <= lobes[0].mean_az_deg < 180.0
-        assert 180.0 <= lobes[1].mean_az_deg < 360.0
-    singles = [draw_lobe_mean_angles(params, stream, 1, "aoa")[0].mean_az_deg
-               for _ in range(500)]
+    az, _ = lobes_from_stream(params, "aoa", [2] * 500, seed=17)
+    assert ((0.0 <= az[0::2]) & (az[0::2] < 180.0)).all()
+    assert ((180.0 <= az[1::2]) & (az[1::2] < 360.0)).all()
+    singles, _ = lobes_from_stream(params, "aoa", [1] * 500, seed=17)
     assert min(singles) >= 0.0 and max(singles) < 360.0
     assert max(singles) > 300.0 and min(singles) < 60.0  # fills the full circle
+    for drop in drops_for("28GHz-LOS", 200, master_seed=17):
+        for lobes in (drop.aod_lobes, drop.aoa_lobes):
+            sector = 360.0 / len(lobes)
+            for i, lobe in enumerate(lobes):
+                assert lobe.index == i + 1
+                assert i * sector <= lobe.mean_az_deg < (i + 1) * sector
 
 
 def test_lobe_elevation_mean_140_nlos_aoa():
     draws = RandomStream(18, 0, "el").sample(Normal(4.8, 2.8), 1_000_000)
     assert abs(draws.mean() - 4.8) < 0.02
-    params = params_for("140-nlos")
-    stream = RandomStream(18, 0, "la")
-    sample = [draw_lobe_mean_angles(params, stream, 1, "aoa")[0].mean_el_deg
-              for _ in range(20_000)]
-    assert abs(np.mean(sample) - 4.8) < 0.1
+    _, el = lobes_from_stream(params_for("140-nlos"), "aoa", [1] * 20_000, seed=18)
+    assert abs(np.mean(el) - 4.8) < 0.1
 
 
 def test_lobe_elevation_uses_departure_params_for_aod():
-    params = params_for("28-los")  # mu_l_zod -7.3
-    stream = RandomStream(19, 0, "la")
-    sample = [draw_lobe_mean_angles(params, stream, 1, "aod")[0].mean_el_deg
-              for _ in range(20_000)]
-    assert abs(np.mean(sample) - (-7.3)) < 0.15
+    _, el = lobes_from_stream(params_for("28-los"), "aod", [1] * 20_000, seed=19)  # mu_l_zod -7.3
+    assert abs(np.mean(el) - (-7.3)) < 0.15
 
 
 # --- step 10: angle offsets -----------------------------------------------------------
@@ -239,43 +249,56 @@ def test_wrap_azimuth_example():
     assert wrap_azimuth_deg(350.0 + 20.0) == 10.0
 
 
+def lobe_means(drop, side):
+    """Each subpath's lobe mean (azimuth, elevation) on one side."""
+    lobes = getattr(drop, f"{side}_lobes")
+    picked = [lobes[i - 1] for i in getattr(drop, f"{side}_lobe_index")]
+    return (np.array([l.mean_az_deg for l in picked]), np.array([l.mean_el_deg for l in picked]))
+
+
 def test_zero_offsets_put_subpaths_on_lobe_means():
-    params = params_for("28-nlos", sigma_phi_aod="0", sigma_theta_aod="0",
-                        sigma_phi_aoa="0", sigma_theta_aoa="0")
-    aod = [t.SpatialLobe("aod", 1, 123.0, -5.0)]
-    aoa = [t.SpatialLobe("aoa", 1, 321.0, 5.0)]
-    _, _, aod_az, aod_el, aoa_az, aoa_el = draw_subpath_angle_offsets(
-        params, RandomStream(20, 0, "off"), 50, aod, aoa)
-    assert (aod_az == 123.0).all() and (aod_el == -5.0).all()
-    assert (aoa_az == 321.0).all() and (aoa_el == 5.0).all()
+    drops = drops_for("28GHz-NLOS", 50, master_seed=20, sigma_phi_aod="0", sigma_theta_aod="0",
+                      sigma_phi_aoa="0", sigma_theta_aoa="0")
+    for drop in drops:
+        for side in ("aod", "aoa"):
+            az, el = lobe_means(drop, side)
+            assert np.array_equal(getattr(drop, f"{side}_az_deg"), az)
+            assert np.array_equal(getattr(drop, f"{side}_el_deg"), el)
 
 
 def test_offset_std_28_nlos_aoa():
     draws = RandomStream(21, 0, "off").sample(Normal(0.0, 25.5), 1_000_000)
     assert abs(draws.std() - 25.5) < 0.1
+    offsets = []
+    for drop in drops_for("28GHz-NLOS", 3000, master_seed=21):
+        az, _ = lobe_means(drop, "aoa")
+        offsets.append((drop.aoa_az_deg - az + 180.0) % 360.0 - 180.0)
+    offsets = np.concatenate(offsets)
+    assert abs(offsets.std() - 25.5) < 5.0 * 25.5 / math.sqrt(2 * len(offsets))
 
 
 def test_offsets_wrap_and_clamp():
-    params = params_for("28-nlos")
-    aod = [t.SpatialLobe("aod", 1, 355.0, 88.0)]
-    aoa = [t.SpatialLobe("aoa", 1, 2.0, -88.0)]
-    _, _, aod_az, aod_el, aoa_az, aoa_el = draw_subpath_angle_offsets(
-        params, RandomStream(22, 0, "off"), 5000, aod, aoa)
-    for arr in (aod_az, aoa_az):
-        assert arr.min() >= 0.0 and arr.max() < 360.0
-    assert aod_el.max() <= 90.0 and aoa_el.min() >= -90.0
+    drops = drops_for("28GHz-NLOS", 300, master_seed=22, mu_l_zod="88", mu_l_zoa="-88")
+    aod_el = np.concatenate([d.aod_el_deg for d in drops])
+    aoa_el = np.concatenate([d.aoa_el_deg for d in drops])
+    assert aod_el.max() == 90.0 and aoa_el.min() == -90.0  # clamped, not exceeded
+    assert aod_el.min() >= -90.0 and aoa_el.max() <= 90.0
+    wrapped = 0
+    for drop in drops:
+        for side in ("aod", "aoa"):
+            az = getattr(drop, f"{side}_az_deg")
+            assert az.min() >= 0.0 and az.max() < 360.0
+            wrapped += int((abs(az - lobe_means(drop, side)[0]) > 180.0).sum())
+    assert wrapped > 0
 
 
 def test_lobe_assignment_covers_all_lobes():
-    params = params_for("28-nlos")
-    aod = [t.SpatialLobe("aod", i + 1, 90.0 * (i + 1), 0.0) for i in range(2)]
-    aoa = [t.SpatialLobe("aoa", i + 1, 120.0 * i + 10, 0.0) for i in range(3)]
-    i_aod, j_aoa, *_ = draw_subpath_angle_offsets(
-        params, RandomStream(23, 0, "off"), 3000, aod, aoa)
-    assert set(np.unique(i_aod)) == {1, 2}
-    assert set(np.unique(j_aoa)) == {1, 2, 3}
-    for k in (1, 2):
-        assert abs(np.mean(i_aod == k) - 0.5) < 0.05
+    drops = drops_for("28GHz-NLOS", 1000, master_seed=23)
+    three = [d for d in drops if len(d.aoa_lobes) == 3]
+    assert set(np.concatenate([d.aoa_lobe_index for d in three]).tolist()) == {1, 2, 3}
+    picks = np.concatenate([d.aod_lobe_index for d in drops if len(d.aod_lobes) == 2])
+    assert set(picks.tolist()) == {1, 2}
+    assert abs(np.mean(picks == 1) - 0.5) < five_sigma(0.5, len(picks))
 
 
 # --- full drops -----------------------------------------------------------------------
@@ -352,8 +375,6 @@ def test_subpath_arrays_consistency():
 
 
 def test_drop_roundtrip_through_json():
-    import json
-
     cfg = make_config("28GHz-NLOS", distance_m=(5.0, 45.0), master_seed=202)
     drop = t.generate_drop(cfg, drop_index=7)
     blob = json.dumps(drop.to_dict(), sort_keys=True)
@@ -377,8 +398,6 @@ def test_fixed_distance_consumes_no_distance_stream():
 
 
 def test_json_roundtrip_every_scenario(scenario_label):
-    import json
-
     cfg = make_config(scenario_label, master_seed=203)
     for drop in t.generate_drops(cfg, count=10):
         back = t.ChannelDrop.from_dict(json.loads(json.dumps(drop.to_dict())))
@@ -406,7 +425,10 @@ def test_batched_draws_match_single_cluster_operations():
                                                           drop.num_clusters)
     tau = place_cluster_delays(draws, [rho[-1] for rho in intra], params.mti)
     assert np.array_equal(drop.cluster_delays_ns, tau)
-    cluster_frac = cluster_power_fractions(params, RandomStream(909, 4, "cluster_power"), tau)
+    z_db = RandomStream(909, 4, "cluster_power").sample(Normal(0.0, params.sigma_z),
+                                                         drop.num_clusters)
+    raw = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
+    cluster_frac = raw / raw.sum()
     assert np.array_equal(drop.cluster_power_fractions, cluster_frac)
 
     u_stream = RandomStream(909, 4, "subpath_power")
@@ -429,3 +451,84 @@ def test_tx_power_scales_subpath_powers_only():
     assert np.array_equal(a.excess_delays_ns(), b.excess_delays_ns())
     for name in ("aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+# --- blocks ---------------------------------------------------------------------------
+
+LABELS = ("distance", "shadow", "num_clusters", "num_subpaths", "intra_delay", "cluster_delay",
+          "cluster_power", "subpath_power", "phase", "num_lobes", "lobe_angle", "angle_offset")
+
+BLOCK_CONFIGS = [(label, 10.0) for label in SCENARIO_LABELS] + [("28GHz-NLOS", (5.0, 45.0))]
+
+
+def canonical(drop):
+    """A drop's JSON form and the dtypes of its arrays."""
+    dtypes = [(name, v.dtype.str) for name, v in vars(drop).items() if isinstance(v, np.ndarray)]
+    return json.dumps(drop.to_dict(), sort_keys=True), dtypes
+
+
+def arrays_of(drop):
+    return [v for v in vars(drop).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("label, distance", BLOCK_CONFIGS)
+def test_generate_batch_is_independent_of_the_block_split(label, distance):
+    cfg = make_config(label, distance_m=distance, master_seed=31)
+    params = t.resolved_params(cfg)
+    start, count = 17, 40
+    reference = [canonical(d) for d in generate_batch(cfg, params, start, count)]
+    assert reference == [canonical(t.generate_drop(cfg, params, start + i)) for i in range(count)]
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        cuts = rng.choice(np.arange(1, count), size=rng.integers(1, 6), replace=False)
+        bounds = [0, *sorted(cuts.tolist()), count]
+        pieces = [drop for a, b in zip(bounds, bounds[1:])
+                  for drop in generate_batch(cfg, params, start + a, b - a)]
+        assert [canonical(d) for d in pieces] == reference
+
+
+def test_generate_drops_crosses_blocks_like_single_drops():
+    cfg = make_config("140GHz-NLOS", master_seed=33)
+    params = t.resolved_params(cfg)
+    edge = range(BLOCK_DROPS - 2, BLOCK_DROPS + 2)
+    drops = list(t.generate_drops(cfg, params, start=edge[0] - BLOCK_DROPS, count=BLOCK_DROPS + 4))
+    assert [d.drop_index for d in drops] == list(range(edge[0] - BLOCK_DROPS, edge[-1] + 1))
+    assert ([canonical(d) for d in drops[-4:]]
+            == [canonical(t.generate_drop(cfg, params, i)) for i in edge])
+
+
+def test_block_neighbours_share_no_memory():
+    cfg = make_config("28GHz-NLOS", master_seed=32)
+    drops = generate_batch(cfg, t.resolved_params(cfg), 0, 3)
+    before = [canonical(d) for d in drops]
+    for a in arrays_of(drops[1]):
+        for neighbour in (drops[0], drops[2]):
+            assert not any(np.shares_memory(a, b) for b in arrays_of(neighbour))
+        a[...] = 0
+    assert [canonical(drops[0]), canonical(drops[2])] == [before[0], before[2]]
+
+
+@pytest.mark.parametrize("label, distance", BLOCK_CONFIGS)
+def test_uniforms_drawn_per_drop_follow_its_structure(monkeypatch, label, distance):
+    drawn, calls = {}, []
+    stream_uniforms = generate.stream_uniforms
+
+    def recording(keys, counts, starts=None):
+        calls.append(len(keys))
+        for key, count in zip(keys, counts):
+            drawn[key.tobytes()] = drawn.get(key.tobytes(), 0) + int(count)
+        return stream_uniforms(keys, counts, starts)
+
+    monkeypatch.setattr(generate, "stream_uniforms", recording)
+    cfg = make_config(label, distance_m=distance, master_seed=34)
+    drops = generate_batch(cfg, t.resolved_params(cfg), 100, 30)
+    assert len(calls) == 3  # one Philox call per stage
+    ranged = cfg.distance_range() is not None
+    total = 0
+    for drop in drops:
+        keys = derive_keys(34, [drop.drop_index], LABELS)
+        used = sum(drawn.get(key.tobytes(), 0) for key in keys)
+        assert used == (2 + ranged + 3 * drop.num_clusters + 9 * drop.num_subpaths
+                        + 2 + 2 * (len(drop.aod_lobes) + len(drop.aoa_lobes)))
+        total += used
+    assert total == sum(drawn.values())  # no stream outside the twelve labels

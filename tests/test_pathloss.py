@@ -6,8 +6,6 @@ import pytest
 import tcslsim as t
 from tcslsim.errors import DistanceBelowReferenceError, NonPositiveFrequencyError
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_S, dbm_to_mw, fspl_1m, mw_to_dbm, path_loss_ci
-from tcslsim.randcore import RandomStream
-
 from conftest import make_config
 
 
@@ -79,7 +77,8 @@ def test_dbm_mw_roundtrip():
 def test_link_budget_fields_consistent():
     cfg = make_config("28GHz-NLOS", distance_m=10.0)
     params = t.resolved_params(cfg)
-    link = t.link_budget(cfg, params, RandomStream(1, 0, "shadow"))
+    link = t.link_budget(cfg, params, 3.7, 10.0)
+    assert link.shadow_fading_db == 3.7
     assert link.rx_power_dbm == pytest.approx(cfg.tx_power_dbm - link.path_loss_db, abs=1e-12)
     assert link.rx_power_mw == pytest.approx(10 ** (link.rx_power_dbm / 10.0), rel=1e-12)
     assert link.path_loss_db == pytest.approx(
@@ -90,26 +89,25 @@ def test_link_budget_rx_example():
     # tx 0 dBm against a 73.38 dB loss leaves -73.38 dBm
     cfg = make_config("28GHz-LOS", distance_m=10.0)
     params = t.resolved_params(cfg)
-    link = t.link_budget(cfg, params, RandomStream(1, 0, "shadow"))
+    link = t.link_budget(cfg, params, 0.0, 10.0)
     assert link.rx_power_dbm == pytest.approx(-(fspl_1m(28e9) + 12.0), abs=1e-9)
     assert link.rx_power_mw == pytest.approx(10 ** (link.rx_power_dbm / 10), rel=1e-12)
 
 
 def test_zero_sigma_shadowing_is_exactly_zero():
-    cfg = make_config("140GHz-LOS")
-    params = t.resolved_params(cfg)
-    for k in range(50):
-        link = t.link_budget(cfg, params, RandomStream(5, k, "shadow"))
-        assert link.shadow_fading_db == 0.0
+    cfg = make_config("140GHz-LOS", master_seed=5)
+    for drop in t.generate_drops(cfg, count=50):
+        assert drop.link.shadow_fading_db == 0.0
 
 
 def test_shadowing_mean_over_draws():
-    cfg = make_config("28GHz-NLOS", overrides={"sigma_sf": "4.0"})
+    n = 10_000
+    cfg = make_config("140GHz-NLOS", master_seed=77, overrides={"sigma_sf": "4.0"})
     params = t.resolved_params(cfg)
-    stream = RandomStream(77, 0, "shadow")
-    vals = np.array([t.link_budget(cfg, params, stream).rx_power_dbm for _ in range(100_000)])
-    expected = cfg.tx_power_dbm - path_loss_ci(28e9, 10.0, params.ple)
-    assert abs(vals.mean() - expected) < 0.04
+    vals = np.array([d.link.rx_power_dbm for d in t.generate_drops(cfg, params, count=n)])
+    expected = cfg.tx_power_dbm - path_loss_ci(140e9, 10.0, params.ple)
+    assert abs(vals.mean() - expected) < 5 * 4.0 / math.sqrt(n)
+    assert abs(vals.std() - 4.0) < 5 * 4.0 / math.sqrt(2 * n)
 
 
 def test_speed_of_light_constant():

@@ -16,10 +16,17 @@ from tcslsim.randcore import (
     Normal,
     PoissonShifted,
     RandomStream,
-    StreamFamily,
     Uniform,
     _invert,
+    derive_keys,
+    stream_uniforms,
 )
+
+
+def numpy_philox_uniforms(key, n):
+    """Independent oracle: numpy's own Philox4x64-10 generator."""
+    k0, k1 = (int(w) for w in key)
+    return np.random.Generator(np.random.Philox(key=k0 | (k1 << 64))).random(n)
 
 
 def test_same_provenance_identical_sequence():
@@ -48,18 +55,36 @@ def test_fork_independent_of_sibling_consumption():
     assert np.array_equal(lone, again)
 
 
-def test_shared_engine_interleaving_matches_private_streams():
-    fam = StreamFamily(11, 5)
-    s1, s2 = fam.substream("a"), fam.substream("b")
-    got1, got2 = [], []
-    for _ in range(10):  # alternate consumption on the shared engine
-        got1.append(s1.uniform())
-        got2.append(s2.uniform())
-        got2.append(s2.uniform())
-    ref1 = RandomStream(11, 5, "a").uniform(10)
-    ref2 = RandomStream(11, 5, "b").uniform(20)
-    assert np.array_equal(got1, ref1)
-    assert np.array_equal(got2, ref2)
+@pytest.mark.parametrize("count", range(10))
+def test_uniforms_match_numpy_philox_for_random_keys(count):
+    keys = np.random.default_rng(count).integers(0, 2**64, size=(8, 2), dtype=np.uint64)
+    got = stream_uniforms(keys, [count] * len(keys)).reshape(len(keys), count)
+    for key, row in zip(keys, got):
+        assert np.array_equal(row, numpy_philox_uniforms(key, count))
+
+
+def test_uniforms_match_numpy_philox_for_derived_keys():
+    labels = ("shadow", "intra_delay", "")
+    keys = derive_keys(20210928, range(3, 7), labels)
+    counts = np.arange(len(keys)) % 10  # crosses the four-output block edge
+    got = np.split(stream_uniforms(keys, counts), np.cumsum(counts)[:-1])
+    for i, (key, row) in enumerate(zip(keys, got)):
+        label, drop = labels[i // 4], 3 + i % 4
+        assert np.array_equal(key, derive_keys(20210928, [drop], [label])[0])
+        assert np.array_equal(row, numpy_philox_uniforms(key, counts[i]))
+
+
+def test_interleaved_sibling_streams_match_numpy_philox():
+    streams = {label: RandomStream(11, 5, label) for label in ("a", "b", "c")}
+    got = {label: [] for label in streams}
+    for step in range(12):  # alternate reads of 1, 2 or 3 uniforms
+        for k, (label, stream) in enumerate(streams.items()):
+            size = 1 + (step + k) % 3
+            got[label].extend(stream.uniform(size) if size > 1 else [stream.uniform()])
+    for label, values in got.items():
+        assert streams[label].position == len(values)
+        key = derive_keys(11, [5], [label])[0]
+        assert np.array_equal(values, numpy_philox_uniforms(key, len(values)))
 
 
 def test_next_uniform_advances_and_bounds():
@@ -113,13 +138,6 @@ def test_poisson_shifted_minimum_frequency():
     assert draws.min() >= 1
     freq = np.mean(draws == 1)
     assert abs(freq - math.exp(-1.3)) < 0.002
-
-
-def test_poisson_scalar_path_matches_vector_path():
-    vec = RandomStream(9, 0, "p").sample(PoissonShifted(3.4), 64)
-    scalars = RandomStream(9, 0, "p")
-    one_by_one = [scalars.sample(PoissonShifted(3.4)) for _ in range(64)]
-    assert vec.tolist() == one_by_one
 
 
 def test_composite_point_mass_frequency():

@@ -231,6 +231,24 @@ def test_apply_overrides_bad_value():
         t.apply_overrides(base, {"mu_rho": "not-a-number"})
 
 
+_FLOAT_PARAMS = sorted(f.name for f in dataclasses.fields(t.ScenarioParams)
+                       if f.type in ("float", "float | None"))
+
+
+@pytest.mark.parametrize("name", _FLOAT_PARAMS)
+def test_apply_overrides_rejects_non_finite_values(name):
+    base = t.lookup_params(t.Scenario.parse("28-nlos"))
+    for value in (math.nan, math.inf, -math.inf, "nan", "inf", "-inf", "NaN", "Infinity"):
+        with pytest.raises(MalformedOverrideError):
+            t.apply_overrides(base, {name: value})
+
+
+def test_validate_rejects_nan_override():
+    cfg = t.SimConfig(scenario=t.Scenario.parse("28GHz-NLOS"), overrides={"mu_rho": "nan"})
+    with pytest.raises(ConfigValidationError):
+        t.validate_config(cfg)
+
+
 def test_apply_overrides_invariant_violation():
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
     with pytest.raises(MalformedOverrideError):

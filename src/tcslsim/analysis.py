@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, optimize, stats as sps
 
 from .errors import (
     EmptyGridError,
@@ -162,7 +161,8 @@ def interpolate_pas(samples, side: str = "aoa", renormalize: bool = True) -> Pow
         total = grid.sum()
         if total > 0:
             grid *= pw.sum() / total
-    return PowerAngularSpectrum(side=side, grid=grid)
+    cells = np.flatnonzero(grid)
+    return PowerAngularSpectrum(side=side, cells=cells, power_mw=grid.ravel()[cells])
 
 
 def _merge_duplicate_azimuths(az: np.ndarray, pw: np.ndarray):
@@ -175,36 +175,40 @@ def _merge_duplicate_azimuths(az: np.ndarray, pw: np.ndarray):
 def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> LobeSet:
     """Find spatial lobes: connected regions above the lobe threshold.
 
-    Cells within `slt_db` of the spectrum peak are kept and grouped by
-    4-neighborhood adjacency (azimuth wraps, elevation does not). Lobes
-    are returned strongest first with power-weighted mean directions.
+    Cells with power within `slt_db` of the spectrum peak are kept and
+    grouped by 4-neighborhood adjacency (azimuth wraps, elevation does
+    not); a cell without power never joins a lobe. Lobes are returned
+    strongest first, ties in the order of their first cell, with
+    power-weighted mean directions.
     """
-    grid = pas.grid
-    peak = grid.max()
+    peak = pas.power_mw.max(initial=0.0)
     if not peak > 0:
         raise EmptyGridError("spectrum has no power")
     threshold = peak * 10.0 ** (slt_db / 10.0)
-    mask = grid >= threshold
+    kept = (pas.power_mw >= threshold) & (pas.power_mw > 0)
+    if not kept.any():  # a positive or NaN threshold keeps no cell
+        return LobeSet(lobes=[], slt_db=slt_db)
+    power = pas.power_mw[kept]
+    az, el = (a[kept] for a in pas.angles())
 
-    labels, n_labels = ndimage.label(mask)
-    labels = _merge_wrapped_labels(labels, mask)
-
+    cells = np.column_stack((az, el))
+    az_deg = az.astype(float)
+    el_deg = el.astype(float)
+    component = _connected_cells(pas.cells[kept], az, el)
+    order = np.argsort(component, kind="stable")
     lobes = []
-    for lab in np.unique(labels[labels > 0]):
-        cells = np.argwhere(labels == lab)
-        powers = grid[cells[:, 0], cells[:, 1]]
+    for members in np.split(order, np.flatnonzero(np.diff(component[order])) + 1):
+        powers = power[members]
         total = powers.sum()
-        peak_cell = cells[np.argmax(powers)]
-        mean_az = _circular_mean_deg(cells[:, 0].astype(float), powers)
-        mean_el = float(np.dot(powers, cells[:, 1] - 90.0) / total)
+        peak_cell = cells[members[np.argmax(powers)]]
         lobes.append(Lobe(
             index=0,
-            cells=np.column_stack((cells[:, 0], cells[:, 1] - 90)),
+            cells=cells[members],
             peak_az_deg=int(peak_cell[0]),
-            peak_el_deg=int(peak_cell[1]) - 90,
+            peak_el_deg=int(peak_cell[1]),
             power_mw=float(total),
-            mean_az_deg=mean_az,
-            mean_el_deg=mean_el,
+            mean_az_deg=_circular_mean_deg(az_deg[members], powers),
+            mean_el_deg=float(np.dot(powers, el_deg[members]) / total),
         ))
     lobes.sort(key=lambda l: l.power_mw, reverse=True)
     for i, lobe in enumerate(lobes):
@@ -212,30 +216,31 @@ def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> L
     return LobeSet(lobes=lobes, slt_db=slt_db)
 
 
-def _merge_wrapped_labels(labels: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Union labels that touch across the azimuth 359 -> 0 seam."""
-    seam = np.flatnonzero(mask[0] & mask[-1])
-    if len(seam) == 0:
-        return labels
-    remap = {}
-    for e in seam:
-        a, b = labels[0, e], labels[-1, e]
-        ra = _find_root(remap, a)
-        rb = _find_root(remap, b)
-        if ra != rb:
-            remap[max(ra, rb)] = min(ra, rb)
-    out = labels.copy()
-    for lab in np.unique(labels[labels > 0]):
-        root = _find_root(remap, lab)
-        if root != lab:
-            out[labels == lab] = root
-    return out
+def _connected_cells(flat: np.ndarray, az: np.ndarray, el: np.ndarray) -> np.ndarray:
+    """Component number of each sorted flat cell (at azimuth `az` and
+    elevation `el`) under 4-adjacency.
 
+    Elevation neighbours are el +- 1 within -90..90; azimuth neighbours
+    are az +- 1, wrapping at the 359 -> 0 seam. Components are numbered
+    0, 1, ... in the order of their first cell.
+    """
+    n = len(flat)
+    parent = list(range(n))
 
-def _find_root(remap: dict, lab: int) -> int:
-    while lab in remap:
-        lab = remap[lab]
-    return lab
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for neighbour, inside in ((PowerAngularSpectrum.cell_index(az, el + 1), el < 90),
+                              (PowerAngularSpectrum.cell_index(az + 1, el), True)):
+        pos = np.minimum(np.searchsorted(flat, neighbour), n - 1)
+        linked = (flat[pos] == neighbour) & inside
+        for i, j in zip(np.flatnonzero(linked).tolist(), pos[linked].tolist()):
+            ri, rj = root(i), root(j)
+            parent[max(ri, rj)] = min(ri, rj)
+    return np.unique([root(i) for i in range(n)], return_inverse=True)[1]
 
 
 def _circular_mean_deg(angles_deg: np.ndarray, weights: np.ndarray) -> float:
@@ -257,6 +262,8 @@ class FitReport:
 
 def fit_poisson_shifted(samples) -> FitReport:
     """MLE for counts distributed as 1 + Poisson(lambda)."""
+    from scipy import stats as sps
+
     x = _check_counts(samples)
     shifted = x - 1
     lam = float(shifted.mean())
@@ -274,6 +281,8 @@ def fit_composite_subpath(samples) -> FitReport:
     If every shifted sample is zero the weight is zero and the decay
     scale is undefined (reported as NaN).
     """
+    from scipy import optimize
+
     x = _check_counts(samples)
     shifted = x - 1
     n0 = int((shifted == 0).sum())
@@ -381,6 +390,8 @@ def compare_distributions(samples, families=("exponential", "lognormal")) -> lis
 
 
 def _ks_stat(x: np.ndarray, family: str, params: dict) -> float:
+    from scipy import stats as sps
+
     if family == "exponential":
         dist = sps.expon(scale=params["mu"])
     else:

@@ -194,9 +194,11 @@ def _write_pdp_rows(fh, drop) -> None:
 def _write_pas_rows(fh, drop) -> None:
     for side in ("aod", "aoa"):
         pas = build_pas(drop, side)
-        for az, el_idx in np.argwhere(pas.grid > 0):
-            fh.write(f"{drop.drop_index},{side},{az},{el_idx - 90},"
-                     f"{CSV_FLOAT.format(pas.grid[az, el_idx])}\n")
+        occupied = pas.power_mw > 0
+        az, el = (a[occupied].tolist() for a in pas.angles())
+        prefix = f"{drop.drop_index},{side},"
+        fh.write("".join(f"{prefix}{a},{e},{CSV_FLOAT.format(p)}\n"
+                         for a, e, p in zip(az, el, pas.power_mw[occupied].tolist())))
 
 
 def _write_summary(path: Path, result: CampaignResult) -> None:

@@ -41,7 +41,7 @@ from .scenario import (
     parse_override_file,
     validate_config,
 )
-from .stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum, PowerDelayProfile
+from .stats import PowerAngularSpectrum, PowerDelayProfile
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -233,20 +233,29 @@ def _analyze_pdp(path: Path, mti_ns: float) -> dict:
 
 def _analyze_pas(path: Path, slt_db: float) -> dict:
     """Extract spatial lobes for every (drop, side) in a PAS CSV."""
-    grids: dict = defaultdict(lambda: np.zeros((AZ_CELLS, EL_CELLS)))
+    spectra: dict = defaultdict(dict)  # (drop, side) -> {flat cell: mW}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         cols = {name: i for i, name in enumerate(header)}
-        for line in fh:
+        drop_col, side_col, az_col, el_col, power_col = (
+            cols[name] for name in ("drop_id", "side", "az_deg", "el_deg", "power_mw"))
+        for lineno, line in enumerate(fh, start=2):
             row = line.strip().split(",")
-            key = (int(row[cols["drop_id"]]), row[cols["side"]])
-            az = int(row[cols["az_deg"]]) % AZ_CELLS
-            el = int(row[cols["el_deg"]]) + 90
-            grids[key][az, el] += float(row[cols["power_mw"]])
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            el = int(row[el_col])
+            if not -90 <= el <= 90:
+                raise ValueError(f"{path}:{lineno}: el_deg {el} outside -90..90")
+            cell = PowerAngularSpectrum.cell_index(int(row[az_col]), el)
+            cells = spectra[(int(row[drop_col]), row[side_col])]
+            cells[cell] = cells.get(cell, 0.0) + float(row[power_col])
 
     counts = defaultdict(list)
-    for (drop_id, side), grid in sorted(grids.items()):
-        lobes = extract_spatial_lobes(PowerAngularSpectrum(side=side, grid=grid), slt_db)
+    for (drop_id, side), cells in sorted(spectra.items()):
+        flat = sorted(cells)
+        pas = PowerAngularSpectrum(side=side, cells=np.array(flat, dtype=np.int64),
+                                   power_mw=np.array([cells[c] for c in flat]))
+        lobes = extract_spatial_lobes(pas, slt_db)
         counts[side].append(lobes.num_lobes)
     return {
         "slt_db": slt_db,

@@ -39,21 +39,50 @@ class PowerDelayProfile:
 
 @dataclass
 class PowerAngularSpectrum:
-    """Power on a 1-degree azimuth x elevation grid.
+    """Power on the occupied cells of a 1-degree azimuth x elevation grid.
 
-    grid[a, e] holds the power at azimuth a degrees and elevation
-    (e - 90) degrees; azimuth wraps circularly, elevation does not.
+    `cells` holds the sorted flat indices az * EL_CELLS + (el + 90) of
+    the cells that received power, for azimuth az in 0..359 and
+    elevation el in -90..90 degrees, and `power_mw` the summed power of
+    each; every other cell holds none. Azimuth wraps circularly,
+    elevation does not. `cell_index` and `angles` convert between the
+    two, and `grid` expands the cells into the dense (360, 181) array,
+    grid[az, el + 90].
     """
 
     side: str
-    grid: np.ndarray  # shape (360, 181), mW
+    cells: np.ndarray     # (k,) int64, sorted flat cell indices
+    power_mw: np.ndarray  # (k,) float64, mW per cell
+
+    @staticmethod
+    def cell_index(az_deg, el_deg):
+        """Flat index of whole-degree azimuth (wrapped) and elevation
+        (-90..90), for ints or int arrays."""
+        return az_deg % AZ_CELLS * EL_CELLS + el_deg + 90
+
+    def angles(self) -> tuple:
+        """Whole-degree (azimuth, elevation) int64 arrays of the cells."""
+        az, el_idx = np.divmod(self.cells, EL_CELLS)
+        return az, el_idx - 90
+
+    @property
+    def grid(self) -> np.ndarray:
+        grid = np.zeros(AZ_CELLS * EL_CELLS)
+        grid[self.cells] = self.power_mw
+        return grid.reshape(AZ_CELLS, EL_CELLS)
 
     @property
     def total_power_mw(self) -> float:
-        return float(self.grid.sum())
+        return float(self.power_mw.sum())
 
     def cell_power(self, az_deg: int, el_deg: int) -> float:
-        return float(self.grid[az_deg % AZ_CELLS, el_deg + 90])
+        if not -90 <= el_deg <= 90:
+            raise IndexError(f"elevation {el_deg} outside -90..90")
+        cell = self.cell_index(az_deg, el_deg)
+        pos = int(np.searchsorted(self.cells, cell))
+        if pos < len(self.cells) and self.cells[pos] == cell:
+            return float(self.power_mw[pos])
+        return 0.0
 
 
 def build_pdp(drop: ChannelDrop, bin_width_ns: float | None = None) -> PowerDelayProfile:
@@ -106,15 +135,18 @@ def _weighted_delay_spread(delays: np.ndarray, weights: np.ndarray) -> float:
 
 
 def build_pas(drop: ChannelDrop, side: str) -> PowerAngularSpectrum:
-    """Deposit each subpath's power into its nearest 1-degree cell."""
+    """Deposit each subpath's power into its nearest 1-degree cell.
+
+    Powers landing in one cell are summed in subpath order from 0.0.
+    """
     az = _angles(drop, side, "azimuth")
     el = _angles(drop, side, "elevation")
-    powers = drop.powers_mw()
-    grid = np.zeros((AZ_CELLS, EL_CELLS))
-    ai = np.rint(az).astype(np.int64) % AZ_CELLS
-    ei = np.clip(np.rint(el).astype(np.int64), -90, 90) + 90
-    np.add.at(grid, (ai, ei), powers)
-    return PowerAngularSpectrum(side=side, grid=grid)
+    flat = PowerAngularSpectrum.cell_index(np.rint(az).astype(np.int64),
+                                          np.clip(np.rint(el).astype(np.int64), -90, 90))
+    cells, inverse = np.unique(flat, return_inverse=True)
+    power = np.zeros(len(cells))
+    np.add.at(power, inverse, drop.powers_mw())
+    return PowerAngularSpectrum(side=side, cells=cells, power_mw=power)
 
 
 def circular_angular_spread(angles_deg, powers) -> float:

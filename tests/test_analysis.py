@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import tcslsim as t
 from tcslsim.analysis import inter_cluster_offsets, intra_delay_samples
+from tcslsim.stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum
 from tcslsim.generate import cluster_delay_spec, sort_from_first
 from tcslsim.randcore import RandomStream
 
@@ -36,3 +38,137 @@ def test_intra_delay_samples_estimate_mu_rho():
     assert len(samples) > 1000
     # exponential: the sample mean has standard error mu / sqrt(n); allow 5 of them
     assert abs(samples.mean() - 15.7) < 5 * 15.7 / np.sqrt(len(samples))
+
+
+# --- spatial lobes against the dense-grid labelling ---------------------------
+
+def dense_lobes(grid, slt_db):
+    """Lobes as a dense labelling finds them: `ndimage.label` on the
+    thresholded (360, 181) grid, then a union of the labels that touch
+    across the azimuth 359 -> 0 seam, lobes strongest first."""
+    mask = grid >= grid.max() * 10.0 ** (slt_db / 10.0)
+    labels, _ = ndimage.label(mask)
+    remap = {}
+
+    def root(lab):
+        while lab in remap:
+            lab = remap[lab]
+        return lab
+
+    for e in np.flatnonzero(mask[0] & mask[-1]):
+        a, b = root(labels[0, e]), root(labels[-1, e])
+        if a != b:
+            remap[max(a, b)] = min(a, b)
+    merged = labels.copy()
+    for lab in np.unique(labels[labels > 0]):
+        merged[labels == lab] = root(lab)
+
+    lobes = []
+    for lab in np.unique(merged[merged > 0]):
+        cells = np.argwhere(merged == lab)
+        powers = grid[cells[:, 0], cells[:, 1]]
+        total = powers.sum()
+        peak = cells[np.argmax(powers)]
+        theta = np.deg2rad(cells[:, 0].astype(float))
+        lobes.append(dict(
+            cells=np.column_stack((cells[:, 0], cells[:, 1] - 90)),
+            peak_az_deg=int(peak[0]),
+            peak_el_deg=int(peak[1]) - 90,
+            power_mw=float(total),
+            mean_az_deg=float(np.rad2deg(np.angle(np.dot(powers, np.exp(1j * theta)))) % 360.0),
+            mean_el_deg=float(np.dot(powers, cells[:, 1] - 90.0) / total),
+        ))
+    lobes.sort(key=lambda lobe: lobe["power_mw"], reverse=True)
+    return lobes
+
+
+def assert_lobes_match_dense(pas, slt_db):
+    got = t.extract_spatial_lobes(pas, slt_db)
+    want = dense_lobes(pas.grid, slt_db)
+    assert got.slt_db == slt_db
+    assert got.num_lobes == len(want)
+    for i, (lobe, ref) in enumerate(zip(got.lobes, want)):
+        assert lobe.index == i + 1
+        assert lobe.cells.dtype == ref["cells"].dtype
+        assert np.array_equal(lobe.cells, ref["cells"])
+        for name in ("peak_az_deg", "peak_el_deg", "power_mw", "mean_az_deg", "mean_el_deg"):
+            assert type(getattr(lobe, name)) is type(ref[name]), name
+            assert getattr(lobe, name) == ref[name], name
+    return got
+
+
+def pas_from_cells(*cells, side="aoa"):
+    """Spectrum of (az_deg, el_deg, power_mw) cells; a repeated cell adds up."""
+    grid = np.zeros((AZ_CELLS, EL_CELLS))
+    for az, el, power in cells:
+        grid[az, el + 90] += power
+    flat = np.flatnonzero(grid)
+    return PowerAngularSpectrum(side=side, cells=flat, power_mw=grid.ravel()[flat])
+
+
+@pytest.mark.parametrize("slt_db", [-3.0, -10.0, -30.0])
+def test_sparse_lobes_match_dense_labelling_on_generated_spectra(scenario_label, slt_db):
+    cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=31)
+    for drop in t.generate_drops(cfg, count=100):
+        for side in ("aod", "aoa"):
+            assert_lobes_match_dense(t.build_pas(drop, side), slt_db)
+
+
+def test_lobe_across_the_azimuth_seam_is_one_lobe():
+    pas = pas_from_cells((358, 4, 1.0), (359, 4, 2.0), (0, 4, 3.0), (1, 4, 1.5), (180, 0, 0.5))
+    lobes = assert_lobes_match_dense(pas, -10.0)
+    assert lobes.num_lobes == 2
+    assert lobes.lobes[0].cells.tolist() == [[0, 4], [1, 4], [358, 4], [359, 4]]
+    assert lobes.lobes[0].peak_az_deg == 0
+    assert lobes.lobes[0].mean_az_deg > 359.0 or lobes.lobes[0].mean_az_deg < 1.0
+
+
+def test_regions_joined_only_through_the_seam_are_one_lobe():
+    # az 0 holds two separate runs; the az 359 column joins both, and a
+    # region at az 100 lies between them in cell order
+    pas = pas_from_cells((0, 30, 1.0), (0, 34, 1.0), (100, 0, 1.0),
+                         *((359, el, 1.0) for el in range(30, 35)))
+    lobes = assert_lobes_match_dense(pas, -10.0)
+    assert [len(lobe.cells) for lobe in lobes.lobes] == [7, 1]
+
+
+def test_elevation_edges_do_not_wrap():
+    # (10, +90) and (11, -90) are neighbours in flat cell order, and
+    # (20, +90) and (20, -90) the two ends of one azimuth column
+    pas = pas_from_cells((10, 90, 1.0), (11, -90, 2.0), (20, 90, 3.0), (20, -90, 4.0))
+    lobes = assert_lobes_match_dense(pas, -10.0)
+    assert lobes.num_lobes == 4
+
+
+def test_equal_power_lobes_keep_the_order_of_their_first_cell():
+    pas = pas_from_cells((200, 0, 1.0), (50, 10, 1.0), (359, 5, 1.0), (5, 5, 1.0))
+    lobes = assert_lobes_match_dense(pas, -10.0)
+    assert [lobe.peak_az_deg for lobe in lobes.lobes] == [5, 50, 200, 359]
+
+
+def test_repeated_deposits_sum_into_one_cell():
+    cfg = make_config("28GHz-NLOS", master_seed=12)
+    drop = next(d for d in t.generate_drops(cfg, count=50) if d.num_subpaths >= 4)
+    drop.aoa_az_deg[:] = 10.0 + 0.1 * (np.arange(drop.num_subpaths) % 5)
+    drop.aoa_el_deg[:] = [(-3.2, -2.9)[i % 2] for i in range(drop.num_subpaths)]
+    pas = t.build_pas(drop, "aoa")
+    assert pas.cells.tolist() == [PowerAngularSpectrum.cell_index(10, -3)]
+    expected = 0.0
+    for power in drop.powers_mw():
+        expected += power
+    assert pas.power_mw[0] == expected
+    lobes = assert_lobes_match_dense(pas, -10.0)
+    assert lobes.num_lobes == 1 and lobes.lobes[0].power_mw == expected
+
+
+def test_cells_without_power_never_join_a_lobe():
+    # -4000 dB puts the threshold at 0.0: a dense mask would take every
+    # empty cell, and so one lobe of all 65,160 cells
+    pas = pas_from_cells((10, 0, 1.0), (200, 45, 2.0))
+    assert 10.0 ** (-4000 / 10.0) == 0.0
+    lobes = t.extract_spatial_lobes(pas, -4000.0)
+    assert [lobe.cells.tolist() for lobe in lobes.lobes] == [[[200, 45]], [[10, 0]]]
+    # a stored zero-power cell does not bridge its two neighbours
+    gap = PowerAngularSpectrum(side="aoa", cells=np.array([100, 101, 102]),
+                               power_mw=np.array([1.0, 0.0, 1.0]))
+    assert t.extract_spatial_lobes(gap, -4000.0).num_lobes == 2

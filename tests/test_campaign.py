@@ -4,12 +4,22 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 import tcslsim as t
 from tcslsim import cli
-from tcslsim.campaign import config_digest, drop_record, emit_outputs, run_campaign
+from tcslsim.campaign import (
+    CSV_FLOAT,
+    _write_pas_rows,
+    config_digest,
+    drop_record,
+    emit_outputs,
+    run_campaign,
+)
 from tcslsim.generate import BLOCK_DROPS
+
+from conftest import make_config
 
 # sha256 of the per-drop files `tcslsim generate` writes, pinned so that
 # any change to generation or emission that is not bit-identical shows.
@@ -27,14 +37,58 @@ GOLDEN = {
 }
 
 
+# sha256 of the `tcslsim analyze --pdp --pas` report on those files
+ANALYZE_GOLDEN = {
+    "28GHz-NLOS-5-45m": "4ca90bedd8d918e64ef0c0c4bfbe850df96427d2ec7e35c8c3f4c73e461bda02",
+    "140GHz-LOS-10m": "8d8f6c2ea475b774a9d5ef5b633b2099134accd2381a984049c85004ffc18a45",
+}
+
+
+def _generate(out_dir, argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["generate", *argv, "--format", "jsonl,pdp,pas", "--out-dir", str(out_dir)])
+
+
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_generated_files_match_golden_digests(tmp_path, label):
     argv, digests = GOLDEN[label]
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.main(["generate", *argv, "--format", "jsonl,pdp,pas", "--out-dir", str(tmp_path)])
-    assert rc == 0
+    assert _generate(tmp_path, argv) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("label", sorted(ANALYZE_GOLDEN))
+def test_analyze_report_matches_golden_digest(tmp_path, label):
+    assert _generate(tmp_path, GOLDEN[label][0]) == 0
+    report = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["analyze", "--pdp", str(tmp_path / "pdp.csv"),
+                       "--pas", str(tmp_path / "pas.csv"), "--out", str(report)])
+    assert rc == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == ANALYZE_GOLDEN[label]
+
+
+def dense_pas_rows(drop) -> str:
+    """PAS rows as a dense-grid writer produced them: deposit every
+    subpath into a (360, 181) grid, then write its positive cells in
+    row-major order."""
+    rows = []
+    for side in ("aod", "aoa"):
+        grid = np.zeros((360, 181))
+        az = np.rint(getattr(drop, f"{side}_az_deg")).astype(np.int64) % 360
+        el = np.clip(np.rint(getattr(drop, f"{side}_el_deg")).astype(np.int64), -90, 90) + 90
+        np.add.at(grid, (az, el), drop.powers_mw())
+        for a, e in np.argwhere(grid > 0):
+            rows.append(f"{drop.drop_index},{side},{a},{e - 90},{CSV_FLOAT.format(grid[a, e])}\n")
+    return "".join(rows)
+
+
+def test_pas_writer_matches_the_dense_grid_writer(scenario_label):
+    cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=41)
+    for drop in t.generate_drops(cfg, count=200):
+        fh = io.StringIO()
+        _write_pas_rows(fh, drop)
+        assert fh.getvalue() == dense_pas_rows(drop)
 
 
 def test_records_identical_for_one_and_two_workers():

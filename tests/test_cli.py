@@ -13,11 +13,16 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tcslsim as t
-from tcslsim import campaign, cli, generate
+from tcslsim import analysis, campaign, cli, generate, stats
 from tcslsim.campaign import emit_outputs, run_campaign
 from tcslsim.generate import generate_drop, generate_drops
 from tcslsim.randcore import Exponential, RandomStream
@@ -77,6 +82,52 @@ def test_wrapped_functions_exist(module, name):
 
 def test_campaign_generates_through_generate_batch_imported_from_generate():
     assert campaign.generate_batch is generate.generate_batch
+
+
+def test_pas_paths_call_across_modules_at_the_names_the_benchmark_wraps():
+    # stats.build_pas_us_per_grid and analysis.lobes_us_per_grid/lobes_per_grid
+    assert campaign.build_pas is stats.build_pas
+    assert cli.extract_spatial_lobes is analysis.extract_spatial_lobes
+    assert cli.PowerAngularSpectrum is stats.PowerAngularSpectrum
+    cell = cli.PowerAngularSpectrum.cell_index(5, 0)
+    pas = cli.PowerAngularSpectrum(side="aoa", cells=np.array([cell]), power_mw=np.array([2.0]))
+    assert cli.extract_spatial_lobes(pas).lobes[0].cells.tolist() == [[5, 0]]
+
+
+def test_importing_the_cli_loads_no_scipy_stats_optimize_or_ndimage():
+    src = str(Path(t.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, tcslsim.cli; print(sorted(m for m in sys.modules if m.split('.')[:2]"
+            " in (['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'ndimage'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("el_deg", [-100, -91, 91, 180])
+def test_analyze_rejects_pas_elevations_outside_the_grid(tmp_path, el_deg):
+    path = tmp_path / "pas.csv"
+    path.write_text("drop_id,side,az_deg,el_deg,power_mw\n"
+                    "0,aoa,10,5,1e-06\n"
+                    f"0,aoa,11,{el_deg},2e-06\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["analyze", "--pas", str(path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"el_deg {el_deg} " in err.getvalue()
+    assert f"{path}:3:" in err.getvalue()
+
+
+@pytest.mark.parametrize("bad_row", ["", "0,aoa,11,5"])
+def test_analyze_rejects_pas_rows_with_missing_fields(tmp_path, bad_row):
+    path = tmp_path / "pas.csv"
+    path.write_text(f"drop_id,side,az_deg,el_deg,power_mw\n0,aoa,10,5,1e-06\n{bad_row}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["analyze", "--pas", str(path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"{path}:3: expected 5 fields" in err.getvalue()
 
 
 @pytest.mark.parametrize("cls, method", [

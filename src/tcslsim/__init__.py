@@ -60,7 +60,6 @@ from .analysis import (
     fit_exponential,
     fit_lognormal,
     fit_poisson_shifted,
-    interpolate_pas,
     partition_time_clusters,
 )
 from .campaign import (

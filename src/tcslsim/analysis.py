@@ -13,17 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyGridError,
-    EmptyProfileError,
-    EmptySamplesError,
-    InsufficientSamplesError,
-    InvalidParamsError,
-    NonPositiveSampleError,
-    TooFewSamplesError,
-)
+from .errors import InvalidParamsError
 from .generate import ChannelDrop
-from .stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum, PowerDelayProfile
+from .stats import PowerAngularSpectrum, PowerDelayProfile
 
 
 # --- time-cluster partitioning ---------------------------------------------
@@ -56,7 +48,7 @@ def partition_time_clusters(pdp: PowerDelayProfile, mti_ns: float) -> ClusterPar
         raise InvalidParamsError(f"mti must be > 0, got {mti_ns}")
     delays = pdp.delays_ns
     if len(delays) == 0:
-        raise EmptyProfileError("no taps to partition")
+        raise InvalidParamsError("no taps to partition")
     gaps = np.diff(delays)
     boundaries = np.flatnonzero(gaps >= mti_ns) + 1
     starts = np.concatenate(([0], boundaries))
@@ -119,59 +111,6 @@ class LobeSet:
         return len(self.lobes)
 
 
-def interpolate_pas(samples, side: str = "aoa", renormalize: bool = True) -> PowerAngularSpectrum:
-    """Spread coarse directional power samples onto the 1-degree grid.
-
-    `samples` is an (n, 3) array of (azimuth deg, elevation deg, power).
-    Interpolation is piecewise linear, done per plane: first circularly
-    in azimuth along each sampled elevation, then in elevation down each
-    azimuth column (no extrapolation beyond the sampled elevation span).
-    With `renormalize`, the grid is rescaled to preserve total power.
-    """
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InsufficientSamplesError("expected (n, 3) samples of (az, el, power)")
-    az = pts[:, 0] % 360.0
-    el = pts[:, 1]
-    pw = pts[:, 2]
-    if len(np.unique(az)) < 2:
-        raise InsufficientSamplesError("need at least 2 distinct azimuth samples")
-
-    el_levels = np.unique(el)
-    az_grid = np.arange(AZ_CELLS, dtype=float)
-    rows = np.zeros((len(el_levels), AZ_CELLS))
-    for r, level in enumerate(el_levels):
-        at_level = el == level
-        az_l, pw_l = _merge_duplicate_azimuths(az[at_level], pw[at_level])
-        if len(az_l) == 1:
-            rows[r, int(round(az_l[0])) % AZ_CELLS] = pw_l[0]
-        else:
-            rows[r] = np.interp(az_grid, az_l, pw_l, period=360.0)
-
-    el_grid = np.arange(EL_CELLS, dtype=float) - 90.0
-    grid = np.zeros((AZ_CELLS, EL_CELLS))
-    if len(el_levels) == 1:
-        grid[:, int(round(el_levels[0])) + 90] = rows[0]
-    else:
-        inside = (el_grid >= el_levels[0]) & (el_grid <= el_levels[-1])
-        for a in range(AZ_CELLS):
-            grid[a, inside] = np.interp(el_grid[inside], el_levels, rows[:, a])
-
-    if renormalize:
-        total = grid.sum()
-        if total > 0:
-            grid *= pw.sum() / total
-    cells = np.flatnonzero(grid)
-    return PowerAngularSpectrum(side=side, cells=cells, power_mw=grid.ravel()[cells])
-
-
-def _merge_duplicate_azimuths(az: np.ndarray, pw: np.ndarray):
-    uniq, inverse = np.unique(az, return_inverse=True)
-    merged = np.zeros(len(uniq))
-    np.add.at(merged, inverse, pw)
-    return uniq, merged
-
-
 def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> LobeSet:
     """Find spatial lobes: connected regions above the lobe threshold.
 
@@ -183,7 +122,7 @@ def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> L
     """
     peak = pas.power_mw.max(initial=0.0)
     if not peak > 0:
-        raise EmptyGridError("spectrum has no power")
+        raise InvalidParamsError("spectrum has no power")
     threshold = peak * 10.0 ** (slt_db / 10.0)
     kept = (pas.power_mw >= threshold) & (pas.power_mw > 0)
     if not kept.any():  # a positive or NaN threshold keeps no cell
@@ -334,9 +273,9 @@ def fit_exponential(samples) -> FitReport:
     """Closed-form exponential MLE (sample mean)."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
-        raise EmptySamplesError("no samples")
+        raise InvalidParamsError("no samples")
     if (x < 0).any():
-        raise NonPositiveSampleError("exponential samples must be >= 0")
+        raise InvalidParamsError("exponential samples must be >= 0")
     mu = float(x.mean())
     loglik = float(-x.size * math.log(mu) - x.sum() / mu) if mu > 0 else math.inf
     return FitReport("exponential", {"mu": mu}, loglik, x.size)
@@ -346,9 +285,9 @@ def fit_lognormal(samples) -> FitReport:
     """Closed-form lognormal MLE: mean/std of log samples (population std)."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
-        raise EmptySamplesError("no samples")
+        raise InvalidParamsError("no samples")
     if (x <= 0).any():
-        raise NonPositiveSampleError("lognormal samples must be > 0")
+        raise InvalidParamsError("lognormal samples must be > 0")
     logs = np.log(x)
     mu = float(logs.mean())
     sigma = float(logs.std())
@@ -360,9 +299,10 @@ def fit_lognormal(samples) -> FitReport:
     return FitReport("lognormal", {"mu": mu, "sigma": sigma}, loglik, x.size)
 
 
+# family -> (fitter, test that some sample lies outside the family's support)
 _FITTERS = {
-    "exponential": fit_exponential,
-    "lognormal": fit_lognormal,
+    "exponential": (fit_exponential, lambda x: (x < 0).any()),
+    "lognormal": (fit_lognormal, lambda x: (x <= 0).any()),
 }
 
 
@@ -374,15 +314,15 @@ def compare_distributions(samples, families=("exponential", "lognormal")) -> lis
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 20:
-        raise TooFewSamplesError(f"need >= 20 samples, got {x.size}")
+        raise InvalidParamsError(f"need >= 20 samples, got {x.size}")
     reports = []
     for family in families:
         if family not in _FITTERS:
             raise InvalidParamsError(f"unknown family {family!r}")
-        try:
-            report = _FITTERS[family](x)
-        except NonPositiveSampleError:
+        fit, outside_support = _FITTERS[family]
+        if outside_support(x):
             continue
+        report = fit(x)
         report.extras["ks_stat"] = _ks_stat(x, family, report.params)
         reports.append(report)
     reports.sort(key=lambda r: r.log_likelihood, reverse=True)
@@ -402,7 +342,7 @@ def _ks_stat(x: np.ndarray, family: str, params: dict) -> float:
 def _check_counts(samples) -> np.ndarray:
     x = np.asarray(samples)
     if x.size == 0:
-        raise EmptySamplesError("no samples")
+        raise InvalidParamsError("no samples")
     if (x < 1).any():
-        raise NonPositiveSampleError("counts must be >= 1")
+        raise InvalidParamsError("counts must be >= 1")
     return x.astype(np.int64)

@@ -1,14 +1,24 @@
 """Monte Carlo campaign orchestration, file emission and the
-validation-table reproduction."""
+validation-table reproduction.
+
+A campaign is one pass over its drops. `run_campaign` steps through them
+BLOCK_DROPS at a time in index order; each block is generated once and
+turned into its DropRecords and the rows of every per-drop file asked
+for, in-process or in a fork-pool worker. The parent appends the
+records and writes the rows before it takes the next block, then writes
+the aggregate files, and moves every file into place only once the run
+has succeeded.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -52,9 +62,7 @@ class CampaignResult:
     records: list
     aggregates: dict
     provenance: dict
-
-    def metric_values(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+    paths: dict = field(default_factory=dict)  # {kind: path} of the files written
 
 
 def _config_payload(config: SimConfig) -> dict:
@@ -91,117 +99,35 @@ def drop_record(drop) -> DropRecord:
     )
 
 
-def _record_chunk(config: SimConfig, start: int, count: int) -> list:
-    params = resolved_params(config)
-    return [drop_record(drop) for first in range(start, start + count, BLOCK_DROPS)
-            for drop in generate_batch(config, params, first,
-                                       min(BLOCK_DROPS, start + count - first))]
+# --- per-drop and aggregate file contents -------------------------------------
+
+def _jsonl_rows(drop) -> str:
+    return json.dumps(drop.to_dict(), sort_keys=True) + "\n"
 
 
-def run_campaign(config: SimConfig) -> CampaignResult:
-    """Generate all drops, compute per-drop metrics and aggregate them.
-
-    Fan-out across workers is by contiguous drop-index chunks; records
-    are reassembled in index order, so the result is identical for any
-    worker count.
-    """
-    config = validate_config(config)
-    n = config.num_drops
-    workers = min(config.workers, n)
-    if workers > 1:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        tasks = [(config, int(s), int(e - s)) for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            chunks = pool.starmap(_record_chunk, tasks)
-        records = [rec for chunk in chunks for rec in chunk]
-    else:
-        records = _record_chunk(config, 0, n)
-
-    aggregates = {
-        name: summarize([getattr(r, name) for r in records]) for name in METRIC_NAMES
-    }
-    provenance = {
-        "master_seed": config.master_seed,
-        "config_hash": config_digest(config),
-        "version": __version__,
-    }
-    return CampaignResult(config=config, records=records, aggregates=aggregates,
-                          provenance=provenance)
-
-
-# --- file emission ----------------------------------------------------------
-
-def emit_outputs(result: CampaignResult, drops, config: SimConfig | None = None,
-                 out_dir=None, outputs=None) -> dict:
-    """Write the requested campaign files; returns {kind: path}.
-
-    `drops` is an iterable of the campaign's drops in index order (they
-    can be regenerated deterministically). All per-drop files are
-    written in a single pass over it.
-    """
-    config = config or result.config
-    outputs = tuple(outputs if outputs is not None else config.outputs)
-    out_dir = Path(out_dir or config.out_dir or os.environ.get("TCSLSIM_OUT_DIR", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
-    per_drop = [kind for kind in ("jsonl", "pdp", "pas") if kind in outputs]
-    handles = {}
-    try:
-        if "jsonl" in per_drop:
-            paths["jsonl"] = out_dir / "drops.jsonl"
-            handles["jsonl"] = open(paths["jsonl"], "w", encoding="utf-8")
-        if "pdp" in per_drop:
-            paths["pdp"] = out_dir / "pdp.csv"
-            handles["pdp"] = open(paths["pdp"], "w", encoding="utf-8")
-            handles["pdp"].write(
-                "drop_id,cluster_idx,subpath_idx,excess_delay_ns,absolute_delay_ns,power_mw,power_dbm\n")
-        if "pas" in per_drop:
-            paths["pas"] = out_dir / "pas.csv"
-            handles["pas"] = open(paths["pas"], "w", encoding="utf-8")
-            handles["pas"].write("drop_id,side,az_deg,el_deg,power_mw\n")
-        if per_drop:
-            for drop in drops:
-                if "jsonl" in handles:
-                    handles["jsonl"].write(json.dumps(drop.to_dict(), sort_keys=True) + "\n")
-                if "pdp" in handles:
-                    _write_pdp_rows(handles["pdp"], drop)
-                if "pas" in handles:
-                    _write_pas_rows(handles["pas"], drop)
-    finally:
-        for fh in handles.values():
-            fh.close()
-
-    if "summary" in outputs:
-        paths["summary"] = out_dir / "summary.json"
-        _write_summary(paths["summary"], result)
-    if "cdf" in outputs:
-        paths["cdf"] = out_dir / "cdf.csv"
-        _write_cdf(paths["cdf"], result)
-    return paths
-
-
-def _write_pdp_rows(fh, drop) -> None:
+def _pdp_rows(drop) -> str:
     powers = drop.powers_mw()
     columns = zip(drop.excess_delays_ns().tolist(), drop.absolute_delays_ns().tolist(),
                   powers.tolist(), (10.0 * np.log10(powers)).tolist())
-    for cluster, size in enumerate(drop.cluster_sizes().tolist(), start=1):
-        for subpath in range(1, size + 1):
-            fh.write(f"{drop.drop_index},{cluster},{subpath},"
-                     + ",".join(map(CSV_FLOAT.format, next(columns))) + "\n")
+    return "".join(f"{drop.drop_index},{cluster},{subpath},"
+                   + ",".join(map(CSV_FLOAT.format, next(columns))) + "\n"
+                   for cluster, size in enumerate(drop.cluster_sizes().tolist(), start=1)
+                   for subpath in range(1, size + 1))
 
 
-def _write_pas_rows(fh, drop) -> None:
+def _pas_rows(drop) -> str:
+    rows = []
     for side in ("aod", "aoa"):
         pas = build_pas(drop, side)
         occupied = pas.power_mw > 0
         az, el = (a[occupied].tolist() for a in pas.angles())
         prefix = f"{drop.drop_index},{side},"
-        fh.write("".join(f"{prefix}{a},{e},{CSV_FLOAT.format(p)}\n"
-                         for a, e, p in zip(az, el, pas.power_mw[occupied].tolist())))
+        rows.extend(f"{prefix}{a},{e},{CSV_FLOAT.format(p)}\n"
+                    for a, e, p in zip(az, el, pas.power_mw[occupied].tolist()))
+    return "".join(rows)
 
 
-def _write_summary(path: Path, result: CampaignResult) -> None:
+def _summary_text(result: CampaignResult) -> str:
     body = {
         "provenance": dict(result.provenance),
         "created_at": datetime.now(timezone.utc).isoformat(),  # only nondeterministic field
@@ -211,16 +137,145 @@ def _write_summary(path: Path, result: CampaignResult) -> None:
             for name, s in result.aggregates.items()
         },
     }
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
-def _write_cdf(path: Path, result: CampaignResult) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("metric,value,cdf_prob\n")
-        for name in METRIC_NAMES:
-            summary = result.aggregates[name]
-            for v, p in zip(summary.cdf_grid, summary.cdf_probs):
-                fh.write(f"{name},{CSV_FLOAT.format(v)},{CSV_FLOAT.format(p)}\n")
+def _cdf_text(result: CampaignResult) -> str:
+    return "".join(f"{name},{CSV_FLOAT.format(v)},{CSV_FLOAT.format(p)}\n"
+                   for name in METRIC_NAMES
+                   for v, p in zip(result.aggregates[name].cdf_grid,
+                                   result.aggregates[name].cdf_probs))
+
+
+# kind -> (file name, header, text of one drop's rows)
+DROP_FILES = {
+    "jsonl": ("drops.jsonl", "", _jsonl_rows),
+    "pdp": ("pdp.csv", "drop_id,cluster_idx,subpath_idx,excess_delay_ns,absolute_delay_ns,"
+                       "power_mw,power_dbm\n", _pdp_rows),
+    "pas": ("pas.csv", "drop_id,side,az_deg,el_deg,power_mw\n", _pas_rows),
+}
+
+# kind -> (file name, header, text from the campaign's aggregates)
+RESULT_FILES = {
+    "summary": ("summary.json", "", _summary_text),
+    "cdf": ("cdf.csv", "metric,value,cdf_prob\n", _cdf_text),
+}
+
+
+@contextlib.contextmanager
+def _staged_files(out_dir: Path, outputs):
+    """Open a file with its header for each kind in `outputs`, under a
+    temporary name in `out_dir`.
+
+    Yields ({kind: open file}, {kind: final path}). On a clean exit every
+    file is moved into place with os.replace; on an exception every
+    temporary file is removed, so no output is left half-written.
+    """
+    tables = {**DROP_FILES, **RESULT_FILES}
+    kinds = [kind for kind in tables if kind in outputs]
+    if kinds:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {kind: out_dir / tables[kind][0] for kind in kinds}
+    temps = {kind: out_dir / f".{tables[kind][0]}.{os.getpid()}.tmp" for kind in kinds}
+    files = {}
+    try:
+        for kind in kinds:
+            files[kind] = open(temps[kind], "w", encoding="utf-8")
+            files[kind].write(tables[kind][1])
+        yield files, paths
+        for fh in files.values():
+            fh.close()
+        for kind in kinds:
+            os.replace(temps[kind], paths[kind])
+    finally:
+        for fh in files.values():
+            fh.close()
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
+def _write_result_files(files: dict, result: CampaignResult) -> None:
+    for kind, (_, _, text) in RESULT_FILES.items():
+        if kind in files:
+            files[kind].write(text(result))
+
+
+def _out_dir(out_dir) -> Path:
+    return Path(out_dir or os.environ.get("TCSLSIM_OUT_DIR", "."))
+
+
+# --- the campaign pass --------------------------------------------------------
+
+def _record_chunk(config: SimConfig, start: int, count: int) -> tuple:
+    """Generate drops start .. start + count - 1 in one batch.
+
+    Returns their DropRecords and {kind: text} of their rows in each
+    per-drop file in `config.outputs`.
+    """
+    drops = generate_batch(config, resolved_params(config), start, count)
+    texts = {kind: "".join(map(rows, drops))
+             for kind, (_, _, rows) in DROP_FILES.items() if kind in config.outputs}
+    return [drop_record(drop) for drop in drops], texts
+
+
+def _record_task(task: tuple) -> tuple:
+    return _record_chunk(*task)
+
+
+def run_campaign(config: SimConfig) -> CampaignResult:
+    """Generate all drops once, compute per-drop metrics, aggregate them
+    and write the files named in `config.outputs`.
+
+    Blocks of BLOCK_DROPS drops are mapped in index order, in-process for
+    one worker and by a fork pool's `imap` for more; the parent consumes
+    one block at a time, so records and files are identical for any
+    worker count. The written paths are on `CampaignResult.paths`.
+    """
+    config = validate_config(config)
+    n = config.num_drops
+    tasks = [(config, start, min(BLOCK_DROPS, n - start)) for start in range(0, n, BLOCK_DROPS)]
+    workers = min(config.workers, len(tasks))
+    records = []
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:  # forked before any output file is open
+            mapper = stack.enter_context(multiprocessing.get_context("fork").Pool(workers)).imap
+        files, paths = stack.enter_context(
+            _staged_files(_out_dir(config.out_dir), config.outputs))
+        for block_records, texts in mapper(_record_task, tasks):
+            records.extend(block_records)
+            for kind, text in texts.items():
+                files[kind].write(text)
+
+        aggregates = {
+            name: summarize([getattr(r, name) for r in records]) for name in METRIC_NAMES
+        }
+        provenance = {
+            "master_seed": config.master_seed,
+            "config_hash": config_digest(config),
+            "version": __version__,
+        }
+        result = CampaignResult(config=config, records=records, aggregates=aggregates,
+                                provenance=provenance, paths=paths)
+        _write_result_files(files, result)
+    return result
+
+
+def emit_outputs(result: CampaignResult, drops, out_dir=None, outputs=None) -> dict:
+    """Write the requested files of a finished campaign; returns {kind: path}.
+
+    `drops` is an iterable of the campaign's drops in index order; the
+    per-drop files are written in one pass over it with the row
+    formatters `run_campaign` uses, so the bytes are the same.
+    """
+    outputs = result.config.outputs if outputs is None else outputs
+    with _staged_files(_out_dir(out_dir or result.config.out_dir), outputs) as (files, paths):
+        for drop in drops:
+            for kind, (_, _, rows) in DROP_FILES.items():
+                if kind in files:
+                    files[kind].write(rows(drop))
+        _write_result_files(files, result)
+    return paths
 
 
 # --- validation-table reproduction -------------------------------------------

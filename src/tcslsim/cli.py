@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -23,15 +24,8 @@ from .analysis import (
     fit_poisson_shifted,
     partition_time_clusters,
 )
-from .campaign import (
-    REPRODUCE_SEED,
-    config_digest,
-    emit_outputs,
-    reproduce_report,
-    run_campaign,
-)
+from .campaign import REPRODUCE_SEED, config_digest, reproduce_report, run_campaign
 from .errors import ChannelSimError, ConfigValidationError
-from .generate import generate_drops
 from .scenario import (
     ALL_SCENARIOS,
     DEFAULT_MTI_NS,
@@ -145,7 +139,6 @@ def _cmd_generate(args) -> int:
     )
     config = validate_config(config)
     result = run_campaign(config)
-    paths = emit_outputs(result, generate_drops(config))
 
     print(f"scenario {config.scenario.label()}  drops {config.num_drops}  "
           f"master_seed {config.master_seed}")
@@ -155,7 +148,7 @@ def _cmd_generate(args) -> int:
     for name in ("as_aoa_az_deg", "as_aod_az_deg"):
         agg = result.aggregates[name]
         print(f"{name}: median {agg.median:.3f} deg")
-    for kind, path in paths.items():
+    for kind, path in result.paths.items():
         print(f"wrote {kind}: {path}")
     return EXIT_OK
 
@@ -193,16 +186,31 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _csv_rows(path: Path, columns: tuple):
+    """Yield (line number, the fields of `columns`) for each data row of
+    an exported CSV file.
+
+    Raises ValueError naming the file and line when the header lacks one
+    of `columns` or a row has another field count than the header.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise ValueError(f"{path}:1: header lacks column(s) {', '.join(missing)}")
+        pick = operator.itemgetter(*map(header.index, columns))
+        for lineno, line in enumerate(fh, start=2):
+            row = line.strip().split(",")
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, pick(row)
+
+
 def _analyze_pdp(path: Path, mti_ns: float) -> dict:
     """Partition every drop in a PDP CSV and fit the cluster statistics."""
     taps = defaultdict(list)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        cols = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            row = line.strip().split(",")
-            taps[int(row[cols["drop_id"]])].append(
-                (float(row[cols["excess_delay_ns"]]), float(row[cols["power_mw"]])))
+    for _, (drop_id, delay, power) in _csv_rows(path, ("drop_id", "excess_delay_ns", "power_mw")):
+        taps[int(drop_id)].append((float(delay), float(power)))
 
     cluster_counts = []
     intra = []
@@ -234,21 +242,14 @@ def _analyze_pdp(path: Path, mti_ns: float) -> dict:
 def _analyze_pas(path: Path, slt_db: float) -> dict:
     """Extract spatial lobes for every (drop, side) in a PAS CSV."""
     spectra: dict = defaultdict(dict)  # (drop, side) -> {flat cell: mW}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        cols = {name: i for i, name in enumerate(header)}
-        drop_col, side_col, az_col, el_col, power_col = (
-            cols[name] for name in ("drop_id", "side", "az_deg", "el_deg", "power_mw"))
-        for lineno, line in enumerate(fh, start=2):
-            row = line.strip().split(",")
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            el = int(row[el_col])
-            if not -90 <= el <= 90:
-                raise ValueError(f"{path}:{lineno}: el_deg {el} outside -90..90")
-            cell = PowerAngularSpectrum.cell_index(int(row[az_col]), el)
-            cells = spectra[(int(row[drop_col]), row[side_col])]
-            cells[cell] = cells.get(cell, 0.0) + float(row[power_col])
+    columns = ("drop_id", "side", "az_deg", "el_deg", "power_mw")
+    for lineno, (drop_id, side, az, el, power) in _csv_rows(path, columns):
+        el = int(el)
+        if not -90 <= el <= 90:
+            raise ValueError(f"{path}:{lineno}: el_deg {el} outside -90..90")
+        cell = PowerAngularSpectrum.cell_index(int(az), el)
+        cells = spectra[(int(drop_id), side)]
+        cells[cell] = cells.get(cell, 0.0) + float(power)
 
     counts = defaultdict(list)
     for (drop_id, side), cells in sorted(spectra.items()):

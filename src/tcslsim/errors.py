@@ -9,18 +9,6 @@ class ConfigError(ChannelSimError):
     """A single violated configuration constraint."""
 
 
-class DistanceOutOfRangeError(ConfigError):
-    pass
-
-
-class NonPositiveDropsError(ConfigError):
-    pass
-
-
-class MalformedOverrideError(ConfigError):
-    pass
-
-
 class ConfigValidationError(ChannelSimError):
     """Aggregate of every constraint violated by a SimConfig.
 
@@ -35,44 +23,6 @@ class ConfigValidationError(ChannelSimError):
 
 
 class InvalidParamsError(ChannelSimError, ValueError):
-    """Distribution parameters violate a family constraint."""
-
-
-class NonPositiveFrequencyError(ChannelSimError, ValueError):
-    pass
-
-
-class DistanceBelowReferenceError(ChannelSimError, ValueError):
-    pass
-
-
-class NonPositiveBinWidthError(ChannelSimError, ValueError):
-    pass
-
-
-class EmptyProfileError(ChannelSimError, ValueError):
-    pass
-
-
-class EmptyInputError(ChannelSimError, ValueError):
-    pass
-
-
-class EmptyGridError(ChannelSimError, ValueError):
-    pass
-
-
-class InsufficientSamplesError(ChannelSimError, ValueError):
-    pass
-
-
-class EmptySamplesError(ChannelSimError, ValueError):
-    pass
-
-
-class NonPositiveSampleError(ChannelSimError, ValueError):
-    pass
-
-
-class TooFewSamplesError(ChannelSimError, ValueError):
-    pass
+    """An argument outside what a function accepts: distribution
+    parameters, a frequency or distance outside the model, or samples,
+    profiles and spectra that are empty, powerless or too few."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DistanceBelowReferenceError, NonPositiveFrequencyError
+from .errors import InvalidParamsError
 from .scenario import ScenarioParams, SimConfig
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
@@ -29,7 +29,7 @@ class LinkBudget:
 def fspl_1m(frequency_hz: float) -> float:
     """Free-space path loss in dB at the 1 m reference distance."""
     if frequency_hz <= 0:
-        raise NonPositiveFrequencyError(f"frequency must be > 0, got {frequency_hz}")
+        raise InvalidParamsError(f"frequency must be > 0, got {frequency_hz}")
     return 20.0 * math.log10(4.0 * math.pi * frequency_hz / SPEED_OF_LIGHT_M_PER_S)
 
 
@@ -40,7 +40,7 @@ def path_loss_ci(frequency_hz: float, distance_m: float, ple: float,
     `shadow_db` is a realization of the lognormal shadow fading term.
     """
     if distance_m < 1.0:
-        raise DistanceBelowReferenceError(
+        raise InvalidParamsError(
             f"distance {distance_m} m is below the 1 m reference")
     return fspl_1m(frequency_hz) + 10.0 * ple * math.log10(distance_m) + shadow_db
 

@@ -14,13 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import (
-    ConfigError,
-    ConfigValidationError,
-    DistanceOutOfRangeError,
-    MalformedOverrideError,
-    NonPositiveDropsError,
-)
+from .errors import ConfigError, ConfigValidationError
 
 MIN_DISTANCE_M = 1.0   # close-in reference distance
 MAX_DISTANCE_M = 50.0
@@ -242,7 +236,7 @@ def apply_overrides(params: ScenarioParams, overrides: Mapping[str, object]) -> 
     """Replace named fields of a parameter set, re-validating the result.
 
     Values may be strings (as parsed from config files or CLI flags);
-    they are coerced to the field's type. Raises MalformedOverrideError
+    they are coerced to the field's type. Raises ConfigError
     for unknown keys, unparsable or non-finite values or combinations
     that violate the parameter invariants.
     """
@@ -251,15 +245,15 @@ def apply_overrides(params: ScenarioParams, overrides: Mapping[str, object]) -> 
     coerced: dict[str, object] = {}
     for key, raw in overrides.items():
         if key not in _PARAM_FIELDS:
-            raise MalformedOverrideError(f"unknown parameter {key!r}")
+            raise ConfigError(f"unknown parameter {key!r}")
         try:
             coerced[key] = _coerce_field(key, raw)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedOverrideError(f"bad value for {key!r}: {exc}") from exc
+            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     try:
         return dataclasses.replace(params, **coerced)
     except ValueError as exc:
-        raise MalformedOverrideError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def _coerce_field(key: str, raw: object):
@@ -284,7 +278,7 @@ def parse_override_file(path) -> dict[str, str]:
             if not text:
                 continue
             if "=" not in text:
-                raise MalformedOverrideError(f"{path}:{lineno}: expected key=value, got {text!r}")
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
             key, value = text.split("=", 1)
             overrides[key.strip()] = value.strip()
     return overrides
@@ -349,11 +343,11 @@ def validate_config(config: SimConfig) -> SimConfig:
     distances = distance if isinstance(distance, tuple) else (distance,)
     if isinstance(distance, tuple) and not (
             len(distance) == 2 and all(map(_is_number, distance)) and distance[0] < distance[1]):
-        violations.append(DistanceOutOfRangeError(
+        violations.append(ConfigError(
             f"distance range must be (min, max) with min < max, got {distance}"))
     for d in distances:
         if not (_is_number(d) and MIN_DISTANCE_M <= d <= MAX_DISTANCE_M):
-            violations.append(DistanceOutOfRangeError(
+            violations.append(ConfigError(
                 f"distance {d!r} m outside [{MIN_DISTANCE_M}, {MAX_DISTANCE_M}] m"))
 
     if not _is_number(config.tx_power_dbm):
@@ -361,33 +355,33 @@ def validate_config(config: SimConfig) -> SimConfig:
             f"tx_power_dbm must be a finite number, got {config.tx_power_dbm!r}"))
 
     if not (_is_count(config.num_drops) and config.num_drops >= 1):
-        violations.append(NonPositiveDropsError(f"num_drops must be >= 1, got {config.num_drops!r}"))
+        violations.append(ConfigError(f"num_drops must be >= 1, got {config.num_drops!r}"))
 
     if not (_is_count(config.master_seed) and 0 <= config.master_seed < 2**64):
-        violations.append(MalformedOverrideError(
+        violations.append(ConfigError(
             f"master_seed must be an unsigned 64-bit integer, got {config.master_seed!r}"))
 
     if not (_is_count(config.workers) and config.workers >= 1):
-        violations.append(MalformedOverrideError(f"workers must be >= 1, got {config.workers!r}"))
+        violations.append(ConfigError(f"workers must be >= 1, got {config.workers!r}"))
 
     if not isinstance(config.outputs, (tuple, list)):
         violations.append(ConfigError(f"outputs must be a sequence, got {config.outputs!r}"))
     else:
         for out in config.outputs:
             if out not in VALID_OUTPUTS:
-                violations.append(MalformedOverrideError(
+                violations.append(ConfigError(
                     f"unknown output {out!r}, expected one of {VALID_OUTPUTS}"))
 
     overrides = {}
     if not isinstance(config.overrides, Mapping):
-        violations.append(MalformedOverrideError(
+        violations.append(ConfigError(
             f"overrides must be a mapping, got {config.overrides!r}"))
     else:
         overrides = dict(config.overrides)
         if scenario_ok:
             try:
                 apply_overrides(lookup_params(config.scenario), overrides)
-            except MalformedOverrideError as exc:
+            except ConfigError as exc:
                 violations.append(exc)
 
     if violations:

@@ -7,11 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    EmptyProfileError,
-    NonPositiveBinWidthError,
-)
+from .errors import InvalidParamsError
 from .generate import ChannelDrop
 
 AZ_CELLS = 360
@@ -20,13 +16,10 @@ EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
 
 @dataclass
 class PowerDelayProfile:
-    """Tap list of (excess delay, power), optionally with a binned form."""
+    """Tap list of (excess delay, power)."""
 
     delays_ns: np.ndarray
     powers_mw: np.ndarray
-    bin_width_ns: float | None = None
-    bin_left_edges_ns: np.ndarray | None = None
-    bin_powers_mw: np.ndarray | None = None
 
     @property
     def num_taps(self) -> int:
@@ -85,28 +78,12 @@ class PowerAngularSpectrum:
         return 0.0
 
 
-def build_pdp(drop: ChannelDrop, bin_width_ns: float | None = None) -> PowerDelayProfile:
-    """Collect the drop's subpaths into a delay-sorted tap list.
-
-    When `bin_width_ns` is given, a binned profile is attached (bin k
-    covers [k*w, (k+1)*w), labeled by its left edge). The exact taps are
-    kept either way; binning is for export and plotting only.
-    """
-    if bin_width_ns is not None and bin_width_ns <= 0:
-        raise NonPositiveBinWidthError(f"bin width must be > 0, got {bin_width_ns}")
+def build_pdp(drop: ChannelDrop) -> PowerDelayProfile:
+    """Collect the drop's subpaths into a delay-sorted tap list."""
     delays = drop.excess_delays_ns()
     powers = drop.powers_mw()
     order = np.argsort(delays, kind="stable")
-    pdp = PowerDelayProfile(delays_ns=delays[order], powers_mw=powers[order])
-    if bin_width_ns is not None:
-        idx = np.floor(pdp.delays_ns / bin_width_ns).astype(np.int64)
-        n_bins = int(idx.max()) + 1 if len(idx) else 0
-        binned = np.zeros(n_bins)
-        np.add.at(binned, idx, pdp.powers_mw)
-        pdp.bin_width_ns = bin_width_ns
-        pdp.bin_left_edges_ns = np.arange(n_bins) * bin_width_ns
-        pdp.bin_powers_mw = binned
-    return pdp
+    return PowerDelayProfile(delays_ns=delays[order], powers_mw=powers[order])
 
 
 def rms_delay_spread(pdp: PowerDelayProfile) -> float:
@@ -125,10 +102,10 @@ def drop_rms_delay_spread(drop: ChannelDrop) -> float:
 
 def _weighted_delay_spread(delays: np.ndarray, weights: np.ndarray) -> float:
     if len(delays) == 0:
-        raise EmptyProfileError("no taps")
+        raise InvalidParamsError("no taps")
     total = weights.sum()
     if not total > 0:
-        raise EmptyProfileError("profile has no power")
+        raise InvalidParamsError("profile has no power")
     mean = float(np.dot(weights, delays) / total)
     second = float(np.dot(weights, delays**2) / total)
     return math.sqrt(max(second - mean * mean, 0.0))
@@ -160,10 +137,10 @@ def circular_angular_spread(angles_deg, powers) -> float:
     angles = np.asarray(angles_deg, dtype=float)
     weights = np.asarray(powers, dtype=float)
     if angles.size == 0 or weights.size == 0:
-        raise EmptyInputError("no angles")
+        raise InvalidParamsError("no angles")
     total = weights.sum()
     if not total > 0:
-        raise EmptyInputError("no power")
+        raise InvalidParamsError("no power")
     theta = np.deg2rad(angles)
     resultant = float(np.abs(np.dot(weights, np.exp(1j * theta))) / total)
     if resultant >= 1.0 - 1e-15:
@@ -230,7 +207,7 @@ def summarize(values, cdf_grid=None) -> Summary:
     """
     data = np.sort(np.asarray(values, dtype=float))
     if data.size == 0:
-        raise EmptyInputError("no values")
+        raise InvalidParamsError("no values")
     median = float(data[(data.size - 1) // 2])
     grid = data if cdf_grid is None else np.sort(np.asarray(cdf_grid, dtype=float))
     probs = np.searchsorted(data, grid, side="right") / data.size

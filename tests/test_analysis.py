@@ -172,3 +172,13 @@ def test_cells_without_power_never_join_a_lobe():
     gap = PowerAngularSpectrum(side="aoa", cells=np.array([100, 101, 102]),
                                power_mw=np.array([1.0, 0.0, 1.0]))
     assert t.extract_spatial_lobes(gap, -4000.0).num_lobes == 2
+
+
+def test_compare_distributions_skips_families_whose_support_misses_a_sample():
+    rng = np.random.default_rng(5)
+    positive = rng.exponential(2.0, 40)
+    assert sorted(r.family for r in t.compare_distributions(positive)) == [
+        "exponential", "lognormal"]
+    with_zero = np.append(positive, 0.0)
+    assert [r.family for r in t.compare_distributions(with_zero)] == ["exponential"]
+    assert t.compare_distributions(np.append(positive, -1.0)) == []

@@ -3,15 +3,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 import tcslsim as t
-from tcslsim import cli
+from tcslsim import campaign, cli, generate
 from tcslsim.campaign import (
     CSV_FLOAT,
-    _write_pas_rows,
+    _pas_rows,
     config_digest,
     drop_record,
     emit_outputs,
@@ -20,6 +21,8 @@ from tcslsim.campaign import (
 from tcslsim.generate import BLOCK_DROPS
 
 from conftest import make_config
+
+ALL_OUTPUTS = ("jsonl", "pdp", "pas", "summary", "cdf")
 
 # sha256 of the per-drop files `tcslsim generate` writes, pinned so that
 # any change to generation or emission that is not bit-identical shows.
@@ -86,24 +89,63 @@ def dense_pas_rows(drop) -> str:
 def test_pas_writer_matches_the_dense_grid_writer(scenario_label):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=41)
     for drop in t.generate_drops(cfg, count=200):
-        fh = io.StringIO()
-        _write_pas_rows(fh, drop)
-        assert fh.getvalue() == dense_pas_rows(drop)
+        assert _pas_rows(drop) == dense_pas_rows(drop)
 
 
-def test_records_identical_for_one_and_two_workers():
-    # two workers split the drops mid-block; each worker's chunk spans blocks
+def test_records_identical_for_one_and_two_workers(tmp_path):
+    # two workers take alternate blocks, and the last block is partial
     n = 2 * BLOCK_DROPS + 41
     config = t.SimConfig(scenario=t.Scenario.parse("28GHz-NLOS"), distance_m=(5.0, 45.0),
-                         num_drops=n, master_seed=5)
-    one = run_campaign(config)
-    two = run_campaign(dataclasses.replace(config, workers=2))
+                         num_drops=n, master_seed=5, outputs=ALL_OUTPUTS)
+    one = run_campaign(dataclasses.replace(config, out_dir=str(tmp_path / "one")))
+    two = run_campaign(dataclasses.replace(config, workers=2, out_dir=str(tmp_path / "two")))
     assert len(one.records) == n
     assert one.records == two.records
     assert one.provenance == two.provenance
     params = t.resolved_params(config)
     for idx in (0, BLOCK_DROPS - 1, BLOCK_DROPS, n // 2, n - 1):
         assert one.records[idx] == drop_record(t.generate_drop(config, params, idx))
+    assert sorted(one.paths) == sorted(two.paths) == sorted(ALL_OUTPUTS)
+    for name in ("drops.jsonl", "pdp.csv", "pas.csv", "cdf.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+    metrics = [json.dumps(json.loads((tmp_path / d / "summary.json").read_text())["metrics"])
+               for d in ("one", "two")]
+    assert metrics[0] == metrics[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_generate_makes_each_drop_once(tmp_path, monkeypatch, workers):
+    made = multiprocessing.get_context("fork").Value("i", 0)  # shared with pool workers
+
+    def counting(*args, _original=generate.generate_batch):
+        drops = _original(*args)
+        with made.get_lock():
+            made.value += len(drops)
+        return drops
+
+    monkeypatch.setattr(generate, "generate_batch", counting)
+    monkeypatch.setattr(campaign, "generate_batch", counting)
+    drops = BLOCK_DROPS + 7
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--scenario", "28GHz-NLOS", "--drops", str(drops),
+                         "--format", ",".join(ALL_OUTPUTS), "--workers", str(workers),
+                         "--out-dir", str(tmp_path)]) == 0
+    assert made.value == drops
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_run_leaves_no_output_file(tmp_path, monkeypatch, workers):
+    def failing(config, start, count, _original=campaign._record_chunk):
+        if start == BLOCK_DROPS:
+            raise RuntimeError("second block failed")
+        return _original(config, start, count)
+
+    monkeypatch.setattr(campaign, "_record_chunk", failing)
+    config = t.SimConfig(scenario=t.Scenario.parse("140GHz-LOS"), num_drops=3 * BLOCK_DROPS,
+                         workers=workers, out_dir=str(tmp_path), outputs=ALL_OUTPUTS)
+    with pytest.raises(RuntimeError, match="second block failed"):
+        run_campaign(config)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_summary_config_block_is_the_hashed_payload(tmp_path):

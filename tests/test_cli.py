@@ -135,3 +135,41 @@ def test_analyze_rejects_pas_rows_with_missing_fields(tmp_path, bad_row):
 ])
 def test_wrapped_methods_are_defined_on_their_class(cls, method):
     assert method in vars(cls)
+
+
+# a valid header and row of each exported CSV that `analyze` reads
+ANALYZE_INPUTS = {
+    "--pdp": ("drop_id,cluster_idx,subpath_idx,excess_delay_ns,absolute_delay_ns,power_mw,"
+              "power_dbm", "0,1,1,0,33.4,1e-06,-60"),
+    "--pas": ("drop_id,side,az_deg,el_deg,power_mw", "0,aoa,10,5,1e-06"),
+}
+
+
+def _analyze(flag, path):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["analyze", flag, str(path)])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("flag, column", [("--pdp", "excess_delay_ns"), ("--pas", "el_deg")])
+def test_analyze_rejects_a_header_without_a_required_column(tmp_path, flag, column):
+    header, row = ANALYZE_INPUTS[flag]
+    names = header.split(",")
+    keep = [i for i, name in enumerate(names) if name != column]
+    path = tmp_path / "in.csv"
+    path.write_text(",".join(names[i] for i in keep) + "\n"
+                    + ",".join(row.split(",")[i] for i in keep) + "\n")
+    rc, err = _analyze(flag, path)
+    assert rc == cli.EXIT_VALIDATION
+    assert f"{path}:1: header lacks column(s) {column}" in err
+
+
+@pytest.mark.parametrize("flag", sorted(ANALYZE_INPUTS))
+def test_analyze_names_the_line_of_a_blank_trailing_row(tmp_path, flag):
+    header, row = ANALYZE_INPUTS[flag]
+    path = tmp_path / "in.csv"
+    path.write_text(f"{header}\n{row}\n\n")
+    rc, err = _analyze(flag, path)
+    assert rc == cli.EXIT_VALIDATION
+    assert f"{path}:3: expected {header.count(',') + 1} fields, got 1" in err

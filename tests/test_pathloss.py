@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tcslsim as t
-from tcslsim.errors import DistanceBelowReferenceError, NonPositiveFrequencyError
+from tcslsim.errors import InvalidParamsError
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_S, dbm_to_mw, fspl_1m, mw_to_dbm, path_loss_ci
 from conftest import make_config
 
@@ -31,9 +31,9 @@ def test_fspl_decade_frequency_law():
 
 
 def test_fspl_rejects_nonpositive_frequency():
-    with pytest.raises(NonPositiveFrequencyError):
+    with pytest.raises(InvalidParamsError, match="frequency must be > 0"):
         fspl_1m(0.0)
-    with pytest.raises(NonPositiveFrequencyError):
+    with pytest.raises(InvalidParamsError, match="frequency must be > 0"):
         fspl_1m(-1e9)
 
 
@@ -59,7 +59,7 @@ def test_path_loss_shadow_term_is_additive():
 
 
 def test_path_loss_rejects_below_reference():
-    with pytest.raises(DistanceBelowReferenceError):
+    with pytest.raises(InvalidParamsError, match="below the 1 m reference"):
         path_loss_ci(28e9, 0.99, 2.0)
 
 

@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcslsim as t
-from tcslsim.errors import (
-    ConfigValidationError,
-    DistanceOutOfRangeError,
-    MalformedOverrideError,
-    NonPositiveDropsError,
-)
+from tcslsim.errors import ConfigError, ConfigValidationError
 from tcslsim.scenario import parse_override_file
 
 # The full measured parameter table, frozen field by field.
@@ -146,14 +141,14 @@ def test_validate_rejects_below_reference():
     cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], distance_m=0.5)
     with pytest.raises(ConfigValidationError) as exc:
         t.validate_config(cfg)
-    assert any(isinstance(v, DistanceOutOfRangeError) for v in exc.value.violations)
+    assert [str(v) for v in exc.value.violations] == ["distance 0.5 m outside [1.0, 50.0] m"]
 
 
 def test_validate_rejects_zero_drops():
     cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], num_drops=0)
     with pytest.raises(ConfigValidationError) as exc:
         t.validate_config(cfg)
-    assert any(isinstance(v, NonPositiveDropsError) for v in exc.value.violations)
+    assert [str(v) for v in exc.value.violations] == ["num_drops must be >= 1, got 0"]
 
 
 def test_validate_collects_every_violation():
@@ -161,8 +156,11 @@ def test_validate_collects_every_violation():
                       overrides={"no_such": "1"})
     with pytest.raises(ConfigValidationError) as exc:
         t.validate_config(cfg)
-    kinds = {type(v) for v in exc.value.violations}
-    assert {DistanceOutOfRangeError, NonPositiveDropsError, MalformedOverrideError} <= kinds
+    violations = exc.value.violations
+    assert all(isinstance(v, ConfigError) for v in violations)
+    for expected in ("distance 0.2 m outside", "num_drops must be >= 1, got -3",
+                     "unknown parameter 'no_such'"):
+        assert sum(expected in str(v) for v in violations) == 1, expected
 
 
 def test_validate_distance_range():
@@ -221,13 +219,13 @@ def test_apply_overrides_changes_one_field():
 
 def test_apply_overrides_unknown_key():
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
-    with pytest.raises(MalformedOverrideError):
+    with pytest.raises(ConfigError, match="unknown parameter 'mu_bogus'"):
         t.apply_overrides(base, {"mu_bogus": "1"})
 
 
 def test_apply_overrides_bad_value():
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
-    with pytest.raises(MalformedOverrideError):
+    with pytest.raises(ConfigError, match="bad value for 'mu_rho'"):
         t.apply_overrides(base, {"mu_rho": "not-a-number"})
 
 
@@ -239,7 +237,7 @@ _FLOAT_PARAMS = sorted(f.name for f in dataclasses.fields(t.ScenarioParams)
 def test_apply_overrides_rejects_non_finite_values(name):
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
     for value in (math.nan, math.inf, -math.inf, "nan", "inf", "-inf", "NaN", "Infinity"):
-        with pytest.raises(MalformedOverrideError):
+        with pytest.raises(ConfigError, match=f"bad value for '{name}': .* is not finite"):
             t.apply_overrides(base, {name: value})
 
 
@@ -251,7 +249,7 @@ def test_validate_rejects_nan_override():
 
 def test_apply_overrides_invariant_violation():
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
-    with pytest.raises(MalformedOverrideError):
+    with pytest.raises(ConfigError, match=r"beta_s must be in \[0, 1\]"):
         t.apply_overrides(base, {"beta_s": "1.5"})
 
 
@@ -261,7 +259,7 @@ def test_override_file_parsing(tmp_path):
     assert parse_override_file(path) == {"mu_rho": "4.0", "sigma_u": "2.0"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("mu_rho 4.0\n")
-    with pytest.raises(MalformedOverrideError):
+    with pytest.raises(ConfigError, match=":1: expected key=value"):
         parse_override_file(bad)
 
 

@@ -21,21 +21,20 @@ from .stats import PowerAngularSpectrum, PowerDelayProfile
 # --- time-cluster partitioning ---------------------------------------------
 
 @dataclass
-class ExtractedCluster:
-    start_index: int
-    tap_indices: np.ndarray
-    excess_delay_ns: float
-    power_mw: float
-
-
-@dataclass
 class ClusterPartition:
-    clusters: list
-    mti_ns: float
+    """Time clusters of a delay-sorted tap list.
+
+    `starts` holds the index of each cluster's first tap, ascending from
+    0, as `ChannelDrop.cluster_start` does for the subpaths of a drop:
+    cluster k holds taps starts[k] up to starts[k + 1], the last cluster
+    the taps from its start to the end of the profile.
+    """
+
+    starts: np.ndarray  # (num_clusters,) int64
 
     @property
     def num_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.starts)
 
 
 def partition_time_clusters(pdp: PowerDelayProfile, mti_ns: float) -> ClusterPartition:
@@ -44,25 +43,13 @@ def partition_time_clusters(pdp: PowerDelayProfile, mti_ns: float) -> ClusterPar
     A tap starts a new cluster when its delay gap to the previous tap
     reaches the minimum inter-cluster time void interval.
     """
-    if mti_ns <= 0:
+    if not mti_ns > 0:  # also rejects NaN
         raise InvalidParamsError(f"mti must be > 0, got {mti_ns}")
     delays = pdp.delays_ns
     if len(delays) == 0:
         raise InvalidParamsError("no taps to partition")
-    gaps = np.diff(delays)
-    boundaries = np.flatnonzero(gaps >= mti_ns) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(delays)]))
-    clusters = [
-        ExtractedCluster(
-            start_index=int(s),
-            tap_indices=np.arange(s, e),
-            excess_delay_ns=float(delays[s]),
-            power_mw=float(pdp.powers_mw[s:e].sum()),
-        )
-        for s, e in zip(starts, ends)
-    ]
-    return ClusterPartition(clusters=clusters, mti_ns=mti_ns)
+    boundaries = np.flatnonzero(np.diff(delays) >= mti_ns) + 1
+    return ClusterPartition(starts=np.concatenate(([0], boundaries)))
 
 
 def inter_cluster_offsets(drop: ChannelDrop, mti_ns: float) -> np.ndarray:

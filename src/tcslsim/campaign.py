@@ -33,7 +33,7 @@ from .scenario import (
     resolved_params,
     validate_config,
 )
-from .stats import Summary, build_pas, drop_metrics, summarize
+from .stats import build_pas, drop_metrics, summarize
 
 METRIC_NAMES = ("rms_ds_ns", "as_aod_az_deg", "as_aod_el_deg", "as_aoa_az_deg", "as_aoa_el_deg")
 

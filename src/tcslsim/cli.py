@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 from collections import defaultdict
@@ -186,13 +187,16 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _csv_rows(path: Path, columns: tuple):
-    """Yield (line number, the fields of `columns`) for each data row of
+def _csv_rows(path: Path, columns: dict):
+    """Yield (line number, the values of `columns`) for each data row of
     an exported CSV file.
 
-    Raises ValueError naming the file and line when the header lacks one
-    of `columns` or a row has another field count than the header.
+    `columns` maps each column name to the type of its values, int,
+    float or str; floats must be finite. Raises ValueError naming the
+    file and line when the header lacks one of `columns`, a row has
+    another field count than the header, or a value does not convert.
     """
+    converters = [_finite_float if kind is float else kind for kind in columns.values()]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         missing = [name for name in columns if name not in header]
@@ -203,29 +207,51 @@ def _csv_rows(path: Path, columns: tuple):
             row = line.strip().split(",")
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            yield lineno, pick(row)
+            fields = pick(row)
+            try:
+                values = [convert(field) for convert, field in zip(converters, fields)]
+            except ValueError:
+                raise _bad_value(path, lineno, columns, converters, fields) from None
+            yield lineno, values
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _bad_value(path: Path, lineno: int, columns: dict, converters, fields) -> ValueError:
+    """The error for the first field of a row that does not convert."""
+    for (name, kind), convert, field in zip(columns.items(), converters, fields):
+        try:
+            convert(field)
+        except ValueError:
+            what = "an int" if kind is int else "a finite float"
+            return ValueError(f"{path}:{lineno}: column {name}: {field!r} is not {what}")
+    raise AssertionError("every field of the row converts")
 
 
 def _analyze_pdp(path: Path, mti_ns: float) -> dict:
     """Partition every drop in a PDP CSV and fit the cluster statistics."""
     taps = defaultdict(list)
-    for _, (drop_id, delay, power) in _csv_rows(path, ("drop_id", "excess_delay_ns", "power_mw")):
-        taps[int(drop_id)].append((float(delay), float(power)))
+    columns = {"drop_id": int, "excess_delay_ns": float, "power_mw": float}
+    for _, (drop_id, delay, power) in _csv_rows(path, columns):
+        taps[drop_id].append((delay, power))
 
     cluster_counts = []
     intra = []
     inter = []
     for drop_id in sorted(taps):
         arr = np.array(sorted(taps[drop_id]))
-        pdp = PowerDelayProfile(delays_ns=arr[:, 0], powers_mw=arr[:, 1])
-        part = partition_time_clusters(pdp, mti_ns)
-        cluster_counts.append(part.num_clusters)
-        for cluster in part.clusters:
-            local = pdp.delays_ns[cluster.tap_indices] - cluster.excess_delay_ns
-            intra.extend(local[1:])
-        for prev, cur in zip(part.clusters, part.clusters[1:]):
-            last = pdp.delays_ns[prev.tap_indices[-1]]
-            inter.append(cur.excess_delay_ns - last - mti_ns)
+        delays = arr[:, 0]
+        starts = partition_time_clusters(
+            PowerDelayProfile(delays_ns=delays, powers_mw=arr[:, 1]), mti_ns).starts
+        cluster_counts.append(len(starts))
+        first = np.repeat(starts, np.diff(starts, append=len(delays)))
+        intra.extend(np.delete(delays - delays[first], starts))
+        inter.extend((delays[starts[1:]] - delays[starts[1:] - 1]) - mti_ns)
 
     out = {
         "num_drops": len(taps),
@@ -242,14 +268,13 @@ def _analyze_pdp(path: Path, mti_ns: float) -> dict:
 def _analyze_pas(path: Path, slt_db: float) -> dict:
     """Extract spatial lobes for every (drop, side) in a PAS CSV."""
     spectra: dict = defaultdict(dict)  # (drop, side) -> {flat cell: mW}
-    columns = ("drop_id", "side", "az_deg", "el_deg", "power_mw")
+    columns = {"drop_id": int, "side": str, "az_deg": int, "el_deg": int, "power_mw": float}
     for lineno, (drop_id, side, az, el, power) in _csv_rows(path, columns):
-        el = int(el)
         if not -90 <= el <= 90:
             raise ValueError(f"{path}:{lineno}: el_deg {el} outside -90..90")
-        cell = PowerAngularSpectrum.cell_index(int(az), el)
-        cells = spectra[(int(drop_id), side)]
-        cells[cell] = cells.get(cell, 0.0) + float(power)
+        cell = PowerAngularSpectrum.cell_index(az, el)
+        cells = spectra[(drop_id, side)]
+        cells[cell] = cells.get(cell, 0.0) + power
 
     counts = defaultdict(list)
     for (drop_id, side), cells in sorted(spectra.items()):

@@ -1,4 +1,11 @@
-"""Secondary channel statistics: delay profiles, angular spectra and spreads."""
+"""Secondary channel statistics: delay profiles, angular spectra and spreads.
+
+Each per-drop spread has one kernel: `rms_delay_spread(delays, weights)`
+for the RMS delay spread and `circular_angular_spread(angles, powers)`
+for the wrapped angular spread. `drop_metrics` applies them to a drop:
+the delay spread once and the angular spread on both sides in both
+planes, all weighted by the subpath power fractions.
+"""
 
 from __future__ import annotations
 
@@ -20,14 +27,6 @@ class PowerDelayProfile:
 
     delays_ns: np.ndarray
     powers_mw: np.ndarray
-
-    @property
-    def num_taps(self) -> int:
-        return len(self.delays_ns)
-
-    @property
-    def total_power_mw(self) -> float:
-        return float(self.powers_mw.sum())
 
 
 @dataclass
@@ -64,43 +63,16 @@ class PowerAngularSpectrum:
         grid[self.cells] = self.power_mw
         return grid.reshape(AZ_CELLS, EL_CELLS)
 
-    @property
-    def total_power_mw(self) -> float:
-        return float(self.power_mw.sum())
 
-    def cell_power(self, az_deg: int, el_deg: int) -> float:
-        if not -90 <= el_deg <= 90:
-            raise IndexError(f"elevation {el_deg} outside -90..90")
-        cell = self.cell_index(az_deg, el_deg)
-        pos = int(np.searchsorted(self.cells, cell))
-        if pos < len(self.cells) and self.cells[pos] == cell:
-            return float(self.power_mw[pos])
-        return 0.0
+def rms_delay_spread(delays_ns, weights) -> float:
+    """Weighted standard deviation of the tap delays, in the unit of
+    `delays_ns`.
 
-
-def build_pdp(drop: ChannelDrop) -> PowerDelayProfile:
-    """Collect the drop's subpaths into a delay-sorted tap list."""
-    delays = drop.excess_delays_ns()
-    powers = drop.powers_mw()
-    order = np.argsort(delays, kind="stable")
-    return PowerDelayProfile(delays_ns=delays[order], powers_mw=powers[order])
-
-
-def rms_delay_spread(pdp: PowerDelayProfile) -> float:
-    """Power-weighted standard deviation of the exact tap delays, ns."""
-    return _weighted_delay_spread(pdp.delays_ns, pdp.powers_mw)
-
-
-def drop_rms_delay_spread(drop: ChannelDrop) -> float:
-    """RMS delay spread straight from the drop's subpaths.
-
-    Power fractions are used as weights, so the value does not depend on
-    transmit power or distance in any bit.
+    Weights need not be normalized: scaling them all by one factor
+    leaves the spread unchanged up to rounding.
     """
-    return _weighted_delay_spread(drop.excess_delays_ns(), drop.power_fractions)
-
-
-def _weighted_delay_spread(delays: np.ndarray, weights: np.ndarray) -> float:
+    delays = np.asarray(delays_ns, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     if len(delays) == 0:
         raise InvalidParamsError("no taps")
     total = weights.sum()
@@ -116,8 +88,8 @@ def build_pas(drop: ChannelDrop, side: str) -> PowerAngularSpectrum:
 
     Powers landing in one cell are summed in subpath order from 0.0.
     """
-    az = _angles(drop, side, "azimuth")
-    el = _angles(drop, side, "elevation")
+    az = getattr(drop, f"{side}_az_deg")
+    el = getattr(drop, f"{side}_el_deg")
     flat = PowerAngularSpectrum.cell_index(np.rint(az).astype(np.int64),
                                           np.clip(np.rint(el).astype(np.int64), -90, 90))
     cells, inverse = np.unique(flat, return_inverse=True)
@@ -149,29 +121,16 @@ def circular_angular_spread(angles_deg, powers) -> float:
     return math.degrees(math.sqrt(-2.0 * math.log(resultant)))
 
 
-def global_rms_as(drop: ChannelDrop, side: str, plane: str) -> float:
-    """Circular angular spread of the delay-integrated power, degrees.
-
-    `side` is 'aod' or 'aoa'; `plane` is 'azimuth' or 'elevation'.
-    Power fractions weight the subpath directions, so the spread is
-    invariant to transmit power and distance.
-    """
-    return circular_angular_spread(_angles(drop, side, plane), drop.power_fractions)
-
-
-def _angles(drop: ChannelDrop, side: str, plane: str) -> np.ndarray:
-    return getattr(drop, f"{side}_{'az' if plane == 'azimuth' else 'el'}_deg")
-
-
 def drop_metrics(drop: ChannelDrop) -> dict:
-    """All per-drop spread metrics in one pass over the subpaths.
+    """The drop's RMS delay spread (ns) and its four angular spreads
+    (degrees, `as_<side>_<plane>_deg`).
 
-    Equals {rms_ds_ns: drop_rms_delay_spread, as_<side>_<plane>_deg:
-    global_rms_as}.
+    Power fractions weight the subpaths, so no value depends on transmit
+    power or distance in any bit.
     """
     weights = drop.power_fractions
     return {
-        "rms_ds_ns": _weighted_delay_spread(drop.excess_delays_ns(), weights),
+        "rms_ds_ns": rms_delay_spread(drop.excess_delays_ns(), weights),
         "as_aod_az_deg": circular_angular_spread(drop.aod_az_deg, weights),
         "as_aod_el_deg": circular_angular_spread(drop.aod_el_deg, weights),
         "as_aoa_az_deg": circular_angular_spread(drop.aoa_az_deg, weights),
@@ -188,15 +147,6 @@ class Summary:
     mean: float
     cdf_grid: np.ndarray
     cdf_probs: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "median": self.median,
-            "mean": self.mean,
-            "cdf_grid": self.cdf_grid.tolist(),
-            "cdf_probs": self.cdf_probs.tolist(),
-        }
 
 
 def summarize(values, cdf_grid=None) -> Summary:

@@ -1,14 +1,68 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
 import tcslsim as t
-from tcslsim.analysis import inter_cluster_offsets, intra_delay_samples
-from tcslsim.stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum
+from tcslsim.analysis import (
+    fit_composite_subpath,
+    inter_cluster_offsets,
+    intra_delay_samples,
+    partition_time_clusters,
+)
+from tcslsim.errors import InvalidParamsError
+from tcslsim.stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum, PowerDelayProfile
 from tcslsim.generate import cluster_delay_spec, sort_from_first
-from tcslsim.randcore import RandomStream
+from tcslsim.randcore import CompositeSubpath, RandomStream
 
-from conftest import make_config
+from conftest import composite_pmf, make_config
+
+
+# --- time-cluster partitioning -------------------------------------------------
+
+def flat_pdp(delays):
+    """Equal-power taps at the given (sorted) delays."""
+    delays = np.asarray(delays, dtype=float)
+    return PowerDelayProfile(delays_ns=delays, powers_mw=np.ones(len(delays)))
+
+
+@pytest.mark.parametrize("delays, mti, starts", [
+    ([0.0, 6.0], 6.0, [0, 1]),                       # a gap of exactly the mti
+    ([0.0, np.nextafter(6.0, 0.0)], 6.0, [0]),       # a gap just below it
+    ([0.0, 6.0], np.nextafter(6.0, np.inf), [0]),
+    ([0.0, 1.0, 7.0, 7.5], 6.0, [0, 2]),
+    ([3.5], 6.0, [0]),                               # one tap
+])
+def test_a_gap_of_at_least_the_mti_starts_a_cluster(delays, mti, starts):
+    part = partition_time_clusters(flat_pdp(delays), mti)
+    assert part.starts.tolist() == starts
+    assert part.num_clusters == len(starts)
+
+
+@pytest.mark.parametrize("delays, mti", [([], 6.0), ([0.0, 10.0], 0.0), ([0.0, 10.0], -1.0),
+                                         ([0.0, 10.0], math.nan)],
+                         ids=["no-taps", "zero-mti", "negative-mti", "nan-mti"])
+def test_partition_rejects_an_empty_profile_and_a_non_positive_mti(delays, mti):
+    with pytest.raises(InvalidParamsError):
+        partition_time_clusters(flat_pdp(delays), mti)
+
+
+def test_partition_finds_every_generated_cluster_start(scenario_label):
+    cfg = make_config(scenario_label, master_seed=24)
+    params = t.resolved_params(cfg)
+    for drop in t.generate_drops(cfg, params, count=100):
+        delays = drop.excess_delays_ns()
+        order = np.argsort(delays, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        # just below the mti, so that rounding in (tau + last) + (mti + delta)
+        # cannot shrink a generated gap under the threshold
+        part = partition_time_clusters(
+            PowerDelayProfile(delays_ns=delays[order], powers_mw=drop.powers_mw()[order]),
+            params.mti - 1e-9)
+        assert part.starts[0] == 0 and (np.diff(part.starts) > 0).all()
+        assert set(position[drop.cluster_start].tolist()) <= set(part.starts.tolist())
 
 
 def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
@@ -182,3 +236,35 @@ def test_compare_distributions_skips_families_whose_support_misses_a_sample():
     with_zero = np.append(positive, 0.0)
     assert [r.family for r in t.compare_distributions(with_zero)] == ["exponential"]
     assert t.compare_distributions(np.append(positive, -1.0)) == []
+
+
+# --- subpath-count fit ---------------------------------------------------------
+
+def composite_loglik(counts, beta, mu_s):
+    """Log-likelihood of subpath counts under the conftest pmf oracle."""
+    values, freq = np.unique(counts, return_counts=True)
+    return float(sum(f * math.log(composite_pmf(int(v) - 1, beta, mu_s))
+                     for v, f in zip(values, freq)))
+
+
+@pytest.mark.parametrize("beta, mu_s", [(0.8, 2.4), (0.6, 4.1), (0.8, 1.0)])
+def test_fit_composite_subpath_recovers_the_generating_pair(beta, mu_s):
+    spec = CompositeSubpath(beta, mu_s)
+    counts = RandomStream(41, 0, "composite_fit").sample(spec, 20_000)
+    fit = fit_composite_subpath(counts)
+    assert fit.family == "composite_subpath" and fit.n_samples == 20_000
+    # the maximum is at least the likelihood at the truth, up to rounding
+    truth = composite_loglik(counts, beta, mu_s)
+    assert fit.log_likelihood >= truth - 1e-9 * abs(truth)
+    # standard errors from the spread of replicate fits on independent streams
+    replicates = [fit_composite_subpath(
+        RandomStream(41, k, "composite_fit").sample(spec, 20_000)).params for k in range(1, 21)]
+    for name, true_value in (("beta", beta), ("mu_s", mu_s)):
+        se = np.std([r[name] for r in replicates], ddof=1)
+        assert abs(fit.params[name] - true_value) <= 5 * se, name
+
+
+def test_fit_composite_subpath_on_all_ones_has_no_decay_scale():
+    fit = fit_composite_subpath(np.ones(50, dtype=np.int64))
+    assert fit.params["beta"] == 0.0
+    assert math.isnan(fit.params["mu_s"])

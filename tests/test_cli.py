@@ -173,3 +173,19 @@ def test_analyze_names_the_line_of_a_blank_trailing_row(tmp_path, flag):
     rc, err = _analyze(flag, path)
     assert rc == cli.EXIT_VALIDATION
     assert f"{path}:3: expected {header.count(',') + 1} fields, got 1" in err
+
+
+@pytest.mark.parametrize("flag, column, value", [
+    ("--pdp", "drop_id", "q"), ("--pdp", "power_mw", "nan"),
+    ("--pas", "power_mw", "x"), ("--pas", "power_mw", "nan"),
+])
+def test_analyze_names_the_line_and_column_of_a_bad_value(tmp_path, flag, column, value):
+    header, row = ANALYZE_INPUTS[flag]
+    fields = row.split(",")
+    fields[header.split(",").index(column)] = value
+    path = tmp_path / "in.csv"
+    path.write_text(f"{header}\n{row}\n{','.join(fields)}\n")
+    rc, err = _analyze(flag, path)
+    assert rc == cli.EXIT_VALIDATION
+    what = "an int" if column == "drop_id" else "a finite float"
+    assert f"{path}:3: column {column}: {value!r} is not {what}" in err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import tcslsim as t
 from tcslsim.errors import InvalidParamsError
-from tcslsim.stats import PowerDelayProfile, drop_metrics, summarize
+from tcslsim.stats import drop_metrics, summarize
 
 from conftest import make_config, naive_circular_spread_deg
 
@@ -19,54 +19,25 @@ def single_path_config(label="140GHz-LOS", **kwargs):
     return make_config(label, overrides=overrides, **kwargs)
 
 
-def test_build_pdp_single_subpath():
-    cfg = single_path_config(master_seed=3)
-    drop = t.generate_drop(cfg)
-    pdp = t.build_pdp(drop)
-    assert pdp.num_taps == 1
-    assert pdp.delays_ns[0] == 0.0
-    assert pdp.powers_mw[0] == pytest.approx(drop.link.rx_power_mw, rel=1e-12)
-
-
-def test_build_pdp_tap_count_and_order(scenario_label):
-    cfg = make_config(scenario_label, master_seed=17)
-    drop = t.generate_drop(cfg)
-    pdp = t.build_pdp(drop)
-    assert pdp.num_taps == drop.num_subpaths
-    assert (np.diff(pdp.delays_ns) >= 0).all()
-    assert (pdp.powers_mw > 0).all()
-
-
 def test_rms_delay_spread_single_tap_is_zero():
-    pdp = PowerDelayProfile(delays_ns=np.array([12.0]), powers_mw=np.array([3.0]))
-    assert t.rms_delay_spread(pdp) == 0.0
+    assert t.rms_delay_spread(np.array([12.0]), np.array([3.0])) == 0.0
 
 
 def test_rms_delay_spread_two_equal_taps():
-    pdp = PowerDelayProfile(delays_ns=np.array([0.0, 10.0]), powers_mw=np.array([1.0, 1.0]))
-    assert t.rms_delay_spread(pdp) == pytest.approx(5.0, rel=1e-12)
+    assert t.rms_delay_spread([0.0, 10.0], [1.0, 1.0]) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_rms_delay_spread_scale_invariance():
     delays = np.array([0.0, 4.0, 9.5, 30.0])
     powers = np.array([1.0, 0.5, 0.25, 0.01])
-    a = t.rms_delay_spread(PowerDelayProfile(delays_ns=delays, powers_mw=powers))
-    b = t.rms_delay_spread(PowerDelayProfile(delays_ns=delays, powers_mw=powers * 1e7))
+    a = t.rms_delay_spread(delays, powers)
+    b = t.rms_delay_spread(delays, powers * 1e7)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_rms_delay_spread_empty_profile():
     with pytest.raises(InvalidParamsError, match="no taps"):
-        t.rms_delay_spread(PowerDelayProfile(delays_ns=np.array([]), powers_mw=np.array([])))
-
-
-def test_drop_rms_matches_pdp_route(scenario_label):
-    cfg = make_config(scenario_label, master_seed=29)
-    params = t.resolved_params(cfg)
-    for drop in t.generate_drops(cfg, params, count=50):
-        via_pdp = t.rms_delay_spread(t.build_pdp(drop))
-        direct = t.drop_rms_delay_spread(drop)
-        assert direct == pytest.approx(via_pdp, rel=1e-12, abs=1e-12)
+        t.rms_delay_spread(np.array([]), np.array([]))
 
 
 def test_build_pas_nearest_cell():
@@ -75,7 +46,7 @@ def test_build_pas_nearest_cell():
     drop.aoa_az_deg[0] = 10.4
     drop.aoa_el_deg[0] = 5.2
     pas = t.build_pas(drop, "aoa")
-    assert pas.cell_power(10, 5) == pytest.approx(drop.link.rx_power_mw, rel=1e-12)
+    assert pas.grid[10, 5 + 90] == pytest.approx(drop.link.rx_power_mw, rel=1e-12)
     assert np.count_nonzero(pas.grid) == 1
 
 
@@ -85,7 +56,7 @@ def test_build_pas_conserves_power(scenario_label):
     for side in ("aod", "aoa"):
         pas = t.build_pas(drop, side)
         total = drop.powers_mw().sum()
-        assert abs(pas.total_power_mw - total) / total < 1e-9
+        assert abs(pas.power_mw.sum() - total) / total < 1e-9
 
 
 def test_build_pas_same_direction_powers_add():
@@ -104,7 +75,7 @@ def test_azimuth_wrap_rounds_to_cell_zero():
     drop = t.generate_drop(cfg)
     drop.aoa_az_deg[0] = 359.7
     pas = t.build_pas(drop, "aoa")
-    assert pas.cell_power(0, round(drop.aoa_el_deg[0])) > 0
+    assert pas.grid[0, round(drop.aoa_el_deg[0]) + 90] > 0
 
 
 def test_circular_spread_single_direction():
@@ -151,26 +122,28 @@ def test_global_as_zero_when_single_lobe_no_offsets():
         "sigma_phi_aod": "0", "sigma_theta_aod": "0",
         "sigma_phi_aoa": "0", "sigma_theta_aoa": "0"}, master_seed=41)
     drop = t.generate_drop(cfg)
-    for side in ("aod", "aoa"):
-        assert t.global_rms_as(drop, side, "azimuth") == 0.0
+    metrics = drop_metrics(drop)
+    assert metrics["as_aod_az_deg"] == 0.0
+    assert metrics["as_aoa_az_deg"] == 0.0
 
 
 def test_global_as_bit_identical_under_tx_power():
     a = t.generate_drop(make_config("28GHz-NLOS", master_seed=61, tx_power_dbm=0.0))
     b = t.generate_drop(make_config("28GHz-NLOS", master_seed=61, tx_power_dbm=20.0))
-    for side in ("aod", "aoa"):
-        for plane in ("azimuth", "elevation"):
-            assert t.global_rms_as(a, side, plane) == t.global_rms_as(b, side, plane)
-    assert t.drop_rms_delay_spread(a) == t.drop_rms_delay_spread(b)
+    assert drop_metrics(a) == drop_metrics(b)
 
 
 def test_drop_metrics_match_individual_ops():
     cfg = make_config("28GHz-LOS", master_seed=83)
     drop = t.generate_drop(cfg)
     metrics = drop_metrics(drop)
-    assert metrics["rms_ds_ns"] == t.drop_rms_delay_spread(drop)
-    assert metrics["as_aoa_az_deg"] == t.global_rms_as(drop, "aoa", "azimuth")
-    assert metrics["as_aod_el_deg"] == t.global_rms_as(drop, "aod", "elevation")
+    weights = drop.power_fractions
+    assert metrics["rms_ds_ns"] == t.rms_delay_spread(drop.excess_delays_ns(), weights)
+    for side in ("aod", "aoa"):
+        for plane in ("az", "el"):
+            angles = getattr(drop, f"{side}_{plane}_deg")
+            assert metrics[f"as_{side}_{plane}_deg"] == pytest.approx(
+                naive_circular_spread_deg(angles, weights), rel=1e-10, abs=1e-10)
 
 
 def test_summarize_medians():

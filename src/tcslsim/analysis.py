@@ -1,9 +1,13 @@
-"""Closed-loop channel analysis.
+"""Closed-loop channel analysis on plain arrays.
 
-Partitions delay profiles into time clusters, extracts spatial lobes
-from angular spectra, and re-fits the generating distribution families
-by maximum likelihood, so simulated (or imported) channels can be
-checked against the parameters that produced them.
+Partitions sorted tap delays into time clusters and inverts the
+cluster-delay construction into intra-cluster delays and inter-cluster
+offsets, extracts spatial lobes from sparse angular spectra, and re-fits
+the generating distribution families by maximum likelihood, so simulated
+(or imported) channels can be checked against the parameters that
+produced them. Every fit is closed form; the log-likelihoods and KS
+distances are written out from their formulas with `scipy.special`
+alone.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expm1, gammaln, ndtr, xlogy
 
 from .errors import InvalidParamsError
-from .generate import ChannelDrop
-from .stats import PowerAngularSpectrum, PowerDelayProfile
+from .stats import PowerAngularSpectrum
 
 
 # --- time-cluster partitioning ---------------------------------------------
@@ -37,42 +41,36 @@ class ClusterPartition:
         return len(self.starts)
 
 
-def partition_time_clusters(pdp: PowerDelayProfile, mti_ns: float) -> ClusterPartition:
-    """Greedy left-to-right grouping of taps into time clusters.
+def partition_time_clusters(delays_ns, mti_ns: float) -> ClusterPartition:
+    """Greedy left-to-right grouping of sorted tap delays into time clusters.
 
     A tap starts a new cluster when its delay gap to the previous tap
     reaches the minimum inter-cluster time void interval.
     """
     if not mti_ns > 0:  # also rejects NaN
         raise InvalidParamsError(f"mti must be > 0, got {mti_ns}")
-    delays = pdp.delays_ns
-    if len(delays) == 0:
+    if len(delays_ns) == 0:
         raise InvalidParamsError("no taps to partition")
-    boundaries = np.flatnonzero(np.diff(delays) >= mti_ns) + 1
+    boundaries = np.flatnonzero(np.diff(delays_ns) >= mti_ns) + 1
     return ClusterPartition(starts=np.concatenate(([0], boundaries)))
 
 
-def inter_cluster_offsets(drop: ChannelDrop, mti_ns: float) -> np.ndarray:
-    """Invert the cluster-delay construction of a generated drop.
+def cluster_delay_samples(delays_ns: np.ndarray, starts: np.ndarray, mti_ns: float) -> tuple:
+    """Invert the cluster-delay construction of sorted tap delays.
 
-    Returns the per-cluster delay offsets beyond the void interval,
-    i.e. tau_n - tau_{n-1} - rho_last,{n-1} - mti for n >= 2. These are
-    the sorted-draw offsets, so fitting them recovers the generating
-    distribution's order statistics, not its raw parameter.
+    `starts` holds the index of each cluster's first tap. Returns
+    (intra, inter): the delay of every tap after its cluster's first,
+    leaving out each cluster's structural zero, and the offset of each
+    cluster after the first beyond the void interval, i.e.
+    tau_n - (tau_{n-1} + rho_last,{n-1}) - mti. For exponential draws
+    the intra delays are again independent exponentials with the
+    generating mean; the offsets are the sorted-draw offsets, so fitting
+    them recovers the generating distribution's order statistics.
     """
-    tau = drop.cluster_delays_ns
-    last_intra = drop.intra_delays_ns[drop.cluster_start[1:] - 1]
-    return tau[1:] - tau[:-1] - last_intra - mti_ns
-
-
-def intra_delay_samples(drop: ChannelDrop) -> np.ndarray:
-    """Intra-cluster delays excluding each cluster's structural zero.
-
-    For exponential draws, the deltas above the cluster minimum are
-    again independent exponentials with the same mean, so these samples
-    estimate mu_rho without sorting bias.
-    """
-    return np.delete(drop.intra_delays_ns, drop.cluster_start)
+    first = np.repeat(starts, np.diff(starts, append=len(delays_ns)))
+    intra = np.delete(delays_ns - delays_ns[first], starts)
+    inter = (delays_ns[starts[1:]] - delays_ns[starts[1:] - 1]) - mti_ns
+    return intra, inter
 
 
 # --- spatial-lobe extraction -------------------------------------------------
@@ -188,72 +186,40 @@ class FitReport:
 
 def fit_poisson_shifted(samples) -> FitReport:
     """MLE for counts distributed as 1 + Poisson(lambda)."""
-    from scipy import stats as sps
-
     x = _check_counts(samples)
     shifted = x - 1
     lam = float(shifted.mean())
-    loglik = float(sps.poisson.logpmf(shifted, lam).sum()) if lam > 0 else (
-        0.0 if not shifted.any() else -math.inf)
+    loglik = float((xlogy(shifted, lam) - gammaln(shifted + 1) - lam).sum())
     return FitReport("poisson_shifted", {"lambda": lam}, loglik, len(x))
 
 
 def fit_composite_subpath(samples) -> FitReport:
-    """MLE for the composite subpath-count distribution.
+    """Closed-form MLE for the composite subpath-count distribution.
 
-    The likelihood is profiled: for each weight beta the inner optimum
-    over mu_s has a closed form (root of a quadratic in q = e^{-1/mu_s}),
-    so the outer search is a fine beta grid followed by a bounded refine.
-    If every shifted sample is zero the weight is zero and the decay
+    With M' = count - 1 and q = e^{-1/mu_s}, P(M' = 0) = 1 - beta*q and
+    P(M' = k >= 1) = beta*q * (1 - q) * q^(k-1): a Bernoulli(beta*q)
+    times a geometric, so beta*q = n_pos/n and q = (T - n_pos)/T, where
+    n_pos counts the positive M' and T is their sum. If that puts beta
+    above 1 (q = 0 included) the maximum lies on beta = 1, at
+    q = T/(n + T). If every M' is zero the weight is zero and the decay
     scale is undefined (reported as NaN).
     """
-    from scipy import optimize
-
     x = _check_counts(samples)
     shifted = x - 1
-    n0 = int((shifted == 0).sum())
-    pos = shifted[shifted > 0]
-    n_pos = len(pos)
-    total_pos = int(pos.sum())
+    n = len(x)
+    n_pos = int((shifted > 0).sum())
+    total_pos = int(shifted.sum())
+    n0 = n - n_pos
 
     if n_pos == 0:
-        return FitReport("composite_subpath", {"beta": 0.0, "mu_s": math.nan}, 0.0, len(x))
-
-    def profile(beta):
-        q = _composite_inner_q(beta, n0, n_pos, total_pos)
-        return _composite_loglik(beta, q, n0, n_pos, total_pos), q
-
-    betas = np.linspace(1e-3, 1.0, 1000)
-    lls = np.array([profile(b)[0] for b in betas])
-    best = int(np.argmax(lls))
-    lo = betas[max(best - 1, 0)]
-    hi = betas[min(best + 1, len(betas) - 1)]
-    res = optimize.minimize_scalar(lambda b: -profile(b)[0], bounds=(lo, hi),
-                                   method="bounded", options={"xatol": 1e-10})
-    beta_hat = float(min(res.x, 1.0))
-    ll_hat, q_hat = profile(beta_hat)
-    if lls[best] > ll_hat:  # guard against a refine that did not improve
-        beta_hat = float(betas[best])
-        ll_hat, q_hat = profile(beta_hat)
-    mu_s = -1.0 / math.log(q_hat)
-    return FitReport("composite_subpath", {"beta": beta_hat, "mu_s": mu_s}, float(ll_hat), len(x))
-
-
-def _composite_inner_q(beta: float, n0: int, n_pos: int, total_pos: int) -> float:
-    # d/dq log-likelihood = 0 reduces to a*q^2 - b*q + c = 0
-    a = beta * (n0 + n_pos + total_pos)
-    b = n0 * beta + total_pos * (1.0 + beta) + n_pos
-    c = float(total_pos)
-    disc = max(b * b - 4.0 * a * c, 0.0)
-    q = (b - math.sqrt(disc)) / (2.0 * a)
-    return min(max(q, 1e-15), 1.0 - 1e-15)
-
-
-def _composite_loglik(beta: float, q: float, n0: int, n_pos: int, total_pos: int) -> float:
-    if beta <= 0.0:
-        return -math.inf if n_pos else 0.0
-    return (n0 * math.log1p(-beta * q) + n_pos * math.log(beta)
-            + total_pos * math.log(q) + n_pos * math.log1p(-q))
+        return FitReport("composite_subpath", {"beta": 0.0, "mu_s": math.nan}, 0.0, n)
+    if n_pos * total_pos > n * (total_pos - n_pos):  # beta > 1
+        beta, q = 1.0, total_pos / (n + total_pos)
+    else:
+        beta, q = n_pos * total_pos / (n * (total_pos - n_pos)), (total_pos - n_pos) / total_pos
+    loglik = (n0 * math.log1p(-beta * q) + n_pos * math.log(beta)
+              + total_pos * math.log(q) + n_pos * math.log1p(-q))
+    return FitReport("composite_subpath", {"beta": beta, "mu_s": -1.0 / math.log(q)}, loglik, n)
 
 
 def fit_exponential(samples) -> FitReport:
@@ -286,14 +252,17 @@ def fit_lognormal(samples) -> FitReport:
     return FitReport("lognormal", {"mu": mu, "sigma": sigma}, loglik, x.size)
 
 
-# family -> (fitter, test that some sample lies outside the family's support)
+# family -> (fitter, test that some sample lies outside the family's support,
+#            CDF at x under the fitted params, as scipy evaluates expon and lognorm)
 _FITTERS = {
-    "exponential": (fit_exponential, lambda x: (x < 0).any()),
-    "lognormal": (fit_lognormal, lambda x: (x <= 0).any()),
+    "exponential": (fit_exponential, lambda x: (x < 0).any(),
+                    lambda x, mu: -expm1(-(x / mu))),
+    "lognormal": (fit_lognormal, lambda x: (x <= 0).any(),
+                  lambda x, mu, sigma: ndtr(np.log(x / math.exp(mu)) / max(sigma, 1e-12))),
 }
 
 
-def compare_distributions(samples, families=("exponential", "lognormal")) -> list:
+def compare_distributions(samples) -> list:
     """Fit each candidate family, attach a KS statistic, rank by likelihood.
 
     Families whose support does not cover the data (lognormal on zeros)
@@ -303,27 +272,21 @@ def compare_distributions(samples, families=("exponential", "lognormal")) -> lis
     if x.size < 20:
         raise InvalidParamsError(f"need >= 20 samples, got {x.size}")
     reports = []
-    for family in families:
-        if family not in _FITTERS:
-            raise InvalidParamsError(f"unknown family {family!r}")
-        fit, outside_support = _FITTERS[family]
+    for fit, outside_support, cdf in _FITTERS.values():
         if outside_support(x):
             continue
         report = fit(x)
-        report.extras["ks_stat"] = _ks_stat(x, family, report.params)
+        report.extras["ks_stat"] = _ks_stat(cdf(np.sort(x), **report.params))
         reports.append(report)
     reports.sort(key=lambda r: r.log_likelihood, reverse=True)
     return reports
 
 
-def _ks_stat(x: np.ndarray, family: str, params: dict) -> float:
-    from scipy import stats as sps
-
-    if family == "exponential":
-        dist = sps.expon(scale=params["mu"])
-    else:
-        dist = sps.lognorm(s=max(params["sigma"], 1e-12), scale=math.exp(params["mu"]))
-    return float(sps.kstest(x, dist.cdf).statistic)
+def _ks_stat(cdf: np.ndarray) -> float:
+    """One-sample KS distance of the CDF values of a sorted sample."""
+    n = len(cdf)
+    return float(max((np.arange(1.0, n + 1) / n - cdf).max(),
+                     (cdf - np.arange(0.0, n) / n).max()))
 
 
 def _check_counts(samples) -> np.ndarray:

@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    cluster_delay_samples,
     compare_distributions,
     extract_spatial_lobes,
     fit_poisson_shifted,
     partition_time_clusters,
 )
-from .campaign import REPRODUCE_SEED, config_digest, reproduce_report, run_campaign
+from .campaign import REPRODUCE_SEED, reproduce_report, run_campaign
 from .errors import ChannelSimError, ConfigValidationError
 from .scenario import (
     ALL_SCENARIOS,
@@ -34,9 +35,8 @@ from .scenario import (
     SimConfig,
     params_table,
     parse_override_file,
-    validate_config,
 )
-from .stats import PowerAngularSpectrum, PowerDelayProfile
+from .stats import PowerAngularSpectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -138,12 +138,12 @@ def _cmd_generate(args) -> int:
         out_dir=args.out_dir,
         outputs=tuple(s.strip() for s in args.format.split(",") if s.strip()),
     )
-    config = validate_config(config)
     result = run_campaign(config)
+    config = result.config
 
     print(f"scenario {config.scenario.label()}  drops {config.num_drops}  "
           f"master_seed {config.master_seed}")
-    print(f"config_hash {config_digest(config)}")
+    print(f"config_hash {result.provenance['config_hash']}")
     ds = result.aggregates["rms_ds_ns"]
     print(f"rms delay spread: median {ds.median:.3f} ns  mean {ds.mean:.3f} ns")
     for name in ("as_aoa_az_deg", "as_aod_az_deg"):
@@ -173,6 +173,9 @@ def _cmd_params(args) -> int:
 def _cmd_analyze(args) -> int:
     if not args.pdp and not args.pas:
         raise ConfigValidationError([ValueError("analyze needs --pdp and/or --pas")])
+    for flag, value in (("--mti", args.mti), ("--slt-db", args.slt_db)):
+        if not math.isfinite(value):
+            raise ConfigValidationError([ValueError(f"{flag} must be finite, got {value}")])
     report: dict = {}
     if args.pdp:
         report["pdp"] = _analyze_pdp(Path(args.pdp), args.mti)
@@ -237,21 +240,19 @@ def _analyze_pdp(path: Path, mti_ns: float) -> dict:
     """Partition every drop in a PDP CSV and fit the cluster statistics."""
     taps = defaultdict(list)
     columns = {"drop_id": int, "excess_delay_ns": float, "power_mw": float}
-    for _, (drop_id, delay, power) in _csv_rows(path, columns):
-        taps[drop_id].append((delay, power))
+    for _, (drop_id, delay, _power) in _csv_rows(path, columns):
+        taps[drop_id].append(delay)
 
     cluster_counts = []
     intra = []
     inter = []
     for drop_id in sorted(taps):
-        arr = np.array(sorted(taps[drop_id]))
-        delays = arr[:, 0]
-        starts = partition_time_clusters(
-            PowerDelayProfile(delays_ns=delays, powers_mw=arr[:, 1]), mti_ns).starts
+        delays = np.array(sorted(taps[drop_id]))
+        starts = partition_time_clusters(delays, mti_ns).starts
         cluster_counts.append(len(starts))
-        first = np.repeat(starts, np.diff(starts, append=len(delays)))
-        intra.extend(np.delete(delays - delays[first], starts))
-        inter.extend((delays[starts[1:]] - delays[starts[1:] - 1]) - mti_ns)
+        drop_intra, drop_inter = cluster_delay_samples(delays, starts, mti_ns)
+        intra.extend(drop_intra)
+        inter.extend(drop_inter)
 
     out = {
         "num_drops": len(taps),

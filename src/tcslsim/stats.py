@@ -1,4 +1,4 @@
-"""Secondary channel statistics: delay profiles, angular spectra and spreads.
+"""Secondary channel statistics: angular spectra and spreads.
 
 Each per-drop spread has one kernel: `rms_delay_spread(delays, weights)`
 for the RMS delay spread and `circular_angular_spread(angles, powers)`
@@ -19,14 +19,6 @@ from .generate import ChannelDrop
 
 AZ_CELLS = 360
 EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
-
-
-@dataclass
-class PowerDelayProfile:
-    """Tap list of (excess delay, power)."""
-
-    delays_ns: np.ndarray
-    powers_mw: np.ndarray
 
 
 @dataclass

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy import stats as sps
 
 import tcslsim as t
 from tcslsim.analysis import (
+    cluster_delay_samples,
     fit_composite_subpath,
-    inter_cluster_offsets,
-    intra_delay_samples,
+    fit_exponential,
+    fit_lognormal,
+    fit_poisson_shifted,
     partition_time_clusters,
 )
 from tcslsim.errors import InvalidParamsError
-from tcslsim.stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum, PowerDelayProfile
+from tcslsim.stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum
 from tcslsim.generate import cluster_delay_spec, sort_from_first
 from tcslsim.randcore import CompositeSubpath, RandomStream
 
@@ -20,12 +23,6 @@ from conftest import composite_pmf, make_config
 
 
 # --- time-cluster partitioning -------------------------------------------------
-
-def flat_pdp(delays):
-    """Equal-power taps at the given (sorted) delays."""
-    delays = np.asarray(delays, dtype=float)
-    return PowerDelayProfile(delays_ns=delays, powers_mw=np.ones(len(delays)))
-
 
 @pytest.mark.parametrize("delays, mti, starts", [
     ([0.0, 6.0], 6.0, [0, 1]),                       # a gap of exactly the mti
@@ -35,7 +32,7 @@ def flat_pdp(delays):
     ([3.5], 6.0, [0]),                               # one tap
 ])
 def test_a_gap_of_at_least_the_mti_starts_a_cluster(delays, mti, starts):
-    part = partition_time_clusters(flat_pdp(delays), mti)
+    part = partition_time_clusters(np.array(delays), mti)
     assert part.starts.tolist() == starts
     assert part.num_clusters == len(starts)
 
@@ -45,7 +42,7 @@ def test_a_gap_of_at_least_the_mti_starts_a_cluster(delays, mti, starts):
                          ids=["no-taps", "zero-mti", "negative-mti", "nan-mti"])
 def test_partition_rejects_an_empty_profile_and_a_non_positive_mti(delays, mti):
     with pytest.raises(InvalidParamsError):
-        partition_time_clusters(flat_pdp(delays), mti)
+        partition_time_clusters(np.array(delays), mti)
 
 
 def test_partition_finds_every_generated_cluster_start(scenario_label):
@@ -58,18 +55,31 @@ def test_partition_finds_every_generated_cluster_start(scenario_label):
         position[order] = np.arange(len(order))
         # just below the mti, so that rounding in (tau + last) + (mti + delta)
         # cannot shrink a generated gap under the threshold
-        part = partition_time_clusters(
-            PowerDelayProfile(delays_ns=delays[order], powers_mw=drop.powers_mw()[order]),
-            params.mti - 1e-9)
+        part = partition_time_clusters(delays[order], params.mti - 1e-9)
         assert part.starts[0] == 0 and (np.diff(part.starts) > 0).all()
         assert set(position[drop.cluster_start].tolist()) <= set(part.starts.tolist())
+
+
+def test_cluster_delay_samples_of_a_hand_built_profile():
+    delays = np.array([0.0, 1.0, 7.5, 8.0, 20.0])
+    starts = partition_time_clusters(delays, 6.0).starts
+    assert starts.tolist() == [0, 2, 4]
+    intra, inter = cluster_delay_samples(delays, starts, 6.0)
+    assert intra.tolist() == [1.0, 0.5]
+    assert inter.tolist() == [0.5, 6.0]
+
+
+def drop_delay_samples(drop, mti):
+    """(intra, inter) of a generated drop, whose excess delays are sorted
+    and whose subpaths start each cluster at `cluster_start`."""
+    return cluster_delay_samples(drop.excess_delays_ns(), drop.cluster_start, mti)
 
 
 def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
     cfg = make_config(scenario_label, master_seed=21)
     params = t.resolved_params(cfg)
     for drop in t.generate_drops(cfg, params, count=100):
-        offsets = inter_cluster_offsets(drop, params.mti)
+        offsets = drop_delay_samples(drop, params.mti)[1]
         assert len(offsets) == drop.num_clusters - 1
         assert (offsets >= 0).all()
         draws = RandomStream(21, drop.drop_index, "cluster_delay").sample(
@@ -79,16 +89,21 @@ def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
 
 def test_intra_delay_samples_leave_out_each_cluster_zero(scenario_label):
     cfg = make_config(scenario_label, master_seed=22)
-    for drop in t.generate_drops(cfg, count=100):
-        samples = intra_delay_samples(drop)
+    params = t.resolved_params(cfg)
+    for drop in t.generate_drops(cfg, params, count=100):
+        samples = drop_delay_samples(drop, params.mti)[0]
         assert len(samples) == drop.num_subpaths - drop.num_clusters
         per_cluster = np.split(drop.intra_delays_ns, drop.cluster_start[1:])
-        assert np.array_equal(samples, np.concatenate([c[1:] for c in per_cluster]))
+        # (tau + rho) - tau rounds, so rho comes back to within an ulp of tau
+        assert samples == pytest.approx(np.concatenate([c[1:] for c in per_cluster]),
+                                        rel=0, abs=1e-9)
 
 
 def test_intra_delay_samples_estimate_mu_rho():
     cfg = make_config("28GHz-NLOS", master_seed=23)  # mu_rho 15.7
-    samples = np.concatenate([intra_delay_samples(d) for d in t.generate_drops(cfg, count=300)])
+    params = t.resolved_params(cfg)
+    samples = np.concatenate([drop_delay_samples(d, params.mti)[0]
+                              for d in t.generate_drops(cfg, params, count=300)])
     assert len(samples) > 1000
     # exponential: the sample mean has standard error mu / sqrt(n); allow 5 of them
     assert abs(samples.mean() - 15.7) < 5 * 15.7 / np.sqrt(len(samples))
@@ -228,6 +243,48 @@ def test_cells_without_power_never_join_a_lobe():
     assert t.extract_spatial_lobes(gap, -4000.0).num_lobes == 2
 
 
+# --- fits against scipy.stats --------------------------------------------------
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, 4.3])
+def test_poisson_log_likelihood_matches_scipy(lam):
+    counts = 1 + np.random.default_rng(3).poisson(lam, 500)
+    fit = fit_poisson_shifted(counts)
+    assert fit.params["lambda"] == (counts - 1).mean()
+    want = float(sps.poisson.logpmf(counts - 1, fit.params["lambda"]).sum())
+    assert fit.log_likelihood == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def frozen(report):
+    if report.family == "exponential":
+        return sps.expon(scale=report.params["mu"])
+    return sps.lognorm(s=report.params["sigma"], scale=math.exp(report.params["mu"]))
+
+
+@pytest.mark.parametrize("sample", ["exponential", "lognormal", "with-zero"])
+def test_ks_stat_matches_scipy_kstest(sample):
+    rng = np.random.default_rng(9)
+    x = {"exponential": rng.exponential(3.0, 300),
+         "lognormal": rng.lognormal(1.0, 0.6, 300),
+         "with-zero": np.append(rng.exponential(3.0, 299), 0.0)}[sample]
+    reports = t.compare_distributions(x)
+    assert len(reports) == (1 if sample == "with-zero" else 2)
+    for report in reports:
+        want = sps.kstest(x, frozen(report).cdf).statistic
+        assert report.extras["ks_stat"] == pytest.approx(want, rel=1e-12), report.family
+
+
+def test_closed_form_fits_match_scipy_fit():
+    rng = np.random.default_rng(11)
+    x = rng.exponential(2.5, 400)
+    _, scale = sps.expon.fit(x, floc=0)
+    assert fit_exponential(x).params["mu"] == pytest.approx(scale, rel=1e-12)
+    y = rng.lognormal(0.4, 0.8, 400)
+    s, _, scale = sps.lognorm.fit(y, floc=0)
+    params = fit_lognormal(y).params
+    assert params["sigma"] == pytest.approx(s, rel=1e-12)
+    assert math.exp(params["mu"]) == pytest.approx(scale, rel=1e-12)
+
+
 def test_compare_distributions_skips_families_whose_support_misses_a_sample():
     rng = np.random.default_rng(5)
     positive = rng.exponential(2.0, 40)
@@ -268,3 +325,31 @@ def test_fit_composite_subpath_on_all_ones_has_no_decay_scale():
     fit = fit_composite_subpath(np.ones(50, dtype=np.int64))
     assert fit.params["beta"] == 0.0
     assert math.isnan(fit.params["mu_s"])
+
+
+@pytest.mark.parametrize("counts, beta, mu_s", [
+    ([1, 3, 5, 9], 21 / 22, -1.0 / math.log(11 / 14)),  # interior maximum
+    ([2, 2, 2], 1.0, 1.0 / math.log(2.0)),               # on the beta = 1 edge
+])
+def test_fit_composite_subpath_closed_form_on_hand_built_counts(counts, beta, mu_s):
+    fit = fit_composite_subpath(counts)
+    assert fit.params["beta"] == pytest.approx(beta, rel=1e-15)
+    assert fit.params["mu_s"] == pytest.approx(mu_s, rel=1e-15)
+    assert fit.log_likelihood == pytest.approx(composite_loglik(counts, beta, mu_s), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta, mu_s", [(0.8, 2.4), (0.6, 4.1), (0.8, 1.0)])
+def test_fit_composite_subpath_is_at_least_every_grid_point(beta, mu_s):
+    counts = RandomStream(41, 0, "composite_fit").sample(CompositeSubpath(beta, mu_s), 20_000)
+    fit = fit_composite_subpath(counts)
+    shifted = counts - 1
+    n0, n_pos, total = (shifted == 0).sum(), (shifted > 0).sum(), shifted.sum()
+    b = np.linspace(0.005, 1.0, 200)[:, None]
+    q = np.exp(-1.0 / np.linspace(0.05, 10.0, 200))[None, :]
+    grid = (n0 * np.log1p(-b * q) + n_pos * np.log(b)
+            + total * np.log(q) + n_pos * np.log1p(-q))
+    assert fit.log_likelihood >= grid.max() - 1e-12 * abs(grid.max())
+    # the grid formula is the pmf oracle's likelihood
+    i, j = np.unravel_index(np.argmax(grid), grid.shape)
+    assert grid[i, j] == pytest.approx(
+        composite_loglik(counts, b[i, 0], -1.0 / math.log(q[0, j])), rel=1e-9)

@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -94,15 +95,44 @@ def test_pas_paths_call_across_modules_at_the_names_the_benchmark_wraps():
     assert cli.extract_spatial_lobes(pas).lobes[0].cells.tolist() == [[5, 0]]
 
 
-def test_importing_the_cli_loads_no_scipy_stats_optimize_or_ndimage():
+def test_importing_the_cli_loads_no_scipy_stats_optimize_or_ndimage(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--scenario", "28GHz-NLOS", "--drops", "20",
+                         "--format", "pdp,pas", "--out-dir", str(tmp_path)]) == 0
     src = str(Path(t.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, tcslsim.cli; print(sorted(m for m in sys.modules if m.split('.')[:2]"
-            " in (['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'ndimage'])))")
+    report = tmp_path / "report.json"
+    code = ("import sys, tcslsim.cli\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[:2]"
+            " in (['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'ndimage'])))\n"
+            "loaded()\n"
+            f"assert tcslsim.cli.main(['analyze', '--pdp', {str(tmp_path / 'pdp.csv')!r},"
+            f" '--pas', {str(tmp_path / 'pas.csv')!r}, '--out', {str(report)!r}]) == 0\n"
+            "loaded()\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", f"wrote report: {report}", "[]"]
+    # both fits ran: the cluster-count fit and the delay-family comparison
+    pdp = json.loads(report.read_text())["pdp"]
+    assert pdp["num_clusters"]["family"] == "poisson_shifted"
+    assert {r["family"] for r in pdp["intra_cluster_delay_ns"]} == {"exponential", "lognormal"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--mti", "nan"), ("--mti", "inf"), ("--slt-db", "nan"), ("--slt-db", "inf"),
+    ("--slt-db", "-inf"),
+])
+def test_analyze_rejects_a_non_finite_flag(tmp_path, flag, value):
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(ANALYZE_INPUTS["--pas"]) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["analyze", "--pas", str(path), f"{flag}={value}"])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"error: {flag} must be finite, got {float(value)}" in err.getvalue()
+    assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("el_deg", [-100, -91, 91, 180])

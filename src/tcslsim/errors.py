@@ -23,6 +23,6 @@ class ConfigValidationError(ChannelSimError):
 
 
 class InvalidParamsError(ChannelSimError, ValueError):
-    """An argument outside what a function accepts: distribution
-    parameters, a frequency or distance outside the model, or samples,
-    profiles and spectra that are empty, powerless or too few."""
+    """An argument outside what a function accepts: a frequency or
+    distance outside the model, or samples, profiles and spectra that
+    are empty, powerless or too few."""

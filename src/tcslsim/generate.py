@@ -34,18 +34,17 @@ import numpy as np
 
 from .pathloss import SPEED_OF_LIGHT_M_PER_NS, LinkBudget, link_budget
 from .randcore import (
-    CompositeSubpath,
-    DiscreteUniform,
-    Exponential,
-    Lognormal,
-    Normal,
-    PoissonShifted,
-    Uniform,
-    _invert,
+    composite_subpath,
     derive_keys,
+    discrete_uniform,
+    exponential,
+    lognormal,
+    normal,
+    poisson_shifted,
     stream_uniforms,
+    uniform,
 )
-from .scenario import Scenario, ScenarioParams, SimConfig, resolved_params
+from .scenario import Scenario, ScenarioParams, SimConfig, resolved_params, validate_config
 
 # Drops per generate_batch call when generating many: enough to spread
 # its per-call cost thin, few enough to bound memory whatever the run size.
@@ -54,11 +53,8 @@ BLOCK_DROPS = 256
 # Per-subpath fields stored under the same name in each JSON cluster;
 # `power_fractions` is stored as `subpath_power_fraction`, next to the
 # derived `subpath_power_mw`.
-_SUBPATH_ARRAYS = (
-    ("intra_delays_ns", float), ("phase_rad", float),
-    ("aod_az_deg", float), ("aod_el_deg", float), ("aoa_az_deg", float), ("aoa_el_deg", float),
-    ("aod_lobe_index", np.int64), ("aoa_lobe_index", np.int64),
-)
+_SUBPATH_ARRAYS = ("intra_delays_ns", "phase_rad", "aod_az_deg", "aod_el_deg",
+                   "aoa_az_deg", "aoa_el_deg", "aod_lobe_index", "aoa_lobe_index")
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ class ChannelDrop:
 
     def to_dict(self) -> dict:
         rx_mw = self.link.rx_power_mw
-        subpath = {name: getattr(self, name).tolist() for name, _ in _SUBPATH_ARRAYS}
+        subpath = {name: getattr(self, name).tolist() for name in _SUBPATH_ARRAYS}
         subpath["subpath_power_mw"] = self.powers_mw().tolist()
         subpath["subpath_power_fraction"] = self.power_fractions.tolist()
         starts = self.cluster_start.tolist()
@@ -153,7 +149,7 @@ class ChannelDrop:
             "drop_index": self.drop_index,
             "master_seed": self.master_seed,
             "distance_m": self.distance_m,
-            "link": dict(vars(self.link)),  # every LinkBudget field, as from_dict reads it
+            "link": dict(vars(self.link)),  # every LinkBudget field
             "aod_lobes": [
                 {"index": l.index, "mean_az_deg": l.mean_az_deg, "mean_el_deg": l.mean_el_deg}
                 for l in self.aod_lobes
@@ -165,51 +161,22 @@ class ChannelDrop:
             "clusters": clusters,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelDrop":
-        """Inverse of to_dict; the mW values are re-derived from the fractions."""
-        clusters = data["clusters"]
-
-        def flat(name, dtype):
-            return np.array([v for c in clusters for v in c[name]], dtype=dtype)
-
-        sizes = [len(c["intra_delays_ns"]) for c in clusters]
-        return cls(
-            scenario=Scenario.parse(data["scenario"]),
-            distance_m=data["distance_m"],
-            link=LinkBudget(**data["link"]),
-            aod_lobes=[SpatialLobe("aod", l["index"], l["mean_az_deg"], l["mean_el_deg"])
-                       for l in data["aod_lobes"]],
-            aoa_lobes=[SpatialLobe("aoa", l["index"], l["mean_az_deg"], l["mean_el_deg"])
-                       for l in data["aoa_lobes"]],
-            master_seed=data["master_seed"],
-            drop_index=data["drop_index"],
-            cluster_start=np.cumsum([0] + sizes[:-1], dtype=np.int64),
-            cluster_delays_ns=np.array([c["excess_delay_ns"] for c in clusters], dtype=float),
-            cluster_power_fractions=np.array([c["power_fraction"] for c in clusters], dtype=float),
-            power_fractions=flat("subpath_power_fraction", float),
-            **{name: flat(name, dtype) for name, dtype in _SUBPATH_ARRAYS},
-        )
-
 
 # --- generation ------------------------------------------------------------
 
-def cluster_count_spec(params: ScenarioParams):
-    """Number of time clusters: discrete uniform (LOS) or shifted Poisson (NLOS)."""
+def cluster_counts(params: ScenarioParams, u) -> np.ndarray:
+    """Numbers of time clusters from uniforms: discrete uniform (LOS) or
+    shifted Poisson (NLOS)."""
     if params.n_c_max is not None:
-        return DiscreteUniform(1, params.n_c_max)
-    return PoissonShifted(params.lambda_c)
+        return discrete_uniform(u, 1, params.n_c_max)
+    return poisson_shifted(u, params.lambda_c)
 
 
-def subpath_count_spec(params: ScenarioParams) -> CompositeSubpath:
-    """Per-cluster subpath count, at least one."""
-    return CompositeSubpath(params.beta_s, params.mu_s)
-
-
-def cluster_delay_spec(params: ScenarioParams):
+def cluster_delays(params: ScenarioParams, u) -> np.ndarray:
+    """Raw cluster delay draws (ns) from uniforms, before `place_cluster_delays`."""
     if params.cluster_delay_family == "lognormal":
-        return Lognormal(params.mu_tau, params.sigma_tau)
-    return Exponential(params.mu_tau)
+        return lognormal(u, params.mu_tau, params.sigma_tau)
+    return exponential(u, params.mu_tau)
 
 
 def sort_from_first(values) -> np.ndarray:
@@ -217,10 +184,6 @@ def sort_from_first(values) -> np.ndarray:
     value (first entry 0)."""
     ordered = np.sort(np.asarray(values, dtype=float), axis=-1)
     return ordered - ordered[..., :1]
-
-
-def wrap_azimuth_deg(angle_deg):
-    return angle_deg % 360.0
 
 
 def place_cluster_delays(draws, last_intra_delays, mti: float) -> np.ndarray:
@@ -254,7 +217,7 @@ def lobe_mean_angles(params: ScenarioParams, side: str, counts: np.ndarray,
     drop, index = _ragged(counts)
     azimuths = (index + u_az) * (360.0 / counts[drop])
     mu_l, sigma_l = params.lobe_elevation_params(side)
-    elevations = np.clip(_invert(Normal(mu_l, sigma_l), u_el), -90.0, 90.0)
+    elevations = np.clip(normal(u_el, mu_l, sigma_l), -90.0, 90.0)
     return azimuths, elevations
 
 
@@ -307,18 +270,18 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
     (u_shadow,), (u_clusters,), (u_aod, u_aoa), *u_distance = _stage_uniforms(
         seed, drops, {"shadow": [1], "num_clusters": [1], "num_lobes": [1, 1],
                       **({"distance": [1]} if d_range else {})})
-    distances = (_invert(Uniform(*d_range), u_distance[0][0]).tolist() if d_range
+    distances = (uniform(u_distance[0][0], *d_range).tolist() if d_range
                  else [float(config.distance_m)] * count)
-    shadow_db = _invert(Normal(0.0, params.sigma_sf), u_shadow).tolist()
-    n_clusters = _invert(cluster_count_spec(params), u_clusters)
-    lobe_counts = {"aod": _invert(DiscreteUniform(1, params.l_aod_max), u_aod),
-                   "aoa": _invert(DiscreteUniform(1, params.l_aoa_max), u_aoa)}
+    shadow_db = normal(u_shadow, 0.0, params.sigma_sf).tolist()
+    n_clusters = cluster_counts(params, u_clusters)
+    lobe_counts = {"aod": discrete_uniform(u_aod, 1, params.l_aod_max),
+                   "aoa": discrete_uniform(u_aoa, 1, params.l_aoa_max)}
 
     # stage 2: per-cluster draws
     (u_sizes,), (u_cluster_delay,), (u_cluster_power,) = _stage_uniforms(
         seed, drops, {"num_subpaths": [n_clusters], "cluster_delay": [n_clusters],
                       "cluster_power": [n_clusters]})
-    sizes = _invert(subpath_count_spec(params), u_sizes)
+    sizes = composite_subpath(u_sizes, params.beta_s, params.mu_s)
     cluster_slices = _slices(n_clusters)
     n_subpaths = np.add.reduceat(sizes, np.cumsum(n_clusters) - n_clusters)
 
@@ -337,28 +300,28 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
     cluster_of, _ = _ragged(sizes)
     cluster_end = np.cumsum(sizes)
     cluster_start = cluster_end - sizes
-    rho = _invert(Exponential(params.mu_rho), u_rho)
+    rho = exponential(u_rho, params.mu_rho)
     rho = rho[np.lexsort((rho, cluster_of))]
     intra = rho - rho[cluster_start][cluster_of]
 
     drop_of_cluster, cluster_number = _ragged(n_clusters)
     padded = np.full((count, int(n_clusters.max())), np.inf)
-    padded[drop_of_cluster, cluster_number] = _invert(cluster_delay_spec(params), u_cluster_delay)
+    padded[drop_of_cluster, cluster_number] = cluster_delays(params, u_cluster_delay)
     last_intra = np.zeros_like(padded)
     last_intra[drop_of_cluster, cluster_number] = intra[cluster_end - 1]
     tau = place_cluster_delays(padded, last_intra, params.mti)[drop_of_cluster, cluster_number]
 
-    z_db = _invert(Normal(0.0, params.sigma_z), u_cluster_power)
+    z_db = normal(u_cluster_power, 0.0, params.sigma_z)
     raw = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
     cluster_frac = raw / _segment_sums(raw, cluster_slices)[drop_of_cluster]
 
-    u_db = _invert(Normal(0.0, params.sigma_u), u_subpath_power)
+    u_db = normal(u_subpath_power, 0.0, params.sigma_u)
     raw = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
     cluster_raw = _segment_sums(raw, _slices(sizes))
     subpath = {
         "intra_delays_ns": intra,
         "power_fractions": cluster_frac[cluster_of] * (raw / cluster_raw[cluster_of]),
-        "phase_rad": _invert(Uniform(0.0, 2.0 * math.pi), u_phase),
+        "phase_rad": uniform(u_phase, 0.0, 2.0 * math.pi),
     }
 
     # each subpath picks a lobe of its drop per side and is scattered
@@ -372,10 +335,10 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
         span = counts[drop_of_subpath]
         index = 1 + np.minimum((u_offset[k] * span).astype(np.int64), span - 1)
         lobe = (np.cumsum(counts) - counts)[drop_of_subpath] + index - 1
-        d_az = _invert(Normal(0.0, params.sigma_phi(side)), u_offset[2 + 2 * k])
-        d_el = _invert(Normal(0.0, params.sigma_theta(side)), u_offset[3 + 2 * k])
+        d_az = normal(u_offset[2 + 2 * k], 0.0, params.sigma_phi(side))
+        d_el = normal(u_offset[3 + 2 * k], 0.0, params.sigma_theta(side))
         subpath[f"{side}_lobe_index"] = index
-        subpath[f"{side}_az_deg"] = wrap_azimuth_deg(az[lobe] + d_az)
+        subpath[f"{side}_az_deg"] = (az[lobe] + d_az) % 360.0
         subpath[f"{side}_el_deg"] = np.clip(el[lobe] + d_el, -90.0, 90.0)
 
     out = []
@@ -399,7 +362,12 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
 
 def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
                   drop_index: int = 0) -> ChannelDrop:
-    """Run the full generation sequence for one drop: a block of one."""
+    """Run the full generation sequence for one drop: a block of one.
+
+    One call pays a whole block's set-up, about 20 times the per-drop
+    cost of `generate_drops`; loop over that, not over this.
+    """
+    config = validate_config(config)
     if params is None:
         params = resolved_params(config)
     return generate_batch(config, params, drop_index, 1)[0]
@@ -407,10 +375,13 @@ def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
 
 def generate_drops(config: SimConfig, params: ScenarioParams | None = None,
                    start: int = 0, count: int | None = None) -> Iterator[ChannelDrop]:
-    """Yield drops for consecutive drop indices, generated BLOCK_DROPS at a time."""
+    """Drops for consecutive drop indices, generated BLOCK_DROPS at a time
+    as the iterator is read; the config is checked at the call."""
+    config = validate_config(config)
     if params is None:
         params = resolved_params(config)
     if count is None:
         count = config.num_drops
-    for first in range(start, start + count, BLOCK_DROPS):
-        yield from generate_batch(config, params, first, min(BLOCK_DROPS, start + count - first))
+    end = start + count
+    return (drop for first in range(start, end, BLOCK_DROPS)
+            for drop in generate_batch(config, params, first, min(BLOCK_DROPS, end - first)))

@@ -66,7 +66,3 @@ def link_budget(config: SimConfig, params: ScenarioParams, shadow_db: float,
 
 def dbm_to_mw(power_dbm: float) -> float:
     return 10.0 ** (power_dbm / 10.0)
-
-
-def mw_to_dbm(power_mw: float) -> float:
-    return 10.0 * math.log10(power_mw)

@@ -3,10 +3,15 @@
 Every random quantity in the simulator is drawn from a stream keyed by
 (master_seed, drop_index, substream_label). A stream position is a pure
 function of the key, so any stream can be recreated independently of
-how many other streams exist or in what order they are consumed. All
-distribution families are sampled by inverting their CDF on uniform
-draws, one uniform per variate, which keeps replay stable if sampling
-code is reordered. Layout of one stream:
+how many other streams exist or in what order they are consumed.
+
+Every variate is one uniform through an inverse CDF, which keeps replay
+stable if sampling code is reordered. Each family is a function
+`f(u, *params)` on an array of uniforms: `normal`, `lognormal`,
+`exponential`, `uniform`, `discrete_uniform`, `poisson_shifted` and
+`composite_subpath`. They do not check their parameters; those are
+checked once where they enter, in `ScenarioParams` and
+`validate_config`. Layout of one stream:
 
     key      the first 16 bytes of sha256("{seed}:{drop}:{label}") as
              two little-endian uint64 words;
@@ -25,15 +30,12 @@ block of drops in one vectorized call.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidParamsError
-
 _U_MIN = 2.0**-53  # smallest uniform passed to the normal inverse CDF
+_POISSON_MAX_K = 1000  # where the Poisson search stops if its CDF never reaches u
 
 # Philox4x64 multipliers (M) and Weyl key increments (W), one row per
 # multiplied counter word (0 and 2); uint64 arithmetic wraps modulo 2**64
@@ -121,114 +123,40 @@ class RandomStream:
         self.position += count
         return float(u[0]) if size is None else u
 
-    def sample(self, spec: "DistSpec", size: int | None = None):
-        """Sample a distribution family by inverse CDF on this stream."""
-        out = _invert(spec, self.uniform(1 if size is None else size))
+    def sample(self, inverse, *params, size: int | None = None):
+        """Draw `inverse(u, *params)` on this stream's next uniforms: a
+        scalar for size=None, else an array."""
+        out = inverse(self.uniform(1 if size is None else size), *params)
         return out[0].item() if size is None else out
 
 
-# --- distribution families ------------------------------------------------
+# --- inverse CDFs: f(u, *params) maps uniforms in [0, 1) to variates -------
 
-@dataclass(frozen=True)
-class Uniform:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.b > self.a:
-            raise InvalidParamsError(f"Uniform needs a < b, got ({self.a}, {self.b})")
+def normal(u, mu, sigma):
+    return mu + sigma * ndtri(np.maximum(u, _U_MIN))
 
 
-@dataclass(frozen=True)
-class Normal:
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidParamsError(f"Normal sigma must be >= 0, got {self.sigma}")
+def lognormal(u, mu, sigma):
+    return np.exp(normal(u, mu, sigma))
 
 
-@dataclass(frozen=True)
-class Exponential:
-    mu: float
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise InvalidParamsError(f"Exponential mu must be > 0, got {self.mu}")
+def exponential(u, mu):
+    return -mu * np.log1p(-u)
 
 
-@dataclass(frozen=True)
-class Lognormal:
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidParamsError(f"Lognormal sigma must be >= 0, got {self.sigma}")
+def uniform(u, a, b):
+    return a + (b - a) * u
 
 
-@dataclass(frozen=True)
-class PoissonShifted:
-    """1 + Poisson(lam): counts that are at least one."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise InvalidParamsError(f"PoissonShifted lam must be > 0, got {self.lam}")
+def discrete_uniform(u, lo, hi):
+    """Integers lo..hi, equally likely."""
+    span = hi - lo + 1
+    return lo + np.minimum((u * span).astype(np.int64), span - 1)
 
 
-@dataclass(frozen=True)
-class DiscreteUniform:
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise InvalidParamsError(f"DiscreteUniform needs lo <= hi, got ({self.lo}, {self.hi})")
-
-
-@dataclass(frozen=True)
-class CompositeSubpath:
-    """1 + M' where M' is 0 with weight (1 - beta) and discrete-exponential
-    (the integer part of an Exponential(mu_s) draw) with weight beta."""
-
-    beta: float
-    mu_s: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise InvalidParamsError(f"CompositeSubpath beta must be in [0, 1], got {self.beta}")
-        if self.mu_s <= 0:
-            raise InvalidParamsError(f"CompositeSubpath mu_s must be > 0, got {self.mu_s}")
-
-
-DistSpec = Union[Uniform, Normal, Exponential, Lognormal, PoissonShifted,
-                 DiscreteUniform, CompositeSubpath]
-
-
-def _invert(spec: DistSpec, u: np.ndarray) -> np.ndarray:
-    if isinstance(spec, Normal):
-        return spec.mu + spec.sigma * ndtri(np.maximum(u, _U_MIN))
-    if isinstance(spec, Exponential):
-        return -spec.mu * np.log1p(-u)
-    if isinstance(spec, Uniform):
-        return spec.a + (spec.b - spec.a) * u
-    if isinstance(spec, DiscreteUniform):
-        span = spec.hi - spec.lo + 1
-        return spec.lo + np.minimum((u * span).astype(np.int64), span - 1)
-    if isinstance(spec, CompositeSubpath):
-        return _composite_inverse(u, spec.beta, spec.mu_s) + 1
-    if isinstance(spec, PoissonShifted):
-        return _poisson_inverse(u, spec.lam) + 1
-    if isinstance(spec, Lognormal):
-        return np.exp(spec.mu + spec.sigma * ndtri(np.maximum(u, _U_MIN)))
-    raise InvalidParamsError(f"unknown distribution spec {spec!r}")
-
-
-def _poisson_inverse(u: np.ndarray, lam: float, max_k: int = 1000) -> np.ndarray:
-    """Poisson variates by sequential CDF search, one uniform per draw."""
+def poisson_shifted(u, lam):
+    """1 + Poisson(lam), counts that are at least one, by sequential CDF
+    search."""
     k = np.zeros(u.shape, dtype=np.int64)
     pmf = np.full(u.shape, np.exp(-lam))
     cdf = pmf.copy()
@@ -238,22 +166,18 @@ def _poisson_inverse(u: np.ndarray, lam: float, max_k: int = 1000) -> np.ndarray
         pmf[active] *= lam / k[active]
         cdf[active] += pmf[active]
         active &= u >= cdf
-        if k.max() >= max_k:
+        if k.max() >= _POISSON_MAX_K:
             break
-    return k
+    return k + 1
 
 
-def _composite_inverse(u: np.ndarray, beta: float, mu_s: float) -> np.ndarray:
-    """Extra-subpath counts M' from a single uniform per draw.
-
-    The discrete-exponential component is the integer part of an
-    Exponential(mu_s) variate, entered when the uniform falls in the
-    beta-weighted upper region.
-    """
+def composite_subpath(u, beta, mu_s):
+    """1 + M', where M' is 0 with weight (1 - beta) and, with weight
+    beta, discrete-exponential: the integer part of an Exponential(mu_s)
+    variate, entered when the uniform falls in the beta-weighted upper
+    region."""
     out = np.zeros(u.shape, dtype=np.int64)
-    if beta == 0.0:
-        return out
     tail = u >= (1.0 - beta)
     v = (u[tail] - (1.0 - beta)) / beta
     out[tail] = np.floor(-mu_s * np.log1p(-np.minimum(v, 1.0 - _U_MIN))).astype(np.int64)
-    return out
+    return out + 1

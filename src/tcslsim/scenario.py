@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -46,10 +47,6 @@ class Scenario:
     @property
     def frequency_hz(self) -> float:
         return self.frequency_band.hz
-
-    @property
-    def is_los(self) -> bool:
-        return self.visibility is Visibility.LOS
 
     def label(self) -> str:
         return f"{self.frequency_band.value}-{self.visibility.value}"
@@ -123,12 +120,17 @@ class ScenarioParams:
             raise ValueError("n_c_max must be >= 1")
         if self.lambda_c is not None and self.lambda_c <= 0:
             raise ValueError("lambda_c must be > 0")
+        if self.lambda_c is not None and math.exp(-self.lambda_c) < sys.float_info.min:
+            # the Poisson inverse CDF starts its search at exp(-lambda_c)
+            raise ValueError("lambda_c must keep exp(-lambda_c) a normal float (about 708 at most)")
         if not 0.0 <= self.beta_s <= 1.0:
             raise ValueError("beta_s must be in [0, 1]")
         if self.cluster_delay_family not in ("exponential", "lognormal"):
             raise ValueError(f"unknown cluster delay family {self.cluster_delay_family!r}")
         if self.cluster_delay_family == "lognormal" and self.sigma_tau is None:
             raise ValueError("lognormal cluster delays need sigma_tau")
+        if self.sigma_tau is not None and self.sigma_tau < 0:
+            raise ValueError("sigma_tau must be >= 0")
         if self.cluster_delay_family == "exponential" and self.mu_tau <= 0:
             raise ValueError("exponential mu_tau must be > 0")
         if self.mti <= 0:
@@ -335,9 +337,15 @@ def validate_config(config: SimConfig) -> SimConfig:
     """
     violations = []
 
-    scenario_ok = isinstance(config.scenario, Scenario)
+    # the table holds every band and visibility pair; type checks alone
+    # never hash or compare a value that may be unhashable or an array
+    scenario = config.scenario
+    scenario_ok = (isinstance(scenario, Scenario)
+                   and isinstance(scenario.frequency_band, FrequencyBand)
+                   and isinstance(scenario.visibility, Visibility))
     if not scenario_ok:
-        violations.append(ConfigError(f"scenario must be a Scenario, got {config.scenario!r}"))
+        violations.append(ConfigError(
+            f"scenario must be one of ALL_SCENARIOS, got {scenario!r}"))
 
     distance = config.distance_m
     distances = distance if isinstance(distance, tuple) else (distance,)

@@ -30,8 +30,7 @@ class PowerAngularSpectrum:
     elevation el in -90..90 degrees, and `power_mw` the summed power of
     each; every other cell holds none. Azimuth wraps circularly,
     elevation does not. `cell_index` and `angles` convert between the
-    two, and `grid` expands the cells into the dense (360, 181) array,
-    grid[az, el + 90].
+    two.
     """
 
     side: str
@@ -48,12 +47,6 @@ class PowerAngularSpectrum:
         """Whole-degree (azimuth, elevation) int64 arrays of the cells."""
         az, el_idx = np.divmod(self.cells, EL_CELLS)
         return az, el_idx - 90
-
-    @property
-    def grid(self) -> np.ndarray:
-        grid = np.zeros(AZ_CELLS * EL_CELLS)
-        grid[self.cells] = self.power_mw
-        return grid.reshape(AZ_CELLS, EL_CELLS)
 
 
 def rms_delay_spread(delays_ns, weights) -> float:
@@ -141,22 +134,20 @@ class Summary:
     cdf_probs: np.ndarray
 
 
-def summarize(values, cdf_grid=None) -> Summary:
+def summarize(values) -> Summary:
     """Median (lower-middle for even counts), mean and empirical CDF.
 
-    The CDF is evaluated at `cdf_grid` when given, otherwise at the
-    sorted sample values themselves; P(X <= max) is exactly 1.
+    The CDF is evaluated at the sorted sample values themselves;
+    P(X <= max) is exactly 1.
     """
     data = np.sort(np.asarray(values, dtype=float))
     if data.size == 0:
         raise InvalidParamsError("no values")
     median = float(data[(data.size - 1) // 2])
-    grid = data if cdf_grid is None else np.sort(np.asarray(cdf_grid, dtype=float))
-    probs = np.searchsorted(data, grid, side="right") / data.size
     return Summary(
         count=int(data.size),
         median=median,
         mean=float(data.mean()),
-        cdf_grid=np.asarray(grid, dtype=float),
-        cdf_probs=probs,
+        cdf_grid=data,
+        cdf_probs=np.searchsorted(data, data, side="right") / data.size,
     )

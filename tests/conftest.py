@@ -8,15 +8,16 @@ from scipy import stats as sps
 
 import tcslsim as t
 from tcslsim.randcore import (
-    CompositeSubpath,
-    DiscreteUniform,
-    Exponential,
-    Lognormal,
-    Normal,
-    PoissonShifted,
     RandomStream,
-    Uniform,
+    composite_subpath,
+    discrete_uniform,
+    exponential,
+    lognormal,
+    normal,
+    poisson_shifted,
+    uniform,
 )
+from tcslsim.stats import AZ_CELLS, EL_CELLS
 
 SCENARIO_LABELS = ("28GHz-LOS", "28GHz-NLOS", "140GHz-LOS", "140GHz-NLOS")
 
@@ -61,32 +62,41 @@ def composite_pmf(k, beta, mu_s):
     return p
 
 
-def family_gof_pvalue(spec, n=100_000, seed=99, label="gof"):
-    """Goodness-of-fit p-value of n stream draws against the analytic law.
+# each inverse CDF's law as scipy.stats gives it: a CDF for the
+# continuous families, a pmf of the drawn values for the discrete ones
+_CDF_ORACLES = {
+    uniform: lambda a, b: sps.uniform(loc=a, scale=b - a).cdf,
+    normal: lambda mu, sigma: sps.norm(loc=mu, scale=sigma).cdf,
+    exponential: lambda mu: sps.expon(scale=mu).cdf,
+    lognormal: lambda mu, sigma: sps.lognorm(s=sigma, scale=math.exp(mu)).cdf,
+}
+_PMF_ORACLES = {
+    poisson_shifted: lambda lam: lambda k: sps.poisson.pmf(k - 1, lam),
+    discrete_uniform: lambda lo, hi: lambda k: np.where(
+        (k >= lo) & (k <= hi), 1.0 / (hi - lo + 1), 0.0),
+    composite_subpath: lambda beta, mu_s: lambda k: np.array(
+        [composite_pmf(int(v) - 1, beta, mu_s) for v in np.atleast_1d(k)]),
+}
+
+
+def family_gof_pvalue(inverse, *params, n=100_000, seed=99, label="gof"):
+    """Goodness-of-fit p-value of n stream draws of `inverse(u, *params)`
+    against the analytic law.
 
     Continuous families use the KS test, discrete families a chi-square
     with expected counts merged to at least five per bin.
     """
-    draws = RandomStream(seed, 0, label).sample(spec, n)
-    if isinstance(spec, Uniform):
-        return sps.kstest(draws, sps.uniform(loc=spec.a, scale=spec.b - spec.a).cdf).pvalue
-    if isinstance(spec, Normal):
-        return sps.kstest(draws, sps.norm(loc=spec.mu, scale=spec.sigma).cdf).pvalue
-    if isinstance(spec, Exponential):
-        return sps.kstest(draws, sps.expon(scale=spec.mu).cdf).pvalue
-    if isinstance(spec, Lognormal):
-        return sps.kstest(draws, sps.lognorm(s=spec.sigma, scale=math.exp(spec.mu)).cdf).pvalue
-    if isinstance(spec, PoissonShifted):
-        return _chi2_pvalue(draws, lambda k: sps.poisson.pmf(k - 1, spec.lam), n)
-    if isinstance(spec, DiscreteUniform):
-        span = spec.hi - spec.lo + 1
-        return _chi2_pvalue(draws, lambda k: np.where(
-            (k >= spec.lo) & (k <= spec.hi), 1.0 / span, 0.0), n)
-    if isinstance(spec, CompositeSubpath):
-        return _chi2_pvalue(
-            draws, lambda k: np.array([composite_pmf(int(v) - 1, spec.beta, spec.mu_s)
-                                       for v in np.atleast_1d(k)]), n)
-    raise AssertionError(f"no oracle for {spec!r}")
+    draws = RandomStream(seed, 0, label).sample(inverse, *params, size=n)
+    if inverse in _CDF_ORACLES:
+        return sps.kstest(draws, _CDF_ORACLES[inverse](*params)).pvalue
+    return _chi2_pvalue(draws, _PMF_ORACLES[inverse](*params), n)
+
+
+def dense_grid(pas):
+    """The dense (360, 181) array of a sparse spectrum, grid[az, el + 90]."""
+    grid = np.zeros(AZ_CELLS * EL_CELLS)
+    grid[pas.cells] = pas.power_mw
+    return grid.reshape(AZ_CELLS, EL_CELLS)
 
 
 def _chi2_pvalue(draws, pmf, n):

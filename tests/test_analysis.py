@@ -16,10 +16,10 @@ from tcslsim.analysis import (
 )
 from tcslsim.errors import InvalidParamsError
 from tcslsim.stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum
-from tcslsim.generate import cluster_delay_spec, sort_from_first
-from tcslsim.randcore import CompositeSubpath, RandomStream
+from tcslsim.generate import cluster_delays, sort_from_first
+from tcslsim.randcore import RandomStream, composite_subpath
 
-from conftest import composite_pmf, make_config
+from conftest import composite_pmf, dense_grid, make_config
 
 
 # --- time-cluster partitioning -------------------------------------------------
@@ -82,8 +82,8 @@ def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
         offsets = drop_delay_samples(drop, params.mti)[1]
         assert len(offsets) == drop.num_clusters - 1
         assert (offsets >= 0).all()
-        draws = RandomStream(21, drop.drop_index, "cluster_delay").sample(
-            cluster_delay_spec(params), drop.num_clusters)
+        draws = cluster_delays(
+            params, RandomStream(21, drop.drop_index, "cluster_delay").uniform(drop.num_clusters))
         assert offsets == pytest.approx(sort_from_first(draws)[1:], rel=1e-9, abs=1e-9)
 
 
@@ -153,7 +153,7 @@ def dense_lobes(grid, slt_db):
 
 def assert_lobes_match_dense(pas, slt_db):
     got = t.extract_spatial_lobes(pas, slt_db)
-    want = dense_lobes(pas.grid, slt_db)
+    want = dense_lobes(dense_grid(pas), slt_db)
     assert got.slt_db == slt_db
     assert got.num_lobes == len(want)
     for i, (lobe, ref) in enumerate(zip(got.lobes, want)):
@@ -306,8 +306,7 @@ def composite_loglik(counts, beta, mu_s):
 
 @pytest.mark.parametrize("beta, mu_s", [(0.8, 2.4), (0.6, 4.1), (0.8, 1.0)])
 def test_fit_composite_subpath_recovers_the_generating_pair(beta, mu_s):
-    spec = CompositeSubpath(beta, mu_s)
-    counts = RandomStream(41, 0, "composite_fit").sample(spec, 20_000)
+    counts = RandomStream(41, 0, "composite_fit").sample(composite_subpath, beta, mu_s, size=20_000)
     fit = fit_composite_subpath(counts)
     assert fit.family == "composite_subpath" and fit.n_samples == 20_000
     # the maximum is at least the likelihood at the truth, up to rounding
@@ -315,7 +314,8 @@ def test_fit_composite_subpath_recovers_the_generating_pair(beta, mu_s):
     assert fit.log_likelihood >= truth - 1e-9 * abs(truth)
     # standard errors from the spread of replicate fits on independent streams
     replicates = [fit_composite_subpath(
-        RandomStream(41, k, "composite_fit").sample(spec, 20_000)).params for k in range(1, 21)]
+        RandomStream(41, k, "composite_fit").sample(composite_subpath, beta, mu_s, size=20_000)
+    ).params for k in range(1, 21)]
     for name, true_value in (("beta", beta), ("mu_s", mu_s)):
         se = np.std([r[name] for r in replicates], ddof=1)
         assert abs(fit.params[name] - true_value) <= 5 * se, name
@@ -340,7 +340,7 @@ def test_fit_composite_subpath_closed_form_on_hand_built_counts(counts, beta, mu
 
 @pytest.mark.parametrize("beta, mu_s", [(0.8, 2.4), (0.6, 4.1), (0.8, 1.0)])
 def test_fit_composite_subpath_is_at_least_every_grid_point(beta, mu_s):
-    counts = RandomStream(41, 0, "composite_fit").sample(CompositeSubpath(beta, mu_s), 20_000)
+    counts = RandomStream(41, 0, "composite_fit").sample(composite_subpath, beta, mu_s, size=20_000)
     fit = fit_composite_subpath(counts)
     shifted = counts - 1
     n0, n_pos, total = (shifted == 0).sum(), (shifted > 0).sum(), shifted.sum()

@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 import tcslsim as t
-from tcslsim import analysis, campaign, cli, generate, stats
+from tcslsim import analysis, campaign, cli, generate, pathloss, stats
 from tcslsim.campaign import emit_outputs, run_campaign
 from tcslsim.generate import generate_drop, generate_drops
-from tcslsim.randcore import Exponential, RandomStream
+from tcslsim.randcore import RandomStream, exponential
 
 
 def test_generate_has_no_pdp_bin_flag():
@@ -70,7 +70,7 @@ def test_drop_and_stream_names_used_for_per_layer_counts():
     stream = RandomStream(7, 3, "x")
     assert 0.0 <= stream.uniform() < 1.0
     assert stream.uniform(4).shape == (4,)
-    assert stream.sample(Exponential(1.0), 2).shape == (2,)
+    assert stream.sample(exponential, 1.0, size=2).shape == (2,)
 
 
 @pytest.mark.parametrize("module, name", [
@@ -85,6 +85,18 @@ def test_campaign_generates_through_generate_batch_imported_from_generate():
     assert campaign.generate_batch is generate.generate_batch
 
 
+def test_cross_module_calls_use_the_names_the_benchmark_wraps():
+    # a per-layer metric is absent when its module no longer binds the name
+    assert campaign.drop_metrics is stats.drop_metrics
+    assert campaign.summarize is stats.summarize
+    assert generate.link_budget is pathloss.link_budget
+    assert cli.partition_time_clusters is analysis.partition_time_clusters
+    assert cli.fit_poisson_shifted is analysis.fit_poisson_shifted
+    assert cli.compare_distributions is analysis.compare_distributions
+    # analysis.clusters_per_drop reads num_clusters off the partition
+    assert cli.partition_time_clusters(np.array([0.0, 1.0, 20.0]), 6.0).num_clusters == 2
+
+
 def test_pas_paths_call_across_modules_at_the_names_the_benchmark_wraps():
     # stats.build_pas_us_per_grid and analysis.lobes_us_per_grid/lobes_per_grid
     assert campaign.build_pas is stats.build_pas
@@ -92,7 +104,8 @@ def test_pas_paths_call_across_modules_at_the_names_the_benchmark_wraps():
     assert cli.PowerAngularSpectrum is stats.PowerAngularSpectrum
     cell = cli.PowerAngularSpectrum.cell_index(5, 0)
     pas = cli.PowerAngularSpectrum(side="aoa", cells=np.array([cell]), power_mw=np.array([2.0]))
-    assert cli.extract_spatial_lobes(pas).lobes[0].cells.tolist() == [[5, 0]]
+    lobes = cli.extract_spatial_lobes(pas)
+    assert lobes.num_lobes == 1 and lobes.lobes[0].cells.tolist() == [[5, 0]]
 
 
 def test_importing_the_cli_loads_no_scipy_stats_optimize_or_ndimage(tmp_path):

@@ -10,17 +10,16 @@ import tcslsim as t
 from tcslsim import generate
 from tcslsim.generate import (
     BLOCK_DROPS,
-    cluster_count_spec,
-    cluster_delay_spec,
+    cluster_counts,
+    cluster_delays,
     generate_batch,
     lobe_mean_angles,
     place_cluster_delays,
     sort_from_first,
-    subpath_count_spec,
-    wrap_azimuth_deg,
 )
+from tcslsim.errors import ConfigValidationError
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS
-from tcslsim.randcore import Exponential, Normal, RandomStream, derive_keys
+from tcslsim.randcore import RandomStream, composite_subpath, derive_keys, exponential, normal
 
 from conftest import SCENARIO_LABELS, make_config
 
@@ -49,7 +48,7 @@ def five_sigma(p, n):
 
 def test_num_clusters_los_uniform_frequencies():
     params = params_for("28-los")
-    draws = RandomStream(1, 0, "nc").sample(cluster_count_spec(params), 1_000_000)
+    draws = cluster_counts(params, RandomStream(1, 0, "nc").uniform(1_000_000))
     for k in range(1, 6):
         assert abs(np.mean(draws == k) - 0.2) < 0.005
     counts = [d.num_clusters for d in drops_for("28GHz-LOS", 500, master_seed=1)]
@@ -57,33 +56,36 @@ def test_num_clusters_los_uniform_frequencies():
 
 
 def test_num_clusters_140_nlos_mean():
-    draws = RandomStream(2, 0, "nc").sample(cluster_count_spec(params_for("140-nlos")), 200_000)
+    draws = cluster_counts(params_for("140-nlos"), RandomStream(2, 0, "nc").uniform(200_000))
     assert abs(draws.mean() - 2.3) < 0.01
 
 
 def test_num_clusters_28_nlos_single_cluster_probability():
-    draws = RandomStream(3, 0, "nc").sample(cluster_count_spec(params_for("28-nlos")), 200_000)
+    draws = cluster_counts(params_for("28-nlos"), RandomStream(3, 0, "nc").uniform(200_000))
     assert abs(np.mean(draws == 1) - math.exp(-3.4)) < 0.002
     assert draws.min() >= 1
 
 
 # --- step 2: subpath counts --------------------------------------------------
 
+def subpath_counts(params, stream, n):
+    return stream.sample(composite_subpath, params.beta_s, params.mu_s, size=n)
+
+
 def test_num_subpaths_140_nlos_single_subpath_probability():
-    spec = subpath_count_spec(params_for("140-nlos"))  # beta 1.0, mu_s 1.0
-    draws = RandomStream(4, 0, "m").sample(spec, 1_000_000)
+    # beta 1.0, mu_s 1.0
+    draws = subpath_counts(params_for("140-nlos"), RandomStream(4, 0, "m"), 1_000_000)
     assert abs(np.mean(draws == 1) - (1 - math.exp(-1))) < 0.005
 
 
 def test_num_subpaths_beta_zero_all_one():
-    draws = RandomStream(4, 0, "m").sample(subpath_count_spec(params_for("140-nlos", beta_s="0.0")),
-                                           10_000)
+    draws = subpath_counts(params_for("140-nlos", beta_s="0.0"), RandomStream(4, 0, "m"), 10_000)
     assert (draws == 1).all()
 
 
 def test_num_subpaths_28_nlos_mean_matches_analytic():
-    spec = subpath_count_spec(params_for("28-nlos"))  # beta 0.6, mu_s 4.1
-    draws = RandomStream(5, 0, "m").sample(spec, 1_000_000)
+    # beta 0.6, mu_s 4.1
+    draws = subpath_counts(params_for("28-nlos"), RandomStream(5, 0, "m"), 1_000_000)
     q = math.exp(-1.0 / 4.1)
     analytic = 0.6 * q / (1.0 - q)  # mean of the composite extra count
     sample_mean = (draws - 1).mean()
@@ -232,7 +234,7 @@ def test_lobe_sectors_partition_the_circle():
 
 
 def test_lobe_elevation_mean_140_nlos_aoa():
-    draws = RandomStream(18, 0, "el").sample(Normal(4.8, 2.8), 1_000_000)
+    draws = RandomStream(18, 0, "el").sample(normal, 4.8, 2.8, size=1_000_000)
     assert abs(draws.mean() - 4.8) < 0.02
     _, el = lobes_from_stream(params_for("140-nlos"), "aoa", [1] * 20_000, seed=18)
     assert abs(np.mean(el) - 4.8) < 0.1
@@ -246,7 +248,20 @@ def test_lobe_elevation_uses_departure_params_for_aod():
 # --- step 10: angle offsets -----------------------------------------------------------
 
 def test_wrap_azimuth_example():
-    assert wrap_azimuth_deg(350.0 + 20.0) == 10.0
+    """Each azimuth is its lobe mean plus its offset draw, modulo 360."""
+    params = params_for("28-nlos")
+    wrapped = 0
+    for drop in drops_for("28GHz-NLOS", 50, master_seed=23):
+        n = drop.num_subpaths
+        stream = RandomStream(23, drop.drop_index, "angle_offset")
+        stream.uniform(2 * n)  # the lobe picks of both sides
+        for side in ("aod", "aoa"):
+            d_az = stream.sample(normal, 0.0, params.sigma_phi(side), size=n)
+            stream.uniform(n)  # the elevation offsets
+            raw = lobe_means(drop, side)[0] + d_az
+            assert np.array_equal(getattr(drop, f"{side}_az_deg"), raw % 360.0)
+            wrapped += int(((raw < 0.0) | (raw >= 360.0)).sum())
+    assert wrapped > 0
 
 
 def lobe_means(drop, side):
@@ -267,7 +282,7 @@ def test_zero_offsets_put_subpaths_on_lobe_means():
 
 
 def test_offset_std_28_nlos_aoa():
-    draws = RandomStream(21, 0, "off").sample(Normal(0.0, 25.5), 1_000_000)
+    draws = RandomStream(21, 0, "off").sample(normal, 0.0, 25.5, size=1_000_000)
     assert abs(draws.std() - 25.5) < 0.1
     offsets = []
     for drop in drops_for("28GHz-NLOS", 3000, master_seed=21):
@@ -374,20 +389,43 @@ def test_subpath_arrays_consistency():
     assert 1 <= drop.aoa_lobe_index.min() and drop.aoa_lobe_index.max() <= len(drop.aoa_lobes)
 
 
+def assert_json_roundtrip(drop):
+    """The JSON form survives a text round trip, and each per-subpath
+    field, its clusters concatenated, is the flat array it came from."""
+    data = drop.to_dict()
+    assert json.loads(json.dumps(data)) == data
+    clusters = data["clusters"]
+    fields = {name: name for name in ("intra_delays_ns", "phase_rad", "aod_az_deg",
+                                      "aod_el_deg", "aoa_az_deg", "aoa_el_deg",
+                                      "aod_lobe_index", "aoa_lobe_index")}
+    fields.update(subpath_power_fraction="power_fractions")
+    for key, name in fields.items():
+        assert [v for c in clusters for v in c[key]] == getattr(drop, name).tolist(), key
+    assert [len(c["intra_delays_ns"]) for c in clusters] == drop.cluster_sizes().tolist()
+    assert [c["excess_delay_ns"] for c in clusters] == drop.cluster_delays_ns.tolist()
+    assert [c["power_fraction"] for c in clusters] == drop.cluster_power_fractions.tolist()
+
+
 def test_drop_roundtrip_through_json():
     cfg = make_config("28GHz-NLOS", distance_m=(5.0, 45.0), master_seed=202)
     drop = t.generate_drop(cfg, drop_index=7)
-    blob = json.dumps(drop.to_dict(), sort_keys=True)
-    back = t.ChannelDrop.from_dict(json.loads(blob))
-    assert back.to_dict() == drop.to_dict()
+    assert_json_roundtrip(drop)
 
 
 def test_distance_range_draws_within_bounds():
     cfg = make_config("28GHz-LOS", distance_m=(5.0, 45.0), master_seed=77)
-    params = t.resolved_params(cfg)
-    distances = [t.generate_drop(cfg, params, i).distance_m for i in range(300)]
+    distances = [drop.distance_m for drop in t.generate_drops(cfg, count=300)]
     assert min(distances) >= 5.0 and max(distances) < 45.0
     assert np.std(distances) > 1.0  # actually varies
+
+
+@pytest.mark.parametrize("distance_m", [(45.0, 5.0), (math.nan, 5.0)])
+def test_generation_validates_its_config(distance_m):
+    cfg = t.SimConfig(scenario=t.Scenario.parse("28GHz-LOS"), distance_m=distance_m)
+    with pytest.raises(ConfigValidationError, match="distance range"):
+        t.generate_drop(cfg)
+    with pytest.raises(ConfigValidationError, match="distance range"):
+        t.generate_drops(cfg)
 
 
 def test_fixed_distance_consumes_no_distance_stream():
@@ -400,12 +438,7 @@ def test_fixed_distance_consumes_no_distance_stream():
 def test_json_roundtrip_every_scenario(scenario_label):
     cfg = make_config(scenario_label, master_seed=203)
     for drop in t.generate_drops(cfg, count=10):
-        back = t.ChannelDrop.from_dict(json.loads(json.dumps(drop.to_dict())))
-        assert back.to_dict() == drop.to_dict()
-        for name, value in vars(drop).items():
-            if isinstance(value, np.ndarray):
-                restored = getattr(back, name)
-                assert restored.dtype == value.dtype and np.array_equal(restored, value), name
+        assert_json_roundtrip(drop)
 
 
 def test_batched_draws_match_single_cluster_operations():
@@ -417,16 +450,15 @@ def test_batched_draws_match_single_cluster_operations():
     assert drop.num_clusters > 1 and drop.num_subpaths > drop.num_clusters
 
     rho_stream = RandomStream(909, 4, "intra_delay")
-    intra = [sort_from_first(rho_stream.sample(Exponential(params.mu_rho), m))
+    intra = [sort_from_first(rho_stream.sample(exponential, params.mu_rho, size=m))
              for m in drop.cluster_sizes()]
     assert np.array_equal(drop.intra_delays_ns, np.concatenate(intra))
 
-    draws = RandomStream(909, 4, "cluster_delay").sample(cluster_delay_spec(params),
-                                                          drop.num_clusters)
+    draws = cluster_delays(params, RandomStream(909, 4, "cluster_delay").uniform(drop.num_clusters))
     tau = place_cluster_delays(draws, [rho[-1] for rho in intra], params.mti)
     assert np.array_equal(drop.cluster_delays_ns, tau)
-    z_db = RandomStream(909, 4, "cluster_power").sample(Normal(0.0, params.sigma_z),
-                                                         drop.num_clusters)
+    z_db = RandomStream(909, 4, "cluster_power").sample(normal, 0.0, params.sigma_z,
+                                                         size=drop.num_clusters)
     raw = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
     cluster_frac = raw / raw.sum()
     assert np.array_equal(drop.cluster_power_fractions, cluster_frac)
@@ -434,7 +466,7 @@ def test_batched_draws_match_single_cluster_operations():
     u_stream = RandomStream(909, 4, "subpath_power")
     shares = []
     for frac, rho in zip(cluster_frac, intra):
-        u_db = u_stream.sample(Normal(0.0, params.sigma_u), len(rho))
+        u_db = u_stream.sample(normal, 0.0, params.sigma_u, size=len(rho))
         raw = np.exp(-rho / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
         shares.append(frac * (raw / raw.sum()))
     assert np.array_equal(drop.power_fractions, np.concatenate(shares))

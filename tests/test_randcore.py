@@ -6,20 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import tcslsim as t
 from conftest import composite_pmf, family_gof_pvalue
-from tcslsim.errors import InvalidParamsError
+from tcslsim.errors import ConfigValidationError
 from tcslsim.randcore import (
-    CompositeSubpath,
-    DiscreteUniform,
-    Exponential,
-    Lognormal,
-    Normal,
-    PoissonShifted,
     RandomStream,
-    Uniform,
-    _invert,
+    composite_subpath,
     derive_keys,
+    discrete_uniform,
+    exponential,
+    lognormal,
+    normal,
+    poisson_shifted,
     stream_uniforms,
+    uniform,
 )
 
 
@@ -118,102 +118,112 @@ def test_replay_is_bit_identical(seed, drop, label):
     a = RandomStream(seed, drop, label)
     b = RandomStream(seed, drop, label)
     assert np.array_equal(a.uniform(16), b.uniform(16))
-    assert a.sample(Normal(0, 1), 4).tolist() == b.sample(Normal(0, 1), 4).tolist()
+    assert a.sample(normal, 0, 1, size=4).tolist() == b.sample(normal, 0, 1, size=4).tolist()
 
 
 def test_exponential_closed_form_inversion():
     u = np.array([1.0 - math.exp(-1.0)])
-    out = _invert(Exponential(10.0), u)
+    out = exponential(u, 10.0)
     assert out[0] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_normal_inverse_median_and_quartile():
-    out = _invert(Normal(2.0, 3.0), np.array([0.5, 0.975]))
+    out = normal(np.array([0.5, 0.975]), 2.0, 3.0)
     assert out[0] == pytest.approx(2.0, abs=1e-12)
     assert out[1] == pytest.approx(2.0 + 3.0 * 1.959963985, abs=1e-6)
 
 
 def test_poisson_shifted_minimum_frequency():
-    draws = RandomStream(5, 0, "pois").sample(PoissonShifted(1.3), 1_000_000)
+    draws = RandomStream(5, 0, "pois").sample(poisson_shifted, 1.3, size=1_000_000)
     assert draws.min() >= 1
     freq = np.mean(draws == 1)
     assert abs(freq - math.exp(-1.3)) < 0.002
 
 
 def test_composite_point_mass_frequency():
-    spec = CompositeSubpath(beta=0.8, mu_s=2.4)
-    draws = RandomStream(6, 0, "comp").sample(spec, 1_000_000)
+    draws = RandomStream(6, 0, "comp").sample(composite_subpath, 0.8, 2.4, size=1_000_000)
     expected = composite_pmf(0, 0.8, 2.4)
     assert expected == pytest.approx(0.4726, abs=5e-4)
     assert abs(np.mean(draws == 1) - expected) < 0.002
 
 
 def test_composite_beta_zero_is_constant_one():
-    draws = RandomStream(6, 0, "comp0").sample(CompositeSubpath(0.0, 5.0), 10_000)
+    draws = RandomStream(6, 0, "comp0").sample(composite_subpath, 0.0, 5.0, size=10_000)
     assert (draws == 1).all()
 
 
 def test_composite_beta_one_reduces_to_discrete_exponential():
-    spec = CompositeSubpath(beta=1.0, mu_s=1.7)
-    a = RandomStream(8, 0, "de").sample(spec, 50_000)
-    exp_draws = RandomStream(8, 0, "de").sample(Exponential(1.7), 50_000)
+    a = RandomStream(8, 0, "de").sample(composite_subpath, 1.0, 1.7, size=50_000)
+    exp_draws = RandomStream(8, 0, "de").sample(exponential, 1.7, size=50_000)
     assert np.array_equal(a, 1 + np.floor(exp_draws).astype(np.int64))
 
 
 def test_composite_tiny_scale_degenerates_to_one():
-    draws = RandomStream(6, 0, "tiny").sample(CompositeSubpath(1.0, 1e-12), 10_000)
+    draws = RandomStream(6, 0, "tiny").sample(composite_subpath, 1.0, 1e-12, size=10_000)
     assert (draws == 1).all()
 
 
 def test_discrete_uniform_bounds_and_balance():
-    draws = RandomStream(4, 0, "du").sample(DiscreteUniform(1, 5), 1_000_000)
+    draws = RandomStream(4, 0, "du").sample(discrete_uniform, 1, 5, size=1_000_000)
     assert draws.min() == 1 and draws.max() == 5
     for k in range(1, 6):
         assert abs(np.mean(draws == k) - 0.2) < 0.005
 
 
 def test_lognormal_matches_exp_of_normal():
-    a = RandomStream(2, 0, "ln").sample(Lognormal(2.7, 1.4), 1000)
-    b = RandomStream(2, 0, "ln").sample(Normal(2.7, 1.4), 1000)
+    a = RandomStream(2, 0, "ln").sample(lognormal, 2.7, 1.4, size=1000)
+    b = RandomStream(2, 0, "ln").sample(normal, 2.7, 1.4, size=1000)
     assert np.allclose(a, np.exp(b), rtol=1e-12)
 
 
+def validated(label, distance_m=10.0, **overrides):
+    return t.validate_config(t.SimConfig(scenario=t.Scenario.parse(label),
+                                         distance_m=distance_m, overrides=overrides))
+
+
+# The inverse CDFs take their parameters unchecked: each parameter a
+# family cannot take is rejected where it enters, in validate_config.
 @pytest.mark.parametrize("bad", [
-    lambda: Exponential(0.0),
-    lambda: Exponential(-1.0),
-    lambda: Lognormal(0.0, -0.1),
-    lambda: Normal(0.0, -1.0),
-    lambda: Uniform(1.0, 1.0),
-    lambda: DiscreteUniform(3, 2),
-    lambda: PoissonShifted(0.0),
-    lambda: CompositeSubpath(1.2, 1.0),
-    lambda: CompositeSubpath(0.5, 0.0),
+    lambda: validated("28-nlos", mu_tau=0.0),               # exponential mu = 0
+    lambda: validated("28-nlos", mu_rho=-1.0),              # exponential mu < 0
+    lambda: validated("28-los", sigma_tau=-0.1),            # lognormal sigma < 0
+    lambda: validated("28-nlos", sigma_z=-1.0),             # normal sigma < 0
+    lambda: validated("28-nlos", distance_m=(1.0, 1.0)),    # uniform a = b
+    lambda: validated("28-los", n_c_max=0),                 # discrete uniform lo > hi
+    lambda: validated("28-nlos", lambda_c=0.0),             # shifted Poisson lam = 0
+    lambda: validated("28-nlos", beta_s=1.2),               # composite beta > 1
+    lambda: validated("28-nlos", mu_s=0.0),                 # composite mu_s = 0
 ])
 def test_invalid_params_raise(bad):
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(ConfigValidationError):
         bad()
 
 
+def test_poisson_shifted_holds_its_mean_near_the_lambda_c_bound():
+    draws = RandomStream(9, 0, "pois700").sample(poisson_shifted, 700.0, size=2000)
+    assert abs(draws.mean() - 701.0) < 5 * math.sqrt(700.0 / 2000)
+
+
 @pytest.mark.parametrize("spec", [
-    Uniform(0.0, 1.0),
-    Uniform(0.0, 2.0 * math.pi),
-    Normal(0.0, 7.0),
-    Exponential(12.1),
-    Lognormal(2.7, 1.4),
-    PoissonShifted(3.4),
-    PoissonShifted(1.3),
-    DiscreteUniform(1, 5),
-    CompositeSubpath(0.6, 4.1),
-    CompositeSubpath(1.0, 1.0),
+    (uniform, 0.0, 1.0),
+    (uniform, 0.0, 2.0 * math.pi),
+    (normal, 0.0, 7.0),
+    (exponential, 12.1),
+    (lognormal, 2.7, 1.4),
+    (poisson_shifted, 3.4),
+    (poisson_shifted, 1.3),
+    (discrete_uniform, 1, 5),
+    (composite_subpath, 0.6, 4.1),
+    (composite_subpath, 1.0, 1.0),
 ])
 def test_each_family_fits_its_law_at_1pct(spec):
-    assert family_gof_pvalue(spec, n=100_000, seed=424242) > 0.01
+    assert family_gof_pvalue(*spec, n=100_000, seed=424242) > 0.01
 
 
 def test_sample_scalar_and_vector_types():
     s = RandomStream(1, 0, "types")
-    assert isinstance(s.sample(Exponential(1.0)), float)
-    assert isinstance(s.sample(PoissonShifted(1.0)), int)
-    arr = s.sample(Normal(0, 1), 5)
+    assert isinstance(s.sample(exponential, 1.0), float)
+    assert isinstance(s.sample(poisson_shifted, 1.0), int)
+    arr = s.sample(normal, 0, 1, size=5)
     assert arr.shape == (5,)
 

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcslsim as t
 from tcslsim.errors import ConfigError, ConfigValidationError
-from tcslsim.scenario import parse_override_file
+from tcslsim.scenario import Visibility, parse_override_file
 
 # The full measured parameter table, frozen field by field.
 EXPECTED_TABLE = {
@@ -122,7 +123,7 @@ def test_exactly_one_cluster_count_parameter():
     for s in t.ALL_SCENARIOS:
         p = t.lookup_params(s)
         assert (p.n_c_max is None) != (p.lambda_c is None)
-        if s.is_los:
+        if s.visibility is Visibility.LOS:
             assert p.n_c_max is not None
         else:
             assert p.lambda_c is not None
@@ -180,6 +181,11 @@ def test_validate_master_seed_bounds():
     ("workers", None), ("workers", 2.5), ("overrides", None), ("distance_m", (5.0, "x")),
     ("tx_power_dbm", math.nan), ("tx_power_dbm", "x"), ("num_drops", True), ("master_seed", True),
     ("scenario", "28GHz-LOS"), ("outputs", None),
+    # a Scenario outside the table, unhashable, with its fields swapped,
+    # or an array, whose == gives no truth value
+    ("scenario", t.Scenario("x", "y")), ("scenario", t.Scenario([], [])),
+    ("scenario", t.Scenario(t.ALL_SCENARIOS[0].visibility, t.ALL_SCENARIOS[0].frequency_band)),
+    ("scenario", np.array([1, 2])), ("scenario", t.Scenario(np.array([1, 2]), "x")),
 ])
 def test_validate_rejects_wrong_types(field, value):
     cfg = dataclasses.replace(t.SimConfig(scenario=t.ALL_SCENARIOS[0]), **{field: value})
@@ -187,9 +193,20 @@ def test_validate_rejects_wrong_types(field, value):
         t.validate_config(cfg)
 
 
+def test_validate_rejects_lambda_c_past_the_poisson_search():
+    # the shifted-Poisson inverse CDF starts its search at exp(-lambda_c),
+    # which is no longer a normal float past lambda_c of about 708.4
+    nlos = t.Scenario.parse("28GHz-NLOS")
+    for value in ("708.5", "745", "800", "1e6"):
+        with pytest.raises(ConfigValidationError, match="lambda_c must keep exp"):
+            t.validate_config(t.SimConfig(scenario=nlos, overrides={"lambda_c": value}))
+    cfg = t.validate_config(t.SimConfig(scenario=nlos, overrides={"lambda_c": "708"}))
+    assert t.resolved_params(cfg).lambda_c == 708.0
+
+
 _PARAM_NAMES = sorted(f.name for f in dataclasses.fields(t.ScenarioParams))
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6))
-_ANY_VALUE = st.one_of(
+_VALUES = st.one_of(
     _SCALARS,
     st.sampled_from(t.ALL_SCENARIOS),
     st.tuples(_SCALARS, _SCALARS),
@@ -197,6 +214,7 @@ _ANY_VALUE = st.one_of(
     st.dictionaries(st.one_of(st.sampled_from(_PARAM_NAMES), st.text(max_size=6)),
                     _SCALARS, max_size=3),
 )
+_ANY_VALUE = st.one_of(_VALUES, st.builds(t.Scenario, _VALUES, _VALUES))
 
 
 @given(field=st.sampled_from([f.name for f in dataclasses.fields(t.SimConfig)]),

@@ -9,7 +9,7 @@ import tcslsim as t
 from tcslsim.errors import InvalidParamsError
 from tcslsim.stats import drop_metrics, summarize
 
-from conftest import make_config, naive_circular_spread_deg
+from conftest import dense_grid, make_config, naive_circular_spread_deg
 
 
 def single_path_config(label="140GHz-LOS", **kwargs):
@@ -46,8 +46,8 @@ def test_build_pas_nearest_cell():
     drop.aoa_az_deg[0] = 10.4
     drop.aoa_el_deg[0] = 5.2
     pas = t.build_pas(drop, "aoa")
-    assert pas.grid[10, 5 + 90] == pytest.approx(drop.link.rx_power_mw, rel=1e-12)
-    assert np.count_nonzero(pas.grid) == 1
+    assert dense_grid(pas)[10, 5 + 90] == pytest.approx(drop.link.rx_power_mw, rel=1e-12)
+    assert np.count_nonzero(dense_grid(pas)) == 1
 
 
 def test_build_pas_conserves_power(scenario_label):
@@ -66,8 +66,8 @@ def test_build_pas_same_direction_powers_add():
                       master_seed=11)
     drop = t.generate_drop(cfg)
     pas = t.build_pas(drop, "aoa")
-    assert np.count_nonzero(pas.grid) == 1
-    assert pas.grid.max() == pytest.approx(drop.link.rx_power_mw, rel=1e-9)
+    assert np.count_nonzero(dense_grid(pas)) == 1
+    assert dense_grid(pas).max() == pytest.approx(drop.link.rx_power_mw, rel=1e-9)
 
 
 def test_azimuth_wrap_rounds_to_cell_zero():
@@ -75,7 +75,7 @@ def test_azimuth_wrap_rounds_to_cell_zero():
     drop = t.generate_drop(cfg)
     drop.aoa_az_deg[0] = 359.7
     pas = t.build_pas(drop, "aoa")
-    assert pas.grid[0, round(drop.aoa_el_deg[0]) + 90] > 0
+    assert dense_grid(pas)[0, round(drop.aoa_el_deg[0]) + 90] > 0
 
 
 def test_circular_spread_single_direction():
@@ -155,9 +155,8 @@ def test_summarize_medians():
 def test_summarize_cdf_reaches_one():
     s = summarize([5.0, 1.0, 3.0])
     assert s.cdf_probs[-1] == 1.0
-    assert s.cdf_grid[-1] == 5.0
-    grid = summarize([5.0, 1.0, 3.0], cdf_grid=[0.0, 2.0, 10.0])
-    assert grid.cdf_probs.tolist() == [0.0, pytest.approx(1 / 3), 1.0]
+    assert s.cdf_grid.tolist() == [1.0, 3.0, 5.0]
+    assert s.cdf_probs.tolist() == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
 
 
 def test_summarize_empty():

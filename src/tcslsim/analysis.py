@@ -8,6 +8,11 @@ the generating distribution families by maximum likelihood, so simulated
 produced them. Every fit is closed form; the log-likelihoods and KS
 distances are written out from their formulas with `scipy.special`
 alone.
+
+A whole exported file is analysed as one block: the partition takes the
+delays of every drop at once, and one labelling pass finds the lobes of
+every spectrum of a `SpectrumBlock`. A single profile or spectrum is the
+block of one.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from scipy.special import expm1, gammaln, ndtr, xlogy
 
 from .errors import InvalidParamsError
-from .stats import PowerAngularSpectrum
+from .stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum
 
 
 # --- time-cluster partitioning ---------------------------------------------
@@ -41,18 +46,24 @@ class ClusterPartition:
         return len(self.starts)
 
 
-def partition_time_clusters(delays_ns, mti_ns: float) -> ClusterPartition:
+def partition_time_clusters(delays_ns, mti_ns: float, drop_starts=None) -> ClusterPartition:
     """Greedy left-to-right grouping of sorted tap delays into time clusters.
 
     A tap starts a new cluster when its delay gap to the previous tap
-    reaches the minimum inter-cluster time void interval.
+    reaches the minimum inter-cluster time void interval. With
+    `drop_starts`, `delays_ns` is a block of many drops' sorted profiles
+    one after another, drop k from tap drop_starts[k] on (the first at
+    0), and each drop's first tap starts a cluster too: a whole file is
+    partitioned in one pass.
     """
     if not mti_ns > 0:  # also rejects NaN
         raise InvalidParamsError(f"mti must be > 0, got {mti_ns}")
     if len(delays_ns) == 0:
         raise InvalidParamsError("no taps to partition")
-    boundaries = np.flatnonzero(np.diff(delays_ns) >= mti_ns) + 1
-    return ClusterPartition(starts=np.concatenate(([0], boundaries)))
+    new = np.diff(delays_ns) >= mti_ns
+    if drop_starts is not None:
+        new[drop_starts[1:] - 1] = True
+    return ClusterPartition(starts=np.concatenate(([0], np.flatnonzero(new) + 1)))
 
 
 def cluster_delay_samples(delays_ns: np.ndarray, starts: np.ndarray, mti_ns: float) -> tuple:
@@ -75,6 +86,9 @@ def cluster_delay_samples(delays_ns: np.ndarray, starts: np.ndarray, mti_ns: flo
 
 # --- spatial-lobe extraction -------------------------------------------------
 
+GRID_CELLS = AZ_CELLS * EL_CELLS
+
+
 @dataclass
 class Lobe:
     index: int
@@ -96,20 +110,61 @@ class LobeSet:
         return len(self.lobes)
 
 
-def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> LobeSet:
+@dataclass
+class SpectrumBlock:
+    """Many sparse angular spectra held as one.
+
+    `keys` holds the sorted occupied cells of every spectrum as
+    spectrum * GRID_CELLS + flat cell (`PowerAngularSpectrum.cell_index`),
+    so that no two spectra share a key and no neighbour of a cell lies in
+    another spectrum; `power_mw` holds the summed power of each key.
+    """
+
+    keys: np.ndarray      # (k,) int64, sorted
+    power_mw: np.ndarray  # (k,) float64
+
+    @classmethod
+    def from_deposits(cls, spectrum, cells, power_mw) -> "SpectrumBlock":
+        """Sum the power deposited in each (spectrum, flat cell), in the
+        order given from 0.0, as `build_pas` sums a drop's subpaths."""
+        keys, inverse = np.unique(spectrum * GRID_CELLS + cells, return_inverse=True)
+        power = np.zeros(len(keys))
+        np.add.at(power, inverse, power_mw)
+        return cls(keys=keys, power_mw=power)
+
+
+@dataclass
+class LobeCounts:
+    counts: np.ndarray  # (num_spectra,) int64, lobes of each spectrum in key order
+    slt_db: float
+
+    @property
+    def num_lobes(self) -> int:
+        """Lobes of all spectra together."""
+        return int(self.counts.sum())
+
+
+def extract_spatial_lobes(pas: PowerAngularSpectrum | SpectrumBlock,
+                          slt_db: float = -10.0) -> LobeSet | LobeCounts:
     """Find spatial lobes: connected regions above the lobe threshold.
 
-    Cells with power within `slt_db` of the spectrum peak are kept and
-    grouped by 4-neighborhood adjacency (azimuth wraps, elevation does
-    not); a cell without power never joins a lobe. Lobes are returned
-    strongest first, ties in the order of their first cell, with
-    power-weighted mean directions.
+    Cells with power within `slt_db` of their spectrum's peak are kept
+    and grouped by 4-neighborhood adjacency (azimuth wraps, elevation
+    does not); a cell without power never joins a lobe.
+
+    `pas` is either one PowerAngularSpectrum, whose lobes are returned
+    as a LobeSet, strongest first, ties in the order of their first
+    cell, with power-weighted mean directions; or a SpectrumBlock, such
+    as all spectra of one side of a file, whose lobe counts are returned
+    per spectrum as LobeCounts. Both are labelled by one pass over the
+    kept cells of every spectrum at once.
     """
-    peak = pas.power_mw.max(initial=0.0)
-    if not peak > 0:
-        raise InvalidParamsError("spectrum has no power")
-    threshold = peak * 10.0 ** (slt_db / 10.0)
-    kept = (pas.power_mw >= threshold) & (pas.power_mw > 0)
+    if isinstance(pas, SpectrumBlock):
+        starts, kept, first = _label_lobes(pas.keys, pas.power_mw, slt_db)
+        is_first = np.zeros(len(pas.keys), dtype=np.int64)
+        is_first[np.flatnonzero(kept)[first == np.arange(len(first))]] = 1
+        return LobeCounts(np.add.reduceat(is_first, starts), slt_db)
+    _, kept, first = _label_lobes(pas.cells, pas.power_mw, slt_db)
     if not kept.any():  # a positive or NaN threshold keeps no cell
         return LobeSet(lobes=[], slt_db=slt_db)
     power = pas.power_mw[kept]
@@ -118,7 +173,7 @@ def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> L
     cells = np.column_stack((az, el))
     az_deg = az.astype(float)
     el_deg = el.astype(float)
-    component = _connected_cells(pas.cells[kept], az, el)
+    component = np.unique(first, return_inverse=True)[1]
     order = np.argsort(component, kind="stable")
     lobes = []
     for members in np.split(order, np.flatnonzero(np.diff(component[order])) + 1):
@@ -140,31 +195,53 @@ def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> L
     return LobeSet(lobes=lobes, slt_db=slt_db)
 
 
-def _connected_cells(flat: np.ndarray, az: np.ndarray, el: np.ndarray) -> np.ndarray:
-    """Component number of each sorted flat cell (at azimuth `az` and
-    elevation `el`) under 4-adjacency.
+def _label_lobes(keys: np.ndarray, power_mw: np.ndarray, slt_db: float) -> tuple:
+    """Threshold and label the lobes of the spectra in sorted `keys`.
+
+    Returns (starts, kept, first): the index of each spectrum's first
+    key, the mask of keys within `slt_db` of their spectrum's peak with
+    power, and for each kept key the index, among the kept, of the first
+    kept key of its lobe.
+    """
+    starts = np.flatnonzero(np.diff(keys // GRID_CELLS, prepend=-1))
+    peak = np.maximum.reduceat(power_mw, starts)
+    if not len(keys) or not (peak > 0).all():
+        raise InvalidParamsError("spectrum has no power")
+    threshold = np.repeat(peak * 10.0 ** (slt_db / 10.0), np.diff(starts, append=len(keys)))
+    kept = (power_mw >= threshold) & (power_mw > 0)
+    return starts, kept, _first_of_component(keys[kept])
+
+
+def _first_of_component(keys: np.ndarray) -> np.ndarray:
+    """For each of the sorted `keys`, the index of the first key of its
+    connected component under 4-adjacency.
 
     Elevation neighbours are el +- 1 within -90..90; azimuth neighbours
-    are az +- 1, wrapping at the 359 -> 0 seam. Components are numbered
-    0, 1, ... in the order of their first cell.
+    are az +- 1, wrapping at the 359 -> 0 seam, within the key's
+    spectrum. Components are labelled by min-label propagation with
+    pointer jumping.
     """
-    n = len(flat)
-    parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for neighbour, inside in ((PowerAngularSpectrum.cell_index(az, el + 1), el < 90),
-                              (PowerAngularSpectrum.cell_index(az + 1, el), True)):
-        pos = np.minimum(np.searchsorted(flat, neighbour), n - 1)
-        linked = (flat[pos] == neighbour) & inside
-        for i, j in zip(np.flatnonzero(linked).tolist(), pos[linked].tolist()):
-            ri, rj = root(i), root(j)
-            parent[max(ri, rj)] = min(ri, rj)
-    return np.unique([root(i) for i in range(n)], return_inverse=True)[1]
+    n = len(keys)
+    az, el_index = np.divmod(keys % GRID_CELLS, EL_CELLS)
+    tails, heads = [], []
+    for neighbour, inside in (
+            (keys + 1, el_index < EL_CELLS - 1),
+            (np.where(az < AZ_CELLS - 1, keys + EL_CELLS, keys - (AZ_CELLS - 1) * EL_CELLS), True)):
+        pos = np.minimum(np.searchsorted(keys, neighbour), n - 1)
+        linked = (keys[pos] == neighbour) & inside
+        tails.append(np.flatnonzero(linked))
+        heads.append(pos[linked])
+    a, b = np.concatenate(tails), np.concatenate(heads)
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        lowered = label.copy()
+        np.minimum.at(lowered, a, low)
+        np.minimum.at(lowered, b, low)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
 
 
 def _circular_mean_deg(angles_deg: np.ndarray, weights: np.ndarray) -> float:

@@ -14,12 +14,12 @@ import json
 import math
 import operator
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
+    SpectrumBlock,
     cluster_delay_samples,
     compare_distributions,
     extract_spatial_lobes,
@@ -83,8 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: a parser is a web of reference cycles that only
+# the garbage collector frees, and a process that calls `main` again and
+# again would keep such garbage between the arrays `analyze` allocates,
+# growing its heap
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "generate":
             return _cmd_generate(args)
@@ -190,16 +197,94 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _csv_rows(path: Path, columns: dict):
+# the columns `analyze` reads from each exported CSV file, with their
+# types, and the bounds their values must keep
+PDP_COLUMNS = {"drop_id": int, "excess_delay_ns": float, "power_mw": float}
+PAS_COLUMNS = {"drop_id": int, "side": str, "az_deg": int, "el_deg": int, "power_mw": float}
+PAS_BOUNDS = {"el_deg": (-90, 90)}
+
+# np.loadtxt types of the columns; a fixed-width str field cuts a longer
+# str, which goes to the row walk
+_STR_WIDTH = 8
+_BLOCK_DTYPES = {int: np.int64, float: np.float64, str: f"U{_STR_WIDTH}"}
+
+
+def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
+    """The values of `columns` in an exported CSV file as one array per
+    column, rows in file order.
+
+    The rules are those of `_csv_rows`. The file is parsed in one C pass
+    by `np.loadtxt`, which checks every row's field count but refuses
+    some text the rules accept (`1_0`, non-ASCII digits, ints beyond
+    int64) and accepts some they refuse (blank lines, non-finite
+    floats). So the block is kept only when it has one row per line and
+    every value passes the rules; otherwise `_csv_rows` reads the file,
+    and either gives the values or raises the error of its first bad
+    line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            body = fh.read()
+    except UnicodeDecodeError:
+        header, body = [], ""  # the row walk names the line
+    newlines = body.count("\n")
+    # np.loadtxt skips blank lines, and warns when they are all there is
+    if len(body) > newlines and all(name in header for name in columns):
+        dtype = [(f"f{i}", "U1") for i in range(len(header))]
+        for name, kind in columns.items():
+            dtype[header.index(name)] = (name, _BLOCK_DTYPES[kind])
+        try:
+            block = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
+                               quotechar=None, ndmin=1, encoding="utf-8")
+        except ValueError:
+            block = None
+        if (block is not None and len(block) == newlines + (not body.endswith("\n"))
+                and all(_follows_rules(block[name], kind, bounds.get(name), body)
+                        for name, kind in columns.items())):
+            return [block[name] for name in columns]
+    values = list(zip(*(row for _, row in _csv_rows(path, columns, bounds)))) or [()] * len(columns)
+    return [_column(v, kind) for v, kind in zip(values, columns.values())]
+
+
+def _follows_rules(column: np.ndarray, kind, bound, body: str) -> bool:
+    """Whether a column parsed by np.loadtxt holds what `_csv_rows` reads."""
+    ok = True
+    if kind is float:
+        ok = np.isfinite(column).all()
+    elif kind is str:  # a U field drops trailing NULs; the row walk strips a line's ends
+        ok = ("\x00" not in body and (np.strings.str_len(column) < _STR_WIDTH).all()
+              and (np.strings.strip(column) == column).all())
+    if bound is not None:
+        ok = ok and ((column >= bound[0]) & (column <= bound[1])).all()
+    return bool(ok)
+
+
+def _column(values: tuple, kind) -> np.ndarray:
+    """An array of values from `_csv_rows`; ints beyond int64 and strs stay
+    Python objects."""
+    if kind is str:
+        return np.array(values, dtype=object)
+    try:
+        return np.array(values, dtype=np.int64 if kind is int else np.float64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _csv_rows(path: Path, columns: dict, bounds: dict):
     """Yield (line number, the values of `columns`) for each data row of
     an exported CSV file.
 
     `columns` maps each column name to the type of its values, int,
-    float or str; floats must be finite. Raises ValueError naming the
-    file and line when the header lacks one of `columns`, a row has
-    another field count than the header, or a value does not convert.
+    float or str; floats must be finite, and an int column named in
+    `bounds` must lie within its (low, high). Raises ValueError naming
+    the file and line when the header lacks one of `columns`, a row has
+    another field count than the header, or a value does not convert or
+    lies out of bounds.
     """
     converters = [_finite_float if kind is float else kind for kind in columns.values()]
+    checks = [(list(columns).index(name), name, low, high)
+              for name, (low, high) in bounds.items()]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         missing = [name for name in columns if name not in header]
@@ -215,6 +300,9 @@ def _csv_rows(path: Path, columns: dict):
                 values = [convert(field) for convert, field in zip(converters, fields)]
             except ValueError:
                 raise _bad_value(path, lineno, columns, converters, fields) from None
+            for i, name, low, high in checks:
+                if not low <= values[i] <= high:
+                    raise ValueError(f"{path}:{lineno}: {name} {values[i]} outside {low}..{high}")
             yield lineno, values
 
 
@@ -237,27 +325,26 @@ def _bad_value(path: Path, lineno: int, columns: dict, converters, fields) -> Va
 
 
 def _analyze_pdp(path: Path, mti_ns: float) -> dict:
-    """Partition every drop in a PDP CSV and fit the cluster statistics."""
-    taps = defaultdict(list)
-    columns = {"drop_id": int, "excess_delay_ns": float, "power_mw": float}
-    for _, (drop_id, delay, _power) in _csv_rows(path, columns):
-        taps[drop_id].append(delay)
+    """Partition every drop in a PDP CSV and fit the cluster statistics.
 
-    cluster_counts = []
-    intra = []
-    inter = []
-    for drop_id in sorted(taps):
-        delays = np.array(sorted(taps[drop_id]))
-        starts = partition_time_clusters(delays, mti_ns).starts
-        cluster_counts.append(len(starts))
-        drop_intra, drop_inter = cluster_delay_samples(delays, starts, mti_ns)
-        intra.extend(drop_intra)
-        inter.extend(drop_inter)
+    The file is analysed as one block: its taps are sorted by (drop,
+    delay) once and partitioned in one pass.
+    """
+    drop_id, delay, _power = _read_csv(path, PDP_COLUMNS, {})
+    drop = np.unique(drop_id, return_inverse=True)[1]
+    order = np.lexsort((delay, drop))
+    delays = delay[order]
+    drop_starts = np.flatnonzero(np.diff(drop[order], prepend=-1))
+    starts = partition_time_clusters(delays, mti_ns, drop_starts).starts
+    first_clusters = np.searchsorted(starts, drop_starts)
+    intra, inter = cluster_delay_samples(delays, starts, mti_ns)
+    inter = np.delete(inter, first_clusters[1:] - 1)  # the gaps across drop starts
 
     out = {
-        "num_drops": len(taps),
+        "num_drops": len(drop_starts),
         "mti_ns": mti_ns,
-        "num_clusters": _fit_dict(fit_poisson_shifted(cluster_counts)),
+        "num_clusters": _fit_dict(fit_poisson_shifted(np.diff(first_clusters,
+                                                              append=len(starts)))),
     }
     if len(intra) >= 20:
         out["intra_cluster_delay_ns"] = [_fit_dict(r) for r in compare_distributions(intra)]
@@ -267,33 +354,29 @@ def _analyze_pdp(path: Path, mti_ns: float) -> dict:
 
 
 def _analyze_pas(path: Path, slt_db: float) -> dict:
-    """Extract spatial lobes for every (drop, side) in a PAS CSV."""
-    spectra: dict = defaultdict(dict)  # (drop, side) -> {flat cell: mW}
-    columns = {"drop_id": int, "side": str, "az_deg": int, "el_deg": int, "power_mw": float}
-    for lineno, (drop_id, side, az, el, power) in _csv_rows(path, columns):
-        if not -90 <= el <= 90:
-            raise ValueError(f"{path}:{lineno}: el_deg {el} outside -90..90")
-        cell = PowerAngularSpectrum.cell_index(az, el)
-        cells = spectra[(drop_id, side)]
-        cells[cell] = cells.get(cell, 0.0) + power
+    """Count the spatial lobes of every (drop, side) spectrum in a PAS CSV.
 
-    counts = defaultdict(list)
-    for (drop_id, side), cells in sorted(spectra.items()):
-        flat = sorted(cells)
-        pas = PowerAngularSpectrum(side=side, cells=np.array(flat, dtype=np.int64),
-                                   power_mw=np.array([cells[c] for c in flat]))
-        lobes = extract_spatial_lobes(pas, slt_db)
-        counts[side].append(lobes.num_lobes)
+    The file is analysed as one block per side: all of a side's
+    spectra are summed and labelled at once.
+    """
+    drop_id, side, az, el, power = _read_csv(path, PAS_COLUMNS, PAS_BOUNDS)
+    drop = np.unique(drop_id, return_inverse=True)[1]
+    cells = np.asarray(PowerAngularSpectrum.cell_index(az, el), dtype=np.int64)
+    lobe_counts = {}
+    for name in sorted(set(side.tolist())):
+        rows = side == name
+        block = SpectrumBlock.from_deposits(drop[rows], cells[rows], power[rows])
+        lobe_counts[name] = extract_spatial_lobes(block, slt_db).counts
     return {
         "slt_db": slt_db,
         "lobe_counts": {
-            side: {
-                "num_drops": len(vals),
-                "mean": float(np.mean(vals)),
+            name: {
+                "num_drops": len(counts),
+                "mean": float(np.mean(counts)),
                 "histogram": {str(k): int(v) for k, v in
-                              zip(*np.unique(vals, return_counts=True))},
+                              zip(*np.unique(counts, return_counts=True))},
             }
-            for side, vals in sorted(counts.items())
+            for name, counts in lobe_counts.items()
         },
     }
 

@@ -114,6 +114,11 @@ class ScenarioParams:
     sigma_sf: float              # shadow fading std, dB
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (f.type in ("float", "float | None") and value is not None
+                    and not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if (self.n_c_max is None) == (self.lambda_c is None):
             raise ValueError("exactly one of n_c_max / lambda_c must be set")
         if self.n_c_max is not None and self.n_c_max < 1:

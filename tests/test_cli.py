@@ -119,7 +119,8 @@ def test_importing_the_cli_loads_no_scipy_stats_optimize_or_ndimage(tmp_path):
     code = ("import sys, tcslsim.cli\n"
             "def loaded():\n"
             "    print(sorted(m for m in sys.modules if m.split('.')[:2]"
-            " in (['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'ndimage'])))\n"
+            " in (['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'ndimage'],"
+            " ['scipy', 'sparse'])))\n"
             "loaded()\n"
             f"assert tcslsim.cli.main(['analyze', '--pdp', {str(tmp_path / 'pdp.csv')!r},"
             f" '--pas', {str(tmp_path / 'pas.csv')!r}, '--out', {str(report)!r}]) == 0\n"
@@ -131,6 +132,42 @@ def test_importing_the_cli_loads_no_scipy_stats_optimize_or_ndimage(tmp_path):
     pdp = json.loads(report.read_text())["pdp"]
     assert pdp["num_clusters"]["family"] == "poisson_shifted"
     assert {r["family"] for r in pdp["intra_cluster_delay_ns"]} == {"exponential", "lognormal"}
+
+
+def test_traced_commands_report_every_layer_metric(tmp_path):
+    # the benchmark's traced run wraps every layer boundary and JSON-dumps
+    # the spans; a name no longer bound drops its metrics (None here), and
+    # an observed value that is not a Python number fails the dump
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--scenario", "28GHz-NLOS", "--distance", "5:45",
+                         "--drops", "20", "--format", "pdp,pas", "--out-dir", str(tmp_path)]) == 0
+    rows = sum(len(p.read_text().splitlines()) - 1
+               for p in (tmp_path / "pdp.csv", tmp_path / "pas.csv"))
+    root = Path(t.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH")))))
+    code = f"""
+import contextlib, io, json
+import layers, spans
+from tcslsim import cli
+recorder = spans.Recorder()
+layers.install(recorder)
+for argv, drops, rows in (
+        (["analyze", "--pdp", {str(tmp_path / "pdp.csv")!r}, "--pas", {str(tmp_path / "pas.csv")!r},
+          "--out", {str(tmp_path / "report.json")!r}], 20, {rows}),
+        (["reproduce", "--drops", "5", "--seed", "1"], 20, 0)):
+    recorder.spans = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    json.dumps(recorder.spans, allow_nan=False)
+    metrics = layers.command_metrics([recorder.spans], recorder.installed, drops, rows)
+    json.dumps(metrics, allow_nan=False)
+    print(argv[0], sorted(name for name, value in metrics.items() if value is None))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["analyze []", "reproduce []"]
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -259,6 +259,27 @@ def test_apply_overrides_rejects_non_finite_values(name):
             t.apply_overrides(base, {name: value})
 
 
+@pytest.mark.parametrize("name", _FLOAT_PARAMS)
+def test_params_reject_non_finite_values_however_built(name):
+    # dataclasses.replace re-runs the invariants without apply_overrides'
+    # coercion, as building a ScenarioParams directly does
+    base = t.lookup_params(t.Scenario.parse("28-nlos"))
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            dataclasses.replace(base, **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("sigma_z", math.nan), ("mti", math.inf),
+                                         ("lambda_c", math.inf), ("mu_rho", -math.inf)])
+def test_params_reject_a_non_finite_value_the_invariants_miss(name, value):
+    # `mti <= 0` and the other comparisons are false for NaN, and +inf
+    # passes every lower bound
+    base = t.lookup_params(t.Scenario.parse("28-nlos"))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dataclasses.replace(base, **{name: value})
+    assert dataclasses.replace(base, **{name: 1.0}).to_dict()[name] == 1.0
+
+
 def test_validate_rejects_nan_override():
     cfg = t.SimConfig(scenario=t.Scenario.parse("28GHz-NLOS"), overrides={"mu_rho": "nan"})
     with pytest.raises(ConfigValidationError):

@@ -164,6 +164,8 @@ def extract_spatial_lobes(pas: PowerAngularSpectrum | SpectrumBlock,
         is_first = np.zeros(len(pas.keys), dtype=np.int64)
         is_first[np.flatnonzero(kept)[first == np.arange(len(first))]] = 1
         return LobeCounts(np.add.reduceat(is_first, starts), slt_db)
+    if not np.isfinite(pas.power_mw).all():  # inf power would make the mean directions NaN
+        raise InvalidParamsError("spectrum power must be finite")
     _, kept, first = _label_lobes(pas.cells, pas.power_mw, slt_db)
     if not kept.any():  # a positive or NaN threshold keeps no cell
         return LobeSet(lobes=[], slt_db=slt_db)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .generate import BLOCK_DROPS, generate_batch
+from .generate import BLOCK_DROPS, excess_delays, generate_batch
 from .scenario import (
     ALL_SCENARIOS,
     Scenario,
@@ -33,9 +33,7 @@ from .scenario import (
     resolved_params,
     validate_config,
 )
-from .stats import build_pas, drop_metrics, summarize
-
-METRIC_NAMES = ("rms_ds_ns", "as_aod_az_deg", "as_aod_el_deg", "as_aoa_az_deg", "as_aoa_el_deg")
+from .stats import METRIC_NAMES, build_pas, drop_metrics, summarize
 
 CSV_FLOAT = "{:.9g}"  # 9 significant digits keeps sums within 1e-9 relative
 
@@ -88,17 +86,6 @@ def config_digest(config: SimConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def drop_record(drop) -> DropRecord:
-    return DropRecord(
-        drop_index=drop.drop_index,
-        distance_m=drop.distance_m,
-        rx_power_dbm=drop.link.rx_power_dbm,
-        num_clusters=drop.num_clusters,
-        num_subpaths=drop.num_subpaths,
-        **drop_metrics(drop),
-    )
-
-
 # --- per-drop and aggregate file contents -------------------------------------
 
 def _jsonl_rows(drop) -> str:
@@ -106,12 +93,14 @@ def _jsonl_rows(drop) -> str:
 
 
 def _pdp_rows(drop) -> str:
+    sizes = drop.cluster_sizes()
+    excess = excess_delays(drop.cluster_delays_ns, sizes, drop.intra_delays_ns)
     powers = drop.powers_mw()
-    columns = zip(drop.excess_delays_ns().tolist(), drop.absolute_delays_ns().tolist(),
+    columns = zip(excess.tolist(), (drop.propagation_delay_ns + excess).tolist(),
                   powers.tolist(), (10.0 * np.log10(powers)).tolist())
     return "".join(f"{drop.drop_index},{cluster},{subpath},"
                    + ",".join(map(CSV_FLOAT.format, next(columns))) + "\n"
-                   for cluster, size in enumerate(drop.cluster_sizes().tolist(), start=1)
+                   for cluster, size in enumerate(sizes.tolist(), start=1)
                    for subpath in range(1, size + 1))
 
 
@@ -209,13 +198,17 @@ def _out_dir(out_dir) -> Path:
 def _record_chunk(config: SimConfig, start: int, count: int) -> tuple:
     """Generate drops start .. start + count - 1 in one batch.
 
-    Returns their DropRecords and {kind: text} of their rows in each
-    per-drop file in `config.outputs`.
+    Returns their DropRecords, with one `drop_metrics` call, and
+    {kind: text} of their rows in each per-drop file in `config.outputs`.
     """
     drops = generate_batch(config, resolved_params(config), start, count)
     texts = {kind: "".join(map(rows, drops))
              for kind, (_, _, rows) in DROP_FILES.items() if kind in config.outputs}
-    return [drop_record(drop) for drop in drops], texts
+    metrics = drop_metrics(drops)
+    records = [DropRecord(drop.drop_index, drop.distance_m, drop.link.rx_power_dbm,
+                          drop.num_clusters, drop.num_subpaths, *values)
+               for drop, *values in zip(drops, *(metrics[name] for name in METRIC_NAMES))]
+    return records, texts
 
 
 def _record_task(task: tuple) -> tuple:

@@ -117,13 +117,10 @@ class ChannelDrop:
         return self.distance_m / SPEED_OF_LIGHT_M_PER_NS
 
     def cluster_sizes(self) -> np.ndarray:
-        return np.diff(self.cluster_start, append=self.num_subpaths)
+        return np.append(self.cluster_start[1:], self.num_subpaths) - self.cluster_start
 
     def excess_delays_ns(self) -> np.ndarray:
-        return np.repeat(self.cluster_delays_ns, self.cluster_sizes()) + self.intra_delays_ns
-
-    def absolute_delays_ns(self) -> np.ndarray:
-        return self.propagation_delay_ns + self.excess_delays_ns()
+        return excess_delays(self.cluster_delays_ns, self.cluster_sizes(), self.intra_delays_ns)
 
     def powers_mw(self) -> np.ndarray:
         return self.power_fractions * self.link.rx_power_mw
@@ -160,6 +157,12 @@ class ChannelDrop:
             ],
             "clusters": clusters,
         }
+
+
+def excess_delays(cluster_delays_ns, cluster_sizes, intra_delays_ns) -> np.ndarray:
+    """Each subpath's cluster delay plus its intra-cluster delay, for
+    clusters of `cluster_sizes` subpaths laid end to end (a drop or a block)."""
+    return np.repeat(cluster_delays_ns, cluster_sizes) + intra_delays_ns
 
 
 # --- generation ------------------------------------------------------------

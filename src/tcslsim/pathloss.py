@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ class LinkBudget:
     rx_power_mw: float
 
 
+@functools.lru_cache(maxsize=16)  # a run uses one frequency
 def fspl_1m(frequency_hz: float) -> float:
     """Free-space path loss in dB at the 1 m reference distance."""
     if frequency_hz <= 0:

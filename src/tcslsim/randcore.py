@@ -51,9 +51,14 @@ def derive_keys(master_seed: int, drop_indices, labels) -> np.ndarray:
     """Philox keys of every (label, drop) pair, label-major: row
     `i * len(drop_indices) + j` is the key of `labels[i]` in drop
     `drop_indices[j]`. Shape (len(labels) * len(drop_indices), 2)."""
-    digests = b"".join(hashlib.sha256(f"{master_seed}:{drop}:{label}".encode()).digest()[:16]
-                       for label in labels for drop in drop_indices)
-    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
+    seed = hashlib.sha256(f"{master_seed}:".encode())  # hashed once, copied per key
+    digests = []
+    for label in labels:
+        for drop in drop_indices:
+            key = seed.copy()
+            key.update(f"{drop}:{label}".encode())
+            digests.append(key.digest()[:16])
+    return np.frombuffer(b"".join(digests), dtype=np.uint64).reshape(-1, 2)
 
 
 def _philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:

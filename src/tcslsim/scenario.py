@@ -13,6 +13,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import PurePath
 from typing import Mapping, Union
 
 from .errors import ConfigError, ConfigValidationError
@@ -310,7 +311,7 @@ class SimConfig:
     master_seed: int = 1
     workers: int = 1
     overrides: Mapping[str, object] = dataclasses.field(default_factory=dict)
-    out_dir: str | None = None
+    out_dir: str | PurePath | None = None
     outputs: tuple = ()
 
     def distance_range(self) -> tuple[float, float] | None:
@@ -376,6 +377,9 @@ def validate_config(config: SimConfig) -> SimConfig:
 
     if not (_is_count(config.workers) and config.workers >= 1):
         violations.append(ConfigError(f"workers must be >= 1, got {config.workers!r}"))
+
+    if not (config.out_dir is None or isinstance(config.out_dir, (str, PurePath))):
+        violations.append(ConfigError(f"out_dir must be a path or None, got {config.out_dir!r}"))
 
     if not isinstance(config.outputs, (tuple, list)):
         violations.append(ConfigError(f"outputs must be a sequence, got {config.outputs!r}"))

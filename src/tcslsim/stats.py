@@ -1,10 +1,10 @@
 """Secondary channel statistics: angular spectra and spreads.
 
-Each per-drop spread has one kernel: `rms_delay_spread(delays, weights)`
-for the RMS delay spread and `circular_angular_spread(angles, powers)`
-for the wrapped angular spread. `drop_metrics` applies them to a drop:
-the delay spread once and the angular spread on both sides in both
-planes, all weighted by the subpath power fractions.
+Each spread is an elementwise part (squared delays, unit phasors) and a
+per-profile part of dot products and scalar arithmetic (`_delay_spread`,
+`_angular_spread`). `drop_metrics` runs the first once over a block of
+drops and the second on each drop's slice, with the operands and
+summation order of the single-profile functions, so bits are equal.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .generate import ChannelDrop
+from .generate import ChannelDrop, excess_delays
 
 AZ_CELLS = 360
 EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
+METRIC_NAMES = ("rms_ds_ns", "as_aod_az_deg", "as_aod_el_deg", "as_aoa_az_deg", "as_aoa_el_deg")
 
 
 @dataclass
@@ -60,11 +61,15 @@ def rms_delay_spread(delays_ns, weights) -> float:
     weights = np.asarray(weights, dtype=float)
     if len(delays) == 0:
         raise InvalidParamsError("no taps")
-    total = weights.sum()
+    return _delay_spread(weights.sum(), weights, delays, delays**2)
+
+
+def _delay_spread(total, weights, delays, squares) -> float:
+    """RMS delay spread of one profile, given its total weight."""
     if not total > 0:
         raise InvalidParamsError("profile has no power")
     mean = float(np.dot(weights, delays) / total)
-    second = float(np.dot(weights, delays**2) / total)
+    second = float(np.dot(weights, squares) / total)
     return math.sqrt(max(second - mean * mean, 0.0))
 
 
@@ -95,32 +100,48 @@ def circular_angular_spread(angles_deg, powers) -> float:
     weights = np.asarray(powers, dtype=float)
     if angles.size == 0 or weights.size == 0:
         raise InvalidParamsError("no angles")
-    total = weights.sum()
+    return _angular_spread(weights.sum(), weights.astype(complex), _phasors(angles))
+
+
+def _phasors(angles_deg: np.ndarray) -> np.ndarray:
+    return np.exp(1j * np.deg2rad(angles_deg))
+
+
+def _angular_spread(total, weights, phasors) -> float:
+    """Angular spread of one profile, given its total and complex weights."""
     if not total > 0:
         raise InvalidParamsError("no power")
-    theta = np.deg2rad(angles)
-    resultant = float(np.abs(np.dot(weights, np.exp(1j * theta))) / total)
+    resultant = float(np.abs(np.dot(weights, phasors)) / total)
     if resultant >= 1.0 - 1e-15:
         return 0.0
     resultant = max(resultant, 1e-12)
     return math.degrees(math.sqrt(-2.0 * math.log(resultant)))
 
 
-def drop_metrics(drop: ChannelDrop) -> dict:
-    """The drop's RMS delay spread (ns) and its four angular spreads
-    (degrees, `as_<side>_<plane>_deg`).
+def drop_metrics(drops) -> dict:
+    """{METRIC_NAMES entry: one value per drop} for a block of drops (a
+    single drop is a block of one): RMS delay spread in ns, angular
+    spreads in degrees. Power fractions weight the subpaths, so no value
+    depends on transmit power or distance in any bit."""
+    def flat(name):
+        return np.concatenate([getattr(drop, name) for drop in drops])
 
-    Power fractions weight the subpaths, so no value depends on transmit
-    power or distance in any bit.
-    """
-    weights = drop.power_fractions
-    return {
-        "rms_ds_ns": rms_delay_spread(drop.excess_delays_ns(), weights),
-        "as_aod_az_deg": circular_angular_spread(drop.aod_az_deg, weights),
-        "as_aod_el_deg": circular_angular_spread(drop.aod_el_deg, weights),
-        "as_aoa_az_deg": circular_angular_spread(drop.aoa_az_deg, weights),
-        "as_aoa_el_deg": circular_angular_spread(drop.aoa_el_deg, weights),
-    }
+    ends = np.cumsum([drop.num_subpaths for drop in drops])
+    starts = np.append(0, ends[:-1])
+    # each cluster's first subpath in the block, then each cluster's size
+    first = np.repeat(starts, [drop.num_clusters for drop in drops]) + flat("cluster_start")
+    delays = excess_delays(flat("cluster_delays_ns"), np.append(first[1:], ends[-1]) - first,
+                           flat("intra_delays_ns"))
+    squares = delays**2
+    weights = flat("power_fractions")
+    complex_weights = weights.astype(complex)
+    phasors = [_phasors(flat(name[3:])) for name in METRIC_NAMES[1:]]  # as_aod_az_deg: aod_az_deg
+    rows = []
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        total = weights[a:b].sum()
+        rows.append([_delay_spread(total, weights[a:b], delays[a:b], squares[a:b]),
+                     *[_angular_spread(total, complex_weights[a:b], p[a:b]) for p in phasors]])
+    return dict(zip(METRIC_NAMES, map(list, zip(*rows))))
 
 
 @dataclass

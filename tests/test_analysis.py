@@ -243,6 +243,18 @@ def test_cells_without_power_never_join_a_lobe():
     assert t.extract_spatial_lobes(gap, -4000.0).num_lobes == 2
 
 
+@pytest.mark.filterwarnings("error")  # as under python -W error
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_spectrum_with_non_finite_power_is_refused_without_a_warning(bad):
+    cells = PowerAngularSpectrum.cell_index(np.array([10, 10, 11]), np.array([0, 1, 0]))
+    finite = PowerAngularSpectrum(side="aoa", cells=cells, power_mw=np.array([3.0, 1.0, 2.0]))
+    assert t.extract_spatial_lobes(finite).num_lobes == 1
+    # one overflowed cell (two 1e308 deposits) gave a NaN mean elevation
+    pas = PowerAngularSpectrum(side="aoa", cells=cells, power_mw=np.array([bad, 1.0, 2.0]))
+    with pytest.raises(InvalidParamsError, match="spectrum power must be finite"):
+        t.extract_spatial_lobes(pas)
+
+
 # --- fits against scipy.stats --------------------------------------------------
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, 4.3])

@@ -14,7 +14,6 @@ from tcslsim.campaign import (
     CSV_FLOAT,
     _pas_rows,
     config_digest,
-    drop_record,
     emit_outputs,
     run_campaign,
 )
@@ -47,6 +46,25 @@ ANALYZE_GOLDEN = {
 }
 
 
+# sha256 of cdf.csv and of summary.json's `metrics` block (as
+# json.dumps(..., sort_keys=True)) for the GOLDEN configurations, so any
+# change to the per-drop metrics that is not bit-identical shows
+METRICS_GOLDEN = {
+    "28GHz-NLOS-5-45m": ("51c778444397776bb549825ecc78acc128bee44e915bd02bfd41f4b2ec5b7cdb",
+                         "fc0c4b1316bf82e672c46a2b9990edcde7e15fc4a45ec27e5abd4e1bd3d72e8b"),
+    "140GHz-LOS-10m": ("d2ee6c822d4c9ccbc4c38a681eb2eeba263c40280f585eb3577c766cfe2d796a",
+                       "d3eb8b784362ae354896e221fadcdebe5b553026af2d46ac16389c4ad90745b0"),
+}
+
+# repr of the four `tcslsim reproduce --drops 300` medians (ns), default seed
+REPRODUCE_300_MEDIANS = {
+    "28GHz-LOS": "12.28110260426729",
+    "28GHz-NLOS": "11.652491266916012",
+    "140GHz-LOS": "2.991942328012532",
+    "140GHz-NLOS": "5.1038017833997795",
+}
+
+
 def _generate(out_dir, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(["generate", *argv, "--format", "jsonl,pdp,pas", "--out-dir", str(out_dir)])
@@ -69,6 +87,22 @@ def test_analyze_report_matches_golden_digest(tmp_path, label):
                        "--pas", str(tmp_path / "pas.csv"), "--out", str(report)])
     assert rc == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == ANALYZE_GOLDEN[label]
+
+
+@pytest.mark.parametrize("label", sorted(METRICS_GOLDEN))
+def test_metric_files_match_golden_digests(tmp_path, label):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", *GOLDEN[label][0], "--format", "summary,cdf",
+                         "--out-dir", str(tmp_path)]) == 0
+    cdf, metrics = METRICS_GOLDEN[label]
+    assert hashlib.sha256((tmp_path / "cdf.csv").read_bytes()).hexdigest() == cdf
+    body = json.loads((tmp_path / "summary.json").read_text())["metrics"]
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == metrics
+
+
+def test_reproduce_medians_match_their_recorded_repr():
+    report = campaign.reproduce_report(num_drops=300)
+    assert {r.scenario: repr(r.simulated_median_ns) for r in report.rows} == REPRODUCE_300_MEDIANS
 
 
 def dense_pas_rows(drop) -> str:
@@ -102,9 +136,8 @@ def test_records_identical_for_one_and_two_workers(tmp_path):
     assert len(one.records) == n
     assert one.records == two.records
     assert one.provenance == two.provenance
-    params = t.resolved_params(config)
     for idx in (0, BLOCK_DROPS - 1, BLOCK_DROPS, n // 2, n - 1):
-        assert one.records[idx] == drop_record(t.generate_drop(config, params, idx))
+        assert one.records[idx:idx + 1] == campaign._record_chunk(config, idx, 1)[0]
     assert sorted(one.paths) == sorted(two.paths) == sorted(ALL_OUTPUTS)
     for name in ("drops.jsonl", "pdp.csv", "pas.csv", "cdf.csv"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()

@@ -17,6 +17,7 @@ from tcslsim.generate import (
     place_cluster_delays,
     sort_from_first,
 )
+from tcslsim.campaign import CSV_FLOAT, _pdp_rows
 from tcslsim.errors import ConfigValidationError
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS
 from tcslsim.randcore import RandomStream, composite_subpath, derive_keys, exponential, normal
@@ -371,7 +372,8 @@ def test_absolute_delay_is_propagation_plus_excess():
     drop = t.generate_drop(cfg)
     t0 = 30.0 / SPEED_OF_LIGHT_M_PER_NS
     assert drop.propagation_delay_ns == pytest.approx(t0, rel=1e-12)
-    assert np.allclose(drop.absolute_delays_ns(), t0 + drop.excess_delays_ns(), rtol=1e-12)
+    absolute = [row.split(",")[4] for row in _pdp_rows(drop).splitlines()]  # pdp.csv's column
+    assert absolute == [CSV_FLOAT.format(t0 + tau) for tau in drop.excess_delays_ns().tolist()]
     expected = np.concatenate([tau + intra for tau, intra in zip(
         drop.cluster_delays_ns, per_cluster(drop, drop.intra_delays_ns))])
     assert np.array_equal(drop.excess_delays_ns(), expected)

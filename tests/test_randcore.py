@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -72,6 +73,17 @@ def test_uniforms_match_numpy_philox_for_derived_keys():
         label, drop = labels[i // 4], 3 + i % 4
         assert np.array_equal(key, derive_keys(20210928, [drop], [label])[0])
         assert np.array_equal(row, numpy_philox_uniforms(key, counts[i]))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_derived_keys_are_the_sha256_of_the_stream_triple(seed):
+    # drop indices whose decimal lengths differ, so the key text does too
+    drops, labels = [9, 10, 99, 100], ["shadow", "intra_delay", "angle_offset", ""]
+    keys = derive_keys(seed, drops, labels)
+    assert keys.shape == (len(drops) * len(labels), 2) and keys.dtype == np.uint64
+    expected = b"".join(hashlib.sha256(f"{seed}:{drop}:{label}".encode()).digest()[:16]
+                        for label in labels for drop in drops)
+    assert keys.tobytes() == expected
 
 
 def test_interleaved_sibling_streams_match_numpy_philox():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcslsim as t
+from tcslsim.campaign import run_campaign
 from tcslsim.errors import ConfigError, ConfigValidationError
 from tcslsim.scenario import Visibility, parse_override_file
 
@@ -191,6 +192,24 @@ def test_validate_rejects_wrong_types(field, value):
     cfg = dataclasses.replace(t.SimConfig(scenario=t.ALL_SCENARIOS[0]), **{field: value})
     with pytest.raises(ConfigValidationError):
         t.validate_config(cfg)
+
+
+@pytest.mark.parametrize("out_dir", [3, 2.5, b"out", ["out"], True])
+def test_validate_rejects_an_out_dir_that_is_not_a_path(out_dir):
+    cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], out_dir=out_dir, outputs=("summary",))
+    with pytest.raises(ConfigValidationError, match="out_dir must be a path or None"):
+        t.validate_config(cfg)
+    # run_campaign validates first, so Path(out_dir) never raises TypeError
+    with pytest.raises(ConfigValidationError, match="out_dir must be a path or None"):
+        run_campaign(cfg)
+
+
+def test_validate_accepts_a_str_or_path_out_dir(tmp_path):
+    for out_dir in (None, str(tmp_path), tmp_path):
+        t.validate_config(t.SimConfig(scenario=t.ALL_SCENARIOS[0], out_dir=out_dir))
+    result = run_campaign(t.SimConfig(scenario=t.ALL_SCENARIOS[0], out_dir=tmp_path,
+                                      outputs=("summary",)))
+    assert result.paths["summary"] == tmp_path / "summary.json"
 
 
 def test_validate_rejects_lambda_c_past_the_poisson_search():

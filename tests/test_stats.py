@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcslsim as t
+from tcslsim.campaign import METRIC_NAMES, run_campaign
 from tcslsim.errors import InvalidParamsError
+from tcslsim.generate import BLOCK_DROPS
 from tcslsim.stats import drop_metrics, summarize
 
-from conftest import dense_grid, make_config, naive_circular_spread_deg
+from conftest import SCENARIO_LABELS, dense_grid, make_config, naive_circular_spread_deg
 
 
 def single_path_config(label="140GHz-LOS", **kwargs):
@@ -122,28 +124,57 @@ def test_global_as_zero_when_single_lobe_no_offsets():
         "sigma_phi_aod": "0", "sigma_theta_aod": "0",
         "sigma_phi_aoa": "0", "sigma_theta_aoa": "0"}, master_seed=41)
     drop = t.generate_drop(cfg)
-    metrics = drop_metrics(drop)
-    assert metrics["as_aod_az_deg"] == 0.0
-    assert metrics["as_aoa_az_deg"] == 0.0
+    metrics = drop_metrics([drop])
+    assert metrics["as_aod_az_deg"] == [0.0]
+    assert metrics["as_aoa_az_deg"] == [0.0]
 
 
 def test_global_as_bit_identical_under_tx_power():
     a = t.generate_drop(make_config("28GHz-NLOS", master_seed=61, tx_power_dbm=0.0))
     b = t.generate_drop(make_config("28GHz-NLOS", master_seed=61, tx_power_dbm=20.0))
-    assert drop_metrics(a) == drop_metrics(b)
+    assert drop_metrics([a]) == drop_metrics([b])
 
 
 def test_drop_metrics_match_individual_ops():
     cfg = make_config("28GHz-LOS", master_seed=83)
     drop = t.generate_drop(cfg)
-    metrics = drop_metrics(drop)
+    metrics = drop_metrics([drop])
     weights = drop.power_fractions
-    assert metrics["rms_ds_ns"] == t.rms_delay_spread(drop.excess_delays_ns(), weights)
+    assert metrics["rms_ds_ns"] == [t.rms_delay_spread(drop.excess_delays_ns(), weights)]
     for side in ("aod", "aoa"):
         for plane in ("az", "el"):
             angles = getattr(drop, f"{side}_{plane}_deg")
-            assert metrics[f"as_{side}_{plane}_deg"] == pytest.approx(
+            assert metrics[f"as_{side}_{plane}_deg"][0] == pytest.approx(
                 naive_circular_spread_deg(angles, weights), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("label, distance_m", [
+    *((label, 10.0) for label in SCENARIO_LABELS), ("28GHz-NLOS", (5.0, 45.0))])
+def test_block_metrics_equal_the_single_drop_kernels_in_every_bit(label, distance_m):
+    # the campaign takes drop_metrics once per block: two full blocks and
+    # a partial one; each value must equal the kernel on the drop's own arrays
+    n = 2 * BLOCK_DROPS + 41
+    config = make_config(label, distance_m=distance_m, num_drops=n, master_seed=17)
+    records = run_campaign(config).records
+    assert len(records) == n
+    for record, drop in zip(records, t.generate_drops(config), strict=True):
+        weights = drop.power_fractions.copy()
+        expected = [t.rms_delay_spread(drop.excess_delays_ns(), weights)]
+        expected += [t.circular_angular_spread(getattr(drop, f"{name}_deg").copy(), weights)
+                     for name in ("aod_az", "aod_el", "aoa_az", "aoa_el")]
+        got = [getattr(record, name) for name in METRIC_NAMES]
+        assert [v.hex() for v in got] == [v.hex() for v in expected], drop.drop_index
+
+
+def test_drop_metrics_of_any_split_are_the_columns_of_the_whole():
+    drops = list(t.generate_drops(make_config("140GHz-NLOS", master_seed=3), count=60))
+    whole = drop_metrics(drops)
+    assert sorted(whole) == sorted(METRIC_NAMES)
+    parts = [drop_metrics(drops[a:b]) for a, b in ((0, 1), (1, 17), (17, 60))]
+    for name in METRIC_NAMES:
+        assert len(whole[name]) == len(drops)
+        assert all(type(v) is float for v in whole[name])
+        assert [v.hex() for v in whole[name]] == [v.hex() for p in parts for v in p[name]]
 
 
 def test_summarize_medians():

@@ -11,20 +11,21 @@ alone.
 
 A whole exported file is analysed as one block: the partition takes the
 delays of every drop at once, and one labelling pass finds the lobes of
-every spectrum of a `SpectrumBlock`. A single profile or spectrum is the
-block of one.
+every spectrum a `PowerAngularSpectrum` holds. A single profile or
+spectrum is the block of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expm1, gammaln, ndtr, xlogy
 
 from .errors import InvalidParamsError
-from .stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum
+from .stats import AZ_CELLS, EL_CELLS, GRID_CELLS, PowerAngularSpectrum
 
 
 # --- time-cluster partitioning ---------------------------------------------
@@ -86,9 +87,6 @@ def cluster_delay_samples(delays_ns: np.ndarray, starts: np.ndarray, mti_ns: flo
 
 # --- spatial-lobe extraction -------------------------------------------------
 
-GRID_CELLS = AZ_CELLS * EL_CELLS
-
-
 @dataclass
 class Lobe:
     index: int
@@ -102,116 +100,80 @@ class Lobe:
 
 @dataclass
 class LobeSet:
-    lobes: list
-    slt_db: float
+    """The spatial lobes of every spectrum of a PowerAngularSpectrum.
 
-    @property
-    def num_lobes(self) -> int:
-        return len(self.lobes)
-
-
-@dataclass
-class SpectrumBlock:
-    """Many sparse angular spectra held as one.
-
-    `keys` holds the sorted occupied cells of every spectrum as
-    spectrum * GRID_CELLS + flat cell (`PowerAngularSpectrum.cell_index`),
-    so that no two spectra share a key and no neighbour of a cell lies in
-    another spectrum; `power_mw` holds the summed power of each key.
+    `counts` holds the lobes of each spectrum, in key order. `lobes`
+    holds them one spectrum after another, each spectrum's strongest
+    first, ties in the order of their first cell, with power-weighted
+    mean directions; `Lobe.index` numbers a spectrum's lobes from 1.
+    It is worked out when first read.
     """
 
-    keys: np.ndarray      # (k,) int64, sorted
-    power_mw: np.ndarray  # (k,) float64
-
-    @classmethod
-    def from_deposits(cls, spectrum, cells, power_mw) -> "SpectrumBlock":
-        """Sum the power deposited in each (spectrum, flat cell), in the
-        order given from 0.0, as `build_pas` sums a drop's subpaths."""
-        keys, inverse = np.unique(spectrum * GRID_CELLS + cells, return_inverse=True)
-        power = np.zeros(len(keys))
-        np.add.at(power, inverse, power_mw)
-        return cls(keys=keys, power_mw=power)
-
-
-@dataclass
-class LobeCounts:
-    counts: np.ndarray  # (num_spectra,) int64, lobes of each spectrum in key order
+    counts: np.ndarray  # (num_spectra,) int64
     slt_db: float
+    pas: PowerAngularSpectrum = field(repr=False)
+    kept: np.ndarray = field(repr=False)   # (k,) bool, the cells that join a lobe
+    first: np.ndarray = field(repr=False)  # for each kept cell, the first kept cell of its lobe
 
     @property
     def num_lobes(self) -> int:
         """Lobes of all spectra together."""
         return int(self.counts.sum())
 
+    @cached_property
+    def lobes(self) -> list:
+        if not self.kept.any():  # a positive or NaN threshold keeps no cell
+            return []
+        power = self.pas.power_mw[self.kept]
+        az, el = (a[self.kept] for a in self.pas.angles())
+        spectrum = (self.pas.cells[self.kept] // GRID_CELLS).tolist()
+        cells = np.column_stack((az, el))
+        az_deg = az.astype(float)
+        el_deg = el.astype(float)
+        component = np.unique(self.first, return_inverse=True)[1]
+        order = np.argsort(component, kind="stable")
+        lobes = []
+        for members in np.split(order, np.flatnonzero(np.diff(component[order])) + 1):
+            powers = power[members]
+            total = powers.sum()
+            peak_cell = cells[members[np.argmax(powers)]]
+            lobes.append((spectrum[members[0]], Lobe(
+                index=0,
+                cells=cells[members],
+                peak_az_deg=int(peak_cell[0]),
+                peak_el_deg=int(peak_cell[1]),
+                power_mw=float(total),
+                mean_az_deg=_circular_mean_deg(az_deg[members], powers),
+                mean_el_deg=float(np.dot(powers, el_deg[members]) / total),
+            )))
+        lobes.sort(key=lambda pair: (pair[0], -pair[1].power_mw))
+        rank: dict = {}
+        for k, lobe in lobes:
+            lobe.index = rank[k] = rank.get(k, 0) + 1
+        return [lobe for _, lobe in lobes]
 
-def extract_spatial_lobes(pas: PowerAngularSpectrum | SpectrumBlock,
-                          slt_db: float = -10.0) -> LobeSet | LobeCounts:
+
+def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> LobeSet:
     """Find spatial lobes: connected regions above the lobe threshold.
 
     Cells with power within `slt_db` of their spectrum's peak are kept
     and grouped by 4-neighborhood adjacency (azimuth wraps, elevation
-    does not); a cell without power never joins a lobe.
-
-    `pas` is either one PowerAngularSpectrum, whose lobes are returned
-    as a LobeSet, strongest first, ties in the order of their first
-    cell, with power-weighted mean directions; or a SpectrumBlock, such
-    as all spectra of one side of a file, whose lobe counts are returned
-    per spectrum as LobeCounts. Both are labelled by one pass over the
-    kept cells of every spectrum at once.
+    does not); a cell without power never joins a lobe. One pass labels
+    the kept cells of every spectrum of `pas` at once.
     """
-    if isinstance(pas, SpectrumBlock):
-        starts, kept, first = _label_lobes(pas.keys, pas.power_mw, slt_db)
-        is_first = np.zeros(len(pas.keys), dtype=np.int64)
-        is_first[np.flatnonzero(kept)[first == np.arange(len(first))]] = 1
-        return LobeCounts(np.add.reduceat(is_first, starts), slt_db)
-    if not np.isfinite(pas.power_mw).all():  # inf power would make the mean directions NaN
+    keys, power = pas.cells, pas.power_mw
+    if not np.isfinite(power).all():  # inf power would make the mean directions NaN
         raise InvalidParamsError("spectrum power must be finite")
-    _, kept, first = _label_lobes(pas.cells, pas.power_mw, slt_db)
-    if not kept.any():  # a positive or NaN threshold keeps no cell
-        return LobeSet(lobes=[], slt_db=slt_db)
-    power = pas.power_mw[kept]
-    az, el = (a[kept] for a in pas.angles())
-
-    cells = np.column_stack((az, el))
-    az_deg = az.astype(float)
-    el_deg = el.astype(float)
-    component = np.unique(first, return_inverse=True)[1]
-    order = np.argsort(component, kind="stable")
-    lobes = []
-    for members in np.split(order, np.flatnonzero(np.diff(component[order])) + 1):
-        powers = power[members]
-        total = powers.sum()
-        peak_cell = cells[members[np.argmax(powers)]]
-        lobes.append(Lobe(
-            index=0,
-            cells=cells[members],
-            peak_az_deg=int(peak_cell[0]),
-            peak_el_deg=int(peak_cell[1]),
-            power_mw=float(total),
-            mean_az_deg=_circular_mean_deg(az_deg[members], powers),
-            mean_el_deg=float(np.dot(powers, el_deg[members]) / total),
-        ))
-    lobes.sort(key=lambda l: l.power_mw, reverse=True)
-    for i, lobe in enumerate(lobes):
-        lobe.index = i + 1
-    return LobeSet(lobes=lobes, slt_db=slt_db)
-
-
-def _label_lobes(keys: np.ndarray, power_mw: np.ndarray, slt_db: float) -> tuple:
-    """Threshold and label the lobes of the spectra in sorted `keys`.
-
-    Returns (starts, kept, first): the index of each spectrum's first
-    key, the mask of keys within `slt_db` of their spectrum's peak with
-    power, and for each kept key the index, among the kept, of the first
-    kept key of its lobe.
-    """
     starts = np.flatnonzero(np.diff(keys // GRID_CELLS, prepend=-1))
-    peak = np.maximum.reduceat(power_mw, starts)
+    peak = np.maximum.reduceat(power, starts)
     if not len(keys) or not (peak > 0).all():
         raise InvalidParamsError("spectrum has no power")
     threshold = np.repeat(peak * 10.0 ** (slt_db / 10.0), np.diff(starts, append=len(keys)))
-    kept = (power_mw >= threshold) & (power_mw > 0)
-    return starts, kept, _first_of_component(keys[kept])
+    kept = (power >= threshold) & (power > 0)
+    first = _first_of_component(keys[kept])
+    is_first = np.zeros(len(keys), dtype=np.int64)
+    is_first[np.flatnonzero(kept)[first == np.arange(len(first))]] = 1
+    return LobeSet(np.add.reduceat(is_first, starts), slt_db, pas, kept, first)
 
 
 def _first_of_component(keys: np.ndarray) -> np.ndarray:

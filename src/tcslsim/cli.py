@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    SpectrumBlock,
     cluster_delay_samples,
     compare_distributions,
     extract_spatial_lobes,
@@ -33,6 +32,7 @@ from .scenario import (
     DEFAULT_MTI_NS,
     Scenario,
     SimConfig,
+    numbered_lines,
     params_table,
     parse_override_file,
 )
@@ -201,7 +201,7 @@ def _cmd_analyze(args) -> int:
 # types, and the bounds their values must keep
 PDP_COLUMNS = {"drop_id": int, "excess_delay_ns": float, "power_mw": float}
 PAS_COLUMNS = {"drop_id": int, "side": str, "az_deg": int, "el_deg": int, "power_mw": float}
-PAS_BOUNDS = {"el_deg": (-90, 90)}
+PAS_BOUNDS = {"el_deg": (-90, 90), "power_mw": (0.0, math.inf)}
 
 # np.loadtxt types of the columns; a fixed-width str field cuts a longer
 # str, which goes to the row walk
@@ -276,34 +276,34 @@ def _csv_rows(path: Path, columns: dict, bounds: dict):
     an exported CSV file.
 
     `columns` maps each column name to the type of its values, int,
-    float or str; floats must be finite, and an int column named in
+    float or str; floats must be finite, and a number column named in
     `bounds` must lie within its (low, high). Raises ValueError naming
-    the file and line when the header lacks one of `columns`, a row has
-    another field count than the header, or a value does not convert or
-    lies out of bounds.
+    the file and line when a byte is not UTF-8, the header lacks one of
+    `columns`, a row has another field count than the header, or a value
+    does not convert or lies out of bounds.
     """
     converters = [_finite_float if kind is float else kind for kind in columns.values()]
     checks = [(list(columns).index(name), name, low, high)
               for name, (low, high) in bounds.items()]
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise ValueError(f"{path}:1: header lacks column(s) {', '.join(missing)}")
-        pick = operator.itemgetter(*map(header.index, columns))
-        for lineno, line in enumerate(fh, start=2):
-            row = line.strip().split(",")
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            fields = pick(row)
-            try:
-                values = [convert(field) for convert, field in zip(converters, fields)]
-            except ValueError:
-                raise _bad_value(path, lineno, columns, converters, fields) from None
-            for i, name, low, high in checks:
-                if not low <= values[i] <= high:
-                    raise ValueError(f"{path}:{lineno}: {name} {values[i]} outside {low}..{high}")
-            yield lineno, values
+    lines = numbered_lines(path)
+    header = next(lines, (1, ""))[1].strip().split(",")
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise ValueError(f"{path}:1: header lacks column(s) {', '.join(missing)}")
+    pick = operator.itemgetter(*map(header.index, columns))
+    for lineno, line in lines:
+        row = line.strip().split(",")
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        fields = pick(row)
+        try:
+            values = [convert(field) for convert, field in zip(converters, fields)]
+        except ValueError:
+            raise _bad_value(path, lineno, columns, converters, fields) from None
+        for i, name, low, high in checks:
+            if not low <= values[i] <= high:
+                raise ValueError(f"{path}:{lineno}: {name} {values[i]} outside {low}..{high}")
+        yield lineno, values
 
 
 def _finite_float(text: str) -> float:
@@ -365,8 +365,8 @@ def _analyze_pas(path: Path, slt_db: float) -> dict:
     lobe_counts = {}
     for name in sorted(set(side.tolist())):
         rows = side == name
-        block = SpectrumBlock.from_deposits(drop[rows], cells[rows], power[rows])
-        lobe_counts[name] = extract_spatial_lobes(block, slt_db).counts
+        pas = PowerAngularSpectrum.from_deposits(name, drop[rows], cells[rows], power[rows])
+        lobe_counts[name] = extract_spatial_lobes(pas, slt_db).counts
     return {
         "slt_db": slt_db,
         "lobe_counts": {

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import PurePath
@@ -277,18 +278,32 @@ def _coerce_field(key: str, raw: object):
     return value
 
 
+# what errors="surrogateescape" decodes each byte that is not UTF-8 to
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def numbered_lines(path):
+    """Yield (line number from 1, line) for each line of a UTF-8 text
+    file; raise ValueError naming the line of a byte that is not UTF-8."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            bad = not line.isascii() and _UNDECODED.search(line)
+            if bad:
+                raise ValueError(f"{path}:{lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8")
+            yield lineno, line
+
+
 def parse_override_file(path) -> dict[str, str]:
     """Read `key = value` lines; '#' starts a comment, blank lines ignored."""
     overrides: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, value = text.split("=", 1)
-            overrides[key.strip()] = value.strip()
+    for lineno, line in numbered_lines(path):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
+        key, value = text.split("=", 1)
+        overrides[key.strip()] = value.strip()
     return overrides
 
 

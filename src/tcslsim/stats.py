@@ -1,5 +1,8 @@
 """Secondary channel statistics: angular spectra and spreads.
 
+A `PowerAngularSpectrum` holds sparse angular spectra of one side: one
+drop's (`build_pas`), or every drop's of an exported file.
+
 Each spread is an elementwise part (squared delays, unit phasors) and a
 per-profile part of dot products and scalar arithmetic (`_delay_spread`,
 `_angular_spread`). `drop_metrics` runs the first once over a block of
@@ -19,24 +22,35 @@ from .generate import ChannelDrop, excess_delays
 
 AZ_CELLS = 360
 EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
+GRID_CELLS = AZ_CELLS * EL_CELLS
 METRIC_NAMES = ("rms_ds_ns", "as_aod_az_deg", "as_aod_el_deg", "as_aoa_az_deg", "as_aoa_el_deg")
 
 
 @dataclass
 class PowerAngularSpectrum:
-    """Power on the occupied cells of a 1-degree azimuth x elevation grid.
+    """Power on the occupied cells of 1-degree azimuth x elevation
+    grids, one grid per spectrum.
 
-    `cells` holds the sorted flat indices az * EL_CELLS + (el + 90) of
-    the cells that received power, for azimuth az in 0..359 and
-    elevation el in -90..90 degrees, and `power_mw` the summed power of
-    each; every other cell holds none. Azimuth wraps circularly,
-    elevation does not. `cell_index` and `angles` convert between the
-    two.
+    `cells` holds the sorted keys spectrum * GRID_CELLS + az * EL_CELLS
+    + (el + 90) of the cells that received power, for azimuth az in
+    0..359 and elevation el in -90..90 degrees, and `power_mw` the
+    summed power of each; every other cell holds none. One spectrum is
+    spectrum 0, its keys the flat cells of `cell_index`. Azimuth wraps
+    circularly, elevation does not.
     """
 
     side: str
-    cells: np.ndarray     # (k,) int64, sorted flat cell indices
+    cells: np.ndarray     # (k,) int64, sorted keys
     power_mw: np.ndarray  # (k,) float64, mW per cell
+
+    @classmethod
+    def from_deposits(cls, side: str, spectrum, cells, power_mw) -> "PowerAngularSpectrum":
+        """Sum the power deposited in each (spectrum, flat cell) in the
+        order given, from 0.0. A sum that overflows is inf, of which
+        np.bincount, unlike np.add.at, does not warn."""
+        keys, inverse = np.unique(spectrum * GRID_CELLS + cells, return_inverse=True)
+        power = np.bincount(inverse, weights=power_mw, minlength=len(keys))
+        return cls(side=side, cells=keys, power_mw=power)
 
     @staticmethod
     def cell_index(az_deg, el_deg):
@@ -46,7 +60,7 @@ class PowerAngularSpectrum:
 
     def angles(self) -> tuple:
         """Whole-degree (azimuth, elevation) int64 arrays of the cells."""
-        az, el_idx = np.divmod(self.cells, EL_CELLS)
+        az, el_idx = np.divmod(self.cells % GRID_CELLS, EL_CELLS)
         return az, el_idx - 90
 
 
@@ -82,10 +96,7 @@ def build_pas(drop: ChannelDrop, side: str) -> PowerAngularSpectrum:
     el = getattr(drop, f"{side}_el_deg")
     flat = PowerAngularSpectrum.cell_index(np.rint(az).astype(np.int64),
                                           np.clip(np.rint(el).astype(np.int64), -90, 90))
-    cells, inverse = np.unique(flat, return_inverse=True)
-    power = np.zeros(len(cells))
-    np.add.at(power, inverse, drop.powers_mw())
-    return PowerAngularSpectrum(side=side, cells=cells, power_mw=power)
+    return PowerAngularSpectrum.from_deposits(side, 0, flat, drop.powers_mw())
 
 
 def circular_angular_spread(angles_deg, powers) -> float:

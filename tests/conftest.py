@@ -99,6 +99,19 @@ def dense_grid(pas):
     return grid.reshape(AZ_CELLS, EL_CELLS)
 
 
+def spectrum_deposits(drops, side):
+    """(drop rank, flat cell, mW) of every subpath of `drops` on one
+    side, drop after drop in subpath order, each at its nearest cell."""
+    ranks, cells, powers = [], [], []
+    for rank, drop in enumerate(drops):
+        az = np.rint(getattr(drop, f"{side}_az_deg")).astype(np.int64) % AZ_CELLS
+        el = np.clip(np.rint(getattr(drop, f"{side}_el_deg")).astype(np.int64), -90, 90)
+        ranks.append(np.full(len(az), rank))
+        cells.append(az * EL_CELLS + el + 90)
+        powers.append(drop.powers_mw())
+    return tuple(map(np.concatenate, (ranks, cells, powers)))
+
+
 def _chi2_pvalue(draws, pmf, n):
     values, counts = np.unique(draws, return_counts=True)
     expected = n * np.asarray(pmf(values), dtype=float)

@@ -19,7 +19,7 @@ from tcslsim.stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum
 from tcslsim.generate import cluster_delays, sort_from_first
 from tcslsim.randcore import RandomStream, composite_subpath
 
-from conftest import composite_pmf, dense_grid, make_config
+from conftest import composite_pmf, dense_grid, make_config, spectrum_deposits
 
 
 # --- time-cluster partitioning -------------------------------------------------
@@ -181,6 +181,37 @@ def test_sparse_lobes_match_dense_labelling_on_generated_spectra(scenario_label,
     for drop in t.generate_drops(cfg, count=100):
         for side in ("aod", "aoa"):
             assert_lobes_match_dense(t.build_pas(drop, side), slt_db)
+
+
+def lobe_fields(lobe) -> tuple:
+    """A Lobe's fields, floats by their hex text."""
+    return (lobe.index, lobe.cells.tolist(), lobe.peak_az_deg, lobe.peak_el_deg,
+            *(getattr(lobe, name).hex() for name in ("power_mw", "mean_az_deg", "mean_el_deg")))
+
+
+@pytest.mark.parametrize("slt_db", [-3.0, -10.0, -30.0])
+def test_each_spectrum_of_a_set_has_the_lobes_it_has_alone(scenario_label, slt_db):
+    cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=47)
+    drops = list(t.generate_drops(cfg, count=60))
+    for side in ("aod", "aoa"):
+        rank, cells, power = spectrum_deposits(drops, side)
+        # spectra numbered 0, 3, 6, ...: counts follow the spectra present
+        got = t.extract_spatial_lobes(
+            PowerAngularSpectrum.from_deposits(side, 3 * rank, cells, power), slt_db)
+        alone = [t.extract_spatial_lobes(t.build_pas(drop, side), slt_db) for drop in drops]
+        assert got.slt_db == slt_db
+        assert got.counts.tolist() == [one.num_lobes for one in alone]
+        assert len(got.lobes) == got.num_lobes == sum(one.num_lobes for one in alone)
+        assert ([lobe_fields(lobe) for lobe in got.lobes]
+                == [lobe_fields(lobe) for one in alone for lobe in one.lobes])
+
+
+def test_a_set_of_spectra_is_refused_when_one_has_no_power_or_an_infinite_cell():
+    cells = PowerAngularSpectrum.cell_index(np.array([10, 20]), np.array([0, 0]))
+    for power, message in (([1.0, 0.0], "no power"), ([np.inf, 1.0], "must be finite")):
+        pas = PowerAngularSpectrum.from_deposits("aoa", np.array([0, 1]), cells, np.array(power))
+        with pytest.raises(InvalidParamsError, match=message):
+            t.extract_spatial_lobes(pas)
 
 
 def test_lobe_across_the_azimuth_seam_is_one_lobe():

@@ -269,3 +269,50 @@ def test_analyze_names_the_line_and_column_of_a_bad_value(tmp_path, flag, column
     assert rc == cli.EXIT_VALIDATION
     what = "an int" if column == "drop_id" else "a finite float"
     assert f"{path}:3: column {column}: {value!r} is not {what}" in err
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+def test_analyze_refuses_a_cell_whose_power_overflows_without_a_warning(tmp_path):
+    # two 1e308 deposits into one cell sum to inf
+    header, row = ANALYZE_INPUTS["--pas"]
+    path = tmp_path / "pas.csv"
+    path.write_text(f"{header}\n{row}\n0,aoa,11,5,1e308\n0,aoa,11,5,1e308\n")
+    rc, err = _analyze("--pas", path)
+    assert rc == cli.EXIT_VALIDATION
+    assert err == "error: spectrum power must be finite\n"
+
+
+@pytest.mark.parametrize("power", ["-1.0", "-1e-300", "-inf"])
+def test_analyze_refuses_a_negative_pas_power(tmp_path, power):
+    header, row = ANALYZE_INPUTS["--pas"]
+    path = tmp_path / "pas.csv"
+    path.write_text(f"{header}\n{row}\n0,aoa,11,5,{power}\n")
+    rc, err = _analyze("--pas", path)
+    assert rc == cli.EXIT_VALIDATION
+    what = ("column power_mw: '-inf' is not a finite float" if power == "-inf"
+            else f"power_mw {float(power)} outside 0.0..inf")
+    assert err == f"error: {path}:3: {what}\n"
+
+
+@pytest.mark.parametrize("flag", sorted(ANALYZE_INPUTS))
+@pytest.mark.parametrize("line", [1, 3])
+def test_analyze_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, flag, line):
+    header, row = ANALYZE_INPUTS[flag]
+    lines = [header.encode(), row.encode(), row.encode(), b"x"]  # line 4 holds a bad row
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    rc, err = _analyze(flag, path)
+    assert rc == cli.EXIT_VALIDATION
+    assert err == f"error: {path}:{line}: byte 0xff is not UTF-8\n"
+
+
+def test_generate_names_the_line_of_an_override_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "o.cfg"
+    path.write_bytes("mu_rho = 4.0  # café\n".encode() + b"# caf\xe9\nsigma_u = 2.0\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["generate", "--scenario", "28GHz-NLOS", "--override-file", str(path),
+                       "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert err.getvalue() == f"error: {path}:2: byte 0xe9 is not UTF-8\n"

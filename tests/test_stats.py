@@ -9,9 +9,15 @@ import tcslsim as t
 from tcslsim.campaign import METRIC_NAMES, run_campaign
 from tcslsim.errors import InvalidParamsError
 from tcslsim.generate import BLOCK_DROPS
-from tcslsim.stats import drop_metrics, summarize
+from tcslsim.stats import GRID_CELLS, PowerAngularSpectrum, drop_metrics, summarize
 
-from conftest import SCENARIO_LABELS, dense_grid, make_config, naive_circular_spread_deg
+from conftest import (
+    SCENARIO_LABELS,
+    dense_grid,
+    make_config,
+    naive_circular_spread_deg,
+    spectrum_deposits,
+)
 
 
 def single_path_config(label="140GHz-LOS", **kwargs):
@@ -78,6 +84,23 @@ def test_azimuth_wrap_rounds_to_cell_zero():
     drop.aoa_az_deg[0] = 359.7
     pas = t.build_pas(drop, "aoa")
     assert dense_grid(pas)[0, round(drop.aoa_el_deg[0]) + 90] > 0
+
+
+def test_deposits_by_drop_rank_hold_each_drops_spectrum_at_its_rank(scenario_label):
+    cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=43)
+    drops = list(t.generate_drops(cfg, count=60))
+    for side in ("aod", "aoa"):
+        pas = PowerAngularSpectrum.from_deposits(side, *spectrum_deposits(drops, side))
+        assert pas.side == side and (np.diff(pas.cells) > 0).all()
+        rank = pas.cells // GRID_CELLS
+        assert set(rank.tolist()) == set(range(60))
+        for k, drop in enumerate(drops):
+            alone = t.build_pas(drop, side)
+            assert pas.cells[rank == k].tolist() == (alone.cells + k * GRID_CELLS).tolist()
+            assert ([p.hex() for p in pas.power_mw[rank == k].tolist()]
+                    == [p.hex() for p in alone.power_mw.tolist()])
+            az, el = (a[rank == k] for a in pas.angles())
+            assert (az.tolist(), el.tolist()) == tuple(a.tolist() for a in alone.angles())
 
 
 def test_circular_spread_single_direction():

@@ -162,13 +162,24 @@ def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> L
     the kept cells of every spectrum of `pas` at once.
     """
     keys, power = pas.cells, pas.power_mw
-    if not np.isfinite(power).all():  # inf power would make the mean directions NaN
-        raise InvalidParamsError("spectrum power must be finite")
-    starts = np.flatnonzero(np.diff(keys // GRID_CELLS, prepend=-1))
+    spectrum = keys // GRID_CELLS
+    finite = np.isfinite(power)
+    if not finite.all():  # inf power would make the mean directions NaN
+        raise InvalidParamsError("spectrum power must be finite",
+                                 int(spectrum[np.argmin(finite)]))
+    starts = np.flatnonzero(np.diff(spectrum, prepend=-1))
     peak = np.maximum.reduceat(power, starts)
-    if not len(keys) or not (peak > 0).all():
+    if not len(keys):
         raise InvalidParamsError("spectrum has no power")
-    threshold = np.repeat(peak * 10.0 ** (slt_db / 10.0), np.diff(starts, append=len(keys)))
+    if not (peak > 0).all():
+        raise InvalidParamsError("spectrum has no power",
+                                 int(spectrum[starts[np.argmin(peak > 0)]]))
+    try:
+        ratio = 10.0 ** (slt_db / 10.0)
+    except OverflowError:  # a threshold above every finite power keeps no cell
+        ratio = math.inf
+    with np.errstate(over="ignore"):  # and so does one whose product overflows
+        threshold = np.repeat(peak * ratio, np.diff(starts, append=len(keys)))
     kept = (power >= threshold) & (power > 0)
     first = _first_of_component(keys[kept])
     is_first = np.zeros(len(keys), dtype=np.int64)

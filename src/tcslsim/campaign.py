@@ -8,6 +8,11 @@ for, in-process or in a fork-pool worker. The parent appends the
 records and writes the rows before it takes the next block, then writes
 the aggregate files, and moves every file into place only once the run
 has succeeded.
+
+The block is the unit: records come from a `DropBlock`'s per-drop
+columns and its metrics, and pdp.csv and pas.csv rows from its flat
+arrays. Only drops.jsonl builds `ChannelDrop` views, so a campaign that
+writes no per-drop file builds no per-drop object.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -25,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .generate import BLOCK_DROPS, excess_delays, generate_batch
+from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch
 from .scenario import (
     ALL_SCENARIOS,
     Scenario,
@@ -33,7 +39,7 @@ from .scenario import (
     resolved_params,
     validate_config,
 )
-from .stats import METRIC_NAMES, build_pas, drop_metrics, summarize
+from .stats import GRID_CELLS, METRIC_NAMES, build_pas, drop_metrics, summarize
 
 CSV_FLOAT = "{:.9g}"  # 9 significant digits keeps sums within 1e-9 relative
 
@@ -88,32 +94,47 @@ def config_digest(config: SimConfig) -> str:
 
 # --- per-drop and aggregate file contents -------------------------------------
 
-def _jsonl_rows(drop) -> str:
-    return json.dumps(drop.to_dict(), sort_keys=True) + "\n"
+# Each formatter takes a DropBlock (a ChannelDrop or a list of drops is
+# converted into one) and returns the text of its drops' rows, drop
+# after drop.
+
+def _jsonl_rows(drops) -> str:
+    return "".join(json.dumps(drop.to_dict(), sort_keys=True) + "\n"
+                   for drop in DropBlock.of(drops))
 
 
-def _pdp_rows(drop) -> str:
-    sizes = drop.cluster_sizes()
-    excess = excess_delays(drop.cluster_delays_ns, sizes, drop.intra_delays_ns)
-    powers = drop.powers_mw()
-    columns = zip(excess.tolist(), (drop.propagation_delay_ns + excess).tolist(),
-                  powers.tolist(), (10.0 * np.log10(powers)).tolist())
-    return "".join(f"{drop.drop_index},{cluster},{subpath},"
-                   + ",".join(map(CSV_FLOAT.format, next(columns))) + "\n"
-                   for cluster, size in enumerate(sizes.tolist(), start=1)
-                   for subpath in range(1, size + 1))
+def _pdp_rows(drops) -> str:
+    block = DropBlock.of(drops)
+    sizes = block.cluster_sizes()
+    per_drop = block.num_subpaths
+    excess = block.excess_delays_ns()
+    powers = block.powers_mw()
+    # each subpath's cluster in the block, its cluster's number in its
+    # drop and its own number in its cluster, from 1
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    first_cluster = np.repeat(block.cluster_offsets[:-1], block.num_clusters)
+    columns = zip(np.repeat(block.drop_index, per_drop).tolist(),
+                  (cluster - first_cluster[cluster] + 1).tolist(),
+                  (np.arange(len(excess)) - block.cluster_start[cluster] + 1).tolist(),
+                  *(map(CSV_FLOAT.format, c.tolist()) for c in (
+                      excess, np.repeat(block.propagation_delay_ns, per_drop) + excess,
+                      powers, 10.0 * np.log10(powers))))
+    return "".join(f"{d},{c},{k},{e},{a},{p},{db}\n" for d, c, k, e, a, p, db in columns)
 
 
-def _pas_rows(drop) -> str:
-    rows = []
-    for side in ("aod", "aoa"):
-        pas = build_pas(drop, side)
+def _pas_rows(drops) -> str:
+    block = DropBlock.of(drops)
+    rows, order = [], []
+    for rank, side in enumerate(SIDES):
+        pas = build_pas(block, side)
         occupied = pas.power_mw > 0
+        drop = pas.cells[occupied] // GRID_CELLS
         az, el = (a[occupied].tolist() for a in pas.angles())
-        prefix = f"{drop.drop_index},{side},"
-        rows.extend(f"{prefix}{a},{e},{CSV_FLOAT.format(p)}\n"
-                    for a, e, p in zip(az, el, pas.power_mw[occupied].tolist()))
-    return "".join(rows)
+        rows.extend(f"{d},{side},{a},{e},{CSV_FLOAT.format(p)}\n" for d, a, e, p in zip(
+            np.asarray(block.drop_index)[drop].tolist(), az, el, pas.power_mw[occupied].tolist()))
+        order.append(2 * drop + rank)
+    # each drop's aod rows, then its aoa rows
+    return "".join([rows[i] for i in np.argsort(np.concatenate(order), kind="stable").tolist()])
 
 
 def _summary_text(result: CampaignResult) -> str:
@@ -136,7 +157,7 @@ def _cdf_text(result: CampaignResult) -> str:
                                    result.aggregates[name].cdf_probs))
 
 
-# kind -> (file name, header, text of one drop's rows)
+# kind -> (file name, header, text of a block's rows)
 DROP_FILES = {
     "jsonl": ("drops.jsonl", "", _jsonl_rows),
     "pdp": ("pdp.csv", "drop_id,cluster_idx,subpath_idx,excess_delay_ns,absolute_delay_ns,"
@@ -196,18 +217,20 @@ def _out_dir(out_dir) -> Path:
 # --- the campaign pass --------------------------------------------------------
 
 def _record_chunk(config: SimConfig, start: int, count: int) -> tuple:
-    """Generate drops start .. start + count - 1 in one batch.
+    """Generate drops start .. start + count - 1 as one block.
 
-    Returns their DropRecords, with one `drop_metrics` call, and
-    {kind: text} of their rows in each per-drop file in `config.outputs`.
+    Returns their DropRecords, from the block's columns and one
+    `drop_metrics` call, and {kind: text} of their rows in each per-drop
+    file in `config.outputs`.
     """
-    drops = generate_batch(config, resolved_params(config), start, count)
-    texts = {kind: "".join(map(rows, drops))
+    block = generate_batch(config, resolved_params(config), start, count)
+    texts = {kind: rows(block)
              for kind, (_, _, rows) in DROP_FILES.items() if kind in config.outputs}
-    metrics = drop_metrics(drops)
-    records = [DropRecord(drop.drop_index, drop.distance_m, drop.link.rx_power_dbm,
-                          drop.num_clusters, drop.num_subpaths, *values)
-               for drop, *values in zip(drops, *(metrics[name] for name in METRIC_NAMES))]
+    metrics = drop_metrics(block)
+    records = list(map(DropRecord, block.drop_index, block.distance_m,
+                       [link.rx_power_dbm for link in block.link],
+                       block.num_clusters.tolist(), block.num_subpaths.tolist(),
+                       *(metrics[name] for name in METRIC_NAMES)))
     return records, texts
 
 
@@ -258,15 +281,18 @@ def emit_outputs(result: CampaignResult, drops, out_dir=None, outputs=None) -> d
     """Write the requested files of a finished campaign; returns {kind: path}.
 
     `drops` is an iterable of the campaign's drops in index order; the
-    per-drop files are written in one pass over it with the row
-    formatters `run_campaign` uses, so the bytes are the same.
+    per-drop files are written in one pass over it, BLOCK_DROPS drops
+    at a time, with the row formatters `run_campaign` uses, so the bytes
+    are the same.
     """
     outputs = result.config.outputs if outputs is None else outputs
+    drops = iter(drops)
     with _staged_files(_out_dir(out_dir or result.config.out_dir), outputs) as (files, paths):
-        for drop in drops:
+        while chunk := list(itertools.islice(drops, BLOCK_DROPS)):
+            block = DropBlock.of(chunk)
             for kind, (_, _, rows) in DROP_FILES.items():
                 if kind in files:
-                    files[kind].write(rows(drop))
+                    files[kind].write(rows(block))
         _write_result_files(files, result)
     return paths
 

@@ -26,7 +26,7 @@ from .analysis import (
     partition_time_clusters,
 )
 from .campaign import REPRODUCE_SEED, reproduce_report, run_campaign
-from .errors import ChannelSimError, ConfigValidationError
+from .errors import ChannelSimError, ConfigValidationError, InvalidParamsError
 from .scenario import (
     ALL_SCENARIOS,
     DEFAULT_MTI_NS,
@@ -360,13 +360,16 @@ def _analyze_pas(path: Path, slt_db: float) -> dict:
     spectra are summed and labelled at once.
     """
     drop_id, side, az, el, power = _read_csv(path, PAS_COLUMNS, PAS_BOUNDS)
-    drop = np.unique(drop_id, return_inverse=True)[1]
+    ids, drop = np.unique(drop_id, return_inverse=True)
     cells = np.asarray(PowerAngularSpectrum.cell_index(az, el), dtype=np.int64)
     lobe_counts = {}
     for name in sorted(set(side.tolist())):
         rows = side == name
         pas = PowerAngularSpectrum.from_deposits(name, drop[rows], cells[rows], power[rows])
-        lobe_counts[name] = extract_spatial_lobes(pas, slt_db).counts
+        try:
+            lobe_counts[name] = extract_spatial_lobes(pas, slt_db).counts
+        except InvalidParamsError as exc:  # spectrum k is the k-th smallest drop_id's
+            raise ValueError(f"{path}: drop_id {ids[exc.spectrum]}, side {name}: {exc}") from None
     return {
         "slt_db": slt_db,
         "lobe_counts": {

@@ -25,4 +25,12 @@ class ConfigValidationError(ChannelSimError):
 class InvalidParamsError(ChannelSimError, ValueError):
     """An argument outside what a function accepts: a frequency or
     distance outside the model, or samples, profiles and spectra that
-    are empty, powerless or too few."""
+    are empty, powerless or too few.
+
+    `spectrum` is the number of the spectrum that `extract_spatial_lobes`
+    refused, else None.
+    """
+
+    def __init__(self, message: str, spectrum: int | None = None):
+        super().__init__(message)
+        self.spectrum = spectrum

@@ -16,12 +16,19 @@ CDF inversions over the whole block:
     3. per subpath and per lobe: intra_delay, subpath_power, phase,
        lobe_angle (two per lobe) and angle_offset (six per subpath).
 
-Per-subpath quantities are stored as flat arrays, clusters one after
-another; `cluster_start` marks where each cluster begins. Powers are
-stored only as fractions of the total received power. The fractions
-never touch the link budget, so delay- and angle-spread statistics
-computed from them are bit-identical across transmit power and distance
-changes; the mW values are derived.
+The block is the unit: `generate_batch` returns a `DropBlock`, whose
+per-cluster and per-subpath quantities are flat arrays over the whole
+block, drops one after another, clusters one after another within a
+drop; `cluster_start` marks where each cluster begins and per-drop
+offsets where each drop does. Metrics and the per-drop files read those
+arrays directly. A `ChannelDrop` is a view of one drop of a block,
+built only when it is asked for (`block[i]`, iteration,
+`generate_drop`).
+
+Powers are stored only as fractions of the total received power. The
+fractions never touch the link budget, so delay- and angle-spread
+statistics computed from them are bit-identical across transmit power
+and distance changes; the mW values are derived.
 """
 
 from __future__ import annotations
@@ -50,11 +57,15 @@ from .scenario import Scenario, ScenarioParams, SimConfig, resolved_params, vali
 # its per-call cost thin, few enough to bound memory whatever the run size.
 BLOCK_DROPS = 256
 
+SIDES = ("aod", "aoa")
+
 # Per-subpath fields stored under the same name in each JSON cluster;
 # `power_fractions` is stored as `subpath_power_fraction`, next to the
 # derived `subpath_power_mw`.
 _SUBPATH_ARRAYS = ("intra_delays_ns", "phase_rad", "aod_az_deg", "aod_el_deg",
                    "aoa_az_deg", "aoa_el_deg", "aod_lobe_index", "aoa_lobe_index")
+_PER_SUBPATH = ("power_fractions", *_SUBPATH_ARRAYS)
+_PER_CLUSTER = ("cluster_delays_ns", "cluster_power_fractions")
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,8 @@ class SpatialLobe:
 
 @dataclass
 class ChannelDrop:
-    """One realization of the omnidirectional channel.
+    """One realization of the omnidirectional channel: a view of one drop
+    of a `DropBlock`, built when it is asked for.
 
     Per-subpath arrays hold one entry per subpath, cluster 1's subpaths
     first, then cluster 2's, and so on; within a cluster, subpaths are in
@@ -157,6 +169,143 @@ class ChannelDrop:
             ],
             "clusters": clusters,
         }
+
+
+@dataclass
+class DropBlock:
+    """Consecutive drops as flat arrays: the unit that generation,
+    metrics and the per-drop files work on.
+
+    Per-cluster and per-subpath arrays hold the block's clusters and
+    subpaths drop after drop, each drop's laid out as in `ChannelDrop`
+    and named alike; `cluster_start` indexes the block's subpaths.
+    Drop d's share runs from `cluster_offsets[d]`, `subpath_offsets[d]`
+    and `lobe_offsets[side][d]` to the next entry; each ends in the
+    block's total. Per-drop columns are lists. `block[d]` and iteration
+    build `ChannelDrop` views, whose arrays are slices of the block's,
+    only when asked for.
+    """
+
+    scenario: Scenario
+    master_seed: int
+    # per drop
+    drop_index: list
+    distance_m: list
+    link: list                           # LinkBudget of each drop
+    cluster_offsets: np.ndarray          # (drops + 1,)
+    subpath_offsets: np.ndarray          # (drops + 1,)
+    # per lobe, each side's lobes drop after drop; keyed 'aod', 'aoa'
+    lobe_offsets: dict                   # (drops + 1,) each
+    lobe_az_deg: dict
+    lobe_el_deg: dict
+    # per cluster
+    cluster_start: np.ndarray            # index of the cluster's first subpath in the block
+    cluster_delays_ns: np.ndarray
+    cluster_power_fractions: np.ndarray
+    # per subpath
+    intra_delays_ns: np.ndarray
+    power_fractions: np.ndarray
+    phase_rad: np.ndarray
+    aod_az_deg: np.ndarray
+    aod_el_deg: np.ndarray
+    aoa_az_deg: np.ndarray
+    aoa_el_deg: np.ndarray
+    aod_lobe_index: np.ndarray
+    aoa_lobe_index: np.ndarray
+
+    @classmethod
+    def of(cls, drops) -> "DropBlock":
+        """`drops` as a block: a DropBlock as it is, a ChannelDrop as a
+        block of one, an iterable of drops with their arrays joined."""
+        if isinstance(drops, DropBlock):
+            return drops
+        drops = [drops] if isinstance(drops, ChannelDrop) else list(drops)
+        subpaths = _offsets([drop.num_subpaths for drop in drops])
+        clusters = [drop.num_clusters for drop in drops]
+        lobes = {side: [lobe for drop in drops for lobe in getattr(drop, f"{side}_lobes")]
+                 for side in SIDES}
+        return cls(
+            scenario=drops[0].scenario,
+            master_seed=drops[0].master_seed,
+            drop_index=[drop.drop_index for drop in drops],
+            distance_m=[drop.distance_m for drop in drops],
+            link=[drop.link for drop in drops],
+            cluster_offsets=_offsets(clusters),
+            subpath_offsets=subpaths,
+            lobe_offsets={side: _offsets([len(getattr(drop, f"{side}_lobes")) for drop in drops])
+                          for side in SIDES},
+            lobe_az_deg={side: np.array([lobe.mean_az_deg for lobe in lobes[side]], dtype=float)
+                         for side in SIDES},
+            lobe_el_deg={side: np.array([lobe.mean_el_deg for lobe in lobes[side]], dtype=float)
+                         for side in SIDES},
+            cluster_start=np.repeat(subpaths[:-1], clusters)
+            + np.concatenate([drop.cluster_start for drop in drops]),
+            **{name: np.concatenate([getattr(drop, name) for drop in drops])
+               for name in (*_PER_CLUSTER, *_PER_SUBPATH)},
+        )
+
+    def __len__(self) -> int:
+        return len(self.drop_index)
+
+    def __iter__(self) -> Iterator[ChannelDrop]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, d: int) -> ChannelDrop:
+        d = range(len(self))[d]
+        c = slice(*self.cluster_offsets[d:d + 2].tolist())
+        p = slice(*self.subpath_offsets[d:d + 2].tolist())
+        return ChannelDrop(
+            scenario=self.scenario,
+            distance_m=self.distance_m[d],
+            link=self.link[d],
+            aod_lobes=self._lobes("aod", d),
+            aoa_lobes=self._lobes("aoa", d),
+            master_seed=self.master_seed,
+            drop_index=self.drop_index[d],
+            cluster_start=self.cluster_start[c] - p.start,
+            **{name: getattr(self, name)[c] for name in _PER_CLUSTER},
+            **{name: getattr(self, name)[p] for name in _PER_SUBPATH},
+        )
+
+    def _lobes(self, side: str, d: int) -> list:
+        a, b = self.lobe_offsets[side][d:d + 2].tolist()
+        means = zip(self.lobe_az_deg[side][a:b].tolist(), self.lobe_el_deg[side][a:b].tolist())
+        return [SpatialLobe(side, i, az, el) for i, (az, el) in enumerate(means, start=1)]
+
+    @property
+    def num_clusters(self) -> np.ndarray:
+        """Clusters of each drop."""
+        return np.diff(self.cluster_offsets)
+
+    @property
+    def num_subpaths(self) -> np.ndarray:
+        """Subpaths of each drop."""
+        return np.diff(self.subpath_offsets)
+
+    @property
+    def propagation_delay_ns(self) -> np.ndarray:
+        """First-arrival time of each drop, as `ChannelDrop.propagation_delay_ns`."""
+        return np.array(self.distance_m) / SPEED_OF_LIGHT_M_PER_NS
+
+    def subpath_drops(self) -> np.ndarray:
+        """Each subpath's drop, by its position in the block."""
+        return np.repeat(np.arange(len(self)), self.num_subpaths)
+
+    def cluster_sizes(self) -> np.ndarray:
+        return np.append(self.cluster_start[1:], self.subpath_offsets[-1]) - self.cluster_start
+
+    def excess_delays_ns(self) -> np.ndarray:
+        return excess_delays(self.cluster_delays_ns, self.cluster_sizes(), self.intra_delays_ns)
+
+    def powers_mw(self) -> np.ndarray:
+        rx_mw = np.array([link.rx_power_mw for link in self.link])
+        return self.power_fractions * np.repeat(rx_mw, self.num_subpaths)
+
+
+def _offsets(lengths) -> np.ndarray:
+    """Where each of segments of `lengths` laid end to end begins, and
+    their total."""
+    return np.append(0, np.cumsum(lengths, dtype=np.int64))
 
 
 def excess_delays(cluster_delays_ns, cluster_sizes, intra_delays_ns) -> np.ndarray:
@@ -261,10 +410,10 @@ def _stage_uniforms(master_seed: int, drops: range, layout: dict) -> list:
 
 
 def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
-                   count: int) -> list:
-    """Generate drops `start` to `start + count - 1` at once. Each drop
-    reads only its own streams, from position 0, so it is the same in
-    any block."""
+                   count: int) -> DropBlock:
+    """Generate drops `start` to `start + count - 1` at once, as one
+    block. Each drop reads only its own streams, from position 0, so it
+    is the same in any block."""
     seed = config.master_seed
     drops = range(start, start + count)
 
@@ -285,7 +434,6 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
         seed, drops, {"num_subpaths": [n_clusters], "cluster_delay": [n_clusters],
                       "cluster_power": [n_clusters]})
     sizes = composite_subpath(u_sizes, params.beta_s, params.mu_s)
-    cluster_slices = _slices(n_clusters)
     n_subpaths = np.add.reduceat(sizes, np.cumsum(n_clusters) - n_clusters)
 
     # stage 3: per-subpath and per-lobe draws. lobe_angle holds a drop's
@@ -316,7 +464,7 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
 
     z_db = normal(u_cluster_power, 0.0, params.sigma_z)
     raw = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
-    cluster_frac = raw / _segment_sums(raw, cluster_slices)[drop_of_cluster]
+    cluster_frac = raw / _segment_sums(raw, _slices(n_clusters))[drop_of_cluster]
 
     u_db = normal(u_subpath_power, 0.0, params.sigma_u)
     raw = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
@@ -330,11 +478,10 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
     # each subpath picks a lobe of its drop per side and is scattered
     # around the lobe mean: azimuths wrap modulo 360, elevations clamp
     drop_of_subpath, _ = _ragged(n_subpaths)
-    lobes = {}
+    lobe_offsets, lobe_az, lobe_el = {}, {}, {}
     for k, (side, counts) in enumerate(lobe_counts.items()):
         az, el = lobe_mean_angles(params, side, counts, u_lobe[2 * k], u_lobe[2 * k + 1])
-        number = (_ragged(counts)[1] + 1).tolist()
-        lobes[side] = [SpatialLobe(side, *lobe) for lobe in zip(number, az.tolist(), el.tolist())]
+        lobe_offsets[side], lobe_az[side], lobe_el[side] = _offsets(counts), az, el
         span = counts[drop_of_subpath]
         index = 1 + np.minimum((u_offset[k] * span).astype(np.int64), span - 1)
         lobe = (np.cumsum(counts) - counts)[drop_of_subpath] + index - 1
@@ -344,31 +491,33 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
         subpath[f"{side}_az_deg"] = (az[lobe] + d_az) % 360.0
         subpath[f"{side}_el_deg"] = np.clip(el[lobe] + d_el, -90.0, 90.0)
 
-    out = []
-    per_drop = zip(cluster_slices, _slices(n_subpaths), _slices(l_aod), _slices(l_aoa))
-    for d, (c, p, a, b) in enumerate(per_drop):
-        out.append(ChannelDrop(
-            scenario=config.scenario,
-            distance_m=distances[d],
-            link=link_budget(config, params, shadow_db[d], distances[d]),
-            aod_lobes=lobes["aod"][a],
-            aoa_lobes=lobes["aoa"][b],
-            master_seed=seed,
-            drop_index=start + d,
-            cluster_start=cluster_start[c] - p.start,
-            cluster_delays_ns=tau[c],
-            cluster_power_fractions=cluster_frac[c],
-            **{name: values[p] for name, values in subpath.items()},
-        ))
-    return out
+    return DropBlock(
+        scenario=config.scenario,
+        master_seed=seed,
+        drop_index=list(drops),
+        distance_m=distances,
+        link=[link_budget(config, params, shadow, distance)
+              for shadow, distance in zip(shadow_db, distances)],
+        cluster_offsets=_offsets(n_clusters),
+        subpath_offsets=_offsets(n_subpaths),
+        lobe_offsets=lobe_offsets,
+        lobe_az_deg=lobe_az,
+        lobe_el_deg=lobe_el,
+        cluster_start=cluster_start,
+        cluster_delays_ns=tau,
+        cluster_power_fractions=cluster_frac,
+        **subpath,
+    )
 
 
 def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
                   drop_index: int = 0) -> ChannelDrop:
-    """Run the full generation sequence for one drop: a block of one.
+    """Run the full generation sequence for one drop: the view of a
+    block of one.
 
     One call pays a whole block's set-up, about 20 times the per-drop
-    cost of `generate_drops`; loop over that, not over this.
+    cost of `generate_drops`; loop over that, or take the blocks of
+    `generate_batch`, not over this.
     """
     config = validate_config(config)
     if params is None:
@@ -379,7 +528,8 @@ def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
 def generate_drops(config: SimConfig, params: ScenarioParams | None = None,
                    start: int = 0, count: int | None = None) -> Iterator[ChannelDrop]:
     """Drops for consecutive drop indices, generated BLOCK_DROPS at a time
-    as the iterator is read; the config is checked at the call."""
+    as the iterator is read, each a view of its block; the config is
+    checked at the call."""
     config = validate_config(config)
     if params is None:
         params = resolved_params(config)

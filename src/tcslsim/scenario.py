@@ -22,6 +22,13 @@ from .errors import ConfigError, ConfigValidationError
 MIN_DISTANCE_M = 1.0   # close-in reference distance
 MAX_DISTANCE_M = 50.0
 
+# Transmit powers beyond any transmitter's, yet about 2,000 dB inside the
+# range of float mW on either side, so that the received power, each
+# subpath's share of it and their dB values stay positive and finite
+# whatever the path loss of the built-in tables at 1-50 m.
+MIN_TX_POWER_DBM = -1000.0
+MAX_TX_POWER_DBM = 1000.0
+
 DEFAULT_MTI_NS = 6.0   # minimum inter-cluster time void interval, indoor office
 
 
@@ -382,6 +389,10 @@ def validate_config(config: SimConfig) -> SimConfig:
     if not _is_number(config.tx_power_dbm):
         violations.append(ConfigError(
             f"tx_power_dbm must be a finite number, got {config.tx_power_dbm!r}"))
+    elif not MIN_TX_POWER_DBM <= config.tx_power_dbm <= MAX_TX_POWER_DBM:
+        violations.append(ConfigError(
+            f"tx_power_dbm {config.tx_power_dbm!r} outside "
+            f"[{MIN_TX_POWER_DBM}, {MAX_TX_POWER_DBM}] dBm"))
 
     if not (_is_count(config.num_drops) and config.num_drops >= 1):
         violations.append(ConfigError(f"num_drops must be >= 1, got {config.num_drops!r}"))

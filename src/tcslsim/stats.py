@@ -1,13 +1,17 @@
 """Secondary channel statistics: angular spectra and spreads.
 
+The block is the unit: `build_pas` and `drop_metrics` read the flat
+arrays of a `DropBlock` (a drop, or a list of drops, is converted into
+one first) and build no per-drop object.
+
 A `PowerAngularSpectrum` holds sparse angular spectra of one side: one
-drop's (`build_pas`), or every drop's of an exported file.
+per drop of a block (`build_pas`), or one per drop of an exported file.
 
 Each spread is an elementwise part (squared delays, unit phasors) and a
 per-profile part of dot products and scalar arithmetic (`_delay_spread`,
-`_angular_spread`). `drop_metrics` runs the first once over a block of
-drops and the second on each drop's slice, with the operands and
-summation order of the single-profile functions, so bits are equal.
+`_angular_spread`). `drop_metrics` runs the first once over a block and
+the second on each drop's slice, with the operands and summation order
+of the single-profile functions, so bits are equal.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .generate import ChannelDrop, excess_delays
+from .generate import DropBlock
 
 AZ_CELLS = 360
 EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
@@ -87,16 +91,20 @@ def _delay_spread(total, weights, delays, squares) -> float:
     return math.sqrt(max(second - mean * mean, 0.0))
 
 
-def build_pas(drop: ChannelDrop, side: str) -> PowerAngularSpectrum:
-    """Deposit each subpath's power into its nearest 1-degree cell.
+def build_pas(drops, side: str) -> PowerAngularSpectrum:
+    """Deposit each subpath's power into its nearest 1-degree cell of
+    its drop's spectrum, spectrum k for the block's k-th drop.
 
-    Powers landing in one cell are summed in subpath order from 0.0.
+    `drops` is a DropBlock, a ChannelDrop or a list of drops. Powers
+    landing in one cell are summed in subpath order from 0.0.
     """
-    az = getattr(drop, f"{side}_az_deg")
-    el = getattr(drop, f"{side}_el_deg")
+    block = DropBlock.of(drops)
+    az = getattr(block, f"{side}_az_deg")
+    el = getattr(block, f"{side}_el_deg")
     flat = PowerAngularSpectrum.cell_index(np.rint(az).astype(np.int64),
                                           np.clip(np.rint(el).astype(np.int64), -90, 90))
-    return PowerAngularSpectrum.from_deposits(side, 0, flat, drop.powers_mw())
+    return PowerAngularSpectrum.from_deposits(side, block.subpath_drops(), flat,
+                                              block.powers_mw())
 
 
 def circular_angular_spread(angles_deg, powers) -> float:
@@ -130,25 +138,21 @@ def _angular_spread(total, weights, phasors) -> float:
 
 
 def drop_metrics(drops) -> dict:
-    """{METRIC_NAMES entry: one value per drop} for a block of drops (a
-    single drop is a block of one): RMS delay spread in ns, angular
-    spreads in degrees. Power fractions weight the subpaths, so no value
-    depends on transmit power or distance in any bit."""
-    def flat(name):
-        return np.concatenate([getattr(drop, name) for drop in drops])
-
-    ends = np.cumsum([drop.num_subpaths for drop in drops])
-    starts = np.append(0, ends[:-1])
-    # each cluster's first subpath in the block, then each cluster's size
-    first = np.repeat(starts, [drop.num_clusters for drop in drops]) + flat("cluster_start")
-    delays = excess_delays(flat("cluster_delays_ns"), np.append(first[1:], ends[-1]) - first,
-                           flat("intra_delays_ns"))
+    """{METRIC_NAMES entry: one value per drop} for a DropBlock (a
+    ChannelDrop or a list of drops is converted into one): RMS delay
+    spread in ns, angular spreads in degrees. Power fractions weight the
+    subpaths, so no value depends on transmit power or distance in any
+    bit."""
+    block = DropBlock.of(drops)
+    delays = block.excess_delays_ns()
     squares = delays**2
-    weights = flat("power_fractions")
+    weights = block.power_fractions
     complex_weights = weights.astype(complex)
-    phasors = [_phasors(flat(name[3:])) for name in METRIC_NAMES[1:]]  # as_aod_az_deg: aod_az_deg
+    # as_aod_az_deg: the block's aod_az_deg
+    phasors = [_phasors(getattr(block, name[3:])) for name in METRIC_NAMES[1:]]
+    bounds = block.subpath_offsets.tolist()
     rows = []
-    for a, b in zip(starts.tolist(), ends.tolist()):
+    for a, b in zip(bounds, bounds[1:]):
         total = weights[a:b].sum()
         rows.append([_delay_spread(total, weights[a:b], delays[a:b], squares[a:b]),
                      *[_angular_spread(total, complex_weights[a:b], p[a:b]) for p in phasors]])

@@ -12,12 +12,13 @@ import tcslsim as t
 from tcslsim import campaign, cli, generate
 from tcslsim.campaign import (
     CSV_FLOAT,
+    DROP_FILES,
     _pas_rows,
     config_digest,
     emit_outputs,
     run_campaign,
 )
-from tcslsim.generate import BLOCK_DROPS
+from tcslsim.generate import BLOCK_DROPS, generate_batch
 
 from conftest import make_config
 
@@ -124,6 +125,57 @@ def test_pas_writer_matches_the_dense_grid_writer(scenario_label):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=41)
     for drop in t.generate_drops(cfg, count=200):
         assert _pas_rows(drop) == dense_pas_rows(drop)
+
+
+def per_drop_pas_rows(drop) -> str:
+    """PAS rows as a per-drop writer produced them: one `build_pas` per
+    drop and side, the drop's aod rows, then its aoa rows."""
+    rows = []
+    for side in ("aod", "aoa"):
+        pas = t.build_pas(drop, side)
+        occupied = pas.power_mw > 0
+        az, el = (a[occupied].tolist() for a in pas.angles())
+        rows.extend(f"{drop.drop_index},{side},{a},{e},{CSV_FLOAT.format(p)}\n"
+                    for a, e, p in zip(az, el, pas.power_mw[occupied].tolist()))
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
+def test_block_rows_equal_the_rows_of_its_drops_one_by_one(scenario_label, distance):
+    cfg = make_config(scenario_label, distance_m=distance, master_seed=43)
+    params = t.resolved_params(cfg)
+    for start, count in ((0, BLOCK_DROPS), (BLOCK_DROPS + 5, 1)):
+        block = generate_batch(cfg, params, start, count)
+        drops = list(block)
+        assert _pas_rows(block) == "".join(map(per_drop_pas_rows, drops))
+        for kind, (_, _, rows) in DROP_FILES.items():  # each drop a block of one
+            assert rows(block) == "".join(map(rows, drops)), kind
+
+
+def count_drop_views(monkeypatch) -> list:
+    """Count the ChannelDrops constructed from here on."""
+    made = []
+
+    def counting(self, *args, _original=generate.ChannelDrop.__init__, **kwargs):
+        made.append(1)
+        _original(self, *args, **kwargs)
+
+    monkeypatch.setattr(generate.ChannelDrop, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("argv, views", [
+    (["reproduce", "--drops", "300"], 0),
+    (["generate", "--scenario", "28GHz-NLOS", "--distance", "5:45", "--drops", "300",
+      "--format", "summary,cdf,pdp,pas"], 0),
+    (["generate", "--scenario", "28GHz-NLOS", "--drops", "300", "--format", "jsonl"], 300),
+])
+def test_only_drops_jsonl_builds_per_drop_objects(tmp_path, monkeypatch, argv, views):
+    made = count_drop_views(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "generate" else []
+        assert cli.main([*argv, *out_dir]) == 0
+    assert len(made) == views
 
 
 def test_records_identical_for_one_and_two_workers(tmp_path):

@@ -279,7 +279,71 @@ def test_analyze_refuses_a_cell_whose_power_overflows_without_a_warning(tmp_path
     path.write_text(f"{header}\n{row}\n0,aoa,11,5,1e308\n0,aoa,11,5,1e308\n")
     rc, err = _analyze("--pas", path)
     assert rc == cli.EXIT_VALIDATION
-    assert err == "error: spectrum power must be finite\n"
+    assert err == f"error: {path}: drop_id 0, side aoa: spectrum power must be finite\n"
+
+
+@pytest.mark.parametrize("power, message", [
+    ("0.0", "spectrum has no power"), ("1e308", "spectrum power must be finite")])
+def test_analyze_names_the_file_side_and_drop_of_a_refused_spectrum(tmp_path, power, message):
+    # drop 7's aoa spectrum holds no power, or a cell of two 1e308
+    # deposits; its aod spectrum and drop 3's spectra are sound
+    path = tmp_path / "pas.csv"
+    path.write_text("drop_id,side,az_deg,el_deg,power_mw\n"
+                    "7,aod,10,5,1e-06\n3,aoa,10,5,1e-06\n"
+                    f"7,aoa,11,5,{power}\n7,aoa,11,5,{power}\n3,aod,10,5,1e-06\n")
+    rc, err = _analyze("--pas", path)
+    assert rc == cli.EXIT_VALIDATION
+    assert err == f"error: {path}: drop_id 7, side aoa: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+@pytest.mark.parametrize("slt_db", ["3083", "4000", "1e308"])
+def test_analyze_keeps_no_cell_under_a_threshold_above_every_peak(tmp_path, slt_db):
+    # 10 ** (slt_db / 10) overflows a float from about 3,083 dB on, and
+    # the threshold of a 1e300 mW peak from about 83 dB on
+    header, row = ANALYZE_INPUTS["--pas"]
+    path = tmp_path / "pas.csv"
+    path.write_text(f"{header}\n{row}\n1,aod,10,5,1e300\n")
+    reports = []
+    for value in (slt_db, "3000"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["analyze", "--pas", str(path), "--slt-db", value]) == 0
+        assert err.getvalue() == ""
+        reports.append(json.loads(out.getvalue())["pas"])
+    assert reports[0]["slt_db"] == float(slt_db)
+    assert reports[0]["lobe_counts"] == reports[1]["lobe_counts"] == {
+        side: {"histogram": {"0": 1}, "mean": 0.0, "num_drops": 1} for side in ("aod", "aoa")}
+
+
+@pytest.mark.parametrize("tx_power_dbm", ["4000", "-4000", "1000.5", "-1e308"])
+def test_generate_refuses_a_tx_power_outside_its_range(tmp_path, tx_power_dbm):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["generate", "--scenario", "28GHz-LOS", f"--tx-power-dbm={tx_power_dbm}",
+                       "--format", "pdp,pas,summary", "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert err.getvalue() == (f"error: tx_power_dbm {float(tx_power_dbm)!r} outside "
+                              "[-1000.0, 1000.0] dBm\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+@pytest.mark.parametrize("tx_power_dbm", ["-1000", "1000"])
+@pytest.mark.parametrize("scenario", ["28GHz-NLOS", "140GHz-LOS"])
+def test_generate_at_the_bounds_of_the_tx_power_range_warns_of_nothing(tmp_path, tx_power_dbm,
+                                                                       scenario):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["generate", "--scenario", scenario, "--distance", "1:50",
+                         "--drops", "300", "--tx-power-dbm", tx_power_dbm,
+                         "--format", "jsonl,pdp,pas,summary", "--out-dir", str(tmp_path)]) == 0
+    assert err.getvalue() == ""
+    _, _, power, _ = cli._read_csv(tmp_path / "pdp.csv", {
+        "drop_id": int, "excess_delay_ns": float, "power_mw": float, "power_dbm": float}, {})
+    assert (power > 0).all()  # and every column finite, or _read_csv refuses it
+    rows = (tmp_path / "pas.csv").read_text().splitlines()[1:]
+    assert {int(row.split(",")[0]) for row in rows} == set(range(300))
 
 
 @pytest.mark.parametrize("power", ["-1.0", "-1e-300", "-inf"])

@@ -521,6 +521,35 @@ def test_generate_batch_is_independent_of_the_block_split(label, distance):
         assert [canonical(d) for d in pieces] == reference
 
 
+@pytest.mark.parametrize("label, distance", BLOCK_CONFIGS)
+def test_a_block_has_the_length_items_and_iteration_of_its_drops(label, distance):
+    cfg = make_config(label, distance_m=distance, master_seed=35)
+    params = t.resolved_params(cfg)
+    start, count = 250, 12
+    block = generate_batch(cfg, params, start, count)
+    singles = [canonical(t.generate_drop(cfg, params, start + i)) for i in range(count)]
+    assert len(block) == count
+    assert [canonical(block[i]) for i in range(count)] == singles
+    assert [canonical(drop) for drop in block] == singles
+    assert canonical(block[-1]) == singles[-1]
+    for i in (count, -count - 1):
+        with pytest.raises(IndexError):
+            block[i]
+    assert block.num_clusters.tolist() == [drop.num_clusters for drop in block]
+    assert block.num_subpaths.tolist() == [drop.num_subpaths for drop in block]
+    # a block joined from its drops holds the same arrays and columns
+    joined = generate.DropBlock.of(list(block))
+    for name, value in vars(block).items():
+        other = vars(joined)[name]
+        if isinstance(value, dict):
+            assert value.keys() == other.keys()
+            assert all(np.array_equal(value[k], other[k]) for k in value), name
+        elif isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and np.array_equal(value, other), name
+        else:
+            assert value == other, name
+
+
 def test_generate_drops_crosses_blocks_like_single_drops():
     cfg = make_config("140GHz-NLOS", master_seed=33)
     params = t.resolved_params(cfg)

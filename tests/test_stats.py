@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import tcslsim as t
 from tcslsim.campaign import METRIC_NAMES, run_campaign
 from tcslsim.errors import InvalidParamsError
-from tcslsim.generate import BLOCK_DROPS
+from tcslsim.generate import BLOCK_DROPS, generate_batch
 from tcslsim.stats import GRID_CELLS, PowerAngularSpectrum, drop_metrics, summarize
 
 from conftest import (
@@ -225,3 +225,13 @@ def test_summarize_median_is_order_statistic(values):
     data = sorted(values)
     assert s.median == data[(len(data) - 1) // 2]
     assert s.cdf_probs[-1] == 1.0
+
+
+@pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
+def test_drop_metrics_of_a_block_equal_those_of_its_drops_in_every_bit(scenario_label, distance):
+    cfg = make_config(scenario_label, distance_m=distance, master_seed=29)
+    block = generate_batch(cfg, t.resolved_params(cfg), 40, BLOCK_DROPS)
+    of_block, of_drops = drop_metrics(block), drop_metrics(list(block))
+    for name in METRIC_NAMES:
+        assert all(type(v) is float for v in of_block[name])
+        assert [v.hex() for v in of_block[name]] == [v.hex() for v in of_drops[name]], name

@@ -19,6 +19,6 @@ from .scenario import (
     validate_config,
 )
 from .pathloss import link_budget
-from .generate import ChannelDrop, generate_drop, generate_drops
+from .generate import DropBlock, generate_batch, generate_drop, generate_drops
 from .stats import build_pas, circular_angular_spread, rms_delay_spread
 from .analysis import compare_distributions, extract_spatial_lobes

@@ -35,7 +35,7 @@ class ClusterPartition:
     """Time clusters of a delay-sorted tap list.
 
     `starts` holds the index of each cluster's first tap, ascending from
-    0, as `ChannelDrop.cluster_start` does for the subpaths of a drop:
+    0, as `DropBlock.cluster_start` does for a block of one drop:
     cluster k holds taps starts[k] up to starts[k + 1], the last cluster
     the taps from its start to the end of the profile.
     """

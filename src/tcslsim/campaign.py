@@ -10,9 +10,8 @@ the aggregate files, and moves every file into place only once the run
 has succeeded.
 
 The block is the unit: records come from a `DropBlock`'s per-drop
-columns and its metrics, and pdp.csv and pas.csv rows from its flat
-arrays. Only drops.jsonl builds `ChannelDrop` views, so a campaign that
-writes no per-drop file builds no per-drop object.
+columns and its metrics, and the drops.jsonl, pdp.csv and pas.csv rows
+from its flat arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import itertools
 import json
 import multiprocessing
 import os
@@ -94,17 +92,56 @@ def config_digest(config: SimConfig) -> str:
 
 # --- per-drop and aggregate file contents -------------------------------------
 
-# Each formatter takes a DropBlock (a ChannelDrop or a list of drops is
-# converted into one) and returns the text of its drops' rows, drop
-# after drop.
+# Each formatter takes a DropBlock and returns the text of its drops'
+# rows, drop after drop.
 
-def _jsonl_rows(drops) -> str:
-    return "".join(json.dumps(drop.to_dict(), sort_keys=True) + "\n"
-                   for drop in DropBlock.of(drops))
+# Per-subpath arrays stored under the same name in each JSON cluster
+_JSONL_SUBPATH = ("intra_delays_ns", "phase_rad", "aod_az_deg", "aod_el_deg",
+                  "aoa_az_deg", "aoa_el_deg", "aod_lobe_index", "aoa_lobe_index")
 
 
-def _pdp_rows(drops) -> str:
-    block = DropBlock.of(drops)
+def _jsonl_rows(block: DropBlock) -> str:
+    # the short cluster and lobe columns become Python lists at once,
+    # the subpath columns one drop at a time
+    subpath = {name: getattr(block, name) for name in _JSONL_SUBPATH}
+    subpath["subpath_power_mw"] = block.powers_mw()
+    subpath["subpath_power_fraction"] = block.power_fractions
+    starts = [*block.cluster_start.tolist(), int(block.subpath_offsets[-1])]
+    delays = block.cluster_delays_ns.tolist()
+    fractions = block.cluster_power_fractions.tolist()
+    first_cluster = block.cluster_offsets.tolist()
+    lobes = {side: (block.lobe_offsets[side].tolist(), block.lobe_az_deg[side].tolist(),
+                    block.lobe_el_deg[side].tolist()) for side in SIDES}
+    label = block.scenario.label()
+    rows = []
+    for d, link in enumerate(block.link):
+        a, b = first_cluster[d:d + 2]
+        p = starts[a]
+        columns = {name: values[p:starts[b]].tolist() for name, values in subpath.items()}
+        drop = {
+            "scenario": label,
+            "drop_index": block.drop_index[d],
+            "master_seed": block.master_seed,
+            "distance_m": block.distance_m[d],
+            "link": dict(vars(link)),  # every LinkBudget field
+            "clusters": [
+                {**{name: values[starts[n] - p:starts[n + 1] - p]
+                    for name, values in columns.items()},
+                 "index": n - a + 1,
+                 "excess_delay_ns": delays[n],
+                 "power_mw": fractions[n] * link.rx_power_mw,
+                 "power_fraction": fractions[n]}
+                for n in range(a, b)],
+        }
+        for side, (offsets, az, el) in lobes.items():
+            drop[f"{side}_lobes"] = [
+                {"index": i - offsets[d] + 1, "mean_az_deg": az[i], "mean_el_deg": el[i]}
+                for i in range(offsets[d], offsets[d + 1])]
+        rows.append(json.dumps(drop, sort_keys=True) + "\n")
+    return "".join(rows)
+
+
+def _pdp_rows(block: DropBlock) -> str:
     sizes = block.cluster_sizes()
     per_drop = block.num_subpaths
     excess = block.excess_delays_ns()
@@ -122,8 +159,7 @@ def _pdp_rows(drops) -> str:
     return "".join(f"{d},{c},{k},{e},{a},{p},{db}\n" for d, c, k, e, a, p, db in columns)
 
 
-def _pas_rows(drops) -> str:
-    block = DropBlock.of(drops)
+def _pas_rows(block: DropBlock) -> str:
     rows, order = [], []
     for rank, side in enumerate(SIDES):
         pas = build_pas(block, side)
@@ -277,19 +313,17 @@ def run_campaign(config: SimConfig) -> CampaignResult:
     return result
 
 
-def emit_outputs(result: CampaignResult, drops, out_dir=None, outputs=None) -> dict:
+def emit_outputs(result: CampaignResult, blocks, out_dir=None, outputs=None) -> dict:
     """Write the requested files of a finished campaign; returns {kind: path}.
 
-    `drops` is an iterable of the campaign's drops in index order; the
-    per-drop files are written in one pass over it, BLOCK_DROPS drops
-    at a time, with the row formatters `run_campaign` uses, so the bytes
-    are the same.
+    `blocks` is an iterable of `DropBlock`s holding the campaign's drops
+    in index order, such as `generate_drops` yields; the per-drop files
+    are written in one pass over it, with the row formatters
+    `run_campaign` uses, so the bytes are the same.
     """
     outputs = result.config.outputs if outputs is None else outputs
-    drops = iter(drops)
     with _staged_files(_out_dir(out_dir or result.config.out_dir), outputs) as (files, paths):
-        while chunk := list(itertools.islice(drops, BLOCK_DROPS)):
-            block = DropBlock.of(chunk)
+        for block in blocks:
             for kind, (_, _, rows) in DROP_FILES.items():
                 if kind in files:
                     files[kind].write(rows(block))

@@ -21,9 +21,7 @@ per-cluster and per-subpath quantities are flat arrays over the whole
 block, drops one after another, clusters one after another within a
 drop; `cluster_start` marks where each cluster begins and per-drop
 offsets where each drop does. Metrics and the per-drop files read those
-arrays directly. A `ChannelDrop` is a view of one drop of a block,
-built only when it is asked for (`block[i]`, iteration,
-`generate_drop`).
+arrays directly, and a single drop (`generate_drop`) is a block of one.
 
 Powers are stored only as fractions of the total received power. The
 fractions never touch the link budget, so delay- and angle-spread
@@ -39,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .pathloss import SPEED_OF_LIGHT_M_PER_NS, LinkBudget, link_budget
+from .pathloss import SPEED_OF_LIGHT_M_PER_NS, link_budget
 from .randcore import (
     composite_subpath,
     derive_keys,
@@ -59,131 +57,24 @@ BLOCK_DROPS = 256
 
 SIDES = ("aod", "aoa")
 
-# Per-subpath fields stored under the same name in each JSON cluster;
-# `power_fractions` is stored as `subpath_power_fraction`, next to the
-# derived `subpath_power_mw`.
-_SUBPATH_ARRAYS = ("intra_delays_ns", "phase_rad", "aod_az_deg", "aod_el_deg",
-                   "aoa_az_deg", "aoa_el_deg", "aod_lobe_index", "aoa_lobe_index")
-_PER_SUBPATH = ("power_fractions", *_SUBPATH_ARRAYS)
-_PER_CLUSTER = ("cluster_delays_ns", "cluster_power_fractions")
-
-
-@dataclass(frozen=True)
-class SpatialLobe:
-    """A main direction of departure or arrival."""
-
-    side: str            # 'aod' or 'aoa'
-    index: int           # 1-based lobe number
-    mean_az_deg: float   # within the lobe's sector [360(i-1)/L, 360i/L)
-    mean_el_deg: float   # elevation above horizon, positive up
-
-
-@dataclass
-class ChannelDrop:
-    """One realization of the omnidirectional channel: a view of one drop
-    of a `DropBlock`, built when it is asked for.
-
-    Per-subpath arrays hold one entry per subpath, cluster 1's subpaths
-    first, then cluster 2's, and so on; within a cluster, subpaths are in
-    ascending intra-cluster delay and the first intra delay is exactly
-    zero. `cluster_start[n]` is the index of the first subpath of cluster
-    n + 1. It is the one place cluster membership lives: cluster sizes,
-    subpath excess delays and the nested JSON form are all derived from it.
-    Powers are kept as shares of the received power; `powers_mw()` scales
-    them by `link.rx_power_mw`.
-    """
-
-    scenario: Scenario
-    distance_m: float
-    link: LinkBudget
-    aod_lobes: list
-    aoa_lobes: list
-    master_seed: int
-    drop_index: int
-    # per cluster
-    cluster_start: np.ndarray            # index of the cluster's first subpath
-    cluster_delays_ns: np.ndarray        # excess delay of the cluster's first subpath
-    cluster_power_fractions: np.ndarray  # share of the received power
-    # per subpath
-    intra_delays_ns: np.ndarray          # delay after the cluster's first subpath
-    power_fractions: np.ndarray          # share of the received power
-    phase_rad: np.ndarray
-    aod_az_deg: np.ndarray
-    aod_el_deg: np.ndarray
-    aoa_az_deg: np.ndarray
-    aoa_el_deg: np.ndarray
-    aod_lobe_index: np.ndarray           # 1-based
-    aoa_lobe_index: np.ndarray
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.cluster_start)
-
-    @property
-    def num_subpaths(self) -> int:
-        return len(self.intra_delays_ns)
-
-    @property
-    def propagation_delay_ns(self) -> float:
-        """First-arrival time assuming a free-space line path."""
-        return self.distance_m / SPEED_OF_LIGHT_M_PER_NS
-
-    def cluster_sizes(self) -> np.ndarray:
-        return np.append(self.cluster_start[1:], self.num_subpaths) - self.cluster_start
-
-    def excess_delays_ns(self) -> np.ndarray:
-        return excess_delays(self.cluster_delays_ns, self.cluster_sizes(), self.intra_delays_ns)
-
-    def powers_mw(self) -> np.ndarray:
-        return self.power_fractions * self.link.rx_power_mw
-
-    def to_dict(self) -> dict:
-        rx_mw = self.link.rx_power_mw
-        subpath = {name: getattr(self, name).tolist() for name in _SUBPATH_ARRAYS}
-        subpath["subpath_power_mw"] = self.powers_mw().tolist()
-        subpath["subpath_power_fraction"] = self.power_fractions.tolist()
-        starts = self.cluster_start.tolist()
-        clusters = []
-        for n, (first, end) in enumerate(zip(starts, starts[1:] + [self.num_subpaths])):
-            cluster = {name: values[first:end] for name, values in subpath.items()}
-            cluster.update(
-                index=n + 1,
-                excess_delay_ns=float(self.cluster_delays_ns[n]),
-                power_mw=float(self.cluster_power_fractions[n] * rx_mw),
-                power_fraction=float(self.cluster_power_fractions[n]),
-            )
-            clusters.append(cluster)
-        return {
-            "scenario": self.scenario.label(),
-            "drop_index": self.drop_index,
-            "master_seed": self.master_seed,
-            "distance_m": self.distance_m,
-            "link": dict(vars(self.link)),  # every LinkBudget field
-            "aod_lobes": [
-                {"index": l.index, "mean_az_deg": l.mean_az_deg, "mean_el_deg": l.mean_el_deg}
-                for l in self.aod_lobes
-            ],
-            "aoa_lobes": [
-                {"index": l.index, "mean_az_deg": l.mean_az_deg, "mean_el_deg": l.mean_el_deg}
-                for l in self.aoa_lobes
-            ],
-            "clusters": clusters,
-        }
-
 
 @dataclass
 class DropBlock:
     """Consecutive drops as flat arrays: the unit that generation,
-    metrics and the per-drop files work on.
+    metrics and the per-drop files work on; a single drop is a block of
+    one.
 
     Per-cluster and per-subpath arrays hold the block's clusters and
-    subpaths drop after drop, each drop's laid out as in `ChannelDrop`
-    and named alike; `cluster_start` indexes the block's subpaths.
-    Drop d's share runs from `cluster_offsets[d]`, `subpath_offsets[d]`
-    and `lobe_offsets[side][d]` to the next entry; each ends in the
-    block's total. Per-drop columns are lists. `block[d]` and iteration
-    build `ChannelDrop` views, whose arrays are slices of the block's,
-    only when asked for.
+    subpaths drop after drop, each drop's clusters in order and each
+    cluster's subpaths in ascending intra-cluster delay, the first of
+    them exactly zero. `cluster_start` indexes the block's subpaths and
+    is the one place cluster membership lives: cluster sizes, excess
+    delays and the drops.jsonl nesting are derived from it. Drop d's
+    share runs from `cluster_offsets[d]`, `subpath_offsets[d]` and
+    `lobe_offsets[side][d]` to the next entry; each ends in the block's
+    total. Per-drop columns are lists. Powers are kept as shares of each
+    drop's received power; `powers_mw()` scales them by its
+    `rx_power_mw`.
     """
 
     scenario: Scenario
@@ -196,81 +87,25 @@ class DropBlock:
     subpath_offsets: np.ndarray          # (drops + 1,)
     # per lobe, each side's lobes drop after drop; keyed 'aod', 'aoa'
     lobe_offsets: dict                   # (drops + 1,) each
-    lobe_az_deg: dict
-    lobe_el_deg: dict
+    lobe_az_deg: dict                    # lobe i of L within [360(i-1)/L, 360i/L)
+    lobe_el_deg: dict                    # above the horizon, positive up
     # per cluster
     cluster_start: np.ndarray            # index of the cluster's first subpath in the block
-    cluster_delays_ns: np.ndarray
-    cluster_power_fractions: np.ndarray
+    cluster_delays_ns: np.ndarray        # excess delay of the cluster's first subpath
+    cluster_power_fractions: np.ndarray  # share of the drop's received power
     # per subpath
-    intra_delays_ns: np.ndarray
-    power_fractions: np.ndarray
+    intra_delays_ns: np.ndarray          # delay after the cluster's first subpath
+    power_fractions: np.ndarray          # share of the drop's received power
     phase_rad: np.ndarray
     aod_az_deg: np.ndarray
     aod_el_deg: np.ndarray
     aoa_az_deg: np.ndarray
     aoa_el_deg: np.ndarray
-    aod_lobe_index: np.ndarray
+    aod_lobe_index: np.ndarray           # 1-based
     aoa_lobe_index: np.ndarray
-
-    @classmethod
-    def of(cls, drops) -> "DropBlock":
-        """`drops` as a block: a DropBlock as it is, a ChannelDrop as a
-        block of one, an iterable of drops with their arrays joined."""
-        if isinstance(drops, DropBlock):
-            return drops
-        drops = [drops] if isinstance(drops, ChannelDrop) else list(drops)
-        subpaths = _offsets([drop.num_subpaths for drop in drops])
-        clusters = [drop.num_clusters for drop in drops]
-        lobes = {side: [lobe for drop in drops for lobe in getattr(drop, f"{side}_lobes")]
-                 for side in SIDES}
-        return cls(
-            scenario=drops[0].scenario,
-            master_seed=drops[0].master_seed,
-            drop_index=[drop.drop_index for drop in drops],
-            distance_m=[drop.distance_m for drop in drops],
-            link=[drop.link for drop in drops],
-            cluster_offsets=_offsets(clusters),
-            subpath_offsets=subpaths,
-            lobe_offsets={side: _offsets([len(getattr(drop, f"{side}_lobes")) for drop in drops])
-                          for side in SIDES},
-            lobe_az_deg={side: np.array([lobe.mean_az_deg for lobe in lobes[side]], dtype=float)
-                         for side in SIDES},
-            lobe_el_deg={side: np.array([lobe.mean_el_deg for lobe in lobes[side]], dtype=float)
-                         for side in SIDES},
-            cluster_start=np.repeat(subpaths[:-1], clusters)
-            + np.concatenate([drop.cluster_start for drop in drops]),
-            **{name: np.concatenate([getattr(drop, name) for drop in drops])
-               for name in (*_PER_CLUSTER, *_PER_SUBPATH)},
-        )
 
     def __len__(self) -> int:
         return len(self.drop_index)
-
-    def __iter__(self) -> Iterator[ChannelDrop]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, d: int) -> ChannelDrop:
-        d = range(len(self))[d]
-        c = slice(*self.cluster_offsets[d:d + 2].tolist())
-        p = slice(*self.subpath_offsets[d:d + 2].tolist())
-        return ChannelDrop(
-            scenario=self.scenario,
-            distance_m=self.distance_m[d],
-            link=self.link[d],
-            aod_lobes=self._lobes("aod", d),
-            aoa_lobes=self._lobes("aoa", d),
-            master_seed=self.master_seed,
-            drop_index=self.drop_index[d],
-            cluster_start=self.cluster_start[c] - p.start,
-            **{name: getattr(self, name)[c] for name in _PER_CLUSTER},
-            **{name: getattr(self, name)[p] for name in _PER_SUBPATH},
-        )
-
-    def _lobes(self, side: str, d: int) -> list:
-        a, b = self.lobe_offsets[side][d:d + 2].tolist()
-        means = zip(self.lobe_az_deg[side][a:b].tolist(), self.lobe_el_deg[side][a:b].tolist())
-        return [SpatialLobe(side, i, az, el) for i, (az, el) in enumerate(means, start=1)]
 
     @property
     def num_clusters(self) -> np.ndarray:
@@ -284,7 +119,7 @@ class DropBlock:
 
     @property
     def propagation_delay_ns(self) -> np.ndarray:
-        """First-arrival time of each drop, as `ChannelDrop.propagation_delay_ns`."""
+        """First-arrival time of each drop, assuming a free-space line path."""
         return np.array(self.distance_m) / SPEED_OF_LIGHT_M_PER_NS
 
     def subpath_drops(self) -> np.ndarray:
@@ -295,7 +130,8 @@ class DropBlock:
         return np.append(self.cluster_start[1:], self.subpath_offsets[-1]) - self.cluster_start
 
     def excess_delays_ns(self) -> np.ndarray:
-        return excess_delays(self.cluster_delays_ns, self.cluster_sizes(), self.intra_delays_ns)
+        """Each subpath's cluster delay plus its intra-cluster delay."""
+        return np.repeat(self.cluster_delays_ns, self.cluster_sizes()) + self.intra_delays_ns
 
     def powers_mw(self) -> np.ndarray:
         rx_mw = np.array([link.rx_power_mw for link in self.link])
@@ -306,12 +142,6 @@ def _offsets(lengths) -> np.ndarray:
     """Where each of segments of `lengths` laid end to end begins, and
     their total."""
     return np.append(0, np.cumsum(lengths, dtype=np.int64))
-
-
-def excess_delays(cluster_delays_ns, cluster_sizes, intra_delays_ns) -> np.ndarray:
-    """Each subpath's cluster delay plus its intra-cluster delay, for
-    clusters of `cluster_sizes` subpaths laid end to end (a drop or a block)."""
-    return np.repeat(cluster_delays_ns, cluster_sizes) + intra_delays_ns
 
 
 # --- generation ------------------------------------------------------------
@@ -511,9 +341,8 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
 
 
 def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
-                  drop_index: int = 0) -> ChannelDrop:
-    """Run the full generation sequence for one drop: the view of a
-    block of one.
+                  drop_index: int = 0) -> DropBlock:
+    """Run the full generation sequence for one drop: a block of one.
 
     One call pays a whole block's set-up, about 20 times the per-drop
     cost of `generate_drops`; loop over that, or take the blocks of
@@ -522,19 +351,19 @@ def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
     config = validate_config(config)
     if params is None:
         params = resolved_params(config)
-    return generate_batch(config, params, drop_index, 1)[0]
+    return generate_batch(config, params, drop_index, 1)
 
 
 def generate_drops(config: SimConfig, params: ScenarioParams | None = None,
-                   start: int = 0, count: int | None = None) -> Iterator[ChannelDrop]:
-    """Drops for consecutive drop indices, generated BLOCK_DROPS at a time
-    as the iterator is read, each a view of its block; the config is
-    checked at the call."""
+                   start: int = 0, count: int | None = None) -> Iterator[DropBlock]:
+    """Blocks of at most BLOCK_DROPS drops for consecutive drop indices,
+    each generated as the iterator is read; the config is checked at the
+    call."""
     config = validate_config(config)
     if params is None:
         params = resolved_params(config)
     if count is None:
         count = config.num_drops
     end = start + count
-    return (drop for first in range(start, end, BLOCK_DROPS)
-            for drop in generate_batch(config, params, first, min(BLOCK_DROPS, end - first)))
+    return (generate_batch(config, params, first, min(BLOCK_DROPS, end - first))
+            for first in range(start, end, BLOCK_DROPS))

@@ -50,10 +50,23 @@ def path_loss_ci(frequency_hz: float, distance_m: float, ple: float,
 def link_budget(config: SimConfig, params: ScenarioParams, shadow_db: float,
                 distance_m: float) -> LinkBudget:
     """Compute received power for one drop at `distance_m` from its drawn
-    shadow fading (a Normal(0, sigma_sf) draw in dB)."""
+    shadow fading (a Normal(0, sigma_sf) draw in dB).
+
+    A received power that is not a positive finite float in mW is
+    refused: every subpath power and spectrum scaled by it would be 0,
+    inf or NaN.
+    """
     frequency_hz = config.scenario.frequency_hz
     pl_db = path_loss_ci(frequency_hz, distance_m, params.ple, shadow_db)
     rx_dbm = config.tx_power_dbm - pl_db
+    try:
+        rx_mw = dbm_to_mw(rx_dbm)
+    except OverflowError:
+        rx_mw = math.inf
+    if not 0.0 < rx_mw < math.inf:
+        raise InvalidParamsError(
+            f"received power {rx_dbm} dBm is outside the float range in mW; "
+            f"check tx_power_dbm, ple and sigma_sf")
     return LinkBudget(
         frequency_hz=frequency_hz,
         distance_m=distance_m,
@@ -62,7 +75,7 @@ def link_budget(config: SimConfig, params: ScenarioParams, shadow_db: float,
         shadow_fading_db=shadow_db,
         path_loss_db=pl_db,
         rx_power_dbm=rx_dbm,
-        rx_power_mw=dbm_to_mw(rx_dbm),
+        rx_power_mw=rx_mw,
     )
 
 

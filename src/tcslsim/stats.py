@@ -1,8 +1,8 @@
 """Secondary channel statistics: angular spectra and spreads.
 
 The block is the unit: `build_pas` and `drop_metrics` read the flat
-arrays of a `DropBlock` (a drop, or a list of drops, is converted into
-one first) and build no per-drop object.
+arrays of a `DropBlock` (a single drop is a block of one) and build no
+per-drop object.
 
 A `PowerAngularSpectrum` holds sparse angular spectra of one side: one
 per drop of a block (`build_pas`), or one per drop of an exported file.
@@ -91,14 +91,11 @@ def _delay_spread(total, weights, delays, squares) -> float:
     return math.sqrt(max(second - mean * mean, 0.0))
 
 
-def build_pas(drops, side: str) -> PowerAngularSpectrum:
+def build_pas(block: DropBlock, side: str) -> PowerAngularSpectrum:
     """Deposit each subpath's power into its nearest 1-degree cell of
-    its drop's spectrum, spectrum k for the block's k-th drop.
-
-    `drops` is a DropBlock, a ChannelDrop or a list of drops. Powers
+    its drop's spectrum, spectrum k for the block's k-th drop. Powers
     landing in one cell are summed in subpath order from 0.0.
     """
-    block = DropBlock.of(drops)
     az = getattr(block, f"{side}_az_deg")
     el = getattr(block, f"{side}_el_deg")
     flat = PowerAngularSpectrum.cell_index(np.rint(az).astype(np.int64),
@@ -137,13 +134,11 @@ def _angular_spread(total, weights, phasors) -> float:
     return math.degrees(math.sqrt(-2.0 * math.log(resultant)))
 
 
-def drop_metrics(drops) -> dict:
-    """{METRIC_NAMES entry: one value per drop} for a DropBlock (a
-    ChannelDrop or a list of drops is converted into one): RMS delay
+def drop_metrics(block: DropBlock) -> dict:
+    """{METRIC_NAMES entry: one value per drop of `block`}: RMS delay
     spread in ns, angular spreads in degrees. Power fractions weight the
     subpaths, so no value depends on transmit power or distance in any
     bit."""
-    block = DropBlock.of(drops)
     delays = block.excess_delays_ns()
     squares = delays**2
     weights = block.power_fractions

@@ -99,17 +99,26 @@ def dense_grid(pas):
     return grid.reshape(AZ_CELLS, EL_CELLS)
 
 
-def spectrum_deposits(drops, side):
-    """(drop rank, flat cell, mW) of every subpath of `drops` on one
+def drops_alone(config, start, count):
+    """Drops start .. start + count - 1 of `config`, each generated
+    alone, as a block of one."""
+    params = t.resolved_params(config)
+    return [t.generate_drop(config, params, i) for i in range(start, start + count)]
+
+
+def drop_slices(block):
+    """(cluster slice, subpath slice) of each drop of `block`."""
+    c, p = block.cluster_offsets.tolist(), block.subpath_offsets.tolist()
+    return [(slice(*c[d:d + 2]), slice(*p[d:d + 2])) for d in range(len(block))]
+
+
+def spectrum_deposits(block, side):
+    """(drop rank, flat cell, mW) of every subpath of `block` on one
     side, drop after drop in subpath order, each at its nearest cell."""
-    ranks, cells, powers = [], [], []
-    for rank, drop in enumerate(drops):
-        az = np.rint(getattr(drop, f"{side}_az_deg")).astype(np.int64) % AZ_CELLS
-        el = np.clip(np.rint(getattr(drop, f"{side}_el_deg")).astype(np.int64), -90, 90)
-        ranks.append(np.full(len(az), rank))
-        cells.append(az * EL_CELLS + el + 90)
-        powers.append(drop.powers_mw())
-    return tuple(map(np.concatenate, (ranks, cells, powers)))
+    az = np.rint(getattr(block, f"{side}_az_deg")).astype(np.int64) % AZ_CELLS
+    el = np.clip(np.rint(getattr(block, f"{side}_el_deg")).astype(np.int64), -90, 90)
+    ranks = np.repeat(np.arange(len(block)), np.diff(block.subpath_offsets))
+    return ranks, az * EL_CELLS + el + 90, block.powers_mw()
 
 
 def _chi2_pvalue(draws, pmf, n):

@@ -19,7 +19,14 @@ from tcslsim.stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum
 from tcslsim.generate import cluster_delays, sort_from_first
 from tcslsim.randcore import RandomStream, composite_subpath
 
-from conftest import composite_pmf, dense_grid, make_config, spectrum_deposits
+from conftest import (
+    composite_pmf,
+    dense_grid,
+    drop_slices,
+    drops_alone,
+    make_config,
+    spectrum_deposits,
+)
 
 
 # --- time-cluster partitioning -------------------------------------------------
@@ -48,8 +55,9 @@ def test_partition_rejects_an_empty_profile_and_a_non_positive_mti(delays, mti):
 def test_partition_finds_every_generated_cluster_start(scenario_label):
     cfg = make_config(scenario_label, master_seed=24)
     params = t.resolved_params(cfg)
-    for drop in t.generate_drops(cfg, params, count=100):
-        delays = drop.excess_delays_ns()
+    block = t.generate_batch(cfg, params, 0, 100)
+    for c, p in drop_slices(block):
+        delays = block.excess_delays_ns()[p]
         order = np.argsort(delays, kind="stable")
         position = np.empty_like(order)
         position[order] = np.arange(len(order))
@@ -57,7 +65,8 @@ def test_partition_finds_every_generated_cluster_start(scenario_label):
         # cannot shrink a generated gap under the threshold
         part = partition_time_clusters(delays[order], params.mti - 1e-9)
         assert part.starts[0] == 0 and (np.diff(part.starts) > 0).all()
-        assert set(position[drop.cluster_start].tolist()) <= set(part.starts.tolist())
+        cluster_start = block.cluster_start[c] - p.start
+        assert set(position[cluster_start].tolist()) <= set(part.starts.tolist())
 
 
 def test_cluster_delay_samples_of_a_hand_built_profile():
@@ -69,41 +78,45 @@ def test_cluster_delay_samples_of_a_hand_built_profile():
     assert inter.tolist() == [0.5, 6.0]
 
 
-def drop_delay_samples(drop, mti):
-    """(intra, inter) of a generated drop, whose excess delays are sorted
-    and whose subpaths start each cluster at `cluster_start`."""
-    return cluster_delay_samples(drop.excess_delays_ns(), drop.cluster_start, mti)
+def drop_delay_samples(block, mti):
+    """(intra, inter) of each generated drop of `block`, whose excess
+    delays are sorted and whose subpaths start each cluster at
+    `cluster_start`."""
+    delays = block.excess_delays_ns()
+    return [cluster_delay_samples(delays[p], block.cluster_start[c] - p.start, mti)
+            for c, p in drop_slices(block)]
 
 
 def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
     cfg = make_config(scenario_label, master_seed=21)
     params = t.resolved_params(cfg)
-    for drop in t.generate_drops(cfg, params, count=100):
-        offsets = drop_delay_samples(drop, params.mti)[1]
-        assert len(offsets) == drop.num_clusters - 1
+    block = t.generate_batch(cfg, params, 0, 100)
+    samples = drop_delay_samples(block, params.mti)
+    for index, clusters, (_, offsets) in zip(block.drop_index, block.num_clusters.tolist(),
+                                             samples, strict=True):
+        assert len(offsets) == clusters - 1
         assert (offsets >= 0).all()
         draws = cluster_delays(
-            params, RandomStream(21, drop.drop_index, "cluster_delay").uniform(drop.num_clusters))
+            params, RandomStream(21, index, "cluster_delay").uniform(clusters))
         assert offsets == pytest.approx(sort_from_first(draws)[1:], rel=1e-9, abs=1e-9)
 
 
 def test_intra_delay_samples_leave_out_each_cluster_zero(scenario_label):
     cfg = make_config(scenario_label, master_seed=22)
     params = t.resolved_params(cfg)
-    for drop in t.generate_drops(cfg, params, count=100):
-        samples = drop_delay_samples(drop, params.mti)[0]
-        assert len(samples) == drop.num_subpaths - drop.num_clusters
-        per_cluster = np.split(drop.intra_delays_ns, drop.cluster_start[1:])
+    block = t.generate_batch(cfg, params, 0, 100)
+    per_cluster = np.split(block.intra_delays_ns, block.cluster_start[1:])
+    for (c, _), (samples, _) in zip(drop_slices(block), drop_delay_samples(block, params.mti)):
         # (tau + rho) - tau rounds, so rho comes back to within an ulp of tau
-        assert samples == pytest.approx(np.concatenate([c[1:] for c in per_cluster]),
+        assert samples == pytest.approx(np.concatenate([rho[1:] for rho in per_cluster[c]]),
                                         rel=0, abs=1e-9)
 
 
 def test_intra_delay_samples_estimate_mu_rho():
     cfg = make_config("28GHz-NLOS", master_seed=23)  # mu_rho 15.7
     params = t.resolved_params(cfg)
-    samples = np.concatenate([drop_delay_samples(d, params.mti)[0]
-                              for d in t.generate_drops(cfg, params, count=300)])
+    samples = np.concatenate([intra for intra, _ in drop_delay_samples(
+        t.generate_batch(cfg, params, 0, 300), params.mti)])
     assert len(samples) > 1000
     # exponential: the sample mean has standard error mu / sqrt(n); allow 5 of them
     assert abs(samples.mean() - 15.7) < 5 * 15.7 / np.sqrt(len(samples))
@@ -178,7 +191,7 @@ def pas_from_cells(*cells, side="aoa"):
 @pytest.mark.parametrize("slt_db", [-3.0, -10.0, -30.0])
 def test_sparse_lobes_match_dense_labelling_on_generated_spectra(scenario_label, slt_db):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=31)
-    for drop in t.generate_drops(cfg, count=100):
+    for drop in drops_alone(cfg, 0, 100):
         for side in ("aod", "aoa"):
             assert_lobes_match_dense(t.build_pas(drop, side), slt_db)
 
@@ -192,9 +205,10 @@ def lobe_fields(lobe) -> tuple:
 @pytest.mark.parametrize("slt_db", [-3.0, -10.0, -30.0])
 def test_each_spectrum_of_a_set_has_the_lobes_it_has_alone(scenario_label, slt_db):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=47)
-    drops = list(t.generate_drops(cfg, count=60))
+    block = t.generate_batch(cfg, t.resolved_params(cfg), 0, 60)
+    drops = drops_alone(cfg, 0, 60)
     for side in ("aod", "aoa"):
-        rank, cells, power = spectrum_deposits(drops, side)
+        rank, cells, power = spectrum_deposits(block, side)
         # spectra numbered 0, 3, 6, ...: counts follow the spectra present
         got = t.extract_spatial_lobes(
             PowerAngularSpectrum.from_deposits(side, 3 * rank, cells, power), slt_db)
@@ -248,9 +262,10 @@ def test_equal_power_lobes_keep_the_order_of_their_first_cell():
 
 def test_repeated_deposits_sum_into_one_cell():
     cfg = make_config("28GHz-NLOS", master_seed=12)
-    drop = next(d for d in t.generate_drops(cfg, count=50) if d.num_subpaths >= 4)
-    drop.aoa_az_deg[:] = 10.0 + 0.1 * (np.arange(drop.num_subpaths) % 5)
-    drop.aoa_el_deg[:] = [(-3.2, -2.9)[i % 2] for i in range(drop.num_subpaths)]
+    drop = next(d for d in drops_alone(cfg, 0, 50) if d.num_subpaths[0] >= 4)
+    n = drop.num_subpaths[0]
+    drop.aoa_az_deg[:] = 10.0 + 0.1 * (np.arange(n) % 5)
+    drop.aoa_el_deg[:] = [(-3.2, -2.9)[i % 2] for i in range(n)]
     pas = t.build_pas(drop, "aoa")
     assert pas.cells.tolist() == [PowerAngularSpectrum.cell_index(10, -3)]
     expected = 0.0

@@ -20,7 +20,7 @@ from tcslsim.campaign import (
 )
 from tcslsim.generate import BLOCK_DROPS, generate_batch
 
-from conftest import make_config
+from conftest import drop_slices, drops_alone, make_config
 
 ALL_OUTPUTS = ("jsonl", "pdp", "pas", "summary", "cdf")
 
@@ -37,6 +37,16 @@ GOLDEN = {
         {"drops.jsonl": "eb318cc826a41ce4be2123f3071eed13a24b85ef3ff655d4a53c791d8313d568",
          "pdp.csv": "52ca7fb4ad1280d206dd906651c7511e9a8c4af788ec36a6676fb638015d446d",
          "pas.csv": "2dd3df727c144ef92d1c1a6b6d73fe12bb1e7e677823fbf827ad0da134bdc02f"}),
+    "28GHz-LOS-10m": (
+        ["--scenario", "28GHz-LOS", "--seed", "7", "--drops", "30"],
+        {"drops.jsonl": "552778c674cfdea637dc757c9a534240984f5ac17cba975a32fe08151e820d00",
+         "pdp.csv": "9ef6ab242baf27644b4ce746544a6f15eacbd2b5969de5a4c1e5d40b67d73d23",
+         "pas.csv": "a5c12a38c388459f5d03e0387721823f7bd30dcdfacf7f8b32ac97f7cb2f9440"}),
+    "140GHz-NLOS-2-30m": (
+        ["--scenario", "140GHz-NLOS", "--distance", "2:30", "--seed", "11", "--drops", "30"],
+        {"drops.jsonl": "1493ec8907e02611f2961b2fea60be5408a3a9875c3ca233029b3879af58f38d",
+         "pdp.csv": "d25511f2bc3973a392103ac04a355f4477f515d2b4c6213d8122d0fcf659c3fc",
+         "pas.csv": "a7c0be0f7466bb85b25004a6c0646edeb9d3581d5b9a0b9c6c129ade482e9c65"}),
 }
 
 
@@ -106,76 +116,52 @@ def test_reproduce_medians_match_their_recorded_repr():
     assert {r.scenario: repr(r.simulated_median_ns) for r in report.rows} == REPRODUCE_300_MEDIANS
 
 
-def dense_pas_rows(drop) -> str:
-    """PAS rows as a dense-grid writer produced them: deposit every
-    subpath into a (360, 181) grid, then write its positive cells in
-    row-major order."""
+def dense_pas_rows(block) -> str:
+    """PAS rows as a dense-grid writer produced them: for each drop,
+    deposit every subpath into a (360, 181) grid, then write its
+    positive cells in row-major order."""
     rows = []
-    for side in ("aod", "aoa"):
-        grid = np.zeros((360, 181))
-        az = np.rint(getattr(drop, f"{side}_az_deg")).astype(np.int64) % 360
-        el = np.clip(np.rint(getattr(drop, f"{side}_el_deg")).astype(np.int64), -90, 90) + 90
-        np.add.at(grid, (az, el), drop.powers_mw())
-        for a, e in np.argwhere(grid > 0):
-            rows.append(f"{drop.drop_index},{side},{a},{e - 90},{CSV_FLOAT.format(grid[a, e])}\n")
+    powers = block.powers_mw()
+    for index, (_, p) in zip(block.drop_index, drop_slices(block)):
+        for side in ("aod", "aoa"):
+            grid = np.zeros((360, 181))
+            az = np.rint(getattr(block, f"{side}_az_deg")[p]).astype(np.int64) % 360
+            el = np.clip(np.rint(getattr(block, f"{side}_el_deg")[p]).astype(np.int64), -90, 90)
+            np.add.at(grid, (az, el + 90), powers[p])
+            for a, e in np.argwhere(grid > 0):
+                rows.append(f"{index},{side},{a},{e - 90},{CSV_FLOAT.format(grid[a, e])}\n")
     return "".join(rows)
 
 
 def test_pas_writer_matches_the_dense_grid_writer(scenario_label):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=41)
-    for drop in t.generate_drops(cfg, count=200):
-        assert _pas_rows(drop) == dense_pas_rows(drop)
+    block = generate_batch(cfg, t.resolved_params(cfg), 0, 200)
+    assert _pas_rows(block) == dense_pas_rows(block)
 
 
 def per_drop_pas_rows(drop) -> str:
-    """PAS rows as a per-drop writer produced them: one `build_pas` per
-    drop and side, the drop's aod rows, then its aoa rows."""
+    """PAS rows of a block of one as a per-drop writer produced them:
+    one `build_pas` per side, the drop's aod rows, then its aoa rows."""
     rows = []
     for side in ("aod", "aoa"):
         pas = t.build_pas(drop, side)
         occupied = pas.power_mw > 0
         az, el = (a[occupied].tolist() for a in pas.angles())
-        rows.extend(f"{drop.drop_index},{side},{a},{e},{CSV_FLOAT.format(p)}\n"
+        rows.extend(f"{drop.drop_index[0]},{side},{a},{e},{CSV_FLOAT.format(p)}\n"
                     for a, e, p in zip(az, el, pas.power_mw[occupied].tolist()))
     return "".join(rows)
 
 
 @pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
-def test_block_rows_equal_the_rows_of_its_drops_one_by_one(scenario_label, distance):
+def test_block_rows_equal_the_rows_of_its_drops_generated_alone(scenario_label, distance):
     cfg = make_config(scenario_label, distance_m=distance, master_seed=43)
     params = t.resolved_params(cfg)
     for start, count in ((0, BLOCK_DROPS), (BLOCK_DROPS + 5, 1)):
         block = generate_batch(cfg, params, start, count)
-        drops = list(block)
+        drops = drops_alone(cfg, start, count)
         assert _pas_rows(block) == "".join(map(per_drop_pas_rows, drops))
-        for kind, (_, _, rows) in DROP_FILES.items():  # each drop a block of one
+        for kind, (_, _, rows) in DROP_FILES.items():
             assert rows(block) == "".join(map(rows, drops)), kind
-
-
-def count_drop_views(monkeypatch) -> list:
-    """Count the ChannelDrops constructed from here on."""
-    made = []
-
-    def counting(self, *args, _original=generate.ChannelDrop.__init__, **kwargs):
-        made.append(1)
-        _original(self, *args, **kwargs)
-
-    monkeypatch.setattr(generate.ChannelDrop, "__init__", counting)
-    return made
-
-
-@pytest.mark.parametrize("argv, views", [
-    (["reproduce", "--drops", "300"], 0),
-    (["generate", "--scenario", "28GHz-NLOS", "--distance", "5:45", "--drops", "300",
-      "--format", "summary,cdf,pdp,pas"], 0),
-    (["generate", "--scenario", "28GHz-NLOS", "--drops", "300", "--format", "jsonl"], 300),
-])
-def test_only_drops_jsonl_builds_per_drop_objects(tmp_path, monkeypatch, argv, views):
-    made = count_drop_views(monkeypatch)
-    with contextlib.redirect_stdout(io.StringIO()):
-        out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "generate" else []
-        assert cli.main([*argv, *out_dir]) == 0
-    assert len(made) == views
 
 
 def test_records_identical_for_one_and_two_workers(tmp_path):
@@ -230,6 +216,23 @@ def test_failed_run_leaves_no_output_file(tmp_path, monkeypatch, workers):
                          workers=workers, out_dir=str(tmp_path), outputs=ALL_OUTPUTS)
     with pytest.raises(RuntimeError, match="second block failed"):
         run_campaign(config)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_a_received_power_outside_the_float_range_is_refused(tmp_path, workers, seed):
+    # sigma_sf 1000 dB draws shadowing whose received power in mW
+    # overflows (an OverflowError) or underflows to 0 (-inf dBm rows)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["generate", "--scenario", "28GHz-LOS", "--override", "sigma_sf=1000",
+                       "--drops", "300", "--seed", str(seed), "--format", "pdp",
+                       "--workers", str(workers), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert err.getvalue().startswith("error: received power ")
+    for name in ("tx_power_dbm", "ple", "sigma_sf"):
+        assert name in err.getvalue()
     assert list(tmp_path.iterdir()) == []
 
 

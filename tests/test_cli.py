@@ -2,9 +2,10 @@
 
 The benchmark drives tcslsim from outside: it replaces `cli.run_campaign`
 and `cli.reproduce_report` to capture their results, calls
-`emit_outputs` on pre-built drops and wraps the functions and methods
-named below to time each layer. A name it cannot find turns its metrics
-absent rather than failing, so these tests pin the names and call shapes.
+`emit_outputs` on the pre-built drop blocks of `generate_drops` and
+wraps the functions and methods named below to time each layer. A name
+it cannot find turns its metrics absent rather than failing, so these
+tests pin the names and call shapes.
 Functions one module imports from another are wrapped where they are
 imported, so a call across modules is timed as its own span.
 """
@@ -64,9 +65,10 @@ def test_drop_and_stream_names_used_for_per_layer_counts():
     config = t.SimConfig(scenario=t.Scenario.parse("28GHz-LOS"), distance_m=(5.0, 45.0),
                          master_seed=7)
     assert config.distance_range() == (5.0, 45.0)
-    drop = generate_drop(config, t.resolved_params(config), 3)
-    assert drop.num_clusters >= 1 and drop.num_subpaths >= drop.num_clusters
-    assert len(drop.aod_lobes) >= 1 and len(drop.aoa_lobes) >= 1
+    drop = generate_drop(config, t.resolved_params(config), 3)  # a block of one
+    assert len(drop) == 1 and 1 <= drop.num_clusters[0] <= drop.num_subpaths[0]
+    for side in ("aod", "aoa"):
+        assert np.diff(drop.lobe_offsets[side])[0] >= 1
     stream = RandomStream(7, 3, "x")
     assert 0.0 <= stream.uniform() < 1.0
     assert stream.uniform(4).shape == (4,)

@@ -17,12 +17,13 @@ from tcslsim.generate import (
     place_cluster_delays,
     sort_from_first,
 )
-from tcslsim.campaign import CSV_FLOAT, _pdp_rows
+from tcslsim.campaign import CSV_FLOAT, DROP_FILES, _jsonl_rows, _pdp_rows
 from tcslsim.errors import ConfigValidationError
+from tcslsim.stats import METRIC_NAMES, drop_metrics
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS
 from tcslsim.randcore import RandomStream, composite_subpath, derive_keys, exponential, normal
 
-from conftest import SCENARIO_LABELS, make_config
+from conftest import SCENARIO_LABELS, drop_slices, drops_alone, make_config
 
 
 def params_for(label, **overrides):
@@ -31,13 +32,34 @@ def params_for(label, **overrides):
 
 
 def drops_for(label, count, master_seed=1234, **overrides):
+    """Drops 0 .. count - 1 as one block."""
     cfg = make_config(label, master_seed=master_seed, overrides=overrides)
-    return list(t.generate_drops(cfg, count=count))
+    return generate_batch(cfg, t.resolved_params(cfg), 0, count)
 
 
-def per_cluster(drop, values):
+def per_cluster(block, values):
     """Split a per-subpath array into one array per cluster."""
-    return np.split(values, drop.cluster_start[1:])
+    return np.split(values, block.cluster_start[1:])
+
+
+def lobe_counts(block, side):
+    """Lobes of each drop on one side."""
+    return np.diff(block.lobe_offsets[side])
+
+
+def jsonl_drops(block):
+    """Each drop's drops.jsonl object."""
+    return [json.loads(line) for line in _jsonl_rows(block).splitlines()]
+
+
+def void_gaps(block):
+    """Each cluster's start after the previous cluster's last subpath,
+    in the drop: the gaps the void interval bounds."""
+    gaps = []
+    for c, _ in drop_slices(block):
+        tau = block.cluster_delays_ns[c]
+        gaps.append(tau[1:] - (tau[:-1] + block.intra_delays_ns[block.cluster_start[c][1:] - 1]))
+    return np.concatenate(gaps)
 
 
 def five_sigma(p, n):
@@ -52,8 +74,8 @@ def test_num_clusters_los_uniform_frequencies():
     draws = cluster_counts(params, RandomStream(1, 0, "nc").uniform(1_000_000))
     for k in range(1, 6):
         assert abs(np.mean(draws == k) - 0.2) < 0.005
-    counts = [d.num_clusters for d in drops_for("28GHz-LOS", 500, master_seed=1)]
-    assert set(counts) == set(range(1, 6))
+    counts = drops_for("28GHz-LOS", 500, master_seed=1).num_clusters
+    assert set(counts.tolist()) == set(range(1, 6))
 
 
 def test_num_clusters_140_nlos_mean():
@@ -96,9 +118,9 @@ def test_num_subpaths_28_nlos_mean_matches_analytic():
 # --- step 3: intra-cluster delays ---------------------------------------------
 
 def test_intra_delays_single_subpath_is_zero():
-    for drop in drops_for("28GHz-LOS", 50, master_seed=6, beta_s="0.0"):
-        assert drop.num_subpaths == drop.num_clusters
-        assert (drop.intra_delays_ns == 0.0).all()
+    block = drops_for("28GHz-LOS", 50, master_seed=6, beta_s="0.0")
+    assert np.array_equal(block.num_subpaths, block.num_clusters)
+    assert (block.intra_delays_ns == 0.0).all()
 
 
 def test_sort_from_first_example():
@@ -114,10 +136,10 @@ def test_sort_from_first_properties(values):
 
 
 def test_intra_delays_nondecreasing_and_anchored():
-    for drop in drops_for("28GHz-NLOS", 200, master_seed=7):
-        for intra in per_cluster(drop, drop.intra_delays_ns):
-            assert intra[0] == 0.0
-            assert (np.diff(intra) >= 0).all()
+    block = drops_for("28GHz-NLOS", 200, master_seed=7)
+    for intra in per_cluster(block, block.intra_delays_ns):
+        assert intra[0] == 0.0
+        assert (np.diff(intra) >= 0).all()
 
 
 # --- step 4: cluster delays ---------------------------------------------------
@@ -133,57 +155,55 @@ def test_place_cluster_delays_example():
 
 
 def test_compose_single_cluster_is_zero():
-    for drop in drops_for("140GHz-LOS", 20, master_seed=8, n_c_max="1"):
-        assert drop.cluster_delays_ns.tolist() == [0.0]
+    block = drops_for("140GHz-LOS", 20, master_seed=8, n_c_max="1")
+    assert block.cluster_delays_ns.tolist() == [0.0] * 20
 
 
 def test_compose_respects_void_interval():
     mti = params_for("140-nlos").mti
-    drops = drops_for("140GHz-NLOS", 1000, master_seed=9, lambda_c="3.0", mu_s="3.0")
-    assert sum(d.num_clusters >= 4 for d in drops) > 100
-    for drop in drops:
-        tau = drop.cluster_delays_ns
-        last_intra = drop.intra_delays_ns[drop.cluster_start[1:] - 1]
-        assert (tau[1:] - (tau[:-1] + last_intra) >= mti).all()
+    block = drops_for("140GHz-NLOS", 1000, master_seed=9, lambda_c="3.0", mu_s="3.0")
+    assert (block.num_clusters >= 4).sum() > 100
+    assert (void_gaps(block) >= mti).all()
 
 
 # --- steps 5-6: powers ----------------------------------------------------------
 
 def test_cluster_power_single_cluster_gets_everything():
-    for drop in drops_for("140GHz-LOS", 20, master_seed=10, n_c_max="1"):
-        assert drop.cluster_power_fractions.tolist() == [1.0]
-        assert drop.to_dict()["clusters"][0]["power_mw"] == drop.link.rx_power_mw
+    block = drops_for("140GHz-LOS", 20, master_seed=10, n_c_max="1")
+    assert block.cluster_power_fractions.tolist() == [1.0] * 20
+    for drop, link in zip(jsonl_drops(block), block.link, strict=True):
+        assert drop["clusters"][0]["power_mw"] == link.rx_power_mw
 
 
 def test_cluster_power_decay_ratio():
-    drops = drops_for("28GHz-NLOS", 50, master_seed=11, sigma_z="0.0")  # gamma_cluster 20.1
-    assert sum(d.num_clusters > 1 for d in drops) > 25
-    for drop in drops:
-        frac = drop.cluster_power_fractions
-        expected = np.exp(-(drop.cluster_delays_ns - drop.cluster_delays_ns[0]) / 20.1)
+    block = drops_for("28GHz-NLOS", 50, master_seed=11, sigma_z="0.0")  # gamma_cluster 20.1
+    assert (block.num_clusters > 1).sum() > 25
+    for c, _ in drop_slices(block):
+        frac = block.cluster_power_fractions[c]
+        tau = block.cluster_delays_ns[c]
+        expected = np.exp(-(tau - tau[0]) / 20.1)
         assert frac / frac[0] == pytest.approx(expected, rel=1e-12)
         assert frac.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_subpath_power_decay_ratio():
-    drops = drops_for("140GHz-NLOS", 50, master_seed=12, sigma_u="0.0")  # gamma_subpath 2.0
-    assert sum(d.num_subpaths > d.num_clusters for d in drops) > 25
-    for drop in drops:
-        for n, (intra, frac) in enumerate(zip(per_cluster(drop, drop.intra_delays_ns),
-                                              per_cluster(drop, drop.power_fractions))):
-            assert frac / frac[0] == pytest.approx(np.exp(-intra / 2.0), rel=1e-12)
-            assert frac.sum() == pytest.approx(drop.cluster_power_fractions[n], rel=1e-12)
+    block = drops_for("140GHz-NLOS", 50, master_seed=12, sigma_u="0.0")  # gamma_subpath 2.0
+    assert (block.num_subpaths > block.num_clusters).sum() > 25
+    for n, (intra, frac) in enumerate(zip(per_cluster(block, block.intra_delays_ns),
+                                          per_cluster(block, block.power_fractions))):
+        assert frac / frac[0] == pytest.approx(np.exp(-intra / 2.0), rel=1e-12)
+        assert frac.sum() == pytest.approx(block.cluster_power_fractions[n], rel=1e-12)
 
 
 def test_subpath_power_single_subpath_gets_cluster_power():
-    for drop in drops_for("28GHz-LOS", 20, master_seed=13, beta_s="0.0"):
-        assert np.array_equal(drop.power_fractions, drop.cluster_power_fractions)
+    block = drops_for("28GHz-LOS", 20, master_seed=13, beta_s="0.0")
+    assert np.array_equal(block.power_fractions, block.cluster_power_fractions)
 
 
 # --- step 7: phases --------------------------------------------------------------
 
 def test_phases_range_and_isotropy():
-    phases = np.concatenate([d.phase_rad for d in drops_for("28GHz-NLOS", 4000, master_seed=14)])
+    phases = drops_for("28GHz-NLOS", 4000, master_seed=14).phase_rad
     n = len(phases)
     assert n > 40_000
     assert phases.min() >= 0.0
@@ -197,18 +217,19 @@ def test_phases_range_and_isotropy():
 
 def test_num_lobes_28_nlos_aoa_frequencies():
     n = 6000
-    drops = drops_for("28GHz-NLOS", n, master_seed=15)  # l_aoa_max 3
-    counts = np.array([len(d.aoa_lobes) for d in drops])
+    counts = lobe_counts(drops_for("28GHz-NLOS", n, master_seed=15), "aoa")  # l_aoa_max 3
     for k in (1, 2, 3):
         assert abs(np.mean(counts == k) - 1 / 3) < five_sigma(1 / 3, n)
 
 
 def test_num_lobes_ranges_and_degenerate():
-    for drop in drops_for("140GHz-LOS", 500, master_seed=16):
-        assert len(drop.aod_lobes) in (1, 2) and len(drop.aoa_lobes) in (1, 2)
-    for drop in drops_for("140GHz-LOS", 50, master_seed=16, l_aod_max="1", l_aoa_max="1"):
-        assert len(drop.aod_lobes) == len(drop.aoa_lobes) == 1
-        assert (drop.aod_lobe_index == 1).all() and (drop.aoa_lobe_index == 1).all()
+    block = drops_for("140GHz-LOS", 500, master_seed=16)
+    for side in ("aod", "aoa"):
+        assert set(lobe_counts(block, side).tolist()) <= {1, 2}
+    block = drops_for("140GHz-LOS", 50, master_seed=16, l_aod_max="1", l_aoa_max="1")
+    for side in ("aod", "aoa"):
+        assert (lobe_counts(block, side) == 1).all()
+    assert (block.aod_lobe_index == 1).all() and (block.aoa_lobe_index == 1).all()
 
 
 def lobes_from_stream(params, side, counts, seed):
@@ -226,12 +247,13 @@ def test_lobe_sectors_partition_the_circle():
     singles, _ = lobes_from_stream(params, "aoa", [1] * 500, seed=17)
     assert min(singles) >= 0.0 and max(singles) < 360.0
     assert max(singles) > 300.0 and min(singles) < 60.0  # fills the full circle
-    for drop in drops_for("28GHz-LOS", 200, master_seed=17):
-        for lobes in (drop.aod_lobes, drop.aoa_lobes):
-            sector = 360.0 / len(lobes)
-            for i, lobe in enumerate(lobes):
-                assert lobe.index == i + 1
-                assert i * sector <= lobe.mean_az_deg < (i + 1) * sector
+    block = drops_for("28GHz-LOS", 200, master_seed=17)
+    for side in ("aod", "aoa"):
+        offsets = block.lobe_offsets[side].tolist()
+        for a, b in zip(offsets, offsets[1:]):
+            sector = 360.0 / (b - a)
+            for i, mean_az in enumerate(block.lobe_az_deg[side][a:b]):
+                assert i * sector <= mean_az < (i + 1) * sector
 
 
 def test_lobe_elevation_mean_140_nlos_aoa():
@@ -251,68 +273,67 @@ def test_lobe_elevation_uses_departure_params_for_aod():
 def test_wrap_azimuth_example():
     """Each azimuth is its lobe mean plus its offset draw, modulo 360."""
     params = params_for("28-nlos")
+    block = drops_for("28GHz-NLOS", 50, master_seed=23)
+    means = {side: lobe_means(block, side)[0] for side in ("aod", "aoa")}
     wrapped = 0
-    for drop in drops_for("28GHz-NLOS", 50, master_seed=23):
-        n = drop.num_subpaths
-        stream = RandomStream(23, drop.drop_index, "angle_offset")
+    for index, (_, p) in zip(block.drop_index, drop_slices(block)):
+        n = p.stop - p.start
+        stream = RandomStream(23, index, "angle_offset")
         stream.uniform(2 * n)  # the lobe picks of both sides
         for side in ("aod", "aoa"):
             d_az = stream.sample(normal, 0.0, params.sigma_phi(side), size=n)
             stream.uniform(n)  # the elevation offsets
-            raw = lobe_means(drop, side)[0] + d_az
-            assert np.array_equal(getattr(drop, f"{side}_az_deg"), raw % 360.0)
+            raw = means[side][p] + d_az
+            assert np.array_equal(getattr(block, f"{side}_az_deg")[p], raw % 360.0)
             wrapped += int(((raw < 0.0) | (raw >= 360.0)).sum())
     assert wrapped > 0
 
 
-def lobe_means(drop, side):
-    """Each subpath's lobe mean (azimuth, elevation) on one side."""
-    lobes = getattr(drop, f"{side}_lobes")
-    picked = [lobes[i - 1] for i in getattr(drop, f"{side}_lobe_index")]
-    return (np.array([l.mean_az_deg for l in picked]), np.array([l.mean_el_deg for l in picked]))
+def lobe_means(block, side):
+    """Each subpath's lobe mean (azimuth, elevation) on one side: lobe
+    `{side}_lobe_index` of the subpath's own drop."""
+    drop = np.repeat(np.arange(len(block)), block.num_subpaths)
+    lobe = block.lobe_offsets[side][drop] + getattr(block, f"{side}_lobe_index") - 1
+    return block.lobe_az_deg[side][lobe], block.lobe_el_deg[side][lobe]
 
 
 def test_zero_offsets_put_subpaths_on_lobe_means():
-    drops = drops_for("28GHz-NLOS", 50, master_seed=20, sigma_phi_aod="0", sigma_theta_aod="0",
+    block = drops_for("28GHz-NLOS", 50, master_seed=20, sigma_phi_aod="0", sigma_theta_aod="0",
                       sigma_phi_aoa="0", sigma_theta_aoa="0")
-    for drop in drops:
-        for side in ("aod", "aoa"):
-            az, el = lobe_means(drop, side)
-            assert np.array_equal(getattr(drop, f"{side}_az_deg"), az)
-            assert np.array_equal(getattr(drop, f"{side}_el_deg"), el)
+    for side in ("aod", "aoa"):
+        az, el = lobe_means(block, side)
+        assert np.array_equal(getattr(block, f"{side}_az_deg"), az)
+        assert np.array_equal(getattr(block, f"{side}_el_deg"), el)
 
 
 def test_offset_std_28_nlos_aoa():
     draws = RandomStream(21, 0, "off").sample(normal, 0.0, 25.5, size=1_000_000)
     assert abs(draws.std() - 25.5) < 0.1
-    offsets = []
-    for drop in drops_for("28GHz-NLOS", 3000, master_seed=21):
-        az, _ = lobe_means(drop, "aoa")
-        offsets.append((drop.aoa_az_deg - az + 180.0) % 360.0 - 180.0)
-    offsets = np.concatenate(offsets)
+    block = drops_for("28GHz-NLOS", 3000, master_seed=21)
+    az, _ = lobe_means(block, "aoa")
+    offsets = (block.aoa_az_deg - az + 180.0) % 360.0 - 180.0
     assert abs(offsets.std() - 25.5) < 5.0 * 25.5 / math.sqrt(2 * len(offsets))
 
 
 def test_offsets_wrap_and_clamp():
-    drops = drops_for("28GHz-NLOS", 300, master_seed=22, mu_l_zod="88", mu_l_zoa="-88")
-    aod_el = np.concatenate([d.aod_el_deg for d in drops])
-    aoa_el = np.concatenate([d.aoa_el_deg for d in drops])
+    block = drops_for("28GHz-NLOS", 300, master_seed=22, mu_l_zod="88", mu_l_zoa="-88")
+    aod_el, aoa_el = block.aod_el_deg, block.aoa_el_deg
     assert aod_el.max() == 90.0 and aoa_el.min() == -90.0  # clamped, not exceeded
     assert aod_el.min() >= -90.0 and aoa_el.max() <= 90.0
     wrapped = 0
-    for drop in drops:
-        for side in ("aod", "aoa"):
-            az = getattr(drop, f"{side}_az_deg")
-            assert az.min() >= 0.0 and az.max() < 360.0
-            wrapped += int((abs(az - lobe_means(drop, side)[0]) > 180.0).sum())
+    for side in ("aod", "aoa"):
+        az = getattr(block, f"{side}_az_deg")
+        assert az.min() >= 0.0 and az.max() < 360.0
+        wrapped += int((abs(az - lobe_means(block, side)[0]) > 180.0).sum())
     assert wrapped > 0
 
 
 def test_lobe_assignment_covers_all_lobes():
-    drops = drops_for("28GHz-NLOS", 1000, master_seed=23)
-    three = [d for d in drops if len(d.aoa_lobes) == 3]
-    assert set(np.concatenate([d.aoa_lobe_index for d in three]).tolist()) == {1, 2, 3}
-    picks = np.concatenate([d.aod_lobe_index for d in drops if len(d.aod_lobes) == 2])
+    block = drops_for("28GHz-NLOS", 1000, master_seed=23)
+    of_subpath = {side: np.repeat(lobe_counts(block, side), block.num_subpaths)
+                  for side in ("aod", "aoa")}
+    assert set(block.aoa_lobe_index[of_subpath["aoa"] == 3].tolist()) == {1, 2, 3}
+    picks = block.aod_lobe_index[of_subpath["aod"] == 2]
     assert set(picks.tolist()) == {1, 2}
     assert abs(np.mean(picks == 1) - 0.5) < five_sigma(0.5, len(picks))
 
@@ -323,46 +344,48 @@ def test_generate_drop_deterministic(scenario_label):
     cfg = make_config(scenario_label, num_drops=3, master_seed=99)
     a = t.generate_drop(cfg, drop_index=2)
     b = t.generate_drop(cfg, drop_index=2)
-    assert a.to_dict() == b.to_dict()
+    assert len(a) == 1 and a.drop_index == [2]
+    assert drop_rows(a) == drop_rows(b)
 
 
 def test_generate_drop_power_conservation(scenario_label):
     cfg = make_config(scenario_label, master_seed=5)
     params = t.resolved_params(cfg)
-    for drop in t.generate_drops(cfg, params, count=200):
-        rx = drop.link.rx_power_mw
-        cluster_mw = drop.cluster_power_fractions * rx
+    block = generate_batch(cfg, params, 0, 200)
+    powers = block.powers_mw()
+    for link, (c, p) in zip(block.link, drop_slices(block), strict=True):
+        rx = link.rx_power_mw
+        cluster_mw = block.cluster_power_fractions[c] * rx
         assert abs(cluster_mw.sum() - rx) / rx < 1e-9
-        for mw, subpath_mw in zip(cluster_mw, per_cluster(drop, drop.powers_mw())):
+        for mw, subpath_mw in zip(cluster_mw, per_cluster(block, powers)[c]):
             assert abs(subpath_mw.sum() - mw) / mw < 1e-9
-        assert abs(drop.powers_mw().sum() - rx) / rx < 1e-9
+        assert abs(powers[p].sum() - rx) / rx < 1e-9
 
 
 def test_generate_drop_invariant_sweep_140_nlos():
     cfg = make_config("140GHz-NLOS", master_seed=31)
     params = t.resolved_params(cfg)
-    for drop in t.generate_drops(cfg, params, count=1000):
-        assert drop.num_clusters >= 1
-        tau = drop.cluster_delays_ns
-        last_intra = drop.intra_delays_ns[drop.cluster_start[1:] - 1]
-        assert (tau[1:] - (tau[:-1] + last_intra) >= 6.0).all()
-        for az in (drop.aod_az_deg, drop.aoa_az_deg):
-            assert az.min() >= 0.0 and az.max() < 360.0
-        for el in (drop.aod_el_deg, drop.aoa_el_deg):
-            assert el.min() >= -90.0 and el.max() <= 90.0
+    block = generate_batch(cfg, params, 0, 1000)
+    assert (block.num_clusters >= 1).all()
+    assert (void_gaps(block) >= 6.0).all()
+    for az in (block.aod_az_deg, block.aoa_az_deg):
+        assert az.min() >= 0.0 and az.max() < 360.0
+    for el in (block.aod_el_deg, block.aoa_el_deg):
+        assert el.min() >= -90.0 and el.max() <= 90.0
 
 
 def test_cluster_structure_fields():
     cfg = make_config("28GHz-NLOS", master_seed=8)
     drop = t.generate_drop(cfg)
     assert drop.cluster_start[0] == 0 and (np.diff(drop.cluster_start) >= 1).all()
-    assert drop.cluster_sizes().sum() == drop.num_subpaths
+    assert drop.cluster_sizes().sum() == drop.num_subpaths.sum()
     for intra in per_cluster(drop, drop.intra_delays_ns):
         assert intra[0] == 0.0
         assert (np.diff(intra) >= 0).all()
     assert (drop.phase_rad >= 0).all() and (drop.phase_rad < 2 * math.pi).all()
-    rx = drop.link.rx_power_mw
-    for c, size in zip(drop.to_dict()["clusters"], drop.cluster_sizes()):
+    rx = drop.link[0].rx_power_mw
+    (data,) = jsonl_drops(drop)
+    for c, size in zip(data["clusters"], drop.cluster_sizes(), strict=True):
         assert len(c["intra_delays_ns"]) == len(c["subpath_power_mw"]) == size
         assert abs(c["power_fraction"] * rx - c["power_mw"]) <= 1e-12 * c["power_mw"]
 
@@ -371,7 +394,7 @@ def test_absolute_delay_is_propagation_plus_excess():
     cfg = make_config("28GHz-LOS", distance_m=30.0, master_seed=44)
     drop = t.generate_drop(cfg)
     t0 = 30.0 / SPEED_OF_LIGHT_M_PER_NS
-    assert drop.propagation_delay_ns == pytest.approx(t0, rel=1e-12)
+    assert drop.propagation_delay_ns.tolist() == pytest.approx([t0], rel=1e-12)
     absolute = [row.split(",")[4] for row in _pdp_rows(drop).splitlines()]  # pdp.csv's column
     assert absolute == [CSV_FLOAT.format(t0 + tau) for tau in drop.excess_delays_ns().tolist()]
     expected = np.concatenate([tau + intra for tau, intra in zip(
@@ -382,30 +405,47 @@ def test_absolute_delay_is_propagation_plus_excess():
 def test_subpath_arrays_consistency():
     cfg = make_config("140GHz-LOS", master_seed=70)
     drop = t.generate_drop(cfg)
+    (n_clusters,), (n_subpaths,) = drop.num_clusters, drop.num_subpaths
     for name in ("intra_delays_ns", "power_fractions", "phase_rad", "aod_az_deg", "aod_el_deg",
                  "aoa_az_deg", "aoa_el_deg", "aod_lobe_index", "aoa_lobe_index"):
-        assert len(getattr(drop, name)) == drop.num_subpaths, name
-    assert len(drop.cluster_delays_ns) == len(drop.cluster_power_fractions) == drop.num_clusters
-    assert np.array_equal(drop.powers_mw(), drop.power_fractions * drop.link.rx_power_mw)
-    assert 1 <= drop.aod_lobe_index.min() and drop.aod_lobe_index.max() <= len(drop.aod_lobes)
-    assert 1 <= drop.aoa_lobe_index.min() and drop.aoa_lobe_index.max() <= len(drop.aoa_lobes)
+        assert len(getattr(drop, name)) == n_subpaths, name
+    assert len(drop.cluster_delays_ns) == len(drop.cluster_power_fractions) == n_clusters
+    assert np.array_equal(drop.powers_mw(), drop.power_fractions * drop.link[0].rx_power_mw)
+    for side in ("aod", "aoa"):
+        index = getattr(drop, f"{side}_lobe_index")
+        assert 1 <= index.min() and index.max() <= lobe_counts(drop, side)[0]
+        assert len(drop.lobe_az_deg[side]) == len(drop.lobe_el_deg[side]) == index.max()
 
 
-def assert_json_roundtrip(drop):
-    """The JSON form survives a text round trip, and each per-subpath
-    field, its clusters concatenated, is the flat array it came from."""
-    data = drop.to_dict()
-    assert json.loads(json.dumps(data)) == data
-    clusters = data["clusters"]
+def assert_json_roundtrip(block):
+    """Each drops.jsonl row is one drop of the block, and each
+    per-subpath, per-cluster and per-lobe field, its clusters or lobes
+    concatenated drop after drop, is the flat array it came from."""
+    drops = jsonl_drops(block)
+    assert [d["drop_index"] for d in drops] == block.drop_index
+    assert [d["distance_m"] for d in drops] == block.distance_m
+    assert [d["link"] for d in drops] == [vars(link) for link in block.link]
+    clusters = [c for d in drops for c in d["clusters"]]
     fields = {name: name for name in ("intra_delays_ns", "phase_rad", "aod_az_deg",
                                       "aod_el_deg", "aoa_az_deg", "aoa_el_deg",
                                       "aod_lobe_index", "aoa_lobe_index")}
     fields.update(subpath_power_fraction="power_fractions")
     for key, name in fields.items():
-        assert [v for c in clusters for v in c[key]] == getattr(drop, name).tolist(), key
-    assert [len(c["intra_delays_ns"]) for c in clusters] == drop.cluster_sizes().tolist()
-    assert [c["excess_delay_ns"] for c in clusters] == drop.cluster_delays_ns.tolist()
-    assert [c["power_fraction"] for c in clusters] == drop.cluster_power_fractions.tolist()
+        assert [v for c in clusters for v in c[key]] == getattr(block, name).tolist(), key
+    assert [v for c in clusters for v in c["subpath_power_mw"]] == block.powers_mw().tolist()
+    assert [len(c["intra_delays_ns"]) for c in clusters] == block.cluster_sizes().tolist()
+    assert [c["excess_delay_ns"] for c in clusters] == block.cluster_delays_ns.tolist()
+    assert [c["power_fraction"] for c in clusters] == block.cluster_power_fractions.tolist()
+    assert [len(d["clusters"]) for d in drops] == block.num_clusters.tolist()
+    assert [c["index"] for d in drops for c in d["clusters"]] == [
+        n for d in drops for n in range(1, len(d["clusters"]) + 1)]
+    for side in ("aod", "aoa"):
+        lobes = [lobe for d in drops for lobe in d[f"{side}_lobes"]]
+        assert [len(d[f"{side}_lobes"]) for d in drops] == lobe_counts(block, side).tolist()
+        assert [lobe["mean_az_deg"] for lobe in lobes] == block.lobe_az_deg[side].tolist()
+        assert [lobe["mean_el_deg"] for lobe in lobes] == block.lobe_el_deg[side].tolist()
+        assert [lobe["index"] for d in drops for lobe in d[f"{side}_lobes"]] == [
+            i for d in drops for i in range(1, len(d[f"{side}_lobes"]) + 1)]
 
 
 def test_drop_roundtrip_through_json():
@@ -416,7 +456,7 @@ def test_drop_roundtrip_through_json():
 
 def test_distance_range_draws_within_bounds():
     cfg = make_config("28GHz-LOS", distance_m=(5.0, 45.0), master_seed=77)
-    distances = [drop.distance_m for drop in t.generate_drops(cfg, count=300)]
+    distances = generate_batch(cfg, t.resolved_params(cfg), 0, 300).distance_m
     assert min(distances) >= 5.0 and max(distances) < 45.0
     assert np.std(distances) > 1.0  # actually varies
 
@@ -433,14 +473,13 @@ def test_generation_validates_its_config(distance_m):
 def test_fixed_distance_consumes_no_distance_stream():
     cfg = make_config("140GHz-NLOS", distance_m=25.0, master_seed=12)
     drop = t.generate_drop(cfg)
-    assert drop.distance_m == 25.0
-    assert drop.link.distance_m == 25.0
+    assert drop.distance_m == [25.0]
+    assert drop.link[0].distance_m == 25.0
 
 
 def test_json_roundtrip_every_scenario(scenario_label):
     cfg = make_config(scenario_label, master_seed=203)
-    for drop in t.generate_drops(cfg, count=10):
-        assert_json_roundtrip(drop)
+    assert_json_roundtrip(generate_batch(cfg, t.resolved_params(cfg), 0, 10))
 
 
 def test_batched_draws_match_single_cluster_operations():
@@ -449,18 +488,19 @@ def test_batched_draws_match_single_cluster_operations():
     cfg = make_config("28GHz-NLOS", master_seed=909)
     params = t.resolved_params(cfg)
     drop = t.generate_drop(cfg, params, drop_index=4)
-    assert drop.num_clusters > 1 and drop.num_subpaths > drop.num_clusters
+    (n_clusters,), (n_subpaths,) = drop.num_clusters, drop.num_subpaths
+    assert n_clusters > 1 and n_subpaths > n_clusters
 
     rho_stream = RandomStream(909, 4, "intra_delay")
     intra = [sort_from_first(rho_stream.sample(exponential, params.mu_rho, size=m))
              for m in drop.cluster_sizes()]
     assert np.array_equal(drop.intra_delays_ns, np.concatenate(intra))
 
-    draws = cluster_delays(params, RandomStream(909, 4, "cluster_delay").uniform(drop.num_clusters))
+    draws = cluster_delays(params, RandomStream(909, 4, "cluster_delay").uniform(n_clusters))
     tau = place_cluster_delays(draws, [rho[-1] for rho in intra], params.mti)
     assert np.array_equal(drop.cluster_delays_ns, tau)
     z_db = RandomStream(909, 4, "cluster_power").sample(normal, 0.0, params.sigma_z,
-                                                         size=drop.num_clusters)
+                                                         size=n_clusters)
     raw = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
     cluster_frac = raw / raw.sum()
     assert np.array_equal(drop.cluster_power_fractions, cluster_frac)
@@ -495,14 +535,24 @@ LABELS = ("distance", "shadow", "num_clusters", "num_subpaths", "intra_delay", "
 BLOCK_CONFIGS = [(label, 10.0) for label in SCENARIO_LABELS] + [("28GHz-NLOS", (5.0, 45.0))]
 
 
-def canonical(drop):
-    """A drop's JSON form and the dtypes of its arrays."""
-    dtypes = [(name, v.dtype.str) for name, v in vars(drop).items() if isinstance(v, np.ndarray)]
-    return json.dumps(drop.to_dict(), sort_keys=True), dtypes
+def drop_rows(block):
+    """Each drop's rows in drops.jsonl, pdp.csv and pas.csv, keyed by
+    file, and the dtypes of the block's arrays."""
+    rows = {kind: {index: "" for index in block.drop_index} for kind in DROP_FILES}
+    for kind, (_, _, text) in DROP_FILES.items():
+        for row in text(block).splitlines(keepends=True):
+            index = json.loads(row)["drop_index"] if kind == "jsonl" else int(row.split(",")[0])
+            rows[kind][index] += row
+    dtypes = [(name, v.dtype.str) for name, v in vars(block).items() if isinstance(v, np.ndarray)]
+    return [{kind: rows[kind][index] for kind in rows} for index in block.drop_index], dtypes
 
 
-def arrays_of(drop):
-    return [v for v in vars(drop).values() if isinstance(v, np.ndarray)]
+def rows_alone(cfg, start, count):
+    """drop_rows of drops start .. start + count - 1, each generated
+    alone, as a block of one."""
+    alone = [drop_rows(block) for block in drops_alone(cfg, start, count)]
+    assert all(dtypes == alone[0][1] for _, dtypes in alone)
+    return [rows for each, _ in alone for rows in each], alone[0][1]
 
 
 @pytest.mark.parametrize("label, distance", BLOCK_CONFIGS)
@@ -510,65 +560,74 @@ def test_generate_batch_is_independent_of_the_block_split(label, distance):
     cfg = make_config(label, distance_m=distance, master_seed=31)
     params = t.resolved_params(cfg)
     start, count = 17, 40
-    reference = [canonical(d) for d in generate_batch(cfg, params, start, count)]
-    assert reference == [canonical(t.generate_drop(cfg, params, start + i)) for i in range(count)]
+    reference = drop_rows(generate_batch(cfg, params, start, count))
+    assert rows_alone(cfg, start, count) == reference
+    assert all(rows["pdp"] and rows["pas"] for rows in reference[0])
     rng = np.random.default_rng(7)
     for _ in range(5):
         cuts = rng.choice(np.arange(1, count), size=rng.integers(1, 6), replace=False)
         bounds = [0, *sorted(cuts.tolist()), count]
-        pieces = [drop for a, b in zip(bounds, bounds[1:])
-                  for drop in generate_batch(cfg, params, start + a, b - a)]
-        assert [canonical(d) for d in pieces] == reference
+        pieces = [drop_rows(generate_batch(cfg, params, start + a, b - a))
+                  for a, b in zip(bounds, bounds[1:])]
+        assert [rows for piece, _ in pieces for rows in piece] == reference[0]
+        assert all(dtypes == reference[1] for _, dtypes in pieces)
 
 
 @pytest.mark.parametrize("label, distance", BLOCK_CONFIGS)
-def test_a_block_has_the_length_items_and_iteration_of_its_drops(label, distance):
+def test_a_block_has_the_counts_and_metrics_of_its_drops_alone(label, distance):
     cfg = make_config(label, distance_m=distance, master_seed=35)
     params = t.resolved_params(cfg)
     start, count = 250, 12
     block = generate_batch(cfg, params, start, count)
-    singles = [canonical(t.generate_drop(cfg, params, start + i)) for i in range(count)]
-    assert len(block) == count
-    assert [canonical(block[i]) for i in range(count)] == singles
-    assert [canonical(drop) for drop in block] == singles
-    assert canonical(block[-1]) == singles[-1]
-    for i in (count, -count - 1):
-        with pytest.raises(IndexError):
-            block[i]
-    assert block.num_clusters.tolist() == [drop.num_clusters for drop in block]
-    assert block.num_subpaths.tolist() == [drop.num_subpaths for drop in block]
-    # a block joined from its drops holds the same arrays and columns
-    joined = generate.DropBlock.of(list(block))
-    for name, value in vars(block).items():
-        other = vars(joined)[name]
-        if isinstance(value, dict):
-            assert value.keys() == other.keys()
-            assert all(np.array_equal(value[k], other[k]) for k in value), name
-        elif isinstance(value, np.ndarray):
-            assert value.dtype == other.dtype and np.array_equal(value, other), name
-        else:
-            assert value == other, name
+    alone = drops_alone(cfg, start, count)
+    assert len(block) == count and all(len(drop) == 1 for drop in alone)
+    assert block.drop_index == [i for drop in alone for i in drop.drop_index]
+    for name in ("num_clusters", "num_subpaths"):
+        assert getattr(block, name).tolist() == [n for d in alone for n in getattr(d, name)]
+    for side in ("aod", "aoa"):
+        assert lobe_counts(block, side).tolist() == [n for d in alone
+                                                     for n in lobe_counts(d, side)]
+    metrics = drop_metrics(block)
+    for d, (_, p) in enumerate(drop_slices(block)):
+        weights = block.power_fractions[p]
+        expected = [t.rms_delay_spread(block.excess_delays_ns()[p], weights)]
+        expected += [t.circular_angular_spread(getattr(block, f"{name}_deg")[p], weights)
+                     for name in ("aod_az", "aod_el", "aoa_az", "aoa_el")]
+        got = [metrics[name][d] for name in METRIC_NAMES]
+        assert [v.hex() for v in got] == [v.hex() for v in expected], d
+        assert got == [drop_metrics(alone[d])[name][0] for name in METRIC_NAMES]
 
 
 def test_generate_drops_crosses_blocks_like_single_drops():
     cfg = make_config("140GHz-NLOS", master_seed=33)
     params = t.resolved_params(cfg)
     edge = range(BLOCK_DROPS - 2, BLOCK_DROPS + 2)
-    drops = list(t.generate_drops(cfg, params, start=edge[0] - BLOCK_DROPS, count=BLOCK_DROPS + 4))
-    assert [d.drop_index for d in drops] == list(range(edge[0] - BLOCK_DROPS, edge[-1] + 1))
-    assert ([canonical(d) for d in drops[-4:]]
-            == [canonical(t.generate_drop(cfg, params, i)) for i in edge])
+    blocks = list(t.generate_drops(cfg, params, start=edge[0] - BLOCK_DROPS,
+                                   count=BLOCK_DROPS + 4))
+    assert [len(block) for block in blocks] == [BLOCK_DROPS, 4]
+    assert ([i for block in blocks for i in block.drop_index]
+            == list(range(edge[0] - BLOCK_DROPS, edge[-1] + 1)))
+    assert drop_rows(blocks[-1]) == rows_alone(cfg, edge[0], len(edge))
 
 
-def test_block_neighbours_share_no_memory():
+def arrays_of(block):
+    """Every array a block holds, the per-side ones included."""
+    for value in vars(block).values():
+        if isinstance(value, dict):
+            yield from value.values()
+        elif isinstance(value, np.ndarray):
+            yield value
+
+
+def test_blocks_of_one_share_no_memory():
     cfg = make_config("28GHz-NLOS", master_seed=32)
-    drops = generate_batch(cfg, t.resolved_params(cfg), 0, 3)
-    before = [canonical(d) for d in drops]
+    drops = drops_alone(cfg, 0, 3)
+    before = [drop_rows(drop) for drop in drops]
     for a in arrays_of(drops[1]):
         for neighbour in (drops[0], drops[2]):
             assert not any(np.shares_memory(a, b) for b in arrays_of(neighbour))
         a[...] = 0
-    assert [canonical(drops[0]), canonical(drops[2])] == [before[0], before[2]]
+    assert [drop_rows(drops[0]), drop_rows(drops[2])] == [before[0], before[2]]
 
 
 @pytest.mark.parametrize("label, distance", BLOCK_CONFIGS)
@@ -584,14 +643,15 @@ def test_uniforms_drawn_per_drop_follow_its_structure(monkeypatch, label, distan
 
     monkeypatch.setattr(generate, "stream_uniforms", recording)
     cfg = make_config(label, distance_m=distance, master_seed=34)
-    drops = generate_batch(cfg, t.resolved_params(cfg), 100, 30)
+    block = generate_batch(cfg, t.resolved_params(cfg), 100, 30)
     assert len(calls) == 3  # one Philox call per stage
     ranged = cfg.distance_range() is not None
+    lobes = lobe_counts(block, "aod") + lobe_counts(block, "aoa")
     total = 0
-    for drop in drops:
-        keys = derive_keys(34, [drop.drop_index], LABELS)
+    for index, clusters, subpaths, n_lobes in zip(block.drop_index, block.num_clusters,
+                                                  block.num_subpaths, lobes, strict=True):
+        keys = derive_keys(34, [index], LABELS)
         used = sum(drawn.get(key.tobytes(), 0) for key in keys)
-        assert used == (2 + ranged + 3 * drop.num_clusters + 9 * drop.num_subpaths
-                        + 2 + 2 * (len(drop.aod_lobes) + len(drop.aoa_lobes)))
+        assert used == 2 + ranged + 3 * clusters + 9 * subpaths + 2 + 2 * n_lobes
         total += used
     assert total == sum(drawn.values())  # no stream outside the twelve labels

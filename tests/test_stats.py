@@ -14,6 +14,8 @@ from tcslsim.stats import GRID_CELLS, PowerAngularSpectrum, drop_metrics, summar
 from conftest import (
     SCENARIO_LABELS,
     dense_grid,
+    drop_slices,
+    drops_alone,
     make_config,
     naive_circular_spread_deg,
     spectrum_deposits,
@@ -54,7 +56,7 @@ def test_build_pas_nearest_cell():
     drop.aoa_az_deg[0] = 10.4
     drop.aoa_el_deg[0] = 5.2
     pas = t.build_pas(drop, "aoa")
-    assert dense_grid(pas)[10, 5 + 90] == pytest.approx(drop.link.rx_power_mw, rel=1e-12)
+    assert dense_grid(pas)[10, 5 + 90] == pytest.approx(drop.link[0].rx_power_mw, rel=1e-12)
     assert np.count_nonzero(dense_grid(pas)) == 1
 
 
@@ -75,7 +77,7 @@ def test_build_pas_same_direction_powers_add():
     drop = t.generate_drop(cfg)
     pas = t.build_pas(drop, "aoa")
     assert np.count_nonzero(dense_grid(pas)) == 1
-    assert dense_grid(pas).max() == pytest.approx(drop.link.rx_power_mw, rel=1e-9)
+    assert dense_grid(pas).max() == pytest.approx(drop.link[0].rx_power_mw, rel=1e-9)
 
 
 def test_azimuth_wrap_rounds_to_cell_zero():
@@ -88,9 +90,10 @@ def test_azimuth_wrap_rounds_to_cell_zero():
 
 def test_deposits_by_drop_rank_hold_each_drops_spectrum_at_its_rank(scenario_label):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=43)
-    drops = list(t.generate_drops(cfg, count=60))
+    block = generate_batch(cfg, t.resolved_params(cfg), 0, 60)
+    drops = drops_alone(cfg, 0, 60)
     for side in ("aod", "aoa"):
-        pas = PowerAngularSpectrum.from_deposits(side, *spectrum_deposits(drops, side))
+        pas = PowerAngularSpectrum.from_deposits(side, *spectrum_deposits(block, side))
         assert pas.side == side and (np.diff(pas.cells) > 0).all()
         rank = pas.cells // GRID_CELLS
         assert set(rank.tolist()) == set(range(60))
@@ -147,7 +150,7 @@ def test_global_as_zero_when_single_lobe_no_offsets():
         "sigma_phi_aod": "0", "sigma_theta_aod": "0",
         "sigma_phi_aoa": "0", "sigma_theta_aoa": "0"}, master_seed=41)
     drop = t.generate_drop(cfg)
-    metrics = drop_metrics([drop])
+    metrics = drop_metrics(drop)
     assert metrics["as_aod_az_deg"] == [0.0]
     assert metrics["as_aoa_az_deg"] == [0.0]
 
@@ -155,13 +158,13 @@ def test_global_as_zero_when_single_lobe_no_offsets():
 def test_global_as_bit_identical_under_tx_power():
     a = t.generate_drop(make_config("28GHz-NLOS", master_seed=61, tx_power_dbm=0.0))
     b = t.generate_drop(make_config("28GHz-NLOS", master_seed=61, tx_power_dbm=20.0))
-    assert drop_metrics([a]) == drop_metrics([b])
+    assert drop_metrics(a) == drop_metrics(b)
 
 
 def test_drop_metrics_match_individual_ops():
     cfg = make_config("28GHz-LOS", master_seed=83)
     drop = t.generate_drop(cfg)
-    metrics = drop_metrics([drop])
+    metrics = drop_metrics(drop)
     weights = drop.power_fractions
     assert metrics["rms_ds_ns"] == [t.rms_delay_spread(drop.excess_delays_ns(), weights)]
     for side in ("aod", "aoa"):
@@ -179,23 +182,36 @@ def test_block_metrics_equal_the_single_drop_kernels_in_every_bit(label, distanc
     n = 2 * BLOCK_DROPS + 41
     config = make_config(label, distance_m=distance_m, num_drops=n, master_seed=17)
     records = run_campaign(config).records
-    assert len(records) == n
-    for record, drop in zip(records, t.generate_drops(config), strict=True):
-        weights = drop.power_fractions.copy()
-        expected = [t.rms_delay_spread(drop.excess_delays_ns(), weights)]
-        expected += [t.circular_angular_spread(getattr(drop, f"{name}_deg").copy(), weights)
-                     for name in ("aod_az", "aod_el", "aoa_az", "aoa_el")]
+    expected = [row for block in t.generate_drops(config) for row in kernel_metrics(block)]
+    assert len(records) == len(expected) == n
+    for index, (record, want) in enumerate(zip(records, expected, strict=True)):
         got = [getattr(record, name) for name in METRIC_NAMES]
-        assert [v.hex() for v in got] == [v.hex() for v in expected], drop.drop_index
+        assert [v.hex() for v in got] == [v.hex() for v in want], index
+
+
+def kernel_metrics(block):
+    """METRIC_NAMES values of each drop of `block`, from the
+    single-profile kernels on copies of the drop's slices."""
+    delays = block.excess_delays_ns()
+    rows = []
+    for _, p in drop_slices(block):
+        weights = block.power_fractions[p].copy()
+        row = [t.rms_delay_spread(delays[p].copy(), weights)]
+        row += [t.circular_angular_spread(getattr(block, f"{name}_deg")[p].copy(), weights)
+                for name in ("aod_az", "aod_el", "aoa_az", "aoa_el")]
+        rows.append(row)
+    return rows
 
 
 def test_drop_metrics_of_any_split_are_the_columns_of_the_whole():
-    drops = list(t.generate_drops(make_config("140GHz-NLOS", master_seed=3), count=60))
-    whole = drop_metrics(drops)
+    cfg = make_config("140GHz-NLOS", master_seed=3)
+    params = t.resolved_params(cfg)
+    whole = drop_metrics(generate_batch(cfg, params, 0, 60))
     assert sorted(whole) == sorted(METRIC_NAMES)
-    parts = [drop_metrics(drops[a:b]) for a, b in ((0, 1), (1, 17), (17, 60))]
+    parts = [drop_metrics(generate_batch(cfg, params, a, b - a))
+             for a, b in ((0, 1), (1, 17), (17, 60))]
     for name in METRIC_NAMES:
-        assert len(whole[name]) == len(drops)
+        assert len(whole[name]) == 60
         assert all(type(v) is float for v in whole[name])
         assert [v.hex() for v in whole[name]] == [v.hex() for p in parts for v in p[name]]
 
@@ -228,10 +244,12 @@ def test_summarize_median_is_order_statistic(values):
 
 
 @pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
-def test_drop_metrics_of_a_block_equal_those_of_its_drops_in_every_bit(scenario_label, distance):
+def test_drop_metrics_of_a_block_equal_the_kernels_on_each_drop_in_every_bit(scenario_label,
+                                                                             distance):
     cfg = make_config(scenario_label, distance_m=distance, master_seed=29)
     block = generate_batch(cfg, t.resolved_params(cfg), 40, BLOCK_DROPS)
-    of_block, of_drops = drop_metrics(block), drop_metrics(list(block))
-    for name in METRIC_NAMES:
+    of_block = drop_metrics(block)
+    of_drops = [list(values) for values in zip(*kernel_metrics(block))]
+    for name, want in zip(METRIC_NAMES, of_drops, strict=True):
         assert all(type(v) is float for v in of_block[name])
-        assert [v.hex() for v in of_block[name]] == [v.hex() for v in of_drops[name]], name
+        assert [v.hex() for v in of_block[name]] == [v.hex() for v in want], name

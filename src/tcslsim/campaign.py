@@ -30,13 +30,7 @@ import numpy as np
 
 from . import __version__
 from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch
-from .scenario import (
-    ALL_SCENARIOS,
-    Scenario,
-    SimConfig,
-    resolved_params,
-    validate_config,
-)
+from .scenario import ALL_SCENARIOS, Scenario, SimConfig, validate_config
 from .stats import GRID_CELLS, METRIC_NAMES, build_pas, drop_metrics, summarize
 
 CSV_FLOAT = "{:.9g}"  # 9 significant digits keeps sums within 1e-9 relative
@@ -74,7 +68,7 @@ def _config_payload(config: SimConfig) -> dict:
     they do not participate.
     """
     return {
-        "scenario": config.scenario.label(),
+        "scenario": config.scenario.value,
         "distance_m": list(config.distance_m) if isinstance(config.distance_m, tuple)
         else config.distance_m,
         "tx_power_dbm": config.tx_power_dbm,
@@ -112,7 +106,7 @@ def _jsonl_rows(block: DropBlock) -> str:
     first_cluster = block.cluster_offsets.tolist()
     lobes = {side: (block.lobe_offsets[side].tolist(), block.lobe_az_deg[side].tolist(),
                     block.lobe_el_deg[side].tolist()) for side in SIDES}
-    label = block.scenario.label()
+    label = block.scenario.value
     rows = []
     for d, link in enumerate(block.link):
         a, b = first_cluster[d:d + 2]
@@ -150,12 +144,14 @@ def _pdp_rows(block: DropBlock) -> str:
     # drop and its own number in its cluster, from 1
     cluster = np.repeat(np.arange(len(sizes)), sizes)
     first_cluster = np.repeat(block.cluster_offsets[:-1], block.num_clusters)
+    with np.errstate(divide="ignore"):  # a share that underflowed to 0 mW is -inf dBm
+        powers_dbm = 10.0 * np.log10(powers)
     columns = zip(np.repeat(block.drop_index, per_drop).tolist(),
                   (cluster - first_cluster[cluster] + 1).tolist(),
                   (np.arange(len(excess)) - block.cluster_start[cluster] + 1).tolist(),
                   *(map(CSV_FLOAT.format, c.tolist()) for c in (
                       excess, np.repeat(block.propagation_delay_ns, per_drop) + excess,
-                      powers, 10.0 * np.log10(powers))))
+                      powers, powers_dbm)))
     return "".join(f"{d},{c},{k},{e},{a},{p},{db}\n" for d, c, k, e, a, p, db in columns)
 
 
@@ -259,7 +255,7 @@ def _record_chunk(config: SimConfig, start: int, count: int) -> tuple:
     `drop_metrics` call, and {kind: text} of their rows in each per-drop
     file in `config.outputs`.
     """
-    block = generate_batch(config, resolved_params(config), start, count)
+    block = generate_batch(config, start, count)
     texts = {kind: rows(block)
              for kind, (_, _, rows) in DROP_FILES.items() if kind in config.outputs}
     metrics = drop_metrics(block)
@@ -397,11 +393,11 @@ def reproduce_report(num_drops: int = 10000, master_seed: int = REPRODUCE_SEED,
         config = SimConfig(scenario=scenario, distance_m=REPRODUCE_DISTANCE_M,
                            num_drops=num_drops, master_seed=master_seed, workers=workers)
         result = run_campaign(config)
-        ref = REFERENCE_RMS_DS[scenario.label()]
+        ref = REFERENCE_RMS_DS[scenario.value]
         median = result.aggregates["rms_ds_ns"].median
         passed = abs(median - ref["simulated"]) <= ref["tolerance"] * ref["simulated"]
         rows.append(ReproRow(
-            scenario=scenario.label(),
+            scenario=scenario.value,
             simulated_median_ns=median,
             reference_simulated_ns=ref["simulated"],
             reference_measured_ns=ref["measured"],

@@ -26,7 +26,7 @@ from .analysis import (
     partition_time_clusters,
 )
 from .campaign import REPRODUCE_SEED, reproduce_report, run_campaign
-from .errors import ChannelSimError, ConfigValidationError, InvalidParamsError
+from .errors import ChannelSimError, ConfigError, InvalidParamsError
 from .scenario import (
     ALL_SCENARIOS,
     DEFAULT_MTI_NS,
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             return _cmd_reproduce(args)
         if args.command == "params":
             return _cmd_params(args)
-    except ConfigValidationError as exc:
+    except ConfigError as exc:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -127,7 +127,7 @@ def _parse_overrides(args) -> dict:
         overrides.update(parse_override_file(args.override_file))
     for item in args.override:
         if "=" not in item:
-            raise ConfigValidationError([ValueError(f"--override expects KEY=VALUE, got {item!r}")])
+            raise ValueError(f"--override expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     return overrides
@@ -148,7 +148,7 @@ def _cmd_generate(args) -> int:
     result = run_campaign(config)
     config = result.config
 
-    print(f"scenario {config.scenario.label()}  drops {config.num_drops}  "
+    print(f"scenario {config.scenario.value}  drops {config.num_drops}  "
           f"master_seed {config.master_seed}")
     print(f"config_hash {result.provenance['config_hash']}")
     ds = result.aggregates["rms_ds_ns"]
@@ -171,7 +171,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_params(args) -> int:
     table = params_table()
     if args.scenario:
-        label = Scenario.parse(args.scenario).label()
+        label = Scenario.parse(args.scenario).value
         table = {label: table[label]}
     print(json.dumps(table, indent=2, sort_keys=True))
     return EXIT_OK
@@ -179,10 +179,10 @@ def _cmd_params(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if not args.pdp and not args.pas:
-        raise ConfigValidationError([ValueError("analyze needs --pdp and/or --pas")])
+        raise ValueError("analyze needs --pdp and/or --pas")
     for flag, value in (("--mti", args.mti), ("--slt-db", args.slt_db)):
         if not math.isfinite(value):
-            raise ConfigValidationError([ValueError(f"{flag} must be finite, got {value}")])
+            raise ValueError(f"{flag} must be finite, got {value}")
     report: dict = {}
     if args.pdp:
         report["pdp"] = _analyze_pdp(Path(args.pdp), args.mti)

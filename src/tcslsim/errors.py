@@ -6,20 +6,17 @@ class ChannelSimError(Exception):
 
 
 class ConfigError(ChannelSimError):
-    """A single violated configuration constraint."""
+    """Configuration constraints violated: a SimConfig, a parameter
+    override or a line of an override file.
 
-
-class ConfigValidationError(ChannelSimError):
-    """Aggregate of every constraint violated by a SimConfig.
-
-    `violations` holds one ConfigError per failed check so callers can
-    report all problems at once instead of fixing them one by one.
+    `violations` holds one message per failed check, so callers can
+    report all problems at once instead of fixing them one by one; the
+    exception's text is the messages joined by "; ".
     """
 
-    def __init__(self, violations):
+    def __init__(self, *violations: str):
         self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"invalid configuration: {lines}")
+        super().__init__("; ".join(violations))
 
 
 class InvalidParamsError(ChannelSimError, ValueError):

@@ -239,11 +239,13 @@ def _stage_uniforms(master_seed: int, drops: range, layout: dict) -> list:
              for r in range(len(runs))] for i, runs in enumerate(layout.values())]
 
 
-def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
-                   count: int) -> DropBlock:
-    """Generate drops `start` to `start + count - 1` at once, as one
-    block. Each drop reads only its own streams, from position 0, so it
-    is the same in any block."""
+def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
+    """Generate drops `start` to `start + count - 1` of a validated
+    config at once, as one block. Each drop reads only its own streams,
+    from position 0, so it is the same in any block. The scenario's
+    parameters, with the config's overrides applied, are resolved once
+    per call."""
+    params = resolved_params(config)
     seed = config.master_seed
     drops = range(start, start + count)
 
@@ -340,30 +342,24 @@ def generate_batch(config: SimConfig, params: ScenarioParams, start: int,
     )
 
 
-def generate_drop(config: SimConfig, params: ScenarioParams | None = None,
-                  drop_index: int = 0) -> DropBlock:
+def generate_drop(config: SimConfig, drop_index: int = 0) -> DropBlock:
     """Run the full generation sequence for one drop: a block of one.
 
     One call pays a whole block's set-up, about 20 times the per-drop
     cost of `generate_drops`; loop over that, or take the blocks of
     `generate_batch`, not over this.
     """
-    config = validate_config(config)
-    if params is None:
-        params = resolved_params(config)
-    return generate_batch(config, params, drop_index, 1)
+    return generate_batch(validate_config(config), drop_index, 1)
 
 
-def generate_drops(config: SimConfig, params: ScenarioParams | None = None,
-                   start: int = 0, count: int | None = None) -> Iterator[DropBlock]:
+def generate_drops(config: SimConfig, start: int = 0,
+                   count: int | None = None) -> Iterator[DropBlock]:
     """Blocks of at most BLOCK_DROPS drops for consecutive drop indices,
     each generated as the iterator is read; the config is checked at the
     call."""
     config = validate_config(config)
-    if params is None:
-        params = resolved_params(config)
     if count is None:
         count = config.num_drops
     end = start + count
-    return (generate_batch(config, params, first, min(BLOCK_DROPS, end - first))
+    return (generate_batch(config, first, min(BLOCK_DROPS, end - first))
             for first in range(start, end, BLOCK_DROPS))

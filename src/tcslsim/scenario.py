@@ -1,9 +1,12 @@
 """Scenario parameter sets and simulation configuration.
 
-Four indoor office scenarios are supported: 28 GHz and 140 GHz, each in
-LOS and NLOS visibility. Each scenario carries the full set of cluster,
+`Scenario` is closed: its four members are the indoor office scenarios
+the paper fits, 28 GHz and 140 GHz, each LOS and NLOS, and each member's
+value is its label. Each scenario carries the full set of cluster,
 subpath and spatial-lobe statistics needed by the channel generator,
 plus the close-in path loss parameters for the link budget.
+`validate_config` checks a `SimConfig` whole and raises one
+`ConfigError` listing every violated constraint.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import PurePath
-from typing import Mapping, Union
+from typing import Mapping
 
-from .errors import ConfigError, ConfigValidationError
+from .errors import ConfigError
 
 MIN_DISTANCE_M = 1.0   # close-in reference distance
 MAX_DISTANCE_M = 50.0
@@ -32,55 +35,29 @@ MAX_TX_POWER_DBM = 1000.0
 DEFAULT_MTI_NS = 6.0   # minimum inter-cluster time void interval, indoor office
 
 
-class FrequencyBand(enum.Enum):
-    GHZ28 = "28GHz"
-    GHZ140 = "140GHz"
+class Scenario(enum.Enum):
+    """The four scenarios the paper fits; a member's value is its label."""
 
-    @property
-    def hz(self) -> float:
-        return 28e9 if self is FrequencyBand.GHZ28 else 140e9
-
-
-class Visibility(enum.Enum):
-    LOS = "LOS"
-    NLOS = "NLOS"
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One of the four valid (frequency band, visibility) combinations."""
-
-    frequency_band: FrequencyBand
-    visibility: Visibility
+    GHZ28_LOS = "28GHz-LOS"
+    GHZ28_NLOS = "28GHz-NLOS"
+    GHZ140_LOS = "140GHz-LOS"
+    GHZ140_NLOS = "140GHz-NLOS"
 
     @property
     def frequency_hz(self) -> float:
-        return self.frequency_band.hz
-
-    def label(self) -> str:
-        return f"{self.frequency_band.value}-{self.visibility.value}"
+        return 28e9 if self.value.startswith("28") else 140e9
 
     @classmethod
     def parse(cls, text: str) -> "Scenario":
         """Parse labels like '28GHz-LOS', '28-los' or '140_nlos'."""
         t = text.strip().lower().replace("ghz", "").replace("_", "-").replace(" ", "-")
         parts = [p for p in t.split("-") if p]
-        if len(parts) != 2:
-            raise ValueError(f"unrecognized scenario {text!r}")
-        band_txt, vis_txt = parts
-        bands = {"28": FrequencyBand.GHZ28, "140": FrequencyBand.GHZ140}
-        vises = {"los": Visibility.LOS, "nlos": Visibility.NLOS}
-        if band_txt not in bands or vis_txt not in vises:
-            raise ValueError(f"unrecognized scenario {text!r}")
-        return cls(bands[band_txt], vises[vis_txt])
+        if len(parts) == 2 and parts[0] in ("28", "140") and parts[1] in ("los", "nlos"):
+            return cls(f"{parts[0]}GHz-{parts[1].upper()}")
+        raise ValueError(f"unrecognized scenario {text!r}")
 
 
-ALL_SCENARIOS = (
-    Scenario(FrequencyBand.GHZ28, Visibility.LOS),
-    Scenario(FrequencyBand.GHZ28, Visibility.NLOS),
-    Scenario(FrequencyBand.GHZ140, Visibility.LOS),
-    Scenario(FrequencyBand.GHZ140, Visibility.NLOS),
-)
+ALL_SCENARIOS = tuple(Scenario)
 
 
 @dataclass(frozen=True)
@@ -175,9 +152,6 @@ class ScenarioParams:
             return self.mu_l_zod, self.sigma_l_zod
         return self.mu_l_zoa, self.sigma_l_zoa
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 # Measured parameter table for the four scenarios. 28 GHz path loss
 # exponents come from the same measurement campaign; the 140 GHz
@@ -186,7 +160,7 @@ class ScenarioParams:
 # invariant to. Shadow fading defaults to 0 dB (deterministic link
 # budget) and can be overridden per run.
 _TABLE: dict[Scenario, ScenarioParams] = {
-    Scenario(FrequencyBand.GHZ28, Visibility.LOS): ScenarioParams(
+    Scenario.GHZ28_LOS: ScenarioParams(
         n_c_max=5, lambda_c=None, beta_s=0.8, mu_s=2.4,
         cluster_delay_family="lognormal", mu_tau=2.7, sigma_tau=1.4,
         mu_rho=2.6, mti=DEFAULT_MTI_NS,
@@ -197,7 +171,7 @@ _TABLE: dict[Scenario, ScenarioParams] = {
         sigma_phi_aoa=19.3, sigma_theta_aoa=14.5,
         ple=1.2, sigma_sf=0.0,
     ),
-    Scenario(FrequencyBand.GHZ28, Visibility.NLOS): ScenarioParams(
+    Scenario.GHZ28_NLOS: ScenarioParams(
         n_c_max=None, lambda_c=3.4, beta_s=0.6, mu_s=4.1,
         cluster_delay_family="exponential", mu_tau=12.1, sigma_tau=None,
         mu_rho=15.7, mti=DEFAULT_MTI_NS,
@@ -208,7 +182,7 @@ _TABLE: dict[Scenario, ScenarioParams] = {
         sigma_phi_aoa=25.5, sigma_theta_aoa=14.6,
         ple=2.8, sigma_sf=0.0,
     ),
-    Scenario(FrequencyBand.GHZ140, Visibility.LOS): ScenarioParams(
+    Scenario.GHZ140_LOS: ScenarioParams(
         n_c_max=4, lambda_c=None, beta_s=0.8, mu_s=1.0,
         cluster_delay_family="exponential", mu_tau=18.6, sigma_tau=None,
         mu_rho=2.2, mti=DEFAULT_MTI_NS,
@@ -219,7 +193,7 @@ _TABLE: dict[Scenario, ScenarioParams] = {
         sigma_phi_aoa=4.8, sigma_theta_aoa=4.3,
         ple=2.0, sigma_sf=0.0,  # ple is a placeholder, no published 140 GHz LOS fit
     ),
-    Scenario(FrequencyBand.GHZ140, Visibility.NLOS): ScenarioParams(
+    Scenario.GHZ140_NLOS: ScenarioParams(
         n_c_max=None, lambda_c=1.3, beta_s=1.0, mu_s=1.0,
         cluster_delay_family="exponential", mu_tau=23.5, sigma_tau=None,
         mu_rho=2.2, mti=DEFAULT_MTI_NS,
@@ -232,10 +206,8 @@ _TABLE: dict[Scenario, ScenarioParams] = {
     ),
 }
 
-_INT_FIELDS = {"n_c_max", "l_aod_max", "l_aoa_max"}
-_STR_FIELDS = {"cluster_delay_family"}
-_OPTIONAL_FIELDS = {"n_c_max", "lambda_c", "sigma_tau"}
-_PARAM_FIELDS = {f.name for f in dataclasses.fields(ScenarioParams)}
+# the override schema: each parameter's annotation, such as "int | None"
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioParams)}
 
 
 def lookup_params(scenario: Scenario) -> ScenarioParams:
@@ -245,7 +217,7 @@ def lookup_params(scenario: Scenario) -> ScenarioParams:
 
 def params_table() -> dict[str, dict]:
     """Dump all four scenario parameter sets keyed by scenario label."""
-    return {s.label(): lookup_params(s).to_dict() for s in ALL_SCENARIOS}
+    return {s.value: dataclasses.asdict(lookup_params(s)) for s in ALL_SCENARIOS}
 
 
 def apply_overrides(params: ScenarioParams, overrides: Mapping[str, object]) -> ScenarioParams:
@@ -260,7 +232,7 @@ def apply_overrides(params: ScenarioParams, overrides: Mapping[str, object]) -> 
         return params
     coerced: dict[str, object] = {}
     for key, raw in overrides.items():
-        if key not in _PARAM_FIELDS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown parameter {key!r}")
         try:
             coerced[key] = _coerce_field(key, raw)
@@ -273,11 +245,12 @@ def apply_overrides(params: ScenarioParams, overrides: Mapping[str, object]) -> 
 
 
 def _coerce_field(key: str, raw: object):
-    if key in _OPTIONAL_FIELDS and (raw is None or (isinstance(raw, str) and raw.lower() in ("none", "na"))):
+    kind = _FIELD_TYPES[key]
+    if kind.endswith("| None") and (raw is None or (isinstance(raw, str) and raw.lower() in ("none", "na"))):
         return None
-    if key in _STR_FIELDS:
+    if kind == "str":
         return str(raw).strip().lower()
-    if key in _INT_FIELDS:
+    if kind.startswith("int"):
         return int(str(raw))
     value = float(raw)
     if not math.isfinite(value):
@@ -314,9 +287,6 @@ def parse_override_file(path) -> dict[str, str]:
     return overrides
 
 
-Distance = Union[float, tuple]
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Complete description of one simulation run.
@@ -327,7 +297,7 @@ class SimConfig:
     """
 
     scenario: Scenario
-    distance_m: Distance = 10.0
+    distance_m: float | tuple = 10.0
     tx_power_dbm: float = 0.0
     num_drops: int = 1
     master_seed: int = 1
@@ -360,75 +330,63 @@ def validate_config(config: SimConfig) -> SimConfig:
     """Check every SimConfig constraint, raising the full violation list.
 
     Returns the config (with overrides normalized) on success; raises
-    ConfigValidationError carrying one entry per violated constraint,
-    and no other exception, whatever the field values.
+    one ConfigError with a message per violated constraint, and no
+    other exception, whatever the field values.
     """
     violations = []
 
-    # the table holds every band and visibility pair; type checks alone
-    # never hash or compare a value that may be unhashable or an array
-    scenario = config.scenario
-    scenario_ok = (isinstance(scenario, Scenario)
-                   and isinstance(scenario.frequency_band, FrequencyBand)
-                   and isinstance(scenario.visibility, Visibility))
+    scenario_ok = isinstance(config.scenario, Scenario)
     if not scenario_ok:
-        violations.append(ConfigError(
-            f"scenario must be one of ALL_SCENARIOS, got {scenario!r}"))
+        violations.append(f"scenario must be one of ALL_SCENARIOS, got {config.scenario!r}")
 
     distance = config.distance_m
     distances = distance if isinstance(distance, tuple) else (distance,)
     if isinstance(distance, tuple) and not (
             len(distance) == 2 and all(map(_is_number, distance)) and distance[0] < distance[1]):
-        violations.append(ConfigError(
-            f"distance range must be (min, max) with min < max, got {distance}"))
+        violations.append(f"distance range must be (min, max) with min < max, got {distance}")
     for d in distances:
         if not (_is_number(d) and MIN_DISTANCE_M <= d <= MAX_DISTANCE_M):
-            violations.append(ConfigError(
-                f"distance {d!r} m outside [{MIN_DISTANCE_M}, {MAX_DISTANCE_M}] m"))
+            violations.append(f"distance {d!r} m outside [{MIN_DISTANCE_M}, {MAX_DISTANCE_M}] m")
 
     if not _is_number(config.tx_power_dbm):
-        violations.append(ConfigError(
-            f"tx_power_dbm must be a finite number, got {config.tx_power_dbm!r}"))
+        violations.append(f"tx_power_dbm must be a finite number, got {config.tx_power_dbm!r}")
     elif not MIN_TX_POWER_DBM <= config.tx_power_dbm <= MAX_TX_POWER_DBM:
-        violations.append(ConfigError(
-            f"tx_power_dbm {config.tx_power_dbm!r} outside "
-            f"[{MIN_TX_POWER_DBM}, {MAX_TX_POWER_DBM}] dBm"))
+        violations.append(f"tx_power_dbm {config.tx_power_dbm!r} outside "
+                          f"[{MIN_TX_POWER_DBM}, {MAX_TX_POWER_DBM}] dBm")
 
     if not (_is_count(config.num_drops) and config.num_drops >= 1):
-        violations.append(ConfigError(f"num_drops must be >= 1, got {config.num_drops!r}"))
+        violations.append(f"num_drops must be >= 1, got {config.num_drops!r}")
 
     if not (_is_count(config.master_seed) and 0 <= config.master_seed < 2**64):
-        violations.append(ConfigError(
-            f"master_seed must be an unsigned 64-bit integer, got {config.master_seed!r}"))
+        violations.append(
+            f"master_seed must be an unsigned 64-bit integer, got {config.master_seed!r}")
 
     if not (_is_count(config.workers) and config.workers >= 1):
-        violations.append(ConfigError(f"workers must be >= 1, got {config.workers!r}"))
+        violations.append(f"workers must be >= 1, got {config.workers!r}")
 
     if not (config.out_dir is None or isinstance(config.out_dir, (str, PurePath))):
-        violations.append(ConfigError(f"out_dir must be a path or None, got {config.out_dir!r}"))
+        violations.append(f"out_dir must be a path or None, got {config.out_dir!r}")
 
     if not isinstance(config.outputs, (tuple, list)):
-        violations.append(ConfigError(f"outputs must be a sequence, got {config.outputs!r}"))
+        violations.append(f"outputs must be a sequence, got {config.outputs!r}")
     else:
         for out in config.outputs:
             if out not in VALID_OUTPUTS:
-                violations.append(ConfigError(
-                    f"unknown output {out!r}, expected one of {VALID_OUTPUTS}"))
+                violations.append(f"unknown output {out!r}, expected one of {VALID_OUTPUTS}")
 
     overrides = {}
     if not isinstance(config.overrides, Mapping):
-        violations.append(ConfigError(
-            f"overrides must be a mapping, got {config.overrides!r}"))
+        violations.append(f"overrides must be a mapping, got {config.overrides!r}")
     else:
         overrides = dict(config.overrides)
         if scenario_ok:
             try:
                 apply_overrides(lookup_params(config.scenario), overrides)
             except ConfigError as exc:
-                violations.append(exc)
+                violations.extend(exc.violations)
 
     if violations:
-        raise ConfigValidationError(violations)
+        raise ConfigError(*violations)
     return dataclasses.replace(config, overrides=overrides)
 
 

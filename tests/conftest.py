@@ -102,8 +102,7 @@ def dense_grid(pas):
 def drops_alone(config, start, count):
     """Drops start .. start + count - 1 of `config`, each generated
     alone, as a block of one."""
-    params = t.resolved_params(config)
-    return [t.generate_drop(config, params, i) for i in range(start, start + count)]
+    return [t.generate_drop(config, i) for i in range(start, start + count)]
 
 
 def drop_slices(block):

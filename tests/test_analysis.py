@@ -55,7 +55,7 @@ def test_partition_rejects_an_empty_profile_and_a_non_positive_mti(delays, mti):
 def test_partition_finds_every_generated_cluster_start(scenario_label):
     cfg = make_config(scenario_label, master_seed=24)
     params = t.resolved_params(cfg)
-    block = t.generate_batch(cfg, params, 0, 100)
+    block = t.generate_batch(cfg, 0, 100)
     for c, p in drop_slices(block):
         delays = block.excess_delays_ns()[p]
         order = np.argsort(delays, kind="stable")
@@ -90,7 +90,7 @@ def drop_delay_samples(block, mti):
 def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
     cfg = make_config(scenario_label, master_seed=21)
     params = t.resolved_params(cfg)
-    block = t.generate_batch(cfg, params, 0, 100)
+    block = t.generate_batch(cfg, 0, 100)
     samples = drop_delay_samples(block, params.mti)
     for index, clusters, (_, offsets) in zip(block.drop_index, block.num_clusters.tolist(),
                                              samples, strict=True):
@@ -104,7 +104,7 @@ def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
 def test_intra_delay_samples_leave_out_each_cluster_zero(scenario_label):
     cfg = make_config(scenario_label, master_seed=22)
     params = t.resolved_params(cfg)
-    block = t.generate_batch(cfg, params, 0, 100)
+    block = t.generate_batch(cfg, 0, 100)
     per_cluster = np.split(block.intra_delays_ns, block.cluster_start[1:])
     for (c, _), (samples, _) in zip(drop_slices(block), drop_delay_samples(block, params.mti)):
         # (tau + rho) - tau rounds, so rho comes back to within an ulp of tau
@@ -116,7 +116,7 @@ def test_intra_delay_samples_estimate_mu_rho():
     cfg = make_config("28GHz-NLOS", master_seed=23)  # mu_rho 15.7
     params = t.resolved_params(cfg)
     samples = np.concatenate([intra for intra, _ in drop_delay_samples(
-        t.generate_batch(cfg, params, 0, 300), params.mti)])
+        t.generate_batch(cfg, 0, 300), params.mti)])
     assert len(samples) > 1000
     # exponential: the sample mean has standard error mu / sqrt(n); allow 5 of them
     assert abs(samples.mean() - 15.7) < 5 * 15.7 / np.sqrt(len(samples))
@@ -205,7 +205,7 @@ def lobe_fields(lobe) -> tuple:
 @pytest.mark.parametrize("slt_db", [-3.0, -10.0, -30.0])
 def test_each_spectrum_of_a_set_has_the_lobes_it_has_alone(scenario_label, slt_db):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=47)
-    block = t.generate_batch(cfg, t.resolved_params(cfg), 0, 60)
+    block = t.generate_batch(cfg, 0, 60)
     drops = drops_alone(cfg, 0, 60)
     for side in ("aod", "aoa"):
         rank, cells, power = spectrum_deposits(block, side)

@@ -135,7 +135,7 @@ def dense_pas_rows(block) -> str:
 
 def test_pas_writer_matches_the_dense_grid_writer(scenario_label):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=41)
-    block = generate_batch(cfg, t.resolved_params(cfg), 0, 200)
+    block = generate_batch(cfg, 0, 200)
     assert _pas_rows(block) == dense_pas_rows(block)
 
 
@@ -155,9 +155,8 @@ def per_drop_pas_rows(drop) -> str:
 @pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
 def test_block_rows_equal_the_rows_of_its_drops_generated_alone(scenario_label, distance):
     cfg = make_config(scenario_label, distance_m=distance, master_seed=43)
-    params = t.resolved_params(cfg)
     for start, count in ((0, BLOCK_DROPS), (BLOCK_DROPS + 5, 1)):
-        block = generate_batch(cfg, params, start, count)
+        block = generate_batch(cfg, start, count)
         drops = drops_alone(cfg, start, count)
         assert _pas_rows(block) == "".join(map(per_drop_pas_rows, drops))
         for kind, (_, _, rows) in DROP_FILES.items():

@@ -65,7 +65,7 @@ def test_drop_and_stream_names_used_for_per_layer_counts():
     config = t.SimConfig(scenario=t.Scenario.parse("28GHz-LOS"), distance_m=(5.0, 45.0),
                          master_seed=7)
     assert config.distance_range() == (5.0, 45.0)
-    drop = generate_drop(config, t.resolved_params(config), 3)  # a block of one
+    drop = generate_drop(config, 3)  # a block of one
     assert len(drop) == 1 and 1 <= drop.num_clusters[0] <= drop.num_subpaths[0]
     for side in ("aod", "aoa"):
         assert np.diff(drop.lobe_offsets[side])[0] >= 1
@@ -382,3 +382,60 @@ def test_generate_names_the_line_of_an_override_byte_that_is_not_utf8(tmp_path):
                        "--out-dir", str(tmp_path)])
     assert rc == cli.EXIT_VALIDATION
     assert err.getvalue() == f"error: {path}:2: byte 0xe9 is not UTF-8\n"
+
+
+def _generate(tmp_path, *argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["generate", *argv, "--out-dir", str(tmp_path)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+# configuration errors: the exact stderr, one `error:` line per violation
+# in the order found, exit code 1 and nothing on stdout or on disk
+@pytest.mark.parametrize("argv, stderr", [
+    (["--scenario", "28GHz-LOS", "--override", "foo"],
+     "error: --override expects KEY=VALUE, got 'foo'\n"),
+    (["--scenario", "28GHz-LOS", "--drops", "0", "--distance", "0.5"],
+     "error: distance 0.5 m outside [1.0, 50.0] m\nerror: num_drops must be >= 1, got 0\n"),
+    (["--scenario", "28GHz-LOS", "--override", "mu_bogus=1"],
+     "error: unknown parameter 'mu_bogus'\n"),
+    (["--scenario", "28GHz-LOS", "--override", "beta_s=2"],
+     "error: beta_s must be in [0, 1]\n"),
+    (["--scenario", "28GHz-LOS", "--override", "mu_rho=x", "--drops", "0"],
+     "error: num_drops must be >= 1, got 0\n"
+     "error: bad value for 'mu_rho': could not convert string to float: 'x'\n"),
+    (["--scenario", "60GHz-LOS"], "error: unrecognized scenario '60GHz-LOS'\n"),
+])
+def test_generate_prints_each_config_error(tmp_path, argv, stderr):
+    assert _generate(tmp_path, *argv) == (cli.EXIT_VALIDATION, "", stderr)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_names_the_line_of_a_bad_override_file_line(tmp_path):
+    path = tmp_path / "o.cfg"
+    path.write_text("mu_rho = 4.0\nsigma_u 2\n")
+    assert _generate(tmp_path, "--scenario", "28GHz-LOS", "--override-file", str(path)) == (
+        cli.EXIT_VALIDATION, "", f"error: {path}:2: expected key=value, got 'sigma_u 2'\n")
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["analyze"], "error: analyze needs --pdp and/or --pas\n"),
+    (["params", "--scenario", "60GHz-LOS"], "error: unrecognized scenario '60GHz-LOS'\n"),
+])
+def test_other_commands_print_their_config_error(argv, stderr):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert (rc, out.getvalue(), err.getvalue()) == (cli.EXIT_VALIDATION, "", stderr)
+
+
+@pytest.mark.filterwarnings("error")  # as under python -W error
+@pytest.mark.parametrize("override", ["gamma_cluster=0.01", "ple=310"])
+def test_generate_writes_a_zero_mw_subpath_as_minus_inf_dbm(tmp_path, override):
+    # a late cluster's share of the power underflows to 0.0: a legal draw
+    rc, _, err = _generate(tmp_path, "--scenario", "28GHz-NLOS", "--override", override,
+                           "--drops", "50", "--format", "pdp")
+    assert (rc, err) == (cli.EXIT_OK, "")
+    rows = (tmp_path / "pdp.csv").read_text().splitlines()[1:]
+    assert any(row.endswith(",0,-inf") for row in rows)

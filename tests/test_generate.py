@@ -18,7 +18,7 @@ from tcslsim.generate import (
     sort_from_first,
 )
 from tcslsim.campaign import CSV_FLOAT, DROP_FILES, _jsonl_rows, _pdp_rows
-from tcslsim.errors import ConfigValidationError
+from tcslsim.errors import ConfigError
 from tcslsim.stats import METRIC_NAMES, drop_metrics
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS
 from tcslsim.randcore import RandomStream, composite_subpath, derive_keys, exponential, normal
@@ -34,7 +34,7 @@ def params_for(label, **overrides):
 def drops_for(label, count, master_seed=1234, **overrides):
     """Drops 0 .. count - 1 as one block."""
     cfg = make_config(label, master_seed=master_seed, overrides=overrides)
-    return generate_batch(cfg, t.resolved_params(cfg), 0, count)
+    return generate_batch(cfg, 0, count)
 
 
 def per_cluster(block, values):
@@ -350,8 +350,7 @@ def test_generate_drop_deterministic(scenario_label):
 
 def test_generate_drop_power_conservation(scenario_label):
     cfg = make_config(scenario_label, master_seed=5)
-    params = t.resolved_params(cfg)
-    block = generate_batch(cfg, params, 0, 200)
+    block = generate_batch(cfg, 0, 200)
     powers = block.powers_mw()
     for link, (c, p) in zip(block.link, drop_slices(block), strict=True):
         rx = link.rx_power_mw
@@ -364,8 +363,7 @@ def test_generate_drop_power_conservation(scenario_label):
 
 def test_generate_drop_invariant_sweep_140_nlos():
     cfg = make_config("140GHz-NLOS", master_seed=31)
-    params = t.resolved_params(cfg)
-    block = generate_batch(cfg, params, 0, 1000)
+    block = generate_batch(cfg, 0, 1000)
     assert (block.num_clusters >= 1).all()
     assert (void_gaps(block) >= 6.0).all()
     for az in (block.aod_az_deg, block.aoa_az_deg):
@@ -456,7 +454,7 @@ def test_drop_roundtrip_through_json():
 
 def test_distance_range_draws_within_bounds():
     cfg = make_config("28GHz-LOS", distance_m=(5.0, 45.0), master_seed=77)
-    distances = generate_batch(cfg, t.resolved_params(cfg), 0, 300).distance_m
+    distances = generate_batch(cfg, 0, 300).distance_m
     assert min(distances) >= 5.0 and max(distances) < 45.0
     assert np.std(distances) > 1.0  # actually varies
 
@@ -464,9 +462,9 @@ def test_distance_range_draws_within_bounds():
 @pytest.mark.parametrize("distance_m", [(45.0, 5.0), (math.nan, 5.0)])
 def test_generation_validates_its_config(distance_m):
     cfg = t.SimConfig(scenario=t.Scenario.parse("28GHz-LOS"), distance_m=distance_m)
-    with pytest.raises(ConfigValidationError, match="distance range"):
+    with pytest.raises(ConfigError, match="distance range"):
         t.generate_drop(cfg)
-    with pytest.raises(ConfigValidationError, match="distance range"):
+    with pytest.raises(ConfigError, match="distance range"):
         t.generate_drops(cfg)
 
 
@@ -479,7 +477,7 @@ def test_fixed_distance_consumes_no_distance_stream():
 
 def test_json_roundtrip_every_scenario(scenario_label):
     cfg = make_config(scenario_label, master_seed=203)
-    assert_json_roundtrip(generate_batch(cfg, t.resolved_params(cfg), 0, 10))
+    assert_json_roundtrip(generate_batch(cfg, 0, 10))
 
 
 def test_batched_draws_match_single_cluster_operations():
@@ -487,7 +485,7 @@ def test_batched_draws_match_single_cluster_operations():
     draws: intra delays, cluster delays and within-cluster power shares."""
     cfg = make_config("28GHz-NLOS", master_seed=909)
     params = t.resolved_params(cfg)
-    drop = t.generate_drop(cfg, params, drop_index=4)
+    drop = t.generate_drop(cfg, drop_index=4)
     (n_clusters,), (n_subpaths,) = drop.num_clusters, drop.num_subpaths
     assert n_clusters > 1 and n_subpaths > n_clusters
 
@@ -558,16 +556,15 @@ def rows_alone(cfg, start, count):
 @pytest.mark.parametrize("label, distance", BLOCK_CONFIGS)
 def test_generate_batch_is_independent_of_the_block_split(label, distance):
     cfg = make_config(label, distance_m=distance, master_seed=31)
-    params = t.resolved_params(cfg)
     start, count = 17, 40
-    reference = drop_rows(generate_batch(cfg, params, start, count))
+    reference = drop_rows(generate_batch(cfg, start, count))
     assert rows_alone(cfg, start, count) == reference
     assert all(rows["pdp"] and rows["pas"] for rows in reference[0])
     rng = np.random.default_rng(7)
     for _ in range(5):
         cuts = rng.choice(np.arange(1, count), size=rng.integers(1, 6), replace=False)
         bounds = [0, *sorted(cuts.tolist()), count]
-        pieces = [drop_rows(generate_batch(cfg, params, start + a, b - a))
+        pieces = [drop_rows(generate_batch(cfg, start + a, b - a))
                   for a, b in zip(bounds, bounds[1:])]
         assert [rows for piece, _ in pieces for rows in piece] == reference[0]
         assert all(dtypes == reference[1] for _, dtypes in pieces)
@@ -576,9 +573,8 @@ def test_generate_batch_is_independent_of_the_block_split(label, distance):
 @pytest.mark.parametrize("label, distance", BLOCK_CONFIGS)
 def test_a_block_has_the_counts_and_metrics_of_its_drops_alone(label, distance):
     cfg = make_config(label, distance_m=distance, master_seed=35)
-    params = t.resolved_params(cfg)
     start, count = 250, 12
-    block = generate_batch(cfg, params, start, count)
+    block = generate_batch(cfg, start, count)
     alone = drops_alone(cfg, start, count)
     assert len(block) == count and all(len(drop) == 1 for drop in alone)
     assert block.drop_index == [i for drop in alone for i in drop.drop_index]
@@ -600,9 +596,8 @@ def test_a_block_has_the_counts_and_metrics_of_its_drops_alone(label, distance):
 
 def test_generate_drops_crosses_blocks_like_single_drops():
     cfg = make_config("140GHz-NLOS", master_seed=33)
-    params = t.resolved_params(cfg)
     edge = range(BLOCK_DROPS - 2, BLOCK_DROPS + 2)
-    blocks = list(t.generate_drops(cfg, params, start=edge[0] - BLOCK_DROPS,
+    blocks = list(t.generate_drops(cfg, start=edge[0] - BLOCK_DROPS,
                                    count=BLOCK_DROPS + 4))
     assert [len(block) for block in blocks] == [BLOCK_DROPS, 4]
     assert ([i for block in blocks for i in block.drop_index]
@@ -643,7 +638,7 @@ def test_uniforms_drawn_per_drop_follow_its_structure(monkeypatch, label, distan
 
     monkeypatch.setattr(generate, "stream_uniforms", recording)
     cfg = make_config(label, distance_m=distance, master_seed=34)
-    block = generate_batch(cfg, t.resolved_params(cfg), 100, 30)
+    block = generate_batch(cfg, 100, 30)
     assert len(calls) == 3  # one Philox call per stage
     ranged = cfg.distance_range() is not None
     lobes = lobe_counts(block, "aod") + lobe_counts(block, "aoa")

@@ -96,7 +96,7 @@ def test_link_budget_rx_example():
 
 def test_zero_sigma_shadowing_is_exactly_zero():
     cfg = make_config("140GHz-LOS", master_seed=5)
-    for link in t.generate_batch(cfg, t.resolved_params(cfg), 0, 50).link:
+    for link in t.generate_batch(cfg, 0, 50).link:
         assert link.shadow_fading_db == 0.0
 
 
@@ -104,7 +104,7 @@ def test_shadowing_mean_over_draws():
     n = 10_000
     cfg = make_config("140GHz-NLOS", master_seed=77, overrides={"sigma_sf": "4.0"})
     params = t.resolved_params(cfg)
-    vals = np.array([link.rx_power_dbm for block in t.generate_drops(cfg, params, count=n)
+    vals = np.array([link.rx_power_dbm for block in t.generate_drops(cfg, count=n)
                      for link in block.link])
     expected = cfg.tx_power_dbm - path_loss_ci(140e9, 10.0, params.ple)
     assert abs(vals.mean() - expected) < 5 * 4.0 / math.sqrt(n)

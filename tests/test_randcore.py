@@ -9,7 +9,7 @@ from scipy import stats as sps
 
 import tcslsim as t
 from conftest import composite_pmf, family_gof_pvalue
-from tcslsim.errors import ConfigValidationError
+from tcslsim.errors import ConfigError
 from tcslsim.randcore import (
     RandomStream,
     composite_subpath,
@@ -207,7 +207,7 @@ def validated(label, distance_m=10.0, **overrides):
     lambda: validated("28-nlos", mu_s=0.0),                 # composite mu_s = 0
 ])
 def test_invalid_params_raise(bad):
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(ConfigError):
         bad()
 
 

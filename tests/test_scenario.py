@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import tcslsim as t
 from tcslsim.campaign import run_campaign
-from tcslsim.errors import ConfigError, ConfigValidationError
-from tcslsim.scenario import Visibility, parse_override_file
+from tcslsim.errors import ConfigError
+from tcslsim.scenario import parse_override_file
 
 # The full measured parameter table, frozen field by field.
 EXPECTED_TABLE = {
@@ -59,7 +59,15 @@ EXPECTED_TABLE = {
 
 def test_exactly_four_scenarios():
     assert len(t.ALL_SCENARIOS) == 4
-    assert len({s.label() for s in t.ALL_SCENARIOS}) == 4
+    assert len({s.value for s in t.ALL_SCENARIOS}) == 4
+
+
+def test_the_scenario_enum_is_closed():
+    with pytest.raises(ValueError):
+        t.Scenario("60GHz-LOS")
+    assert t.ALL_SCENARIOS == tuple(t.Scenario)
+    assert all(t.Scenario.parse(s.value) is s for s in t.Scenario)
+    assert [s.frequency_hz for s in t.ALL_SCENARIOS] == [28e9, 28e9, 140e9, 140e9]
 
 
 @pytest.mark.parametrize("text,label", [
@@ -69,7 +77,7 @@ def test_exactly_four_scenarios():
     ("140 NLOS", "140GHz-NLOS"),
 ])
 def test_scenario_parse(text, label):
-    assert t.Scenario.parse(text).label() == label
+    assert t.Scenario.parse(text).value == label
 
 
 def test_scenario_parse_rejects_garbage():
@@ -124,7 +132,7 @@ def test_exactly_one_cluster_count_parameter():
     for s in t.ALL_SCENARIOS:
         p = t.lookup_params(s)
         assert (p.n_c_max is None) != (p.lambda_c is None)
-        if s.visibility is Visibility.LOS:
+        if s.value.endswith("-LOS"):
             assert p.n_c_max is not None
         else:
             assert p.lambda_c is not None
@@ -141,14 +149,14 @@ def test_validate_accepts_measured_min_distance():
 
 def test_validate_rejects_below_reference():
     cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], distance_m=0.5)
-    with pytest.raises(ConfigValidationError) as exc:
+    with pytest.raises(ConfigError) as exc:
         t.validate_config(cfg)
     assert [str(v) for v in exc.value.violations] == ["distance 0.5 m outside [1.0, 50.0] m"]
 
 
 def test_validate_rejects_zero_drops():
     cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], num_drops=0)
-    with pytest.raises(ConfigValidationError) as exc:
+    with pytest.raises(ConfigError) as exc:
         t.validate_config(cfg)
     assert [str(v) for v in exc.value.violations] == ["num_drops must be >= 1, got 0"]
 
@@ -156,10 +164,10 @@ def test_validate_rejects_zero_drops():
 def test_validate_collects_every_violation():
     cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], distance_m=0.2, num_drops=-3,
                       overrides={"no_such": "1"})
-    with pytest.raises(ConfigValidationError) as exc:
+    with pytest.raises(ConfigError) as exc:
         t.validate_config(cfg)
     violations = exc.value.violations
-    assert all(isinstance(v, ConfigError) for v in violations)
+    assert all(isinstance(v, str) for v in violations)
     for expected in ("distance 0.2 m outside", "num_drops must be >= 1, got -3",
                      "unknown parameter 'no_such'"):
         assert sum(expected in str(v) for v in violations) == 1, expected
@@ -168,12 +176,12 @@ def test_validate_collects_every_violation():
 def test_validate_distance_range():
     cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], distance_m=(5.0, 45.0))
     assert t.validate_config(cfg).distance_range() == (5.0, 45.0)
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(ConfigError):
         t.validate_config(t.SimConfig(scenario=t.ALL_SCENARIOS[0], distance_m=(45.0, 5.0)))
 
 
 def test_validate_master_seed_bounds():
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(ConfigError):
         t.validate_config(t.SimConfig(scenario=t.ALL_SCENARIOS[0], master_seed=-1))
     t.validate_config(t.SimConfig(scenario=t.ALL_SCENARIOS[0], master_seed=2**64 - 1))
 
@@ -182,25 +190,21 @@ def test_validate_master_seed_bounds():
     ("workers", None), ("workers", 2.5), ("overrides", None), ("distance_m", (5.0, "x")),
     ("tx_power_dbm", math.nan), ("tx_power_dbm", "x"), ("num_drops", True), ("master_seed", True),
     ("scenario", "28GHz-LOS"), ("outputs", None),
-    # a Scenario outside the table, unhashable, with its fields swapped,
-    # or an array, whose == gives no truth value
-    ("scenario", t.Scenario("x", "y")), ("scenario", t.Scenario([], [])),
-    ("scenario", t.Scenario(t.ALL_SCENARIOS[0].visibility, t.ALL_SCENARIOS[0].frequency_band)),
-    ("scenario", np.array([1, 2])), ("scenario", t.Scenario(np.array([1, 2]), "x")),
+    ("scenario", np.array([1, 2])),  # whose == gives no truth value
 ])
 def test_validate_rejects_wrong_types(field, value):
     cfg = dataclasses.replace(t.SimConfig(scenario=t.ALL_SCENARIOS[0]), **{field: value})
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(ConfigError):
         t.validate_config(cfg)
 
 
 @pytest.mark.parametrize("out_dir", [3, 2.5, b"out", ["out"], True])
 def test_validate_rejects_an_out_dir_that_is_not_a_path(out_dir):
     cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], out_dir=out_dir, outputs=("summary",))
-    with pytest.raises(ConfigValidationError, match="out_dir must be a path or None"):
+    with pytest.raises(ConfigError, match="out_dir must be a path or None"):
         t.validate_config(cfg)
     # run_campaign validates first, so Path(out_dir) never raises TypeError
-    with pytest.raises(ConfigValidationError, match="out_dir must be a path or None"):
+    with pytest.raises(ConfigError, match="out_dir must be a path or None"):
         run_campaign(cfg)
 
 
@@ -217,7 +221,7 @@ def test_validate_rejects_lambda_c_past_the_poisson_search():
     # which is no longer a normal float past lambda_c of about 708.4
     nlos = t.Scenario.parse("28GHz-NLOS")
     for value in ("708.5", "745", "800", "1e6"):
-        with pytest.raises(ConfigValidationError, match="lambda_c must keep exp"):
+        with pytest.raises(ConfigError, match="lambda_c must keep exp"):
             t.validate_config(t.SimConfig(scenario=nlos, overrides={"lambda_c": value}))
     cfg = t.validate_config(t.SimConfig(scenario=nlos, overrides={"lambda_c": "708"}))
     assert t.resolved_params(cfg).lambda_c == 708.0
@@ -233,17 +237,16 @@ _VALUES = st.one_of(
     st.dictionaries(st.one_of(st.sampled_from(_PARAM_NAMES), st.text(max_size=6)),
                     _SCALARS, max_size=3),
 )
-_ANY_VALUE = st.one_of(_VALUES, st.builds(t.Scenario, _VALUES, _VALUES))
 
 
 @given(field=st.sampled_from([f.name for f in dataclasses.fields(t.SimConfig)]),
-       value=_ANY_VALUE)
+       value=_VALUES)
 @settings(max_examples=400, deadline=None)
 def test_validate_config_raises_only_validation_error(field, value):
     cfg = dataclasses.replace(t.SimConfig(scenario=t.ALL_SCENARIOS[1]), **{field: value})
     try:
         t.validate_config(cfg)
-    except ConfigValidationError:
+    except ConfigError:
         pass
 
 
@@ -296,12 +299,12 @@ def test_params_reject_a_non_finite_value_the_invariants_miss(name, value):
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         dataclasses.replace(base, **{name: value})
-    assert dataclasses.replace(base, **{name: 1.0}).to_dict()[name] == 1.0
+    assert dataclasses.asdict(dataclasses.replace(base, **{name: 1.0}))[name] == 1.0
 
 
 def test_validate_rejects_nan_override():
     cfg = t.SimConfig(scenario=t.Scenario.parse("28GHz-NLOS"), overrides={"mu_rho": "nan"})
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(ConfigError):
         t.validate_config(cfg)
 
 

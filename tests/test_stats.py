@@ -90,7 +90,7 @@ def test_azimuth_wrap_rounds_to_cell_zero():
 
 def test_deposits_by_drop_rank_hold_each_drops_spectrum_at_its_rank(scenario_label):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=43)
-    block = generate_batch(cfg, t.resolved_params(cfg), 0, 60)
+    block = generate_batch(cfg, 0, 60)
     drops = drops_alone(cfg, 0, 60)
     for side in ("aod", "aoa"):
         pas = PowerAngularSpectrum.from_deposits(side, *spectrum_deposits(block, side))
@@ -205,10 +205,9 @@ def kernel_metrics(block):
 
 def test_drop_metrics_of_any_split_are_the_columns_of_the_whole():
     cfg = make_config("140GHz-NLOS", master_seed=3)
-    params = t.resolved_params(cfg)
-    whole = drop_metrics(generate_batch(cfg, params, 0, 60))
+    whole = drop_metrics(generate_batch(cfg, 0, 60))
     assert sorted(whole) == sorted(METRIC_NAMES)
-    parts = [drop_metrics(generate_batch(cfg, params, a, b - a))
+    parts = [drop_metrics(generate_batch(cfg, a, b - a))
              for a, b in ((0, 1), (1, 17), (17, 60))]
     for name in METRIC_NAMES:
         assert len(whole[name]) == 60
@@ -247,7 +246,7 @@ def test_summarize_median_is_order_statistic(values):
 def test_drop_metrics_of_a_block_equal_the_kernels_on_each_drop_in_every_bit(scenario_label,
                                                                              distance):
     cfg = make_config(scenario_label, distance_m=distance, master_seed=29)
-    block = generate_batch(cfg, t.resolved_params(cfg), 40, BLOCK_DROPS)
+    block = generate_batch(cfg, 40, BLOCK_DROPS)
     of_block = drop_metrics(block)
     of_drops = [list(values) for values in zip(*kernel_metrics(block))]
     for name, want in zip(METRIC_NAMES, of_drops, strict=True):

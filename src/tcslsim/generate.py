@@ -37,6 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import InvalidParamsError
 from .pathloss import SPEED_OF_LIGHT_M_PER_NS, link_budget
 from .randcore import (
     composite_subpath,
@@ -210,17 +211,43 @@ def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return segment, np.arange(len(segment)) - (np.cumsum(lengths) - lengths)[segment]
 
 
-def _slices(lengths: np.ndarray) -> list:
-    """The slice of each segment of `lengths` laid end to end."""
-    ends = np.cumsum(lengths).tolist()
-    return [slice(end - n, end) for end, n in zip(ends, lengths.tolist())]
+# numpy sums a contiguous float64 run of more than this many terms by
+# halves, each run of at most this many with eight accumulators
+_PAIRWISE_BLOCK = 128
 
 
-def _segment_sums(values: np.ndarray, slices: list) -> np.ndarray:
-    """`values[a:b].sum()` of each segment. Replay depends on the
-    summation order of each sum, which a segmented reduction does not
-    promise to keep."""
-    return np.array([values[s].sum() for s in slices])
+def segment_sums(values: np.ndarray, lengths) -> np.ndarray:
+    """The sum of each segment of `lengths` laid end to end in `values`,
+    equal in every bit to its `.sum()`, on which replay depends.
+
+    numpy's pairwise summation, done as column operations over all
+    segments at once: under 8 terms a left fold from 0.0; up to 128
+    terms eight accumulators seeded by the first eight terms, each
+    adding every eighth term of the whole eights that follow, combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last
+    `length % 8` terms folded in. Lanes past a segment's end add -0.0,
+    which leaves any sum unchanged. Longer segments call `.sum()` one
+    by one.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    short = lengths <= _PAIRWISE_BLOCK
+    eights = np.where(short & (lengths >= 8), lengths & -8, 0)  # terms in the accumulators
+    sums = np.zeros(len(lengths))
+    rows = np.flatnonzero(eights)
+    first, whole = starts[rows], eights[rows]
+    lane = np.arange(8)[:, None]
+    r = values[first + lane]
+    for b in range(8, whole.max(initial=0), 8):
+        r += np.where(b < whole, np.take(values, first + (b + lane), mode="clip"), -0.0)
+    sums[rows] += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    rest = np.where(short, lengths - eights, 0)
+    k = np.arange(rest.max(initial=0))[:, None]
+    for column in np.where(k < rest, np.take(values, starts + eights + k, mode="clip"), -0.0):
+        sums += column
+    for i in np.flatnonzero(~short).tolist():
+        sums[i] = values[starts[i]:starts[i] + lengths[i]].sum()
+    return sums
 
 
 def _stage_uniforms(master_seed: int, drops: range, layout: dict) -> list:
@@ -244,7 +271,9 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
     config at once, as one block. Each drop reads only its own streams,
     from position 0, so it is the same in any block. The scenario's
     parameters, with the config's overrides applied, are resolved once
-    per call."""
+    per call. `count` must be at least 1."""
+    if count < 1:
+        raise InvalidParamsError(f"count must be at least 1, got {count}")
     params = resolved_params(config)
     seed = config.master_seed
     drops = range(start, start + count)
@@ -296,11 +325,11 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
 
     z_db = normal(u_cluster_power, 0.0, params.sigma_z)
     raw = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
-    cluster_frac = raw / _segment_sums(raw, _slices(n_clusters))[drop_of_cluster]
+    cluster_frac = raw / segment_sums(raw, n_clusters)[drop_of_cluster]
 
     u_db = normal(u_subpath_power, 0.0, params.sigma_u)
     raw = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
-    cluster_raw = _segment_sums(raw, _slices(sizes))
+    cluster_raw = segment_sums(raw, sizes)
     subpath = {
         "intra_delays_ns": intra,
         "power_fractions": cluster_frac[cluster_of] * (raw / cluster_raw[cluster_of]),

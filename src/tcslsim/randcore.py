@@ -51,14 +51,12 @@ def derive_keys(master_seed: int, drop_indices, labels) -> np.ndarray:
     """Philox keys of every (label, drop) pair, label-major: row
     `i * len(drop_indices) + j` is the key of `labels[i]` in drop
     `drop_indices[j]`. Shape (len(labels) * len(drop_indices), 2)."""
-    seed = hashlib.sha256(f"{master_seed}:".encode())  # hashed once, copied per key
-    digests = []
-    for label in labels:
-        for drop in drop_indices:
-            key = seed.copy()
-            key.update(f"{drop}:{label}".encode())
-            digests.append(key.digest()[:16])
-    return np.frombuffer(b"".join(digests), dtype=np.uint64).reshape(-1, 2)
+    heads = [f"{master_seed}:{drop}:".encode() for drop in drop_indices]
+    sha256 = hashlib.sha256
+    digests = b"".join([sha256(head + label).digest()
+                        for label in [label.encode() for label in labels] for head in heads])
+    # each digest is four words; a key is the first two
+    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 4)[:, :2]
 
 
 def _philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:

@@ -7,11 +7,18 @@ per-drop object.
 A `PowerAngularSpectrum` holds sparse angular spectra of one side: one
 per drop of a block (`build_pas`), or one per drop of an exported file.
 
-Each spread is an elementwise part (squared delays, unit phasors) and a
-per-profile part of dot products and scalar arithmetic (`_delay_spread`,
-`_angular_spread`). `drop_metrics` runs the first once over a block and
-the second on each drop's slice, with the operands and summation order
-of the single-profile functions, so bits are equal.
+Each spread of a profile is its total weight, a few dot products and
+arithmetic on them. `drop_metrics` computes per drop only the six dot
+products on the drop's slices (BLAS ddot and zdotu), and everything
+else once over the block: the totals (`segment_sums`, bit for bit
+numpy's `.sum()`), the divisions by them, the variances, the resultant
+magnitudes, the clamps, logs and square roots. `rms_delay_spread` and
+`circular_angular_spread` are the one-profile case of the same code.
+
+Replay depends on the exact primitives. The magnitude of a complex
+resultant is the `np.abs` ufunc; builtin `abs` on a numpy complex takes
+another hypot. The log is glibc's `math.log`, one value at a time;
+`np.log` rounds some inputs differently.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .generate import DropBlock
+from .generate import DropBlock, segment_sums
 
 AZ_CELLS = 360
 EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
@@ -79,16 +86,36 @@ def rms_delay_spread(delays_ns, weights) -> float:
     weights = np.asarray(weights, dtype=float)
     if len(delays) == 0:
         raise InvalidParamsError("no taps")
-    return _delay_spread(weights.sum(), weights, delays, delays**2)
+    bounds = [0, len(weights)]
+    return _delay_spreads(_totals(weights, bounds),
+                          *_dots(weights, (delays, delays**2), bounds)).item()
 
 
-def _delay_spread(total, weights, delays, squares) -> float:
-    """RMS delay spread of one profile, given its total weight."""
-    if not total > 0:
+def _totals(weights, bounds) -> np.ndarray:
+    """Total weight of each profile `weights[a:b]` for consecutive a, b
+    of `bounds`; each must be positive."""
+    totals = segment_sums(weights, np.diff(bounds))
+    if not (totals > 0).all():
         raise InvalidParamsError("profile has no power")
-    mean = float(np.dot(weights, delays) / total)
-    second = float(np.dot(weights, squares) / total)
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return totals
+
+
+def _dots(weights, columns, bounds) -> np.ndarray:
+    """The dot product of `weights[a:b]` and `column[a:b]` of each column
+    (rows) and each profile (columns) for consecutive a, b of `bounds`.
+    `ndarray.dot` is `np.dot` (BLAS ddot or zdotu) without its dispatch."""
+    profiles = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    parts = [weights[p] for p in profiles]
+    return np.array([np.fromiter((w.dot(column[p]) for w, p in zip(parts, profiles)),
+                                 weights.dtype, len(parts)) for column in columns])
+
+
+def _delay_spreads(totals, first, second) -> np.ndarray:
+    """RMS delay spreads from profile totals and the weighted sums of
+    delays and of their squares."""
+    mean = first / totals
+    variance = second / totals - mean * mean
+    return np.sqrt(np.where(variance < 0.0, 0.0, variance))
 
 
 def build_pas(block: DropBlock, side: str) -> PowerAngularSpectrum:
@@ -116,42 +143,51 @@ def circular_angular_spread(angles_deg, powers) -> float:
     weights = np.asarray(powers, dtype=float)
     if angles.size == 0 or weights.size == 0:
         raise InvalidParamsError("no angles")
-    return _angular_spread(weights.sum(), weights.astype(complex), _phasors(angles))
+    bounds = [0, len(weights)]
+    totals = _totals(weights, bounds)
+    resultants = _dots(weights.astype(complex), (_phasors(angles),), bounds)[0]
+    return _angular_spreads(totals, resultants).item()
 
 
 def _phasors(angles_deg: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.deg2rad(angles_deg))
 
 
-def _angular_spread(total, weights, phasors) -> float:
-    """Angular spread of one profile, given its total and complex weights."""
-    if not total > 0:
-        raise InvalidParamsError("no power")
-    resultant = float(np.abs(np.dot(weights, phasors)) / total)
-    if resultant >= 1.0 - 1e-15:
-        return 0.0
-    resultant = max(resultant, 1e-12)
-    return math.degrees(math.sqrt(-2.0 * math.log(resultant)))
+def _angular_spreads(totals, resultants) -> np.ndarray:
+    """Angular spreads in degrees from profile totals and the complex
+    weighted sums of their phasors."""
+    magnitude = np.abs(resultants) / totals
+    single = magnitude >= 1.0 - 1e-15
+    # a single direction may round above 1; its log is taken of 1.0 so no
+    # square root of a negative runs
+    magnitude = np.where(single, 1.0, np.where(magnitude < 1e-12, 1e-12, magnitude))
+    logs = np.fromiter(map(math.log, magnitude.tolist()), float, len(magnitude))
+    return np.where(single, 0.0, np.degrees(np.sqrt(-2.0 * logs)))
 
 
 def drop_metrics(block: DropBlock) -> dict:
     """{METRIC_NAMES entry: one value per drop of `block`}: RMS delay
     spread in ns, angular spreads in degrees. Power fractions weight the
     subpaths, so no value depends on transmit power or distance in any
-    bit."""
-    delays = block.excess_delays_ns()
-    squares = delays**2
+    bit.
+
+    Per drop run only the six dot products of the power fractions with
+    the drop's delays, squared delays and the unit phasors of its four
+    angle columns. The totals and everything after the dots run once
+    over the block, element by element, with the `np.abs` ufunc and
+    glibc's `math.log` as the primitives whose bits replay depends on;
+    every value equals that of the one-profile functions.
+    """
     weights = block.power_fractions
-    complex_weights = weights.astype(complex)
+    bounds = block.subpath_offsets.tolist()
+    totals = _totals(weights, bounds)
+    delays = block.excess_delays_ns()
+    spreads = [_delay_spreads(totals, *_dots(weights, (delays, delays**2), bounds))]
     # as_aod_az_deg: the block's aod_az_deg
     phasors = [_phasors(getattr(block, name[3:])) for name in METRIC_NAMES[1:]]
-    bounds = block.subpath_offsets.tolist()
-    rows = []
-    for a, b in zip(bounds, bounds[1:]):
-        total = weights[a:b].sum()
-        rows.append([_delay_spread(total, weights[a:b], delays[a:b], squares[a:b]),
-                     *[_angular_spread(total, complex_weights[a:b], p[a:b]) for p in phasors]])
-    return dict(zip(METRIC_NAMES, map(list, zip(*rows))))
+    spreads += [_angular_spreads(totals, resultants)
+                for resultants in _dots(weights.astype(complex), phasors, bounds)]
+    return {name: values.tolist() for name, values in zip(METRIC_NAMES, spreads)}
 
 
 @dataclass

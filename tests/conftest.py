@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sps
 
 import tcslsim as t
+from tcslsim.errors import InvalidParamsError
 from tcslsim.randcore import (
     RandomStream,
     composite_subpath,
@@ -17,7 +18,7 @@ from tcslsim.randcore import (
     poisson_shifted,
     uniform,
 )
-from tcslsim.stats import AZ_CELLS, EL_CELLS
+from tcslsim.stats import AZ_CELLS, EL_CELLS, METRIC_NAMES
 
 SCENARIO_LABELS = ("28GHz-LOS", "28GHz-NLOS", "140GHz-LOS", "140GHz-NLOS")
 
@@ -51,6 +52,45 @@ def naive_circular_spread_deg(angles_deg, powers):
         return 0.0
     r = max(r, 1e-12)
     return math.degrees(math.sqrt(-2.0 * math.log(r)))
+
+
+def reference_delay_spread(delays_ns, weights):
+    """RMS delay spread of one profile, one scalar operation at a time:
+    the total by `.sum()`, the weighted sums by `np.dot`, the rest in
+    Python floats. Every value of the library's spreads equals it."""
+    total = weights.sum()
+    if not total > 0:
+        raise InvalidParamsError("profile has no power")
+    mean = float(np.dot(weights, delays_ns) / total)
+    second = float(np.dot(weights, delays_ns**2) / total)
+    return math.sqrt(max(second - mean * mean, 0.0))
+
+
+def reference_angular_spread(angles_deg, weights):
+    """Angular spread of one profile in degrees, one scalar operation at
+    a time, with the library's clamps; see `reference_delay_spread`."""
+    total = weights.sum()
+    if not total > 0:
+        raise InvalidParamsError("profile has no power")
+    phasors = np.exp(1j * np.deg2rad(angles_deg))
+    resultant = float(np.abs(np.dot(weights.astype(complex), phasors)) / total)
+    if resultant >= 1.0 - 1e-15:
+        return 0.0
+    resultant = max(resultant, 1e-12)
+    return math.degrees(math.sqrt(-2.0 * math.log(resultant)))
+
+
+def reference_metrics(block):
+    """METRIC_NAMES values of each drop of `block`, one row per drop,
+    from the reference spreads on copies of the drop's slices."""
+    delays = block.excess_delays_ns()
+    rows = []
+    for _, p in drop_slices(block):
+        weights = block.power_fractions[p].copy()
+        rows.append([reference_delay_spread(delays[p].copy(), weights)]
+                    + [reference_angular_spread(getattr(block, name[3:])[p].copy(), weights)
+                       for name in METRIC_NAMES[1:]])
+    return rows
 
 
 def composite_pmf(k, beta, mu_s):

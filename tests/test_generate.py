@@ -15,15 +15,16 @@ from tcslsim.generate import (
     generate_batch,
     lobe_mean_angles,
     place_cluster_delays,
+    segment_sums,
     sort_from_first,
 )
 from tcslsim.campaign import CSV_FLOAT, DROP_FILES, _jsonl_rows, _pdp_rows
-from tcslsim.errors import ConfigError
+from tcslsim.errors import ConfigError, InvalidParamsError
 from tcslsim.stats import METRIC_NAMES, drop_metrics
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS
 from tcslsim.randcore import RandomStream, composite_subpath, derive_keys, exponential, normal
 
-from conftest import SCENARIO_LABELS, drop_slices, drops_alone, make_config
+from conftest import SCENARIO_LABELS, drop_slices, drops_alone, make_config, reference_metrics
 
 
 def params_for(label, **overrides):
@@ -584,11 +585,7 @@ def test_a_block_has_the_counts_and_metrics_of_its_drops_alone(label, distance):
         assert lobe_counts(block, side).tolist() == [n for d in alone
                                                      for n in lobe_counts(d, side)]
     metrics = drop_metrics(block)
-    for d, (_, p) in enumerate(drop_slices(block)):
-        weights = block.power_fractions[p]
-        expected = [t.rms_delay_spread(block.excess_delays_ns()[p], weights)]
-        expected += [t.circular_angular_spread(getattr(block, f"{name}_deg")[p], weights)
-                     for name in ("aod_az", "aod_el", "aoa_az", "aoa_el")]
+    for d, expected in enumerate(reference_metrics(block)):
         got = [metrics[name][d] for name in METRIC_NAMES]
         assert [v.hex() for v in got] == [v.hex() for v in expected], d
         assert got == [drop_metrics(alone[d])[name][0] for name in METRIC_NAMES]
@@ -650,3 +647,48 @@ def test_uniforms_drawn_per_drop_follow_its_structure(monkeypatch, label, distan
         assert used == 2 + ranged + 3 * clusters + 9 * subpaths + 2 + 2 * n_lobes
         total += used
     assert total == sum(drawn.values())  # no stream outside the twelve labels
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_generate_batch_refuses_a_count_below_one(count):
+    with pytest.raises(InvalidParamsError, match="count"):
+        generate_batch(make_config("28GHz-LOS"), 0, count)
+
+
+def sums_one_by_one(values, lengths):
+    """`.sum()` of each segment of `lengths` laid end to end in `values`."""
+    return np.array([s.sum() for s in np.split(values, np.cumsum(lengths)[:-1])])
+
+
+@pytest.mark.parametrize("magnitudes", ["wide", "signed", "fractions"])
+def test_segment_sums_are_numpys_sums_in_every_bit(magnitudes):
+    # pins numpy's summation order: a numpy that sums in another order
+    # fails here instead of silently changing replay
+    rng = np.random.default_rng(18)
+    lengths = rng.permutation(np.repeat(np.arange(201), 4))  # every length 0..200, at many offsets
+    n = int(lengths.sum())
+    if magnitudes == "fractions":
+        values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6, 0, n)
+    else:
+        values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-300, 300, n)
+    if magnitudes == "signed":
+        values *= rng.choice([-1.0, 1.0], n)
+        values[rng.random(n) < 0.05] = -0.0
+    got = segment_sums(values, lengths).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in sums_one_by_one(values, lengths).tolist()]
+
+
+def test_segments_over_128_terms_are_summed_as_numpy_does(monkeypatch):
+    # clusters of up to about 1,000 subpaths, drops of up to about 2,000
+    cfg = make_config("28GHz-NLOS", overrides={"beta_s": "1.0", "mu_s": "200.0"},
+                      master_seed=5)
+    block = generate_batch(cfg, 0, 24)
+    sizes = block.cluster_sizes()
+    assert sizes.max() > 128 and sizes.min() < 8 and block.num_subpaths.max() > 128
+    metrics = drop_metrics(block)
+    for d, expected in enumerate(reference_metrics(block)):
+        got = [metrics[name][d] for name in METRIC_NAMES]
+        assert [v.hex() for v in got] == [v.hex() for v in expected], d
+    monkeypatch.setattr(generate, "segment_sums", sums_one_by_one)
+    for got, want in zip(arrays_of(block), arrays_of(generate_batch(cfg, 0, 24)), strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     drops_alone,
     make_config,
     naive_circular_spread_deg,
+    reference_metrics,
     spectrum_deposits,
 )
 
@@ -155,6 +157,27 @@ def test_global_as_zero_when_single_lobe_no_offsets():
     assert metrics["as_aoa_az_deg"] == [0.0]
 
 
+def test_one_direction_gives_exactly_zero_angular_spreads_without_a_warning():
+    # every subpath of every drop at its one lobe's mean, on both sides
+    cfg = make_config("28GHz-NLOS", overrides={
+        "l_aod_max": "1", "l_aoa_max": "1",
+        "sigma_phi_aod": "0", "sigma_theta_aod": "0",
+        "sigma_phi_aoa": "0", "sigma_theta_aoa": "0"}, master_seed=47)
+    for drop in drops_alone(cfg, 0, 8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metrics = drop_metrics(drop)
+        assert [metrics[name][0].hex() for name in METRIC_NAMES[1:]] == [(0.0).hex()] * 4
+
+
+def test_a_drop_without_power_in_a_block_is_refused():
+    block = generate_batch(make_config("140GHz-LOS", master_seed=48), 0, 5)
+    _, p = drop_slices(block)[2]
+    block.power_fractions[p] = 0.0
+    with pytest.raises(InvalidParamsError, match="no power"):
+        drop_metrics(block)
+
+
 def test_global_as_bit_identical_under_tx_power():
     a = t.generate_drop(make_config("28GHz-NLOS", master_seed=61, tx_power_dbm=0.0))
     b = t.generate_drop(make_config("28GHz-NLOS", master_seed=61, tx_power_dbm=20.0))
@@ -178,29 +201,15 @@ def test_drop_metrics_match_individual_ops():
     *((label, 10.0) for label in SCENARIO_LABELS), ("28GHz-NLOS", (5.0, 45.0))])
 def test_block_metrics_equal_the_single_drop_kernels_in_every_bit(label, distance_m):
     # the campaign takes drop_metrics once per block: two full blocks and
-    # a partial one; each value must equal the kernel on the drop's own arrays
+    # a partial one; each value must equal the reference on the drop's own arrays
     n = 2 * BLOCK_DROPS + 41
     config = make_config(label, distance_m=distance_m, num_drops=n, master_seed=17)
     records = run_campaign(config).records
-    expected = [row for block in t.generate_drops(config) for row in kernel_metrics(block)]
+    expected = [row for block in t.generate_drops(config) for row in reference_metrics(block)]
     assert len(records) == len(expected) == n
     for index, (record, want) in enumerate(zip(records, expected, strict=True)):
         got = [getattr(record, name) for name in METRIC_NAMES]
         assert [v.hex() for v in got] == [v.hex() for v in want], index
-
-
-def kernel_metrics(block):
-    """METRIC_NAMES values of each drop of `block`, from the
-    single-profile kernels on copies of the drop's slices."""
-    delays = block.excess_delays_ns()
-    rows = []
-    for _, p in drop_slices(block):
-        weights = block.power_fractions[p].copy()
-        row = [t.rms_delay_spread(delays[p].copy(), weights)]
-        row += [t.circular_angular_spread(getattr(block, f"{name}_deg")[p].copy(), weights)
-                for name in ("aod_az", "aod_el", "aoa_az", "aoa_el")]
-        rows.append(row)
-    return rows
 
 
 def test_drop_metrics_of_any_split_are_the_columns_of_the_whole():
@@ -248,7 +257,7 @@ def test_drop_metrics_of_a_block_equal_the_kernels_on_each_drop_in_every_bit(sce
     cfg = make_config(scenario_label, distance_m=distance, master_seed=29)
     block = generate_batch(cfg, 40, BLOCK_DROPS)
     of_block = drop_metrics(block)
-    of_drops = [list(values) for values in zip(*kernel_metrics(block))]
+    of_drops = [list(values) for values in zip(*reference_metrics(block))]
     for name, want in zip(METRIC_NAMES, of_drops, strict=True):
         assert all(type(v) is float for v in of_block[name])
         assert [v.hex() for v in of_block[name]] == [v.hex() for v in want], name

@@ -12,6 +12,32 @@ has succeeded.
 The block is the unit: records come from a `DropBlock`'s per-drop
 columns and its metrics, and the drops.jsonl, pdp.csv and pas.csv rows
 from its flat arrays.
+
+drops.jsonl holds one JSON object per drop and line, its keys in sorted
+order at every level, as `json.dumps(sort_keys=True)` writes them:
+
+    aoa_lobes, aod_lobes  [{index (from 1), mean_az_deg, mean_el_deg}]
+    clusters              [{aoa_az_deg, aoa_el_deg, aoa_lobe_index,
+                            aod_az_deg, aod_el_deg, aod_lobe_index,
+                            excess_delay_ns, index (from 1),
+                            intra_delays_ns, phase_rad, power_fraction,
+                            power_mw, subpath_power_fraction,
+                            subpath_power_mw}]
+    distance_m, drop_index
+    link                  {distance_m, frequency_hz, fspl_1m_db,
+                           path_loss_db, rx_power_dbm, rx_power_mw,
+                           shadow_fading_db, tx_power_dbm}
+    master_seed, scenario (the label, such as "28GHz-NLOS")
+
+A cluster's keys other than its index, excess delay (of its first
+subpath) and power hold one entry per subpath, in ascending intra-
+cluster delay. Delays are in ns, angles in degrees (azimuth from 0 to
+360, elevation from -90 to 90, positive up), phases in radians,
+distances in m, powers in mW or dBm, gains and losses in dB and the
+frequency in Hz; a power fraction is a share of the drop's received
+power. Each float is written as Python's shortest round-trip `repr`
+and every value is finite (`generate_batch` refuses a block
+otherwise), so each row is strict JSON.
 """
 
 from __future__ import annotations
@@ -89,49 +115,54 @@ def config_digest(config: SimConfig) -> str:
 # Each formatter takes a DropBlock and returns the text of its drops'
 # rows, drop after drop.
 
-# Per-subpath arrays stored under the same name in each JSON cluster
-_JSONL_SUBPATH = ("intra_delays_ns", "phase_rad", "aod_az_deg", "aod_el_deg",
-                  "aoa_az_deg", "aoa_el_deg", "aod_lobe_index", "aoa_lobe_index")
-
-
 def _jsonl_rows(block: DropBlock) -> str:
-    # the short cluster and lobe columns become Python lists at once,
-    # the subpath columns one drop at a time
-    subpath = {name: getattr(block, name) for name in _JSONL_SUBPATH}
-    subpath["subpath_power_mw"] = block.powers_mw()
-    subpath["subpath_power_fraction"] = block.power_fractions
+    # each row is written from templates whose keys are in sorted order,
+    # each float by its repr and each list by str() of Python numbers:
+    # the bytes of json.dumps(sort_keys=True), which the finite values
+    # of a block allow. The short cluster and lobe columns become Python
+    # lists at once, the subpath columns one drop at a time.
+    subpath = (block.aoa_az_deg, block.aoa_el_deg, block.aoa_lobe_index,
+               block.aod_az_deg, block.aod_el_deg, block.aod_lobe_index,
+               block.intra_delays_ns, block.phase_rad, block.power_fractions, block.powers_mw())
     starts = [*block.cluster_start.tolist(), int(block.subpath_offsets[-1])]
     delays = block.cluster_delays_ns.tolist()
     fractions = block.cluster_power_fractions.tolist()
     first_cluster = block.cluster_offsets.tolist()
-    lobes = {side: (block.lobe_offsets[side].tolist(), block.lobe_az_deg[side].tolist(),
-                    block.lobe_el_deg[side].tolist()) for side in SIDES}
-    label = block.scenario.value
+    lobes = [(block.lobe_offsets[side].tolist(), block.lobe_az_deg[side].tolist(),
+              block.lobe_el_deg[side].tolist()) for side in ("aoa", "aod")]
+    scenario, seed = json.dumps(block.scenario.value), block.master_seed
     rows = []
     for d, link in enumerate(block.link):
         a, b = first_cluster[d:d + 2]
         p = starts[a]
-        columns = {name: values[p:starts[b]].tolist() for name, values in subpath.items()}
-        drop = {
-            "scenario": label,
-            "drop_index": block.drop_index[d],
-            "master_seed": block.master_seed,
-            "distance_m": block.distance_m[d],
-            "link": dict(vars(link)),  # every LinkBudget field
-            "clusters": [
-                {**{name: values[starts[n] - p:starts[n + 1] - p]
-                    for name, values in columns.items()},
-                 "index": n - a + 1,
-                 "excess_delay_ns": delays[n],
-                 "power_mw": fractions[n] * link.rx_power_mw,
-                 "power_fraction": fractions[n]}
-                for n in range(a, b)],
-        }
-        for side, (offsets, az, el) in lobes.items():
-            drop[f"{side}_lobes"] = [
-                {"index": i - offsets[d] + 1, "mean_az_deg": az[i], "mean_el_deg": el[i]}
-                for i in range(offsets[d], offsets[d + 1])]
-        rows.append(json.dumps(drop, sort_keys=True) + "\n")
+        aoa_az, aoa_el, aoa_lobe, aod_az, aod_el, aod_lobe, intra, phase, share, mw = (
+            values[p:starts[b]].tolist() for values in subpath)
+        clusters = []
+        for n in range(a, b):
+            i, j = starts[n] - p, starts[n + 1] - p
+            clusters.append(
+                f'{{"aoa_az_deg": {aoa_az[i:j]}, "aoa_el_deg": {aoa_el[i:j]}, '
+                f'"aoa_lobe_index": {aoa_lobe[i:j]}, "aod_az_deg": {aod_az[i:j]}, '
+                f'"aod_el_deg": {aod_el[i:j]}, "aod_lobe_index": {aod_lobe[i:j]}, '
+                f'"excess_delay_ns": {delays[n]!r}, "index": {n - a + 1}, '
+                f'"intra_delays_ns": {intra[i:j]}, "phase_rad": {phase[i:j]}, '
+                f'"power_fraction": {fractions[n]!r}, '
+                f'"power_mw": {fractions[n] * link.rx_power_mw!r}, '
+                f'"subpath_power_fraction": {share[i:j]}, "subpath_power_mw": {mw[i:j]}}}')
+        aoa_lobes, aod_lobes = (", ".join(
+            f'{{"index": {i - offsets[d] + 1}, "mean_az_deg": {az[i]!r}, '
+            f'"mean_el_deg": {el[i]!r}}}' for i in range(offsets[d], offsets[d + 1]))
+            for offsets, az, el in lobes)
+        rows.append(
+            f'{{"aoa_lobes": [{aoa_lobes}], "aod_lobes": [{aod_lobes}], '
+            f'"clusters": [{", ".join(clusters)}], "distance_m": {block.distance_m[d]!r}, '
+            f'"drop_index": {block.drop_index[d]!r}, "link": {{'
+            f'"distance_m": {link.distance_m!r}, "frequency_hz": {link.frequency_hz!r}, '
+            f'"fspl_1m_db": {link.fspl_1m_db!r}, "path_loss_db": {link.path_loss_db!r}, '
+            f'"rx_power_dbm": {link.rx_power_dbm!r}, "rx_power_mw": {link.rx_power_mw!r}, '
+            f'"shadow_fading_db": {link.shadow_fading_db!r}, '
+            f'"tx_power_dbm": {link.tx_power_dbm!r}}}, '
+            f'"master_seed": {seed!r}, "scenario": {scenario}}}\n')
     return "".join(rows)
 
 

@@ -266,12 +266,21 @@ def _stage_uniforms(master_seed: int, drops: range, layout: dict) -> list:
              for r in range(len(runs))] for i, runs in enumerate(layout.values())]
 
 
+@np.errstate(all="ignore")  # what overflows or is undefined is refused at the end
 def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
     """Generate drops `start` to `start + count - 1` of a validated
     config at once, as one block. Each drop reads only its own streams,
     from position 0, so it is the same in any block. The scenario's
     parameters, with the config's overrides applied, are resolved once
-    per call. `count` must be at least 1."""
+    per call. `count` must be at least 1.
+
+    Overrides at the edge of the float range can make a delay or its
+    square, a power share or an azimuth inf or NaN, which no metric and
+    no JSON number can hold; such a block is refused with an
+    InvalidParamsError that names the first drop concerned and the
+    parameters that feed the quantity. Powers that underflow to 0 and
+    elevations clamped at +/-90 degrees are kept.
+    """
     if count < 1:
         raise InvalidParamsError(f"count must be at least 1, got {count}")
     params = resolved_params(config)
@@ -351,6 +360,21 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
         subpath[f"{side}_lobe_index"] = index
         subpath[f"{side}_az_deg"] = (az[lobe] + d_az) % 360.0
         subpath[f"{side}_el_deg"] = np.clip(el[lobe] + d_el, -90.0, 90.0)
+
+    # elevations are clamped, so only these can overflow or be undefined
+    ends = tau + intra[cluster_end - 1]  # each cluster's last excess delay
+    for quantity, values, drop_of, names in (
+            ("intra-cluster delays", intra, drop_of_subpath, "mu_rho"),
+            ("squared excess delays", ends * ends, drop_of_cluster,
+             "mu_tau, sigma_tau, mti and mu_rho"),
+            ("cluster power shares", cluster_frac, drop_of_cluster, "gamma_cluster and sigma_z"),
+            ("subpath power shares", subpath["power_fractions"], drop_of_subpath,
+             "gamma_subpath and sigma_u"),
+            ("aod azimuths", subpath["aod_az_deg"], drop_of_subpath, "sigma_phi_aod"),
+            ("aoa azimuths", subpath["aoa_az_deg"], drop_of_subpath, "sigma_phi_aoa")):
+        if not np.isfinite(values).all():
+            drop = start + int(drop_of[np.isfinite(values).argmin()])
+            raise InvalidParamsError(f"{quantity} of drop {drop} are not finite; check {names}")
 
     return DropBlock(
         scenario=config.scenario,

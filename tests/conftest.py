@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats as sps
 
 import tcslsim as t
 from tcslsim.errors import InvalidParamsError
+from tcslsim.generate import SIDES
 from tcslsim.randcore import (
     RandomStream,
     composite_subpath,
@@ -91,6 +93,49 @@ def reference_metrics(block):
                     + [reference_angular_spread(getattr(block, name[3:])[p].copy(), weights)
                        for name in METRIC_NAMES[1:]])
     return rows
+
+
+def reference_jsonl_rows(block):
+    """drops.jsonl rows of `block` as a nested dict of Python lists per
+    drop, written by `json.dumps(sort_keys=True)`: the writer's bytes
+    must equal these."""
+    subpath = {name: getattr(block, name) for name in (
+        "intra_delays_ns", "phase_rad", "aod_az_deg", "aod_el_deg",
+        "aoa_az_deg", "aoa_el_deg", "aod_lobe_index", "aoa_lobe_index")}
+    subpath["subpath_power_mw"] = block.powers_mw()
+    subpath["subpath_power_fraction"] = block.power_fractions
+    starts = [*block.cluster_start.tolist(), int(block.subpath_offsets[-1])]
+    delays = block.cluster_delays_ns.tolist()
+    fractions = block.cluster_power_fractions.tolist()
+    first_cluster = block.cluster_offsets.tolist()
+    lobes = {side: (block.lobe_offsets[side].tolist(), block.lobe_az_deg[side].tolist(),
+                    block.lobe_el_deg[side].tolist()) for side in SIDES}
+    rows = []
+    for d, link in enumerate(block.link):
+        a, b = first_cluster[d:d + 2]
+        p = starts[a]
+        columns = {name: values[p:starts[b]].tolist() for name, values in subpath.items()}
+        drop = {
+            "scenario": block.scenario.value,
+            "drop_index": block.drop_index[d],
+            "master_seed": block.master_seed,
+            "distance_m": block.distance_m[d],
+            "link": dict(vars(link)),
+            "clusters": [
+                {**{name: values[starts[n] - p:starts[n + 1] - p]
+                    for name, values in columns.items()},
+                 "index": n - a + 1,
+                 "excess_delay_ns": delays[n],
+                 "power_mw": fractions[n] * link.rx_power_mw,
+                 "power_fraction": fractions[n]}
+                for n in range(a, b)],
+        }
+        for side, (offsets, az, el) in lobes.items():
+            drop[f"{side}_lobes"] = [
+                {"index": i - offsets[d] + 1, "mean_az_deg": az[i], "mean_el_deg": el[i]}
+                for i in range(offsets[d], offsets[d + 1])]
+        rows.append(json.dumps(drop, sort_keys=True) + "\n")
+    return "".join(rows)
 
 
 def composite_pmf(k, beta, mu_s):

@@ -7,12 +7,15 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcslsim as t
 from tcslsim import campaign, cli, generate
 from tcslsim.campaign import (
     CSV_FLOAT,
     DROP_FILES,
+    _jsonl_rows,
     _pas_rows,
     config_digest,
     emit_outputs,
@@ -20,7 +23,13 @@ from tcslsim.campaign import (
 )
 from tcslsim.generate import BLOCK_DROPS, generate_batch
 
-from conftest import drop_slices, drops_alone, make_config
+from conftest import (
+    SCENARIO_LABELS,
+    drop_slices,
+    drops_alone,
+    make_config,
+    reference_jsonl_rows,
+)
 
 ALL_OUTPUTS = ("jsonl", "pdp", "pas", "summary", "cdf")
 
@@ -233,6 +242,116 @@ def test_a_received_power_outside_the_float_range_is_refused(tmp_path, workers, 
     for name in ("tx_power_dbm", "ple", "sigma_sf"):
         assert name in err.getvalue()
     assert list(tmp_path.iterdir()) == []
+
+
+def _strict_json(line):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
+# overrides whose draws overflow, with the parameters the refusal names
+NON_FINITE = {
+    "mu_tau=1e308": ("mu_tau", "sigma_tau", "mti"),
+    "mti=1e308": ("mu_tau", "mti"),
+    "sigma_phi_aod=1e308": ("sigma_phi_aod",),
+    "mu_rho=1e308": ("mu_rho",),
+    "sigma_z=1e308": ("sigma_z",),
+    "sigma_u=1e308": ("sigma_u",),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("override", sorted(NON_FINITE))
+def test_draws_outside_the_float_range_are_refused(tmp_path, workers, override):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["generate", "--scenario", "28GHz-NLOS", "--override", override,
+                       "--drops", str(BLOCK_DROPS + 20), "--format", "jsonl,pdp,summary",
+                       "--workers", str(workers), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "are not finite" in err.getvalue()
+    for name in NON_FINITE[override]:
+        assert name in err.getvalue()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("overrides", [["sigma_theta_aod=1e308", "sigma_theta_aoa=1e308"],
+                                       ["ple=310", "sigma_sf=0"]])
+def test_clamped_angles_and_vanishing_powers_are_written_as_strict_json(
+        tmp_path, workers, overrides):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--scenario", "28GHz-NLOS",
+                         *(a for o in overrides for a in ("--override", o)),
+                         "--drops", str(BLOCK_DROPS + 20), "--format", "jsonl,summary",
+                         "--workers", str(workers), "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "drops.jsonl").read_text().splitlines()
+    assert len(lines) == BLOCK_DROPS + 20
+    drops = [_strict_json(line) for line in lines]
+    _strict_json((tmp_path / "summary.json").read_text())
+    if "ple=310" in overrides:
+        assert 0.0 in (p for d in drops for c in d["clusters"] for p in c["subpath_power_mw"])
+    else:
+        assert {90.0, -90.0} <= {e for d in drops for c in d["clusters"]
+                                 for e in c["aod_el_deg"] + c["aoa_el_deg"]}
+
+
+def assert_reference_jsonl_rows(block):
+    """`_jsonl_rows(block)` equals `reference_jsonl_rows(block)`; a
+    failure shows the first differing drop around its first difference."""
+    text, reference = _jsonl_rows(block), reference_jsonl_rows(block)
+    if text != reference:
+        at = next((i for i, (a, b) in enumerate(zip(text, reference)) if a != b),
+                  min(len(text), len(reference)))
+        drop = block.drop_index[min(text.count("\n", 0, at), len(block) - 1)]
+        around = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"drop {drop}: {text[around]!r} != {reference[around]!r}")
+
+
+@pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
+def test_jsonl_writer_matches_json_dumps(scenario_label, distance):
+    cfg = make_config(scenario_label, distance_m=distance, master_seed=47)
+    for start, count in ((0, 1), (3, BLOCK_DROPS), (BLOCK_DROPS + 9, BLOCK_DROPS + 1)):
+        block = generate_batch(cfg, start, count)
+        assert_reference_jsonl_rows(block)
+
+
+ZERO_SIGMAS = {name: "0" for name in (
+    "sigma_tau", "sigma_z", "sigma_u", "sigma_l_zod", "sigma_l_zoa", "sigma_phi_aod",
+    "sigma_theta_aod", "sigma_phi_aoa", "sigma_theta_aoa", "sigma_sf")}
+
+
+@pytest.mark.parametrize("label, overrides", [
+    ("28GHz-NLOS", {"beta_s": "0"}),
+    ("28GHz-LOS", {"n_c_max": "1"}),
+    ("140GHz-NLOS", {"l_aod_max": "1", "l_aoa_max": "1"}),
+    ("28GHz-LOS", ZERO_SIGMAS),
+    ("28GHz-NLOS", {"ple": "310", "sigma_sf": "0"}),
+])
+def test_jsonl_writer_matches_json_dumps_at_edge_overrides(label, overrides):
+    cfg = make_config(label, master_seed=53, overrides=overrides)
+    block = generate_batch(cfg, 0, 64)
+    if "ple" in overrides:
+        assert (block.powers_mw() == 0.0).any()
+    assert_reference_jsonl_rows(block)
+
+
+def test_jsonl_writer_matches_json_dumps_for_an_int_transmit_power():
+    block = generate_batch(make_config("140GHz-LOS", tx_power_dbm=30), 0, 20)
+    assert block.link[0].tx_power_dbm == 30 and isinstance(block.link[0].tx_power_dbm, int)
+    assert_reference_jsonl_rows(block)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       start=st.integers(min_value=0, max_value=2**40),
+       label=st.sampled_from(SCENARIO_LABELS))
+@settings(max_examples=300, deadline=None)
+def test_jsonl_writer_matches_json_dumps_at_any_seed_and_start(seed, start, label):
+    block = generate_batch(make_config(label, distance_m=(1.0, 50.0), master_seed=seed),
+                           start, 24)
+    assert_reference_jsonl_rows(block)
 
 
 def test_summary_config_block_is_the_hashed_payload(tmp_path):

@@ -11,7 +11,9 @@ has succeeded.
 
 The block is the unit: records come from a `DropBlock`'s per-drop
 columns and its metrics, and the drops.jsonl, pdp.csv and pas.csv rows
-from its flat arrays.
+from its flat arrays. A drops.jsonl `link` object holds the drop's
+distance and link-budget columns, the block's transmit power as
+configured, and the frequency and 1 m free-space loss of its scenario.
 
 drops.jsonl holds one JSON object per drop and line, its keys in sorted
 order at every level, as `json.dumps(sort_keys=True)` writes them:
@@ -45,6 +47,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -56,6 +59,7 @@ import numpy as np
 
 from . import __version__
 from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch
+from .pathloss import fspl_1m
 from .scenario import ALL_SCENARIOS, Scenario, SimConfig, validate_config
 from .stats import GRID_CELLS, METRIC_NAMES, build_pas, drop_metrics, summarize
 
@@ -131,8 +135,10 @@ def _jsonl_rows(block: DropBlock) -> str:
     lobes = [(block.lobe_offsets[side].tolist(), block.lobe_az_deg[side].tolist(),
               block.lobe_el_deg[side].tolist()) for side in ("aoa", "aod")]
     scenario, seed = json.dumps(block.scenario.value), block.master_seed
+    band = (f'"frequency_hz": {block.scenario.frequency_hz!r}, '
+            f'"fspl_1m_db": {fspl_1m(block.scenario.frequency_hz)!r}, ')
     rows = []
-    for d, link in enumerate(block.link):
+    for d, rx_mw in enumerate(block.rx_power_mw):
         a, b = first_cluster[d:d + 2]
         p = starts[a]
         aoa_az, aoa_el, aoa_lobe, aod_az, aod_el, aod_lobe, intra, phase, share, mw = (
@@ -147,7 +153,7 @@ def _jsonl_rows(block: DropBlock) -> str:
                 f'"excess_delay_ns": {delays[n]!r}, "index": {n - a + 1}, '
                 f'"intra_delays_ns": {intra[i:j]}, "phase_rad": {phase[i:j]}, '
                 f'"power_fraction": {fractions[n]!r}, '
-                f'"power_mw": {fractions[n] * link.rx_power_mw!r}, '
+                f'"power_mw": {fractions[n] * rx_mw!r}, '
                 f'"subpath_power_fraction": {share[i:j]}, "subpath_power_mw": {mw[i:j]}}}')
         aoa_lobes, aod_lobes = (", ".join(
             f'{{"index": {i - offsets[d] + 1}, "mean_az_deg": {az[i]!r}, '
@@ -157,11 +163,11 @@ def _jsonl_rows(block: DropBlock) -> str:
             f'{{"aoa_lobes": [{aoa_lobes}], "aod_lobes": [{aod_lobes}], '
             f'"clusters": [{", ".join(clusters)}], "distance_m": {block.distance_m[d]!r}, '
             f'"drop_index": {block.drop_index[d]!r}, "link": {{'
-            f'"distance_m": {link.distance_m!r}, "frequency_hz": {link.frequency_hz!r}, '
-            f'"fspl_1m_db": {link.fspl_1m_db!r}, "path_loss_db": {link.path_loss_db!r}, '
-            f'"rx_power_dbm": {link.rx_power_dbm!r}, "rx_power_mw": {link.rx_power_mw!r}, '
-            f'"shadow_fading_db": {link.shadow_fading_db!r}, '
-            f'"tx_power_dbm": {link.tx_power_dbm!r}}}, '
+            f'"distance_m": {block.distance_m[d]!r}, {band}'
+            f'"path_loss_db": {block.path_loss_db[d]!r}, '
+            f'"rx_power_dbm": {block.rx_power_dbm[d]!r}, "rx_power_mw": {rx_mw!r}, '
+            f'"shadow_fading_db": {block.shadow_fading_db[d]!r}, '
+            f'"tx_power_dbm": {block.tx_power_dbm!r}}}, '
             f'"master_seed": {seed!r}, "scenario": {scenario}}}\n')
     return "".join(rows)
 
@@ -242,11 +248,14 @@ def _staged_files(out_dir: Path, outputs):
 
     Yields ({kind: open file}, {kind: final path}). On a clean exit every
     file is moved into place with os.replace; on an exception every
-    temporary file is removed, so no output is left half-written.
+    temporary file is removed, so no output is left half-written, and
+    so is each directory made for them that is left empty.
     """
     tables = {**DROP_FILES, **RESULT_FILES}
     kinds = [kind for kind in tables if kind in outputs]
+    made = []  # the directories mkdir makes, deepest first
     if kinds:
+        made = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
     paths = {kind: out_dir / tables[kind][0] for kind in kinds}
     temps = {kind: out_dir / f".{tables[kind][0]}.{os.getpid()}.tmp" for kind in kinds}
@@ -260,11 +269,15 @@ def _staged_files(out_dir: Path, outputs):
             fh.close()
         for kind in kinds:
             os.replace(temps[kind], paths[kind])
-    finally:
+    except BaseException:
         for fh in files.values():
             fh.close()
         for temp in temps.values():
             temp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # stops at the first that is not empty
+            for directory in made:
+                directory.rmdir()
+        raise
 
 
 def _write_result_files(files: dict, result: CampaignResult) -> None:
@@ -290,8 +303,7 @@ def _record_chunk(config: SimConfig, start: int, count: int) -> tuple:
     texts = {kind: rows(block)
              for kind, (_, _, rows) in DROP_FILES.items() if kind in config.outputs}
     metrics = drop_metrics(block)
-    records = list(map(DropRecord, block.drop_index, block.distance_m,
-                       [link.rx_power_dbm for link in block.link],
+    records = list(map(DropRecord, block.drop_index, block.distance_m, block.rx_power_dbm,
                        block.num_clusters.tolist(), block.num_subpaths.tolist(),
                        *(metrics[name] for name in METRIC_NAMES)))
     return records, texts

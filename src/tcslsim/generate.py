@@ -73,17 +73,24 @@ class DropBlock:
     delays and the drops.jsonl nesting are derived from it. Drop d's
     share runs from `cluster_offsets[d]`, `subpath_offsets[d]` and
     `lobe_offsets[side][d]` to the next entry; each ends in the block's
-    total. Per-drop columns are lists. Powers are kept as shares of each
+    total. Per-drop columns are lists of Python numbers, the link budget
+    among them (`pathloss.link_budget`); the transmit power is the
+    block's, as configured, and the frequency and the 1 m free-space
+    loss follow from `scenario`. Powers are kept as shares of each
     drop's received power; `powers_mw()` scales them by its
     `rx_power_mw`.
     """
 
     scenario: Scenario
     master_seed: int
+    tx_power_dbm: float                  # as configured: an int stays an int
     # per drop
     drop_index: list
     distance_m: list
-    link: list                           # LinkBudget of each drop
+    shadow_fading_db: list
+    path_loss_db: list
+    rx_power_dbm: list
+    rx_power_mw: list
     cluster_offsets: np.ndarray          # (drops + 1,)
     subpath_offsets: np.ndarray          # (drops + 1,)
     # per lobe, each side's lobes drop after drop; keyed 'aod', 'aoa'
@@ -135,8 +142,7 @@ class DropBlock:
         return np.repeat(self.cluster_delays_ns, self.cluster_sizes()) + self.intra_delays_ns
 
     def powers_mw(self) -> np.ndarray:
-        rx_mw = np.array([link.rx_power_mw for link in self.link])
-        return self.power_fractions * np.repeat(rx_mw, self.num_subpaths)
+        return self.power_fractions * np.repeat(self.rx_power_mw, self.num_subpaths)
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -376,13 +382,17 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
             drop = start + int(drop_of[np.isfinite(values).argmin()])
             raise InvalidParamsError(f"{quantity} of drop {drop} are not finite; check {names}")
 
+    path_loss_db, rx_power_dbm, rx_power_mw = link_budget(config, params, shadow_db, distances)
     return DropBlock(
         scenario=config.scenario,
         master_seed=seed,
+        tx_power_dbm=config.tx_power_dbm,
         drop_index=list(drops),
         distance_m=distances,
-        link=[link_budget(config, params, shadow, distance)
-              for shadow, distance in zip(shadow_db, distances)],
+        shadow_fading_db=shadow_db,
+        path_loss_db=path_loss_db,
+        rx_power_dbm=rx_power_dbm,
+        rx_power_mw=rx_power_mw,
         cluster_offsets=_offsets(n_clusters),
         subpath_offsets=_offsets(n_subpaths),
         lobe_offsets=lobe_offsets,

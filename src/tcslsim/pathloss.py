@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidParamsError
 from .scenario import ScenarioParams, SimConfig
@@ -13,21 +11,6 @@ SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 SPEED_OF_LIGHT_M_PER_NS = SPEED_OF_LIGHT_M_PER_S * 1e-9
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Received power bookkeeping for one drop."""
-
-    frequency_hz: float
-    distance_m: float
-    tx_power_dbm: float
-    fspl_1m_db: float
-    shadow_fading_db: float
-    path_loss_db: float
-    rx_power_dbm: float
-    rx_power_mw: float
-
-
-@functools.lru_cache(maxsize=16)  # a run uses one frequency
 def fspl_1m(frequency_hz: float) -> float:
     """Free-space path loss in dB at the 1 m reference distance."""
     if frequency_hz <= 0:
@@ -47,36 +30,34 @@ def path_loss_ci(frequency_hz: float, distance_m: float, ple: float,
     return fspl_1m(frequency_hz) + 10.0 * ple * math.log10(distance_m) + shadow_db
 
 
-def link_budget(config: SimConfig, params: ScenarioParams, shadow_db: float,
-                distance_m: float) -> LinkBudget:
-    """Compute received power for one drop at `distance_m` from its drawn
-    shadow fading (a Normal(0, sigma_sf) draw in dB).
+def link_budget(config: SimConfig, params: ScenarioParams, shadows_db: list,
+                distances_m: list) -> tuple[list, list, list]:
+    """Path loss (dB), received power (dBm) and received power (mW) of
+    each drop of a block, from its distance (validated to be at least
+    1 m) and its drawn shadow fading (a Normal(0, sigma_sf) draw in dB).
 
-    A received power that is not a positive finite float in mW is
-    refused: every subpath power and spectrum scaled by it would be 0,
-    inf or NaN.
+    Each is a list of Python floats, equal in every bit to what
+    `path_loss_ci`, `tx_power_dbm - path loss` and `dbm_to_mw` give for
+    the drop alone. A received power that is not a positive finite
+    float in mW is refused: every subpath power and spectrum scaled by
+    it would be 0, inf or NaN.
     """
-    frequency_hz = config.scenario.frequency_hz
-    pl_db = path_loss_ci(frequency_hz, distance_m, params.ple, shadow_db)
-    rx_dbm = config.tx_power_dbm - pl_db
-    try:
-        rx_mw = dbm_to_mw(rx_dbm)
-    except OverflowError:
-        rx_mw = math.inf
-    if not 0.0 < rx_mw < math.inf:
-        raise InvalidParamsError(
-            f"received power {rx_dbm} dBm is outside the float range in mW; "
-            f"check tx_power_dbm, ple and sigma_sf")
-    return LinkBudget(
-        frequency_hz=frequency_hz,
-        distance_m=distance_m,
-        tx_power_dbm=config.tx_power_dbm,
-        fspl_1m_db=fspl_1m(frequency_hz),
-        shadow_fading_db=shadow_db,
-        path_loss_db=pl_db,
-        rx_power_dbm=rx_dbm,
-        rx_power_mw=rx_mw,
-    )
+    fspl_db, slope_db = fspl_1m(config.scenario.frequency_hz), 10.0 * params.ple
+    path_loss = [fspl_db + slope_db * math.log10(distance) + shadow
+                 for shadow, distance in zip(shadows_db, distances_m)]
+    rx_dbm = [config.tx_power_dbm - pl_db for pl_db in path_loss]
+    rx_mw = []
+    for power_dbm in rx_dbm:
+        try:
+            power_mw = dbm_to_mw(power_dbm)
+        except OverflowError:
+            power_mw = math.inf
+        if not 0.0 < power_mw < math.inf:
+            raise InvalidParamsError(
+                f"received power {power_dbm} dBm is outside the float range in mW; "
+                f"check tx_power_dbm, ple and sigma_sf")
+        rx_mw.append(power_mw)
+    return path_loss, rx_dbm, rx_mw
 
 
 def dbm_to_mw(power_dbm: float) -> float:

@@ -250,6 +250,8 @@ def _coerce_field(key: str, raw: object):
         return None
     if kind == "str":
         return str(raw).strip().lower()
+    if isinstance(raw, bool):
+        raise TypeError(f"{raw!r} is a flag, not a number")
     if kind.startswith("int"):
         return int(str(raw))
     value = float(raw)

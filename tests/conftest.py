@@ -10,6 +10,7 @@ from scipy import stats as sps
 import tcslsim as t
 from tcslsim.errors import InvalidParamsError
 from tcslsim.generate import SIDES
+from tcslsim.pathloss import fspl_1m
 from tcslsim.randcore import (
     RandomStream,
     composite_subpath,
@@ -95,6 +96,33 @@ def reference_metrics(block):
     return rows
 
 
+def reference_links(block):
+    """Each drop's drops.jsonl `link` object, by its keys: the drop's
+    columns, the block's transmit power and its scenario's frequency
+    and 1 m free-space loss."""
+    frequency_hz = block.scenario.frequency_hz
+    return [{"distance_m": distance, "frequency_hz": frequency_hz,
+             "fspl_1m_db": fspl_1m(frequency_hz), "path_loss_db": path_loss,
+             "rx_power_dbm": rx_dbm, "rx_power_mw": rx_mw, "shadow_fading_db": shadow,
+             "tx_power_dbm": block.tx_power_dbm}
+            for distance, path_loss, rx_dbm, rx_mw, shadow in zip(
+                block.distance_m, block.path_loss_db, block.rx_power_dbm, block.rx_power_mw,
+                block.shadow_fading_db, strict=True)]
+
+
+def assert_same_text(text, expected, what):
+    """`text == expected`, without pytest's diff of the two texts, which
+    runs for minutes on megabytes: a failure names the line and column
+    of the first difference and shows 30 characters either side of it."""
+    if text != expected:
+        at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+                  min(len(text), len(expected)))
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        around = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"{what}, line {line}, column {column}: "
+                    f"{text[around]!r} != {expected[around]!r}")
+
+
 def reference_jsonl_rows(block):
     """drops.jsonl rows of `block` as a nested dict of Python lists per
     drop, written by `json.dumps(sort_keys=True)`: the writer's bytes
@@ -111,7 +139,7 @@ def reference_jsonl_rows(block):
     lobes = {side: (block.lobe_offsets[side].tolist(), block.lobe_az_deg[side].tolist(),
                     block.lobe_el_deg[side].tolist()) for side in SIDES}
     rows = []
-    for d, link in enumerate(block.link):
+    for d, link in enumerate(reference_links(block)):
         a, b = first_cluster[d:d + 2]
         p = starts[a]
         columns = {name: values[p:starts[b]].tolist() for name, values in subpath.items()}
@@ -120,13 +148,13 @@ def reference_jsonl_rows(block):
             "drop_index": block.drop_index[d],
             "master_seed": block.master_seed,
             "distance_m": block.distance_m[d],
-            "link": dict(vars(link)),
+            "link": link,
             "clusters": [
                 {**{name: values[starts[n] - p:starts[n + 1] - p]
                     for name, values in columns.items()},
                  "index": n - a + 1,
                  "excess_delay_ns": delays[n],
-                 "power_mw": fractions[n] * link.rx_power_mw,
+                 "power_mw": fractions[n] * link["rx_power_mw"],
                  "power_fraction": fractions[n]}
                 for n in range(a, b)],
         }

@@ -25,6 +25,7 @@ from tcslsim.generate import BLOCK_DROPS, generate_batch
 
 from conftest import (
     SCENARIO_LABELS,
+    assert_same_text,
     drop_slices,
     drops_alone,
     make_config,
@@ -56,6 +57,14 @@ GOLDEN = {
         {"drops.jsonl": "1493ec8907e02611f2961b2fea60be5408a3a9875c3ca233029b3879af58f38d",
          "pdp.csv": "d25511f2bc3973a392103ac04a355f4477f515d2b4c6213d8122d0fcf659c3fc",
          "pas.csv": "a7c0be0f7466bb85b25004a6c0646edeb9d3581d5b9a0b9c6c129ade482e9c65"}),
+    # the only case with shadow fading and a nonzero transmit power, so
+    # that the link budget's arithmetic is pinned too
+    "28GHz-LOS-10m-shadowed-23.5dBm": (
+        ["--scenario", "28GHz-LOS", "--seed", "7", "--drops", "30", "--tx-power-dbm", "23.5",
+         "--override", "sigma_sf=4.5"],
+        {"drops.jsonl": "26aa2c6158a98e3e57f99918cdd32c28fa17bc59ae476d0311411f7028f31925",
+         "pdp.csv": "84589a5511a2ae281e4beafd62a3fd446e886aa762026c7cc5e01093b6c84356",
+         "pas.csv": "00c462e20e8f99cb518660e6fbe052af27dbde8535ac0ead58e44914e800495b"}),
 }
 
 
@@ -167,9 +176,10 @@ def test_block_rows_equal_the_rows_of_its_drops_generated_alone(scenario_label, 
     for start, count in ((0, BLOCK_DROPS), (BLOCK_DROPS + 5, 1)):
         block = generate_batch(cfg, start, count)
         drops = drops_alone(cfg, start, count)
-        assert _pas_rows(block) == "".join(map(per_drop_pas_rows, drops))
+        assert_same_text(_pas_rows(block), "".join(map(per_drop_pas_rows, drops)),
+                         "pas per drop")
         for kind, (_, _, rows) in DROP_FILES.items():
-            assert rows(block) == "".join(map(rows, drops)), kind
+            assert_same_text(rows(block), "".join(map(rows, drops)), kind)
 
 
 def test_records_identical_for_one_and_two_workers(tmp_path):
@@ -244,6 +254,20 @@ def test_a_received_power_outside_the_float_range_is_refused(tmp_path, workers, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_refused_run_removes_the_directories_it_made(tmp_path, workers):
+    (tmp_path / "kept").mkdir()
+    for out_dir in (tmp_path / "out" / "deeper", tmp_path / "kept" / "made"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(["generate", "--scenario", "28GHz-LOS", "--drops", str(BLOCK_DROPS + 20),
+                           "--override", "sigma_phi_aoa=1e308", "--format", "jsonl",
+                           "--workers", str(workers), "--out-dir", str(out_dir)])
+        assert rc == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
 def _strict_json(line):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -299,15 +323,10 @@ def test_clamped_angles_and_vanishing_powers_are_written_as_strict_json(
 
 
 def assert_reference_jsonl_rows(block):
-    """`_jsonl_rows(block)` equals `reference_jsonl_rows(block)`; a
-    failure shows the first differing drop around its first difference."""
-    text, reference = _jsonl_rows(block), reference_jsonl_rows(block)
-    if text != reference:
-        at = next((i for i, (a, b) in enumerate(zip(text, reference)) if a != b),
-                  min(len(text), len(reference)))
-        drop = block.drop_index[min(text.count("\n", 0, at), len(block) - 1)]
-        around = slice(max(at - 30, 0), at + 30)
-        pytest.fail(f"drop {drop}: {text[around]!r} != {reference[around]!r}")
+    """`_jsonl_rows(block)` equals `reference_jsonl_rows(block)`; line n
+    of a failure is the block's n-th drop."""
+    assert_same_text(_jsonl_rows(block), reference_jsonl_rows(block),
+                     f"drops.jsonl rows of drops {block.drop_index[0]}-{block.drop_index[-1]}")
 
 
 @pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
@@ -340,7 +359,7 @@ def test_jsonl_writer_matches_json_dumps_at_edge_overrides(label, overrides):
 
 def test_jsonl_writer_matches_json_dumps_for_an_int_transmit_power():
     block = generate_batch(make_config("140GHz-LOS", tx_power_dbm=30), 0, 20)
-    assert block.link[0].tx_power_dbm == 30 and isinstance(block.link[0].tx_power_dbm, int)
+    assert block.tx_power_dbm == 30 and isinstance(block.tx_power_dbm, int)
     assert_reference_jsonl_rows(block)
 
 

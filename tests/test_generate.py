@@ -21,10 +21,17 @@ from tcslsim.generate import (
 from tcslsim.campaign import CSV_FLOAT, DROP_FILES, _jsonl_rows, _pdp_rows
 from tcslsim.errors import ConfigError, InvalidParamsError
 from tcslsim.stats import METRIC_NAMES, drop_metrics
-from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS
+from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS, dbm_to_mw
 from tcslsim.randcore import RandomStream, composite_subpath, derive_keys, exponential, normal
 
-from conftest import SCENARIO_LABELS, drop_slices, drops_alone, make_config, reference_metrics
+from conftest import (
+    SCENARIO_LABELS,
+    drop_slices,
+    drops_alone,
+    make_config,
+    reference_links,
+    reference_metrics,
+)
 
 
 def params_for(label, **overrides):
@@ -172,8 +179,8 @@ def test_compose_respects_void_interval():
 def test_cluster_power_single_cluster_gets_everything():
     block = drops_for("140GHz-LOS", 20, master_seed=10, n_c_max="1")
     assert block.cluster_power_fractions.tolist() == [1.0] * 20
-    for drop, link in zip(jsonl_drops(block), block.link, strict=True):
-        assert drop["clusters"][0]["power_mw"] == link.rx_power_mw
+    for drop, rx_mw in zip(jsonl_drops(block), block.rx_power_mw, strict=True):
+        assert drop["clusters"][0]["power_mw"] == rx_mw
 
 
 def test_cluster_power_decay_ratio():
@@ -353,8 +360,7 @@ def test_generate_drop_power_conservation(scenario_label):
     cfg = make_config(scenario_label, master_seed=5)
     block = generate_batch(cfg, 0, 200)
     powers = block.powers_mw()
-    for link, (c, p) in zip(block.link, drop_slices(block), strict=True):
-        rx = link.rx_power_mw
+    for rx, (c, p) in zip(block.rx_power_mw, drop_slices(block), strict=True):
         cluster_mw = block.cluster_power_fractions[c] * rx
         assert abs(cluster_mw.sum() - rx) / rx < 1e-9
         for mw, subpath_mw in zip(cluster_mw, per_cluster(block, powers)[c]):
@@ -382,7 +388,7 @@ def test_cluster_structure_fields():
         assert intra[0] == 0.0
         assert (np.diff(intra) >= 0).all()
     assert (drop.phase_rad >= 0).all() and (drop.phase_rad < 2 * math.pi).all()
-    rx = drop.link[0].rx_power_mw
+    rx = drop.rx_power_mw[0]
     (data,) = jsonl_drops(drop)
     for c, size in zip(data["clusters"], drop.cluster_sizes(), strict=True):
         assert len(c["intra_delays_ns"]) == len(c["subpath_power_mw"]) == size
@@ -409,7 +415,7 @@ def test_subpath_arrays_consistency():
                  "aoa_az_deg", "aoa_el_deg", "aod_lobe_index", "aoa_lobe_index"):
         assert len(getattr(drop, name)) == n_subpaths, name
     assert len(drop.cluster_delays_ns) == len(drop.cluster_power_fractions) == n_clusters
-    assert np.array_equal(drop.powers_mw(), drop.power_fractions * drop.link[0].rx_power_mw)
+    assert np.array_equal(drop.powers_mw(), drop.power_fractions * drop.rx_power_mw[0])
     for side in ("aod", "aoa"):
         index = getattr(drop, f"{side}_lobe_index")
         assert 1 <= index.min() and index.max() <= lobe_counts(drop, side)[0]
@@ -423,7 +429,7 @@ def assert_json_roundtrip(block):
     drops = jsonl_drops(block)
     assert [d["drop_index"] for d in drops] == block.drop_index
     assert [d["distance_m"] for d in drops] == block.distance_m
-    assert [d["link"] for d in drops] == [vars(link) for link in block.link]
+    assert [d["link"] for d in drops] == reference_links(block)
     clusters = [c for d in drops for c in d["clusters"]]
     fields = {name: name for name in ("intra_delays_ns", "phase_rad", "aod_az_deg",
                                       "aod_el_deg", "aoa_az_deg", "aoa_el_deg",
@@ -473,7 +479,7 @@ def test_fixed_distance_consumes_no_distance_stream():
     cfg = make_config("140GHz-NLOS", distance_m=25.0, master_seed=12)
     drop = t.generate_drop(cfg)
     assert drop.distance_m == [25.0]
-    assert drop.link[0].distance_m == 25.0
+    assert jsonl_drops(drop)[0]["link"]["distance_m"] == 25.0
 
 
 def test_json_roundtrip_every_scenario(scenario_label):
@@ -676,6 +682,23 @@ def test_segment_sums_are_numpys_sums_in_every_bit(magnitudes):
         values[rng.random(n) < 0.05] = -0.0
     got = segment_sums(values, lengths).tolist()
     assert [v.hex() for v in got] == [v.hex() for v in sums_one_by_one(values, lengths).tolist()]
+
+
+def test_the_link_budget_is_computed_once_per_block(monkeypatch):
+    blocks = []
+
+    def recording(config, params, shadows_db, distances_m, _original=generate.link_budget):
+        blocks.append(len(distances_m))
+        return _original(config, params, shadows_db, distances_m)
+
+    monkeypatch.setattr(generate, "link_budget", recording)
+    cfg = make_config("28GHz-NLOS", distance_m=(5.0, 45.0))
+    for block in t.generate_drops(cfg, count=2 * BLOCK_DROPS + 3):
+        assert block.rx_power_mw == list(map(dbm_to_mw, block.rx_power_dbm))
+        columns = (block.shadow_fading_db, block.path_loss_db, block.rx_power_dbm,
+                   block.rx_power_mw)
+        assert {type(v) for column in columns for v in column} == {float}
+    assert blocks == [BLOCK_DROPS, BLOCK_DROPS, 3]
 
 
 def test_segments_over_128_terms_are_summed_as_numpy_does(monkeypatch):

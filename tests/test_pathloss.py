@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,35 +78,58 @@ def test_dbm_mw_roundtrip():
 def test_link_budget_fields_consistent():
     cfg = make_config("28GHz-NLOS", distance_m=10.0)
     params = t.resolved_params(cfg)
-    link = t.link_budget(cfg, params, 3.7, 10.0)
-    assert link.shadow_fading_db == 3.7
-    assert link.rx_power_dbm == pytest.approx(cfg.tx_power_dbm - link.path_loss_db, abs=1e-12)
-    assert link.rx_power_mw == pytest.approx(10 ** (link.rx_power_dbm / 10.0), rel=1e-12)
-    assert link.path_loss_db == pytest.approx(
-        link.fspl_1m_db + 10 * params.ple * math.log10(10.0) + link.shadow_fading_db, abs=1e-12)
+    (path_loss,), (rx_dbm,), (rx_mw,) = t.link_budget(cfg, params, [3.7], [10.0])
+    assert rx_dbm == pytest.approx(cfg.tx_power_dbm - path_loss, abs=1e-12)
+    assert rx_mw == pytest.approx(10 ** (rx_dbm / 10.0), rel=1e-12)
+    assert path_loss == pytest.approx(
+        fspl_1m(28e9) + 10 * params.ple * math.log10(10.0) + 3.7, abs=1e-12)
 
 
 def test_link_budget_rx_example():
     # tx 0 dBm against a 73.38 dB loss leaves -73.38 dBm
     cfg = make_config("28GHz-LOS", distance_m=10.0)
     params = t.resolved_params(cfg)
-    link = t.link_budget(cfg, params, 0.0, 10.0)
-    assert link.rx_power_dbm == pytest.approx(-(fspl_1m(28e9) + 12.0), abs=1e-9)
-    assert link.rx_power_mw == pytest.approx(10 ** (link.rx_power_dbm / 10), rel=1e-12)
+    _, (rx_dbm,), (rx_mw,) = t.link_budget(cfg, params, [0.0], [10.0])
+    assert rx_dbm == pytest.approx(-(fspl_1m(28e9) + 12.0), abs=1e-9)
+    assert rx_mw == pytest.approx(10 ** (rx_dbm / 10), rel=1e-12)
+
+
+@pytest.mark.parametrize("tx_power_dbm", [0.0, 23.5, -17, 30])
+def test_link_budget_equals_the_scalar_formulas_bit_for_bit(tx_power_dbm):
+    cfg = make_config("140GHz-NLOS", distance_m=(1.0, 50.0), tx_power_dbm=tx_power_dbm)
+    params = t.resolved_params(cfg)
+    shadows, distances = [3.7, -12.25, 0.0, 1e-9], [10.0, 1.0, 45.9, 2.0 ** 0.5]
+    path_loss, rx_dbm, rx_mw = t.link_budget(cfg, params, shadows, distances)
+    assert path_loss == [path_loss_ci(140e9, d, params.ple, s)
+                         for s, d in zip(shadows, distances)]
+    assert rx_dbm == [tx_power_dbm - pl for pl in path_loss]
+    assert rx_mw == list(map(dbm_to_mw, rx_dbm))
+    assert {type(v) for v in path_loss + rx_dbm + rx_mw} == {float}
+
+
+# the second drop's power overflows in mW and the third's underflows to
+# 0 mW, or the other way round: the second is refused either way
+@pytest.mark.parametrize("shadows", [[0.0, -4000.0, 4000.0], [0.0, 4000.0, -4000.0]])
+def test_link_budget_refuses_the_first_power_outside_the_float_range(shadows):
+    cfg = make_config("28GHz-LOS")
+    params = t.resolved_params(cfg)
+    path_loss = t.link_budget(cfg, params, [0.0], [10.0])[0][0]
+    rx_dbm = cfg.tx_power_dbm - (path_loss + shadows[1])
+    with pytest.raises(InvalidParamsError,
+                       match=f"^received power {re.escape(repr(rx_dbm))} dBm is outside"):
+        t.link_budget(cfg, params, shadows, [10.0] * len(shadows))
 
 
 def test_zero_sigma_shadowing_is_exactly_zero():
     cfg = make_config("140GHz-LOS", master_seed=5)
-    for link in t.generate_batch(cfg, 0, 50).link:
-        assert link.shadow_fading_db == 0.0
+    assert t.generate_batch(cfg, 0, 50).shadow_fading_db == [0.0] * 50
 
 
 def test_shadowing_mean_over_draws():
     n = 10_000
     cfg = make_config("140GHz-NLOS", master_seed=77, overrides={"sigma_sf": "4.0"})
     params = t.resolved_params(cfg)
-    vals = np.array([link.rx_power_dbm for block in t.generate_drops(cfg, count=n)
-                     for link in block.link])
+    vals = np.array([v for block in t.generate_drops(cfg, count=n) for v in block.rx_power_dbm])
     expected = cfg.tx_power_dbm - path_loss_ci(140e9, 10.0, params.ple)
     assert abs(vals.mean() - expected) < 5 * 4.0 / math.sqrt(n)
     assert abs(vals.std() - 4.0) < 5 * 4.0 / math.sqrt(2 * n)

@@ -271,6 +271,17 @@ def test_apply_overrides_bad_value():
 
 _FLOAT_PARAMS = sorted(f.name for f in dataclasses.fields(t.ScenarioParams)
                        if f.type in ("float", "float | None"))
+_NUMBER_PARAMS = sorted(f.name for f in dataclasses.fields(t.ScenarioParams)
+                        if f.type != "str")
+
+
+@pytest.mark.parametrize("name", _NUMBER_PARAMS)
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_override_is_refused_for_every_number_parameter(name, value):
+    # True == 1 and False == 0, but a flag is no path loss exponent
+    cfg = t.SimConfig(scenario=t.Scenario.parse("28-nlos"), overrides={name: value})
+    with pytest.raises(ConfigError, match=f"^bad value for '{name}': {value} is a flag"):
+        t.validate_config(cfg)
 
 
 @pytest.mark.parametrize("name", _FLOAT_PARAMS)

@@ -58,7 +58,7 @@ def test_build_pas_nearest_cell():
     drop.aoa_az_deg[0] = 10.4
     drop.aoa_el_deg[0] = 5.2
     pas = t.build_pas(drop, "aoa")
-    assert dense_grid(pas)[10, 5 + 90] == pytest.approx(drop.link[0].rx_power_mw, rel=1e-12)
+    assert dense_grid(pas)[10, 5 + 90] == pytest.approx(drop.rx_power_mw[0], rel=1e-12)
     assert np.count_nonzero(dense_grid(pas)) == 1
 
 
@@ -79,7 +79,7 @@ def test_build_pas_same_direction_powers_add():
     drop = t.generate_drop(cfg)
     pas = t.build_pas(drop, "aoa")
     assert np.count_nonzero(dense_grid(pas)) == 1
-    assert dense_grid(pas).max() == pytest.approx(drop.link[0].rx_power_mw, rel=1e-9)
+    assert dense_grid(pas).max() == pytest.approx(drop.rx_power_mw[0], rel=1e-9)
 
 
 def test_azimuth_wrap_rounds_to_cell_zero():

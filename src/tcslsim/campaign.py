@@ -60,7 +60,7 @@ import numpy as np
 from . import __version__
 from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch
 from .pathloss import fspl_1m
-from .scenario import ALL_SCENARIOS, Scenario, SimConfig, validate_config
+from .scenario import ALL_SCENARIOS, SimConfig, validate_config
 from .stats import GRID_CELLS, METRIC_NAMES, build_pas, drop_metrics, summarize
 
 CSV_FLOAT = "{:.9g}"  # 9 significant digits keeps sums within 1e-9 relative
@@ -242,15 +242,16 @@ RESULT_FILES = {
 
 
 @contextlib.contextmanager
-def _staged_files(out_dir: Path, outputs):
+def _staged_files(out_dir, outputs):
     """Open a file with its header for each kind in `outputs`, under a
-    temporary name in `out_dir`.
+    temporary name in `out_dir` (a path, or None for '.').
 
     Yields ({kind: open file}, {kind: final path}). On a clean exit every
     file is moved into place with os.replace; on an exception every
     temporary file is removed, so no output is left half-written, and
     so is each directory made for them that is left empty.
     """
+    out_dir = Path(out_dir or ".")
     tables = {**DROP_FILES, **RESULT_FILES}
     kinds = [kind for kind in tables if kind in outputs]
     made = []  # the directories mkdir makes, deepest first
@@ -284,10 +285,6 @@ def _write_result_files(files: dict, result: CampaignResult) -> None:
     for kind, (_, _, text) in RESULT_FILES.items():
         if kind in files:
             files[kind].write(text(result))
-
-
-def _out_dir(out_dir) -> Path:
-    return Path(out_dir or os.environ.get("TCSLSIM_OUT_DIR", "."))
 
 
 # --- the campaign pass --------------------------------------------------------
@@ -332,7 +329,7 @@ def run_campaign(config: SimConfig) -> CampaignResult:
         if workers > 1:  # forked before any output file is open
             mapper = stack.enter_context(multiprocessing.get_context("fork").Pool(workers)).imap
         files, paths = stack.enter_context(
-            _staged_files(_out_dir(config.out_dir), config.outputs))
+            _staged_files(config.out_dir, config.outputs))
         for block_records, texts in mapper(_record_task, tasks):
             records.extend(block_records)
             for kind, text in texts.items():
@@ -361,7 +358,7 @@ def emit_outputs(result: CampaignResult, blocks, out_dir=None, outputs=None) -> 
     `run_campaign` uses, so the bytes are the same.
     """
     outputs = result.config.outputs if outputs is None else outputs
-    with _staged_files(_out_dir(out_dir or result.config.out_dir), outputs) as (files, paths):
+    with _staged_files(out_dir or result.config.out_dir, outputs) as (files, paths):
         for block in blocks:
             for kind, (_, _, rows) in DROP_FILES.items():
                 if kind in files:

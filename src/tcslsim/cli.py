@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from .analysis import (
 from .campaign import REPRODUCE_SEED, reproduce_report, run_campaign
 from .errors import ChannelSimError, ConfigError, InvalidParamsError
 from .scenario import (
-    ALL_SCENARIOS,
     DEFAULT_MTI_NS,
     Scenario,
     SimConfig,
@@ -57,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=1, help="master seed (printed in all outputs)")
     gen.add_argument("--tx-power-dbm", type=float, default=0.0)
     gen.add_argument("--out-dir", default=None,
-                     help="output directory (default: $TCSLSIM_OUT_DIR or '.')")
+                     help="output directory (default: '.')")
     gen.add_argument("--format", default="summary",
                      help="comma list of outputs: jsonl,pdp,pas,summary,cdf")
     gen.add_argument("--workers", type=int, default=1)
@@ -280,9 +278,9 @@ def _csv_rows(path: Path, columns: dict, bounds: dict):
     `bounds` must lie within its (low, high). Raises ValueError naming
     the file and line when a byte is not UTF-8, the header lacks one of
     `columns`, a row has another field count than the header, or a value
-    does not convert or lies out of bounds.
+    does not convert (naming its column) or lies out of bounds; a row's
+    bounds are checked once all its fields have converted.
     """
-    converters = [_finite_float if kind is float else kind for kind in columns.values()]
     checks = [(list(columns).index(name), name, low, high)
               for name, (low, high) in bounds.items()]
     lines = numbered_lines(path)
@@ -290,38 +288,25 @@ def _csv_rows(path: Path, columns: dict, bounds: dict):
     missing = [name for name in columns if name not in header]
     if missing:
         raise ValueError(f"{path}:1: header lacks column(s) {', '.join(missing)}")
-    pick = operator.itemgetter(*map(header.index, columns))
+    fields = [(header.index(name), name, kind) for name, kind in columns.items()]
     for lineno, line in lines:
         row = line.strip().split(",")
         if len(row) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        fields = pick(row)
-        try:
-            values = [convert(field) for convert, field in zip(converters, fields)]
-        except ValueError:
-            raise _bad_value(path, lineno, columns, converters, fields) from None
+        values = []
+        for index, name, kind in fields:
+            try:
+                value = kind(row[index])
+            except ValueError:
+                value = None
+            if value is None or (kind is float and not math.isfinite(value)):
+                what = "an int" if kind is int else "a finite float"
+                raise ValueError(f"{path}:{lineno}: column {name}: {row[index]!r} is not {what}")
+            values.append(value)
         for i, name, low, high in checks:
             if not low <= values[i] <= high:
                 raise ValueError(f"{path}:{lineno}: {name} {values[i]} outside {low}..{high}")
         yield lineno, values
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
-def _bad_value(path: Path, lineno: int, columns: dict, converters, fields) -> ValueError:
-    """The error for the first field of a row that does not convert."""
-    for (name, kind), convert, field in zip(columns.items(), converters, fields):
-        try:
-            convert(field)
-        except ValueError:
-            what = "an int" if kind is int else "a finite float"
-            return ValueError(f"{path}:{lineno}: column {name}: {field!r} is not {what}")
-    raise AssertionError("every field of the row converts")
 
 
 def _analyze_pdp(path: Path, mti_ns: float) -> dict:

@@ -282,10 +282,11 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
 
     Overrides at the edge of the float range can make a delay or its
     square, a power share or an azimuth inf or NaN, which no metric and
-    no JSON number can hold; such a block is refused with an
-    InvalidParamsError that names the first drop concerned and the
-    parameters that feed the quantity. Powers that underflow to 0 and
-    elevations clamped at +/-90 degrees are kept.
+    no JSON number can hold, or a received power 0 or inf in mW, which
+    would scale every subpath power to it; such a block is refused with
+    an InvalidParamsError that names the first drop concerned and the
+    parameters that feed the quantity. Subpath powers that underflow to
+    0 and elevations clamped at +/-90 degrees are kept.
     """
     if count < 1:
         raise InvalidParamsError(f"count must be at least 1, got {count}")
@@ -383,6 +384,12 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
             raise InvalidParamsError(f"{quantity} of drop {drop} are not finite; check {names}")
 
     path_loss_db, rx_power_dbm, rx_power_mw = link_budget(config, params, shadow_db, distances)
+    usable = [0.0 < power_mw < math.inf for power_mw in rx_power_mw]
+    if not all(usable):
+        i = usable.index(False)
+        raise InvalidParamsError(
+            f"received power {rx_power_dbm[i]} dBm of drop {start + i} is outside the float "
+            f"range in mW; check tx_power_dbm, ple and sigma_sf")
     return DropBlock(
         scenario=config.scenario,
         master_seed=seed,

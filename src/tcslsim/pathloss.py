@@ -38,27 +38,19 @@ def link_budget(config: SimConfig, params: ScenarioParams, shadows_db: list,
 
     Each is a list of Python floats, equal in every bit to what
     `path_loss_ci`, `tx_power_dbm - path loss` and `dbm_to_mw` give for
-    the drop alone. A received power that is not a positive finite
-    float in mW is refused: every subpath power and spectrum scaled by
-    it would be 0, inf or NaN.
+    the drop alone. Nothing is refused here: a received power past the
+    float range is inf or 0.0 mW, and `generate_batch` refuses its drop.
     """
     fspl_db, slope_db = fspl_1m(config.scenario.frequency_hz), 10.0 * params.ple
     path_loss = [fspl_db + slope_db * math.log10(distance) + shadow
                  for shadow, distance in zip(shadows_db, distances_m)]
     rx_dbm = [config.tx_power_dbm - pl_db for pl_db in path_loss]
-    rx_mw = []
-    for power_dbm in rx_dbm:
-        try:
-            power_mw = dbm_to_mw(power_dbm)
-        except OverflowError:
-            power_mw = math.inf
-        if not 0.0 < power_mw < math.inf:
-            raise InvalidParamsError(
-                f"received power {power_dbm} dBm is outside the float range in mW; "
-                f"check tx_power_dbm, ple and sigma_sf")
-        rx_mw.append(power_mw)
-    return path_loss, rx_dbm, rx_mw
+    return path_loss, rx_dbm, list(map(dbm_to_mw, rx_dbm))
 
 
 def dbm_to_mw(power_dbm: float) -> float:
-    return 10.0 ** (power_dbm / 10.0)
+    """A power in mW: inf above the float range, 0.0 below it."""
+    try:
+        return 10.0 ** (power_dbm / 10.0)
+    except OverflowError:
+        return math.inf

@@ -124,9 +124,7 @@ class ScenarioParams:
             raise ValueError("sigma_tau must be >= 0")
         if self.cluster_delay_family == "exponential" and self.mu_tau <= 0:
             raise ValueError("exponential mu_tau must be > 0")
-        if self.mti <= 0:
-            raise ValueError("mti must be > 0")
-        for name in ("mu_s", "mu_rho", "gamma_cluster", "gamma_subpath"):
+        for name in ("mti", "mu_s", "mu_rho", "gamma_cluster", "gamma_subpath", "ple"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in (
@@ -138,8 +136,6 @@ class ScenarioParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.l_aod_max < 1 or self.l_aoa_max < 1:
             raise ValueError("lobe count maxima must be >= 1")
-        if self.ple <= 0:
-            raise ValueError("ple must be > 0")
 
     def sigma_phi(self, side: str) -> float:
         return self.sigma_phi_aod if side == "aod" else self.sigma_phi_aoa
@@ -224,20 +220,25 @@ def apply_overrides(params: ScenarioParams, overrides: Mapping[str, object]) -> 
     """Replace named fields of a parameter set, re-validating the result.
 
     Values may be strings (as parsed from config files or CLI flags);
-    they are coerced to the field's type. Raises ConfigError
-    for unknown keys, unparsable or non-finite values or combinations
-    that violate the parameter invariants.
+    they are coerced to the field's type. Raises one ConfigError listing
+    every unknown key and every unparsable or non-finite value, in the
+    order given; else one naming the first parameter invariant that the
+    combined parameters violate.
     """
     if not overrides:
         return params
     coerced: dict[str, object] = {}
+    violations = []
     for key, raw in overrides.items():
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown parameter {key!r}")
+            violations.append(f"unknown parameter {key!r}")
+            continue
         try:
             coerced[key] = _coerce_field(key, raw)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+            violations.append(f"bad value for {key!r}: {exc}")
+    if violations:
+        raise ConfigError(*violations)
     try:
         return dataclasses.replace(params, **coerced)
     except ValueError as exc:
@@ -295,7 +296,8 @@ class SimConfig:
 
     `distance_m` is either a fixed separation or a (min, max) pair, in
     which case every drop samples its own distance uniformly. Overrides
-    apply on top of the scenario's built-in parameter table.
+    apply on top of the scenario's built-in parameter table. An `out_dir`
+    of None is the working directory.
     """
 
     scenario: Scenario

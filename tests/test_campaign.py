@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,7 +242,7 @@ def test_failed_run_leaves_no_output_file(tmp_path, monkeypatch, workers):
 @pytest.mark.parametrize("seed", [1, 3, 4])
 def test_a_received_power_outside_the_float_range_is_refused(tmp_path, workers, seed):
     # sigma_sf 1000 dB draws shadowing whose received power in mW
-    # overflows (an OverflowError) or underflows to 0 (-inf dBm rows)
+    # overflows to inf or underflows to 0 (-inf dBm rows)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = cli.main(["generate", "--scenario", "28GHz-LOS", "--override", "sigma_sf=1000",
@@ -249,9 +250,21 @@ def test_a_received_power_outside_the_float_range_is_refused(tmp_path, workers, 
                        "--workers", str(workers), "--out-dir", str(tmp_path)])
     assert rc == 1
     assert err.getvalue().startswith("error: received power ")
+    assert " of drop " in err.getvalue()
     for name in ("tx_power_dbm", "ple", "sigma_sf"):
         assert name in err.getvalue()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_no_out_dir_writes_to_the_working_directory_whatever_the_environment(
+        tmp_path, monkeypatch):
+    # no environment variable chooses another directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TCSLSIM_OUT_DIR", str(tmp_path / "elsewhere"))
+    result = run_campaign(t.SimConfig(scenario=t.Scenario.parse("28GHz-LOS"),
+                                      outputs=("summary",)))
+    assert result.paths == {"summary": Path("summary.json")}
+    assert list(tmp_path.iterdir()) == [tmp_path / "summary.json"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

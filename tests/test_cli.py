@@ -406,6 +406,10 @@ def _generate(tmp_path, *argv):
      "error: num_drops must be >= 1, got 0\n"
      "error: bad value for 'mu_rho': could not convert string to float: 'x'\n"),
     (["--scenario", "60GHz-LOS"], "error: unrecognized scenario '60GHz-LOS'\n"),
+    (["--scenario", "28GHz-LOS", "--override", "foo=1", "--override", "bar=2",
+      "--override", "beta_s=x"],
+     "error: unknown parameter 'foo'\nerror: unknown parameter 'bar'\n"
+     "error: bad value for 'beta_s': could not convert string to float: 'x'\n"),
 ])
 def test_generate_prints_each_config_error(tmp_path, argv, stderr):
     assert _generate(tmp_path, *argv) == (cli.EXIT_VALIDATION, "", stderr)
@@ -428,6 +432,26 @@ def test_other_commands_print_their_config_error(argv, stderr):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     assert (rc, out.getvalue(), err.getvalue()) == (cli.EXIT_VALIDATION, "", stderr)
+
+
+# i/o errors: one `i/o error:` line, exit code 2, nothing on stdout and
+# nothing left on disk
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--pdp", "missing.csv"],
+    ["generate", "--scenario", "28GHz-LOS", "--format", "summary,jsonl",
+     "--out-dir", "afile/sub"],
+    ["generate", "--scenario", "28GHz-LOS", "--override-file", "missing.txt"],
+])
+def test_an_io_error_exits_2_and_leaves_nothing(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert (rc, out.getvalue()) == (cli.EXIT_IO, "")
+    assert err.getvalue().startswith("i/o error: ") and err.getvalue().count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 @pytest.mark.filterwarnings("error")  # as under python -W error

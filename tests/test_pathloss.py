@@ -107,17 +107,36 @@ def test_link_budget_equals_the_scalar_formulas_bit_for_bit(tx_power_dbm):
     assert {type(v) for v in path_loss + rx_dbm + rx_mw} == {float}
 
 
-# the second drop's power overflows in mW and the third's underflows to
-# 0 mW, or the other way round: the second is refused either way
-@pytest.mark.parametrize("shadows", [[0.0, -4000.0, 4000.0], [0.0, 4000.0, -4000.0]])
-def test_link_budget_refuses_the_first_power_outside_the_float_range(shadows):
+def test_dbm_to_mw_is_inf_above_and_zero_below_the_float_range():
+    assert dbm_to_mw(4000.0) == math.inf
+    assert dbm_to_mw(-4000.0) == 0.0
+
+
+def test_link_budget_refuses_nothing():
+    # the second drop's power overflows in mW and the third's underflows
     cfg = make_config("28GHz-LOS")
     params = t.resolved_params(cfg)
-    path_loss = t.link_budget(cfg, params, [0.0], [10.0])[0][0]
-    rx_dbm = cfg.tx_power_dbm - (path_loss + shadows[1])
-    with pytest.raises(InvalidParamsError,
-                       match=f"^received power {re.escape(repr(rx_dbm))} dBm is outside"):
-        t.link_budget(cfg, params, shadows, [10.0] * len(shadows))
+    _, rx_dbm, rx_mw = t.link_budget(cfg, params, [0.0, -4000.0, 4000.0], [10.0] * 3)
+    assert rx_mw == [dbm_to_mw(rx_dbm[0]), math.inf, 0.0]
+
+
+# sigma_sf 1000 dB draws shadowing whose received power in mW overflows
+# or underflows to 0 within 300 drops at each of these seeds
+@pytest.mark.parametrize("seed", [1, 3, 4])
+@pytest.mark.parametrize("start", [0, 50])
+def test_generate_batch_refuses_the_first_power_outside_the_float_range(seed, start):
+    count = 300 - start
+    cfg = make_config("28GHz-LOS", master_seed=seed, overrides={"sigma_sf": "1000"})
+    params = t.resolved_params(cfg)
+    # a Normal(0, sigma) draw is 0.0 + sigma * z, and z is the draw at sigma 1
+    unit = make_config("28GHz-LOS", master_seed=seed, overrides={"sigma_sf": "1"})
+    rx_dbm = [cfg.tx_power_dbm - path_loss_ci(28e9, 10.0, params.ple, 0.0 + 1000.0 * z)
+              for z in t.generate_batch(unit, start, count).shadow_fading_db]
+    drop = next(i for i, dbm in enumerate(rx_dbm) if not 0.0 < dbm_to_mw(dbm) < math.inf)
+    message = (f"received power {rx_dbm[drop]!r} dBm of drop {start + drop} is outside "
+               f"the float range in mW; check tx_power_dbm, ple and sigma_sf")
+    with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
+        t.generate_batch(cfg, start, count)
 
 
 def test_zero_sigma_shadowing_is_exactly_zero():

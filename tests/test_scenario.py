@@ -173,6 +173,20 @@ def test_validate_collects_every_violation():
         assert sum(expected in str(v) for v in violations) == 1, expected
 
 
+def test_validate_lists_every_unknown_key_and_bad_value_of_the_overrides():
+    overrides = {"foo": "1", "mu_rho": "x", "bar": "2", "ple": True, "beta_s": "0.5"}
+    cfg = t.SimConfig(scenario=t.Scenario.parse("28-los"), num_drops=0, overrides=overrides)
+    with pytest.raises(ConfigError) as exc:
+        t.validate_config(cfg)
+    assert exc.value.violations == [
+        "num_drops must be >= 1, got 0",
+        "unknown parameter 'foo'",
+        "bad value for 'mu_rho': could not convert string to float: 'x'",
+        "unknown parameter 'bar'",
+        "bad value for 'ple': True is a flag, not a number",
+    ]
+
+
 def test_validate_distance_range():
     cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], distance_m=(5.0, 45.0))
     assert t.validate_config(cfg).distance_range() == (5.0, 45.0)

@@ -7,7 +7,9 @@ turned into its DropRecords and the rows of every per-drop file asked
 for, in-process or in a fork-pool worker. The parent appends the
 records and writes the rows before it takes the next block, then writes
 the aggregate files, and moves every file into place only once the run
-has succeeded.
+has succeeded. `reproduce_report` makes one such pass for all four
+scenarios, deriving a block's stream keys once for the four and keeping
+only their RMS delay spreads: it writes no file and builds no DropRecord.
 
 The block is the unit: records come from a `DropBlock`'s per-drop
 columns and its metrics, and the drops.jsonl, pdp.csv and pas.csv rows
@@ -58,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch
+from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch, stream_keys
 from .pathloss import fspl_1m
 from .scenario import ALL_SCENARIOS, SimConfig, validate_config
 from .stats import GRID_CELLS, METRIC_NAMES, build_pas, drop_metrics, summarize
@@ -310,27 +312,33 @@ def _record_task(task: tuple) -> tuple:
     return _record_chunk(*task)
 
 
+def _map_blocks(stack: contextlib.ExitStack, task, head, num_drops: int, workers: int):
+    """`task((head, start, count))` of each block of drops in order, in-process
+    or by the `imap` of a fork pool forked now and closed by `stack`."""
+    tasks = [(head, start, min(BLOCK_DROPS, num_drops - start))
+             for start in range(0, num_drops, BLOCK_DROPS)]
+    workers = min(workers, len(tasks))
+    if workers == 1:
+        return map(task, tasks)
+    return stack.enter_context(multiprocessing.get_context("fork").Pool(workers)).imap(task, tasks)
+
+
 def run_campaign(config: SimConfig) -> CampaignResult:
     """Generate all drops once, compute per-drop metrics, aggregate them
     and write the files named in `config.outputs`.
 
-    Blocks of BLOCK_DROPS drops are mapped in index order, in-process for
-    one worker and by a fork pool's `imap` for more; the parent consumes
-    one block at a time, so records and files are identical for any
-    worker count. The written paths are on `CampaignResult.paths`.
+    Blocks of BLOCK_DROPS drops are mapped by `_map_blocks`, so records
+    and files are identical for any worker count. The written paths are
+    on `CampaignResult.paths`.
     """
     config = validate_config(config)
-    n = config.num_drops
-    tasks = [(config, start, min(BLOCK_DROPS, n - start)) for start in range(0, n, BLOCK_DROPS)]
-    workers = min(config.workers, len(tasks))
     records = []
     with contextlib.ExitStack() as stack:
-        mapper = map
-        if workers > 1:  # forked before any output file is open
-            mapper = stack.enter_context(multiprocessing.get_context("fork").Pool(workers)).imap
+        # forked before any output file is open
+        blocks = _map_blocks(stack, _record_task, config, config.num_drops, config.workers)
         files, paths = stack.enter_context(
             _staged_files(config.out_dir, config.outputs))
-        for block_records, texts in mapper(_record_task, tasks):
+        for block_records, texts in blocks:
             records.extend(block_records)
             for kind, text in texts.items():
                 files[kind].write(text)
@@ -424,24 +432,32 @@ class ReproReport:
         }
 
 
+def _spread_task(task: tuple) -> list:
+    """Each config's RMS delay spreads of the block, from one key derivation."""
+    configs, start, count = task
+    keys = stream_keys(configs[0].master_seed, range(start, start + count))
+    return [drop_metrics(generate_batch(config, start, count, keys))["rms_ds_ns"]
+            for config in configs]
+
+
 def reproduce_report(num_drops: int = 10000, master_seed: int = REPRODUCE_SEED,
                      workers: int = 1) -> ReproReport:
     """Re-simulate every scenario and compare median RMS delay spread
-    against the reference values."""
+    against the reference values, in one pass over blocks of drops that
+    derives each block's stream keys once for all four scenarios. It
+    writes no file and builds no DropRecord."""
+    configs = tuple(validate_config(SimConfig(
+        scenario=scenario, distance_m=REPRODUCE_DISTANCE_M, num_drops=num_drops,
+        master_seed=master_seed, workers=workers)) for scenario in ALL_SCENARIOS)
+    with contextlib.ExitStack() as stack:
+        blocks = list(_map_blocks(stack, _spread_task, configs, num_drops, workers))
     rows = []
-    for scenario in ALL_SCENARIOS:
-        config = SimConfig(scenario=scenario, distance_m=REPRODUCE_DISTANCE_M,
-                           num_drops=num_drops, master_seed=master_seed, workers=workers)
-        result = run_campaign(config)
-        ref = REFERENCE_RMS_DS[scenario.value]
-        median = result.aggregates["rms_ds_ns"].median
+    for config, *columns in zip(configs, *blocks):  # a config's column of each block
+        ref = REFERENCE_RMS_DS[config.scenario.value]
+        median = summarize(np.concatenate(columns)).median
         passed = abs(median - ref["simulated"]) <= ref["tolerance"] * ref["simulated"]
         rows.append(ReproRow(
-            scenario=scenario.value,
-            simulated_median_ns=median,
-            reference_simulated_ns=ref["simulated"],
-            reference_measured_ns=ref["measured"],
-            tolerance=ref["tolerance"],
-            passed=passed,
-        ))
+            scenario=config.scenario.value, simulated_median_ns=median,
+            reference_simulated_ns=ref["simulated"], reference_measured_ns=ref["measured"],
+            tolerance=ref["tolerance"], passed=passed))
     return ReproReport(rows=rows, num_drops=num_drops, master_seed=master_seed)

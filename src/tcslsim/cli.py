@@ -33,6 +33,7 @@ from .scenario import (
     numbered_lines,
     params_table,
     parse_override_file,
+    validate_config,
 )
 from .stats import PowerAngularSpectrum
 
@@ -113,36 +114,50 @@ def main(argv=None) -> int:
 
 
 def _parse_distance(text: str):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return (float(lo), float(hi))
-    return float(text)
+    try:
+        return tuple(map(float, text.split(":", 1))) if ":" in text else float(text)
+    except ValueError:
+        raise ValueError(f"--distance expects meters, D or MIN:MAX, got {text!r}") from None
 
 
-def _parse_overrides(args) -> dict:
-    overrides: dict[str, str] = {}
-    if args.override_file:
-        overrides.update(parse_override_file(args.override_file))
-    for item in args.override:
-        if "=" not in item:
-            raise ValueError(f"--override expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    return overrides
+def _parsed(errors: list, parse, *args):
+    """`parse(*args)`, or None with its error's messages added to `errors`."""
+    try:
+        return parse(*args)
+    except ConfigError as exc:
+        errors.extend(exc.violations)
+    except ValueError as exc:
+        errors.append(str(exc))
+    return None
 
 
 def _cmd_generate(args) -> int:
+    errors = []  # of every flag and of the config, raised as one ConfigError
+    scenario = _parsed(errors, Scenario.parse, args.scenario)
+    distance = _parsed(errors, _parse_distance, args.distance)
+    overrides = (_parsed(errors, parse_override_file, args.override_file) or {}
+                 if args.override_file else {})
+    for item in args.override:
+        if "=" not in item:
+            errors.append(f"--override expects KEY=VALUE, got {item!r}")
+            continue
+        key, value = item.split("=", 1)
+        overrides[key.strip()] = value.strip()
     config = SimConfig(
-        scenario=Scenario.parse(args.scenario),
-        distance_m=_parse_distance(args.distance),
+        # stand-ins for what failed; overrides are checked against the scenario
+        scenario=scenario or Scenario.GHZ28_LOS,
+        distance_m=SimConfig.distance_m if distance is None else distance,
         tx_power_dbm=args.tx_power_dbm,
         num_drops=args.drops,
         master_seed=args.seed,
         workers=args.workers,
-        overrides=_parse_overrides(args),
+        overrides=overrides if scenario else {},
         out_dir=args.out_dir,
         outputs=tuple(s.strip() for s in args.format.split(",") if s.strip()),
     )
+    config = _parsed(errors, validate_config, config)
+    if errors:
+        raise ConfigError(*errors)
     result = run_campaign(config)
     config = result.config
 

@@ -6,9 +6,9 @@ into time clusters (delay structure) and assigned to spatial lobes
 substream of the drop, so adding or reordering later steps can never
 perturb the values produced by earlier ones.
 
-`generate_batch` draws a block of consecutive drops in three stages,
-each one Philox call over the block's streams (`randcore`) followed by
-CDF inversions over the whole block:
+`generate_batch` draws a block of consecutive drops from one key
+derivation (`stream_keys`) in three stages, each one Philox call over
+the block's streams (`randcore`) followed by CDF inversions:
 
     1. per drop: distance (ranged configs only), shadow, num_clusters,
        num_lobes (AOD, then AOA);
@@ -57,6 +57,11 @@ from .scenario import Scenario, ScenarioParams, SimConfig, resolved_params, vali
 BLOCK_DROPS = 256
 
 SIDES = ("aod", "aoa")
+
+# the labelled streams every drop reads; a ranged config reads "distance" too
+STREAM_LABELS = ("shadow", "num_clusters", "num_lobes", "num_subpaths", "cluster_delay",
+                 "cluster_power", "intra_delay", "subpath_power", "phase", "lobe_angle",
+                 "angle_offset")
 
 
 @dataclass
@@ -256,29 +261,37 @@ def segment_sums(values: np.ndarray, lengths) -> np.ndarray:
     return sums
 
 
-def _stage_uniforms(master_seed: int, drops: range, layout: dict) -> list:
-    """The uniforms of several labelled streams of a block of drops,
-    from one Philox call. `layout` maps each label to the lengths of the
-    runs of draws each drop makes on it, in stream order (an int, or one
-    length per drop); returns, per label, one array per run, drop after
-    drop."""
-    lengths = np.zeros((len(layout), len(drops), max(map(len, layout.values()))), dtype=np.int64)
+def stream_keys(master_seed: int, drops: range, labels=STREAM_LABELS) -> dict:
+    """{label: Philox keys of `drops` on it}, from one `derive_keys` call."""
+    keys = derive_keys(master_seed, drops, labels).reshape(len(labels), len(drops), 2)
+    return dict(zip(labels, keys))
+
+
+def _stage_uniforms(keys: dict, count: int, layout: dict) -> list:
+    """The uniforms of several labelled streams of `count` drops, from
+    one Philox call over their `keys`. `layout` maps each label to the
+    lengths of the runs of draws each drop makes on it, in stream order
+    (an int, or one length per drop); returns, per label, one array per
+    run, drop after drop."""
+    lengths = np.zeros((len(layout), count, max(map(len, layout.values()))), dtype=np.int64)
     for i, runs in enumerate(layout.values()):
         for r, n in enumerate(runs):
             lengths[i, :, r] = n
-    u = stream_uniforms(derive_keys(master_seed, drops, layout), lengths.sum(axis=2).ravel())
+    u = stream_uniforms(np.concatenate([keys[label] for label in layout]),
+                        lengths.sum(axis=2).ravel())
     starts = np.cumsum(lengths).reshape(lengths.shape) - lengths
     return [[u[np.repeat(starts[i, :, r], lengths[i, :, r]) + _ragged(lengths[i, :, r])[1]]
              for r in range(len(runs))] for i, runs in enumerate(layout.values())]
 
 
 @np.errstate(all="ignore")  # what overflows or is undefined is refused at the end
-def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
+def generate_batch(config: SimConfig, start: int, count: int, keys=None) -> DropBlock:
     """Generate drops `start` to `start + count - 1` of a validated
     config at once, as one block. Each drop reads only its own streams,
     from position 0, so it is the same in any block. The scenario's
     parameters, with the config's overrides applied, are resolved once
-    per call. `count` must be at least 1.
+    per call. `count` must be at least 1. `keys` are the drops'
+    `stream_keys` of every label the config reads, derived here if None.
 
     Overrides at the edge of the float range can make a delay or its
     square, a power share or an azimuth inf or NaN, which no metric and
@@ -291,13 +304,14 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
     if count < 1:
         raise InvalidParamsError(f"count must be at least 1, got {count}")
     params = resolved_params(config)
-    seed = config.master_seed
     drops = range(start, start + count)
+    d_range = config.distance_range()
+    if keys is None:
+        keys = stream_keys(config.master_seed, drops, STREAM_LABELS + ("distance",) * bool(d_range))
 
     # stage 1: a fixed number of draws per drop
-    d_range = config.distance_range()
     (u_shadow,), (u_clusters,), (u_aod, u_aoa), *u_distance = _stage_uniforms(
-        seed, drops, {"shadow": [1], "num_clusters": [1], "num_lobes": [1, 1],
+        keys, count, {"shadow": [1], "num_clusters": [1], "num_lobes": [1, 1],
                       **({"distance": [1]} if d_range else {})})
     distances = (uniform(u_distance[0][0], *d_range).tolist() if d_range
                  else [float(config.distance_m)] * count)
@@ -308,7 +322,7 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
 
     # stage 2: per-cluster draws
     (u_sizes,), (u_cluster_delay,), (u_cluster_power,) = _stage_uniforms(
-        seed, drops, {"num_subpaths": [n_clusters], "cluster_delay": [n_clusters],
+        keys, count, {"num_subpaths": [n_clusters], "cluster_delay": [n_clusters],
                       "cluster_power": [n_clusters]})
     sizes = composite_subpath(u_sizes, params.beta_s, params.mu_s)
     n_subpaths = np.add.reduceat(sizes, np.cumsum(n_clusters) - n_clusters)
@@ -319,7 +333,7 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
     # AOA az and AOA el offsets.
     l_aod, l_aoa = lobe_counts.values()
     (u_rho,), (u_subpath_power,), (u_phase,), u_lobe, u_offset = _stage_uniforms(
-        seed, drops, {"intra_delay": [n_subpaths], "subpath_power": [n_subpaths],
+        keys, count, {"intra_delay": [n_subpaths], "subpath_power": [n_subpaths],
                       "phase": [n_subpaths], "lobe_angle": [l_aod, l_aod, l_aoa, l_aoa],
                       "angle_offset": [n_subpaths] * 6})
 
@@ -392,7 +406,7 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
             f"range in mW; check tx_power_dbm, ple and sigma_sf")
     return DropBlock(
         scenario=config.scenario,
-        master_seed=seed,
+        master_seed=config.master_seed,
         tx_power_dbm=config.tx_power_dbm,
         drop_index=list(drops),
         distance_m=distances,

@@ -3,7 +3,9 @@
 Every random quantity in the simulator is drawn from a stream keyed by
 (master_seed, drop_index, substream_label). A stream position is a pure
 function of the key, so any stream can be recreated independently of
-how many other streams exist or in what order they are consumed.
+how many other streams exist or in what order they are consumed. A key
+depends on that triple only, never on the scenario or its parameters,
+so one derivation of a block's keys serves every scenario at its seed.
 
 Every variate is one uniform through an inverse CDF, which keeps replay
 stable if sampling code is reordered. Each family is a function

@@ -277,16 +277,19 @@ def numbered_lines(path):
 
 
 def parse_override_file(path) -> dict[str, str]:
-    """Read `key = value` lines; '#' starts a comment, blank lines ignored."""
+    """Read `key = value` lines; '#' starts a comment, blank lines ignored.
+    One ConfigError names every line that is not `key = value`."""
     overrides: dict[str, str] = {}
+    violations = []
     for lineno, line in numbered_lines(path):
         text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-        key, value = text.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        if "=" in text:
+            key, value = text.split("=", 1)
+            overrides[key.strip()] = value.strip()
+        elif text:
+            violations.append(f"{path}:{lineno}: expected key=value, got {text!r}")
+    if violations:
+        raise ConfigError(*violations)
     return overrides
 
 

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats as sps
 
 import tcslsim as t
+from tcslsim.campaign import REFERENCE_RMS_DS, REPRODUCE_DISTANCE_M, run_campaign
 from tcslsim.errors import InvalidParamsError
 from tcslsim.generate import SIDES
 from tcslsim.pathloss import fspl_1m
@@ -164,6 +165,25 @@ def reference_jsonl_rows(block):
                 for i in range(offsets[d], offsets[d + 1])]
         rows.append(json.dumps(drop, sort_keys=True) + "\n")
     return "".join(rows)
+
+
+def reference_reproduce(num_drops, master_seed, workers):
+    """`reproduce_report(...).to_dict()` as four `run_campaign` calls
+    made it, one per scenario: the median of the `rms_ds_ns` of each
+    campaign's records against the reference table."""
+    rows = []
+    for scenario in t.ALL_SCENARIOS:
+        config = t.SimConfig(scenario=scenario, distance_m=REPRODUCE_DISTANCE_M,
+                             num_drops=num_drops, master_seed=master_seed, workers=workers)
+        spreads = sorted(r.rms_ds_ns for r in run_campaign(config).records)
+        median = spreads[(len(spreads) - 1) // 2]  # the lower middle for even counts
+        ref = REFERENCE_RMS_DS[scenario.value]
+        passed = abs(median - ref["simulated"]) <= ref["tolerance"] * ref["simulated"]
+        rows.append({"scenario": scenario.value, "simulated_median_ns": median,
+                     "reference_simulated_ns": ref["simulated"],
+                     "reference_measured_ns": ref["measured"], "tolerance": ref["tolerance"],
+                     "passed": passed})
+    return {"num_drops": num_drops, "master_seed": master_seed, "rows": rows}
 
 
 def composite_pmf(k, beta, mu_s):

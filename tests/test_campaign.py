@@ -31,6 +31,7 @@ from conftest import (
     drops_alone,
     make_config,
     reference_jsonl_rows,
+    reference_reproduce,
 )
 
 ALL_OUTPUTS = ("jsonl", "pdp", "pas", "summary", "cdf")
@@ -133,6 +134,48 @@ def test_metric_files_match_golden_digests(tmp_path, label):
 def test_reproduce_medians_match_their_recorded_repr():
     report = campaign.reproduce_report(num_drops=300)
     assert {r.scenario: repr(r.simulated_median_ns) for r in report.rows} == REPRODUCE_300_MEDIANS
+
+
+@pytest.mark.parametrize("seed", [campaign.REPRODUCE_SEED, 11])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("num_drops", [1, BLOCK_DROPS, 2 * BLOCK_DROPS + 41])
+def test_reproduce_report_equals_one_campaign_per_scenario(num_drops, workers, seed):
+    report = campaign.reproduce_report(num_drops=num_drops, master_seed=seed, workers=workers)
+    assert report.to_dict() == reference_reproduce(num_drops, seed, workers)
+
+
+def counted_key_derivations(monkeypatch) -> list:
+    """The drops of each `derive_keys` call generation makes from now on."""
+    calls = []
+
+    def counting(master_seed, drops, labels, _original=generate.derive_keys):
+        calls.append(drops)
+        return _original(master_seed, drops, labels)
+
+    monkeypatch.setattr(generate, "derive_keys", counting)
+    return calls
+
+
+def test_reproduce_derives_each_blocks_keys_once_per_call(monkeypatch):
+    # one derivation per block serves all four scenarios, and nothing is
+    # kept for the next call
+    calls = counted_key_derivations(monkeypatch)
+    n = 2 * BLOCK_DROPS + 41
+    blocks = [range(0, BLOCK_DROPS), range(BLOCK_DROPS, 2 * BLOCK_DROPS),
+              range(2 * BLOCK_DROPS, n)]
+    campaign.reproduce_report(num_drops=n)
+    assert calls == blocks
+    campaign.reproduce_report(num_drops=n)
+    assert calls == blocks + blocks
+
+
+@pytest.mark.parametrize("distance", ["10", "5:45"])
+def test_generate_derives_each_blocks_keys_once(tmp_path, monkeypatch, distance):
+    calls = counted_key_derivations(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--scenario", "28GHz-NLOS", "--distance", distance,
+                         "--drops", str(2 * BLOCK_DROPS + 41), "--out-dir", str(tmp_path)]) == 0
+    assert [len(drops) for drops in calls] == [BLOCK_DROPS, BLOCK_DROPS, 41]
 
 
 def dense_pas_rows(block) -> str:

@@ -410,10 +410,32 @@ def _generate(tmp_path, *argv):
       "--override", "beta_s=x"],
      "error: unknown parameter 'foo'\nerror: unknown parameter 'bar'\n"
      "error: bad value for 'beta_s': could not convert string to float: 'x'\n"),
+    (["--scenario", "28GHz-LOS", "--distance", "abc", "--drops", "0"],
+     "error: --distance expects meters, D or MIN:MAX, got 'abc'\n"
+     "error: num_drops must be >= 1, got 0\n"),
+    # without a scenario the overrides' invariants cannot be checked
+    (["--scenario", "60GHz-LOS", "--distance", "5:x", "--override", "foo", "--drops", "0",
+      "--override", "beta_s=2"],
+     "error: unrecognized scenario '60GHz-LOS'\n"
+     "error: --distance expects meters, D or MIN:MAX, got '5:x'\n"
+     "error: --override expects KEY=VALUE, got 'foo'\nerror: num_drops must be >= 1, got 0\n"),
 ])
 def test_generate_prints_each_config_error(tmp_path, argv, stderr):
     assert _generate(tmp_path, *argv) == (cli.EXIT_VALIDATION, "", stderr)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_prints_each_bad_override_file_line_with_the_other_errors(tmp_path):
+    path = tmp_path / "o.cfg"
+    path.write_text("sigma_u 2\nmu_rho = 4.0\nbeta_s\n")
+    assert _generate(tmp_path, "--scenario", "28GHz-LOS", "--override-file", str(path),
+                     "--distance", "1:", "--drops", "0", "--override", "foo=1") == (
+        cli.EXIT_VALIDATION, "",
+        "error: --distance expects meters, D or MIN:MAX, got '1:'\n"
+        f"error: {path}:1: expected key=value, got 'sigma_u 2'\n"
+        f"error: {path}:3: expected key=value, got 'beta_s'\n"
+        "error: num_drops must be >= 1, got 0\nerror: unknown parameter 'foo'\n")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_generate_names_the_line_of_a_bad_override_file_line(tmp_path):

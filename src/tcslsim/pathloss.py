@@ -18,28 +18,18 @@ def fspl_1m(frequency_hz: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * frequency_hz / SPEED_OF_LIGHT_M_PER_S)
 
 
-def path_loss_ci(frequency_hz: float, distance_m: float, ple: float,
-                 shadow_db: float = 0.0) -> float:
-    """Close-in path loss: FSPL at 1 m plus 10*ple dB per decade of distance.
-
-    `shadow_db` is a realization of the lognormal shadow fading term.
-    """
-    if distance_m < 1.0:
-        raise InvalidParamsError(
-            f"distance {distance_m} m is below the 1 m reference")
-    return fspl_1m(frequency_hz) + 10.0 * ple * math.log10(distance_m) + shadow_db
-
-
 def link_budget(config: SimConfig, params: ScenarioParams, shadows_db: list,
                 distances_m: list) -> tuple[list, list, list]:
     """Path loss (dB), received power (dBm) and received power (mW) of
     each drop of a block, from its distance (validated to be at least
     1 m) and its drawn shadow fading (a Normal(0, sigma_sf) draw in dB).
 
-    Each is a list of Python floats, equal in every bit to what
-    `path_loss_ci`, `tx_power_dbm - path loss` and `dbm_to_mw` give for
-    the drop alone. Nothing is refused here: a received power past the
-    float range is inf or 0.0 mW, and `generate_batch` refuses its drop.
+    The path loss is the close-in model: FSPL at 1 m, plus 10*ple dB per
+    decade of distance, plus the shadow fading. Each is a list of Python
+    floats, one scalar `math` evaluation per drop, so a drop's values do
+    not depend on the block it is in. Nothing is refused here: a
+    received power past the float range is inf or 0.0 mW, and
+    `generate_batch` refuses its drop.
     """
     fspl_db, slope_db = fspl_1m(config.scenario.frequency_hz), 10.0 * params.ple
     path_loss = [fspl_db + slope_db * math.log10(distance) + shadow

@@ -8,11 +8,14 @@ A `PowerAngularSpectrum` holds sparse angular spectra of one side: one
 per drop of a block (`build_pas`), or one per drop of an exported file.
 
 Each spread of a profile is its total weight, a few dot products and
-arithmetic on them. `drop_metrics` computes per drop only the six dot
-products on the drop's slices (BLAS ddot and zdotu), and everything
-else once over the block: the totals (`segment_sums`, bit for bit
-numpy's `.sum()`), the divisions by them, the variances, the resultant
-magnitudes, the clamps, logs and square roots. `rms_delay_spread` and
+arithmetic on them. Per drop only the dot products run, on the drop's
+slices; everything else runs once over the block: the totals
+(`segment_sums`, bit for bit numpy's `.sum()`), the divisions by them,
+the variances, the resultant magnitudes, the clamps, logs and square
+roots. A caller pays for the dots of the spreads it asks for:
+`delay_spreads` makes two BLAS ddots per drop, and `drop_metrics`
+(records and files) six, the two plus a complex zdotu on the phasors
+of each of the four angle columns. `rms_delay_spread` and
 `circular_angular_spread` are the one-profile case of the same code.
 
 Replay depends on the exact primitives. The magnitude of a complex
@@ -87,8 +90,7 @@ def rms_delay_spread(delays_ns, weights) -> float:
     if len(delays) == 0:
         raise InvalidParamsError("no taps")
     bounds = [0, len(weights)]
-    return _delay_spreads(_totals(weights, bounds),
-                          *_dots(weights, (delays, delays**2), bounds)).item()
+    return _delay_spreads(weights, delays, bounds, _totals(weights, bounds)).item()
 
 
 def _totals(weights, bounds) -> np.ndarray:
@@ -110,9 +112,11 @@ def _dots(weights, columns, bounds) -> np.ndarray:
                                  weights.dtype, len(parts)) for column in columns])
 
 
-def _delay_spreads(totals, first, second) -> np.ndarray:
-    """RMS delay spreads from profile totals and the weighted sums of
+def _delay_spreads(weights, delays, bounds, totals) -> np.ndarray:
+    """RMS delay spreads of the profiles of `bounds` (see `_dots`) from
+    their totals and two dot products each: the weighted sums of the
     delays and of their squares."""
+    first, second = _dots(weights, (delays, delays**2), bounds)
     mean = first / totals
     variance = second / totals - mean * mean
     return np.sqrt(np.where(variance < 0.0, 0.0, variance))
@@ -165,24 +169,33 @@ def _angular_spreads(totals, resultants) -> np.ndarray:
     return np.where(single, 0.0, np.degrees(np.sqrt(-2.0 * logs)))
 
 
+def delay_spreads(block: DropBlock) -> np.ndarray:
+    """RMS delay spread in ns of each drop of `block`, the `rms_ds_ns`
+    column of `drop_metrics` in every bit: two dot products per drop,
+    and no phasor, angular dot or log."""
+    weights = block.power_fractions
+    bounds = block.subpath_offsets.tolist()
+    return _delay_spreads(weights, block.excess_delays_ns(), bounds, _totals(weights, bounds))
+
+
 def drop_metrics(block: DropBlock) -> dict:
     """{METRIC_NAMES entry: one value per drop of `block`}: RMS delay
     spread in ns, angular spreads in degrees. Power fractions weight the
     subpaths, so no value depends on transmit power or distance in any
     bit.
 
-    Per drop run only the six dot products of the power fractions with
-    the drop's delays, squared delays and the unit phasors of its four
-    angle columns. The totals and everything after the dots run once
-    over the block, element by element, with the `np.abs` ufunc and
-    glibc's `math.log` as the primitives whose bits replay depends on;
-    every value equals that of the one-profile functions.
+    Per drop run only six dot products: the two of `delay_spreads`, and
+    four of the power fractions with the unit phasors of the drop's
+    angle columns. The totals are summed once for all five metrics, and
+    everything after the dots runs once over the block, element by
+    element, with the `np.abs` ufunc and glibc's `math.log` as the
+    primitives whose bits replay depends on; every value equals that of
+    the one-profile functions.
     """
     weights = block.power_fractions
     bounds = block.subpath_offsets.tolist()
     totals = _totals(weights, bounds)
-    delays = block.excess_delays_ns()
-    spreads = [_delay_spreads(totals, *_dots(weights, (delays, delays**2), bounds))]
+    spreads = [_delay_spreads(weights, block.excess_delays_ns(), bounds, totals)]
     # as_aod_az_deg: the block's aod_az_deg
     phasors = [_phasors(getattr(block, name[3:])) for name in METRIC_NAMES[1:]]
     spreads += [_angular_spreads(totals, resultants)

@@ -97,6 +97,13 @@ def reference_metrics(block):
     return rows
 
 
+def path_loss_ci(frequency_hz, distance_m, ple, shadow_db=0.0):
+    """Close-in path loss of one drop in dB, one scalar operation at a
+    time: FSPL at 1 m plus 10*ple dB per decade of distance, plus the
+    shadow fading. `link_budget`'s path loss equals it in every bit."""
+    return fspl_1m(frequency_hz) + 10.0 * ple * math.log10(distance_m) + shadow_db
+
+
 def reference_links(block):
     """Each drop's drops.jsonl `link` object, by its keys: the drop's
     columns, the block's transmit power and its scenario's frequency

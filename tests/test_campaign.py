@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcslsim as t
-from tcslsim import campaign, cli, generate
+from tcslsim import campaign, cli, generate, stats
 from tcslsim.campaign import (
     CSV_FLOAT,
     DROP_FILES,
@@ -142,6 +142,19 @@ def test_reproduce_medians_match_their_recorded_repr():
 def test_reproduce_report_equals_one_campaign_per_scenario(num_drops, workers, seed):
     report = campaign.reproduce_report(num_drops=num_drops, master_seed=seed, workers=workers)
     assert report.to_dict() == reference_reproduce(num_drops, seed, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reproduce_computes_no_angular_spread(monkeypatch, workers):
+    # the medians are of delay spreads: no phasor and no angular spread is computed
+    expected = reference_reproduce(300, campaign.REPRODUCE_SEED, workers)
+
+    def refuse(*args):
+        raise AssertionError("reproduce computed an angular spread")
+
+    monkeypatch.setattr(stats, "_angular_spreads", refuse)
+    monkeypatch.setattr(stats, "_phasors", refuse)
+    assert campaign.reproduce_report(num_drops=300, workers=workers).to_dict() == expected
 
 
 def counted_key_derivations(monkeypatch) -> list:

@@ -90,6 +90,7 @@ def test_campaign_generates_through_generate_batch_imported_from_generate():
 def test_cross_module_calls_use_the_names_the_benchmark_wraps():
     # a per-layer metric is absent when its module no longer binds the name
     assert campaign.drop_metrics is stats.drop_metrics
+    assert campaign.delay_spreads is stats.delay_spreads
     assert campaign.summarize is stats.summarize
     assert generate.link_budget is pathloss.link_budget
     assert cli.partition_time_clusters is analysis.partition_time_clusters

@@ -5,14 +5,23 @@ import numpy as np
 import pytest
 
 import tcslsim as t
-from tcslsim.errors import InvalidParamsError
-from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_S, dbm_to_mw, fspl_1m, path_loss_ci
-from conftest import make_config
+from tcslsim.errors import ConfigError, InvalidParamsError
+from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_S, dbm_to_mw, fspl_1m
+from conftest import make_config, path_loss_ci
 
 
 def friis_1m_db(frequency_hz):
     """Independent closed-form free-space loss at 1 m."""
     return 20.0 * math.log10(4.0 * math.pi * frequency_hz / 299_792_458.0)
+
+
+def budget_path_loss(frequency_hz, ple, distances, shadows=None):
+    """`link_budget`'s path loss in dB of drops at `distances`, in the LOS
+    scenario at `frequency_hz` with path loss exponent `ple`."""
+    label = {28e9: "28GHz-LOS", 140e9: "140GHz-LOS"}[frequency_hz]
+    cfg = make_config(label, overrides={"ple": repr(ple)})
+    shadows = [0.0] * len(distances) if shadows is None else shadows
+    return t.link_budget(cfg, t.resolved_params(cfg), shadows, distances)[0]
 
 
 def test_fspl_28ghz_closed_form():
@@ -39,34 +48,36 @@ def test_fspl_rejects_nonpositive_frequency():
 
 
 def test_path_loss_at_reference_is_fspl():
-    assert path_loss_ci(28e9, 1.0, 1.2) == fspl_1m(28e9)
+    assert budget_path_loss(28e9, 1.2, [1.0]) == [fspl_1m(28e9)]
 
 
 def test_path_loss_example_10m():
-    value = path_loss_ci(28e9, 10.0, 1.2)
+    (value,) = budget_path_loss(28e9, 1.2, [10.0])
     assert value == pytest.approx(fspl_1m(28e9) + 12.0, abs=1e-9)
     assert value == pytest.approx(73.39, abs=0.02)
 
 
 def test_path_loss_example_max_measured_distance():
-    value = path_loss_ci(28e9, 45.9, 2.8)
+    (value,) = budget_path_loss(28e9, 2.8, [45.9])
     assert value == pytest.approx(fspl_1m(28e9) + 28.0 * math.log10(45.9), abs=1e-9)
     assert value == pytest.approx(107.9, abs=0.1)
 
 
 def test_path_loss_shadow_term_is_additive():
-    base = path_loss_ci(140e9, 20.0, 2.0)
-    assert path_loss_ci(140e9, 20.0, 2.0, shadow_db=4.5) == pytest.approx(base + 4.5, abs=1e-12)
+    base, shadowed = budget_path_loss(140e9, 2.0, [20.0, 20.0], [0.0, 4.5])
+    assert shadowed == pytest.approx(base + 4.5, abs=1e-12)
 
 
 def test_path_loss_rejects_below_reference():
-    with pytest.raises(InvalidParamsError, match="below the 1 m reference"):
-        path_loss_ci(28e9, 0.99, 2.0)
+    # link_budget takes distances the config has checked against the 1 m reference
+    with pytest.raises(ConfigError, match=r"^distance 0\.99 m outside \[1\.0, 50\.0\] m$"):
+        make_config("28GHz-LOS", distance_m=0.99)
 
 
 @pytest.mark.parametrize("f,ple,d", [(28e9, 1.2, 1.0), (28e9, 2.8, 3.2), (140e9, 2.0, 4.9)])
 def test_decade_law(f, ple, d):
-    gap = path_loss_ci(f, 10 * d, ple) - path_loss_ci(f, d, ple)
+    near, far = budget_path_loss(f, ple, [d, 10 * d])
+    gap = far - near
     assert abs(gap - 10.0 * ple) < 1e-12
 
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tcslsim as t
+from tcslsim import stats
 from tcslsim.campaign import METRIC_NAMES, run_campaign
 from tcslsim.errors import InvalidParamsError
 from tcslsim.generate import BLOCK_DROPS, generate_batch
-from tcslsim.stats import GRID_CELLS, PowerAngularSpectrum, drop_metrics, summarize
+from tcslsim.stats import GRID_CELLS, PowerAngularSpectrum, delay_spreads, drop_metrics, summarize
 
 from conftest import (
     SCENARIO_LABELS,
@@ -222,6 +223,36 @@ def test_drop_metrics_of_any_split_are_the_columns_of_the_whole():
         assert len(whole[name]) == 60
         assert all(type(v) is float for v in whole[name])
         assert [v.hex() for v in whole[name]] == [v.hex() for p in parts for v in p[name]]
+
+
+@pytest.mark.parametrize("start, count", [(0, 1), (0, BLOCK_DROPS), (2 * BLOCK_DROPS, 41)])
+@pytest.mark.parametrize("distance, overrides", [(10.0, None), ((5.0, 45.0), None),
+                                                 (10.0, {"sigma_u": "0"})])
+def test_delay_spreads_are_the_rms_ds_column_of_drop_metrics_in_every_bit(
+        scenario_label, distance, overrides, start, count):
+    cfg = make_config(scenario_label, distance_m=distance, overrides=overrides or {},
+                      master_seed=31)
+    block = generate_batch(cfg, start, count)
+    spreads = delay_spreads(block)
+    assert spreads.dtype == np.float64 and spreads.shape == (count,)
+    assert ([v.hex() for v in spreads.tolist()]
+            == [v.hex() for v in drop_metrics(block)["rms_ds_ns"]])
+
+
+def test_drop_metrics_sums_the_weights_once_per_block(monkeypatch):
+    calls = []
+
+    def counting(values, lengths, _original=stats.segment_sums):
+        calls.append(len(lengths))
+        return _original(values, lengths)
+
+    block = generate_batch(make_config("28GHz-NLOS", distance_m=(5.0, 45.0), master_seed=7),
+                           0, BLOCK_DROPS)
+    monkeypatch.setattr(stats, "segment_sums", counting)
+    drop_metrics(block)
+    assert calls == [BLOCK_DROPS]
+    delay_spreads(block)
+    assert calls == [BLOCK_DROPS, BLOCK_DROPS]
 
 
 def test_summarize_medians():

@@ -12,13 +12,10 @@ from .scenario import (
     Scenario,
     ScenarioParams,
     SimConfig,
-    apply_overrides,
     lookup_params,
     params_table,
-    resolved_params,
     validate_config,
 )
-from .pathloss import link_budget
 from .generate import DropBlock, generate_batch, generate_drop, generate_drops
 from .stats import build_pas, circular_angular_spread, rms_delay_spread
 from .analysis import compare_distributions, extract_spatial_lobes

@@ -233,7 +233,7 @@ class FitReport:
     params: dict
     log_likelihood: float
     n_samples: int
-    extras: dict = field(default_factory=dict)
+    ks_stat: float | None = None  # set by `compare_distributions`
 
 
 def fit_poisson_shifted(samples) -> FitReport:
@@ -304,12 +304,12 @@ def fit_lognormal(samples) -> FitReport:
     return FitReport("lognormal", {"mu": mu, "sigma": sigma}, loglik, x.size)
 
 
-# family -> (fitter, test that some sample lies outside the family's support,
-#            CDF at x under the fitted params, as scipy evaluates expon and lognorm)
+MIN_FIT_SAMPLES = 20  # fewest samples `compare_distributions` fits
+
+# family -> (fitter, CDF at x under the fitted params, as scipy evaluates expon and lognorm)
 _FITTERS = {
-    "exponential": (fit_exponential, lambda x: (x < 0).any(),
-                    lambda x, mu: -expm1(-(x / mu))),
-    "lognormal": (fit_lognormal, lambda x: (x <= 0).any(),
+    "exponential": (fit_exponential, lambda x, mu: -expm1(-(x / mu))),
+    "lognormal": (fit_lognormal,
                   lambda x, mu, sigma: ndtr(np.log(x / math.exp(mu)) / max(sigma, 1e-12))),
 }
 
@@ -317,19 +317,22 @@ _FITTERS = {
 def compare_distributions(samples) -> list:
     """Fit each candidate family, attach a KS statistic, rank by likelihood.
 
-    Families whose support does not cover the data (lognormal on zeros)
-    are skipped. Requires at least 20 samples.
+    A family is skipped when its fit refuses the data (lognormal on
+    zeros) or its likelihood is not finite (a point mass). Requires at
+    least MIN_FIT_SAMPLES samples.
     """
     x = np.asarray(samples, dtype=float)
-    if x.size < 20:
-        raise InvalidParamsError(f"need >= 20 samples, got {x.size}")
+    if x.size < MIN_FIT_SAMPLES:
+        raise InvalidParamsError(f"need >= {MIN_FIT_SAMPLES} samples, got {x.size}")
     reports = []
-    for fit, outside_support, cdf in _FITTERS.values():
-        if outside_support(x):
+    for fit, cdf in _FITTERS.values():
+        try:
+            report = fit(x)
+        except InvalidParamsError:  # a sample outside the family's support
             continue
-        report = fit(x)
-        report.extras["ks_stat"] = _ks_stat(cdf(np.sort(x), **report.params))
-        reports.append(report)
+        if math.isfinite(report.log_likelihood):
+            report.ks_stat = _ks_stat(cdf(np.sort(x), **report.params))
+            reports.append(report)
     reports.sort(key=lambda r: r.log_likelihood, reverse=True)
     return reports
 

@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MIN_FIT_SAMPLES,
     cluster_delay_samples,
     compare_distributions,
     extract_spatial_lobes,
@@ -201,7 +203,7 @@ def _cmd_analyze(args) -> int:
         report["pdp"] = _analyze_pdp(Path(args.pdp), args.mti)
     if args.pas:
         report["pas"] = _analyze_pas(Path(args.pas), args.slt_db)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote report: {args.out}")
@@ -346,9 +348,9 @@ def _analyze_pdp(path: Path, mti_ns: float) -> dict:
         "num_clusters": _fit_dict(fit_poisson_shifted(np.diff(first_clusters,
                                                               append=len(starts)))),
     }
-    if len(intra) >= 20:
+    if len(intra) >= MIN_FIT_SAMPLES:
         out["intra_cluster_delay_ns"] = [_fit_dict(r) for r in compare_distributions(intra)]
-    if len(inter) >= 20:
+    if len(inter) >= MIN_FIT_SAMPLES:
         out["inter_cluster_offset_ns"] = [_fit_dict(r) for r in compare_distributions(inter)]
     return out
 
@@ -385,14 +387,8 @@ def _analyze_pas(path: Path, slt_db: float) -> dict:
 
 
 def _fit_dict(report) -> dict:
-    out = {
-        "family": report.family,
-        "params": report.params,
-        "log_likelihood": report.log_likelihood,
-        "n_samples": report.n_samples,
-    }
-    out.update(report.extras)
-    return out
+    """A FitReport's fields, without those it leaves unset."""
+    return {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
 
 
 if __name__ == "__main__":

@@ -86,21 +86,18 @@ def _philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return np.stack([x[0], y[0], x[1], y[1]], axis=1)
 
 
-def stream_uniforms(keys: np.ndarray, counts, starts=None) -> np.ndarray:
-    """Uniforms of many streams at once: stream i's positions
-    `starts[i]` to `starts[i] + counts[i] - 1` (starts default to 0),
-    stream after stream in one flat array."""
+def stream_uniforms(keys: np.ndarray, counts) -> np.ndarray:
+    """Uniforms of many streams at once: stream i's positions 0 to
+    `counts[i] - 1`, stream after stream in one flat array."""
     counts = np.asarray(counts, dtype=np.int64)
-    starts = np.zeros_like(counts) if starts is None else np.asarray(starts, dtype=np.int64)
-    first_block = starts // 4
-    num_blocks = (starts + counts + 3) // 4 - first_block
+    num_blocks = (counts + 3) // 4
     block_start = np.cumsum(num_blocks) - num_blocks
     stream_of_block = np.repeat(np.arange(len(counts)), num_blocks)
     counters = (np.arange(len(stream_of_block)) - block_start[stream_of_block]
-                + first_block[stream_of_block] + 1).astype(np.uint64)
+                + 1).astype(np.uint64)
     words = _philox4x64(keys[stream_of_block], counters).reshape(-1)
-    # stream i's position p sits at word 4 * (block_start[i] - first_block[i]) + p
-    shift = 4 * (block_start - first_block) + starts - (np.cumsum(counts) - counts)
+    # stream i's position p sits at word 4 * block_start[i] + p
+    shift = 4 * block_start - (np.cumsum(counts) - counts)
     picked = words[np.repeat(shift, counts) + np.arange(counts.sum())]
     return (picked >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
@@ -109,7 +106,8 @@ class RandomStream:
     """One (seed, drop, label) stream, read from its current position on.
 
     A view for inspection and tests: generation reads whole blocks of
-    streams through `stream_uniforms` and gets the same values.
+    streams through `stream_uniforms` and gets the same values. Each
+    read recomputes the stream from position 0 and keeps its tail.
     """
 
     __slots__ = ("master_seed", "drop_index", "label", "position", "_key")
@@ -124,7 +122,9 @@ class RandomStream:
     def uniform(self, size: int | None = None):
         """Draw uniforms in [0, 1): a float for size=None, else an array."""
         count = 1 if size is None else size
-        u = stream_uniforms(self._key, (count,), (self.position,))
+        if count < 0:  # the tail of a shorter stream would be empty
+            raise ValueError(f"size must be >= 0, got {count}")
+        u = stream_uniforms(self._key, (self.position + count,))[self.position:]
         self.position += count
         return float(u[0]) if size is None else u
 

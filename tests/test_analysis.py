@@ -7,6 +7,7 @@ from scipy import stats as sps
 
 import tcslsim as t
 from tcslsim.analysis import (
+    MIN_FIT_SAMPLES,
     cluster_delay_samples,
     fit_composite_subpath,
     fit_exponential,
@@ -18,6 +19,7 @@ from tcslsim.errors import InvalidParamsError
 from tcslsim.stats import AZ_CELLS, EL_CELLS, PowerAngularSpectrum
 from tcslsim.generate import cluster_delays, sort_from_first
 from tcslsim.randcore import RandomStream, composite_subpath
+from tcslsim.scenario import resolved_params
 
 from conftest import (
     composite_pmf,
@@ -54,7 +56,7 @@ def test_partition_rejects_an_empty_profile_and_a_non_positive_mti(delays, mti):
 
 def test_partition_finds_every_generated_cluster_start(scenario_label):
     cfg = make_config(scenario_label, master_seed=24)
-    params = t.resolved_params(cfg)
+    params = resolved_params(cfg)
     block = t.generate_batch(cfg, 0, 100)
     for c, p in drop_slices(block):
         delays = block.excess_delays_ns()[p]
@@ -89,7 +91,7 @@ def drop_delay_samples(block, mti):
 
 def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
     cfg = make_config(scenario_label, master_seed=21)
-    params = t.resolved_params(cfg)
+    params = resolved_params(cfg)
     block = t.generate_batch(cfg, 0, 100)
     samples = drop_delay_samples(block, params.mti)
     for index, clusters, (_, offsets) in zip(block.drop_index, block.num_clusters.tolist(),
@@ -103,7 +105,7 @@ def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
 
 def test_intra_delay_samples_leave_out_each_cluster_zero(scenario_label):
     cfg = make_config(scenario_label, master_seed=22)
-    params = t.resolved_params(cfg)
+    params = resolved_params(cfg)
     block = t.generate_batch(cfg, 0, 100)
     per_cluster = np.split(block.intra_delays_ns, block.cluster_start[1:])
     for (c, _), (samples, _) in zip(drop_slices(block), drop_delay_samples(block, params.mti)):
@@ -114,7 +116,7 @@ def test_intra_delay_samples_leave_out_each_cluster_zero(scenario_label):
 
 def test_intra_delay_samples_estimate_mu_rho():
     cfg = make_config("28GHz-NLOS", master_seed=23)  # mu_rho 15.7
-    params = t.resolved_params(cfg)
+    params = resolved_params(cfg)
     samples = np.concatenate([intra for intra, _ in drop_delay_samples(
         t.generate_batch(cfg, 0, 300), params.mti)])
     assert len(samples) > 1000
@@ -328,7 +330,7 @@ def test_ks_stat_matches_scipy_kstest(sample):
     assert len(reports) == (1 if sample == "with-zero" else 2)
     for report in reports:
         want = sps.kstest(x, frozen(report).cdf).statistic
-        assert report.extras["ks_stat"] == pytest.approx(want, rel=1e-12), report.family
+        assert report.ks_stat == pytest.approx(want, rel=1e-12), report.family
 
 
 def test_closed_form_fits_match_scipy_fit():
@@ -351,6 +353,21 @@ def test_compare_distributions_skips_families_whose_support_misses_a_sample():
     with_zero = np.append(positive, 0.0)
     assert [r.family for r in t.compare_distributions(with_zero)] == ["exponential"]
     assert t.compare_distributions(np.append(positive, -1.0)) == []
+
+
+@pytest.mark.parametrize("value, families", [(0.0, []), (1.0, ["exponential"])])
+def test_compare_distributions_leaves_out_a_fit_of_a_point_mass(value, families):
+    # a mean of 0 (exponential) or a sigma of 0 (lognormal) has no finite
+    # likelihood, and its CDF no KS distance; warnings are errors here
+    reports = t.compare_distributions(np.full(25, value))
+    assert [r.family for r in reports] == families
+    assert all(math.isfinite(r.log_likelihood) and math.isfinite(r.ks_stat) for r in reports)
+
+
+def test_compare_distributions_refuses_fewer_than_the_minimum():
+    assert t.compare_distributions(np.ones(MIN_FIT_SAMPLES))
+    with pytest.raises(InvalidParamsError, match=f"need >= 20 samples, got {MIN_FIT_SAMPLES - 1}"):
+        t.compare_distributions(np.ones(MIN_FIT_SAMPLES - 1))
 
 
 # --- subpath-count fit ---------------------------------------------------------

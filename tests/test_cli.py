@@ -285,6 +285,26 @@ def test_analyze_refuses_a_cell_whose_power_overflows_without_a_warning(tmp_path
     assert err == f"error: {path}: drop_id 0, side aoa: spectrum power must be finite\n"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("second_delay_ns, families", [("0.0", []), ("1.0", ["exponential"])])
+def test_analyze_writes_no_fit_of_a_point_mass(tmp_path, second_delay_ns, families):
+    # each drop's two taps give one intra-cluster delay, the same in all
+    # 30 drops: an exponential mean of 0 or a lognormal sigma of 0, whose
+    # likelihood is infinite and whose KS distance can be NaN
+    path = tmp_path / "pdp.csv"
+    path.write_text("drop_id,excess_delay_ns,power_mw\n" + "".join(
+        f"{d},0.0,1.0\n{d},{second_delay_ns},0.5\n" for d in range(30)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["analyze", "--pdp", str(path)]) == 0
+    assert err.getvalue() == ""
+    report = json.loads(out.getvalue(), parse_constant=_refuse_constant)["pdp"]
+    assert [fit["family"] for fit in report["intra_cluster_delay_ns"]] == families
+
+
 @pytest.mark.parametrize("power, message", [
     ("0.0", "spectrum has no power"), ("1e308", "spectrum power must be finite")])
 def test_analyze_names_the_file_side_and_drop_of_a_refused_spectrum(tmp_path, power, message):

@@ -23,6 +23,7 @@ from tcslsim.errors import ConfigError, InvalidParamsError
 from tcslsim.stats import METRIC_NAMES, drop_metrics
 from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS, dbm_to_mw
 from tcslsim.randcore import RandomStream, composite_subpath, derive_keys, exponential, normal
+from tcslsim.scenario import apply_overrides, resolved_params
 
 from conftest import (
     SCENARIO_LABELS,
@@ -36,7 +37,7 @@ from conftest import (
 
 def params_for(label, **overrides):
     p = t.lookup_params(t.Scenario.parse(label))
-    return t.apply_overrides(p, overrides) if overrides else p
+    return apply_overrides(p, overrides) if overrides else p
 
 
 def drops_for(label, count, master_seed=1234, **overrides):
@@ -491,7 +492,7 @@ def test_batched_draws_match_single_cluster_operations():
     """generate_drop consumes its substreams exactly like cluster-by-cluster
     draws: intra delays, cluster delays and within-cluster power shares."""
     cfg = make_config("28GHz-NLOS", master_seed=909)
-    params = t.resolved_params(cfg)
+    params = resolved_params(cfg)
     drop = t.generate_drop(cfg, drop_index=4)
     (n_clusters,), (n_subpaths,) = drop.num_clusters, drop.num_subpaths
     assert n_clusters > 1 and n_subpaths > n_clusters
@@ -633,11 +634,11 @@ def test_uniforms_drawn_per_drop_follow_its_structure(monkeypatch, label, distan
     drawn, calls = {}, []
     stream_uniforms = generate.stream_uniforms
 
-    def recording(keys, counts, starts=None):
+    def recording(keys, counts):
         calls.append(len(keys))
         for key, count in zip(keys, counts):
             drawn[key.tobytes()] = drawn.get(key.tobytes(), 0) + int(count)
-        return stream_uniforms(keys, counts, starts)
+        return stream_uniforms(keys, counts)
 
     monkeypatch.setattr(generate, "stream_uniforms", recording)
     cfg = make_config(label, distance_m=distance, master_seed=34)

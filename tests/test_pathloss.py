@@ -6,7 +6,8 @@ import pytest
 
 import tcslsim as t
 from tcslsim.errors import ConfigError, InvalidParamsError
-from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_S, dbm_to_mw, fspl_1m
+from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_S, dbm_to_mw, fspl_1m, link_budget
+from tcslsim.scenario import resolved_params
 from conftest import make_config, path_loss_ci
 
 
@@ -21,7 +22,7 @@ def budget_path_loss(frequency_hz, ple, distances, shadows=None):
     label = {28e9: "28GHz-LOS", 140e9: "140GHz-LOS"}[frequency_hz]
     cfg = make_config(label, overrides={"ple": repr(ple)})
     shadows = [0.0] * len(distances) if shadows is None else shadows
-    return t.link_budget(cfg, t.resolved_params(cfg), shadows, distances)[0]
+    return link_budget(cfg, resolved_params(cfg), shadows, distances)[0]
 
 
 def test_fspl_28ghz_closed_form():
@@ -88,8 +89,8 @@ def test_dbm_mw_roundtrip():
 
 def test_link_budget_fields_consistent():
     cfg = make_config("28GHz-NLOS", distance_m=10.0)
-    params = t.resolved_params(cfg)
-    (path_loss,), (rx_dbm,), (rx_mw,) = t.link_budget(cfg, params, [3.7], [10.0])
+    params = resolved_params(cfg)
+    (path_loss,), (rx_dbm,), (rx_mw,) = link_budget(cfg, params, [3.7], [10.0])
     assert rx_dbm == pytest.approx(cfg.tx_power_dbm - path_loss, abs=1e-12)
     assert rx_mw == pytest.approx(10 ** (rx_dbm / 10.0), rel=1e-12)
     assert path_loss == pytest.approx(
@@ -99,8 +100,8 @@ def test_link_budget_fields_consistent():
 def test_link_budget_rx_example():
     # tx 0 dBm against a 73.38 dB loss leaves -73.38 dBm
     cfg = make_config("28GHz-LOS", distance_m=10.0)
-    params = t.resolved_params(cfg)
-    _, (rx_dbm,), (rx_mw,) = t.link_budget(cfg, params, [0.0], [10.0])
+    params = resolved_params(cfg)
+    _, (rx_dbm,), (rx_mw,) = link_budget(cfg, params, [0.0], [10.0])
     assert rx_dbm == pytest.approx(-(fspl_1m(28e9) + 12.0), abs=1e-9)
     assert rx_mw == pytest.approx(10 ** (rx_dbm / 10), rel=1e-12)
 
@@ -108,9 +109,9 @@ def test_link_budget_rx_example():
 @pytest.mark.parametrize("tx_power_dbm", [0.0, 23.5, -17, 30])
 def test_link_budget_equals_the_scalar_formulas_bit_for_bit(tx_power_dbm):
     cfg = make_config("140GHz-NLOS", distance_m=(1.0, 50.0), tx_power_dbm=tx_power_dbm)
-    params = t.resolved_params(cfg)
+    params = resolved_params(cfg)
     shadows, distances = [3.7, -12.25, 0.0, 1e-9], [10.0, 1.0, 45.9, 2.0 ** 0.5]
-    path_loss, rx_dbm, rx_mw = t.link_budget(cfg, params, shadows, distances)
+    path_loss, rx_dbm, rx_mw = link_budget(cfg, params, shadows, distances)
     assert path_loss == [path_loss_ci(140e9, d, params.ple, s)
                          for s, d in zip(shadows, distances)]
     assert rx_dbm == [tx_power_dbm - pl for pl in path_loss]
@@ -126,8 +127,8 @@ def test_dbm_to_mw_is_inf_above_and_zero_below_the_float_range():
 def test_link_budget_refuses_nothing():
     # the second drop's power overflows in mW and the third's underflows
     cfg = make_config("28GHz-LOS")
-    params = t.resolved_params(cfg)
-    _, rx_dbm, rx_mw = t.link_budget(cfg, params, [0.0, -4000.0, 4000.0], [10.0] * 3)
+    params = resolved_params(cfg)
+    _, rx_dbm, rx_mw = link_budget(cfg, params, [0.0, -4000.0, 4000.0], [10.0] * 3)
     assert rx_mw == [dbm_to_mw(rx_dbm[0]), math.inf, 0.0]
 
 
@@ -138,7 +139,7 @@ def test_link_budget_refuses_nothing():
 def test_generate_batch_refuses_the_first_power_outside_the_float_range(seed, start):
     count = 300 - start
     cfg = make_config("28GHz-LOS", master_seed=seed, overrides={"sigma_sf": "1000"})
-    params = t.resolved_params(cfg)
+    params = resolved_params(cfg)
     # a Normal(0, sigma) draw is 0.0 + sigma * z, and z is the draw at sigma 1
     unit = make_config("28GHz-LOS", master_seed=seed, overrides={"sigma_sf": "1"})
     rx_dbm = [cfg.tx_power_dbm - path_loss_ci(28e9, 10.0, params.ple, 0.0 + 1000.0 * z)
@@ -158,7 +159,7 @@ def test_zero_sigma_shadowing_is_exactly_zero():
 def test_shadowing_mean_over_draws():
     n = 10_000
     cfg = make_config("140GHz-NLOS", master_seed=77, overrides={"sigma_sf": "4.0"})
-    params = t.resolved_params(cfg)
+    params = resolved_params(cfg)
     vals = np.array([v for block in t.generate_drops(cfg, count=n) for v in block.rx_power_dbm])
     expected = cfg.tx_power_dbm - path_loss_ci(140e9, 10.0, params.ple)
     assert abs(vals.mean() - expected) < 5 * 4.0 / math.sqrt(n)

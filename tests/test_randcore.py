@@ -99,6 +99,17 @@ def test_interleaved_sibling_streams_match_numpy_philox():
         assert np.array_equal(values, numpy_philox_uniforms(key, len(values)))
 
 
+def test_an_empty_read_stays_put_and_a_negative_size_is_refused():
+    stream = RandomStream(11, 5, "a")
+    stream.uniform(6)
+    assert stream.uniform(0).shape == (0,) and stream.position == 6
+    with pytest.raises(ValueError, match="size must be >= 0, got -1"):
+        stream.uniform(-1)
+    assert stream.position == 6
+    key = derive_keys(11, [5], ["a"])[0]
+    assert stream.uniform() == numpy_philox_uniforms(key, 7)[6]
+
+
 def test_next_uniform_advances_and_bounds():
     s = RandomStream(1, 0, "u")
     vals = [s.uniform() for _ in range(1000)]

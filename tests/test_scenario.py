@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import tcslsim as t
 from tcslsim.campaign import run_campaign
 from tcslsim.errors import ConfigError
-from tcslsim.scenario import parse_override_file
+from tcslsim.scenario import apply_overrides, parse_override_file, resolved_params
 
 # The full measured parameter table, frozen field by field.
 EXPECTED_TABLE = {
@@ -238,7 +238,7 @@ def test_validate_rejects_lambda_c_past_the_poisson_search():
         with pytest.raises(ConfigError, match="lambda_c must keep exp"):
             t.validate_config(t.SimConfig(scenario=nlos, overrides={"lambda_c": value}))
     cfg = t.validate_config(t.SimConfig(scenario=nlos, overrides={"lambda_c": "708"}))
-    assert t.resolved_params(cfg).lambda_c == 708.0
+    assert resolved_params(cfg).lambda_c == 708.0
 
 
 _PARAM_NAMES = sorted(f.name for f in dataclasses.fields(t.ScenarioParams))
@@ -266,7 +266,7 @@ def test_validate_config_raises_only_validation_error(field, value):
 
 def test_apply_overrides_changes_one_field():
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
-    out = t.apply_overrides(base, {"mu_rho": "3.5"})
+    out = apply_overrides(base, {"mu_rho": "3.5"})
     assert out.mu_rho == 3.5
     assert dataclasses.replace(out, mu_rho=base.mu_rho) == base
 
@@ -274,13 +274,13 @@ def test_apply_overrides_changes_one_field():
 def test_apply_overrides_unknown_key():
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
     with pytest.raises(ConfigError, match="unknown parameter 'mu_bogus'"):
-        t.apply_overrides(base, {"mu_bogus": "1"})
+        apply_overrides(base, {"mu_bogus": "1"})
 
 
 def test_apply_overrides_bad_value():
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
     with pytest.raises(ConfigError, match="bad value for 'mu_rho'"):
-        t.apply_overrides(base, {"mu_rho": "not-a-number"})
+        apply_overrides(base, {"mu_rho": "not-a-number"})
 
 
 _FLOAT_PARAMS = sorted(f.name for f in dataclasses.fields(t.ScenarioParams)
@@ -303,7 +303,7 @@ def test_apply_overrides_rejects_non_finite_values(name):
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
     for value in (math.nan, math.inf, -math.inf, "nan", "inf", "-inf", "NaN", "Infinity"):
         with pytest.raises(ConfigError, match=f"bad value for '{name}': .* is not finite"):
-            t.apply_overrides(base, {name: value})
+            apply_overrides(base, {name: value})
 
 
 @pytest.mark.parametrize("name", _FLOAT_PARAMS)
@@ -336,7 +336,7 @@ def test_validate_rejects_nan_override():
 def test_apply_overrides_invariant_violation():
     base = t.lookup_params(t.Scenario.parse("28-nlos"))
     with pytest.raises(ConfigError, match=r"beta_s must be in \[0, 1\]"):
-        t.apply_overrides(base, {"beta_s": "1.5"})
+        apply_overrides(base, {"beta_s": "1.5"})
 
 
 def test_override_file_parsing(tmp_path):
@@ -352,4 +352,4 @@ def test_override_file_parsing(tmp_path):
 def test_resolved_params_uses_overrides():
     cfg = t.validate_config(t.SimConfig(scenario=t.Scenario.parse("140-los"),
                                         overrides={"gamma_cluster": "9.0"}))
-    assert t.resolved_params(cfg).gamma_cluster == 9.0
+    assert resolved_params(cfg).gamma_cluster == 9.0

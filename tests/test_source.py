@@ -1,14 +1,29 @@
 """Checks on the source text of the package."""
 
 import ast
+import io
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import tcslsim
 
-MODULES = sorted(p for p in Path(tcslsim.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(tcslsim.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+
+# the names the package defines and never refers to, each with why it
+# stays and the ROADMAP item that settles it
+UNREFERENCED = {
+    "RandomStream": "the benchmark wraps its methods, tests read streams with it (item 0)",
+    "sample": "RandomStream.sample, wrapped by the benchmark (item 0)",
+    "emit_outputs": "the benchmark's emit step calls it (item 0)",
+    "to_dict": "ReproReport.to_dict, which the benchmark digests (item 0)",
+    "num_lobes": "LobeSet.num_lobes, which the benchmark reads (item 0)",
+    "all_passed": "ReproReport.all_passed, for reproduce's exit code (item 5)",
+    "fit_composite_subpath": "the subpath-count fit of analyze --params-out (item 3)",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -24,6 +39,30 @@ def unused_imports(source: str) -> list:
     return [name for name in imported if name not in read]
 
 
+def unreferenced_names(sources: dict) -> set:
+    """The names defined in `sources` (file name -> text) whose only NAME
+    token in all of them is their own definition.
+
+    A definition is a top-level def or class of a file other than
+    __init__.py, or a def directly inside such a class; dunder names do
+    not count. Strings and comments hold no NAME token.
+    """
+    tokens = Counter(token.string for source in sources.values()
+                     for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                     if token.type == tokenize.NAME)
+    defined = set()
+    for name, source in sources.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
+    return {name for name in defined
+            if tokens[name] == 1 and not (name.startswith("__") and name.endswith("__"))}
+
+
 def test_unused_imports_finds_a_name_read_nowhere():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nnp.f(c)\n"
     assert unused_imports(source) == ["os", "e"]
@@ -32,3 +71,21 @@ def test_unused_imports_finds_a_name_read_nowhere():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unreferenced_names_finds_a_definition_read_nowhere():
+    sources = {
+        "a.py": ("def f():\n    return g()\n\n\ndef g():\n    pass\n\n\n"
+                 "class C:\n    def m(self):\n        '''h()'''  # h\n\n"
+                 "    def __repr__(self):\n        return ''\n\n\n"
+                 "def h():\n    def inner():\n        pass\n"),
+        "__init__.py": "from .a import C\n\n\ndef k():\n    pass\n",
+    }
+    assert unreferenced_names(sources) == {"f", "m", "h"}
+
+
+def test_every_unreferenced_name_is_allowlisted():
+    # a new name that nothing calls fails here, and so does an allowlisted
+    # one that gains a caller or is deleted: take it off the list
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_names(sources) == set(UNREFERENCED)

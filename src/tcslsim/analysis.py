@@ -153,7 +153,10 @@ class LobeSet:
         return [lobe for _, lobe in lobes]
 
 
-def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = -10.0) -> LobeSet:
+DEFAULT_SLT_DB = -10.0  # the spatial lobe threshold, below each spectrum's peak
+
+
+def extract_spatial_lobes(pas: PowerAngularSpectrum, slt_db: float = DEFAULT_SLT_DB) -> LobeSet:
     """Find spatial lobes: connected regions above the lobe threshold.
 
     Cells with power within `slt_db` of their spectrum's peak are kept
@@ -281,13 +284,23 @@ def fit_exponential(samples) -> FitReport:
         raise InvalidParamsError("no samples")
     if (x < 0).any():
         raise InvalidParamsError("exponential samples must be >= 0")
-    mu = float(x.mean())
+    with np.errstate(over="ignore"):
+        mu = float(x.mean())
+    if not math.isfinite(mu):  # a sum past the float range
+        raise InvalidParamsError("exponential sample mean is not finite")
     loglik = float(-x.size * math.log(mu) - x.sum() / mu) if mu > 0 else math.inf
     return FitReport("exponential", {"mu": mu}, loglik, x.size)
 
 
+# the largest log-sample std of a point mass: equal samples whose logs
+# round apart give about 1e-13 (eps times log x up to 745)
+POINT_MASS_SIGMA = 1e-12
+
+
 def fit_lognormal(samples) -> FitReport:
-    """Closed-form lognormal MLE: mean/std of log samples (population std)."""
+    """Closed-form lognormal MLE: mean/std of log samples (population
+    std). A sigma of at most POINT_MASS_SIGMA is a point mass, whose
+    likelihood is infinite."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise InvalidParamsError("no samples")
@@ -296,7 +309,7 @@ def fit_lognormal(samples) -> FitReport:
     logs = np.log(x)
     mu = float(logs.mean())
     sigma = float(logs.std())
-    if sigma > 0:
+    if sigma > POINT_MASS_SIGMA:
         loglik = float(-logs.sum() - x.size * (math.log(sigma) + 0.5 * math.log(2 * math.pi))
                        - ((logs - mu) ** 2).sum() / (2 * sigma * sigma))
     else:
@@ -310,7 +323,7 @@ MIN_FIT_SAMPLES = 20  # fewest samples `compare_distributions` fits
 _FITTERS = {
     "exponential": (fit_exponential, lambda x, mu: -expm1(-(x / mu))),
     "lognormal": (fit_lognormal,
-                  lambda x, mu, sigma: ndtr(np.log(x / math.exp(mu)) / max(sigma, 1e-12))),
+                  lambda x, mu, sigma: ndtr(np.log(x / math.exp(mu)) / sigma)),
 }
 
 
@@ -331,7 +344,9 @@ def compare_distributions(samples) -> list:
         except InvalidParamsError:  # a sample outside the family's support
             continue
         if math.isfinite(report.log_likelihood):
-            report.ks_stat = _ks_stat(cdf(np.sort(x), **report.params))
+            # a ratio x / exp(mu) that underflows or overflows gives a CDF of 0 or 1
+            with np.errstate(divide="ignore", over="ignore"):
+                report.ks_stat = _ks_stat(cdf(np.sort(x), **report.params))
             reports.append(report)
     reports.sort(key=lambda r: r.log_likelihood, reverse=True)
     return reports

@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch, stream_keys
+from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch, ragged, stream_keys
 from .pathloss import fspl_1m
 from .scenario import ALL_SCENARIOS, SimConfig, validate_config
 from .stats import GRID_CELLS, METRIC_NAMES, build_pas, delay_spreads, drop_metrics, summarize
@@ -176,19 +176,17 @@ def _jsonl_rows(block: DropBlock) -> str:
 
 
 def _pdp_rows(block: DropBlock) -> str:
-    sizes = block.cluster_sizes()
     per_drop = block.num_subpaths
     excess = block.excess_delays_ns()
     powers = block.powers_mw()
     # each subpath's cluster in the block, its cluster's number in its
-    # drop and its own number in its cluster, from 1
-    cluster = np.repeat(np.arange(len(sizes)), sizes)
-    first_cluster = np.repeat(block.cluster_offsets[:-1], block.num_clusters)
+    # drop and its own number in its cluster, from 0
+    _, cluster, subpath_number = ragged(block.cluster_sizes())
+    cluster_number = ragged(block.num_clusters)[2]
     with np.errstate(divide="ignore"):  # a share that underflowed to 0 mW is -inf dBm
         powers_dbm = 10.0 * np.log10(powers)
     columns = zip(np.repeat(block.drop_index, per_drop).tolist(),
-                  (cluster - first_cluster[cluster] + 1).tolist(),
-                  (np.arange(len(excess)) - block.cluster_start[cluster] + 1).tolist(),
+                  (cluster_number[cluster] + 1).tolist(), (subpath_number + 1).tolist(),
                   *(map(CSV_FLOAT.format, c.tolist()) for c in (
                       excess, np.repeat(block.propagation_delay_ns, per_drop) + excess,
                       powers, powers_dbm)))
@@ -379,6 +377,7 @@ def emit_outputs(result: CampaignResult, blocks, out_dir=None, outputs=None) -> 
 # --- validation-table reproduction -------------------------------------------
 
 REPRODUCE_SEED = 20210928
+REPRODUCE_DROPS = 10000
 REPRODUCE_DISTANCE_M = 10.0
 
 # Reference omnidirectional RMS delay spread medians (ns) for the model
@@ -440,7 +439,7 @@ def _spread_task(task: tuple) -> list:
     return [delay_spreads(generate_batch(config, start, count, keys)) for config in configs]
 
 
-def reproduce_report(num_drops: int = 10000, master_seed: int = REPRODUCE_SEED,
+def reproduce_report(num_drops: int = REPRODUCE_DROPS, master_seed: int = REPRODUCE_SEED,
                      workers: int = 1) -> ReproReport:
     """Re-simulate every scenario and compare median RMS delay spread
     against the reference values, in one pass over blocks of drops that

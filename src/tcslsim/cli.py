@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    DEFAULT_SLT_DB,
     MIN_FIT_SAMPLES,
     cluster_delay_samples,
     compare_distributions,
@@ -26,7 +27,7 @@ from .analysis import (
     fit_poisson_shifted,
     partition_time_clusters,
 )
-from .campaign import REPRODUCE_SEED, reproduce_report, run_campaign
+from .campaign import REPRODUCE_DROPS, REPRODUCE_SEED, reproduce_report, run_campaign
 from .errors import ChannelSimError, ConfigError, InvalidParamsError
 from .scenario import (
     DEFAULT_MTI_NS,
@@ -71,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--pdp", default=None, help="PDP CSV file (schema of 'generate --format pdp')")
     ana.add_argument("--pas", default=None, help="PAS CSV file (schema of 'generate --format pas')")
     ana.add_argument("--mti", type=float, default=DEFAULT_MTI_NS)
-    ana.add_argument("--slt-db", type=float, default=-10.0)
+    ana.add_argument("--slt-db", type=float, default=DEFAULT_SLT_DB)
     ana.add_argument("--out", default=None, help="write the report JSON here instead of stdout")
 
     rep = sub.add_parser("reproduce", help="re-simulate the validation medians table")
-    rep.add_argument("--drops", type=int, default=10000)
+    rep.add_argument("--drops", type=int, default=REPRODUCE_DROPS)
     rep.add_argument("--seed", type=int, default=REPRODUCE_SEED)
     rep.add_argument("--workers", type=int, default=1)
 

@@ -100,7 +100,7 @@ def test_inter_cluster_offsets_recover_the_sorted_delay_draws(scenario_label):
         assert (offsets >= 0).all()
         draws = cluster_delays(
             params, RandomStream(21, index, "cluster_delay").uniform(clusters))
-        assert offsets == pytest.approx(sort_from_first(draws)[1:], rel=1e-9, abs=1e-9)
+        assert offsets == pytest.approx(sort_from_first(draws, [clusters])[1:], rel=1e-9, abs=1e-9)
 
 
 def test_intra_delay_samples_leave_out_each_cluster_zero(scenario_label):
@@ -355,13 +355,32 @@ def test_compare_distributions_skips_families_whose_support_misses_a_sample():
     assert t.compare_distributions(np.append(positive, -1.0)) == []
 
 
-@pytest.mark.parametrize("value, families", [(0.0, []), (1.0, ["exponential"])])
+@pytest.mark.parametrize("value, families", [(0.0, []), (1.0, ["exponential"]),
+                                             (2.0, ["exponential"]), (1e300, ["exponential"])])
 def test_compare_distributions_leaves_out_a_fit_of_a_point_mass(value, families):
-    # a mean of 0 (exponential) or a sigma of 0 (lognormal) has no finite
-    # likelihood, and its CDF no KS distance; warnings are errors here
+    # a mean of 0 (exponential) or a sigma of at most POINT_MASS_SIGMA
+    # (lognormal: the logs of 2.0 or 1e300 round to a std of 1e-16 or
+    # 1e-13) has no finite likelihood, and its CDF no KS distance;
+    # warnings are errors here
     reports = t.compare_distributions(np.full(25, value))
     assert [r.family for r in reports] == families
     assert all(math.isfinite(r.log_likelihood) and math.isfinite(r.ks_stat) for r in reports)
+
+
+@pytest.mark.parametrize("sample, families", [
+    ([1e300] * 25 + [2e-300], ["lognormal", "exponential"]),  # x / exp(mu) underflows to 0
+    ([1e-300] * 25 + [1e300], ["lognormal", "exponential"]),  # and overflows to inf
+    ([1.7e308] * 25, []),  # the exponential mean overflows, the lognormal is a point mass
+], ids=["cdf-underflow", "cdf-overflow", "mean-overflow"])
+def test_compare_distributions_warns_of_nothing_at_the_edges_of_the_float_range(sample, families):
+    reports = t.compare_distributions(np.array(sample))
+    assert [r.family for r in reports] == families
+    assert all(0.0 <= r.ks_stat <= 1.0 for r in reports)
+
+
+def test_fit_exponential_refuses_a_mean_that_overflows():
+    with pytest.raises(InvalidParamsError, match="exponential sample mean is not finite"):
+        fit_exponential(np.full(25, 1.7e308))
 
 
 def test_compare_distributions_refuses_fewer_than_the_minimum():

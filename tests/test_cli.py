@@ -305,6 +305,22 @@ def test_analyze_writes_no_fit_of_a_point_mass(tmp_path, second_delay_ns, famili
     assert [fit["family"] for fit in report["intra_cluster_delay_ns"]] == families
 
 
+def test_analyze_of_taps_at_the_edges_of_the_float_range_warns_of_nothing(tmp_path):
+    # 25 drops with taps at 0 and 1e300 ns and one at 0 and 2e-300 ns: the
+    # lognormal CDF of the offsets divides 1e-300 by exp(mu) = 1e299,
+    # which underflows to 0; warnings are errors here, as under python -W error
+    path = tmp_path / "pdp.csv"
+    path.write_text("drop_id,excess_delay_ns,power_mw\n" + "".join(
+        f"{d},0.0,1.0\n{d},{'2e-300' if d == 25 else '1e300'},0.5\n" for d in range(26)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["analyze", "--pdp", str(path), "--mti", "1e-300"]) == 0
+    assert err.getvalue() == ""
+    report = json.loads(out.getvalue(), parse_constant=_refuse_constant)["pdp"]
+    assert [fit["family"] for fit in report["inter_cluster_offset_ns"]] == [
+        "lognormal", "exponential"]
+
+
 @pytest.mark.parametrize("power, message", [
     ("0.0", "spectrum has no power"), ("1e308", "spectrum power must be finite")])
 def test_analyze_names_the_file_side_and_drop_of_a_refused_spectrum(tmp_path, power, message):

@@ -15,6 +15,7 @@ from tcslsim.generate import (
     generate_batch,
     lobe_mean_angles,
     place_cluster_delays,
+    ragged,
     segment_sums,
     sort_from_first,
 )
@@ -133,15 +134,74 @@ def test_intra_delays_single_subpath_is_zero():
 
 
 def test_sort_from_first_example():
-    assert sort_from_first([5.0, 2.0, 9.0]).tolist() == [0.0, 3.0, 7.0]
+    assert sort_from_first([5.0, 2.0, 9.0], [3]).tolist() == [0.0, 3.0, 7.0]
+    assert sort_from_first([5.0, 2.0, 9.0, 4.0], [2, 2]).tolist() == [0.0, 3.0, 0.0, 5.0]
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_sort_from_first_properties(values):
-    out = sort_from_first(values)
+    out = sort_from_first(values, [len(values)])
     assert out[0] == 0.0
     assert (np.diff(out) >= 0).all()
+
+
+# delays with ties and +inf; no -0.0, whose order against 0.0 is the sort's choice
+DELAYS = st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf]),
+                   st.floats(min_value=0.0, max_value=1e6))
+
+
+@st.composite
+def segments(draw, values=DELAYS):
+    """Segment lengths of at least 1 and values for them, end to end."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    return lengths, draw(st.lists(values, min_size=sum(lengths), max_size=sum(lengths)))
+
+
+def hexes(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def split(values, lengths) -> list:
+    return np.split(np.asarray(values, dtype=float), np.cumsum(lengths)[:-1])
+
+
+@given(segments())
+@settings(max_examples=100, deadline=None)
+def test_sort_from_first_sorts_each_segment_from_its_minimum(case):
+    lengths, values = case
+    with np.errstate(invalid="ignore"):  # a segment of +inf alone re-anchors to NaN
+        expected = np.concatenate([np.sort(x) - x.min() for x in split(values, lengths)])
+        assert hexes(sort_from_first(values, lengths)) == hexes(expected)
+
+
+@given(segments(), st.lists(DELAYS, min_size=48, max_size=48),
+       st.sampled_from([0.0, 6.0, 25.0]))
+@settings(max_examples=100, deadline=None)
+def test_place_cluster_delays_is_the_recurrence_of_each_drop(case, last, mti):
+    lengths, draws = case
+    expected = []
+    for x, gaps in zip(split(draws, lengths), split(last[:len(draws)], lengths)):
+        ordered = sorted(x.tolist())
+        tau = [0.0]
+        for n in range(1, len(ordered)):
+            tau.append((tau[-1] + gaps[n - 1]) + (mti + (ordered[n] - ordered[0])))
+        expected += tau
+    with np.errstate(invalid="ignore"):
+        got = place_cluster_delays(draws, last[:len(draws)], lengths, mti)
+    assert hexes(got) == hexes(expected)
+
+
+@given(st.lists(st.integers(0, 5), max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_ragged_numbers_each_element_as_a_loop_does(lengths):
+    starts, segment, index = [], [], []
+    for s, n in enumerate(lengths):
+        starts.append(sum(lengths[:s]))
+        for i in range(n):
+            segment.append(s)
+            index.append(i)
+    assert [a.tolist() for a in ragged(lengths)] == [starts, segment, index]
 
 
 def test_intra_delays_nondecreasing_and_anchored():
@@ -154,13 +214,11 @@ def test_intra_delays_nondecreasing_and_anchored():
 # --- step 4: cluster delays ---------------------------------------------------
 
 def test_place_cluster_delays_example():
-    tau = place_cluster_delays([5.0, 10.0, 30.0], [4.0, 2.0, 0.0], mti=6.0)
+    tau = place_cluster_delays([5.0, 10.0, 30.0], [4.0, 2.0, 0.0], [3], mti=6.0)
     assert tau.tolist() == [0.0, 15.0, 48.0]
-    # a block: one drop per row, padded with +inf past its cluster count
-    block = place_cluster_delays([[5.0, 10.0, 30.0], [7.0, math.inf, math.inf]],
-                                 [[4.0, 2.0, 0.0], [1.0, 0.0, 0.0]], mti=6.0)
-    assert block[0].tolist() == [0.0, 15.0, 48.0]
-    assert block[1, 0] == 0.0 and np.isinf(block[1, 1:]).all()
+    # a block: the drops' clusters end to end, three of the first and one of the second
+    block = place_cluster_delays([5.0, 10.0, 30.0, 7.0], [4.0, 2.0, 0.0, 1.0], [3, 1], mti=6.0)
+    assert block.tolist() == [0.0, 15.0, 48.0, 0.0]
 
 
 def test_compose_single_cluster_is_zero():
@@ -498,12 +556,12 @@ def test_batched_draws_match_single_cluster_operations():
     assert n_clusters > 1 and n_subpaths > n_clusters
 
     rho_stream = RandomStream(909, 4, "intra_delay")
-    intra = [sort_from_first(rho_stream.sample(exponential, params.mu_rho, size=m))
+    intra = [sort_from_first(rho_stream.sample(exponential, params.mu_rho, size=m), [m])
              for m in drop.cluster_sizes()]
     assert np.array_equal(drop.intra_delays_ns, np.concatenate(intra))
 
     draws = cluster_delays(params, RandomStream(909, 4, "cluster_delay").uniform(n_clusters))
-    tau = place_cluster_delays(draws, [rho[-1] for rho in intra], params.mti)
+    tau = place_cluster_delays(draws, [rho[-1] for rho in intra], [n_clusters], params.mti)
     assert np.array_equal(drop.cluster_delays_ns, tau)
     z_db = RandomStream(909, 4, "cluster_power").sample(normal, 0.0, params.sigma_z,
                                                          size=n_clusters)

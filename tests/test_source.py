@@ -39,13 +39,22 @@ def unused_imports(source: str) -> list:
     return [name for name in imported if name not in read]
 
 
+def private_imports(source: str) -> list:
+    """The `_private` names a module imports from another module, in
+    import order; dunder names such as `__version__` are not private."""
+    return [alias.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
 def unreferenced_names(sources: dict) -> set:
     """The names defined in `sources` (file name -> text) whose only NAME
     token in all of them is their own definition.
 
-    A definition is a top-level def or class of a file other than
-    __init__.py, or a def directly inside such a class; dunder names do
-    not count. Strings and comments hold no NAME token.
+    A definition is a top-level def, class or assigned name (a constant)
+    of a file other than __init__.py, or a def directly inside such a
+    class; dunder names do not count. Strings and comments hold no NAME
+    token.
     """
     tokens = Counter(token.string for source in sources.values()
                      for token in tokenize.generate_tokens(io.StringIO(source).readline)
@@ -59,6 +68,10 @@ def unreferenced_names(sources: dict) -> set:
                 defined.add(node.name)
             if isinstance(node, ast.ClassDef):
                 defined.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for target in targets for n in ast.walk(target)
+                               if isinstance(n, ast.Name))
     return {name for name in defined
             if tokens[name] == 1 and not (name.startswith("__") and name.endswith("__"))}
 
@@ -73,15 +86,27 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_private_imports_finds_a_private_name_from_another_module():
+    source = ("from . import __version__\nfrom .a import _b, c\nimport numpy as _np\n"
+              "from x.y import _z as w\n")
+    assert private_imports(source) == ["_b", "_z"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
 def test_unreferenced_names_finds_a_definition_read_nowhere():
     sources = {
         "a.py": ("def f():\n    return g()\n\n\ndef g():\n    pass\n\n\n"
                  "class C:\n    def m(self):\n        '''h()'''  # h\n\n"
                  "    def __repr__(self):\n        return ''\n\n\n"
-                 "def h():\n    def inner():\n        pass\n"),
-        "__init__.py": "from .a import C\n\n\ndef k():\n    pass\n",
+                 "def h():\n    def inner():\n        pass\n\n\n"
+                 "A = 1\nB: int = A\nD, (E, F) = 1, (2, B)\n__all__ = []\n"),
+        "__init__.py": "from .a import C, E\n\n\ndef k():\n    pass\n\n\nG = 1\n",
     }
-    assert unreferenced_names(sources) == {"f", "m", "h"}
+    assert unreferenced_names(sources) == {"f", "m", "h", "D", "F"}
 
 
 def test_every_unreferenced_name_is_allowlisted():

@@ -284,11 +284,14 @@ def fit_exponential(samples) -> FitReport:
         raise InvalidParamsError("no samples")
     if (x < 0).any():
         raise InvalidParamsError("exponential samples must be >= 0")
-    with np.errstate(over="ignore"):
-        mu = float(x.mean())
-    if not math.isfinite(mu):  # a sum past the float range
+    # a sum past the float range can hold a finite mean, so samples from
+    # 2**960 on are scaled below it by a power of two, which is exact
+    scale = 2.0 ** min(0, 960 - math.frexp(x.max())[1])
+    scaled = x * scale
+    mu = float(scaled.mean()) / scale
+    if not math.isfinite(mu):  # a sample that is not finite
         raise InvalidParamsError("exponential sample mean is not finite")
-    loglik = float(-x.size * math.log(mu) - x.sum() / mu) if mu > 0 else math.inf
+    loglik = float(-x.size * math.log(mu) - scaled.sum() / (mu * scale)) if mu > 0 else math.inf
     return FitReport("exponential", {"mu": mu}, loglik, x.size)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from .analysis import (
 )
 from .campaign import REPRODUCE_DROPS, REPRODUCE_SEED, reproduce_report, run_campaign
 from .errors import ChannelSimError, ConfigError, InvalidParamsError
+from .generate import SIDES
 from .scenario import (
     DEFAULT_MTI_NS,
     Scenario,
@@ -214,117 +216,82 @@ def _cmd_analyze(args) -> int:
 
 
 # the columns `analyze` reads from each exported CSV file, with their
-# types, and the bounds their values must keep
+# kinds, and the bounds their values must keep
 PDP_COLUMNS = {"drop_id": int, "excess_delay_ns": float, "power_mw": float}
 PAS_COLUMNS = {"drop_id": int, "side": str, "az_deg": int, "el_deg": int, "power_mw": float}
 PAS_BOUNDS = {"el_deg": (-90, 90), "power_mw": (0.0, math.inf)}
-
-# np.loadtxt types of the columns; a fixed-width str field cuts a longer
-# str, which goes to the row walk
-_STR_WIDTH = 8
-_BLOCK_DTYPES = {int: np.int64, float: np.float64, str: f"U{_STR_WIDTH}"}
+# each kind's np.loadtxt type, the test its parsed values pass and what
+# a value that passes is; a longer side reads as a U4 text that is none
+_KINDS = {int: (np.int64, lambda values: True, "an int"),
+          float: (np.float64, np.isfinite, "a finite float"),
+          str: ("U4", lambda values: np.isin(values, SIDES), " or ".join(sorted(SIDES)))}
+_loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                             encoding="utf-8")
 
 
 def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
     """The values of `columns` in an exported CSV file as one array per
     column, rows in file order.
 
-    The rules are those of `_csv_rows`. The file is parsed in one C pass
-    by `np.loadtxt`, which checks every row's field count but refuses
-    some text the rules accept (`1_0`, non-ASCII digits, ints beyond
-    int64) and accepts some they refuse (blank lines, non-finite
-    floats). So the block is kept only when it has one row per line and
-    every value passes the rules; otherwise `_csv_rows` reads the file,
-    and either gives the values or raises the error of its first bad
-    line.
+    `columns` maps each name to its kind, int, float or str, and
+    `bounds` a number column to its (low, high). The grammar is what
+    `generate` writes: a header line naming every column read, then one
+    row a line with the header's field count. An int is what np.loadtxt
+    parses as int64 (ASCII digits, an optional sign), a float is finite
+    as it parses it (ASCII, no `_`), and whitespace may surround either.
+    A str is exactly a side, aoa or aod; a number lies within its bounds.
+
+    One np.loadtxt pass parses the file, and the rules past it are
+    checked as arrays; only a file that breaks one is walked line by
+    line, to raise a ValueError naming its first bad line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            body = fh.read()
-    except UnicodeDecodeError:
-        header, body = [], ""  # the row walk names the line
-    newlines = body.count("\n")
-    # np.loadtxt skips blank lines, and warns when they are all there is
-    if len(body) > newlines and all(name in header for name in columns):
-        dtype = [(f"f{i}", "U1") for i in range(len(header))]
-        for name, kind in columns.items():
-            dtype[header.index(name)] = (name, _BLOCK_DTYPES[kind])
-        try:
-            block = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
-                               quotechar=None, ndmin=1, encoding="utf-8")
-        except ValueError:
-            block = None
-        if (block is not None and len(block) == newlines + (not body.endswith("\n"))
-                and all(_follows_rules(block[name], kind, bounds.get(name), body)
-                        for name, kind in columns.items())):
-            return [block[name] for name in columns]
-    values = list(zip(*(row for _, row in _csv_rows(path, columns, bounds)))) or [()] * len(columns)
-    return [_column(v, kind) for v, kind in zip(values, columns.values())]
-
-
-def _follows_rules(column: np.ndarray, kind, bound, body: str) -> bool:
-    """Whether a column parsed by np.loadtxt holds what `_csv_rows` reads."""
-    ok = True
-    if kind is float:
-        ok = np.isfinite(column).all()
-    elif kind is str:  # a U field drops trailing NULs; the row walk strips a line's ends
-        ok = ("\x00" not in body and (np.strings.str_len(column) < _STR_WIDTH).all()
-              and (np.strings.strip(column) == column).all())
-    if bound is not None:
-        ok = ok and ((column >= bound[0]) & (column <= bound[1])).all()
-    return bool(ok)
-
-
-def _column(values: tuple, kind) -> np.ndarray:
-    """An array of values from `_csv_rows`; ints beyond int64 and strs stay
-    Python objects."""
-    if kind is str:
-        return np.array(values, dtype=object)
-    try:
-        return np.array(values, dtype=np.int64 if kind is int else np.float64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _csv_rows(path: Path, columns: dict, bounds: dict):
-    """Yield (line number, the values of `columns`) for each data row of
-    an exported CSV file.
-
-    `columns` maps each column name to the type of its values, int,
-    float or str; floats must be finite, and a number column named in
-    `bounds` must lie within its (low, high). Raises ValueError naming
-    the file and line when a byte is not UTF-8, the header lacks one of
-    `columns`, a row has another field count than the header, or a value
-    does not convert (naming its column) or lies out of bounds; a row's
-    bounds are checked once all its fields have converted.
-    """
-    checks = [(list(columns).index(name), name, low, high)
-              for name, (low, high) in bounds.items()]
     lines = numbered_lines(path)
     header = next(lines, (1, ""))[1].strip().split(",")
     missing = [name for name in columns if name not in header]
     if missing:
         raise ValueError(f"{path}:1: header lacks column(s) {', '.join(missing)}")
-    fields = [(header.index(name), name, kind) for name, kind in columns.items()]
+    dtype = [(f"f{i}", "U1") for i in range(len(header))]
+    for name, kind in columns.items():
+        dtype[header.index(name)] = (name, _KINDS[kind][0])
+    try:
+        body = path.read_text(encoding="utf-8").partition("\n")[2]
+        block = (_loadtxt(path, dtype=dtype, skiprows=1) if body.strip("\n")
+                 else np.zeros(0, dtype))  # np.loadtxt warns of a file of blank lines
+    except ValueError:  # a byte that is not UTF-8 too
+        body, block = "", None
+    # np.loadtxt skips a blank line, and a str field drops trailing NULs
+    if (block is None or len(block) != body.count("\n") + bool(body) - body.endswith("\n")
+            or "\x00" in body or not all(np.all(_KINDS[kind][1](block[name]))
+                                         for name, kind in columns.items())
+            or not all(np.all((block[name] >= low) & (block[name] <= high))
+                       for name, (low, high) in bounds.items())):
+        _first_bad_line(path, lines, header, columns, bounds)
+    return [block[name] for name in columns]
+
+
+def _first_bad_line(path: Path, lines, header: list, columns: dict, bounds: dict) -> None:
+    """Raise the ValueError naming the first of the numbered `lines` that
+    breaks a rule of `_read_csv`, checking a row's bounds once all its
+    fields parse; return if none does (a NUL in a column not read)."""
     for lineno, line in lines:
-        row = line.strip().split(",")
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        values = []
-        for index, name, kind in fields:
-            try:
-                value = kind(row[index])
+        fields = line.removesuffix("\n").split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+        row = {}
+        for name, kind in columns.items():
+            i = header.index(name)
+            dtype, test, what = _KINDS[kind]
+            try:  # a str is its text; a U array would drop its trailing NULs
+                row[name] = (np.array(fields[i:i + 1], dtype=object) if kind is str
+                             else _loadtxt([line], dtype=dtype, usecols=i))
+                kept = np.all(test(row[name]))
             except ValueError:
-                value = None
-            if value is None or (kind is float and not math.isfinite(value)):
-                what = "an int" if kind is int else "a finite float"
-                raise ValueError(f"{path}:{lineno}: column {name}: {row[index]!r} is not {what}")
-            values.append(value)
-        for i, name, low, high in checks:
-            if not low <= values[i] <= high:
-                raise ValueError(f"{path}:{lineno}: {name} {values[i]} outside {low}..{high}")
-        yield lineno, values
+                kept = False
+            if not kept:
+                raise ValueError(f"{path}:{lineno}: column {name}: {fields[i]!r} is not {what}")
+        for name, (low, high) in bounds.items():
+            if not low <= row[name][0] <= high:
+                raise ValueError(f"{path}:{lineno}: {name} {row[name][0]} outside {low}..{high}")
 
 
 def _analyze_pdp(path: Path, mti_ns: float) -> dict:

@@ -370,17 +370,26 @@ def test_compare_distributions_leaves_out_a_fit_of_a_point_mass(value, families)
 @pytest.mark.parametrize("sample, families", [
     ([1e300] * 25 + [2e-300], ["lognormal", "exponential"]),  # x / exp(mu) underflows to 0
     ([1e-300] * 25 + [1e300], ["lognormal", "exponential"]),  # and overflows to inf
-    ([1.7e308] * 25, []),  # the exponential mean overflows, the lognormal is a point mass
-], ids=["cdf-underflow", "cdf-overflow", "mean-overflow"])
+    # the sum overflows and the exponential mean does not; the lognormal is a point mass
+    ([1.7e308] * 25, ["exponential"]),
+], ids=["cdf-underflow", "cdf-overflow", "sum-overflow"])
 def test_compare_distributions_warns_of_nothing_at_the_edges_of_the_float_range(sample, families):
     reports = t.compare_distributions(np.array(sample))
     assert [r.family for r in reports] == families
     assert all(0.0 <= r.ks_stat <= 1.0 for r in reports)
 
 
-def test_fit_exponential_refuses_a_mean_that_overflows():
+def test_fit_exponential_keeps_a_finite_mean_whose_sum_overflows():
+    report = fit_exponential(np.full(25, 1.7e308))
+    assert report.params["mu"] == 1.7e308
+    assert report.log_likelihood == -25 * math.log(1.7e308) - 25
+    assert [r.family for r in t.compare_distributions(np.full(25, 1.7e308))] == ["exponential"]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_fit_exponential_refuses_a_sample_that_is_not_finite(bad):
     with pytest.raises(InvalidParamsError, match="exponential sample mean is not finite"):
-        fit_exponential(np.full(25, 1.7e308))
+        fit_exponential(np.array([1.0] * 24 + [bad]))
 
 
 def test_compare_distributions_refuses_fewer_than_the_minimum():

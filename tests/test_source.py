@@ -1,8 +1,6 @@
 """Checks on the source text of the package."""
 
 import ast
-import io
-import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -47,23 +45,32 @@ def private_imports(source: str) -> list:
             if alias.name.startswith("_") and not alias.name.endswith("__")]
 
 
+# the fields of an AST node that hold a name: a Name's id, an
+# Attribute's attr, a def's, class's or alias's name, an import's
+# asname and a keyword's or parameter's arg
+NAME_FIELDS = ("id", "attr", "name", "asname", "arg")
+
+
 def unreferenced_names(sources: dict) -> set:
-    """The names defined in `sources` (file name -> text) whose only NAME
-    token in all of them is their own definition.
+    """The names defined in `sources` (file name -> text) whose only
+    occurrence in all of them is their own definition.
 
     A definition is a top-level def, class or assigned name (a constant)
     of a file other than __init__.py, or a def directly inside such a
-    class; dunder names do not count. Strings and comments hold no NAME
-    token.
+    class; dunder names do not count. Names are counted from the syntax
+    tree, so a name read inside an f-string counts on every Python
+    version, and strings and comments hold none.
     """
-    tokens = Counter(token.string for source in sources.values()
-                     for token in tokenize.generate_tokens(io.StringIO(source).readline)
-                     if token.type == tokenize.NAME)
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    occurrences = Counter(part for tree in trees.values() for node in ast.walk(tree)
+                          for field in NAME_FIELDS
+                          if isinstance(getattr(node, field, None), str)
+                          for part in getattr(node, field).split("."))
     defined = set()
-    for name, source in sources.items():
+    for name, tree in trees.items():
         if name == "__init__.py":
             continue
-        for node in ast.parse(source).body:
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
             if isinstance(node, ast.ClassDef):
@@ -73,7 +80,7 @@ def unreferenced_names(sources: dict) -> set:
                 defined.update(n.id for target in targets for n in ast.walk(target)
                                if isinstance(n, ast.Name))
     return {name for name in defined
-            if tokens[name] == 1 and not (name.startswith("__") and name.endswith("__"))}
+            if occurrences[name] == 1 and not (name.startswith("__") and name.endswith("__"))}
 
 
 def test_unused_imports_finds_a_name_read_nowhere():
@@ -103,10 +110,13 @@ def test_unreferenced_names_finds_a_definition_read_nowhere():
                  "class C:\n    def m(self):\n        '''h()'''  # h\n\n"
                  "    def __repr__(self):\n        return ''\n\n\n"
                  "def h():\n    def inner():\n        pass\n\n\n"
-                 "A = 1\nB: int = A\nD, (E, F) = 1, (2, B)\n__all__ = []\n"),
+                 "A = 1\nB: int = A\nD, (E, F) = 1, (2, B)\n__all__ = []\n"
+                 "T = {}\nU = V = 2\n\n\ndef p():\n    return f\"{T[0]!r:>{U}} {'V'}\"\n"),
         "__init__.py": "from .a import C, E\n\n\ndef k():\n    pass\n\n\nG = 1\n",
     }
-    assert unreferenced_names(sources) == {"f", "m", "h", "D", "F"}
+    # T and U are read only inside an f-string, which one token holds
+    # before Python 3.12; the V in it is text
+    assert unreferenced_names(sources) == {"f", "m", "h", "D", "F", "p", "V"}
 
 
 def test_every_unreferenced_name_is_allowlisted():

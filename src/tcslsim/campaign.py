@@ -8,9 +8,11 @@ for, in-process or in a fork-pool worker. The parent appends the
 records and writes the rows before it takes the next block, then writes
 the aggregate files, and moves every file into place only once the run
 has succeeded. `reproduce_report` makes one such pass for all four
-scenarios, deriving a block's stream keys once for the four. It computes
-only their RMS delay spreads (`stats.delay_spreads`, not the angular
-spreads of `drop_metrics`), writes no file and builds no DropRecord.
+scenarios, generating each block for the four in lockstep
+(`generate_batches`): the block's stream keys are derived once, and one
+Philox call per stage serves all four scenarios. It computes only their
+RMS delay spreads (`stats.delay_spreads`, not the angular spreads of
+`drop_metrics`), writes no file and builds no DropRecord.
 
 The block is the unit: records come from a `DropBlock`'s per-drop
 columns and its metrics, and the drops.jsonl, pdp.csv and pas.csv rows
@@ -61,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch, ragged, stream_keys
+from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch, generate_batches, ragged
 from .pathloss import fspl_1m
 from .scenario import ALL_SCENARIOS, SimConfig, validate_config
 from .stats import GRID_CELLS, METRIC_NAMES, build_pas, delay_spreads, drop_metrics, summarize
@@ -433,21 +435,19 @@ class ReproReport:
 
 
 def _spread_task(task: tuple) -> list:
-    """Each config's RMS delay spreads of the block, from one key derivation."""
-    configs, start, count = task
-    keys = stream_keys(configs[0].master_seed, range(start, start + count))
-    return [delay_spreads(generate_batch(config, start, count, keys)) for config in configs]
+    """Each config's RMS delay spreads of the block, generated in lockstep."""
+    return list(map(delay_spreads, generate_batches(*task)))
 
 
 def reproduce_report(num_drops: int = REPRODUCE_DROPS, master_seed: int = REPRODUCE_SEED,
                      workers: int = 1) -> ReproReport:
     """Re-simulate every scenario and compare median RMS delay spread
-    against the reference values, in one pass over blocks of drops that
-    derives each block's stream keys once for all four scenarios. It
-    computes delay spreads only, two dot products per drop and scenario,
-    writes no file and builds no DropRecord. A check of angular-spread
-    medians would call the angular part of `drop_metrics` on purpose,
-    and pay for its four phasor dots and logs per drop."""
+    against the reference values, in one pass over blocks of drops, each
+    generated for all four scenarios in lockstep. It computes delay
+    spreads only, two dot products per drop and scenario, writes no file
+    and builds no DropRecord. A check of angular-spread medians would
+    call the angular part of `drop_metrics` on purpose, and pay for its
+    four phasor dots and logs per drop."""
     configs = tuple(validate_config(SimConfig(
         scenario=scenario, distance_m=REPRODUCE_DISTANCE_M, num_drops=num_drops,
         master_seed=master_seed, workers=workers)) for scenario in ALL_SCENARIOS)

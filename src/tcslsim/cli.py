@@ -333,8 +333,10 @@ def _analyze_pas(path: Path, slt_db: float) -> dict:
     ids, drop = np.unique(drop_id, return_inverse=True)
     cells = np.asarray(PowerAngularSpectrum.cell_index(az, el), dtype=np.int64)
     lobe_counts = {}
-    for name in sorted(set(side.tolist())):
+    for name in sorted(SIDES):
         rows = side == name
+        if not rows.any():
+            continue
         pas = PowerAngularSpectrum.from_deposits(name, drop[rows], cells[rows], power[rows])
         try:
             lobe_counts[name] = extract_spatial_lobes(pas, slt_db).counts

@@ -7,8 +7,9 @@ substream of the drop, so adding or reordering later steps can never
 perturb the values produced by earlier ones.
 
 `generate_batch` draws a block of consecutive drops from one key
-derivation (`stream_keys`) in three stages, each one Philox call over
-the block's streams (`randcore`) followed by CDF inversions:
+derivation (`derive_keys`) in three stages, each one Philox call over
+the block's streams (`randcore`) followed by CDF inversions; for several
+configs of one seed, `generate_batches` makes each call serve them all:
 
     1. per drop: distance (ranged configs only), shadow, num_clusters,
        num_lobes (AOD, then AOA);
@@ -266,38 +267,51 @@ def segment_sums(values: np.ndarray, lengths) -> np.ndarray:
     return sums
 
 
-def stream_keys(master_seed: int, drops: range, labels=STREAM_LABELS) -> dict:
-    """{label: Philox keys of `drops` on it}, from one `derive_keys` call."""
-    keys = derive_keys(master_seed, drops, labels).reshape(len(labels), len(drops), 2)
-    return dict(zip(labels, keys))
+def _stage_uniforms(keys: dict, count: int, layouts: list) -> list:
+    """The uniforms of labelled streams of `count` drops for each of
+    `layouts`, from one Philox call over their `keys`. A layout maps a
+    label to the lengths of the runs of draws each drop makes on it, in
+    stream order (an int, or one per drop); returns, per layout and
+    label, one array per run, drop after drop. A (label, drop) stream is
+    computed once, to the longest read, and holds each read as a prefix."""
+    labels = list(dict.fromkeys(label for layout in layouts for label in layout))
+    widest = max(len(runs) for layout in layouts for runs in layout.values())
+    lengths = np.zeros((len(layouts), len(labels), count, widest), dtype=np.int64)
+    for c, layout in enumerate(layouts):
+        for label, runs in layout.items():
+            for r, n in enumerate(runs):
+                lengths[c, labels.index(label), :, r] = n
+    totals = lengths.sum(axis=3).max(axis=0)
+    u = stream_uniforms(np.concatenate([keys[label] for label in labels]), totals.ravel())
+    # a run's uniform k, of the drop whose draws hold it, is u[k + shift[drop]]: the
+    # start of the drop's stream plus its earlier runs' draws, less earlier drops' draws
+    shift = ((np.cumsum(totals).reshape(totals.shape) - totals)[:, :, None]
+             + np.cumsum(lengths, axis=3) - np.cumsum(lengths, axis=2))
+
+    def run(c, i, r):  # layout c's run r on labels[i], drop after drop
+        n = lengths[c, i, :, r]
+        return u[np.arange(n.sum()) + np.repeat(shift[c, i, :, r], n)]
+
+    return [[[run(c, labels.index(label), r) for r in range(len(runs))]
+             for label, runs in layout.items()] for c, layout in enumerate(layouts)]
 
 
-def _stage_uniforms(keys: dict, count: int, layout: dict) -> list:
-    """The uniforms of several labelled streams of `count` drops, from
-    one Philox call over their `keys`. `layout` maps each label to the
-    lengths of the runs of draws each drop makes on it, in stream order
-    (an int, or one length per drop); returns, per label, one array per
-    run, drop after drop."""
-    lengths = np.zeros((len(layout), count, max(map(len, layout.values()))), dtype=np.int64)
-    for i, runs in enumerate(layout.values()):
-        for r, n in enumerate(runs):
-            lengths[i, :, r] = n
-    u = stream_uniforms(np.concatenate([keys[label] for label in layout]),
-                        lengths.sum(axis=2).ravel())
-    # the runs' starts in `u`; ragged would also build arrays over every uniform
-    starts = np.cumsum(lengths).reshape(lengths.shape) - lengths
-    return [[u[np.repeat(starts[i, :, r], lengths[i, :, r]) + ragged(lengths[i, :, r])[2]]
-             for r in range(len(runs))] for i, runs in enumerate(layout.values())]
+def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
+    """Drops `start` to `start + count - 1` of a validated config as one
+    block: `generate_batches` of that config alone."""
+    return generate_batches((config,), start, count)[0]
 
 
 @np.errstate(all="ignore")  # what overflows or is undefined is refused at the end
-def generate_batch(config: SimConfig, start: int, count: int, keys=None) -> DropBlock:
-    """Generate drops `start` to `start + count - 1` of a validated
-    config at once, as one block. Each drop reads only its own streams,
-    from position 0, so it is the same in any block. The scenario's
-    parameters, with the config's overrides applied, are resolved once
-    per call. `count` must be at least 1. `keys` are the drops'
-    `stream_keys` of every label the config reads, derived here if None.
+def generate_batches(configs, start: int, count: int) -> list:
+    """Generate drops `start` to `start + count - 1` of each of several
+    validated configs of one master seed at once, a block per config.
+    Each drop reads only its own streams, from position 0, so it is the
+    same in any block and beside any other configs: the configs advance
+    in lockstep, and each stage makes one Philox call whose streams
+    serve them all. The scenario's parameters, with the config's
+    overrides applied, are resolved once per call. `count` must be at
+    least 1.
 
     Overrides at the edge of the float range can make a delay or its
     square, a power share or an azimuth inf or NaN, which no metric and
@@ -309,16 +323,35 @@ def generate_batch(config: SimConfig, start: int, count: int, keys=None) -> Drop
     """
     if count < 1:
         raise InvalidParamsError(f"count must be at least 1, got {count}")
+    seeds = {config.master_seed for config in configs}
+    if len(seeds) > 1:
+        raise InvalidParamsError(f"configs of master seeds {sorted(seeds)} share no stream keys")
+    labels = STREAM_LABELS + ("distance",) * any(c.distance_range() for c in configs)
+    keys = dict(zip(labels, derive_keys(min(seeds), range(start, start + count), labels)
+                    .reshape(len(labels), count, 2)))  # {label: the drops' Philox keys}
+    bodies = [_drop_block(config, start, count) for config in configs]
+    layouts, blocks = [next(body) for body in bodies], []
+    while not blocks:  # the bodies yield alike, so all end at one send
+        uniforms, layouts = _stage_uniforms(keys, count, layouts), []
+        for body, u in zip(bodies, uniforms):
+            try:
+                layouts.append(body.send(u))
+            except StopIteration as end:  # which frees the body's arrays at once
+                blocks.append(end.value)
+    return blocks
+
+
+def _drop_block(config: SimConfig, start: int, count: int):
+    """A generator that yields each stage's {label: runs} layout, is
+    sent its uniforms, and returns the config's DropBlock."""
     params = resolved_params(config)
     drops = range(start, start + count)
     d_range = config.distance_range()
-    if keys is None:
-        keys = stream_keys(config.master_seed, drops, STREAM_LABELS + ("distance",) * bool(d_range))
 
     # stage 1: a fixed number of draws per drop
-    (u_shadow,), (u_clusters,), (u_aod, u_aoa), *u_distance = _stage_uniforms(
-        keys, count, {"shadow": [1], "num_clusters": [1], "num_lobes": [1, 1],
-                      **({"distance": [1]} if d_range else {})})
+    (u_shadow,), (u_clusters,), (u_aod, u_aoa), *u_distance = yield {
+        "shadow": [1], "num_clusters": [1], "num_lobes": [1, 1],
+        **({"distance": [1]} if d_range else {})}
     distances = (uniform(u_distance[0][0], *d_range).tolist() if d_range
                  else [float(config.distance_m)] * count)
     shadow_db = normal(u_shadow, 0.0, params.sigma_sf).tolist()
@@ -327,9 +360,8 @@ def generate_batch(config: SimConfig, start: int, count: int, keys=None) -> Drop
                    "aoa": discrete_uniform(u_aoa, 1, params.l_aoa_max)}
 
     # stage 2: per-cluster draws
-    (u_sizes,), (u_cluster_delay,), (u_cluster_power,) = _stage_uniforms(
-        keys, count, {"num_subpaths": [n_clusters], "cluster_delay": [n_clusters],
-                      "cluster_power": [n_clusters]})
+    (u_sizes,), (u_cluster_delay,), (u_cluster_power,) = yield {
+        "num_subpaths": [n_clusters], "cluster_delay": [n_clusters], "cluster_power": [n_clusters]}
     sizes = composite_subpath(u_sizes, params.beta_s, params.mu_s)
     first_cluster, drop_of_cluster, _ = ragged(n_clusters)
     n_subpaths = np.add.reduceat(sizes, first_cluster)
@@ -339,10 +371,9 @@ def generate_batch(config: SimConfig, start: int, count: int, keys=None) -> Drop
     # angle_offset its AOD and AOA lobe picks, then its AOD az, AOD el,
     # AOA az and AOA el offsets.
     l_aod, l_aoa = lobe_counts.values()
-    (u_rho,), (u_subpath_power,), (u_phase,), u_lobe, u_offset = _stage_uniforms(
-        keys, count, {"intra_delay": [n_subpaths], "subpath_power": [n_subpaths],
-                      "phase": [n_subpaths], "lobe_angle": [l_aod, l_aod, l_aoa, l_aoa],
-                      "angle_offset": [n_subpaths] * 6})
+    (u_rho,), (u_subpath_power,), (u_phase,), u_lobe, u_offset = yield {
+        "intra_delay": [n_subpaths], "subpath_power": [n_subpaths], "phase": [n_subpaths],
+        "lobe_angle": [l_aod, l_aod, l_aoa, l_aoa], "angle_offset": [n_subpaths] * 6}
 
     # each cluster's intra delays are its own draws, sorted and
     # re-anchored at the cluster's earliest one

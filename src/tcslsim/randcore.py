@@ -26,7 +26,9 @@ This is bit for bit `np.random.Generator(np.random.Philox(key=k))
 before each block, hands out the block's four words in order, and
 `Generator.random` converts a word with the same shift and scale. With
 no generator state, `stream_uniforms` computes the streams of a whole
-block of drops in one vectorized call.
+block of drops in one vectorized call. Position p depends on the key and
+p alone, so a stream read to n positions starts with its shorter reads:
+one read to the longest length any reader needs serves them all.
 """
 
 from __future__ import annotations

@@ -361,15 +361,16 @@ def validate_config(config: SimConfig) -> SimConfig:
         violations.append(f"tx_power_dbm {config.tx_power_dbm!r} outside "
                           f"[{MIN_TX_POWER_DBM}, {MAX_TX_POWER_DBM}] dBm")
 
-    if not (_is_count(config.num_drops) and config.num_drops >= 1):
-        violations.append(f"num_drops must be >= 1, got {config.num_drops!r}")
-
     if not (_is_count(config.master_seed) and 0 <= config.master_seed < 2**64):
         violations.append(
             f"master_seed must be an unsigned 64-bit integer, got {config.master_seed!r}")
 
-    if not (_is_count(config.workers) and config.workers >= 1):
-        violations.append(f"workers must be >= 1, got {config.workers!r}")
+    for name in ("num_drops", "workers"):
+        value = getattr(config, name)
+        if not _is_count(value):
+            violations.append(f"{name} must be an integer, got {value!r}")
+        elif value < 1:
+            violations.append(f"{name} must be >= 1, got {value!r}")
 
     if not (config.out_dir is None or isinstance(config.out_dir, (str, PurePath))):
         violations.append(f"out_dir must be a path or None, got {config.out_dir!r}")

@@ -182,6 +182,34 @@ def test_reproduce_derives_each_blocks_keys_once_per_call(monkeypatch):
     assert calls == blocks + blocks
 
 
+def counted_philox_calls(monkeypatch) -> list:
+    """The stream keys of each `stream_uniforms` call generation makes
+    from now on, as bytes, one list per call."""
+    calls = []
+
+    def counting(keys, counts, _original=generate.stream_uniforms):
+        calls.append([key.tobytes() for key in keys])
+        return _original(keys, counts)
+
+    monkeypatch.setattr(generate, "stream_uniforms", counting)
+    return calls
+
+
+def test_reproduce_computes_each_stream_once_per_block_for_all_scenarios(monkeypatch):
+    # one Philox call per stage serves the four scenarios, and every
+    # (label, drop) stream of a block is computed in exactly one of them
+    calls = counted_philox_calls(monkeypatch)
+    n = 2 * BLOCK_DROPS + 41
+    campaign.reproduce_report(num_drops=n)
+    blocks = [range(0, BLOCK_DROPS), range(BLOCK_DROPS, 2 * BLOCK_DROPS),
+              range(2 * BLOCK_DROPS, n)]
+    assert len(calls) == 3 * len(blocks)
+    for b, drops in enumerate(blocks):
+        keys = [key for call in calls[3 * b:3 * b + 3] for key in call]
+        expected = generate.derive_keys(campaign.REPRODUCE_SEED, drops, generate.STREAM_LABELS)
+        assert sorted(keys) == sorted(key.tobytes() for key in expected)
+
+
 @pytest.mark.parametrize("distance", ["10", "5:45"])
 def test_generate_derives_each_blocks_keys_once(tmp_path, monkeypatch, distance):
     calls = counted_key_derivations(monkeypatch)

@@ -335,6 +335,19 @@ def test_analyze_names_the_file_side_and_drop_of_a_refused_spectrum(tmp_path, po
     assert err == f"error: {path}: drop_id 7, side aoa: {message}\n"
 
 
+@pytest.mark.parametrize("side", ["aod", "aoa"])
+def test_analyze_reports_only_the_sides_a_pas_file_holds(tmp_path, side):
+    path = tmp_path / "pas.csv"
+    path.write_text(f"drop_id,side,az_deg,el_deg,power_mw\n4,{side},10,5,1e-06\n"
+                    f"2,{side},200,-3,2e-06\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["analyze", "--pas", str(path)]) == 0
+    assert err.getvalue() == ""
+    assert json.loads(out.getvalue())["pas"]["lobe_counts"] == {
+        side: {"histogram": {"1": 2}, "mean": 1.0, "num_drops": 2}}
+
+
 @pytest.mark.filterwarnings("error")  # as under python -W error
 @pytest.mark.parametrize("slt_db", ["3083", "4000", "1e308"])
 def test_analyze_keeps_no_cell_under_a_threshold_above_every_peak(tmp_path, slt_db):

@@ -13,6 +13,7 @@ from tcslsim.generate import (
     cluster_counts,
     cluster_delays,
     generate_batch,
+    generate_batches,
     lobe_mean_angles,
     place_cluster_delays,
     ragged,
@@ -712,6 +713,70 @@ def test_uniforms_drawn_per_drop_follow_its_structure(monkeypatch, label, distan
         assert used == 2 + ranged + 3 * clusters + 9 * subpaths + 2 + 2 * n_lobes
         total += used
     assert total == sum(drawn.values())  # no stream outside the twelve labels
+
+
+def block_bits(block) -> dict:
+    """Every field of a block: arrays by dtype, shape and bytes, lists
+    by each entry's type and, for a float, its hex."""
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, dict):
+            return {key: bits(v) for key, v in value.items()}
+        if isinstance(value, list):
+            return [(type(v), v.hex() if isinstance(v, float) else v) for v in value]
+        return type(value), value
+    return {name: bits(value) for name, value in vars(block).items()}
+
+
+# configs of one seed that read their streams to very different lengths:
+# the four scenarios, a distance range (the only reader of "distance"),
+# and 21 clusters a drop on average beside exactly one
+LOCKSTEP_CONFIGS = {
+    "scenarios": [dict(scenario=label) for label in SCENARIO_LABELS],
+    "ranged among fixed": [dict(scenario="28GHz-LOS"),
+                           dict(scenario="28GHz-NLOS", distance_m=(5.0, 45.0)),
+                           dict(scenario="140GHz-NLOS")],
+    "long beside short": [dict(scenario="28GHz-NLOS", overrides={"lambda_c": "20"}),
+                          dict(scenario="28GHz-LOS", overrides={"n_c_max": "1"}),
+                          dict(scenario="140GHz-LOS", overrides={"n_c_max": "1"})],
+}
+
+
+@pytest.mark.parametrize("count", [1, BLOCK_DROPS])
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CONFIGS))
+def test_lockstep_blocks_equal_each_configs_own_in_every_bit(case, count):
+    configs = [make_config(kwargs.pop("scenario"), master_seed=36, **kwargs)
+               for kwargs in map(dict, LOCKSTEP_CONFIGS[case])]
+    start = 1000 + count
+    blocks = generate_batches(configs, start, count)
+    assert len(blocks) == len(configs)
+    for config, block in zip(configs, blocks):
+        assert block_bits(block) == block_bits(generate_batch(config, start, count))
+    if case == "long beside short":
+        assert blocks[0].num_clusters.sum() > 10 * count == 10 * blocks[1].num_clusters.sum()
+
+
+def test_lockstep_refuses_configs_of_different_master_seeds():
+    configs = [make_config(label, master_seed=seed)
+               for label, seed in zip(SCENARIO_LABELS, (41, 42, 41, 40))]
+    with pytest.raises(InvalidParamsError, match=r"master seeds \[40, 41, 42\]"):
+        generate_batches(configs, 0, 3)
+
+
+def test_lockstep_names_the_drop_of_the_config_that_overflows():
+    # the second config's intra delays overflow: the refusal is the one
+    # that config makes alone, raised as an error, not a warning
+    good = make_config("28GHz-NLOS", master_seed=37)
+    bad = make_config("28GHz-NLOS", master_seed=37, overrides={"mu_rho": "1e308"})
+    start, count = 60, 20
+    generate_batch(good, start, count)
+    with pytest.raises(InvalidParamsError) as alone:
+        generate_batch(bad, start, count)
+    assert str(alone.value).startswith("intra-cluster delays of drop ")
+    with pytest.raises(InvalidParamsError) as lockstep:
+        generate_batches([good, bad], start, count)
+    assert str(lockstep.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("count", [0, -1])

@@ -161,6 +161,23 @@ def test_validate_rejects_zero_drops():
     assert [str(v) for v in exc.value.violations] == ["num_drops must be >= 1, got 0"]
 
 
+@pytest.mark.parametrize("field", ["num_drops", "workers"])
+@pytest.mark.parametrize("value", [True, False, None, 2.0, "3"])
+def test_validate_says_a_count_that_is_no_integer_is_no_integer(field, value):
+    cfg = dataclasses.replace(t.SimConfig(scenario=t.ALL_SCENARIOS[0]), **{field: value})
+    with pytest.raises(ConfigError) as exc:
+        t.validate_config(cfg)
+    assert exc.value.violations == [f"{field} must be an integer, got {value!r}"]
+
+
+@pytest.mark.parametrize("value", [0, -2])
+def test_validate_says_a_worker_count_below_one_is_below_one(value):
+    cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], workers=value)
+    with pytest.raises(ConfigError) as exc:
+        t.validate_config(cfg)
+    assert exc.value.violations == [f"workers must be >= 1, got {value}"]
+
+
 def test_validate_collects_every_violation():
     cfg = t.SimConfig(scenario=t.ALL_SCENARIOS[0], distance_m=0.2, num_drops=-3,
                       overrides={"no_such": "1"})

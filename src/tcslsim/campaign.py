@@ -8,11 +8,18 @@ for, in-process or in a fork-pool worker. The parent appends the
 records and writes the rows before it takes the next block, then writes
 the aggregate files, and moves every file into place only once the run
 has succeeded. `reproduce_report` makes one such pass for all four
-scenarios, generating each block for the four in lockstep
-(`generate_batches`): the block's stream keys are derived once, and one
-Philox call per stage serves all four scenarios. It computes only their
-RMS delay spreads (`stats.delay_spreads`, not the angular spreads of
-`drop_metrics`), writes no file and builds no DropRecord.
+scenarios and computes only their RMS delay spreads
+(`stats.delay_spreads`, not the angular spreads of `drop_metrics`). A
+delay spread reads only a drop's delays and power shares, drawn from
+six streams (`generate.PROFILE_LABELS`: num_clusters, num_subpaths,
+cluster_delay, cluster_power, intra_delay and subpath_power), so
+`reproduce_report` draws only those: `generate.delay_profiles` draws
+each block's profiles for the four scenarios in lockstep, from keys
+derived once for the six labels, with one Philox call per stage. It
+draws no shadow, lobe, phase or angle and computes no link budget,
+writes no file and builds no DropRecord. Medians of angular spreads
+(ROADMAP item 7) would need the angle streams drawn again, a cost to
+price on purpose.
 
 The block is the unit: records come from a `DropBlock`'s per-drop
 columns and its metrics, and the drops.jsonl, pdp.csv and pas.csv rows
@@ -63,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .generate import BLOCK_DROPS, SIDES, DropBlock, generate_batch, generate_batches, ragged
+from .generate import BLOCK_DROPS, SIDES, DropBlock, delay_profiles, generate_batch, ragged
 from .pathloss import fspl_1m
 from .scenario import ALL_SCENARIOS, SimConfig, validate_config
 from .stats import GRID_CELLS, METRIC_NAMES, build_pas, delay_spreads, drop_metrics, summarize
@@ -435,19 +442,23 @@ class ReproReport:
 
 
 def _spread_task(task: tuple) -> list:
-    """Each config's RMS delay spreads of the block, generated in lockstep."""
-    return list(map(delay_spreads, generate_batches(*task)))
+    """Each config's RMS delay spreads of the block, from its delay
+    profiles drawn in lockstep."""
+    return list(map(delay_spreads, delay_profiles(*task)))
 
 
 def reproduce_report(num_drops: int = REPRODUCE_DROPS, master_seed: int = REPRODUCE_SEED,
                      workers: int = 1) -> ReproReport:
     """Re-simulate every scenario and compare median RMS delay spread
-    against the reference values, in one pass over blocks of drops, each
-    generated for all four scenarios in lockstep. It computes delay
-    spreads only, two dot products per drop and scenario, writes no file
-    and builds no DropRecord. A check of angular-spread medians would
-    call the angular part of `drop_metrics` on purpose, and pay for its
-    four phasor dots and logs per drop."""
+    against the reference values, in one pass over blocks of drops. It
+    draws only the six streams a delay spread reads (num_clusters,
+    num_subpaths, cluster_delay, cluster_power, intra_delay and
+    subpath_power), each block's for all four scenarios in lockstep
+    (`delay_profiles`), and computes delay spreads only, two dot
+    products per drop and scenario; it writes no file and builds no
+    DropRecord. A check of angular-spread medians would draw the angle
+    streams and call the angular part of `drop_metrics` on purpose, and
+    pay for both."""
     configs = tuple(validate_config(SimConfig(
         scenario=scenario, distance_m=REPRODUCE_DISTANCE_M, num_drops=num_drops,
         master_seed=master_seed, workers=workers)) for scenario in ALL_SCENARIOS)

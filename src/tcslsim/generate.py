@@ -11,11 +11,16 @@ derivation (`derive_keys`) in three stages, each one Philox call over
 the block's streams (`randcore`) followed by CDF inversions; for several
 configs of one seed, `generate_batches` makes each call serve them all:
 
-    1. per drop: distance (ranged configs only), shadow, num_clusters,
-       num_lobes (AOD, then AOA);
+    1. per drop: num_clusters, shadow, num_lobes (AOD, then AOA) and
+       distance (ranged configs only);
     2. per cluster: num_subpaths, cluster_delay, cluster_power;
     3. per subpath and per lobe: intra_delay, subpath_power, phase,
        lobe_angle (two per lobe) and angle_offset (six per subpath).
+
+The delays and power shares (`DelayProfile`) read only the six streams
+of PROFILE_LABELS, the first of each stage's list, and are drawn first,
+by one generator body that the block's body drives; `delay_profiles`
+runs that body alone, which is all a delay spread needs.
 
 The block is the unit: `generate_batch` returns a `DropBlock`, whose
 per-cluster and per-subpath quantities are flat arrays over the whole
@@ -59,17 +64,22 @@ BLOCK_DROPS = 256
 
 SIDES = ("aod", "aoa")
 
-# the labelled streams every drop reads; a ranged config reads "distance" too
-STREAM_LABELS = ("shadow", "num_clusters", "num_lobes", "num_subpaths", "cluster_delay",
-                 "cluster_power", "intra_delay", "subpath_power", "phase", "lobe_angle",
-                 "angle_offset")
+PROFILE_LABELS = ("num_clusters", "num_subpaths", "cluster_delay", "cluster_power",
+                  "intra_delay", "subpath_power")
+# the labelled streams every drop reads; a ranged config reads "distance"
+# too. A delay spread reads only the six of PROFILE_LABELS (a drop's
+# delays and power shares, `DelayProfile`), and `reproduce` draws only
+# those; angular-spread medians would need the other five again, a cost
+# to take on purpose.
+STREAM_LABELS = PROFILE_LABELS + ("shadow", "num_lobes", "phase", "lobe_angle", "angle_offset")
 
 
 @dataclass
-class DropBlock:
-    """Consecutive drops as flat arrays: the unit that generation,
-    metrics and the per-drop files work on; a single drop is a block of
-    one.
+class DelayProfile:
+    """The delays and power shares of consecutive drops as flat arrays:
+    all that a delay spread reads, drawn from the PROFILE_LABELS streams
+    alone (`delay_profiles`). A `DropBlock` is one with its angles,
+    phases and link budget added.
 
     Per-cluster and per-subpath arrays hold the block's clusters and
     subpaths drop after drop, each drop's clusters in order and each
@@ -77,14 +87,60 @@ class DropBlock:
     them exactly zero. `cluster_start` indexes the block's subpaths and
     is the one place cluster membership lives: cluster sizes, excess
     delays and the drops.jsonl nesting are derived from it. Drop d's
-    share runs from `cluster_offsets[d]`, `subpath_offsets[d]` and
-    `lobe_offsets[side][d]` to the next entry; each ends in the block's
-    total. Per-drop columns are lists of Python numbers, the link budget
-    among them (`pathloss.link_budget`); the transmit power is the
-    block's, as configured, and the frequency and the 1 m free-space
-    loss follow from `scenario`. Powers are kept as shares of each
-    drop's received power; `powers_mw()` scales them by its
-    `rx_power_mw`.
+    share runs from `cluster_offsets[d]` and `subpath_offsets[d]` to the
+    next entry; each ends in the block's total. Powers are kept as
+    shares of each drop's received power.
+    """
+
+    cluster_offsets: np.ndarray          # (drops + 1,)
+    subpath_offsets: np.ndarray          # (drops + 1,)
+    # per cluster
+    cluster_start: np.ndarray            # index of the cluster's first subpath in the block
+    cluster_delays_ns: np.ndarray        # excess delay of the cluster's first subpath
+    cluster_power_fractions: np.ndarray  # share of the drop's received power
+    # per subpath
+    intra_delays_ns: np.ndarray          # delay after the cluster's first subpath
+    power_fractions: np.ndarray          # share of the drop's received power
+
+    def __len__(self) -> int:
+        return len(self.subpath_offsets) - 1
+
+    @property
+    def num_clusters(self) -> np.ndarray:
+        """Clusters of each drop."""
+        return np.diff(self.cluster_offsets)
+
+    @property
+    def num_subpaths(self) -> np.ndarray:
+        """Subpaths of each drop."""
+        return np.diff(self.subpath_offsets)
+
+    def subpath_drops(self) -> np.ndarray:
+        """Each subpath's drop, by its position in the block."""
+        return np.repeat(np.arange(len(self)), self.num_subpaths)
+
+    def cluster_sizes(self) -> np.ndarray:
+        return np.append(self.cluster_start[1:], self.subpath_offsets[-1]) - self.cluster_start
+
+    def excess_delays_ns(self) -> np.ndarray:
+        """Each subpath's cluster delay plus its intra-cluster delay."""
+        return np.repeat(self.cluster_delays_ns, self.cluster_sizes()) + self.intra_delays_ns
+
+
+@dataclass
+class DropBlock(DelayProfile):
+    """Consecutive drops as flat arrays: the unit that generation,
+    metrics and the per-drop files work on; a single drop is a block of
+    one.
+
+    The delay profile's arrays (`DelayProfile`) with each drop's lobes,
+    each subpath's phase, angles and lobes, and the per-drop columns.
+    Drop d's lobes of a side run from `lobe_offsets[side][d]` to the
+    next entry. Per-drop columns are lists of Python numbers, the link
+    budget among them (`pathloss.link_budget`); the transmit power is
+    the block's, as configured, and the frequency and the 1 m
+    free-space loss follow from `scenario`. `powers_mw()` scales the
+    power shares by each drop's `rx_power_mw`.
     """
 
     scenario: Scenario
@@ -97,19 +153,11 @@ class DropBlock:
     path_loss_db: list
     rx_power_dbm: list
     rx_power_mw: list
-    cluster_offsets: np.ndarray          # (drops + 1,)
-    subpath_offsets: np.ndarray          # (drops + 1,)
     # per lobe, each side's lobes drop after drop; keyed 'aod', 'aoa'
     lobe_offsets: dict                   # (drops + 1,) each
     lobe_az_deg: dict                    # lobe i of L within [360(i-1)/L, 360i/L)
     lobe_el_deg: dict                    # above the horizon, positive up
-    # per cluster
-    cluster_start: np.ndarray            # index of the cluster's first subpath in the block
-    cluster_delays_ns: np.ndarray        # excess delay of the cluster's first subpath
-    cluster_power_fractions: np.ndarray  # share of the drop's received power
     # per subpath
-    intra_delays_ns: np.ndarray          # delay after the cluster's first subpath
-    power_fractions: np.ndarray          # share of the drop's received power
     phase_rad: np.ndarray
     aod_az_deg: np.ndarray
     aod_el_deg: np.ndarray
@@ -118,34 +166,10 @@ class DropBlock:
     aod_lobe_index: np.ndarray           # 1-based
     aoa_lobe_index: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.drop_index)
-
-    @property
-    def num_clusters(self) -> np.ndarray:
-        """Clusters of each drop."""
-        return np.diff(self.cluster_offsets)
-
-    @property
-    def num_subpaths(self) -> np.ndarray:
-        """Subpaths of each drop."""
-        return np.diff(self.subpath_offsets)
-
     @property
     def propagation_delay_ns(self) -> np.ndarray:
         """First-arrival time of each drop, assuming a free-space line path."""
         return np.array(self.distance_m) / SPEED_OF_LIGHT_M_PER_NS
-
-    def subpath_drops(self) -> np.ndarray:
-        """Each subpath's drop, by its position in the block."""
-        return np.repeat(np.arange(len(self)), self.num_subpaths)
-
-    def cluster_sizes(self) -> np.ndarray:
-        return np.append(self.cluster_start[1:], self.subpath_offsets[-1]) - self.cluster_start
-
-    def excess_delays_ns(self) -> np.ndarray:
-        """Each subpath's cluster delay plus its intra-cluster delay."""
-        return np.repeat(self.cluster_delays_ns, self.cluster_sizes()) + self.intra_delays_ns
 
     def powers_mw(self) -> np.ndarray:
         return self.power_fractions * np.repeat(self.rx_power_mw, self.num_subpaths)
@@ -302,7 +326,6 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
     return generate_batches((config,), start, count)[0]
 
 
-@np.errstate(all="ignore")  # what overflows or is undefined is refused at the end
 def generate_batches(configs, start: int, count: int) -> list:
     """Generate drops `start` to `start + count - 1` of each of several
     validated configs of one master seed at once, a block per config.
@@ -321,43 +344,61 @@ def generate_batches(configs, start: int, count: int) -> list:
     parameters that feed the quantity. Subpath powers that underflow to
     0 and elevations clamped at +/-90 degrees are kept.
     """
+    labels = STREAM_LABELS + ("distance",) * any(c.distance_range() for c in configs)
+    return _lockstep(_drop_block, configs, start, count, labels)
+
+
+def delay_profiles(configs, start: int, count: int) -> list:
+    """The delay profile of drops `start` to `start + count - 1` of each
+    config, as `generate_batches` takes them, with its refusals of
+    delays and power shares: equal in every bit to their blocks' arrays,
+    from the six PROFILE_LABELS streams alone."""
+    return _lockstep(_delay_profile, configs, start, count, PROFILE_LABELS)
+
+
+@np.errstate(all="ignore")  # what overflows or is undefined is refused at the end
+def _lockstep(body, configs, start: int, count: int, labels) -> list:
+    """What the generator `body(config, start, count)` returns for each
+    config, the bodies advanced in lockstep: each stage's layouts are
+    served by one Philox call over the `labels` streams of the block,
+    whose keys are derived once."""
     if count < 1:
         raise InvalidParamsError(f"count must be at least 1, got {count}")
     seeds = {config.master_seed for config in configs}
     if len(seeds) > 1:
         raise InvalidParamsError(f"configs of master seeds {sorted(seeds)} share no stream keys")
-    labels = STREAM_LABELS + ("distance",) * any(c.distance_range() for c in configs)
     keys = dict(zip(labels, derive_keys(min(seeds), range(start, start + count), labels)
                     .reshape(len(labels), count, 2)))  # {label: the drops' Philox keys}
-    bodies = [_drop_block(config, start, count) for config in configs]
-    layouts, blocks = [next(body) for body in bodies], []
-    while not blocks:  # the bodies yield alike, so all end at one send
+    bodies = [body(config, start, count) for config in configs]
+    layouts, results = [next(body) for body in bodies], []
+    while not results:  # the bodies yield alike, so all end at one send
         uniforms, layouts = _stage_uniforms(keys, count, layouts), []
         for body, u in zip(bodies, uniforms):
             try:
                 layouts.append(body.send(u))
             except StopIteration as end:  # which frees the body's arrays at once
-                blocks.append(end.value)
-    return blocks
+                results.append(end.value)
+    return results
 
 
-def _drop_block(config: SimConfig, start: int, count: int):
-    """A generator that yields each stage's {label: runs} layout, is
-    sent its uniforms, and returns the config's DropBlock."""
+def _refuse_unless_finite(start: int, checks) -> None:
+    """Refuse the block at the first (quantity, values, drop of each
+    value, parameters) of `checks` that holds a value not finite."""
+    for quantity, values, drop_of, names in checks:
+        if not np.isfinite(values).all():
+            drop = start + int(drop_of[np.isfinite(values).argmin()])
+            raise InvalidParamsError(f"{quantity} of drop {drop} are not finite; check {names}")
+
+
+def _delay_profile(config: SimConfig, start: int, count: int):
+    """A generator that yields each stage's {label: runs} layout of the
+    PROFILE_LABELS streams, is sent its uniforms, and returns the
+    config's DelayProfile."""
     params = resolved_params(config)
-    drops = range(start, start + count)
-    d_range = config.distance_range()
 
-    # stage 1: a fixed number of draws per drop
-    (u_shadow,), (u_clusters,), (u_aod, u_aoa), *u_distance = yield {
-        "shadow": [1], "num_clusters": [1], "num_lobes": [1, 1],
-        **({"distance": [1]} if d_range else {})}
-    distances = (uniform(u_distance[0][0], *d_range).tolist() if d_range
-                 else [float(config.distance_m)] * count)
-    shadow_db = normal(u_shadow, 0.0, params.sigma_sf).tolist()
+    # stage 1: one draw per drop
+    (u_clusters,), = yield {"num_clusters": [1]}
     n_clusters = cluster_counts(params, u_clusters)
-    lobe_counts = {"aod": discrete_uniform(u_aod, 1, params.l_aod_max),
-                   "aoa": discrete_uniform(u_aoa, 1, params.l_aoa_max)}
 
     # stage 2: per-cluster draws
     (u_sizes,), (u_cluster_delay,), (u_cluster_power,) = yield {
@@ -366,14 +407,9 @@ def _drop_block(config: SimConfig, start: int, count: int):
     first_cluster, drop_of_cluster, _ = ragged(n_clusters)
     n_subpaths = np.add.reduceat(sizes, first_cluster)
 
-    # stage 3: per-subpath and per-lobe draws. lobe_angle holds a drop's
-    # AOD azimuths, AOD elevations, AOA azimuths and AOA elevations;
-    # angle_offset its AOD and AOA lobe picks, then its AOD az, AOD el,
-    # AOA az and AOA el offsets.
-    l_aod, l_aoa = lobe_counts.values()
-    (u_rho,), (u_subpath_power,), (u_phase,), u_lobe, u_offset = yield {
-        "intra_delay": [n_subpaths], "subpath_power": [n_subpaths], "phase": [n_subpaths],
-        "lobe_angle": [l_aod, l_aod, l_aoa, l_aoa], "angle_offset": [n_subpaths] * 6}
+    # stage 3: per-subpath draws
+    (u_rho,), (u_subpath_power,) = yield {
+        "intra_delay": [n_subpaths], "subpath_power": [n_subpaths]}
 
     # each cluster's intra delays are its own draws, sorted and
     # re-anchored at the cluster's earliest one
@@ -390,15 +426,74 @@ def _drop_block(config: SimConfig, start: int, count: int):
     u_db = normal(u_subpath_power, 0.0, params.sigma_u)
     raw = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
     cluster_raw = segment_sums(raw, sizes)
-    subpath = {
-        "intra_delays_ns": intra,
-        "power_fractions": cluster_frac[cluster_of] * (raw / cluster_raw[cluster_of]),
-        "phase_rad": uniform(u_phase, 0.0, 2.0 * math.pi),
-    }
+    power_fractions = cluster_frac[cluster_of] * (raw / cluster_raw[cluster_of])
+
+    first_subpath, drop_of_subpath, _ = ragged(n_subpaths)
+    ends = tau + last_intra  # each cluster's last excess delay
+    _refuse_unless_finite(start, (
+        ("intra-cluster delays", intra, drop_of_subpath, "mu_rho"),
+        ("squared excess delays", ends * ends, drop_of_cluster,
+         "mu_tau, sigma_tau, mti and mu_rho"),
+        ("cluster power shares", cluster_frac, drop_of_cluster, "gamma_cluster and sigma_z"),
+        ("subpath power shares", power_fractions, drop_of_subpath,
+         "gamma_subpath and sigma_u")))
+    return DelayProfile(
+        cluster_offsets=np.append(first_cluster, len(tau)),
+        subpath_offsets=np.append(first_subpath, len(intra)),
+        cluster_start=cluster_start,
+        cluster_delays_ns=tau,
+        cluster_power_fractions=cluster_frac,
+        intra_delays_ns=intra,
+        power_fractions=power_fractions,
+    )
+
+
+def _send_on(profile, layout: dict, u: list) -> tuple:
+    """Send `profile` its uniforms of a stage, the first of `u`, whose
+    runs its `layout` names; returns what it yields or returns next and
+    the rest of `u`."""
+    try:
+        return profile.send(u[:len(layout)]), u[len(layout):]
+    except StopIteration as end:
+        return end.value, u[len(layout):]
+
+
+def _drop_block(config: SimConfig, start: int, count: int):
+    """A generator that yields each stage's {label: runs} layout, is
+    sent its uniforms, and returns the config's DropBlock: the stages of
+    `_delay_profile`, each with the labels of the angles, phases and
+    link budget added."""
+    params = resolved_params(config)
+    drops = range(start, start + count)
+    d_range = config.distance_range()
+    profile = _delay_profile(config, start, count)
+
+    # stage 1: a fixed number of draws per drop
+    layout = next(profile)
+    layout, ((u_shadow,), (u_aod, u_aoa), *u_distance) = _send_on(profile, layout, (yield {
+        **layout, "shadow": [1], "num_lobes": [1, 1], **({"distance": [1]} if d_range else {})}))
+    distances = (uniform(u_distance[0][0], *d_range).tolist() if d_range
+                 else [float(config.distance_m)] * count)
+    shadow_db = normal(u_shadow, 0.0, params.sigma_sf).tolist()
+    lobe_counts = {"aod": discrete_uniform(u_aod, 1, params.l_aod_max),
+                   "aoa": discrete_uniform(u_aoa, 1, params.l_aoa_max)}
+
+    # stage 2: the profile's per-cluster draws alone
+    layout, _ = _send_on(profile, layout, (yield layout))
+
+    # stage 3: per-subpath and per-lobe draws. lobe_angle holds a drop's
+    # AOD azimuths, AOD elevations, AOA azimuths and AOA elevations;
+    # angle_offset its AOD and AOA lobe picks, then its AOD az, AOD el,
+    # AOA az and AOA el offsets.
+    (n_subpaths,), (l_aod, l_aoa) = layout["intra_delay"], lobe_counts.values()
+    delays, ((u_phase,), u_lobe, u_offset) = _send_on(profile, layout, (yield {
+        **layout, "phase": [n_subpaths], "lobe_angle": [l_aod, l_aod, l_aoa, l_aoa],
+        "angle_offset": [n_subpaths] * 6}))
+    subpath = {"phase_rad": uniform(u_phase, 0.0, 2.0 * math.pi)}
 
     # each subpath picks a lobe of its drop per side and is scattered
     # around the lobe mean: azimuths wrap modulo 360, elevations clamp
-    first_subpath, drop_of_subpath, _ = ragged(n_subpaths)
+    drop_of_subpath = delays.subpath_drops()
     lobe_offsets, lobe_az, lobe_el = {}, {}, {}
     for k, (side, counts) in enumerate(lobe_counts.items()):
         az, el = lobe_mean_angles(params, side, counts, u_lobe[2 * k], u_lobe[2 * k + 1])
@@ -413,20 +508,10 @@ def _drop_block(config: SimConfig, start: int, count: int):
         subpath[f"{side}_az_deg"] = (az[lobe] + d_az) % 360.0
         subpath[f"{side}_el_deg"] = np.clip(el[lobe] + d_el, -90.0, 90.0)
 
-    # elevations are clamped, so only these can overflow or be undefined
-    ends = tau + last_intra  # each cluster's last excess delay
-    for quantity, values, drop_of, names in (
-            ("intra-cluster delays", intra, drop_of_subpath, "mu_rho"),
-            ("squared excess delays", ends * ends, drop_of_cluster,
-             "mu_tau, sigma_tau, mti and mu_rho"),
-            ("cluster power shares", cluster_frac, drop_of_cluster, "gamma_cluster and sigma_z"),
-            ("subpath power shares", subpath["power_fractions"], drop_of_subpath,
-             "gamma_subpath and sigma_u"),
-            ("aod azimuths", subpath["aod_az_deg"], drop_of_subpath, "sigma_phi_aod"),
-            ("aoa azimuths", subpath["aoa_az_deg"], drop_of_subpath, "sigma_phi_aoa")):
-        if not np.isfinite(values).all():
-            drop = start + int(drop_of[np.isfinite(values).argmin()])
-            raise InvalidParamsError(f"{quantity} of drop {drop} are not finite; check {names}")
+    # elevations are clamped, so only the azimuths can overflow or be undefined
+    _refuse_unless_finite(start, (
+        (f"{side} azimuths", subpath[f"{side}_az_deg"], drop_of_subpath, f"sigma_phi_{side}")
+        for side in SIDES))
 
     path_loss_db, rx_power_dbm, rx_power_mw = link_budget(config, params, shadow_db, distances)
     usable = [0.0 < power_mw < math.inf for power_mw in rx_power_mw]
@@ -436,6 +521,7 @@ def _drop_block(config: SimConfig, start: int, count: int):
             f"received power {rx_power_dbm[i]} dBm of drop {start + i} is outside the float "
             f"range in mW; check tx_power_dbm, ple and sigma_sf")
     return DropBlock(
+        **vars(delays),
         scenario=config.scenario,
         master_seed=config.master_seed,
         tx_power_dbm=config.tx_power_dbm,
@@ -445,14 +531,9 @@ def _drop_block(config: SimConfig, start: int, count: int):
         path_loss_db=path_loss_db,
         rx_power_dbm=rx_power_dbm,
         rx_power_mw=rx_power_mw,
-        cluster_offsets=np.append(first_cluster, len(tau)),
-        subpath_offsets=np.append(first_subpath, len(intra)),
         lobe_offsets=lobe_offsets,
         lobe_az_deg=lobe_az,
         lobe_el_deg=lobe_el,
-        cluster_start=cluster_start,
-        cluster_delays_ns=tau,
-        cluster_power_fractions=cluster_frac,
         **subpath,
     )
 

@@ -39,7 +39,6 @@ import numpy as np
 from scipy.special import ndtri
 
 _U_MIN = 2.0**-53  # smallest uniform passed to the normal inverse CDF
-_POISSON_MAX_K = 1000  # where the Poisson search stops if its CDF never reaches u
 
 # Philox4x64 multipliers (M) and Weyl key increments (W), one row per
 # multiplied counter word (0 and 2); uint64 arithmetic wraps modulo 2**64
@@ -79,11 +78,12 @@ def _philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     for r in range(_ROUNDS):
         if r:
             k = k + _W
-        # high words of M * x from 32-bit limbs, so no partial product overflows
+        # high words of M * x from 32-bit limbs by the carry chain: each
+        # partial product is below 2**64 - 2**33 + 2, so neither sum overflows
         x_lo, x_hi = x & _LOW32, x >> _32
-        hi_lo, lo_hi = x_hi * _M_LO, x_lo * _M_HI
-        carry = ((x_lo * _M_LO) >> _32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)  # < 3 * 2**32
-        hi = x_hi * _M_HI + (hi_lo >> _32) + (lo_hi >> _32) + (carry >> _32)
+        t = x_hi * _M_LO + ((x_lo * _M_LO) >> _32)
+        w = (t & _LOW32) + x_lo * _M_HI
+        hi = x_hi * _M_HI + (t >> _32) + (w >> _32)
         x, y = hi[::-1] ^ y ^ k, (x * _M)[::-1]
     return np.stack([x[0], y[0], x[1], y[1]], axis=1)
 
@@ -163,7 +163,8 @@ def discrete_uniform(u, lo, hi):
 
 def poisson_shifted(u, lam):
     """1 + Poisson(lam), counts that are at least one, by sequential CDF
-    search."""
+    search. A uniform's search also ends once adding the pmf leaves its
+    float CDF unchanged, which a uniform just below 1 may never pass."""
     k = np.zeros(u.shape, dtype=np.int64)
     pmf = np.full(u.shape, np.exp(-lam))
     cdf = pmf.copy()
@@ -171,10 +172,9 @@ def poisson_shifted(u, lam):
     while active.any():
         k[active] += 1
         pmf[active] *= lam / k[active]
-        cdf[active] += pmf[active]
-        active &= u >= cdf
-        if k.max() >= _POISSON_MAX_K:
-            break
+        grown = cdf + np.where(active, pmf, 0.0)
+        active &= (u >= grown) & (grown != cdf)
+        cdf = grown
     return k + 1
 
 

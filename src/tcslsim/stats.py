@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .generate import DropBlock, segment_sums
+from .generate import DelayProfile, DropBlock, segment_sums
 
 AZ_CELLS = 360
 EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
@@ -169,10 +169,11 @@ def _angular_spreads(totals, resultants) -> np.ndarray:
     return np.where(single, 0.0, np.degrees(np.sqrt(-2.0 * logs)))
 
 
-def delay_spreads(block: DropBlock) -> np.ndarray:
+def delay_spreads(block: DelayProfile) -> np.ndarray:
     """RMS delay spread in ns of each drop of `block`, the `rms_ds_ns`
     column of `drop_metrics` in every bit: two dot products per drop,
-    and no phasor, angular dot or log."""
+    and no phasor, angular dot or log. It reads only the delays and
+    power shares, so a `DelayProfile` serves as well as a `DropBlock`."""
     weights = block.power_fractions
     bounds = block.subpath_offsets.tolist()
     return _delay_spreads(weights, block.excess_delays_ns(), bounds, _totals(weights, bounds))

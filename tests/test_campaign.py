@@ -152,9 +152,37 @@ def test_reproduce_computes_no_angular_spread(monkeypatch, workers):
     def refuse(*args):
         raise AssertionError("reproduce computed an angular spread")
 
+    def no_link_budget(*args):
+        raise AssertionError("reproduce computed a link budget")
+
     monkeypatch.setattr(stats, "_angular_spreads", refuse)
     monkeypatch.setattr(stats, "_phasors", refuse)
+    monkeypatch.setattr(generate, "link_budget", no_link_budget)
     assert campaign.reproduce_report(num_drops=300, workers=workers).to_dict() == expected
+
+
+@pytest.mark.parametrize("seed", [campaign.REPRODUCE_SEED, 13])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reproduce_spreads_equal_those_of_generated_blocks(monkeypatch, seed, workers):
+    # each scenario's column of spreads, as its median is taken of it, is
+    # delay_spreads of the blocks generate_batch makes, in every bit
+    columns = []
+
+    def recording(values, _original=campaign.summarize):
+        columns.append(values)
+        return _original(values)
+
+    monkeypatch.setattr(campaign, "summarize", recording)
+    n = 2 * BLOCK_DROPS + 41
+    campaign.reproduce_report(num_drops=n, master_seed=seed, workers=workers)
+    assert len(columns) == len(t.ALL_SCENARIOS)
+    for scenario, column in zip(t.ALL_SCENARIOS, columns):
+        config = t.validate_config(t.SimConfig(
+            scenario=scenario, distance_m=campaign.REPRODUCE_DISTANCE_M, num_drops=n,
+            master_seed=seed))
+        expected = [stats.delay_spreads(generate_batch(config, start, min(BLOCK_DROPS, n - start)))
+                    for start in range(0, n, BLOCK_DROPS)]
+        assert column.tobytes() == np.concatenate(expected).tobytes()
 
 
 def counted_key_derivations(monkeypatch) -> list:
@@ -196,8 +224,9 @@ def counted_philox_calls(monkeypatch) -> list:
 
 
 def test_reproduce_computes_each_stream_once_per_block_for_all_scenarios(monkeypatch):
-    # one Philox call per stage serves the four scenarios, and every
-    # (label, drop) stream of a block is computed in exactly one of them
+    # one Philox call per stage serves the four scenarios, and each of
+    # the six (label, drop) streams a delay spread reads is computed in
+    # exactly one of them; no other stream is
     calls = counted_philox_calls(monkeypatch)
     n = 2 * BLOCK_DROPS + 41
     campaign.reproduce_report(num_drops=n)
@@ -206,7 +235,7 @@ def test_reproduce_computes_each_stream_once_per_block_for_all_scenarios(monkeyp
     assert len(calls) == 3 * len(blocks)
     for b, drops in enumerate(blocks):
         keys = [key for call in calls[3 * b:3 * b + 3] for key in call]
-        expected = generate.derive_keys(campaign.REPRODUCE_SEED, drops, generate.STREAM_LABELS)
+        expected = generate.derive_keys(campaign.REPRODUCE_SEED, drops, generate.PROFILE_LABELS)
         assert sorted(keys) == sorted(key.tobytes() for key in expected)
 
 

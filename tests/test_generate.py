@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from tcslsim.generate import (
     BLOCK_DROPS,
     cluster_counts,
     cluster_delays,
+    delay_profiles,
     generate_batch,
     generate_batches,
     lobe_mean_angles,
@@ -755,6 +757,32 @@ def test_lockstep_blocks_equal_each_configs_own_in_every_bit(case, count):
         assert block_bits(block) == block_bits(generate_batch(config, start, count))
     if case == "long beside short":
         assert blocks[0].num_clusters.sum() > 10 * count == 10 * blocks[1].num_clusters.sum()
+
+
+@pytest.mark.parametrize("count", [1, BLOCK_DROPS])
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CONFIGS))
+def test_delay_profiles_equal_their_blocks_arrays_in_every_bit(case, count):
+    configs = [make_config(kwargs.pop("scenario"), master_seed=38, **kwargs)
+               for kwargs in map(dict, LOCKSTEP_CONFIGS[case])]
+    start = 700 + count
+    profiles = delay_profiles(configs, start, count)
+    assert len(profiles) == len(configs)
+    names = [f.name for f in dataclasses.fields(generate.DelayProfile)]
+    for config, profile in zip(configs, profiles):
+        assert type(profile) is generate.DelayProfile
+        block = block_bits(generate_batch(config, start, count))
+        assert block_bits(profile) == {name: block[name] for name in names}
+
+
+@pytest.mark.parametrize("name", ["mu_rho", "mu_tau", "sigma_z", "sigma_u"])
+def test_delay_profiles_refuse_as_their_blocks_do(name):
+    config = make_config("28GHz-NLOS", master_seed=39, overrides={name: "1e308"})
+    with pytest.raises(InvalidParamsError) as block:
+        generate_batch(config, 5, 40)
+    assert "are not finite; check" in str(block.value) and name in str(block.value)
+    with pytest.raises(InvalidParamsError) as profile:
+        delay_profiles([config], 5, 40)
+    assert str(profile.value) == str(block.value)
 
 
 def test_lockstep_refuses_configs_of_different_master_seeds():

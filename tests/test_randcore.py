@@ -56,9 +56,15 @@ def test_fork_independent_of_sibling_consumption():
     assert np.array_equal(lone, again)
 
 
+# key words at the edges of the 32-bit limbs the round's products are built from
+EDGE_WORDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+
+
 @pytest.mark.parametrize("count", range(10))
 def test_uniforms_match_numpy_philox_for_random_keys(count):
-    keys = np.random.default_rng(count).integers(0, 2**64, size=(8, 2), dtype=np.uint64)
+    keys = np.concatenate([
+        np.random.default_rng(count).integers(0, 2**64, size=(8, 2), dtype=np.uint64),
+        np.array([(k0, k1) for k0 in EDGE_WORDS for k1 in EDGE_WORDS], dtype=np.uint64)])
     got = stream_uniforms(keys, [count] * len(keys)).reshape(len(keys), count)
     for key, row in zip(keys, got):
         assert np.array_equal(row, numpy_philox_uniforms(key, count))
@@ -220,6 +226,20 @@ def validated(label, distance_m=10.0, **overrides):
 def test_invalid_params_raise(bad):
     with pytest.raises(ConfigError):
         bad()
+
+
+@pytest.mark.parametrize("lam", [1.3, 3.4, 10.0])
+@pytest.mark.parametrize("u", [1 - 2**-53, 1 - 2**-52])
+def test_poisson_shifted_ends_near_the_tail_at_the_top_uniforms(lam, u):
+    # the float CDF of the search never reaches these uniforms; the
+    # search ends where it stops growing, near the exact tail quantile
+    got = poisson_shifted(np.array([u]), lam)[0]
+    assert abs(got - (sps.poisson.isf(2**-53, lam) + 1)) <= 3
+
+
+def test_poisson_shifted_search_ends_at_the_lambda_c_bound():
+    got = poisson_shifted(np.array([0.5, 1 - 2**-53]), 700.0)
+    assert got[0] == 701 and 701 < got[1] <= sps.poisson.isf(2**-53, 700.0) + 3
 
 
 def test_poisson_shifted_holds_its_mean_near_the_lambda_c_bound():

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expm1, gammaln, ndtr, xlogy
 
 from .errors import InvalidParamsError
-from .stats import AZ_CELLS, EL_CELLS, GRID_CELLS, PowerAngularSpectrum
+from .stats import AZ_CELLS, EL_CELLS, GRID_CELLS, PowerAngularSpectrum, profile_sums
 
 
 # --- time-cluster partitioning ---------------------------------------------
@@ -132,19 +132,21 @@ class LobeSet:
         el_deg = el.astype(float)
         component = np.unique(self.first, return_inverse=True)[1]
         order = np.argsort(component, kind="stable")
+        sizes = np.bincount(component)
+        # each lobe's power, its weighted elevations and its resultant, all lobes at once
+        totals, (el_sums, resultants) = profile_sums(
+            power[order], sizes, (el_deg[order], np.exp(1j * np.deg2rad(az_deg[order]))))
         lobes = []
-        for members in np.split(order, np.flatnonzero(np.diff(component[order])) + 1):
-            powers = power[members]
-            total = powers.sum()
-            peak_cell = cells[members[np.argmax(powers)]]
+        for i, members in enumerate(np.split(order, np.cumsum(sizes)[:-1])):
+            peak_cell = cells[members[np.argmax(power[members])]]
             lobes.append((spectrum[members[0]], Lobe(
                 index=0,
                 cells=cells[members],
                 peak_az_deg=int(peak_cell[0]),
                 peak_el_deg=int(peak_cell[1]),
-                power_mw=float(total),
-                mean_az_deg=_circular_mean_deg(az_deg[members], powers),
-                mean_el_deg=float(np.dot(powers, el_deg[members]) / total),
+                power_mw=float(totals[i]),
+                mean_az_deg=float(np.rad2deg(np.angle(resultants[i])) % 360.0),
+                mean_el_deg=float(el_sums[i] / totals[i]),
             )))
         lobes.sort(key=lambda pair: (pair[0], -pair[1].power_mw))
         rank: dict = {}
@@ -220,12 +222,6 @@ def _first_of_component(keys: np.ndarray) -> np.ndarray:
         if np.array_equal(lowered, label):
             return label
         label = lowered
-
-
-def _circular_mean_deg(angles_deg: np.ndarray, weights: np.ndarray) -> float:
-    theta = np.deg2rad(angles_deg)
-    vec = np.dot(weights, np.exp(1j * theta))
-    return float(np.rad2deg(np.angle(vec)) % 360.0)
 
 
 # --- distribution fitting -----------------------------------------------------

@@ -443,8 +443,8 @@ class ReproReport:
 
 def _spread_task(task: tuple) -> list:
     """Each config's RMS delay spreads of the block, from its delay
-    profiles drawn in lockstep."""
-    return list(map(delay_spreads, delay_profiles(*task)))
+    profiles drawn in lockstep and reduced in one grouped pass."""
+    return delay_spreads(delay_profiles(*task))
 
 
 def reproduce_report(num_drops: int = REPRODUCE_DROPS, master_seed: int = REPRODUCE_SEED,

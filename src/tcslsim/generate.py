@@ -299,25 +299,25 @@ def _stage_uniforms(keys: dict, count: int, layouts: list) -> list:
     label, one array per run, drop after drop. A (label, drop) stream is
     computed once, to the longest read, and holds each read as a prefix."""
     labels = list(dict.fromkeys(label for layout in layouts for label in layout))
-    widest = max(len(runs) for layout in layouts for runs in layout.values())
-    lengths = np.zeros((len(layouts), len(labels), count, widest), dtype=np.int64)
-    for c, layout in enumerate(layouts):
+    totals = np.zeros((len(labels), count), dtype=np.int64)  # each stream's longest read
+    for layout in layouts:
         for label, runs in layout.items():
-            for r, n in enumerate(runs):
-                lengths[c, labels.index(label), :, r] = n
-    totals = lengths.sum(axis=3).max(axis=0)
+            longest = totals[labels.index(label)]
+            np.maximum(longest, sum(runs), out=longest)
     u = stream_uniforms(np.concatenate([keys[label] for label in labels]), totals.ravel())
-    # a run's uniform k, of the drop whose draws hold it, is u[k + shift[drop]]: the
-    # start of the drop's stream plus its earlier runs' draws, less earlier drops' draws
-    shift = ((np.cumsum(totals).reshape(totals.shape) - totals)[:, :, None]
-             + np.cumsum(lengths, axis=3) - np.cumsum(lengths, axis=2))
+    first = (np.cumsum(totals) - totals.ravel()).reshape(totals.shape)  # each stream's start in u
 
-    def run(c, i, r):  # layout c's run r on labels[i], drop after drop
-        n = lengths[c, i, :, r]
-        return u[np.arange(n.sum()) + np.repeat(shift[c, i, :, r], n)]
+    def read(label, runs):  # a layout's runs on `label`, each drop after drop
+        start, out = first[labels.index(label)], []
+        for n in runs:
+            if np.isscalar(n):  # n draws of every drop
+                out.append(u[(start[:, None] + np.arange(n)).ravel()])
+            else:  # the run's k-th uniform is u[k + start[drop] - earlier drops' draws]
+                out.append(u[np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)])
+            start = start + n
+        return out
 
-    return [[[run(c, labels.index(label), r) for r in range(len(runs))]
-             for label, runs in layout.items()] for c, layout in enumerate(layouts)]
+    return [[read(label, runs) for label, runs in layout.items()] for layout in layouts]
 
 
 def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:

@@ -8,15 +8,20 @@ A `PowerAngularSpectrum` holds sparse angular spectra of one side: one
 per drop of a block (`build_pas`), or one per drop of an exported file.
 
 Each spread of a profile is its total weight, a few dot products and
-arithmetic on them. Per drop only the dot products run, on the drop's
-slices; everything else runs once over the block: the totals
-(`segment_sums`, bit for bit numpy's `.sum()`), the divisions by them,
-the variances, the resultant magnitudes, the clamps, logs and square
-roots. A caller pays for the dots of the spreads it asks for:
-`delay_spreads` makes two BLAS ddots per drop, and `drop_metrics`
-(records and files) six, the two plus a complex zdotu on the phasors
-of each of the four angle columns. `rms_delay_spread` and
-`circular_angular_spread` are the one-profile case of the same code.
+arithmetic on them. `profile_sums` reduces all profiles of a block at
+once, grouped by length: the profiles of one length n are gathered as
+one (profiles, n) matrix, whose row sums are numpy's pairwise `.sum()`
+of each profile and whose dots are one `np.matmul` of 1 x n weight
+rows by n x 1 columns, a BLAS ddot (zdotu for complex columns) per
+pair called from C. The gathers are unit-stride along n, as a slice
+`.dot` would read them; a strided one takes another OpenBLAS kernel.
+Everything after the sums runs once over the block: the divisions by
+the totals, the variances, the resultant magnitudes, the clamps, logs
+and square roots. A caller pays for the dots of the spreads it asks
+for: `delay_spreads` makes two per drop, and `drop_metrics` (records
+and files) six, the two plus four of the phasors of the angle columns.
+`rms_delay_spread` and `circular_angular_spread` are the one-profile
+case of the same code.
 
 Replay depends on the exact primitives. The magnitude of a complex
 resultant is the `np.abs` ufunc; builtin `abs` on a numpy complex takes
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .generate import DelayProfile, DropBlock, segment_sums
+from .generate import DelayProfile, DropBlock
 
 AZ_CELLS = 360
 EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
@@ -78,6 +83,73 @@ class PowerAngularSpectrum:
         return az, el_idx - 90
 
 
+def profile_sums(weights, lengths, columns=()) -> tuple:
+    """`(totals, dots)` of the profiles that are the segments of
+    `lengths` laid end to end in `weights`: each one's total weight,
+    and for each of `columns` (float64 or complex128, as long as
+    `weights`) an array of its dot product with each profile. Every
+    value equals in every bit `.sum()` and `ndarray.dot` of the
+    profile's slices laid contiguous, on which replay depends.
+
+    The profiles of one length n are reduced together. A (profiles, n)
+    index matrix gathers, in one `np.take`, their weights and the
+    columns of a dtype, stacked; the weight rows are summed, and
+    `np.matmul` of each 1 x n weight row by its n x 1 column slice
+    calls BLAS ddot (zdotu) once per pair from C. The gathers are
+    unit-stride along n, as a slice is: OpenBLAS reads a strided vector
+    with another kernel, whose sums differ in the last bits. Profiles
+    of one term are multiplied, as `ndarray.dot` does (`_product`).
+    """
+    weights = np.asarray(weights, dtype=float)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    columns = [np.asarray(column) for column in columns]
+    kinds: dict = {np.dtype(float): []}  # dtype -> the positions of its columns
+    for c, column in enumerate(columns):
+        kinds.setdefault(column.dtype, []).append(c)
+    # per dtype: the weights stacked on its columns, and the dots in length order
+    stacks = [np.array([weights, *(columns[c] for c in at)], dtype) for dtype, at in kinds.items()]
+    totals, sums = np.zeros(len(lengths)), [np.zeros((len(at), len(lengths)), dtype)
+                                            for dtype, at in kinds.items()]
+    order = np.argsort(lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    groups = np.flatnonzero(np.diff(lengths[order], prepend=-1, append=-1)).tolist()
+    for a, b in zip(groups, groups[1:]):
+        n = lengths[order[a]]
+        index = starts[a:b, None] + np.arange(n)
+        gathers = [np.take(stack, index, axis=1) for stack in stacks]  # (1 + columns, rows, n)
+        totals[a:b] = gathers[0][0].sum(axis=1)
+        for g, out in zip(gathers, sums):
+            out[:, a:b] = (_product(g[0, :, 0], g[1:, :, 0]) if n == 1
+                           else np.matmul(g[0][:, None, :], g[1:, ..., None])[..., 0, 0])
+    rank = np.argsort(order)
+    dots = [None] * len(columns)
+    for at, out in zip(kinds.values(), sums):
+        for c, values in zip(at, out[:, rank]):
+            dots[c] = values
+    return totals[rank], dots
+
+
+def _product(a, b) -> np.ndarray:
+    """a * b as `ndarray.dot` gives it for vectors of one term, which it
+    multiplies itself, not by BLAS from 0.0 (0.0 + -0.0 is 0.0); a
+    complex one part by part, as numpy's complex multiply rounds some
+    signed zeros differently."""
+    if a.dtype != complex:
+        return a * b
+    product = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
+    product.real = a.real * b.real - a.imag * b.imag
+    product.imag = a.real * b.imag + a.imag * b.real
+    return product
+
+
+def _reduce(weights, lengths, columns) -> tuple:
+    """`profile_sums`, refusing a profile whose total is not positive."""
+    totals, dots = profile_sums(weights, lengths, columns)
+    if not (totals > 0).all():
+        raise InvalidParamsError("profile has no power")
+    return totals, dots
+
+
 def rms_delay_spread(delays_ns, weights) -> float:
     """Weighted standard deviation of the tap delays, in the unit of
     `delays_ns`.
@@ -89,36 +161,14 @@ def rms_delay_spread(delays_ns, weights) -> float:
     weights = np.asarray(weights, dtype=float)
     if len(delays) == 0:
         raise InvalidParamsError("no taps")
-    bounds = [0, len(weights)]
-    return _delay_spreads(weights, delays, bounds, _totals(weights, bounds)).item()
+    return _delay_spreads(*_reduce(weights, [len(weights)], (delays, delays**2))).item()
 
 
-def _totals(weights, bounds) -> np.ndarray:
-    """Total weight of each profile `weights[a:b]` for consecutive a, b
-    of `bounds`; each must be positive."""
-    totals = segment_sums(weights, np.diff(bounds))
-    if not (totals > 0).all():
-        raise InvalidParamsError("profile has no power")
-    return totals
-
-
-def _dots(weights, columns, bounds) -> np.ndarray:
-    """The dot product of `weights[a:b]` and `column[a:b]` of each column
-    (rows) and each profile (columns) for consecutive a, b of `bounds`.
-    `ndarray.dot` is `np.dot` (BLAS ddot or zdotu) without its dispatch."""
-    profiles = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    parts = [weights[p] for p in profiles]
-    return np.array([np.fromiter((w.dot(column[p]) for w, p in zip(parts, profiles)),
-                                 weights.dtype, len(parts)) for column in columns])
-
-
-def _delay_spreads(weights, delays, bounds, totals) -> np.ndarray:
-    """RMS delay spreads of the profiles of `bounds` (see `_dots`) from
-    their totals and two dot products each: the weighted sums of the
-    delays and of their squares."""
-    first, second = _dots(weights, (delays, delays**2), bounds)
-    mean = first / totals
-    variance = second / totals - mean * mean
+def _delay_spreads(totals, sums) -> np.ndarray:
+    """RMS delay spreads from profile totals and the weighted sums of
+    the delays and of their squares."""
+    mean = sums[0] / totals
+    variance = sums[1] / totals - mean * mean
     return np.sqrt(np.where(variance < 0.0, 0.0, variance))
 
 
@@ -147,9 +197,7 @@ def circular_angular_spread(angles_deg, powers) -> float:
     weights = np.asarray(powers, dtype=float)
     if angles.size == 0 or weights.size == 0:
         raise InvalidParamsError("no angles")
-    bounds = [0, len(weights)]
-    totals = _totals(weights, bounds)
-    resultants = _dots(weights.astype(complex), (_phasors(angles),), bounds)[0]
+    totals, (resultants,) = _reduce(weights, [len(weights)], (_phasors(angles),))
     return _angular_spreads(totals, resultants).item()
 
 
@@ -169,14 +217,20 @@ def _angular_spreads(totals, resultants) -> np.ndarray:
     return np.where(single, 0.0, np.degrees(np.sqrt(-2.0 * logs)))
 
 
-def delay_spreads(block: DelayProfile) -> np.ndarray:
-    """RMS delay spread in ns of each drop of `block`, the `rms_ds_ns`
-    column of `drop_metrics` in every bit: two dot products per drop,
-    and no phasor, angular dot or log. It reads only the delays and
-    power shares, so a `DelayProfile` serves as well as a `DropBlock`."""
-    weights = block.power_fractions
-    bounds = block.subpath_offsets.tolist()
-    return _delay_spreads(weights, block.excess_delays_ns(), bounds, _totals(weights, bounds))
+def delay_spreads(profiles: list[DelayProfile]) -> list:
+    """RMS delay spread in ns of each drop of each of `profiles`, an
+    array a profile, each the `rms_ds_ns` column of `drop_metrics` in
+    every bit: two dot products per drop, and no phasor, angular dot or
+    log. It reads only the delays and power shares, so a `DelayProfile`
+    serves as well as a `DropBlock`. The drops of all `profiles` are
+    reduced in one `profile_sums` pass, grouped by length across them,
+    so the four scenarios of a `reproduce` block share each length's
+    gathers."""
+    delays = np.concatenate([profile.excess_delays_ns() for profile in profiles])
+    spreads = _delay_spreads(*_reduce(
+        np.concatenate([profile.power_fractions for profile in profiles]),
+        np.concatenate([profile.num_subpaths for profile in profiles]), (delays, delays**2)))
+    return np.split(spreads, np.cumsum([len(profile) for profile in profiles])[:-1])
 
 
 def drop_metrics(block: DropBlock) -> dict:
@@ -185,22 +239,22 @@ def drop_metrics(block: DropBlock) -> dict:
     subpaths, so no value depends on transmit power or distance in any
     bit.
 
-    Per drop run only six dot products: the two of `delay_spreads`, and
-    four of the power fractions with the unit phasors of the drop's
-    angle columns. The totals are summed once for all five metrics, and
-    everything after the dots runs once over the block, element by
-    element, with the `np.abs` ufunc and glibc's `math.log` as the
+    One `profile_sums` pass over the block, grouped by drop length,
+    gives each drop's total and six dot products: the two of
+    `delay_spreads`, and four of the power fractions with the unit
+    phasors of the drop's angle columns, which share one gather a
+    length. Everything after the sums runs once over the block, element
+    by element, with the `np.abs` ufunc and glibc's `math.log` as the
     primitives whose bits replay depends on; every value equals that of
     the one-profile functions.
     """
-    weights = block.power_fractions
-    bounds = block.subpath_offsets.tolist()
-    totals = _totals(weights, bounds)
-    spreads = [_delay_spreads(weights, block.excess_delays_ns(), bounds, totals)]
+    delays = block.excess_delays_ns()
     # as_aod_az_deg: the block's aod_az_deg
     phasors = [_phasors(getattr(block, name[3:])) for name in METRIC_NAMES[1:]]
-    spreads += [_angular_spreads(totals, resultants)
-                for resultants in _dots(weights.astype(complex), phasors, bounds)]
+    totals, dots = _reduce(block.power_fractions, block.num_subpaths,
+                           (delays, delays**2, *phasors))
+    spreads = [_delay_spreads(totals, dots[:2])]
+    spreads += [_angular_spreads(totals, resultants) for resultants in dots[2:]]
     return {name: values.tolist() for name, values in zip(METRIC_NAMES, spreads)}
 
 

@@ -180,8 +180,9 @@ def test_reproduce_spreads_equal_those_of_generated_blocks(monkeypatch, seed, wo
         config = t.validate_config(t.SimConfig(
             scenario=scenario, distance_m=campaign.REPRODUCE_DISTANCE_M, num_drops=n,
             master_seed=seed))
-        expected = [stats.delay_spreads(generate_batch(config, start, min(BLOCK_DROPS, n - start)))
-                    for start in range(0, n, BLOCK_DROPS)]
+        blocks = [generate_batch(config, start, min(BLOCK_DROPS, n - start))
+                  for start in range(0, n, BLOCK_DROPS)]
+        expected = [stats.delay_spreads([block])[0] for block in blocks]
         assert column.tobytes() == np.concatenate(expected).tobytes()
 
 
@@ -237,6 +238,19 @@ def test_reproduce_computes_each_stream_once_per_block_for_all_scenarios(monkeyp
         keys = [key for call in calls[3 * b:3 * b + 3] for key in call]
         expected = generate.derive_keys(campaign.REPRODUCE_SEED, drops, generate.PROFILE_LABELS)
         assert sorted(keys) == sorted(key.tobytes() for key in expected)
+
+
+def test_reproduce_reduces_each_blocks_four_scenarios_in_one_grouped_pass(monkeypatch):
+    calls = []
+
+    def counting(weights, lengths, columns, _original=stats.profile_sums):
+        calls.append((len(lengths), len(columns)))
+        return _original(weights, lengths, columns)
+
+    monkeypatch.setattr(stats, "profile_sums", counting)
+    campaign.reproduce_report(num_drops=2 * BLOCK_DROPS + 41)
+    scenarios = len(t.ALL_SCENARIOS)
+    assert calls == [(scenarios * BLOCK_DROPS, 2)] * 2 + [(scenarios * 41, 2)]
 
 
 @pytest.mark.parametrize("distance", ["10", "5:45"])

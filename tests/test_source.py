@@ -83,6 +83,45 @@ def unreferenced_names(sources: dict) -> set:
             if occurrences[name] == 1 and not (name.startswith("__") and name.endswith("__"))}
 
 
+# numpy's products, each a BLAS call whose bits follow the kernel and
+# the strides it is given
+PRODUCTS = {"dot", "vdot", "inner", "matmul", "vecdot", "tensordot", "einsum"}
+# (module, top-level function) of the one place a product runs: each
+# profile's dots, grouped by length, on unit-stride gathers
+PRODUCT_HELPER = ("stats.py", "profile_sums")
+
+
+def products_outside(source: str, helper: str | None = None) -> list:
+    """Line numbers of the products in `source`, a call of a name or an
+    attribute in PRODUCTS or the @ operator, outside the top-level
+    function `helper`."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == helper for node in ast.walk(top)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inside and (
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in PRODUCTS
+        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)))
+
+
+def test_products_outside_finds_each_product_but_the_helpers():
+    source = ("import numpy as np\nfrom numpy import matmul\n\n\n"
+              "def helper(w, x):\n    return np.matmul(w, x) + w.dot(x)\n\n\n"
+              "def other(w, x):\n    y = w.dot(x) + np.dot(w, x)\n    y @= x\n"
+              "    return [matmul(w, x), w @ x, np.einsum('i,i', w, x), np.outer(w, x), w.T]\n")
+    assert products_outside(source, "helper") == [10, 10, 11, 12, 12, 12]
+    assert products_outside(source) == [6, 6, 10, 10, 11, 12, 12, 12]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_products_run_only_in_the_grouped_helper(path):
+    # a dot of one profile at a time, or on a strided gather, would come
+    # back here: every sum and dot goes through stats.profile_sums
+    module, helper = PRODUCT_HELPER
+    assert products_outside(path.read_text(encoding="utf-8"),
+                            helper if path.name == module else None) == []
+
+
 def test_unused_imports_finds_a_name_read_nowhere():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nnp.f(c)\n"
     assert unused_imports(source) == ["os", "e"]

@@ -233,26 +233,91 @@ def test_delay_spreads_are_the_rms_ds_column_of_drop_metrics_in_every_bit(
     cfg = make_config(scenario_label, distance_m=distance, overrides=overrides or {},
                       master_seed=31)
     block = generate_batch(cfg, start, count)
-    spreads = delay_spreads(block)
+    spreads, = delay_spreads([block])
     assert spreads.dtype == np.float64 and spreads.shape == (count,)
     assert ([v.hex() for v in spreads.tolist()]
             == [v.hex() for v in drop_metrics(block)["rms_ds_ns"]])
 
 
-def test_drop_metrics_sums_the_weights_once_per_block(monkeypatch):
+def wide_values(rng, size):
+    """Floats of every scale: mostly 2**-30 to 2**30, some subnormal or
+    near the top of the range, some +0.0 and -0.0, either sign."""
+    values = rng.uniform(1.0, 2.0, size) * 2.0 ** rng.integers(-30, 31, size)
+    kind = rng.integers(0, 20, size)
+    values[kind == 0] = 2.0 ** -1074 * rng.integers(1, 2**20, np.count_nonzero(kind == 0))
+    values[kind == 1] = rng.uniform(1.0, 2.0, np.count_nonzero(kind == 1)) * 2.0 ** 480
+    values[kind == 2] = 0.0
+    values[kind == 3] = -0.0
+    return np.where(rng.random(size) < 0.5, -values, values)
+
+
+def shuffled_lengths(rng, groups):
+    """Profile lengths, `count` of each `n` of `groups`, in random order."""
+    return rng.permutation(np.repeat(*np.array(list(groups.items())).T))
+
+
+def hex_of(value) -> tuple:
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+# group sizes from 1 to several hundred, the edges of OpenBLAS's
+# unrolled ddot and numpy's pairwise blocks among the lengths
+DOT_GROUPS = {**{n: 1 + n % 7 for n in range(1, 201)},
+              1: 400, 2: 300, 3: 250, 31: 120, 32: 200, 33: 90, 64: 60, 128: 40, 129: 30}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_grouped_dots_equal_each_slices_dot_in_every_bit(seed):
+    rng = np.random.default_rng(seed)
+    lengths = shuffled_lengths(rng, DOT_GROUPS)
+    size = int(lengths.sum())
+    weights = wide_values(rng, size)
+    real = wide_values(rng, size)
+    phasors = wide_values(rng, size) + 1j * wide_values(rng, size)
+    strided = np.repeat(wide_values(rng, size), 2)[::2]  # a view, 16 bytes a step
+    complex_strided = np.repeat(wide_values(rng, size) - 1j * wide_values(rng, size), 2)[::2]
+    columns = (real, phasors, strided, complex_strided)
+    totals, dots = stats.profile_sums(weights, lengths, columns)
+    assert [d.dtype for d in dots] == [np.float64, np.complex128] * 2
+    starts = np.cumsum(lengths) - lengths
+    for i, (a, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        w = weights[a:a + n]
+        assert totals[i].hex() == w.sum().hex()
+        for column, got in zip(columns, dots):
+            x = column[a:a + n].copy()  # laid contiguous, as the slice of a block column
+            want = (w.astype(complex) if x.dtype == complex else w).dot(x)
+            assert hex_of(got[i]) == hex_of(want), (i, n, x.dtype)
+
+
+@pytest.mark.parametrize("lead", [0, 1, 3, 5, 8, 13])
+def test_grouped_row_sums_equal_each_slices_sum_in_every_bit(lead):
+    # every length 0-200, each three times at offsets the shuffle and a
+    # leading profile of `lead` terms vary
+    rng = np.random.default_rng(100 + lead)
+    lengths = np.append(lead, shuffled_lengths(rng, dict.fromkeys(range(201), 3)))
+    weights = wide_values(rng, int(lengths.sum()))
+    totals, dots = stats.profile_sums(weights, lengths)
+    assert dots == []
+    starts = np.cumsum(lengths) - lengths
+    assert ([v.hex() for v in totals.tolist()]
+            == [weights[a:a + n].sum().hex() for a, n in zip(starts.tolist(), lengths.tolist())])
+
+
+def test_each_block_is_reduced_in_one_grouped_pass(monkeypatch):
     calls = []
 
-    def counting(values, lengths, _original=stats.segment_sums):
-        calls.append(len(lengths))
-        return _original(values, lengths)
+    def counting(weights, lengths, columns, _original=stats.profile_sums):
+        calls.append((len(lengths), len(columns)))
+        return _original(weights, lengths, columns)
 
     block = generate_batch(make_config("28GHz-NLOS", distance_m=(5.0, 45.0), master_seed=7),
                            0, BLOCK_DROPS)
-    monkeypatch.setattr(stats, "segment_sums", counting)
+    monkeypatch.setattr(stats, "profile_sums", counting)
     drop_metrics(block)
-    assert calls == [BLOCK_DROPS]
-    delay_spreads(block)
-    assert calls == [BLOCK_DROPS, BLOCK_DROPS]
+    assert calls == [(BLOCK_DROPS, 6)]
+    delay_spreads([block, block, block])
+    assert calls == [(BLOCK_DROPS, 6), (3 * BLOCK_DROPS, 2)]
 
 
 def test_summarize_medians():

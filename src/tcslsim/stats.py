@@ -83,7 +83,7 @@ class PowerAngularSpectrum:
         return az, el_idx - 90
 
 
-def profile_sums(weights, lengths, columns=()) -> tuple:
+def profile_sums(weights, lengths, columns) -> tuple:
     """`(totals, dots)` of the profiles that are the segments of
     `lengths` laid end to end in `weights`: each one's total weight,
     and for each of `columns` (float64 or complex128, as long as
@@ -91,34 +91,41 @@ def profile_sums(weights, lengths, columns=()) -> tuple:
     value equals in every bit `.sum()` and `ndarray.dot` of the
     profile's slices laid contiguous, on which replay depends.
 
-    The profiles of one length n are reduced together. A (profiles, n)
-    index matrix gathers, in one `np.take`, their weights and the
-    columns of a dtype, stacked; the weight rows are summed, and
+    The profiles of one length n are reduced together. One `np.take`
+    per dtype lays out the weights and that dtype's columns, stacked,
+    with the profiles in length order, so the profiles of each length
+    are a (profiles, n) view; the weight rows are summed, and
     `np.matmul` of each 1 x n weight row by its n x 1 column slice
-    calls BLAS ddot (zdotu) once per pair from C. The gathers are
-    unit-stride along n, as a slice is: OpenBLAS reads a strided vector
-    with another kernel, whose sums differ in the last bits. Profiles
-    of one term are multiplied, as `ndarray.dot` does (`_product`).
+    calls BLAS ddot (zdotu) once per pair, from C. The slices are
+    unit-stride along n, as a profile's own slice is: OpenBLAS reads a
+    strided vector with another kernel, whose sums differ in the last
+    bits. Profiles of one term are multiplied, as `ndarray.dot` does
+    (`_product`).
     """
     weights = np.asarray(weights, dtype=float)
     lengths = np.asarray(lengths, dtype=np.int64)
     columns = [np.asarray(column) for column in columns]
+    if any(len(column) != len(weights) for column in columns):
+        raise InvalidParamsError("the columns and the weights differ in length")
     kinds: dict = {np.dtype(float): []}  # dtype -> the positions of its columns
     for c, column in enumerate(columns):
         kinds.setdefault(column.dtype, []).append(c)
-    # per dtype: the weights stacked on its columns, and the dots in length order
-    stacks = [np.array([weights, *(columns[c] for c in at)], dtype) for dtype, at in kinds.items()]
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    ends = np.cumsum(ordered)
+    index = np.arange(lengths.sum()) + np.repeat(
+        (np.cumsum(lengths) - lengths)[order] - (ends - ordered), ordered)
+    stacks = [np.take(np.array([weights, *(columns[c] for c in at)], dtype), index, axis=1)
+              for dtype, at in kinds.items()]
     totals, sums = np.zeros(len(lengths)), [np.zeros((len(at), len(lengths)), dtype)
                                             for dtype, at in kinds.items()]
-    order = np.argsort(lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    groups = np.flatnonzero(np.diff(lengths[order], prepend=-1, append=-1)).tolist()
+    groups = np.flatnonzero(np.diff(ordered, prepend=-1, append=-1)).tolist()
+    bounds = np.append(0, ends).tolist()
     for a, b in zip(groups, groups[1:]):
-        n = lengths[order[a]]
-        index = starts[a:b, None] + np.arange(n)
-        gathers = [np.take(stack, index, axis=1) for stack in stacks]  # (1 + columns, rows, n)
-        totals[a:b] = gathers[0][0].sum(axis=1)
-        for g, out in zip(gathers, sums):
+        n = ordered[a]
+        views = [stack[:, bounds[a]:bounds[b]].reshape(len(stack), b - a, n) for stack in stacks]
+        totals[a:b] = views[0][0].sum(axis=1)
+        for g, out in zip(views, sums):
             out[:, a:b] = (_product(g[0, :, 0], g[1:, :, 0]) if n == 1
                            else np.matmul(g[0][:, None, :], g[1:, ..., None])[..., 0, 0])
     rank = np.argsort(order)

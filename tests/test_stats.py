@@ -53,6 +53,14 @@ def test_rms_delay_spread_empty_profile():
         t.rms_delay_spread(np.array([]), np.array([]))
 
 
+@pytest.mark.parametrize("spread", [t.rms_delay_spread, t.circular_angular_spread])
+@pytest.mark.parametrize("values, weights", [([0.0, 1.0, 2.0], [1.0, 1.0]),
+                                             ([0.0, 1.0], [1.0, 1.0, 1.0])])
+def test_a_profile_whose_values_and_weights_differ_in_length_is_refused(spread, values, weights):
+    with pytest.raises(InvalidParamsError, match="differ in length"):
+        spread(values, weights)
+
+
 def test_build_pas_nearest_cell():
     cfg = single_path_config(master_seed=5)
     drop = t.generate_drop(cfg)
@@ -251,6 +259,13 @@ def wide_values(rng, size):
     return np.where(rng.random(size) < 0.5, -values, values)
 
 
+def wide_complex(rng, size):
+    """Complex values with `wide_values` parts, signed zeros kept."""
+    values = np.empty(size, complex)
+    values.real, values.imag = wide_values(rng, size), wide_values(rng, size)
+    return values
+
+
 def shuffled_lengths(rng, groups):
     """Profile lengths, `count` of each `n` of `groups`, in random order."""
     return rng.permutation(np.repeat(*np.array(list(groups.items())).T))
@@ -263,7 +278,7 @@ def hex_of(value) -> tuple:
 
 # group sizes from 1 to several hundred, the edges of OpenBLAS's
 # unrolled ddot and numpy's pairwise blocks among the lengths
-DOT_GROUPS = {**{n: 1 + n % 7 for n in range(1, 201)},
+DOT_GROUPS = {**{n: 1 + n % 7 for n in range(201)},
               1: 400, 2: 300, 3: 250, 31: 120, 32: 200, 33: 90, 64: 60, 128: 40, 129: 30}
 
 
@@ -273,11 +288,9 @@ def test_grouped_dots_equal_each_slices_dot_in_every_bit(seed):
     lengths = shuffled_lengths(rng, DOT_GROUPS)
     size = int(lengths.sum())
     weights = wide_values(rng, size)
-    real = wide_values(rng, size)
-    phasors = wide_values(rng, size) + 1j * wide_values(rng, size)
-    strided = np.repeat(wide_values(rng, size), 2)[::2]  # a view, 16 bytes a step
-    complex_strided = np.repeat(wide_values(rng, size) - 1j * wide_values(rng, size), 2)[::2]
-    columns = (real, phasors, strided, complex_strided)
+    # the last two are views that step over every other value
+    columns = (wide_values(rng, size), wide_complex(rng, size),
+               np.repeat(wide_values(rng, size), 2)[::2], np.repeat(wide_complex(rng, size), 2)[::2])
     totals, dots = stats.profile_sums(weights, lengths, columns)
     assert [d.dtype for d in dots] == [np.float64, np.complex128] * 2
     starts = np.cumsum(lengths) - lengths
@@ -297,7 +310,7 @@ def test_grouped_row_sums_equal_each_slices_sum_in_every_bit(lead):
     rng = np.random.default_rng(100 + lead)
     lengths = np.append(lead, shuffled_lengths(rng, dict.fromkeys(range(201), 3)))
     weights = wide_values(rng, int(lengths.sum()))
-    totals, dots = stats.profile_sums(weights, lengths)
+    totals, dots = stats.profile_sums(weights, lengths, ())
     assert dots == []
     starts = np.cumsum(lengths) - lengths
     assert ([v.hex() for v in totals.tolist()]

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -308,13 +309,14 @@ def _stage_uniforms(keys: dict, count: int, layouts: list) -> list:
     first = (np.cumsum(totals) - totals.ravel()).reshape(totals.shape)  # each stream's start in u
 
     def read(label, runs):  # a layout's runs on `label`, each drop after drop
-        start, out = first[labels.index(label)], []
-        for n in runs:
+        out = []
+        # a run starts in each drop's stream after the drop's earlier runs
+        for n, start in zip(runs, accumulate(runs[:-1], initial=first[labels.index(label)])):
             if np.isscalar(n):  # n draws of every drop
                 out.append(u[(start[:, None] + np.arange(n)).ravel()])
             else:  # the run's k-th uniform is u[k + start[drop] - earlier drops' draws]
-                out.append(u[np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)])
-            start = start + n
+                ends = np.cumsum(n)
+                out.append(u[np.arange(ends[-1]) + np.repeat(start - ends + n, n)])
         return out
 
     return [[read(label, runs) for label, runs in layout.items()] for layout in layouts]

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.special import expm1, gammaln, ndtr, xlogy
 
 from .errors import InvalidParamsError
-from .stats import AZ_CELLS, EL_CELLS, GRID_CELLS, PowerAngularSpectrum, profile_sums
+from .generate import profile_sums
+from .stats import AZ_CELLS, EL_CELLS, GRID_CELLS, PowerAngularSpectrum
 
 
 # --- time-cluster partitioning ---------------------------------------------

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +244,8 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
 
     One np.loadtxt pass parses the file, and the rules past it are
     checked as arrays; only a file that breaks one is walked line by
-    line, to raise a ValueError naming its first bad line.
+    line, to raise a ValueError naming its first bad line. A file that
+    parsed row for line is walked from the first row a rule flags.
     """
     lines = numbered_lines(path)
     header = next(lines, (1, ""))[1].strip().split(",")
@@ -260,12 +262,17 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
     except ValueError:  # a byte that is not UTF-8 too
         body, block = "", None
     # np.loadtxt skips a blank line, and a str field drops trailing NULs
-    if (block is None or len(block) != body.count("\n") + bool(body) - body.endswith("\n")
-            or "\x00" in body or not all(np.all(_KINDS[kind][1](block[name]))
-                                         for name, kind in columns.items())
-            or not all(np.all((block[name] >= low) & (block[name] <= high))
-                       for name, (low, high) in bounds.items())):
-        _first_bad_line(path, lines, header, columns, bounds)
+    if (block is not None and len(block) == body.count("\n") + bool(body) - body.endswith("\n")
+            and "\x00" not in body):
+        kept = np.ones(len(block), bool)  # row i is the i-th line after the header
+        for name, kind in columns.items():
+            kept &= _KINDS[kind][1](block[name])
+        for name, (low, high) in bounds.items():
+            kept &= (block[name] >= low) & (block[name] <= high)
+        if kept.all():
+            return [block[name] for name in columns]
+        lines = islice(lines, kept.argmin(), None)  # the rows before pass every rule
+    _first_bad_line(path, lines, header, columns, bounds)
     return [block[name] for name in columns]
 
 

@@ -185,6 +185,81 @@ def ragged(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts, segment, np.arange(len(segment)) - np.repeat(starts, lengths)
 
 
+def profile_sums(weights, lengths, columns=()) -> tuple:
+    """`(totals, dots)` of the profiles that are the segments of
+    `lengths` laid end to end in `weights`: each one's total weight,
+    and for each of `columns` (float64 or complex128, as long as
+    `weights`) an array of its dot product with each profile. Every
+    value equals in every bit `.sum()` and `ndarray.dot` of the
+    profile's slices laid contiguous, on which replay depends.
+    Generation's power shares take their totals here, as the metrics
+    take their totals and dots.
+
+    The profiles of one length n are reduced together. One gather lays
+    out the weights, and one `np.take` per dtype that dtype's columns,
+    with the profiles in length order, so the profiles of each length
+    are a (profiles, n) view; the weight rows are summed, and
+    `np.matmul` of each 1 x n weight row by its n x 1 column slice
+    calls BLAS ddot (zdotu) once per pair, from C. The slices are
+    unit-stride along n, as a profile's own slice is: OpenBLAS reads a
+    strided vector with another kernel, whose sums differ in the last
+    bits. Profiles of one term are multiplied, as `ndarray.dot` does
+    (`_product`).
+    """
+    weights = np.asarray(weights, dtype=float)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    columns = [np.asarray(column) for column in columns]
+    if (lengths < 0).any() or lengths.sum() != len(weights):
+        raise InvalidParamsError(f"profile lengths must be >= 0 and sum to {len(weights)}")
+    if any(len(column) != len(weights) for column in columns):
+        raise InvalidParamsError("the columns and the weights differ in length")
+    kinds: dict = {}  # dtype -> the positions of its columns
+    for c, column in enumerate(columns):
+        kinds.setdefault(column.dtype, []).append(c)
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    ends = np.cumsum(ordered)
+    index = np.arange(len(weights)) + np.repeat(
+        (np.cumsum(lengths) - lengths)[order] - (ends - ordered), ordered)
+    laid = weights[index]
+    stacks = {dtype: np.take(np.array([columns[c] for c in at], dtype), index, axis=1)
+              for dtype, at in kinds.items()}
+    totals = np.empty(len(lengths))
+    sums = {dtype: np.empty((len(at), len(lengths)), dtype) for dtype, at in kinds.items()}
+    # each length's profiles: a to b of `order`, their terms lo to hi of `laid`
+    groups = np.flatnonzero(np.diff(ordered, prepend=-1))
+    bounds = [*(ends - ordered)[groups].tolist(), len(laid)]
+    groups = [*groups.tolist(), len(lengths)]
+    for a, b, lo, hi in zip(groups, groups[1:], bounds, bounds[1:]):
+        n = (hi - lo) // (b - a)
+        rows = laid[lo:hi].reshape(b - a, n)
+        totals[a:b] = rows.sum(axis=1)
+        for dtype, stack in stacks.items():
+            x = stack[:, lo:hi].reshape(len(stack), b - a, n)
+            sums[dtype][:, a:b] = (_product(rows[:, 0].astype(dtype), x[:, :, 0]) if n == 1
+                                   else np.matmul(rows[:, None, :], x[..., None])[..., 0, 0])
+    rank = np.empty_like(order)  # each profile's position in `order`
+    rank[order] = np.arange(len(order))
+    dots = [None] * len(columns)
+    for at, out in zip(kinds.values(), sums.values()):
+        for c, values in zip(at, out[:, rank]):
+            dots[c] = values
+    return totals[rank], dots
+
+
+def _product(a, b) -> np.ndarray:
+    """a * b as `ndarray.dot` gives it for vectors of one term, which it
+    multiplies itself, not by BLAS from 0.0 (0.0 + -0.0 is 0.0); a
+    complex one part by part, as numpy's complex multiply rounds some
+    signed zeros differently."""
+    if a.dtype != complex:
+        return a * b
+    product = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
+    product.real = a.real * b.real - a.imag * b.imag
+    product.imag = a.real * b.imag + a.imag * b.real
+    return product
+
+
 # --- generation ------------------------------------------------------------
 
 def cluster_counts(params: ScenarioParams, u) -> np.ndarray:
@@ -251,45 +326,6 @@ def lobe_mean_angles(params: ScenarioParams, side: str, counts: np.ndarray,
     mu_l, sigma_l = params.lobe_elevation_params(side)
     elevations = np.clip(normal(u_el, mu_l, sigma_l), -90.0, 90.0)
     return azimuths, elevations
-
-
-# numpy sums a contiguous float64 run of more than this many terms by
-# halves, each run of at most this many with eight accumulators
-_PAIRWISE_BLOCK = 128
-
-
-def segment_sums(values: np.ndarray, lengths) -> np.ndarray:
-    """The sum of each segment of `lengths` laid end to end in `values`,
-    equal in every bit to its `.sum()`, on which replay depends.
-
-    numpy's pairwise summation, done as column operations over all
-    segments at once: under 8 terms a left fold from 0.0; up to 128
-    terms eight accumulators seeded by the first eight terms, each
-    adding every eighth term of the whole eights that follow, combined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last
-    `length % 8` terms folded in. Lanes past a segment's end add -0.0,
-    which leaves any sum unchanged. Longer segments call `.sum()` one
-    by one.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    short = lengths <= _PAIRWISE_BLOCK
-    eights = np.where(short & (lengths >= 8), lengths & -8, 0)  # terms in the accumulators
-    sums = np.zeros(len(lengths))
-    rows = np.flatnonzero(eights)
-    first, whole = starts[rows], eights[rows]
-    lane = np.arange(8)[:, None]
-    r = values[first + lane]
-    for b in range(8, whole.max(initial=0), 8):
-        r += np.where(b < whole, np.take(values, first + (b + lane), mode="clip"), -0.0)
-    sums[rows] += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    rest = np.where(short, lengths - eights, 0)
-    k = np.arange(rest.max(initial=0))[:, None]
-    for column in np.where(k < rest, np.take(values, starts + eights + k, mode="clip"), -0.0):
-        sums += column
-    for i in np.flatnonzero(~short).tolist():
-        sums[i] = values[starts[i]:starts[i] + lengths[i]].sum()
-    return sums
 
 
 def _stage_uniforms(keys: dict, count: int, layouts: list) -> list:
@@ -422,13 +458,14 @@ def _delay_profile(config: SimConfig, start: int, count: int):
                                params.mti)
 
     z_db = normal(u_cluster_power, 0.0, params.sigma_z)
-    raw = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
-    cluster_frac = raw / segment_sums(raw, n_clusters)[drop_of_cluster]
-
+    raw_cluster = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
     u_db = normal(u_subpath_power, 0.0, params.sigma_u)
-    raw = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
-    cluster_raw = segment_sums(raw, sizes)
-    power_fractions = cluster_frac[cluster_of] * (raw / cluster_raw[cluster_of])
+    raw_subpath = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
+    # each drop's total of its clusters, then each cluster's of its subpaths
+    totals = profile_sums(np.concatenate((raw_cluster, raw_subpath)),
+                          np.concatenate((n_clusters, sizes)))[0]
+    cluster_frac = raw_cluster / totals[drop_of_cluster]
+    power_fractions = cluster_frac[cluster_of] * (raw_subpath / totals[count + cluster_of])
 
     first_subpath, drop_of_subpath, _ = ragged(n_subpaths)
     ends = tau + last_intra  # each cluster's last excess delay

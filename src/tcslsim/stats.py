@@ -8,20 +8,16 @@ A `PowerAngularSpectrum` holds sparse angular spectra of one side: one
 per drop of a block (`build_pas`), or one per drop of an exported file.
 
 Each spread of a profile is its total weight, a few dot products and
-arithmetic on them. `profile_sums` reduces all profiles of a block at
-once, grouped by length: the profiles of one length n are gathered as
-one (profiles, n) matrix, whose row sums are numpy's pairwise `.sum()`
-of each profile and whose dots are one `np.matmul` of 1 x n weight
-rows by n x 1 columns, a BLAS ddot (zdotu for complex columns) per
-pair called from C. The gathers are unit-stride along n, as a slice
-`.dot` would read them; a strided one takes another OpenBLAS kernel.
-Everything after the sums runs once over the block: the divisions by
-the totals, the variances, the resultant magnitudes, the clamps, logs
-and square roots. A caller pays for the dots of the spreads it asks
-for: `delay_spreads` makes two per drop, and `drop_metrics` (records
-and files) six, the two plus four of the phasors of the angle columns.
-`rms_delay_spread` and `circular_angular_spread` are the one-profile
-case of the same code.
+arithmetic on them. `generate.profile_sums`, which also totals
+generation's power shares, reduces all profiles of a block at once,
+grouped by length, each total and dot equal in every bit to the
+profile's own `.sum()` and `ndarray.dot`. Everything after the sums
+runs once over the block: the divisions by the totals, the variances,
+the resultant magnitudes, the clamps, logs and square roots. A caller
+pays for the dots of the spreads it asks for: `delay_spreads` makes two
+per drop, and `drop_metrics` (records and files) six, the two plus four
+of the phasors of the angle columns. `rms_delay_spread` and
+`circular_angular_spread` are the one-profile case of the same code.
 
 Replay depends on the exact primitives. The magnitude of a complex
 resultant is the `np.abs` ufunc; builtin `abs` on a numpy complex takes
@@ -37,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .generate import DelayProfile, DropBlock
+from .generate import DelayProfile, DropBlock, profile_sums
 
 AZ_CELLS = 360
 EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
@@ -81,72 +77,6 @@ class PowerAngularSpectrum:
         """Whole-degree (azimuth, elevation) int64 arrays of the cells."""
         az, el_idx = np.divmod(self.cells % GRID_CELLS, EL_CELLS)
         return az, el_idx - 90
-
-
-def profile_sums(weights, lengths, columns) -> tuple:
-    """`(totals, dots)` of the profiles that are the segments of
-    `lengths` laid end to end in `weights`: each one's total weight,
-    and for each of `columns` (float64 or complex128, as long as
-    `weights`) an array of its dot product with each profile. Every
-    value equals in every bit `.sum()` and `ndarray.dot` of the
-    profile's slices laid contiguous, on which replay depends.
-
-    The profiles of one length n are reduced together. One `np.take`
-    per dtype lays out the weights and that dtype's columns, stacked,
-    with the profiles in length order, so the profiles of each length
-    are a (profiles, n) view; the weight rows are summed, and
-    `np.matmul` of each 1 x n weight row by its n x 1 column slice
-    calls BLAS ddot (zdotu) once per pair, from C. The slices are
-    unit-stride along n, as a profile's own slice is: OpenBLAS reads a
-    strided vector with another kernel, whose sums differ in the last
-    bits. Profiles of one term are multiplied, as `ndarray.dot` does
-    (`_product`).
-    """
-    weights = np.asarray(weights, dtype=float)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    columns = [np.asarray(column) for column in columns]
-    if any(len(column) != len(weights) for column in columns):
-        raise InvalidParamsError("the columns and the weights differ in length")
-    kinds: dict = {np.dtype(float): []}  # dtype -> the positions of its columns
-    for c, column in enumerate(columns):
-        kinds.setdefault(column.dtype, []).append(c)
-    order = np.argsort(lengths, kind="stable")
-    ordered = lengths[order]
-    ends = np.cumsum(ordered)
-    index = np.arange(lengths.sum()) + np.repeat(
-        (np.cumsum(lengths) - lengths)[order] - (ends - ordered), ordered)
-    stacks = [np.take(np.array([weights, *(columns[c] for c in at)], dtype), index, axis=1)
-              for dtype, at in kinds.items()]
-    totals, sums = np.zeros(len(lengths)), [np.zeros((len(at), len(lengths)), dtype)
-                                            for dtype, at in kinds.items()]
-    groups = np.flatnonzero(np.diff(ordered, prepend=-1, append=-1)).tolist()
-    bounds = np.append(0, ends).tolist()
-    for a, b in zip(groups, groups[1:]):
-        n = ordered[a]
-        views = [stack[:, bounds[a]:bounds[b]].reshape(len(stack), b - a, n) for stack in stacks]
-        totals[a:b] = views[0][0].sum(axis=1)
-        for g, out in zip(views, sums):
-            out[:, a:b] = (_product(g[0, :, 0], g[1:, :, 0]) if n == 1
-                           else np.matmul(g[0][:, None, :], g[1:, ..., None])[..., 0, 0])
-    rank = np.argsort(order)
-    dots = [None] * len(columns)
-    for at, out in zip(kinds.values(), sums):
-        for c, values in zip(at, out[:, rank]):
-            dots[c] = values
-    return totals[rank], dots
-
-
-def _product(a, b) -> np.ndarray:
-    """a * b as `ndarray.dot` gives it for vectors of one term, which it
-    multiplies itself, not by BLAS from 0.0 (0.0 + -0.0 is 0.0); a
-    complex one part by part, as numpy's complex multiply rounds some
-    signed zeros differently."""
-    if a.dtype != complex:
-        return a * b
-    product = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
-    product.real = a.real * b.real - a.imag * b.imag
-    product.imag = a.real * b.imag + a.imag * b.real
-    return product
 
 
 def _reduce(weights, lengths, columns) -> tuple:

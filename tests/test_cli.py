@@ -535,3 +535,22 @@ def test_generate_writes_a_zero_mw_subpath_as_minus_inf_dbm(tmp_path, override):
     assert (rc, err) == (cli.EXIT_OK, "")
     rows = (tmp_path / "pdp.csv").read_text().splitlines()[1:]
     assert any(row.endswith(",0,-inf") for row in rows)
+
+
+def test_analyze_walks_a_parsed_file_from_its_first_flagged_row(tmp_path, monkeypatch):
+    # a bad value on the last of 5,000 rows costs a few parses of that
+    # line, not one a field of every row before it
+    header, row = ANALYZE_INPUTS["--pas"]
+    path = tmp_path / "pas.csv"
+    path.write_text(f"{header}\n" + f"{row}\n" * 4999 + "0,aoa,10,91,1e-06\n")
+    calls = []
+
+    def counting(*args, _original=cli._loadtxt, **kwargs):
+        calls.append(args)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_loadtxt", counting)
+    rc, err = _analyze("--pas", path)
+    assert rc == cli.EXIT_VALIDATION
+    assert err == f"error: {path}:5001: el_deg 91 outside -90..90\n"
+    assert len(calls) <= 1 + len(cli.PAS_COLUMNS)

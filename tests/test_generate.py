@@ -18,8 +18,8 @@ from tcslsim.generate import (
     generate_batches,
     lobe_mean_angles,
     place_cluster_delays,
+    profile_sums,
     ragged,
-    segment_sums,
     sort_from_first,
 )
 from tcslsim.campaign import CSV_FLOAT, DROP_FILES, _jsonl_rows, _pdp_rows
@@ -813,27 +813,36 @@ def test_generate_batch_refuses_a_count_below_one(count):
         generate_batch(make_config("28GHz-LOS"), 0, count)
 
 
-def sums_one_by_one(values, lengths):
-    """`.sum()` of each segment of `lengths` laid end to end in `values`."""
-    return np.array([s.sum() for s in np.split(values, np.cumsum(lengths)[:-1])])
+def sums_one_by_one(weights, lengths, columns=()):
+    """`profile_sums` of a generator's call, from the `.sum()` of each
+    segment of `lengths` laid end to end in `weights`."""
+    assert not columns
+    return np.array([s.sum() for s in np.split(weights, np.cumsum(lengths)[:-1])]), []
 
 
-@pytest.mark.parametrize("magnitudes", ["wide", "signed", "fractions"])
-def test_segment_sums_are_numpys_sums_in_every_bit(magnitudes):
-    # pins numpy's summation order: a numpy that sums in another order
-    # fails here instead of silently changing replay
-    rng = np.random.default_rng(18)
-    lengths = rng.permutation(np.repeat(np.arange(201), 4))  # every length 0..200, at many offsets
-    n = int(lengths.sum())
-    if magnitudes == "fractions":
-        values = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6, 0, n)
-    else:
-        values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-300, 300, n)
-    if magnitudes == "signed":
-        values *= rng.choice([-1.0, 1.0], n)
-        values[rng.random(n) < 0.05] = -0.0
-    got = segment_sums(values, lengths).tolist()
-    assert [v.hex() for v in got] == [v.hex() for v in sums_one_by_one(values, lengths).tolist()]
+@pytest.mark.parametrize("weights, lengths", [
+    ([1.0, 2.0, 3.0], [2]),       # the third weight in no profile
+    ([1.0, 2.0], [3]),            # a profile past the weights
+    ([1.0, 2.0], [3, -1]),        # a negative length
+    ([1.0, 2.0], [-1, 3]),
+])
+def test_profile_sums_refuses_lengths_that_do_not_lay_out_the_weights(weights, lengths):
+    with pytest.raises(InvalidParamsError, match="profile lengths"):
+        profile_sums(weights, lengths)
+
+
+def test_delay_profiles_total_each_configs_power_shares_in_one_grouped_pass(monkeypatch):
+    calls = []
+
+    def counting(weights, lengths, columns=(), _original=generate.profile_sums):
+        calls.append((len(lengths), len(columns)))
+        return _original(weights, lengths, columns)
+
+    configs = [make_config(label, master_seed=7) for label in SCENARIO_LABELS]
+    monkeypatch.setattr(generate, "profile_sums", counting)
+    profiles = delay_profiles(configs, 0, 40)
+    # each config's drop totals of its clusters and cluster totals of its subpaths
+    assert calls == [(40 + int(p.num_clusters.sum()), 0) for p in profiles]
 
 
 def test_the_link_budget_is_computed_once_per_block(monkeypatch):
@@ -864,6 +873,6 @@ def test_segments_over_128_terms_are_summed_as_numpy_does(monkeypatch):
     for d, expected in enumerate(reference_metrics(block)):
         got = [metrics[name][d] for name in METRIC_NAMES]
         assert [v.hex() for v in got] == [v.hex() for v in expected], d
-    monkeypatch.setattr(generate, "segment_sums", sums_one_by_one)
+    monkeypatch.setattr(generate, "profile_sums", sums_one_by_one)
     for got, want in zip(arrays_of(block), arrays_of(generate_batch(cfg, 0, 24)), strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -88,7 +88,7 @@ def unreferenced_names(sources: dict) -> set:
 PRODUCTS = {"dot", "vdot", "inner", "matmul", "vecdot", "tensordot", "einsum"}
 # (module, top-level function) of the one place a product runs: each
 # profile's dots, grouped by length, on unit-stride gathers
-PRODUCT_HELPER = ("stats.py", "profile_sums")
+PRODUCT_HELPER = ("generate.py", "profile_sums")
 
 
 def products_outside(source: str, helper: str | None = None) -> list:
@@ -116,7 +116,7 @@ def test_products_outside_finds_each_product_but_the_helpers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_products_run_only_in_the_grouped_helper(path):
     # a dot of one profile at a time, or on a strided gather, would come
-    # back here: every sum and dot goes through stats.profile_sums
+    # back here: every sum and dot goes through generate.profile_sums
     module, helper = PRODUCT_HELPER
     assert products_outside(path.read_text(encoding="utf-8"),
                             helper if path.name == module else None) == []

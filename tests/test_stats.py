@@ -10,7 +10,7 @@ import tcslsim as t
 from tcslsim import stats
 from tcslsim.campaign import METRIC_NAMES, run_campaign
 from tcslsim.errors import InvalidParamsError
-from tcslsim.generate import BLOCK_DROPS, generate_batch
+from tcslsim.generate import BLOCK_DROPS, generate_batch, profile_sums
 from tcslsim.stats import GRID_CELLS, PowerAngularSpectrum, delay_spreads, drop_metrics, summarize
 
 from conftest import (
@@ -291,7 +291,7 @@ def test_grouped_dots_equal_each_slices_dot_in_every_bit(seed):
     # the last two are views that step over every other value
     columns = (wide_values(rng, size), wide_complex(rng, size),
                np.repeat(wide_values(rng, size), 2)[::2], np.repeat(wide_complex(rng, size), 2)[::2])
-    totals, dots = stats.profile_sums(weights, lengths, columns)
+    totals, dots = profile_sums(weights, lengths, columns)
     assert [d.dtype for d in dots] == [np.float64, np.complex128] * 2
     starts = np.cumsum(lengths) - lengths
     for i, (a, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
@@ -303,18 +303,38 @@ def test_grouped_dots_equal_each_slices_dot_in_every_bit(seed):
             assert hex_of(got[i]) == hex_of(want), (i, n, x.dtype)
 
 
+def pinned_magnitudes(rng, size, magnitudes):
+    """Floats of `wide_values`, or decimal magnitudes: `wide` 1e-300 to
+    1e300, `signed` those of either sign with some -0.0, `fractions`
+    power shares from 1e-6 to 1."""
+    if magnitudes == "binary":
+        return wide_values(rng, size)
+    if magnitudes == "fractions":
+        return rng.uniform(0.0, 1.0, size) * 10.0 ** rng.uniform(-6, 0, size)
+    values = rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-300, 300, size)
+    if magnitudes == "signed":
+        values *= rng.choice([-1.0, 1.0], size)
+        values[rng.random(size) < 0.05] = -0.0
+    return values
+
+
 @pytest.mark.parametrize("lead", [0, 1, 3, 5, 8, 13])
 def test_grouped_row_sums_equal_each_slices_sum_in_every_bit(lead):
-    # every length 0-200, each three times at offsets the shuffle and a
-    # leading profile of `lead` terms vary
+    # pins numpy's summation order, on which replay depends: every
+    # length 0-200, each three times, and lengths 1-40, each in a group
+    # of 300-1,000 rows, at offsets the shuffle and a leading profile of
+    # `lead` terms vary
     rng = np.random.default_rng(100 + lead)
-    lengths = np.append(lead, shuffled_lengths(rng, dict.fromkeys(range(201), 3)))
-    weights = wide_values(rng, int(lengths.sum()))
-    totals, dots = stats.profile_sums(weights, lengths, ())
-    assert dots == []
+    groups = {**dict.fromkeys(range(201), 3),
+              **{n: int(rng.integers(300, 1001)) for n in range(1, 41)}}
+    lengths = np.append(lead, shuffled_lengths(rng, groups))
     starts = np.cumsum(lengths) - lengths
-    assert ([v.hex() for v in totals.tolist()]
-            == [weights[a:a + n].sum().hex() for a, n in zip(starts.tolist(), lengths.tolist())])
+    for magnitudes in ("binary", "wide", "signed", "fractions"):
+        weights = pinned_magnitudes(rng, int(lengths.sum()), magnitudes)
+        totals, dots = profile_sums(weights, lengths)
+        assert dots == []
+        assert ([v.hex() for v in totals.tolist()]
+                == [weights[a:a + n].sum().hex() for a, n in zip(starts.tolist(), lengths.tolist())])
 
 
 def test_each_block_is_reduced_in_one_grouped_pass(monkeypatch):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expm1, gammaln, ndtr, xlogy
 
 from .errors import InvalidParamsError
-from .generate import profile_sums
+from .randcore import phasors, profile_sums
 from .stats import AZ_CELLS, EL_CELLS, GRID_CELLS, PowerAngularSpectrum
 
 
@@ -136,7 +136,7 @@ class LobeSet:
         sizes = np.bincount(component)
         # each lobe's power, its weighted elevations and its resultant, all lobes at once
         totals, (el_sums, resultants) = profile_sums(
-            power[order], sizes, (el_deg[order], np.exp(1j * np.deg2rad(az_deg[order]))))
+            power[order], sizes, (el_deg[order], phasors(az_deg[order])))
         lobes = []
         for i, members in enumerate(np.split(order, np.cumsum(sizes)[:-1])):
             peak_cell = cells[members[np.argmax(power[members])]]

@@ -72,6 +72,7 @@ import numpy as np
 from . import __version__
 from .generate import BLOCK_DROPS, SIDES, DropBlock, delay_profiles, generate_batch, ragged
 from .pathloss import fspl_1m
+from .randcore import log10
 from .scenario import ALL_SCENARIOS, SimConfig, validate_config
 from .stats import GRID_CELLS, METRIC_NAMES, build_pas, delay_spreads, drop_metrics, summarize
 
@@ -193,7 +194,7 @@ def _pdp_rows(block: DropBlock) -> str:
     _, cluster, subpath_number = ragged(block.cluster_sizes())
     cluster_number = ragged(block.num_clusters)[2]
     with np.errstate(divide="ignore"):  # a share that underflowed to 0 mW is -inf dBm
-        powers_dbm = 10.0 * np.log10(powers)
+        powers_dbm = 10.0 * log10(powers)
     columns = zip(np.repeat(block.drop_index, per_drop).tolist(),
                   (cluster_number[cluster] + 1).tolist(), (subpath_number + 1).tolist(),
                   *(map(CSV_FLOAT.format, c.tolist()) for c in (

@@ -244,8 +244,9 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
 
     One np.loadtxt pass parses the file, and the rules past it are
     checked as arrays; only a file that breaks one is walked line by
-    line, to raise a ValueError naming its first bad line. A file that
-    parsed row for line is walked from the first row a rule flags.
+    line, to raise a ValueError naming its first bad line, from the first
+    row a rule flags in the longest run of first rows that parses row for
+    line (the whole file, or else bisected) or from the row after it.
     """
     lines = numbered_lines(path)
     header = next(lines, (1, ""))[1].strip().split(",")
@@ -255,25 +256,45 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
     dtype = [(f"f{i}", "U1") for i in range(len(header))]
     for name, kind in columns.items():
         dtype[header.index(name)] = (name, _KINDS[kind][0])
+    body, block = "", None
     try:
         body = path.read_text(encoding="utf-8").partition("\n")[2]
         block = (_loadtxt(path, dtype=dtype, skiprows=1) if body.strip("\n")
                  else np.zeros(0, dtype))  # np.loadtxt warns of a file of blank lines
-    except ValueError:  # a byte that is not UTF-8 too
-        body, block = "", None
+    except ValueError:  # a row np.loadtxt does not parse, or a byte that is not UTF-8
+        pass
     # np.loadtxt skips a blank line, and a str field drops trailing NULs
-    if (block is not None and len(block) == body.count("\n") + bool(body) - body.endswith("\n")
-            and "\x00" not in body):
-        kept = np.ones(len(block), bool)  # row i is the i-th line after the header
-        for name, kind in columns.items():
-            kept &= _KINDS[kind][1](block[name])
-        for name, (low, high) in bounds.items():
-            kept &= (block[name] >= low) & (block[name] <= high)
-        if kept.all():
-            return [block[name] for name in columns]
-        lines = islice(lines, kept.argmin(), None)  # the rows before pass every rule
-    _first_bad_line(path, lines, header, columns, bounds)
+    whole = (block is not None and "\x00" not in body
+             and len(block) == body.count("\n") + bool(body) - body.endswith("\n"))
+    prefix = block if whole else _parsed_prefix(body, dtype)
+    kept = np.ones(len(prefix), bool)  # row i is the i-th line after the header
+    for name, kind in columns.items():
+        kept &= _KINDS[kind][1](prefix[name])
+    for name, (low, high) in bounds.items():
+        kept &= (prefix[name] >= low) & (prefix[name] <= high)
+    if kept.all() and whole:
+        return [block[name] for name in columns]
+    _first_bad_line(path, islice(lines, len(prefix) if kept.all() else kept.argmin(), None),
+                    header, columns, bounds)
     return [block[name] for name in columns]
+
+
+def _parsed_prefix(body: str, dtype) -> np.ndarray:
+    """As one array, the longest run of `body`'s first rows that holds
+    no blank row and no NUL and that np.loadtxt parses row for row,
+    found by bisection: rows[:good] parse, rows[:bad] do not."""
+    rows = body.removesuffix("\n").split("\n")
+    good, prefix = 0, np.zeros(0, dtype)
+    bad = next((i for i, row in enumerate(rows) if not row or "\x00" in row), len(rows)) + 1
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            prefix = _loadtxt(rows[:mid], dtype=dtype)
+        except ValueError:
+            bad = mid
+        else:
+            good = mid
+    return prefix
 
 
 def _first_bad_line(path: Path, lines, header: list, columns: dict, bounds: dict) -> None:

@@ -8,8 +8,7 @@ perturb the values produced by earlier ones.
 
 `generate_batch` draws a block of consecutive drops from one key
 derivation (`derive_keys`) in three stages, each one Philox call over
-the block's streams (`randcore`) followed by CDF inversions; for several
-configs of one seed, `generate_batches` makes each call serve them all:
+the block's streams (`randcore`) followed by CDF inversions:
 
     1. per drop: num_clusters, shadow, num_lobes (AOD, then AOA) and
        distance (ranged configs only);
@@ -32,7 +31,8 @@ arrays directly, and a single drop (`generate_drop`) is a block of one.
 Powers are stored only as fractions of the total received power. The
 fractions never touch the link budget, so delay- and angle-spread
 statistics computed from them are bit-identical across transmit power
-and distance changes; the mW values are derived.
+and distance changes; the mW values are derived. The exps, powers and
+sums are `randcore`'s primitives, whose table says which are portable.
 """
 
 from __future__ import annotations
@@ -50,10 +50,13 @@ from .randcore import (
     composite_subpath,
     derive_keys,
     discrete_uniform,
+    exp,
+    exp10,
     exponential,
     lognormal,
     normal,
     poisson_shifted,
+    profile_sums,
     stream_uniforms,
     uniform,
 )
@@ -185,81 +188,6 @@ def ragged(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts, segment, np.arange(len(segment)) - np.repeat(starts, lengths)
 
 
-def profile_sums(weights, lengths, columns=()) -> tuple:
-    """`(totals, dots)` of the profiles that are the segments of
-    `lengths` laid end to end in `weights`: each one's total weight,
-    and for each of `columns` (float64 or complex128, as long as
-    `weights`) an array of its dot product with each profile. Every
-    value equals in every bit `.sum()` and `ndarray.dot` of the
-    profile's slices laid contiguous, on which replay depends.
-    Generation's power shares take their totals here, as the metrics
-    take their totals and dots.
-
-    The profiles of one length n are reduced together. One gather lays
-    out the weights, and one `np.take` per dtype that dtype's columns,
-    with the profiles in length order, so the profiles of each length
-    are a (profiles, n) view; the weight rows are summed, and
-    `np.matmul` of each 1 x n weight row by its n x 1 column slice
-    calls BLAS ddot (zdotu) once per pair, from C. The slices are
-    unit-stride along n, as a profile's own slice is: OpenBLAS reads a
-    strided vector with another kernel, whose sums differ in the last
-    bits. Profiles of one term are multiplied, as `ndarray.dot` does
-    (`_product`).
-    """
-    weights = np.asarray(weights, dtype=float)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    columns = [np.asarray(column) for column in columns]
-    if (lengths < 0).any() or lengths.sum() != len(weights):
-        raise InvalidParamsError(f"profile lengths must be >= 0 and sum to {len(weights)}")
-    if any(len(column) != len(weights) for column in columns):
-        raise InvalidParamsError("the columns and the weights differ in length")
-    kinds: dict = {}  # dtype -> the positions of its columns
-    for c, column in enumerate(columns):
-        kinds.setdefault(column.dtype, []).append(c)
-    order = np.argsort(lengths, kind="stable")
-    ordered = lengths[order]
-    ends = np.cumsum(ordered)
-    index = np.arange(len(weights)) + np.repeat(
-        (np.cumsum(lengths) - lengths)[order] - (ends - ordered), ordered)
-    laid = weights[index]
-    stacks = {dtype: np.take(np.array([columns[c] for c in at], dtype), index, axis=1)
-              for dtype, at in kinds.items()}
-    totals = np.empty(len(lengths))
-    sums = {dtype: np.empty((len(at), len(lengths)), dtype) for dtype, at in kinds.items()}
-    # each length's profiles: a to b of `order`, their terms lo to hi of `laid`
-    groups = np.flatnonzero(np.diff(ordered, prepend=-1))
-    bounds = [*(ends - ordered)[groups].tolist(), len(laid)]
-    groups = [*groups.tolist(), len(lengths)]
-    for a, b, lo, hi in zip(groups, groups[1:], bounds, bounds[1:]):
-        n = (hi - lo) // (b - a)
-        rows = laid[lo:hi].reshape(b - a, n)
-        totals[a:b] = rows.sum(axis=1)
-        for dtype, stack in stacks.items():
-            x = stack[:, lo:hi].reshape(len(stack), b - a, n)
-            sums[dtype][:, a:b] = (_product(rows[:, 0].astype(dtype), x[:, :, 0]) if n == 1
-                                   else np.matmul(rows[:, None, :], x[..., None])[..., 0, 0])
-    rank = np.empty_like(order)  # each profile's position in `order`
-    rank[order] = np.arange(len(order))
-    dots = [None] * len(columns)
-    for at, out in zip(kinds.values(), sums.values()):
-        for c, values in zip(at, out[:, rank]):
-            dots[c] = values
-    return totals[rank], dots
-
-
-def _product(a, b) -> np.ndarray:
-    """a * b as `ndarray.dot` gives it for vectors of one term, which it
-    multiplies itself, not by BLAS from 0.0 (0.0 + -0.0 is 0.0); a
-    complex one part by part, as numpy's complex multiply rounds some
-    signed zeros differently."""
-    if a.dtype != complex:
-        return a * b
-    product = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
-    product.real = a.real * b.real - a.imag * b.imag
-    product.imag = a.real * b.imag + a.imag * b.real
-    return product
-
-
 # --- generation ------------------------------------------------------------
 
 def cluster_counts(params: ScenarioParams, u) -> np.ndarray:
@@ -359,20 +287,11 @@ def _stage_uniforms(keys: dict, count: int, layouts: list) -> list:
 
 
 def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
-    """Drops `start` to `start + count - 1` of a validated config as one
-    block: `generate_batches` of that config alone."""
-    return generate_batches((config,), start, count)[0]
-
-
-def generate_batches(configs, start: int, count: int) -> list:
-    """Generate drops `start` to `start + count - 1` of each of several
-    validated configs of one master seed at once, a block per config.
-    Each drop reads only its own streams, from position 0, so it is the
-    same in any block and beside any other configs: the configs advance
-    in lockstep, and each stage makes one Philox call whose streams
-    serve them all. The scenario's parameters, with the config's
-    overrides applied, are resolved once per call. `count` must be at
-    least 1.
+    """Generate drops `start` to `start + count - 1` of a validated
+    config as one block. Each drop reads only its own streams, from
+    position 0, so it is the same in any block. The scenario's
+    parameters, with the config's overrides applied, are resolved once
+    per call. `count` must be at least 1.
 
     Overrides at the edge of the float range can make a delay or its
     square, a power share or an azimuth inf or NaN, which no metric and
@@ -382,15 +301,16 @@ def generate_batches(configs, start: int, count: int) -> list:
     parameters that feed the quantity. Subpath powers that underflow to
     0 and elevations clamped at +/-90 degrees are kept.
     """
-    labels = STREAM_LABELS + ("distance",) * any(c.distance_range() for c in configs)
-    return _lockstep(_drop_block, configs, start, count, labels)
+    labels = STREAM_LABELS + ("distance",) * bool(config.distance_range())
+    return _lockstep(_drop_block, (config,), start, count, labels)[0]
 
 
 def delay_profiles(configs, start: int, count: int) -> list:
     """The delay profile of drops `start` to `start + count - 1` of each
-    config, as `generate_batches` takes them, with its refusals of
-    delays and power shares: equal in every bit to their blocks' arrays,
-    from the six PROFILE_LABELS streams alone."""
+    config, as `generate_batch` takes them, with its refusals of delays
+    and power shares: equal in every bit to their blocks' arrays, from
+    the six PROFILE_LABELS streams alone. The configs, of one seed,
+    advance in lockstep, one Philox call a stage serving them all."""
     return _lockstep(_delay_profile, configs, start, count, PROFILE_LABELS)
 
 
@@ -458,9 +378,9 @@ def _delay_profile(config: SimConfig, start: int, count: int):
                                params.mti)
 
     z_db = normal(u_cluster_power, 0.0, params.sigma_z)
-    raw_cluster = np.exp(-tau / params.gamma_cluster) * 10.0 ** (z_db / 10.0)
+    raw_cluster = exp(-tau / params.gamma_cluster) * exp10(z_db / 10.0)
     u_db = normal(u_subpath_power, 0.0, params.sigma_u)
-    raw_subpath = np.exp(-intra / params.gamma_subpath) * 10.0 ** (u_db / 10.0)
+    raw_subpath = exp(-intra / params.gamma_subpath) * exp10(u_db / 10.0)
     # each drop's total of its clusters, then each cluster's of its subpaths
     totals = profile_sums(np.concatenate((raw_cluster, raw_subpath)),
                           np.concatenate((n_clusters, sizes)))[0]

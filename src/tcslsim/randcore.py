@@ -29,14 +29,26 @@ no generator state, `stream_uniforms` computes the streams of a whole
 block of drops in one vectorized call. Position p depends on the key and
 p alone, so a stream read to n positions starts with its shorter reads:
 one read to the longest length any reader needs serves them all.
+
+Replay's float primitives, whose last bits it depends on, are named at
+the end of this module, and the replay path calls them by these names.
+Each is numpy's, glibc's, scipy's or OpenBLAS's own call, so its bits
+follow the host. Under another CPU's kernels (`NOT_PORTABLE` in
+`tests/test_randcore.py`) these round otherwise, and the rest do not:
+
+    exp, log1p, log10, exp10  numpy's AVX-512 exp, log1p, log10 and power
+    profile_sums dots         OpenBLAS's ddot/zdotu kernel, picked by CPU
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 from scipy.special import ndtri
+
+from .errors import InvalidParamsError
 
 _U_MIN = 2.0**-53  # smallest uniform passed to the normal inverse CDF
 
@@ -144,11 +156,11 @@ def normal(u, mu, sigma):
 
 
 def lognormal(u, mu, sigma):
-    return np.exp(normal(u, mu, sigma))
+    return exp(normal(u, mu, sigma))
 
 
 def exponential(u, mu):
-    return -mu * np.log1p(-u)
+    return -mu * log1p(-u)
 
 
 def uniform(u, a, b):
@@ -166,7 +178,7 @@ def poisson_shifted(u, lam):
     search. A uniform's search also ends once adding the pmf leaves its
     float CDF unchanged, which a uniform just below 1 may never pass."""
     k = np.zeros(u.shape, dtype=np.int64)
-    pmf = np.full(u.shape, np.exp(-lam))
+    pmf = np.full(u.shape, exp(-lam))
     cdf = pmf.copy()
     active = u >= cdf
     while active.any():
@@ -186,5 +198,107 @@ def composite_subpath(u, beta, mu_s):
     out = np.zeros(u.shape, dtype=np.int64)
     tail = u >= (1.0 - beta)
     v = (u[tail] - (1.0 - beta)) / beta
-    out[tail] = np.floor(-mu_s * np.log1p(-np.minimum(v, 1.0 - _U_MIN))).astype(np.int64)
+    out[tail] = np.floor(-mu_s * log1p(-np.minimum(v, 1.0 - _U_MIN))).astype(np.int64)
     return out + 1
+
+
+# --- float primitives: the one place replay's last bits are decided --------
+exp = np.exp
+log1p = np.log1p
+log10 = np.log10
+float_log10 = math.log10
+
+
+def exp10(x):
+    return 10.0 ** x
+
+
+def float_exp10(x: float) -> float:
+    """10.0 ** x by glibc's pow, inf above the float range."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        return math.inf
+
+
+def phasors(angles_deg):
+    return np.exp(1j * np.deg2rad(angles_deg))
+
+
+def log_each(values) -> np.ndarray:
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
+def profile_sums(weights, lengths, columns=()) -> tuple:
+    """`(totals, dots)` of the profiles that are the segments of
+    `lengths` laid end to end in `weights`: each one's total weight,
+    and for each of `columns` (float64 or complex128, as long as
+    `weights`) an array of its dot product with each profile. Every
+    value equals in every bit `.sum()` and `ndarray.dot` of the
+    profile's slices laid contiguous, on which replay depends.
+    Generation's power shares take their totals here, as the metrics
+    take their totals and dots.
+
+    The profiles of one length n are reduced together. One gather lays
+    out the weights, and one `np.take` per dtype that dtype's columns,
+    with the profiles in length order, so the profiles of each length
+    are a (profiles, n) view; the weight rows are summed, and
+    `np.matmul` of each 1 x n weight row by its n x 1 column slice
+    calls BLAS ddot (zdotu) once per pair, from C. The slices are
+    unit-stride along n, as a profile's own slice is: OpenBLAS reads a
+    strided vector with another kernel, whose sums differ in the last
+    bits. Profiles of one term are multiplied, as `ndarray.dot` does
+    (`_product`).
+    """
+    weights = np.asarray(weights, dtype=float)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    columns = [np.asarray(column) for column in columns]
+    if (lengths < 0).any() or lengths.sum() != len(weights):
+        raise InvalidParamsError(f"profile lengths must be >= 0 and sum to {len(weights)}")
+    if any(len(column) != len(weights) for column in columns):
+        raise InvalidParamsError("the columns and the weights differ in length")
+    kinds: dict = {}  # dtype -> the positions of its columns
+    for c, column in enumerate(columns):
+        kinds.setdefault(column.dtype, []).append(c)
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    ends = np.cumsum(ordered)
+    index = np.arange(len(weights)) + np.repeat(
+        (np.cumsum(lengths) - lengths)[order] - (ends - ordered), ordered)
+    laid = weights[index]
+    stacks = {dtype: np.take(np.array([columns[c] for c in at], dtype), index, axis=1)
+              for dtype, at in kinds.items()}
+    totals = np.empty(len(lengths))
+    sums = {dtype: np.empty((len(at), len(lengths)), dtype) for dtype, at in kinds.items()}
+    # each length's profiles: a to b of `order`, their terms lo to hi of `laid`
+    groups = np.flatnonzero(np.diff(ordered, prepend=-1))
+    bounds = [*(ends - ordered)[groups].tolist(), len(laid)]
+    groups = [*groups.tolist(), len(lengths)]
+    for a, b, lo, hi in zip(groups, groups[1:], bounds, bounds[1:]):
+        n = (hi - lo) // (b - a)
+        rows = laid[lo:hi].reshape(b - a, n)
+        totals[a:b] = rows.sum(axis=1)
+        for dtype, stack in stacks.items():
+            x = stack[:, lo:hi].reshape(len(stack), b - a, n)
+            sums[dtype][:, a:b] = (_product(rows[:, 0].astype(dtype), x[:, :, 0]) if n == 1
+                                   else np.matmul(rows[:, None, :], x[..., None])[..., 0, 0])
+    rank = np.empty_like(order)  # each profile's position in `order`
+    rank[order] = np.arange(len(order))
+    dots = [None] * len(columns)
+    for at, out in zip(kinds.values(), sums.values()):
+        for c, values in zip(at, out[:, rank]):
+            dots[c] = values
+    return totals[rank], dots
+
+
+def _product(a, b) -> np.ndarray:
+    """a * b as `ndarray.dot` gives it for vectors of one term, which it
+    multiplies itself, not by BLAS from 0.0 (0.0 + -0.0 is 0.0); a
+    complex one part by part, as numpy's complex multiply rounds some
+    signed zeros differently."""
+    if a.dtype != complex:
+        return a * b
+    product = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
+    product.real = a.real * b.real - a.imag * b.imag
+    product.imag = a.real * b.imag + a.imag * b.real
+    return product

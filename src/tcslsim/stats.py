@@ -8,7 +8,7 @@ A `PowerAngularSpectrum` holds sparse angular spectra of one side: one
 per drop of a block (`build_pas`), or one per drop of an exported file.
 
 Each spread of a profile is its total weight, a few dot products and
-arithmetic on them. `generate.profile_sums`, which also totals
+arithmetic on them. `randcore.profile_sums`, which also totals
 generation's power shares, reduces all profiles of a block at once,
 grouped by length, each total and dot equal in every bit to the
 profile's own `.sum()` and `ndarray.dot`. Everything after the sums
@@ -19,21 +19,21 @@ per drop, and `drop_metrics` (records and files) six, the two plus four
 of the phasors of the angle columns. `rms_delay_spread` and
 `circular_angular_spread` are the one-profile case of the same code.
 
-Replay depends on the exact primitives. The magnitude of a complex
-resultant is the `np.abs` ufunc; builtin `abs` on a numpy complex takes
-another hypot. The log is glibc's `math.log`, one value at a time;
-`np.log` rounds some inputs differently.
+Replay depends on the exact primitives: the sums, phasors and logs are
+`randcore`'s, whose table says which give the same bits on every host.
+The magnitude of a complex resultant is the `np.abs` ufunc; builtin
+`abs` on a numpy complex takes another hypot.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParamsError
-from .generate import DelayProfile, DropBlock, profile_sums
+from .generate import DelayProfile, DropBlock
+from .randcore import log_each, phasors, profile_sums
 
 AZ_CELLS = 360
 EL_CELLS = 181  # -90 .. +90 inclusive at 1 degree
@@ -134,12 +134,8 @@ def circular_angular_spread(angles_deg, powers) -> float:
     weights = np.asarray(powers, dtype=float)
     if angles.size == 0 or weights.size == 0:
         raise InvalidParamsError("no angles")
-    totals, (resultants,) = _reduce(weights, [len(weights)], (_phasors(angles),))
+    totals, (resultants,) = _reduce(weights, [len(weights)], (phasors(angles),))
     return _angular_spreads(totals, resultants).item()
-
-
-def _phasors(angles_deg: np.ndarray) -> np.ndarray:
-    return np.exp(1j * np.deg2rad(angles_deg))
 
 
 def _angular_spreads(totals, resultants) -> np.ndarray:
@@ -150,8 +146,7 @@ def _angular_spreads(totals, resultants) -> np.ndarray:
     # a single direction may round above 1; its log is taken of 1.0 so no
     # square root of a negative runs
     magnitude = np.where(single, 1.0, np.where(magnitude < 1e-12, 1e-12, magnitude))
-    logs = np.fromiter(map(math.log, magnitude.tolist()), float, len(magnitude))
-    return np.where(single, 0.0, np.degrees(np.sqrt(-2.0 * logs)))
+    return np.where(single, 0.0, np.degrees(np.sqrt(-2.0 * log_each(magnitude))))
 
 
 def delay_spreads(profiles: list[DelayProfile]) -> list:
@@ -181,15 +176,13 @@ def drop_metrics(block: DropBlock) -> dict:
     `delay_spreads`, and four of the power fractions with the unit
     phasors of the drop's angle columns, which share one gather a
     length. Everything after the sums runs once over the block, element
-    by element, with the `np.abs` ufunc and glibc's `math.log` as the
-    primitives whose bits replay depends on; every value equals that of
-    the one-profile functions.
+    by element; every value equals that of the one-profile functions.
     """
     delays = block.excess_delays_ns()
     # as_aod_az_deg: the block's aod_az_deg
-    phasors = [_phasors(getattr(block, name[3:])) for name in METRIC_NAMES[1:]]
+    angles = [phasors(getattr(block, name[3:])) for name in METRIC_NAMES[1:]]
     totals, dots = _reduce(block.power_fractions, block.num_subpaths,
-                           (delays, delays**2, *phasors))
+                           (delays, delays**2, *angles))
     spreads = [_delay_spreads(totals, dots[:2])]
     spreads += [_angular_spreads(totals, resultants) for resultants in dots[2:]]
     return {name: values.tolist() for name, values in zip(METRIC_NAMES, spreads)}

@@ -104,6 +104,15 @@ def path_loss_ci(frequency_hz, distance_m, ple, shadow_db=0.0):
     return fspl_1m(frequency_hz) + 10.0 * ple * math.log10(distance_m) + shadow_db
 
 
+def dbm_to_mw(power_dbm):
+    """A power in mW, one scalar operation: inf above the float range,
+    0.0 below it. `link_budget`'s received power equals it in every bit."""
+    try:
+        return 10.0 ** (power_dbm / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def reference_links(block):
     """Each drop's drops.jsonl `link` object, by its keys: the drop's
     columns, the block's transmit power and its scenario's frequency

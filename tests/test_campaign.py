@@ -156,7 +156,7 @@ def test_reproduce_computes_no_angular_spread(monkeypatch, workers):
         raise AssertionError("reproduce computed a link budget")
 
     monkeypatch.setattr(stats, "_angular_spreads", refuse)
-    monkeypatch.setattr(stats, "_phasors", refuse)
+    monkeypatch.setattr(stats, "phasors", refuse)
     monkeypatch.setattr(generate, "link_budget", no_link_budget)
     assert campaign.reproduce_report(num_drops=300, workers=workers).to_dict() == expected
 

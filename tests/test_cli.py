@@ -554,3 +554,26 @@ def test_analyze_walks_a_parsed_file_from_its_first_flagged_row(tmp_path, monkey
     assert rc == cli.EXIT_VALIDATION
     assert err == f"error: {path}:5001: el_deg 91 outside -90..90\n"
     assert len(calls) <= 1 + len(cli.PAS_COLUMNS)
+
+
+@pytest.mark.parametrize("last, message", [
+    ("0,aoa,10,x,1e-06", "column el_deg: 'x' is not an int"),
+    ("0,aoa,10,1e-06", "expected 5 fields, got 4"),
+])
+def test_analyze_bisects_to_the_line_a_file_does_not_parse_at(tmp_path, monkeypatch, last,
+                                                               message):
+    # the rows before an unparseable last line are not walked: a
+    # bisection of np.loadtxt passes finds it, then a few parses of it
+    header, row = ANALYZE_INPUTS["--pas"]
+    path = tmp_path / "pas.csv"
+    path.write_text(f"{header}\n" + f"{row}\n" * 4999 + f"{last}\n")
+    calls = []
+
+    def counting(*args, _original=cli._loadtxt, **kwargs):
+        calls.append(args)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_loadtxt", counting)
+    rc, err = _analyze("--pas", path)
+    assert (rc, err) == (cli.EXIT_VALIDATION, f"error: {path}:5001: {message}\n")
+    assert len(calls) <= 50

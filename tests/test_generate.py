@@ -15,22 +15,28 @@ from tcslsim.generate import (
     cluster_delays,
     delay_profiles,
     generate_batch,
-    generate_batches,
     lobe_mean_angles,
     place_cluster_delays,
-    profile_sums,
     ragged,
     sort_from_first,
 )
 from tcslsim.campaign import CSV_FLOAT, DROP_FILES, _jsonl_rows, _pdp_rows
 from tcslsim.errors import ConfigError, InvalidParamsError
 from tcslsim.stats import METRIC_NAMES, drop_metrics
-from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS, dbm_to_mw
-from tcslsim.randcore import RandomStream, composite_subpath, derive_keys, exponential, normal
+from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_NS
+from tcslsim.randcore import (
+    RandomStream,
+    composite_subpath,
+    derive_keys,
+    exponential,
+    normal,
+    profile_sums,
+)
 from tcslsim.scenario import apply_overrides, resolved_params
 
 from conftest import (
     SCENARIO_LABELS,
+    dbm_to_mw,
     drop_slices,
     drops_alone,
     make_config,
@@ -747,20 +753,6 @@ LOCKSTEP_CONFIGS = {
 
 @pytest.mark.parametrize("count", [1, BLOCK_DROPS])
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_CONFIGS))
-def test_lockstep_blocks_equal_each_configs_own_in_every_bit(case, count):
-    configs = [make_config(kwargs.pop("scenario"), master_seed=36, **kwargs)
-               for kwargs in map(dict, LOCKSTEP_CONFIGS[case])]
-    start = 1000 + count
-    blocks = generate_batches(configs, start, count)
-    assert len(blocks) == len(configs)
-    for config, block in zip(configs, blocks):
-        assert block_bits(block) == block_bits(generate_batch(config, start, count))
-    if case == "long beside short":
-        assert blocks[0].num_clusters.sum() > 10 * count == 10 * blocks[1].num_clusters.sum()
-
-
-@pytest.mark.parametrize("count", [1, BLOCK_DROPS])
-@pytest.mark.parametrize("case", sorted(LOCKSTEP_CONFIGS))
 def test_delay_profiles_equal_their_blocks_arrays_in_every_bit(case, count):
     configs = [make_config(kwargs.pop("scenario"), master_seed=38, **kwargs)
                for kwargs in map(dict, LOCKSTEP_CONFIGS[case])]
@@ -772,6 +764,8 @@ def test_delay_profiles_equal_their_blocks_arrays_in_every_bit(case, count):
         assert type(profile) is generate.DelayProfile
         block = block_bits(generate_batch(config, start, count))
         assert block_bits(profile) == {name: block[name] for name in names}
+    if case == "long beside short":
+        assert profiles[0].num_clusters.sum() > 10 * count == 10 * profiles[1].num_clusters.sum()
 
 
 @pytest.mark.parametrize("name", ["mu_rho", "mu_tau", "sigma_z", "sigma_u"])
@@ -789,7 +783,7 @@ def test_lockstep_refuses_configs_of_different_master_seeds():
     configs = [make_config(label, master_seed=seed)
                for label, seed in zip(SCENARIO_LABELS, (41, 42, 41, 40))]
     with pytest.raises(InvalidParamsError, match=r"master seeds \[40, 41, 42\]"):
-        generate_batches(configs, 0, 3)
+        delay_profiles(configs, 0, 3)
 
 
 def test_lockstep_names_the_drop_of_the_config_that_overflows():
@@ -803,7 +797,7 @@ def test_lockstep_names_the_drop_of_the_config_that_overflows():
         generate_batch(bad, start, count)
     assert str(alone.value).startswith("intra-cluster delays of drop ")
     with pytest.raises(InvalidParamsError) as lockstep:
-        generate_batches([good, bad], start, count)
+        delay_profiles([good, bad], start, count)
     assert str(lockstep.value) == str(alone.value)
 
 

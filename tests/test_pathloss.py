@@ -6,9 +6,10 @@ import pytest
 
 import tcslsim as t
 from tcslsim.errors import ConfigError, InvalidParamsError
-from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_S, dbm_to_mw, fspl_1m, link_budget
+from tcslsim.pathloss import SPEED_OF_LIGHT_M_PER_S, fspl_1m, link_budget
+from tcslsim.randcore import float_exp10
 from tcslsim.scenario import resolved_params
-from conftest import make_config, path_loss_ci
+from conftest import dbm_to_mw, make_config, path_loss_ci
 
 
 def friis_1m_db(frequency_hz):
@@ -119,9 +120,9 @@ def test_link_budget_equals_the_scalar_formulas_bit_for_bit(tx_power_dbm):
     assert {type(v) for v in path_loss + rx_dbm + rx_mw} == {float}
 
 
-def test_dbm_to_mw_is_inf_above_and_zero_below_the_float_range():
-    assert dbm_to_mw(4000.0) == math.inf
-    assert dbm_to_mw(-4000.0) == 0.0
+def test_float_exp10_is_inf_above_and_zero_below_the_float_range():
+    assert float_exp10(400.0) == math.inf
+    assert float_exp10(-400.0) == 0.0
 
 
 def test_link_budget_refuses_nothing():

@@ -1,5 +1,11 @@
 import hashlib
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +276,58 @@ def test_sample_scalar_and_vector_types():
     arr = s.sample(normal, 0, 1, size=5)
     assert arr.shape == (5,)
 
+
+# --- portability of replay's float primitives --------------------------------
+
+# settings of a host that change which kernel a primitive runs: numpy
+# without its AVX-512 kernels (glibc's run instead), and OpenBLAS on two
+# older x86-64 kernels
+HOST_SETTINGS = [{}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                 {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Sandybridge"}]
+# the primitives whose bits move under one of them, as the randcore
+# docstring says and why; portable replay (ROADMAP item 1) empties it
+NOT_PORTABLE = {"exp", "log1p", "log10", "exp10", "profile_sums dots"}
+# prints {primitive: sha256 of its outputs} of each randcore primitive
+# over fixed inputs: uniforms of the Philox integer path, whose bits no
+# setting moves
+PRIMITIVE_HASHES = """
+import hashlib, json
+import numpy as np
+from tcslsim import randcore as r
+
+u = r.stream_uniforms(r.derive_keys(31, [0], ["portability"]), [1 << 18])
+few = u[:4096].tolist()
+lengths = np.diff(np.flatnonzero(u < 0.02), prepend=0)  # 1 to a few hundred terms
+w = u[:lengths.sum()]
+totals, dots = r.profile_sums(w, lengths, (w * 40.0, r.phasors(w * 360.0)))
+outputs = {
+    "exp": r.exp(-60.0 * u + 5.0),
+    "log1p": r.log1p(-u),
+    "log10": r.log10(u),
+    "exp10": r.exp10(40.0 * u - 20.0),
+    "ndtri": r.ndtri(u),
+    "phasors": r.phasors(720.0 * u - 360.0),
+    "log_each": r.log_each(u[:65536]),
+    "float_log10": [r.float_log10(v) for v in few],
+    "float_exp10": [r.float_exp10(80.0 * v - 40.0) for v in few],
+    "profile_sums totals": totals,
+    "profile_sums dots": dots,
+}
+print(json.dumps({name: hashlib.sha256(np.asarray(v).tobytes()).hexdigest()
+                  for name, v in outputs.items()}))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the settings name x86-64 CPU features and OpenBLAS kernels")
+def test_only_the_primitives_recorded_not_portable_change_bits_under_another_kernel():
+    src = str(Path(t.__file__).parents[1])
+    hashes = []
+    for setting in HOST_SETTINGS:
+        child = subprocess.run([sys.executable, "-c", PRIMITIVE_HASHES], capture_output=True,
+                               text=True, check=True,
+                               env={**os.environ, "PYTHONPATH": src, **setting})
+        hashes.append(json.loads(child.stdout))
+    assert NOT_PORTABLE <= set(hashes[0])
+    moved = {name for other in hashes[1:] for name in other if other[name] != hashes[0][name]}
+    assert moved <= NOT_PORTABLE, f"{sorted(moved - NOT_PORTABLE)} changed bits"

@@ -1,6 +1,7 @@
 """Checks on the source text of the package."""
 
 import ast
+import fnmatch
 from collections import Counter
 from pathlib import Path
 
@@ -83,43 +84,89 @@ def unreferenced_names(sources: dict) -> set:
             if occurrences[name] == 1 and not (name.startswith("__") and name.endswith("__"))}
 
 
-# numpy's products, each a BLAS call whose bits follow the kernel and
-# the strides it is given
-PRODUCTS = {"dot", "vdot", "inner", "matmul", "vecdot", "tensordot", "einsum"}
-# (module, top-level function) of the one place a product runs: each
-# profile's dots, grouped by length, on unit-stride gathers
-PRODUCT_HELPER = ("generate.py", "profile_sums")
+# the calls whose last bits replay depends on, as fnmatch patterns of
+# the dotted names that reach them ("?" for a receiver that is no name),
+# and "**" (a power whose exponent is not a constant number) and "@"
+PRODUCTS = tuple(f"{receiver}{name}" for receiver in ("", "*.") for name in (
+    "dot", "vdot", "inner", "matmul", "vecdot", "tensordot", "einsum"))
+PRIMITIVES = ("np.exp", "np.log", "np.log[12]*", "np.logaddexp*", "np.power", "math.exp",
+              "math.log*", "math.pow", "pow", "**", "ndtri", "*.ndtri", *PRODUCTS, "@")
+# each module, but randcore, with the primitives it may not name: the
+# replay path none, and the rest no numpy product, each a BLAS call
+# whose bits follow the kernel and the strides it is given. randcore
+# names each primitive once, and the others call it by that name.
+REPLAY_PATH = ("generate.py", "pathloss.py", "campaign.py", "stats.py")
+BANNED = {p.name: PRIMITIVES if p.name in REPLAY_PATH else (*PRODUCTS, "@")
+          for p in SOURCES if p.name != "randcore.py"}
 
 
-def products_outside(source: str, helper: str | None = None) -> list:
-    """Line numbers of the products in `source`, a call of a name or an
-    attribute in PRODUCTS or the @ operator, outside the top-level
-    function `helper`."""
-    tree = ast.parse(source)
-    inside = {id(node) for top in tree.body
-              if isinstance(top, ast.FunctionDef) and top.name == helper for node in ast.walk(top)}
-    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inside and (
-        isinstance(node, ast.Call)
-        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in PRODUCTS
-        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)))
+def dotted(node) -> str:
+    """`np.exp` for the expression np.exp, `?.dot` for (a + b).dot."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return "?"
 
 
-def test_products_outside_finds_each_product_but_the_helpers():
-    source = ("import numpy as np\nfrom numpy import matmul\n\n\n"
-              "def helper(w, x):\n    return np.matmul(w, x) + w.dot(x)\n\n\n"
-              "def other(w, x):\n    y = w.dot(x) + np.dot(w, x)\n    y @= x\n"
-              "    return [matmul(w, x), w @ x, np.einsum('i,i', w, x), np.outer(w, x), w.T]\n")
-    assert products_outside(source, "helper") == [10, 10, 11, 12, 12, 12]
-    assert products_outside(source) == [6, 6, 10, 10, 11, 12, 12, 12]
+def primitives_named(source: str, patterns) -> list:
+    """(line, name) of each place `source` names one of `patterns`: a
+    name or attribute read, called or not, a name imported from numpy
+    (as np.name), math (math.name) or elsewhere, or the operator "@" or
+    "**"; "**" matches only itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            names = [dotted(node)]
+        elif isinstance(node, ast.ImportFrom):
+            module = {"numpy": "np.", "math": "math."}.get(node.module, "")
+            names = [module + alias.name for alias in node.names]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            names = ["@"]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            exponent = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(exponent, ast.UnaryOp):
+                exponent = exponent.operand
+            if not (isinstance(exponent, ast.Constant) and type(exponent.value) in (int, float)):
+                names = ["**"]
+        found += [(node.lineno, name) for name in names if any(
+            name == pattern if pattern == "**" else fnmatch.fnmatchcase(name, pattern)
+            for pattern in patterns)]
+    return sorted(found)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_products_run_only_in_the_grouped_helper(path):
-    # a dot of one profile at a time, or on a strided gather, would come
-    # back here: every sum and dot goes through generate.profile_sums
-    module, helper = PRODUCT_HELPER
-    assert products_outside(path.read_text(encoding="utf-8"),
-                            helper if path.name == module else None) == []
+def test_primitives_named_finds_each_primitive_but_the_allowed():
+    source = ("import math\nimport numpy as np\nfrom numpy import matmul, sqrt\n"
+              "from scipy.special import ndtri\nfrom math import log, pi\n"
+              "from .randcore import exp, exp10\n\n\n"
+              "def f(w, x, n):\n"
+              "    y = np.exp(x) + np.log1p(x) + np.log(x) + np.power(x, n) + exp(x)\n"
+              "    z = math.log10(n) + math.exp(n) + math.pow(n, n) + math.sqrt(n) + exp10(x)\n"
+              "    y @= x\n"
+              "    y **= n\n"
+              "    y = pow(y, n) + np.log2(y) + np.logaddexp(y, x) + np.logspace(0, 1)\n"
+              "    return [x ** 2, x ** -0.5, 10.0 ** x, x ** (n / 2), w.T.dot(x), (w + x).dot(x),\n"
+              "            np.einsum('i,i', w, x), w @ x, map(math.log, n), ndtri(x), sqrt(x),\n"
+              "            np.sqrt(x), np.abs(x), np.outer(w, x), special.ndtri(x), np.logical_and]\n")
+    assert primitives_named(source, PRIMITIVES) == [
+        (3, "np.matmul"), (4, "ndtri"), (5, "math.log"),
+        (10, "np.exp"), (10, "np.log"), (10, "np.log1p"), (10, "np.power"),
+        (11, "math.exp"), (11, "math.log10"), (11, "math.pow"),
+        (12, "@"), (13, "**"), (14, "np.log2"), (14, "np.logaddexp"), (14, "pow"),
+        (15, "**"), (15, "**"), (15, "?.dot"), (15, "w.T.dot"),
+        (16, "@"), (16, "math.log"), (16, "ndtri"), (16, "np.einsum"), (17, "special.ndtri")]
+    assert primitives_named(source, BANNED["analysis.py"]) == [
+        (3, "np.matmul"), (12, "@"), (15, "?.dot"), (15, "w.T.dot"), (16, "@"),
+        (16, "np.einsum")]
+
+
+@pytest.mark.parametrize("name", sorted(BANNED))
+def test_only_randcore_names_a_primitive_whose_bits_replay_depends_on(name):
+    # a primitive called outside randcore, or a dot of one profile at a
+    # time, would come back here: each goes through its randcore name
+    path = Path(tcslsim.__file__).parent / name
+    assert primitives_named(path.read_text(encoding="utf-8"), BANNED[name]) == []
 
 
 def test_unused_imports_finds_a_name_read_nowhere():

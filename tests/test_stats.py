@@ -10,7 +10,8 @@ import tcslsim as t
 from tcslsim import stats
 from tcslsim.campaign import METRIC_NAMES, run_campaign
 from tcslsim.errors import InvalidParamsError
-from tcslsim.generate import BLOCK_DROPS, generate_batch, profile_sums
+from tcslsim.generate import BLOCK_DROPS, generate_batch
+from tcslsim.randcore import profile_sums
 from tcslsim.stats import GRID_CELLS, PowerAngularSpectrum, delay_spreads, drop_metrics, summarize
 
 from conftest import (

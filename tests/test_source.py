@@ -169,6 +169,37 @@ def test_only_randcore_names_a_primitive_whose_bits_replay_depends_on(name):
     assert primitives_named(path.read_text(encoding="utf-8"), BANNED[name]) == []
 
 
+# (module, a call of a randcore primitive in it, the call it replaced,
+# the name the ratchet gives that call) for each call the replay path
+# made before randcore named its primitives
+REPLACED_CALLS = [
+    ("generate.py", "exp(-tau / params.gamma_cluster)",
+     "np.exp(-tau / params.gamma_cluster)", "np.exp"),
+    ("generate.py", "exp10(z_db / 10.0)", "10.0 ** (z_db / 10.0)", "**"),
+    ("generate.py", "exp(-intra / params.gamma_subpath)",
+     "np.exp(-intra / params.gamma_subpath)", "np.exp"),
+    ("generate.py", "exp10(u_db / 10.0)", "10.0 ** (u_db / 10.0)", "**"),
+    ("pathloss.py", "20.0 * float_log10(", "20.0 * math.log10(", "math.log10"),
+    ("pathloss.py", "slope_db * float_log10(distance)", "slope_db * math.log10(distance)",
+     "math.log10"),
+    ("pathloss.py", "float_exp10(dbm / 10.0)", "10.0 ** (dbm / 10.0)", "**"),
+    ("campaign.py", "10.0 * log10(powers)", "10.0 * np.log10(powers)", "np.log10"),
+    ("stats.py", "(phasors(angles),)", "(np.exp(1j * np.deg2rad(angles)),)", "np.exp"),
+    ("stats.py", "log_each(magnitude)",
+     "np.fromiter(map(math.log, magnitude.tolist()), float, len(magnitude))", "math.log"),
+]
+
+
+@pytest.mark.parametrize("name, call, replaced, found", REPLACED_CALLS,
+                         ids=[f"{name}:{call}" for name, call, _, _ in REPLACED_CALLS])
+def test_the_ratchet_finds_each_call_the_primitives_replaced_put_back(name, call, replaced,
+                                                                       found):
+    source = (Path(tcslsim.__file__).parent / name).read_text(encoding="utf-8")
+    assert source.count(call) == 1
+    restored = source.replace(call, replaced)
+    assert [primitive for _, primitive in primitives_named(restored, BANNED[name])] == [found]
+
+
 def test_unused_imports_finds_a_name_read_nowhere():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nnp.f(c)\n"
     assert unused_imports(source) == ["os", "e"]

@@ -18,6 +18,7 @@ from tcslsim.randcore import (
     discrete_uniform,
     exponential,
     lognormal,
+    log10,
     normal,
     poisson_shifted,
     uniform,
@@ -180,6 +181,42 @@ def reference_jsonl_rows(block):
                 {"index": i - offsets[d] + 1, "mean_az_deg": az[i], "mean_el_deg": el[i]}
                 for i in range(offsets[d], offsets[d + 1])]
         rows.append(json.dumps(drop, sort_keys=True) + "\n")
+    return "".join(rows)
+
+
+def reference_pdp_rows(block):
+    """pdp.csv rows of `block`, one subpath at a time in block order:
+    the drop index, the cluster's number in its drop and the subpath's
+    in its cluster (from 1), then its excess and absolute delay (ns),
+    power (mW) and power (dBm, -inf for 0 mW), each float by
+    `format(x, ".9g")`. The writer's bytes must equal these."""
+    excess = block.excess_delays_ns().tolist()
+    powers = block.powers_mw()
+    with np.errstate(divide="ignore"):
+        dbm = (10.0 * log10(powers)).tolist()
+    powers = powers.tolist()
+    starts = [*block.cluster_start.tolist(), int(block.subpath_offsets[-1])]
+    first_cluster = block.cluster_offsets.tolist()
+    rows = []
+    for d, first_arrival in enumerate(block.propagation_delay_ns.tolist()):
+        for c, n in enumerate(range(first_cluster[d], first_cluster[d + 1]), start=1):
+            for k, i in enumerate(range(starts[n], starts[n + 1]), start=1):
+                floats = (excess[i], first_arrival + excess[i], powers[i], dbm[i])
+                rows.append(f"{block.drop_index[d]},{c},{k},"
+                            + ",".join(format(x, ".9g") for x in floats) + "\n")
+    return "".join(rows)
+
+
+def reference_cdf_rows(aggregates):
+    """cdf.csv rows of a campaign's aggregates, one value at a time:
+    each metric's sorted values with their empirical CDF, each float by
+    `format(x, ".9g")`, metrics in METRIC_NAMES order."""
+    rows = []
+    for name in METRIC_NAMES:
+        summary = aggregates[name]
+        for value, prob in zip(summary.cdf_grid.tolist(), summary.cdf_probs.tolist(),
+                               strict=True):
+            rows.append(f"{name},{format(value, '.9g')},{format(prob, '.9g')}\n")
     return "".join(rows)
 
 

@@ -16,8 +16,10 @@ from tcslsim import campaign, cli, generate, stats
 from tcslsim.campaign import (
     CSV_FLOAT,
     DROP_FILES,
+    _cdf_text,
     _jsonl_rows,
     _pas_rows,
+    _pdp_rows,
     config_digest,
     emit_outputs,
     run_campaign,
@@ -30,7 +32,9 @@ from conftest import (
     drop_slices,
     drops_alone,
     make_config,
+    reference_cdf_rows,
     reference_jsonl_rows,
+    reference_pdp_rows,
     reference_reproduce,
 )
 
@@ -279,10 +283,18 @@ def dense_pas_rows(block) -> str:
     return "".join(rows)
 
 
-def test_pas_writer_matches_the_dense_grid_writer(scenario_label):
+# (first drop, drops) of the blocks each writer is checked on: one drop,
+# a whole block, one drop more, and sizes that are no multiple of the
+# drops.jsonl writer's slice of drops
+BLOCK_CASES = ((0, 1), (3, BLOCK_DROPS), (BLOCK_DROPS + 9, BLOCK_DROPS + 1), (11, 65),
+               (17, 100), (0, 200))
+
+
+@pytest.mark.parametrize("start, count", BLOCK_CASES)
+def test_pas_writer_matches_the_dense_grid_writer(scenario_label, start, count):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=41)
-    block = generate_batch(cfg, 0, 200)
-    assert _pas_rows(block) == dense_pas_rows(block)
+    block = generate_batch(cfg, start, count)
+    assert_same_text(_pas_rows(block), dense_pas_rows(block), "pas.csv rows")
 
 
 def per_drop_pas_rows(drop) -> str:
@@ -469,12 +481,33 @@ def assert_reference_jsonl_rows(block):
                      f"drops.jsonl rows of drops {block.drop_index[0]}-{block.drop_index[-1]}")
 
 
+def assert_reference_pdp_rows(block):
+    """`_pdp_rows(block)` equals `reference_pdp_rows(block)`."""
+    assert_same_text(_pdp_rows(block), reference_pdp_rows(block),
+                     f"pdp.csv rows of drops {block.drop_index[0]}-{block.drop_index[-1]}")
+
+
 @pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
 def test_jsonl_writer_matches_json_dumps(scenario_label, distance):
     cfg = make_config(scenario_label, distance_m=distance, master_seed=47)
-    for start, count in ((0, 1), (3, BLOCK_DROPS), (BLOCK_DROPS + 9, BLOCK_DROPS + 1)):
+    for start, count in BLOCK_CASES:
         block = generate_batch(cfg, start, count)
         assert_reference_jsonl_rows(block)
+
+
+@pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
+def test_pdp_writer_matches_the_per_subpath_rows(scenario_label, distance):
+    cfg = make_config(scenario_label, distance_m=distance, master_seed=47)
+    for start, count in BLOCK_CASES:
+        assert_reference_pdp_rows(generate_batch(cfg, start, count))
+
+
+@pytest.mark.parametrize("distance", [10.0, (5.0, 45.0)])
+def test_cdf_writer_matches_the_per_value_rows(scenario_label, distance):
+    for num_drops in (1, BLOCK_DROPS + 1):
+        result = run_campaign(make_config(scenario_label, distance_m=distance,
+                                          num_drops=num_drops, master_seed=47))
+        assert_same_text(_cdf_text(result), reference_cdf_rows(result.aggregates), "cdf.csv")
 
 
 ZERO_SIGMAS = {name: "0" for name in (
@@ -497,6 +530,25 @@ def test_jsonl_writer_matches_json_dumps_at_edge_overrides(label, overrides):
     assert_reference_jsonl_rows(block)
 
 
+@pytest.mark.parametrize("label, overrides", [
+    ("28GHz-NLOS", {"beta_s": "0"}),
+    ("28GHz-LOS", {"n_c_max": "1"}),
+    ("140GHz-NLOS", {"l_aod_max": "1", "l_aoa_max": "1"}),
+    ("28GHz-LOS", ZERO_SIGMAS),
+    ("28GHz-NLOS", {"ple": "310", "sigma_sf": "0"}),
+    ("28GHz-NLOS", {"gamma_cluster": "0.01"}),
+])
+def test_csv_writers_match_their_references_at_edge_overrides(label, overrides):
+    cfg = make_config(label, num_drops=65, master_seed=53, overrides=overrides)
+    block = generate_batch(cfg, 0, 65)
+    assert_reference_pdp_rows(block)
+    assert_same_text(_pas_rows(block), dense_pas_rows(block), "pas.csv rows")
+    if (block.powers_mw() == 0.0).any():  # a share that underflowed: -inf dBm
+        assert ",0,-inf\n" in _pdp_rows(block)
+    result = run_campaign(cfg)
+    assert_same_text(_cdf_text(result), reference_cdf_rows(result.aggregates), "cdf.csv")
+
+
 def test_jsonl_writer_matches_json_dumps_for_an_int_transmit_power():
     block = generate_batch(make_config("140GHz-LOS", tx_power_dbm=30), 0, 20)
     assert block.tx_power_dbm == 30 and isinstance(block.tx_power_dbm, int)
@@ -511,6 +563,7 @@ def test_jsonl_writer_matches_json_dumps_at_any_seed_and_start(seed, start, labe
     block = generate_batch(make_config(label, distance_m=(1.0, 50.0), master_seed=seed),
                            start, 24)
     assert_reference_jsonl_rows(block)
+    assert_reference_pdp_rows(block)
 
 
 def test_summary_config_block_is_the_hashed_payload(tmp_path):

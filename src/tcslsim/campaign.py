@@ -58,10 +58,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -76,7 +78,7 @@ from .randcore import log10
 from .scenario import ALL_SCENARIOS, SimConfig, validate_config
 from .stats import GRID_CELLS, METRIC_NAMES, build_pas, delay_spreads, drop_metrics, summarize
 
-CSV_FLOAT = "{:.9g}"  # 9 significant digits keeps sums within 1e-9 relative
+CSV_FLOAT = "%.9g"  # 9 significant digits keeps sums within 1e-9 relative
 
 
 @dataclass(frozen=True)
@@ -130,59 +132,112 @@ def config_digest(config: SimConfig) -> str:
 # --- per-drop and aggregate file contents -------------------------------------
 
 # Each formatter takes a DropBlock and returns the text of its drops'
-# rows, drop after drop.
+# rows, drop after drop. Values become text in C-level passes: one
+# %-template over a run of rows, filled in from the `.tolist()` of its
+# columns, writes every float of a run at once, and a row's template
+# joins texts already made.
+
+JSONL_SLICE_DROPS = 16  # drops.jsonl is formatted this many drops at a time
+
+# a drops.jsonl cluster, its subpath lists "[%s]", and which of its
+# values is a list, one per subpath, rather than one number
+_CLUSTER = ('{"aoa_az_deg": [%s], "aoa_el_deg": [%s], "aoa_lobe_index": [%s], '
+            '"aod_az_deg": [%s], "aod_el_deg": [%s], "aod_lobe_index": [%s], '
+            '"excess_delay_ns": %r, "index": %d, "intra_delays_ns": [%s], "phase_rad": [%s], '
+            '"power_fraction": %r, "power_mw": %r, "subpath_power_fraction": [%s], '
+            '"subpath_power_mw": [%s]}')
+_PER_SUBPATH = np.array([1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1], bool)
+_LOBE = '{"index": %d, "mean_az_deg": %r, "mean_el_deg": %r}'
+
+
+@functools.cache
+def _cluster_item(size: int) -> str:
+    """The %-template of a drops.jsonl cluster of `size` subpaths."""
+    return _CLUSTER.replace("[%s]", f"[{', '.join(['%r'] * size)}]")
+
+
+def _last_flags(offsets) -> list:
+    """For items laid out in groups that begin at `offsets`, its last
+    entry their count, whether each item is the last of its group."""
+    last = np.zeros(offsets[-1], bool)
+    last[np.asarray(offsets[1:]) - 1] = True
+    return last.tolist()
+
+
+def _group_texts(items, last: list, values) -> list:
+    """The text of each group of items, by the groups' `_last_flags`:
+    each item's %-template in `items` filled in from `values` in turn,
+    joined by ", " within its group. No group is empty."""
+    layout = "".join(map(operator.add, items, map((", ", "\n").__getitem__, last)))
+    return (layout % tuple(values)).split("\n")[:-1]
+
+
+def _interleaved(columns) -> tuple:
+    """The values of `columns`, lists of one length, row after row."""
+    return tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+def _filled(row: str, columns) -> str:
+    """The %-template `row` filled in with each row of `columns`, lists
+    of one length, in one pass."""
+    return (row * len(columns[0])) % _interleaved(columns)
+
 
 def _jsonl_rows(block: DropBlock) -> str:
     # each row is written from templates whose keys are in sorted order,
-    # each float by its repr and each list by str() of Python numbers:
-    # the bytes of json.dumps(sort_keys=True), which the finite values
-    # of a block allow. The short cluster and lobe columns become Python
-    # lists at once, the subpath columns one drop at a time.
-    subpath = (block.aoa_az_deg, block.aoa_el_deg, block.aoa_lobe_index,
-               block.aod_az_deg, block.aod_el_deg, block.aod_lobe_index,
-               block.intra_delays_ns, block.phase_rad, block.power_fractions, block.powers_mw())
-    starts = [*block.cluster_start.tolist(), int(block.subpath_offsets[-1])]
-    delays = block.cluster_delays_ns.tolist()
-    fractions = block.cluster_power_fractions.tolist()
+    # each float by its repr and each list as the reprs of its Python
+    # numbers joined by ", ": the bytes of json.dumps(sort_keys=True),
+    # which the finite values of a block allow. The text is made
+    # JSONL_SLICE_DROPS drops at a time, which bounds what it holds.
+    cluster_starts = [*block.cluster_start.tolist(), int(block.subpath_offsets[-1])]
     first_cluster = block.cluster_offsets.tolist()
-    lobes = [(block.lobe_offsets[side].tolist(), block.lobe_az_deg[side].tolist(),
-              block.lobe_el_deg[side].tolist()) for side in ("aoa", "aod")]
-    scenario, seed = json.dumps(block.scenario.value), block.master_seed
-    band = (f'"frequency_hz": {block.scenario.frequency_hz!r}, '
-            f'"fspl_1m_db": {fspl_1m(block.scenario.frequency_hz)!r}, ')
-    rows = []
-    for d, rx_mw in enumerate(block.rx_power_mw):
-        a, b = first_cluster[d:d + 2]
-        p = starts[a]
-        aoa_az, aoa_el, aoa_lobe, aod_az, aod_el, aod_lobe, intra, phase, share, mw = (
-            values[p:starts[b]].tolist() for values in subpath)
-        clusters = []
-        for n in range(a, b):
-            i, j = starts[n] - p, starts[n + 1] - p
-            clusters.append(
-                f'{{"aoa_az_deg": {aoa_az[i:j]}, "aoa_el_deg": {aoa_el[i:j]}, '
-                f'"aoa_lobe_index": {aoa_lobe[i:j]}, "aod_az_deg": {aod_az[i:j]}, '
-                f'"aod_el_deg": {aod_el[i:j]}, "aod_lobe_index": {aod_lobe[i:j]}, '
-                f'"excess_delay_ns": {delays[n]!r}, "index": {n - a + 1}, '
-                f'"intra_delays_ns": {intra[i:j]}, "phase_rad": {phase[i:j]}, '
-                f'"power_fraction": {fractions[n]!r}, '
-                f'"power_mw": {fractions[n] * rx_mw!r}, '
-                f'"subpath_power_fraction": {share[i:j]}, "subpath_power_mw": {mw[i:j]}}}')
-        aoa_lobes, aod_lobes = (", ".join(
-            f'{{"index": {i - offsets[d] + 1}, "mean_az_deg": {az[i]!r}, '
-            f'"mean_el_deg": {el[i]!r}}}' for i in range(offsets[d], offsets[d + 1]))
-            for offsets, az, el in lobes)
-        rows.append(
-            f'{{"aoa_lobes": [{aoa_lobes}], "aod_lobes": [{aod_lobes}], '
-            f'"clusters": [{", ".join(clusters)}], "distance_m": {block.distance_m[d]!r}, '
-            f'"drop_index": {block.drop_index[d]!r}, "link": {{'
-            f'"distance_m": {block.distance_m[d]!r}, {band}'
-            f'"path_loss_db": {block.path_loss_db[d]!r}, '
-            f'"rx_power_dbm": {block.rx_power_dbm[d]!r}, "rx_power_mw": {rx_mw!r}, '
-            f'"shadow_fading_db": {block.shadow_fading_db[d]!r}, '
-            f'"tx_power_dbm": {block.tx_power_dbm!r}}}, '
-            f'"master_seed": {seed!r}, "scenario": {scenario}}}\n')
-    return "".join(rows)
+    last_cluster = _last_flags(first_cluster)
+    sizes = block.cluster_sizes()
+    # the values of each _CLUSTER field, per subpath or per cluster
+    fields = (block.aoa_az_deg, block.aoa_el_deg, block.aoa_lobe_index, block.aod_az_deg,
+              block.aod_el_deg, block.aod_lobe_index, block.cluster_delays_ns,
+              ragged(block.num_clusters)[2] + 1, block.intra_delays_ns, block.phase_rad,
+              block.cluster_power_fractions,
+              block.cluster_power_fractions * np.repeat(block.rx_power_mw, block.num_clusters),
+              block.power_fractions, block.powers_mw())
+    lobes = [(block.lobe_offsets[side].tolist(), _last_flags(block.lobe_offsets[side]),
+              ragged(np.diff(block.lobe_offsets[side]))[2] + 1, block.lobe_az_deg[side],
+              block.lobe_el_deg[side]) for side in ("aoa", "aod")]
+    row = ('{"aoa_lobes": [%s], "aod_lobes": [%s], "clusters": [%s], "distance_m": %r, '
+           '"drop_index": %r, "link": {"distance_m": %r, '
+           f'"frequency_hz": {block.scenario.frequency_hz!r}, '
+           f'"fspl_1m_db": {fspl_1m(block.scenario.frequency_hz)!r}, '
+           '"path_loss_db": %r, "rx_power_dbm": %r, "rx_power_mw": %r, "shadow_fading_db": %r, '
+           f'"tx_power_dbm": {block.tx_power_dbm!r}}}, "master_seed": {block.master_seed!r}, '
+           f'"scenario": {json.dumps(block.scenario.value)}}}\n')
+    drops = (block.distance_m, block.drop_index, block.distance_m, block.path_loss_db,
+             block.rx_power_dbm, block.rx_power_mw, block.shadow_fading_db)
+
+    def rows(d: int, e: int) -> str:  # of drops d .. e - 1
+        a, b = first_cluster[d], first_cluster[e]
+        p, q = cluster_starts[a], cluster_starts[b]
+        # each cluster's values in the order of its template: a run of
+        # its subpaths' values for a per-subpath field, else one value
+        lengths = np.where(_PER_SUBPATH, sizes[a:b, None], 1)
+        starts = np.cumsum(lengths).reshape(lengths.shape) - lengths
+        cluster, within = ragged(sizes[a:b])[1:]
+        values = np.empty(lengths.sum(), object)
+        for field, (column, per_subpath) in enumerate(zip(fields, _PER_SUBPATH)):
+            if per_subpath:
+                values[starts[cluster, field] + within] = column[p:q]
+            else:
+                values[starts[:, field]] = column[a:b]
+        clusters = _group_texts(map(_cluster_item, sizes[a:b].tolist()), last_cluster[a:b],
+                                values.tolist())
+        lobe_texts = []
+        for offsets, last, *columns in lobes:
+            i, j = offsets[d], offsets[e]
+            lobe_texts.append(_group_texts(itertools.repeat(_LOBE), last[i:j], _interleaved(
+                [column[i:j].tolist() for column in columns])))
+        return _filled(row, [*lobe_texts, clusters, *(column[d:e] for column in drops)])
+
+    return "".join([rows(d, min(d + JSONL_SLICE_DROPS, len(block)))
+                    for d in range(0, len(block), JSONL_SLICE_DROPS)])
 
 
 def _pdp_rows(block: DropBlock) -> str:
@@ -195,26 +250,27 @@ def _pdp_rows(block: DropBlock) -> str:
     cluster_number = ragged(block.num_clusters)[2]
     with np.errstate(divide="ignore"):  # a share that underflowed to 0 mW is -inf dBm
         powers_dbm = 10.0 * log10(powers)
-    columns = zip(np.repeat(block.drop_index, per_drop).tolist(),
-                  (cluster_number[cluster] + 1).tolist(), (subpath_number + 1).tolist(),
-                  *(map(CSV_FLOAT.format, c.tolist()) for c in (
-                      excess, np.repeat(block.propagation_delay_ns, per_drop) + excess,
-                      powers, powers_dbm)))
-    return "".join(f"{d},{c},{k},{e},{a},{p},{db}\n" for d, c, k, e, a, p, db in columns)
+    absolute = np.repeat(block.propagation_delay_ns, per_drop) + excess
+    columns = (np.repeat(block.drop_index, per_drop), cluster_number[cluster] + 1,
+               subpath_number + 1, excess, absolute, powers, powers_dbm)
+    return _filled(f"%d,%d,%d,{CSV_FLOAT},{CSV_FLOAT},{CSV_FLOAT},{CSV_FLOAT}\n",
+                   [c.tolist() for c in columns])
 
 
 def _pas_rows(block: DropBlock) -> str:
-    rows, order = [], []
+    columns = []
     for rank, side in enumerate(SIDES):
         pas = build_pas(block, side)
         occupied = pas.power_mw > 0
         drop = pas.cells[occupied] // GRID_CELLS
-        az, el = (a[occupied].tolist() for a in pas.angles())
-        rows.extend(f"{d},{side},{a},{e},{CSV_FLOAT.format(p)}\n" for d, a, e, p in zip(
-            np.asarray(block.drop_index)[drop].tolist(), az, el, pas.power_mw[occupied].tolist()))
-        order.append(2 * drop + rank)
+        columns.append((2 * drop + rank, np.asarray(block.drop_index)[drop],
+                        np.full(len(drop), rank), *(a[occupied] for a in pas.angles()),
+                        pas.power_mw[occupied]))
+    key, *columns = map(np.concatenate, zip(*columns))
     # each drop's aod rows, then its aoa rows
-    return "".join([rows[i] for i in np.argsort(np.concatenate(order), kind="stable").tolist()])
+    drop_id, rank, az, el, power = (c[np.argsort(key, kind="stable")].tolist() for c in columns)
+    return _filled(f"%d,%s,%d,%d,{CSV_FLOAT}\n",
+                   [drop_id, list(map(SIDES.__getitem__, rank)), az, el, power])
 
 
 def _summary_text(result: CampaignResult) -> str:
@@ -231,10 +287,9 @@ def _summary_text(result: CampaignResult) -> str:
 
 
 def _cdf_text(result: CampaignResult) -> str:
-    return "".join(f"{name},{CSV_FLOAT.format(v)},{CSV_FLOAT.format(p)}\n"
-                   for name in METRIC_NAMES
-                   for v, p in zip(result.aggregates[name].cdf_grid,
-                                   result.aggregates[name].cdf_probs))
+    return "".join(_filled(f"{name},{CSV_FLOAT},{CSV_FLOAT}\n", [
+        result.aggregates[name].cdf_grid.tolist(), result.aggregates[name].cdf_probs.tolist()])
+        for name in METRIC_NAMES)
 
 
 # kind -> (file name, header, text of a block's rows)

@@ -279,7 +279,7 @@ def dense_pas_rows(block) -> str:
             el = np.clip(np.rint(getattr(block, f"{side}_el_deg")[p]).astype(np.int64), -90, 90)
             np.add.at(grid, (az, el + 90), powers[p])
             for a, e in np.argwhere(grid > 0):
-                rows.append(f"{index},{side},{a},{e - 90},{CSV_FLOAT.format(grid[a, e])}\n")
+                rows.append(f"{index},{side},{a},{e - 90},{CSV_FLOAT % grid[a, e]}\n")
     return "".join(rows)
 
 
@@ -305,7 +305,7 @@ def per_drop_pas_rows(drop) -> str:
         pas = t.build_pas(drop, side)
         occupied = pas.power_mw > 0
         az, el = (a[occupied].tolist() for a in pas.angles())
-        rows.extend(f"{drop.drop_index[0]},{side},{a},{e},{CSV_FLOAT.format(p)}\n"
+        rows.extend(f"{drop.drop_index[0]},{side},{a},{e},{CSV_FLOAT % p}\n"
                     for a, e, p in zip(az, el, pas.power_mw[occupied].tolist()))
     return "".join(rows)
 

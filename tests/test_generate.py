@@ -469,7 +469,7 @@ def test_absolute_delay_is_propagation_plus_excess():
     t0 = 30.0 / SPEED_OF_LIGHT_M_PER_NS
     assert drop.propagation_delay_ns.tolist() == pytest.approx([t0], rel=1e-12)
     absolute = [row.split(",")[4] for row in _pdp_rows(drop).splitlines()]  # pdp.csv's column
-    assert absolute == [CSV_FLOAT.format(t0 + tau) for tau in drop.excess_delays_ns().tolist()]
+    assert absolute == [CSV_FLOAT % (t0 + tau) for tau in drop.excess_delays_ns().tolist()]
     expected = np.concatenate([tau + intra for tau, intra in zip(
         drop.cluster_delays_ns, per_cluster(drop, drop.intra_delays_ns))])
     assert np.array_equal(drop.excess_delays_ns(), expected)

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -209,11 +210,24 @@ def _cmd_analyze(args) -> int:
         report["pas"] = _analyze_pas(Path(args.pas), args.slt_db)
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _replace_file(Path(args.out), text + "\n")
         print(f"wrote report: {args.out}")
     else:
         print(text)
     return EXIT_OK
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write `text` to `path` by way of a temporary file in its directory
+    moved into place with os.replace, so that a failed write leaves no
+    partial file and whatever `path` held before intact."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 # the columns `analyze` reads from each exported CSV file, with their
@@ -243,10 +257,12 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
     A str is exactly a side, aoa or aod; a number lies within its bounds.
 
     One np.loadtxt pass parses the file, and the rules past it are
-    checked as arrays; only a file that breaks one is walked line by
-    line, to raise a ValueError naming its first bad line, from the first
-    row a rule flags in the longest run of first rows that parses row for
-    line (the whole file, or else bisected) or from the row after it.
+    checked as arrays, the text of a str field only on a line holding a
+    NUL; only a file that breaks one is walked line by line, to raise a
+    ValueError naming its first bad line, from the first row a rule
+    flags in the longest run of first rows that parses row for line (the
+    whole file, or else found by `_parsed_prefix`) or from the row after
+    it.
     """
     lines = numbered_lines(path)
     header = next(lines, (1, ""))[1].strip().split(",")
@@ -263,8 +279,8 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
                  else np.zeros(0, dtype))  # np.loadtxt warns of a file of blank lines
     except ValueError:  # a row np.loadtxt does not parse, or a byte that is not UTF-8
         pass
-    # np.loadtxt skips a blank line, and a str field drops trailing NULs
-    whole = (block is not None and "\x00" not in body
+    # np.loadtxt skips a blank line
+    whole = (block is not None
              and len(block) == body.count("\n") + bool(body) - body.endswith("\n"))
     prefix = block if whole else _parsed_prefix(body, dtype)
     kept = np.ones(len(prefix), bool)  # row i is the i-th line after the header
@@ -272,6 +288,10 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
         kept &= _KINDS[kind][1](prefix[name])
     for name, (low, high) in bounds.items():
         kept &= (prefix[name] >= low) & (prefix[name] <= high)
+    if "\x00" in body:  # a str field drops trailing NULs: flag a row by its text
+        texts = [header.index(name) for name, kind in columns.items() if kind is str]
+        kept[[i for i, row in enumerate(islice(body.split("\n"), len(prefix)))
+              if "\x00" in row and any("\x00" in row.split(",")[j] for j in texts)]] = False
     if kept.all() and whole:
         return [block[name] for name in columns]
     _first_bad_line(path, islice(lines, len(prefix) if kept.all() else kept.argmin(), None),
@@ -281,26 +301,30 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
 
 def _parsed_prefix(body: str, dtype) -> np.ndarray:
     """As one array, the longest run of `body`'s first rows that holds
-    no blank row and no NUL and that np.loadtxt parses row for row,
-    found by bisection: rows[:good] parse, rows[:bad] do not."""
+    no blank row and that np.loadtxt parses row for row. Rows parse one
+    by one, so it is found chunk by chunk from the end of the last good
+    one, chunks doubling until one fails and then halving within it:
+    rows[:good] parse, rows[:bad] do not, and each row is parsed about
+    twice at most."""
     rows = body.removesuffix("\n").split("\n")
-    good, prefix = 0, np.zeros(0, dtype)
-    bad = next((i for i, row in enumerate(rows) if not row or "\x00" in row), len(rows)) + 1
+    parts, good, step = [np.zeros(0, dtype)], 0, 1
+    bad = next((i for i, row in enumerate(rows) if not row), len(rows)) + 1
     while bad - good > 1:
-        mid = (good + bad) // 2
+        stop = min(good + step, bad - 1)
         try:
-            prefix = _loadtxt(rows[:mid], dtype=dtype)
+            parts.append(_loadtxt(rows[good:stop], dtype=dtype))
         except ValueError:
-            bad = mid
+            bad = stop
         else:
-            good = mid
-    return prefix
+            good = stop
+        step = 2 * step if bad > len(rows) else (bad - good) // 2
+    return np.concatenate(parts)
 
 
 def _first_bad_line(path: Path, lines, header: list, columns: dict, bounds: dict) -> None:
     """Raise the ValueError naming the first of the numbered `lines` that
     breaks a rule of `_read_csv`, checking a row's bounds once all its
-    fields parse; return if none does (a NUL in a column not read)."""
+    fields parse; return if none does."""
     for lineno, line in lines:
         fields = line.removesuffix("\n").split(",")
         if len(fields) != len(header):

@@ -526,6 +526,50 @@ def test_an_io_error_exits_2_and_leaves_nothing(tmp_path, monkeypatch, argv):
     assert (tmp_path / "afile").read_text() == "kept\n"
 
 
+def _analyze_out(path, report):
+    """`analyze --pas path --out report`: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["analyze", "--pas", str(path), "--out", str(report)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _report_dir(tmp_path, old: str):
+    """A pas.csv to analyze and a report path in a directory of its
+    own, where a report holding `old` is already."""
+    header, row = ANALYZE_INPUTS["--pas"]
+    path = tmp_path / "pas.csv"
+    path.write_text(f"{header}\n{row}\n")
+    report = tmp_path / "out" / "report.json"
+    report.parent.mkdir()
+    report.write_text(old)
+    return path, report
+
+
+def test_a_failed_report_write_leaves_the_report_there_intact(tmp_path, monkeypatch):
+    path, report = _report_dir(tmp_path, "kept\n")
+
+    def half_written(self, text, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_written)
+    rc, out, err = _analyze_out(path, report)
+    assert (rc, out) == (cli.EXIT_IO, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert list(report.parent.iterdir()) == [report]
+    assert report.read_text() == "kept\n"
+
+
+def test_a_report_write_replaces_the_report_there_whole(tmp_path):
+    path, report = _report_dir(tmp_path, "old\n")
+    rc, out, err = _analyze_out(path, report)
+    assert (rc, out, err) == (cli.EXIT_OK, f"wrote report: {report}\n", "")
+    assert list(report.parent.iterdir()) == [report]
+    assert json.loads(report.read_text())["pas"]["lobe_counts"]["aoa"]["num_drops"] == 1
+
+
 @pytest.mark.filterwarnings("error")  # as under python -W error
 @pytest.mark.parametrize("override", ["gamma_cluster=0.01", "ple=310"])
 def test_generate_writes_a_zero_mw_subpath_as_minus_inf_dbm(tmp_path, override):
@@ -576,4 +620,53 @@ def test_analyze_bisects_to_the_line_a_file_does_not_parse_at(tmp_path, monkeypa
     monkeypatch.setattr(cli, "_loadtxt", counting)
     rc, err = _analyze("--pas", path)
     assert (rc, err) == (cli.EXIT_VALIDATION, f"error: {path}:5001: {message}\n")
-    assert len(calls) <= 50
+    # the file once, then chunks that double from the first row until
+    # one fails (rows 0 .. 4094 in 12) and halve within it (about
+    # log2(5000 - 4095) more), then the line: each row is parsed about
+    # twice in all
+    assert len(calls) <= 30
+    assert sum(len(args[0]) for args in calls if isinstance(args[0], list)) <= 2 * 5000
+
+
+def _counted_loadtxt(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args, _original=cli._loadtxt, **kwargs):
+        calls.append(args)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_loadtxt", counting)
+    return calls
+
+
+@pytest.mark.parametrize("line", [2, 3000, 5001])
+def test_a_nul_in_a_column_analyze_does_not_read_keeps_the_one_pass(tmp_path, monkeypatch,
+                                                                     line):
+    # np.loadtxt drops a str field's trailing NULs, so only the side
+    # text of a line holding a NUL is looked at; the file is parsed once
+    header, row = ANALYZE_INPUTS["--pas"]
+    rows = [f"{row},note"] * 5000
+    rows[line - 2] = f"{row},\x00"
+    path, plain = tmp_path / "pas.csv", tmp_path / "plain.csv"
+    path.write_text(f"{header},note\n" + "".join(f"{r}\n" for r in rows))
+    plain.write_text(f"{header},note\n" + f"{row},note\n" * 5000)
+    calls = _counted_loadtxt(monkeypatch)
+    arrays = cli._read_csv(path, cli.PAS_COLUMNS, cli.PAS_BOUNDS)
+    assert len(calls) == 1
+    for got, want in zip(arrays, cli._read_csv(plain, cli.PAS_COLUMNS, cli.PAS_BOUNDS),
+                         strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("side", ["aoa\x00", "aod\x00\x00", "\x00aoa"])
+def test_a_nul_in_the_side_of_a_long_file_names_its_line(tmp_path, monkeypatch, side):
+    header, row = ANALYZE_INPUTS["--pas"]
+    rows = [row] * 5000
+    rows[2998] = row.replace("aoa", side)
+    path = tmp_path / "pas.csv"
+    path.write_text(f"{header}\n" + "".join(f"{r}\n" for r in rows))
+    calls = _counted_loadtxt(monkeypatch)
+    rc, err = _analyze("--pas", path)
+    assert (rc, err) == (cli.EXIT_VALIDATION,
+                         f"error: {path}:3000: column side: {side!r} is not aoa or aod\n")
+    assert len(calls) <= 1 + len(cli.PAS_COLUMNS)

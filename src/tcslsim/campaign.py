@@ -65,6 +65,7 @@ import json
 import multiprocessing
 import operator
 import os
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -139,14 +140,14 @@ def config_digest(config: SimConfig) -> str:
 
 JSONL_SLICE_DROPS = 16  # drops.jsonl is formatted this many drops at a time
 
-# a drops.jsonl cluster, its subpath lists "[%s]", and which of its
-# values is a list, one per subpath, rather than one number
+# a drops.jsonl cluster, each list of one value per subpath as "[%s]",
+# and which of its fields, in order, is such a list
 _CLUSTER = ('{"aoa_az_deg": [%s], "aoa_el_deg": [%s], "aoa_lobe_index": [%s], '
             '"aod_az_deg": [%s], "aod_el_deg": [%s], "aod_lobe_index": [%s], '
             '"excess_delay_ns": %r, "index": %d, "intra_delays_ns": [%s], "phase_rad": [%s], '
             '"power_fraction": %r, "power_mw": %r, "subpath_power_fraction": [%s], '
             '"subpath_power_mw": [%s]}')
-_PER_SUBPATH = np.array([1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1], bool)
+_PER_SUBPATH = np.array([spec == "[%s]" for spec in re.findall(r"\[%s\]|%[rd]", _CLUSTER)])
 _LOBE = '{"index": %d, "mean_az_deg": %r, "mean_el_deg": %r}'
 
 

@@ -543,8 +543,10 @@ def test_csv_writers_match_their_references_at_edge_overrides(label, overrides):
     block = generate_batch(cfg, 0, 65)
     assert_reference_pdp_rows(block)
     assert_same_text(_pas_rows(block), dense_pas_rows(block), "pas.csv rows")
-    if (block.powers_mw() == 0.0).any():  # a share that underflowed: -inf dBm
-        assert ",0,-inf\n" in _pdp_rows(block)
+    # a share that underflows to 0 mW is written as -inf dBm
+    underflows = "ple" in overrides or "gamma_cluster" in overrides
+    assert (block.powers_mw() == 0.0).any() == underflows
+    assert (",0,-inf\n" in _pdp_rows(block)) == underflows
     result = run_campaign(cfg)
     assert_same_text(_cdf_text(result), reference_cdf_rows(result.aggregates), "cdf.csv")
 

@@ -290,11 +290,12 @@ BLOCK_CASES = ((0, 1), (3, BLOCK_DROPS), (BLOCK_DROPS + 9, BLOCK_DROPS + 1), (11
                (17, 100), (0, 200))
 
 
-@pytest.mark.parametrize("start, count", BLOCK_CASES)
-def test_pas_writer_matches_the_dense_grid_writer(scenario_label, start, count):
+def test_pas_writer_matches_the_dense_grid_writer(scenario_label):
     cfg = make_config(scenario_label, distance_m=(2.0, 40.0), master_seed=41)
-    block = generate_batch(cfg, start, count)
-    assert_same_text(_pas_rows(block), dense_pas_rows(block), "pas.csv rows")
+    for start, count in BLOCK_CASES:
+        block = generate_batch(cfg, start, count)
+        assert_same_text(_pas_rows(block), dense_pas_rows(block),
+                         f"pas.csv rows of drops {start}-{start + count - 1}")
 
 
 def per_drop_pas_rows(drop) -> str:

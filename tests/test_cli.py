@@ -434,6 +434,18 @@ def test_generate_names_the_line_of_an_override_byte_that_is_not_utf8(tmp_path):
     assert err.getvalue() == f"error: {path}:2: byte 0xe9 is not UTF-8\n"
 
 
+
+def test_generate_names_a_bad_override_line_before_an_undecodable_one(tmp_path):
+    path = tmp_path / "o.cfg"
+    path.write_bytes(b"garbage\n# caf\xe9\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["generate", "--scenario", "28GHz-NLOS", "--override-file", str(path),
+                       "--out-dir", str(tmp_path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert err.getvalue() == (f"error: {path}:1: expected key=value, got 'garbage'\n"
+                              f"error: {path}:2: byte 0xe9 is not UTF-8\n")
+
 def _generate(tmp_path, *argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -570,6 +582,15 @@ def test_a_report_write_replaces_the_report_there_whole(tmp_path):
     assert json.loads(report.read_text())["pas"]["lobe_counts"]["aoa"]["num_drops"] == 1
 
 
+
+def test_a_report_into_a_missing_directory_names_the_report(tmp_path):
+    path, _ = _report_dir(tmp_path, "old\n")
+    report = tmp_path / "nodir" / "report.json"
+    rc, out, err = _analyze_out(path, report)
+    assert (rc, out) == (cli.EXIT_IO, "")
+    assert err == f"i/o error: [Errno 2] No such file or directory: {str(report)!r}\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "out", path]
+
 @pytest.mark.filterwarnings("error")  # as under python -W error
 @pytest.mark.parametrize("override", ["gamma_cluster=0.01", "ple=310"])
 def test_generate_writes_a_zero_mw_subpath_as_minus_inf_dbm(tmp_path, override):
@@ -581,12 +602,8 @@ def test_generate_writes_a_zero_mw_subpath_as_minus_inf_dbm(tmp_path, override):
     assert any(row.endswith(",0,-inf") for row in rows)
 
 
-def test_analyze_walks_a_parsed_file_from_its_first_flagged_row(tmp_path, monkeypatch):
-    # a bad value on the last of 5,000 rows costs a few parses of that
-    # line, not one a field of every row before it
-    header, row = ANALYZE_INPUTS["--pas"]
-    path = tmp_path / "pas.csv"
-    path.write_text(f"{header}\n" + f"{row}\n" * 4999 + "0,aoa,10,91,1e-06\n")
+def _counted_loadtxt(monkeypatch) -> list:
+    """The positional arguments of each cli._loadtxt call from now on."""
     calls = []
 
     def counting(*args, _original=cli._loadtxt, **kwargs):
@@ -594,6 +611,16 @@ def test_analyze_walks_a_parsed_file_from_its_first_flagged_row(tmp_path, monkey
         return _original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_loadtxt", counting)
+    return calls
+
+
+def test_analyze_walks_a_parsed_file_from_its_first_flagged_row(tmp_path, monkeypatch):
+    # a bad value on the last of 5,000 rows costs a few parses of that
+    # line, not one a field of every row before it
+    header, row = ANALYZE_INPUTS["--pas"]
+    path = tmp_path / "pas.csv"
+    path.write_text(f"{header}\n" + f"{row}\n" * 4999 + "0,aoa,10,91,1e-06\n")
+    calls = _counted_loadtxt(monkeypatch)
     rc, err = _analyze("--pas", path)
     assert rc == cli.EXIT_VALIDATION
     assert err == f"error: {path}:5001: el_deg 91 outside -90..90\n"
@@ -611,13 +638,7 @@ def test_analyze_bisects_to_the_line_a_file_does_not_parse_at(tmp_path, monkeypa
     header, row = ANALYZE_INPUTS["--pas"]
     path = tmp_path / "pas.csv"
     path.write_text(f"{header}\n" + f"{row}\n" * 4999 + f"{last}\n")
-    calls = []
-
-    def counting(*args, _original=cli._loadtxt, **kwargs):
-        calls.append(args)
-        return _original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "_loadtxt", counting)
+    calls = _counted_loadtxt(monkeypatch)
     rc, err = _analyze("--pas", path)
     assert (rc, err) == (cli.EXIT_VALIDATION, f"error: {path}:5001: {message}\n")
     # the file once, then chunks that double from the first row until
@@ -628,15 +649,19 @@ def test_analyze_bisects_to_the_line_a_file_does_not_parse_at(tmp_path, monkeypa
     assert sum(len(args[0]) for args in calls if isinstance(args[0], list)) <= 2 * 5000
 
 
-def _counted_loadtxt(monkeypatch) -> list:
-    calls = []
-
-    def counting(*args, _original=cli._loadtxt, **kwargs):
-        calls.append(args)
-        return _original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "_loadtxt", counting)
-    return calls
+@pytest.mark.parametrize("last", [b"0,aoa,10,5,1e-06,no\xffte", b"0,aoa,10,5,1e-\xff06,note"])
+def test_a_late_byte_that_is_not_utf8_is_named_without_the_row_walk(tmp_path, monkeypatch,
+                                                                     last):
+    # in a column analyze does not read or in one it parses, the rows
+    # before the bad line are parsed about twice, not walked a field at
+    # a time, and the line is named by its one check
+    header, row = ANALYZE_INPUTS["--pas"]
+    path = tmp_path / "pas.csv"
+    path.write_bytes(f"{header},note\n".encode() + f"{row},note\n".encode() * 4999 + last + b"\n")
+    calls = _counted_loadtxt(monkeypatch)
+    rc, err = _analyze("--pas", path)
+    assert (rc, err) == (cli.EXIT_VALIDATION, f"error: {path}:5001: byte 0xff is not UTF-8\n")
+    assert len(calls) <= 30
 
 
 @pytest.mark.parametrize("line", [2, 3000, 5001])

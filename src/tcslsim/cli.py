@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +36,9 @@ from .scenario import (
     DEFAULT_MTI_NS,
     Scenario,
     SimConfig,
-    numbered_lines,
     params_table,
     parse_override_file,
+    undecodable,
     validate_config,
 )
 from .stats import PowerAngularSpectrum
@@ -225,9 +224,10 @@ def _replace_file(path: Path, text: str) -> None:
     try:
         temp.write_text(text, encoding="utf-8")
         os.replace(temp, path)
-    except BaseException:
+    except OSError as exc:  # named by `path`, not by the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
         temp.unlink(missing_ok=True)
-        raise
 
 
 # the columns `analyze` reads from each exported CSV file, with their
@@ -250,35 +250,34 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
 
     `columns` maps each name to its kind, int, float or str, and
     `bounds` a number column to its (low, high). The grammar is what
-    `generate` writes: a header line naming every column read, then one
-    row a line with the header's field count. An int is what np.loadtxt
-    parses as int64 (ASCII digits, an optional sign), a float is finite
-    as it parses it (ASCII, no `_`), and whitespace may surround either.
-    A str is exactly a side, aoa or aod; a number lies within its bounds.
+    `generate` writes: UTF-8 lines, a header naming every column read,
+    then one row a line with the header's field count. An int is what
+    np.loadtxt parses as int64 (ASCII digits, an optional sign), a float
+    is finite as it parses it (ASCII, no `_`), and whitespace may
+    surround either. A str is exactly aoa or aod; a number is in bounds.
 
-    One np.loadtxt pass parses the file, and the rules past it are
-    checked as arrays, the text of a str field only on a line holding a
-    NUL; only a file that breaks one is walked line by line, to raise a
-    ValueError naming its first bad line, from the first row a rule
-    flags in the longest run of first rows that parses row for line (the
-    whole file, or else found by `_parsed_prefix`) or from the row after
-    it.
+    The text is read once, np.loadtxt parses the file once and the rules
+    past it run as arrays; a row's text is checked only if the file holds
+    a NUL, which a str field drops, or a byte that is not ASCII, which
+    may not be UTF-8 even in a column not read. A ValueError names the
+    first bad line, the first row a rule flags in the longest run of
+    first rows that parses row for line (the whole file or
+    `_parsed_prefix`'s) or the row after it, and checks only that line.
     """
-    lines = numbered_lines(path)
-    header = next(lines, (1, ""))[1].strip().split(",")
-    missing = [name for name in columns if name not in header]
-    if missing:
-        raise ValueError(f"{path}:1: header lacks column(s) {', '.join(missing)}")
+    head, _, body = path.read_text(encoding="utf-8", errors="surrogateescape").partition("\n")
+    header = head.strip().split(",")
+    missing = ", ".join(name for name in columns if name not in header)
+    bad = undecodable(path, 1, head) or missing and f"{path}:1: header lacks column(s) {missing}"
+    if bad:
+        raise ValueError(bad)
     dtype = [(f"f{i}", "U1") for i in range(len(header))]
     for name, kind in columns.items():
         dtype[header.index(name)] = (name, _KINDS[kind][0])
-    body, block = "", None
     try:
-        body = path.read_text(encoding="utf-8").partition("\n")[2]
         block = (_loadtxt(path, dtype=dtype, skiprows=1) if body.strip("\n")
                  else np.zeros(0, dtype))  # np.loadtxt warns of a file of blank lines
     except ValueError:  # a row np.loadtxt does not parse, or a byte that is not UTF-8
-        pass
+        block = None
     # np.loadtxt skips a blank line
     whole = (block is not None
              and len(block) == body.count("\n") + bool(body) - body.endswith("\n"))
@@ -288,15 +287,15 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
         kept &= _KINDS[kind][1](prefix[name])
     for name, (low, high) in bounds.items():
         kept &= (prefix[name] >= low) & (prefix[name] <= high)
-    if "\x00" in body:  # a str field drops trailing NULs: flag a row by its text
+    if "\x00" in body or not body.isascii():
         texts = [header.index(name) for name, kind in columns.items() if kind is str]
-        kept[[i for i, row in enumerate(islice(body.split("\n"), len(prefix)))
-              if "\x00" in row and any("\x00" in row.split(",")[j] for j in texts)]] = False
+        kept[[i for i, row in enumerate(body.split("\n")[:len(prefix)])
+              if undecodable(path, i + 2, row)
+              or "\x00" in row and any("\x00" in row.split(",")[j] for j in texts)]] = False
     if kept.all() and whole:
         return [block[name] for name in columns]
-    _first_bad_line(path, islice(lines, len(prefix) if kept.all() else kept.argmin(), None),
-                    header, columns, bounds)
-    return [block[name] for name in columns]
+    i = len(prefix) if kept.all() else kept.argmin()
+    _first_bad_line(path, i + 2, body.split("\n", i + 1)[i], header, columns, bounds)
 
 
 def _parsed_prefix(body: str, dtype) -> np.ndarray:
@@ -321,29 +320,30 @@ def _parsed_prefix(body: str, dtype) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _first_bad_line(path: Path, lines, header: list, columns: dict, bounds: dict) -> None:
-    """Raise the ValueError naming the first of the numbered `lines` that
-    breaks a rule of `_read_csv`, checking a row's bounds once all its
-    fields parse; return if none does."""
-    for lineno, line in lines:
-        fields = line.removesuffix("\n").split(",")
-        if len(fields) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
-        row = {}
-        for name, kind in columns.items():
-            i = header.index(name)
-            dtype, test, what = _KINDS[kind]
-            try:  # a str is its text; a U array would drop its trailing NULs
-                row[name] = (np.array(fields[i:i + 1], dtype=object) if kind is str
-                             else _loadtxt([line], dtype=dtype, usecols=i))
-                kept = np.all(test(row[name]))
-            except ValueError:
-                kept = False
-            if not kept:
-                raise ValueError(f"{path}:{lineno}: column {name}: {fields[i]!r} is not {what}")
-        for name, (low, high) in bounds.items():
-            if not low <= row[name][0] <= high:
-                raise ValueError(f"{path}:{lineno}: {name} {row[name][0]} outside {low}..{high}")
+def _first_bad_line(path: Path, lineno: int, line: str, header, columns, bounds) -> None:
+    """Raise the ValueError naming line `lineno` of `path`, `line`, by the
+    first rule of `_read_csv` it breaks, in order: UTF-8, the field
+    count, each field, then the bounds once every field parses."""
+    fields = line.split(",")
+    bad = undecodable(path, lineno, line) or (len(fields) != len(header) and (
+        f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}"))
+    if bad:
+        raise ValueError(bad)
+    row = {}
+    for name, kind in columns.items():
+        i = header.index(name)
+        dtype, test, what = _KINDS[kind]
+        try:  # a str is its text; a U array would drop its trailing NULs
+            row[name] = (np.array(fields[i:i + 1], dtype=object) if kind is str
+                         else _loadtxt([line], dtype=dtype, usecols=i))
+            kept = np.all(test(row[name]))
+        except ValueError:
+            kept = False
+        if not kept:
+            raise ValueError(f"{path}:{lineno}: column {name}: {fields[i]!r} is not {what}")
+    for name, (low, high) in bounds.items():
+        if not low <= row[name][0] <= high:
+            raise ValueError(f"{path}:{lineno}: {name} {row[name][0]} outside {low}..{high}")
 
 
 def _analyze_pdp(path: Path, mti_ns: float) -> dict:

@@ -17,7 +17,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from pathlib import PurePath
+from pathlib import Path, PurePath
 from typing import Mapping
 
 from .errors import ConfigError
@@ -265,29 +265,29 @@ def _coerce_field(key: str, raw: object):
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def numbered_lines(path):
-    """Yield (line number from 1, line) for each line of a UTF-8 text
-    file; raise ValueError naming the line of a byte that is not UTF-8."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            bad = not line.isascii() and _UNDECODED.search(line)
-            if bad:
-                raise ValueError(f"{path}:{lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8")
-            yield lineno, line
+def undecodable(path, lineno: int, line: str) -> str | None:
+    """The error naming line `lineno` of `path` if `line`, as read with
+    errors="surrogateescape", holds a byte that is not UTF-8, else None:
+    every line of a text file a user gives is UTF-8."""
+    bad = not line.isascii() and _UNDECODED.search(line)
+    return f"{path}:{lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8" if bad else None
 
 
 def parse_override_file(path) -> dict[str, str]:
     """Read `key = value` lines; '#' starts a comment, blank lines ignored.
-    One ConfigError names every line that is not `key = value`."""
+    One ConfigError names every line that is not UTF-8 or `key = value`."""
     overrides: dict[str, str] = {}
     violations = []
-    for lineno, line in numbered_lines(path):
+    lines = Path(path).read_text(encoding="utf-8", errors="surrogateescape").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
-        if "=" in text:
-            key, value = text.split("=", 1)
+        key, is_set, value = text.partition("=")
+        bad = undecodable(path, lineno, line) or (
+            text and not is_set and f"{path}:{lineno}: expected key=value, got {text!r}")
+        if bad:
+            violations.append(bad)
+        elif is_set:
             overrides[key.strip()] = value.strip()
-        elif text:
-            violations.append(f"{path}:{lineno}: expected key=value, got {text!r}")
     if violations:
         raise ConfigError(*violations)
     return overrides

@@ -258,8 +258,8 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
 
     The text is read once, np.loadtxt parses the file once and the rules
     past it run as arrays; a row's text is checked only if the file holds
-    a NUL, which a str field drops, or a byte that is not ASCII, which
-    may not be UTF-8 even in a column not read. A ValueError names the
+    a NUL, which a str field drops, or a byte that is not UTF-8, which
+    np.loadtxt refuses even in a column not read. A ValueError names the
     first bad line, the first row a rule flags in the longest run of
     first rows that parses row for line (the whole file or
     `_parsed_prefix`'s) or the row after it, and checks only that line.
@@ -287,7 +287,7 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
         kept &= _KINDS[kind][1](prefix[name])
     for name, (low, high) in bounds.items():
         kept &= (prefix[name] >= low) & (prefix[name] <= high)
-    if "\x00" in body or not body.isascii():
+    if "\x00" in body or undecodable(path, 2, body):  # the body as one line
         texts = [header.index(name) for name, kind in columns.items() if kind is str]
         kept[[i for i, row in enumerate(body.split("\n")[:len(prefix)])
               if undecodable(path, i + 2, row)

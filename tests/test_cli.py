@@ -434,7 +434,6 @@ def test_generate_names_the_line_of_an_override_byte_that_is_not_utf8(tmp_path):
     assert err.getvalue() == f"error: {path}:2: byte 0xe9 is not UTF-8\n"
 
 
-
 def test_generate_names_a_bad_override_line_before_an_undecodable_one(tmp_path):
     path = tmp_path / "o.cfg"
     path.write_bytes(b"garbage\n# caf\xe9\n")
@@ -445,6 +444,7 @@ def test_generate_names_a_bad_override_line_before_an_undecodable_one(tmp_path):
     assert rc == cli.EXIT_VALIDATION
     assert err.getvalue() == (f"error: {path}:1: expected key=value, got 'garbage'\n"
                               f"error: {path}:2: byte 0xe9 is not UTF-8\n")
+
 
 def _generate(tmp_path, *argv):
     out, err = io.StringIO(), io.StringIO()
@@ -582,7 +582,6 @@ def test_a_report_write_replaces_the_report_there_whole(tmp_path):
     assert json.loads(report.read_text())["pas"]["lobe_counts"]["aoa"]["num_drops"] == 1
 
 
-
 def test_a_report_into_a_missing_directory_names_the_report(tmp_path):
     path, _ = _report_dir(tmp_path, "old\n")
     report = tmp_path / "nodir" / "report.json"
@@ -590,6 +589,7 @@ def test_a_report_into_a_missing_directory_names_the_report(tmp_path):
     assert (rc, out) == (cli.EXIT_IO, "")
     assert err == f"i/o error: [Errno 2] No such file or directory: {str(report)!r}\n"
     assert sorted(tmp_path.iterdir()) == [tmp_path / "out", path]
+
 
 @pytest.mark.filterwarnings("error")  # as under python -W error
 @pytest.mark.parametrize("override", ["gamma_cluster=0.01", "ple=310"])

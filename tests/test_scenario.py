@@ -366,7 +366,6 @@ def test_override_file_parsing(tmp_path):
         parse_override_file(bad)
 
 
-
 def test_override_file_names_every_bad_line_in_order(tmp_path):
     path = tmp_path / "o.cfg"
     path.write_bytes(b"garbage\n# caf\xe9\nmu_rho = 4.0\nsigma_u\xff = 2\n")
@@ -375,6 +374,7 @@ def test_override_file_names_every_bad_line_in_order(tmp_path):
     assert exc.value.violations == [f"{path}:1: expected key=value, got 'garbage'",
                                     f"{path}:2: byte 0xe9 is not UTF-8",
                                     f"{path}:4: byte 0xff is not UTF-8"]
+
 
 def test_resolved_params_uses_overrides():
     cfg = t.validate_config(t.SimConfig(scenario=t.Scenario.parse("140-los"),

@@ -49,9 +49,12 @@ cluster delay. Delays are in ns, angles in degrees (azimuth from 0 to
 360, elevation from -90 to 90, positive up), phases in radians,
 distances in m, powers in mW or dBm, gains and losses in dB and the
 frequency in Hz; a power fraction is a share of the drop's received
-power. Each float is written as Python's shortest round-trip `repr`
-and every value is finite (`generate_batch` refuses a block
-otherwise), so each row is strict JSON.
+power. Each float is written in the bytes of Python's shortest
+round-trip `repr`, and every value is finite (`generate_batch` refuses
+a block otherwise), so each row is strict JSON. Those bytes come from
+one `orjson.dumps` of each slice of drops (the same shortest digits,
+by Ryu), and from `repr` itself for the magnitudes whose exponent
+orjson lays out otherwise (`_float_texts`).
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .generate import BLOCK_DROPS, SIDES, DropBlock, delay_profiles, generate_batch, ragged
@@ -136,7 +140,11 @@ def config_digest(config: SimConfig) -> str:
 # rows, drop after drop. Values become text in C-level passes: one
 # %-template over a run of rows, filled in from the `.tolist()` of its
 # columns, writes every float of a run at once, and a row's template
-# joins texts already made.
+# joins texts already made. drops.jsonl's floats are texts made before
+# that (`_float_texts`): one `orjson.dumps` of a slice's float columns
+# laid end to end writes their shortest round-trip digits (Ryu), and
+# `repr` writes the few whose layout orjson writes otherwise, so each
+# text is `repr`'s.
 
 JSONL_SLICE_DROPS = 16  # drops.jsonl is formatted this many drops at a time
 
@@ -144,17 +152,38 @@ JSONL_SLICE_DROPS = 16  # drops.jsonl is formatted this many drops at a time
 # and which of its fields, in order, is such a list
 _CLUSTER = ('{"aoa_az_deg": [%s], "aoa_el_deg": [%s], "aoa_lobe_index": [%s], '
             '"aod_az_deg": [%s], "aod_el_deg": [%s], "aod_lobe_index": [%s], '
-            '"excess_delay_ns": %r, "index": %d, "intra_delays_ns": [%s], "phase_rad": [%s], '
-            '"power_fraction": %r, "power_mw": %r, "subpath_power_fraction": [%s], '
+            '"excess_delay_ns": %s, "index": %d, "intra_delays_ns": [%s], "phase_rad": [%s], '
+            '"power_fraction": %s, "power_mw": %s, "subpath_power_fraction": [%s], '
             '"subpath_power_mw": [%s]}')
-_PER_SUBPATH = np.array([spec == "[%s]" for spec in re.findall(r"\[%s\]|%[rd]", _CLUSTER)])
-_LOBE = '{"index": %d, "mean_az_deg": %r, "mean_el_deg": %r}'
+_PER_SUBPATH = np.array([spec == "[%s]" for spec in re.findall(r"\[%s\]|%[sd]", _CLUSTER)])
+_LOBE = '{"index": %d, "mean_az_deg": %s, "mean_el_deg": %s}'
+
+
+def _float_texts(columns) -> list:
+    """The text `repr` writes of each value of `columns`, float arrays
+    of at least one value in all: an object array of str per column.
+
+    orjson writes the same shortest round-trip digits as `repr` but lays
+    out some exponents otherwise: it writes 1e-5 <= |x| < 1e-4 as a
+    decimal, a one-digit exponent unpadded ("1e-6", not "1e-06") and a
+    positive one unsigned ("1e16", not "1e+16"). The values it writes
+    with those exponents, 1e-9 <= |x| < 1e-4 and |x| >= 1e16, take `repr`
+    itself. Those bounds are exact: shortest digits parse back to their
+    double, so a double below a power of ten has digits below it.
+    """
+    flat = np.concatenate(columns)
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    texts = np.array(text[1:-1].split(","), object)
+    size = np.abs(flat)
+    relaid = ((size >= 1e-9) & (size < 1e-4)) | (size >= 1e16)
+    texts[relaid] = [repr(value) for value in flat[relaid].tolist()]
+    return np.split(texts, np.cumsum([len(column) for column in columns[:-1]]))
 
 
 @functools.cache
 def _cluster_item(size: int) -> str:
     """The %-template of a drops.jsonl cluster of `size` subpaths."""
-    return _CLUSTER.replace("[%s]", f"[{', '.join(['%r'] * size)}]")
+    return _CLUSTER.replace("[%s]", f"[{', '.join(['%s'] * size)}]")
 
 
 def _last_flags(offsets) -> list:
@@ -186,8 +215,8 @@ def _filled(row: str, columns) -> str:
 
 def _jsonl_rows(block: DropBlock) -> str:
     # each row is written from templates whose keys are in sorted order,
-    # each float by its repr and each list as the reprs of its Python
-    # numbers joined by ", ": the bytes of json.dumps(sort_keys=True),
+    # each float by its `_float_texts` text and each list as the texts of
+    # its numbers joined by ", ": the bytes of json.dumps(sort_keys=True),
     # which the finite values of a block allow. The text is made
     # JSONL_SLICE_DROPS drops at a time, which bounds what it holds.
     cluster_starts = [*block.cluster_start.tolist(), int(block.subpath_offsets[-1])]
@@ -201,41 +230,53 @@ def _jsonl_rows(block: DropBlock) -> str:
               block.cluster_power_fractions,
               block.cluster_power_fractions * np.repeat(block.rx_power_mw, block.num_clusters),
               block.power_fractions, block.powers_mw())
+    floats = [k for k, column in enumerate(fields) if column.dtype.kind == "f"]
     lobes = [(block.lobe_offsets[side].tolist(), _last_flags(block.lobe_offsets[side]),
-              ragged(np.diff(block.lobe_offsets[side]))[2] + 1, block.lobe_az_deg[side],
-              block.lobe_el_deg[side]) for side in ("aoa", "aod")]
-    row = ('{"aoa_lobes": [%s], "aod_lobes": [%s], "clusters": [%s], "distance_m": %r, '
-           '"drop_index": %r, "link": {"distance_m": %r, '
+              (ragged(np.diff(block.lobe_offsets[side]))[2] + 1).tolist(),
+              block.lobe_az_deg[side], block.lobe_el_deg[side]) for side in ("aoa", "aod")]
+    row = ('{"aoa_lobes": [%s], "aod_lobes": [%s], "clusters": [%s], "distance_m": %s, '
+           '"drop_index": %d, "link": {"distance_m": %s, '
            f'"frequency_hz": {block.scenario.frequency_hz!r}, '
            f'"fspl_1m_db": {fspl_1m(block.scenario.frequency_hz)!r}, '
-           '"path_loss_db": %r, "rx_power_dbm": %r, "rx_power_mw": %r, "shadow_fading_db": %r, '
+           '"path_loss_db": %s, "rx_power_dbm": %s, "rx_power_mw": %s, "shadow_fading_db": %s, '
            f'"tx_power_dbm": {block.tx_power_dbm!r}}}, "master_seed": {block.master_seed!r}, '
            f'"scenario": {json.dumps(block.scenario.value)}}}\n')
-    drops = (block.distance_m, block.drop_index, block.distance_m, block.path_loss_db,
-             block.rx_power_dbm, block.rx_power_mw, block.shadow_fading_db)
+    drops = (block.distance_m, block.path_loss_db, block.rx_power_dbm, block.rx_power_mw,
+             block.shadow_fading_db)
 
     def rows(d: int, e: int) -> str:  # of drops d .. e - 1
         a, b = first_cluster[d], first_cluster[e]
         p, q = cluster_starts[a], cluster_starts[b]
+        columns = [column[p:q] if per_subpath else column[a:b]
+                   for column, per_subpath in zip(fields, _PER_SUBPATH)]
+        runs = [(offsets[d], offsets[e]) for offsets, *_ in lobes]
+        # the texts of the slice's floats, from one call: the float
+        # cluster fields, each side's lobe means and the drop columns
+        texts = iter(_float_texts([*(columns[k] for k in floats),
+                                   *(column[i:j] for (i, j), (*_, az, el) in zip(runs, lobes)
+                                     for column in (az, el)),
+                                   *(column[d:e] for column in drops)]))
+        for k in floats:
+            columns[k] = next(texts)
         # each cluster's values in the order of its template: a run of
         # its subpaths' values for a per-subpath field, else one value
         lengths = np.where(_PER_SUBPATH, sizes[a:b, None], 1)
         starts = np.cumsum(lengths).reshape(lengths.shape) - lengths
         cluster, within = ragged(sizes[a:b])[1:]
         values = np.empty(lengths.sum(), object)
-        for field, (column, per_subpath) in enumerate(zip(fields, _PER_SUBPATH)):
+        for field, (column, per_subpath) in enumerate(zip(columns, _PER_SUBPATH)):
             if per_subpath:
-                values[starts[cluster, field] + within] = column[p:q]
+                values[starts[cluster, field] + within] = column
             else:
-                values[starts[:, field]] = column[a:b]
+                values[starts[:, field]] = column
         clusters = _group_texts(map(_cluster_item, sizes[a:b].tolist()), last_cluster[a:b],
                                 values.tolist())
-        lobe_texts = []
-        for offsets, last, *columns in lobes:
-            i, j = offsets[d], offsets[e]
-            lobe_texts.append(_group_texts(itertools.repeat(_LOBE), last[i:j], _interleaved(
-                [column[i:j].tolist() for column in columns])))
-        return _filled(row, [*lobe_texts, clusters, *(column[d:e] for column in drops)])
+        lobe_texts = [_group_texts(itertools.repeat(_LOBE), last[i:j], _interleaved(
+                          [index[i:j], next(texts).tolist(), next(texts).tolist()]))
+                      for (i, j), (_, last, index, *_) in zip(runs, lobes)]
+        distance, *link = (next(texts).tolist() for _ in drops)
+        return _filled(row, [*lobe_texts, clusters, distance, block.drop_index[d:e], distance,
+                             *link])
 
     return "".join([rows(d, min(d + JSONL_SLICE_DROPS, len(block)))
                     for d in range(0, len(block), JSONL_SLICE_DROPS)])

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from tcslsim.campaign import (
     CSV_FLOAT,
     DROP_FILES,
     _cdf_text,
+    _float_texts,
     _jsonl_rows,
     _pas_rows,
     _pdp_rows,
@@ -473,6 +475,47 @@ def test_clamped_angles_and_vanishing_powers_are_written_as_strict_json(
     else:
         assert {90.0, -90.0} <= {e for d in drops for c in d["clusters"]
                                  for e in c["aod_el_deg"] + c["aoa_el_deg"]}
+
+
+def _edge_floats() -> np.ndarray:
+    """Floats that blocks seldom hold, each of both signs: every power
+    of two and of ten with its neighbours 1 ulp away, both ends of the
+    1e-5 decade, each side of `_float_texts`' handoffs to `repr`, the
+    subnormals' ends and zero."""
+    powers = np.array([2.0 ** k for k in range(-1074, 1024)]
+                      + [float(f"1e{k}") for k in range(-323, 309)])
+    handoffs = np.array([1e-5, 1e-4, 1e-9, 1e16, 9.9e-11, 9.9e15, 5e-324,
+                         2.2250738585072009e-308, 2.2250738585072014e-308,
+                         1.7976931348623157e308])
+    edges = np.concatenate([powers, handoffs, [0.0]])
+    # 1 ulp down of each, and up of each but the largest double and zero
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-2], np.inf)])
+    return np.concatenate([edges, -edges])
+
+
+def _random_floats(count: int, seed: int) -> np.ndarray:
+    """`count` random bit patterns read as doubles, the finite ones."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64, endpoint=False)
+    floats = bits.view(np.float64)
+    return floats[np.isfinite(floats)]
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(_edge_floats, id="edges"),
+    *(pytest.param(functools.partial(_random_floats, 125_000, seed), id=f"random-{seed}")
+      for seed in range(8)),
+])
+def test_float_texts_are_the_reprs_of_the_values(values):
+    """`_float_texts` writes `repr` of every double, whatever orjson
+    writes: a change of its layout outside the handoffs fails here."""
+    values = values()
+    cuts = sorted(np.random.default_rng(len(values)).integers(0, len(values), 5).tolist())
+    columns = np.split(values, [0, *cuts])  # an empty column first
+    texts = _float_texts(columns)
+    assert [len(text) for text in texts] == [len(column) for column in columns]
+    expected = list(map(repr, values.tolist()))
+    got = np.concatenate(texts).tolist()
+    assert got == expected, next((g, e) for g, e in zip(got, expected) if g != e)
 
 
 def assert_reference_jsonl_rows(block):

@@ -2,6 +2,8 @@
 
 import ast
 import fnmatch
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -241,3 +243,37 @@ def test_every_unreferenced_name_is_allowlisted():
     # one that gains a caller or is deleted: take it off the list
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unreferenced_names(sources) == set(UNREFERENCED)
+
+
+def third_party_imports(source: str) -> set:
+    """The top-level packages `source` imports that are neither in the
+    standard library nor its own, its relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__"}
+
+
+def test_third_party_imports_finds_each_package_outside_the_standard_library():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from scipy.special import ndtri\nfrom . import a\nfrom .b import c\n"
+              "def f():\n    import orjson\n")
+    assert third_party_imports(source) == {"numpy", "scipy", "orjson"}
+
+
+def test_the_declared_dependencies_are_the_imported_packages():
+    # a package src/ imports that pyproject.toml does not declare fails
+    # on a clean install, and a declared one that src/ no longer imports
+    # is installed for nothing: each fails here until both lists agree
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(tcslsim.__file__).resolve().parents[2] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dependency)[0].lower().replace("-", "_")
+                for dependency in dependencies}
+    imported = set().union(*(third_party_imports(p.read_text(encoding="utf-8"))
+                             for p in SOURCES))
+    assert imported == declared

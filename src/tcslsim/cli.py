@@ -250,11 +250,12 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
 
     `columns` maps each name to its kind, int, float or str, and
     `bounds` a number column to its (low, high). The grammar is what
-    `generate` writes: UTF-8 lines, a header naming every column read,
-    then one row a line with the header's field count. An int is what
-    np.loadtxt parses as int64 (ASCII digits, an optional sign), a float
-    is finite as it parses it (ASCII, no `_`), and whitespace may
-    surround either. A str is exactly aoa or aod; a number is in bounds.
+    `generate` writes: UTF-8 lines (after an optional byte-order mark),
+    a header naming every column read, then one row a line with the
+    header's field count. An int is what np.loadtxt parses as int64
+    (ASCII digits, an optional sign), a float is finite as it parses it
+    (ASCII, no `_`), and whitespace may surround either. A str is
+    exactly aoa or aod; a number is in bounds.
 
     The text is read once, np.loadtxt parses the file once and the rules
     past it run as arrays; a row's text is checked only if the file holds
@@ -264,7 +265,7 @@ def _read_csv(path: Path, columns: dict, bounds: dict) -> list:
     first rows that parses row for line (the whole file or
     `_parsed_prefix`'s) or the row after it, and checks only that line.
     """
-    head, _, body = path.read_text(encoding="utf-8", errors="surrogateescape").partition("\n")
+    head, _, body = path.read_text(encoding="utf-8-sig", errors="surrogateescape").partition("\n")
     header = head.strip().split(",")
     missing = ", ".join(name for name in columns if name not in header)
     bad = undecodable(path, 1, head) or missing and f"{path}:1: header lacks column(s) {missing}"

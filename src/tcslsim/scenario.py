@@ -274,11 +274,12 @@ def undecodable(path, lineno: int, line: str) -> str | None:
 
 
 def parse_override_file(path) -> dict[str, str]:
-    """Read `key = value` lines; '#' starts a comment, blank lines ignored.
-    One ConfigError names every line that is not UTF-8 or `key = value`."""
+    """Read `key = value` lines; '#' starts a comment, blank lines ignored,
+    and a leading UTF-8 byte-order mark is skipped. One ConfigError names
+    every line that is not UTF-8 or `key = value`."""
     overrides: dict[str, str] = {}
     violations = []
-    lines = Path(path).read_text(encoding="utf-8", errors="surrogateescape").split("\n")
+    lines = Path(path).read_text(encoding="utf-8-sig", errors="surrogateescape").split("\n")
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         key, is_set, value = text.partition("=")

@@ -446,6 +446,28 @@ def test_generate_names_a_bad_override_line_before_an_undecodable_one(tmp_path):
                               f"error: {path}:2: byte 0xe9 is not UTF-8\n")
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_a_leading_byte_order_mark_is_read_as_nothing(tmp_path, bom):
+    """An override file and a pas.csv that begin with a UTF-8 byte-order
+    mark, as editors and spreadsheets often write, read as without it."""
+    ref, run = tmp_path / "ref", tmp_path / "run"
+    override = b"mu_rho = 4.0\nsigma_u = 2.0\n"
+    for out, text in ((ref, override), (run, bom + override)):
+        out.mkdir()
+        (out / "o.cfg").write_bytes(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", "--scenario", "28GHz-NLOS", "--drops", "20",
+                             "--override-file", str(out / "o.cfg"), "--format", "pas,summary",
+                             "--out-dir", str(out)]) == 0
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["config"]["overrides"] == {"mu_rho": "4.0", "sigma_u": "2.0"}
+    assert (run / "pas.csv").read_bytes() == (ref / "pas.csv").read_bytes()
+    (run / "pas.csv").write_bytes(bom + (ref / "pas.csv").read_bytes())
+    for out in (ref, run):
+        assert _analyze_out(out / "pas.csv", out / "report.json")[::2] == (0, "")
+    assert (run / "report.json").read_bytes() == (ref / "report.json").read_bytes()
+
+
 def _generate(tmp_path, *argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -748,6 +748,10 @@ LOCKSTEP_CONFIGS = {
     "long beside short": [dict(scenario="28GHz-NLOS", overrides={"lambda_c": "20"}),
                           dict(scenario="28GHz-LOS", overrides={"n_c_max": "1"}),
                           dict(scenario="140GHz-LOS", overrides={"n_c_max": "1"})],
+    # both cluster-count laws, both cluster-delay families and two void intervals
+    "laws, families and mti": [dict(scenario="28GHz-LOS"),
+                               dict(scenario="140GHz-NLOS", overrides={"mti": "3.5"}),
+                               dict(scenario="28GHz-NLOS", overrides={"beta_s": "1.0"})],
 }
 
 

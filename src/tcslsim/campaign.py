@@ -14,8 +14,9 @@ delay spread reads only a drop's delays and power shares, drawn from
 six streams (`generate.PROFILE_LABELS`: num_clusters, num_subpaths,
 cluster_delay, cluster_power, intra_delay and subpath_power), so
 `reproduce_report` draws only those: `generate.delay_profiles` draws
-each block's profiles for the four scenarios in lockstep, from keys
-derived once for the six labels, with one Philox call per stage. It
+each block's profiles in one pass over the four scenarios' drops laid
+end to end, from keys derived once for the six labels, with one Philox
+call per stage; only the inverse-CDF transforms run per scenario. It
 draws no shadow, lobe, phase or angle and computes no link budget,
 writes no file and builds no DropRecord. Medians of angular spreads
 (ROADMAP item 7) would need the angle streams drawn again, a cost to
@@ -541,7 +542,8 @@ class ReproReport:
 
 def _spread_task(task: tuple) -> list:
     """Each config's RMS delay spreads of the block, from its delay
-    profiles drawn in lockstep and reduced in one grouped pass."""
+    profiles drawn in one pass over the configs' drops laid end to end
+    and reduced in one grouped pass."""
     return delay_spreads(delay_profiles(*task))
 
 
@@ -551,8 +553,9 @@ def reproduce_report(num_drops: int = REPRODUCE_DROPS, master_seed: int = REPROD
     against the reference values, in one pass over blocks of drops. It
     draws only the six streams a delay spread reads (num_clusters,
     num_subpaths, cluster_delay, cluster_power, intra_delay and
-    subpath_power), each block's for all four scenarios in lockstep
-    (`delay_profiles`), and computes delay spreads only, two dot
+    subpath_power), each block's in one pass over the four scenarios'
+    drops laid end to end, with only the inverse-CDF transforms run per
+    scenario (`delay_profiles`), and computes delay spreads only, two dot
     products per drop and scenario; it writes no file and builds no
     DropRecord. A check of angular-spread medians would draw the angle
     streams and call the angular part of `drop_metrics` on purpose, and

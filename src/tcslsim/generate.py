@@ -18,8 +18,10 @@ the block's streams (`randcore`) followed by CDF inversions:
 
 The delays and power shares (`DelayProfile`) read only the six streams
 of PROFILE_LABELS, the first of each stage's list, and are drawn first,
-by one generator body that the block's body drives; `delay_profiles`
-runs that body alone, which is all a delay spread needs.
+by one generator body over the configs' drops laid end to end, config
+after config, in which only the inverse-CDF transforms run per config,
+each on its slice; the block's body drives it with its one config, and
+`delay_profiles` runs it alone, which is all a delay spread needs.
 
 The block is the unit: `generate_batch` returns a `DropBlock`, whose
 per-cluster and per-subpath quantities are flat arrays over the whole
@@ -219,24 +221,25 @@ def sort_from_first(values, lengths) -> np.ndarray:
     return ordered - ordered[starts[segment]]
 
 
-def place_cluster_delays(draws, last_intra_delays, lengths, mti: float) -> np.ndarray:
+def place_cluster_delays(draws, last_intra_delays, lengths, mti) -> np.ndarray:
     """Lay out cluster start times from raw delay draws, the drops'
     clusters end to end, `lengths[d]` of drop d.
 
     Each drop's draws are sorted and re-anchored at the smallest one;
-    cluster n then starts `mti` plus its sorted offset after the last
-    subpath of cluster n-1 (`last_intra_delays` of that cluster after
-    its start), so every inter-cluster gap is at least the void
-    interval. The recurrence keeps its association,
-    `(tau + last) + (mti + delta)`, which replay depends on.
+    cluster n then starts `mti` (one void interval, or one a cluster)
+    plus its sorted offset after the last subpath of cluster n-1
+    (`last_intra_delays` of that cluster after its start), so every
+    inter-cluster gap is at least the void interval. The recurrence keeps
+    its association, `(tau + last) + (mti + delta)`, which replay needs.
     """
     number = ragged(lengths)[2]
     deltas = sort_from_first(draws, lengths)
     last = np.asarray(last_intra_delays, dtype=float)
+    mti = np.broadcast_to(mti, deltas.shape)
     tau = np.zeros_like(deltas)
     for n in range(1, number.max(initial=0) + 1):
         at = np.flatnonzero(number == n)  # cluster n of each drop that has one
-        tau[at] = (tau[at - 1] + last[at - 1]) + (mti + deltas[at])
+        tau[at] = (tau[at - 1] + last[at - 1]) + (mti[at] + deltas[at])
     return tau
 
 
@@ -256,34 +259,34 @@ def lobe_mean_angles(params: ScenarioParams, side: str, counts: np.ndarray,
     return azimuths, elevations
 
 
-def _stage_uniforms(keys: dict, count: int, layouts: list) -> list:
-    """The uniforms of labelled streams of `count` drops for each of
-    `layouts`, from one Philox call over their `keys`. A layout maps a
-    label to the lengths of the runs of draws each drop makes on it, in
-    stream order (an int, or one per drop); returns, per layout and
-    label, one array per run, drop after drop. A (label, drop) stream is
-    computed once, to the longest read, and holds each read as a prefix."""
-    labels = list(dict.fromkeys(label for layout in layouts for label in layout))
-    totals = np.zeros((len(labels), count), dtype=np.int64)  # each stream's longest read
-    for layout in layouts:
-        for label, runs in layout.items():
-            longest = totals[labels.index(label)]
-            np.maximum(longest, sum(runs), out=longest)
-    u = stream_uniforms(np.concatenate([keys[label] for label in labels]), totals.ravel())
-    first = (np.cumsum(totals) - totals.ravel()).reshape(totals.shape)  # each stream's start in u
+def _stage_uniforms(keys: dict, count: int, copies: int, layout: dict) -> list:
+    """The uniforms of labelled streams of `copies` of the block's `count`
+    drops laid end to end (a copy a config), from one Philox call over
+    their `keys`. `layout` maps a label to the lengths of the runs of
+    draws each drop makes on it, in stream order (an int, or one per
+    drop); returns, per label, one array per run, drop after drop. A
+    (label, drop) stream is computed once, to the longest read of its
+    copies, and holds each read as a prefix; equal runs share one index."""
+    totals = np.array([np.broadcast_to(sum(runs), copies * count).reshape(copies, count)
+                       .max(axis=0) for runs in layout.values()])  # each stream's longest read
+    u = stream_uniforms(np.concatenate([keys[label] for label in layout]), totals.ravel())
+    # each stream's start in u, for each drop of every copy
+    firsts = np.tile((np.cumsum(totals) - totals.ravel()).reshape(totals.shape), copies)
+    within = {}  # id of a run's lengths: each draw's index within its drop's run
 
-    def read(label, runs):  # a layout's runs on `label`, each drop after drop
+    def read(first, runs):  # a label's runs, each drop after drop
         out = []
         # a run starts in each drop's stream after the drop's earlier runs
-        for n, start in zip(runs, accumulate(runs[:-1], initial=first[labels.index(label)])):
+        for n, start in zip(runs, accumulate(runs[:-1], initial=first)):
             if np.isscalar(n):  # n draws of every drop
                 out.append(u[(start[:, None] + np.arange(n)).ravel()])
-            else:  # the run's k-th uniform is u[k + start[drop] - earlier drops' draws]
-                ends = np.cumsum(n)
-                out.append(u[np.arange(ends[-1]) + np.repeat(start - ends + n, n)])
+            else:  # a drop's k-th draw of the run is at its start plus k
+                if id(n) not in within:
+                    within[id(n)] = ragged(n)[2]
+                out.append(u[np.repeat(start, n) + within[id(n)]])
         return out
 
-    return [[read(label, runs) for label, runs in layout.items()] for layout in layouts]
+    return [read(first, runs) for first, runs in zip(firsts, layout.values())]
 
 
 def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
@@ -302,67 +305,82 @@ def generate_batch(config: SimConfig, start: int, count: int) -> DropBlock:
     0 and elevations clamped at +/-90 degrees are kept.
     """
     labels = STREAM_LABELS + ("distance",) * bool(config.distance_range())
-    return _lockstep(_drop_block, (config,), start, count, labels)[0]
+    return _lockstep(_drop_block, (config,), start, count, labels)
 
 
 def delay_profiles(configs, start: int, count: int) -> list:
     """The delay profile of drops `start` to `start + count - 1` of each
     config, as `generate_batch` takes them, with its refusals of delays
     and power shares: equal in every bit to their blocks' arrays, from
-    the six PROFILE_LABELS streams alone. The configs, of one seed,
-    advance in lockstep, one Philox call a stage serving them all."""
+    the six PROFILE_LABELS streams alone. The configs, of one seed, are
+    one pass over their drops laid end to end, config after config, one
+    Philox call a stage serving them all; only the inverse-CDF
+    transforms run per config, on its slice."""
     return _lockstep(_delay_profile, configs, start, count, PROFILE_LABELS)
 
 
 @np.errstate(all="ignore")  # what overflows or is undefined is refused at the end
-def _lockstep(body, configs, start: int, count: int, labels) -> list:
-    """What the generator `body(config, start, count)` returns for each
-    config, the bodies advanced in lockstep: each stage's layouts are
-    served by one Philox call over the `labels` streams of the block,
-    whose keys are derived once."""
+def _lockstep(body, configs, start: int, count: int, labels):
+    """What the generator `body(configs, start, count)` returns: one
+    body over the configs' drops laid end to end, whose stage layouts
+    are each served by one Philox call over the `labels` streams of the
+    block, whose keys are derived once."""
     if count < 1:
         raise InvalidParamsError(f"count must be at least 1, got {count}")
+    if not configs:
+        raise InvalidParamsError("no config to generate drops of")
     seeds = {config.master_seed for config in configs}
     if len(seeds) > 1:
         raise InvalidParamsError(f"configs of master seeds {sorted(seeds)} share no stream keys")
     keys = dict(zip(labels, derive_keys(min(seeds), range(start, start + count), labels)
                     .reshape(len(labels), count, 2)))  # {label: the drops' Philox keys}
-    bodies = [body(config, start, count) for config in configs]
-    layouts, results = [next(body) for body in bodies], []
-    while not results:  # the bodies yield alike, so all end at one send
-        uniforms, layouts = _stage_uniforms(keys, count, layouts), []
-        for body, u in zip(bodies, uniforms):
-            try:
-                layouts.append(body.send(u))
-            except StopIteration as end:  # which frees the body's arrays at once
-                results.append(end.value)
-    return results
+    body = body(configs, start, count)
+    layout = next(body)
+    try:
+        while True:
+            layout = body.send(_stage_uniforms(keys, count, len(configs), layout))
+    except StopIteration as end:
+        return end.value
 
 
-def _refuse_unless_finite(start: int, checks) -> None:
-    """Refuse the block at the first (quantity, values, drop of each
-    value, parameters) of `checks` that holds a value not finite."""
-    for quantity, values, drop_of, names in checks:
-        if not np.isfinite(values).all():
-            drop = start + int(drop_of[np.isfinite(values).argmin()])
-            raise InvalidParamsError(f"{quantity} of drop {drop} are not finite; check {names}")
+def _refuse_unless_finite(start: int, count: int, checks) -> None:
+    """Refuse the block at the first config's first (quantity, values,
+    drop of each value, parameters) of `checks` that holds a value not
+    finite. Drop j of the configs' drops laid end to end is drop
+    `start + j % count` of config `j // count`."""
+    found = [(int(drop_of[finite.argmin()]), quantity, names)  # each check's first drop
+             for quantity, values, drop_of, names in checks
+             if not (finite := np.isfinite(values)).all()]
+    if found:
+        drop, quantity, names = min(found, key=lambda check: check[0] // count)
+        raise InvalidParamsError(
+            f"{quantity} of drop {start + drop % count} are not finite; check {names}")
 
 
-def _delay_profile(config: SimConfig, start: int, count: int):
+def _delay_profile(configs, start: int, count: int):
     """A generator that yields each stage's {label: runs} layout of the
-    PROFILE_LABELS streams, is sent its uniforms, and returns the
-    config's DelayProfile."""
-    params = resolved_params(config)
+    PROFILE_LABELS streams of the configs' drops laid end to end, is sent
+    its uniforms, and returns each config's DelayProfile. Only the
+    inverse-CDF transforms run per config, on its slice, with its scalar
+    parameters."""
+    resolved = [resolved_params(config) for config in configs]
+
+    def each(bounds, values, transform):  # transform(params, slice) of each config, end to end
+        return np.concatenate([transform(params, values[a:b])
+                               for params, a, b in zip(resolved, bounds, bounds[1:])])
+
+    drops = list(range(0, len(configs) * count + 1, count))  # each config's first, and the end
 
     # stage 1: one draw per drop
     (u_clusters,), = yield {"num_clusters": [1]}
-    n_clusters = cluster_counts(params, u_clusters)
+    n_clusters = each(drops, u_clusters, cluster_counts)
+    first_cluster, drop_of_cluster, _ = ragged(n_clusters)
+    clusters = np.append(first_cluster, len(drop_of_cluster))[drops].tolist()
 
     # stage 2: per-cluster draws
     (u_sizes,), (u_cluster_delay,), (u_cluster_power,) = yield {
         "num_subpaths": [n_clusters], "cluster_delay": [n_clusters], "cluster_power": [n_clusters]}
-    sizes = composite_subpath(u_sizes, params.beta_s, params.mu_s)
-    first_cluster, drop_of_cluster, _ = ragged(n_clusters)
+    sizes = each(clusters, u_sizes, lambda p, u: composite_subpath(u, p.beta_s, p.mu_s))
     n_subpaths = np.add.reduceat(sizes, first_cluster)
 
     # stage 3: per-subpath draws
@@ -372,39 +390,39 @@ def _delay_profile(config: SimConfig, start: int, count: int):
     # each cluster's intra delays are its own draws, sorted and
     # re-anchored at the cluster's earliest one
     cluster_start, cluster_of, _ = ragged(sizes)
-    intra = sort_from_first(exponential(u_rho, params.mu_rho), sizes)
+    subpaths = np.append(cluster_start, len(cluster_of))[clusters].tolist()
+    intra = sort_from_first(each(subpaths, u_rho, lambda p, u: exponential(u, p.mu_rho)), sizes)
     last_intra = intra[cluster_start + sizes - 1]
-    tau = place_cluster_delays(cluster_delays(params, u_cluster_delay), last_intra, n_clusters,
-                               params.mti)
+    tau = place_cluster_delays(each(clusters, u_cluster_delay, cluster_delays), last_intra,
+                               n_clusters, np.repeat([p.mti for p in resolved], np.diff(clusters)))
 
-    z_db = normal(u_cluster_power, 0.0, params.sigma_z)
-    raw_cluster = exp(-tau / params.gamma_cluster) * exp10(z_db / 10.0)
-    u_db = normal(u_subpath_power, 0.0, params.sigma_u)
-    raw_subpath = exp(-intra / params.gamma_subpath) * exp10(u_db / 10.0)
+    z_db = each(clusters, u_cluster_power, lambda p, u: normal(u, 0.0, p.sigma_z))
+    raw_cluster = each(clusters, tau, lambda params, tau: exp(-tau / params.gamma_cluster))
+    raw_cluster *= exp10(z_db / 10.0)
+    u_db = each(subpaths, u_subpath_power, lambda p, u: normal(u, 0.0, p.sigma_u))
+    raw_subpath = each(subpaths, intra, lambda params, intra: exp(-intra / params.gamma_subpath))
+    raw_subpath *= exp10(u_db / 10.0)
     # each drop's total of its clusters, then each cluster's of its subpaths
     totals = profile_sums(np.concatenate((raw_cluster, raw_subpath)),
                           np.concatenate((n_clusters, sizes)))[0]
     cluster_frac = raw_cluster / totals[drop_of_cluster]
-    power_fractions = cluster_frac[cluster_of] * (raw_subpath / totals[count + cluster_of])
+    power_fractions = cluster_frac[cluster_of] * (raw_subpath / totals[drops[-1] + cluster_of])
 
     first_subpath, drop_of_subpath, _ = ragged(n_subpaths)
     ends = tau + last_intra  # each cluster's last excess delay
-    _refuse_unless_finite(start, (
+    _refuse_unless_finite(start, count, (
         ("intra-cluster delays", intra, drop_of_subpath, "mu_rho"),
         ("squared excess delays", ends * ends, drop_of_cluster,
          "mu_tau, sigma_tau, mti and mu_rho"),
         ("cluster power shares", cluster_frac, drop_of_cluster, "gamma_cluster and sigma_z"),
         ("subpath power shares", power_fractions, drop_of_subpath,
          "gamma_subpath and sigma_u")))
-    return DelayProfile(
-        cluster_offsets=np.append(first_cluster, len(tau)),
-        subpath_offsets=np.append(first_subpath, len(intra)),
-        cluster_start=cluster_start,
-        cluster_delays_ns=tau,
-        cluster_power_fractions=cluster_frac,
-        intra_delays_ns=intra,
-        power_fractions=power_fractions,
-    )
+    offsets = np.append(first_cluster, len(tau)), np.append(first_subpath, len(intra))
+    return [DelayProfile(  # each config's slices, in the order of DelayProfile's fields
+        offsets[0][d:d + count + 1] - c, offsets[1][d:d + count + 1] - s,
+        cluster_start[c:c_end] - s, tau[c:c_end], cluster_frac[c:c_end], intra[s:s_end],
+        power_fractions[s:s_end],
+    ) for d, c, c_end, s, s_end in zip(drops, clusters, clusters[1:], subpaths, subpaths[1:])]
 
 
 def _send_on(profile, layout: dict, u: list) -> tuple:
@@ -417,15 +435,16 @@ def _send_on(profile, layout: dict, u: list) -> tuple:
         return end.value, u[len(layout):]
 
 
-def _drop_block(config: SimConfig, start: int, count: int):
+def _drop_block(configs, start: int, count: int):
     """A generator that yields each stage's {label: runs} layout, is
-    sent its uniforms, and returns the config's DropBlock: the stages of
-    `_delay_profile`, each with the labels of the angles, phases and
-    link budget added."""
+    sent its uniforms, and returns the DropBlock of its one config: the
+    stages of `_delay_profile`, each with the labels of the angles,
+    phases and link budget added."""
+    (config,) = configs
     params = resolved_params(config)
     drops = range(start, start + count)
     d_range = config.distance_range()
-    profile = _delay_profile(config, start, count)
+    profile = _delay_profile(configs, start, count)
 
     # stage 1: a fixed number of draws per drop
     layout = next(profile)
@@ -445,7 +464,7 @@ def _drop_block(config: SimConfig, start: int, count: int):
     # angle_offset its AOD and AOA lobe picks, then its AOD az, AOD el,
     # AOA az and AOA el offsets.
     (n_subpaths,), (l_aod, l_aoa) = layout["intra_delay"], lobe_counts.values()
-    delays, ((u_phase,), u_lobe, u_offset) = _send_on(profile, layout, (yield {
+    (delays,), ((u_phase,), u_lobe, u_offset) = _send_on(profile, layout, (yield {
         **layout, "phase": [n_subpaths], "lobe_angle": [l_aod, l_aod, l_aoa, l_aoa],
         "angle_offset": [n_subpaths] * 6}))
     subpath = {"phase_rad": uniform(u_phase, 0.0, 2.0 * math.pi)}
@@ -468,7 +487,7 @@ def _drop_block(config: SimConfig, start: int, count: int):
         subpath[f"{side}_el_deg"] = np.clip(el[lobe] + d_el, -90.0, 90.0)
 
     # elevations are clamped, so only the azimuths can overflow or be undefined
-    _refuse_unless_finite(start, (
+    _refuse_unless_finite(start, count, (
         (f"{side} azimuths", subpath[f"{side}_az_deg"], drop_of_subpath, f"sigma_phi_{side}")
         for side in SIDES))
 

@@ -259,6 +259,23 @@ def test_reproduce_reduces_each_blocks_four_scenarios_in_one_grouped_pass(monkey
     assert calls == [(scenarios * BLOCK_DROPS, 2)] * 2 + [(scenarios * 41, 2)]
 
 
+def test_reproduce_lays_out_each_blocks_four_scenarios_once(monkeypatch):
+    # the cluster delays and the power totals of a block's four scenarios
+    # are one call each, their drops laid end to end
+    calls = {"place_cluster_delays": [], "profile_sums": []}
+    for name, log in calls.items():
+        def counting(*args, _original=getattr(generate, name), _log=log):
+            _log.append(args)
+            return _original(*args)
+        monkeypatch.setattr(generate, name, counting)
+    campaign.reproduce_report(num_drops=2 * BLOCK_DROPS + 41)
+    scenarios = len(t.ALL_SCENARIOS)
+    # place_cluster_delays(draws, last_intra_delays, lengths, mti): lengths a drop
+    assert [len(args[2]) for args in calls["place_cluster_delays"]] == [
+        scenarios * BLOCK_DROPS, scenarios * BLOCK_DROPS, scenarios * 41]
+    assert len(calls["profile_sums"]) == 3
+
+
 @pytest.mark.parametrize("distance", ["10", "5:45"])
 def test_generate_derives_each_blocks_keys_once(tmp_path, monkeypatch, distance):
     calls = counted_key_derivations(monkeypatch)

@@ -790,6 +790,11 @@ def test_lockstep_refuses_configs_of_different_master_seeds():
         delay_profiles(configs, 0, 3)
 
 
+def test_delay_profiles_refuse_an_empty_config_list():
+    with pytest.raises(InvalidParamsError, match="no config"):
+        delay_profiles([], 0, 3)
+
+
 def test_lockstep_names_the_drop_of_the_config_that_overflows():
     # the second config's intra delays overflow: the refusal is the one
     # that config makes alone, raised as an error, not a warning
@@ -839,8 +844,9 @@ def test_delay_profiles_total_each_configs_power_shares_in_one_grouped_pass(monk
     configs = [make_config(label, master_seed=7) for label in SCENARIO_LABELS]
     monkeypatch.setattr(generate, "profile_sums", counting)
     profiles = delay_profiles(configs, 0, 40)
-    # each config's drop totals of its clusters and cluster totals of its subpaths
-    assert calls == [(40 + int(p.num_clusters.sum()), 0) for p in profiles]
+    # all configs' drop totals of their clusters and cluster totals of
+    # their subpaths, in one call
+    assert calls == [(sum(40 + int(p.num_clusters.sum()) for p in profiles), 0)]
 
 
 def test_the_link_budget_is_computed_once_per_block(monkeypatch):

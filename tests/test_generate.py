@@ -810,6 +810,19 @@ def test_lockstep_names_the_drop_of_the_config_that_overflows():
     assert str(lockstep.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("first, second", [("sigma_u", "mu_rho"), ("mu_rho", "sigma_u")])
+def test_lockstep_refuses_as_the_first_config_that_overflows_does(first, second):
+    # each config alone fails another check (subpath power shares are
+    # checked after intra-cluster delays): the first config's refusal wins
+    configs = [make_config("28GHz-NLOS", master_seed=37, overrides={name: "1e308"})
+               for name in (first, second)]
+    with pytest.raises(InvalidParamsError) as alone:
+        generate_batch(configs[0], 60, 20)
+    with pytest.raises(InvalidParamsError) as lockstep:
+        delay_profiles(configs, 60, 20)
+    assert str(lockstep.value) == str(alone.value) and first in str(alone.value)
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_generate_batch_refuses_a_count_below_one(count):
     with pytest.raises(InvalidParamsError, match="count"):

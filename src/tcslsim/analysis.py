@@ -6,8 +6,9 @@ offsets, extracts spatial lobes from sparse angular spectra, and re-fits
 the generating distribution families by maximum likelihood, so simulated
 (or imported) channels can be checked against the parameters that
 produced them. Every fit is closed form; the log-likelihoods and KS
-distances are written out from their formulas with `scipy.special`
-alone.
+distances are written out from their formulas. Their special functions
+are scipy's Cephes code ported to numpy at the end of this module, bit
+for bit, so analysis imports no scipy.
 
 A whole exported file is analysed as one block: the partition takes the
 delays of every drop at once, and one labelling pass finds the lobes of
@@ -19,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
-from scipy.special import expm1, gammaln, ndtr, xlogy
 
 from .errors import InvalidParamsError
 from .randcore import phasors, profile_sums
@@ -241,7 +241,7 @@ def fit_poisson_shifted(samples) -> FitReport:
     x = _check_counts(samples)
     shifted = x - 1
     lam = float(shifted.mean())
-    loglik = float((xlogy(shifted, lam) - gammaln(shifted + 1) - lam).sum())
+    loglik = float((_xlogy(shifted, lam) - _gammaln(shifted + 1) - lam).sum())
     return FitReport("poisson_shifted", {"lambda": lam}, loglik, len(x))
 
 
@@ -319,11 +319,12 @@ def fit_lognormal(samples) -> FitReport:
 
 MIN_FIT_SAMPLES = 20  # fewest samples `compare_distributions` fits
 
-# family -> (fitter, CDF at x under the fitted params, as scipy evaluates expon and lognorm)
+# family -> (fitter, CDF at x under the fitted params with `exp` for
+# Cephes's libm exp, as scipy evaluates expon and lognorm)
 _FITTERS = {
-    "exponential": (fit_exponential, lambda x, mu: -expm1(-(x / mu))),
+    "exponential": (fit_exponential, lambda x, exp, mu: -_expm1(-(x / mu), exp)),
     "lognormal": (fit_lognormal,
-                  lambda x, mu, sigma: ndtr(np.log(x / math.exp(mu)) / sigma)),
+                  lambda x, exp, mu, sigma: _ndtr(np.log(x / math.exp(mu)) / sigma, exp)),
 }
 
 
@@ -346,17 +347,26 @@ def compare_distributions(samples) -> list:
         if math.isfinite(report.log_likelihood):
             # a ratio x / exp(mu) that underflows or overflows gives a CDF of 0 or 1
             with np.errstate(divide="ignore", over="ignore"):
-                report.ks_stat = _ks_stat(cdf(np.sort(x), **report.params))
+                report.ks_stat = _ks_stat(partial(cdf, **report.params), np.sort(x))
             reports.append(report)
     reports.sort(key=lambda r: r.log_likelihood, reverse=True)
     return reports
 
 
-def _ks_stat(cdf: np.ndarray) -> float:
-    """One-sample KS distance of the CDF values of a sorted sample."""
-    n = len(cdf)
-    return float(max((np.arange(1.0, n + 1) / n - cdf).max(),
-                     (cdf - np.arange(0.0, n) / n).max()))
+KS_MARGIN = 1e-12  # far above the 1e-15 by which numpy's exp moves a CDF value
+
+
+def _ks_stat(cdf, x: np.ndarray) -> float:
+    """One-sample KS distance of a sorted sample under `cdf(x, exp)`, as
+    with glibc's exp throughout: numpy's, within 1 ulp of it, finds the
+    points within KS_MARGIN of the largest distance, and glibc's redoes them."""
+    n = len(x)
+    above, below = np.arange(1.0, n + 1) / n, np.arange(0.0, n) / n
+    near = cdf(x, np.exp)
+    gap = np.maximum(above - near, near - below)
+    at = ~(gap < gap.max() - KS_MARGIN)  # every point if a distance is NaN
+    exact = cdf(x[at], _exp_each)
+    return float(max((above[at] - exact).max(), (exact - below[at]).max()))
 
 
 def _check_counts(samples) -> np.ndarray:
@@ -366,3 +376,109 @@ def _check_counts(samples) -> np.ndarray:
     if (x < 1).any():
         raise InvalidParamsError("counts must be >= 1")
     return x.astype(np.int64)
+
+
+# --- special functions ---------------------------------------------------------
+# Cephes (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989) as scipy.special 1.17 evaluates it, bit for bit: its coefficients,
+# as shortest decimals, highest power first; its order of + - * /, which
+# numpy never fuses; and glibc's exp and log where it calls libm. `exp` is
+# glibc's (`_exp_each`) or, for a first pass, numpy's, within 1 ulp of it.
+# A leading 1.0 is p1evl's unstated one (1.0 * x is exact).
+
+_LGAM_A = (0.0008116141674705085, -0.0005950619042843014, 0.0007936503404577169,
+           -0.002777777777300997, 0.08333333333333319)
+_EXPM1_P = (0.00012617719307481058, 0.030299440770744195, 1.0)
+_EXPM1_Q = (3.0019850513866446e-06, 0.002524483403496841, 0.22726554820815503, 2.0)
+_ERF_T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051,
+          55592.30130103949)
+_ERF_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095,
+          49267.39426086359)
+_ERFC_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814,
+           196.5208329560771, 526.4451949954773, 934.5285271719576, 1027.5518868951572,
+           557.5353353693994)
+_ERFC_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055,
+           1823.9091668790973, 2246.3376081871097, 1656.6630919416134, 557.5353408177277)
+_ERFC_R = (0.5641895835477551, 1.275366707599781, 5.019050422511805, 6.160210979930536,
+           7.4097426995044895, 2.9788666537210022)
+_ERFC_S = (1.0, 2.2605286322011726, 9.396035249380015, 12.048953980809666, 17.08144507475659,
+           9.608968090632859, 3.369076451000815)
+_SQRTH = 0.7071067811865476  # sqrt(1/2)
+_MAXLOG = 709.782712893384  # log of the largest float
+
+
+def _polevl(x, coef):
+    """Horner's rule (Cephes polevl), in place after its first step."""
+    y = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _exp_each(x) -> np.ndarray:
+    """glibc's exp of each of `x` (math.exp), inf past the float range."""
+    return np.fromiter((math.inf if v > _MAXLOG else math.exp(v) for v in x.tolist()),
+                       float, len(x))
+
+
+def _xlogy(k, lam: float) -> np.ndarray:
+    """xlogy(k, lam) of counts k and a mean lam >= 0: 0 wherever k is 0."""
+    return np.where(k == 0, 0.0, k * (math.log(lam) if lam > 0 else 0.0))
+
+
+def _gammaln(x) -> np.ndarray:
+    """gammaln of integers x >= 1 (Cephes lgam), once per distinct x."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([_lgam(float(v)) for v in values.tolist()])[inverse]
+
+
+def _lgam(x: float) -> float:
+    if x < 13.0:  # the log of the exact product (x - 1)(x - 2)...2
+        return math.log(float(math.factorial(int(x) - 1)))
+    q = (x - 0.5) * math.log(x) - x + 0.9189385332046727  # Stirling's series; log(2 pi) / 2
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def _expm1(x, exp) -> np.ndarray:
+    """exp(x) - 1 past |x| = 0.5 (and for inf and NaN), a rational function within."""
+    c = np.minimum(np.maximum(x, -0.5), 0.5)
+    r = c * _polevl(c * c, _EXPM1_P)
+    r = r / (_polevl(c * c, _EXPM1_Q) - r)
+    return np.where(np.abs(x) <= 0.5, r + r, exp(x) - 1.0)
+
+
+def _ndtr(a, exp) -> np.ndarray:
+    """The standard normal CDF of a = x / sqrt(1/2): 1/2 + erf(x)/2 within
+    |x| < sqrt(1/2), else erfc(|x|)/2, and 1 less that for x > 0."""
+    x = a * _SQRTH
+    z = np.abs(x)
+    w = np.minimum(z, 1.0)  # erf's range; erf(-x) is -erf(x) in every bit
+    erf = w * _polevl(w * w, _ERF_T) / _polevl(w * w, _ERF_U)
+    erfc = 1.0 - erf
+    tail = np.flatnonzero(~(z < 1.0))
+    if tail.size:
+        erfc[tail] = _erfc_tail(z[tail], exp)
+    half = 0.5 * erfc
+    y = np.where(z < _SQRTH, 0.5 + 0.5 * np.copysign(erf, x), np.where(x > 0, 1.0 - half, half))
+    y[np.isnan(a)] = math.nan  # scipy's NaN, whatever the sign
+    return y
+
+
+def _erfc_tail(z, exp):
+    """Cephes erfc of z >= 1: from P/Q below 8 and R/S from 8 on, and 0
+    where exp(-z * z) underflows (from 26.7 on)."""
+    w = np.minimum(z, 27.0)
+    e = exp(-w * w)
+    y = e * _polevl(np.minimum(w, 8.0), _ERFC_P) / _polevl(np.minimum(w, 8.0), _ERFC_Q)
+    far = w >= 8.0
+    if far.any():
+        y[far] = e[far] * _polevl(w[far], _ERFC_R) / _polevl(w[far], _ERFC_S)
+    y[-w * w < -_MAXLOG] = 0.0
+    return y

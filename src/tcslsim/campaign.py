@@ -64,6 +64,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import importlib
 import itertools
 import json
 import multiprocessing
@@ -427,6 +428,7 @@ def _map_blocks(stack: contextlib.ExitStack, task, head, num_drops: int, workers
     workers = min(workers, len(tasks))
     if workers == 1:
         return map(task, tasks)
+    importlib.import_module("scipy.special")  # randcore.ndtri's, once, not in each worker
     return stack.enter_context(multiprocessing.get_context("fork").Pool(workers)).imap(task, tasks)
 
 

@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -411,7 +410,7 @@ def _analyze_pas(path: Path, slt_db: float) -> dict:
 
 def _fit_dict(report) -> dict:
     """A FitReport's fields, without those it leaves unset."""
-    return {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+    return {k: v for k, v in vars(report).items() if v is not None}
 
 
 if __name__ == "__main__":

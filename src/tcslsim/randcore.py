@@ -33,8 +33,10 @@ one read to the longest length any reader needs serves them all.
 Replay's float primitives, whose last bits it depends on, are named at
 the end of this module, and the replay path calls them by these names.
 Each is numpy's, glibc's, scipy's or OpenBLAS's own call, so its bits
-follow the host. Under another CPU's kernels (`NOT_PORTABLE` in
-`tests/test_randcore.py`) these round otherwise, and the rest do not:
+follow the host; scipy's `ndtri` is imported on the first normal draw,
+so a command that draws none loads no scipy. Under another CPU's
+kernels (`NOT_PORTABLE` in `tests/test_randcore.py`) these round
+otherwise, and the rest do not:
 
     exp, log1p, log10, exp10  numpy's AVX-512 exp, log1p, log10 and power
     profile_sums dots         OpenBLAS's ddot/zdotu kernel, picked by CPU
@@ -46,7 +48,6 @@ import hashlib
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidParamsError
 
@@ -227,6 +228,14 @@ def phasors(angles_deg):
 
 def log_each(values) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
+def ndtri(u):
+    """scipy.special.ndtri: its import, most of a command's start-up,
+    waits for this first call, which puts scipy's ufunc in its place."""
+    global ndtri
+    from scipy.special import ndtri
+    return ndtri(u)
 
 
 def profile_sums(weights, lengths, columns=()) -> tuple:

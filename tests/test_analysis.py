@@ -1,11 +1,16 @@
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage, special
 from scipy import stats as sps
 
 import tcslsim as t
+from tcslsim import analysis
 from tcslsim.analysis import (
     MIN_FIT_SAMPLES,
     cluster_delay_samples,
@@ -477,3 +482,102 @@ def test_fit_composite_subpath_is_at_least_every_grid_point(beta, mu_s):
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     assert grid[i, j] == pytest.approx(
         composite_loglik(counts, b[i, 0], -1.0 / math.log(q[0, j])), rel=1e-9)
+
+
+# --- the special functions against scipy.special, bit for bit --------------
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def with_neighbours(edges, steps=3) -> np.ndarray:
+    """Each edge, its negation and the floats up to `steps` apart from both."""
+    out = []
+    for edge in edges:
+        for x in (edge, -edge):
+            below = above = x
+            out.append(x)
+            for _ in range(steps):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                out += [below, above]
+    return np.array(out)
+
+
+SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e-310, -3e-320]
+SQRT_MAXLOG = math.sqrt(analysis._MAXLOG)
+
+
+def port_inputs(seed: int, edges) -> np.ndarray:
+    """1.2M values over every scale from 1e-6 to 1e4, the special values
+    and each branch edge with its neighbours."""
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal(1_000_000) * 10.0 ** rng.uniform(-6.0, 2.5, 1_000_000)
+    return np.concatenate([wide, rng.normal(0.0, 3.0, 200_000), SPECIAL_VALUES,
+                           with_neighbours(edges)])
+
+
+def assert_same_bits(port, oracle, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = port(x)
+    want = oracle(x)
+    bad = np.flatnonzero(bits(got) != bits(want))
+    assert bad.size == 0, [(x[i], got[i], want[i]) for i in bad[:5]]
+
+
+def test_ndtr_port_gives_scipys_bits():
+    # branches on x = a sqrt(1/2): |x| at sqrt(1/2), 1, 8 and sqrt(MAXLOG),
+    # reached at |a| = 1, sqrt(2), 8 sqrt(2) and sqrt(2 MAXLOG)
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), SQRT_MAXLOG * math.sqrt(2.0),
+             0.5 / analysis._SQRTH, 1.0 / analysis._SQRTH, 8.0 / analysis._SQRTH,
+             SQRT_MAXLOG / analysis._SQRTH]
+    x = port_inputs(1, edges)
+    assert_same_bits(lambda a: analysis._ndtr(a, analysis._exp_each), special.ndtr, x)
+
+
+def test_expm1_port_gives_scipys_bits():
+    x = port_inputs(2, [0.5, analysis._MAXLOG])
+    assert_same_bits(lambda v: analysis._expm1(v, analysis._exp_each), special.expm1, x)
+
+
+def test_gammaln_port_gives_scipys_bits_on_integers():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        rng.integers(1, 3000, 900_000), (10.0 ** rng.uniform(0.0, 18.5, 100_000)).astype(np.int64),
+        # Cephes lgam's branches: the exact product below 13, the series
+        # to 1000 and on, Stirling alone past 1e8
+        [1, 2, 3, 12, 13, 14, 999, 1000, 1001, 10**8 - 1, 10**8, 10**8 + 1, 2**53, 2**53 + 1,
+         2**62, 2**63 - 1]])
+    assert_same_bits(analysis._gammaln, special.gammaln, x)
+
+
+def test_xlogy_port_gives_scipys_bits():
+    rng = np.random.default_rng(4)
+    lams = np.concatenate([[1.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348622157e308],
+                           rng.uniform(0.0, 30.0, 500), 10.0 ** rng.uniform(-300, 300, 495)])
+    for lam in lams.tolist():
+        k = rng.integers(0, 60, 1000)
+        k[:3] = 0, 1, 2**62
+        assert_same_bits(lambda counts: analysis._xlogy(counts, lam),
+                         lambda counts: special.xlogy(counts, lam), k)
+    # every count is 0 when their mean is
+    zeros = np.zeros(25, dtype=np.int64)
+    assert_same_bits(lambda counts: analysis._xlogy(counts, 0.0),
+                     lambda counts: special.xlogy(counts, 0.0), zeros)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-6, 1e6), min_size=MIN_FIT_SAMPLES, max_size=300),
+       st.sampled_from(sorted(analysis._FITTERS)))
+def test_ks_stat_equals_the_distance_of_a_cdf_with_glibcs_exp_throughout(sample, family):
+    x = np.sort(np.array(sample))
+    fit, cdf = analysis._FITTERS[family]
+    report = fit(x)
+    if not math.isfinite(report.log_likelihood):
+        return
+    exact = cdf(x, analysis._exp_each, **report.params)
+    n = len(x)
+    want = max((np.arange(1.0, n + 1) / n - exact).max(), (exact - np.arange(0.0, n) / n).max())
+    got = analysis._ks_stat(partial(cdf, **report.params), x)
+    assert bits(got) == bits(want)

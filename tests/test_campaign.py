@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +343,27 @@ def test_block_rows_equal_the_rows_of_its_drops_generated_alone(scenario_label, 
                          "pas per drop")
         for kind, (_, _, rows) in DROP_FILES.items():
             assert_same_text(rows(block), "".join(map(rows, drops)), kind)
+
+
+def test_a_fork_pool_imports_scipy_special_before_it_forks(tmp_path):
+    # in a fresh interpreter the pool's parent draws nothing, so only the
+    # import before the fork puts scipy.special in its modules; without it
+    # each worker would import scipy.special again
+    src = str(Path(t.__file__).resolve().parents[1])
+    code = ("import dataclasses, sys\n"
+            "from tcslsim import Scenario, SimConfig\n"
+            "from tcslsim.campaign import run_campaign\n"
+            "config = SimConfig(scenario=Scenario.parse('140GHz-LOS'),"
+            f" num_drops={2 * BLOCK_DROPS + 9}, master_seed=3, workers=2)\n"
+            "pooled = run_campaign(config)\n"
+            "print('scipy.special' in sys.modules)\n"
+            "one = run_campaign(dataclasses.replace(config, workers=1))\n"
+            "print(one.records == pooled.records, len(one.records))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                             filter(None, (src, os.environ.get("PYTHONPATH"))))))
+    assert out.stdout.splitlines() == ["True", f"True {2 * BLOCK_DROPS + 9}"]
 
 
 def test_records_identical_for_one_and_two_workers(tmp_path):

@@ -12,6 +12,7 @@ imported, so a call across modules is timed as its own span.
 
 import contextlib
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -28,6 +29,8 @@ from tcslsim import analysis, campaign, cli, generate, pathloss, stats
 from tcslsim.campaign import emit_outputs, run_campaign
 from tcslsim.generate import generate_drop, generate_drops
 from tcslsim.randcore import RandomStream, exponential
+
+from test_campaign import ANALYZE_GOLDEN, GOLDEN
 
 
 def test_generate_has_no_pdp_bin_flag():
@@ -111,30 +114,52 @@ def test_pas_paths_call_across_modules_at_the_names_the_benchmark_wraps():
     assert lobes.num_lobes == 1 and lobes.lobes[0].cells.tolist() == [[5, 0]]
 
 
-def test_importing_the_cli_loads_no_scipy_stats_optimize_or_ndimage(tmp_path):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["generate", "--scenario", "28GHz-NLOS", "--drops", "20",
-                         "--format", "pdp,pas", "--out-dir", str(tmp_path)]) == 0
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter that imports tcslsim from this tree."""
     src = str(Path(t.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+
+
+def test_importing_the_cli_and_analyzing_loads_no_scipy(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--scenario", "28GHz-NLOS", "--drops", "20",
+                         "--format", "pdp,pas", "--out-dir", str(tmp_path)]) == 0
     report = tmp_path / "report.json"
-    code = ("import sys, tcslsim.cli\n"
-            "def loaded():\n"
-            "    print(sorted(m for m in sys.modules if m.split('.')[:2]"
-            " in (['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'ndimage'],"
-            " ['scipy', 'sparse'])))\n"
-            "loaded()\n"
-            f"assert tcslsim.cli.main(['analyze', '--pdp', {str(tmp_path / 'pdp.csv')!r},"
-            f" '--pas', {str(tmp_path / 'pas.csv')!r}, '--out', {str(report)!r}]) == 0\n"
-            "loaded()\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
+    out = _run_python(
+        "import sys, tcslsim.cli\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "loaded()\n"
+        f"assert tcslsim.cli.main(['analyze', '--pdp', {str(tmp_path / 'pdp.csv')!r},"
+        f" '--pas', {str(tmp_path / 'pas.csv')!r}, '--out', {str(report)!r}]) == 0\n"
+        "loaded()\n")
     assert out.stdout.splitlines() == ["[]", f"wrote report: {report}", "[]"]
     # both fits ran: the cluster-count fit and the delay-family comparison
     pdp = json.loads(report.read_text())["pdp"]
     assert pdp["num_clusters"]["family"] == "poisson_shifted"
     assert {r["family"] for r in pdp["intra_cluster_delay_ns"]} == {"exponential", "lognormal"}
+
+
+def test_analyze_writes_the_golden_reports_where_scipy_cannot_be_imported(tmp_path):
+    # with sys.modules["scipy"] = None every import of scipy raises ImportError
+    code = ("import sys\nsys.modules['scipy'] = None\nimport tcslsim.cli\n"
+            "try:\n    import scipy.special\nexcept ImportError:\n"
+            "    print('no scipy')\n")
+    for label in sorted(ANALYZE_GOLDEN):
+        out_dir = tmp_path / label
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", *GOLDEN[label][0], "--format", "pdp,pas",
+                             "--out-dir", str(out_dir)]) == 0
+        code += (f"assert tcslsim.cli.main(['analyze', '--pdp', {str(out_dir / 'pdp.csv')!r},"
+                 f" '--pas', {str(out_dir / 'pas.csv')!r},"
+                 f" '--out', {str(out_dir / 'report.json')!r}]) == 0\n")
+    assert _run_python(code).stdout.splitlines()[0] == "no scipy"
+    for label, digest in ANALYZE_GOLDEN.items():
+        report = (tmp_path / label / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest, label
 
 
 def test_traced_commands_report_every_layer_metric(tmp_path):

@@ -331,3 +331,18 @@ def test_only_the_primitives_recorded_not_portable_change_bits_under_another_ker
     assert NOT_PORTABLE <= set(hashes[0])
     moved = {name for other in hashes[1:] for name in other if other[name] != hashes[0][name]}
     assert moved <= NOT_PORTABLE, f"{sorted(moved - NOT_PORTABLE)} changed bits"
+
+
+def test_ndtri_imports_scipy_on_the_first_normal_draw_and_then_is_scipys():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from tcslsim import randcore as r\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "u = np.array([2.0**-53, 0.25, 0.5, 0.975])\n"
+            "drawn = r.normal(u, 0.0, 1.0)\n"
+            "from scipy import special\n"
+            "print(r.ndtri is special.ndtri, drawn.tobytes() == special.ndtri(u).tobytes())\n")
+    src = str(Path(t.__file__).parents[1])
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": src})
+    assert child.stdout.splitlines() == ["[]", "True True"]

@@ -388,6 +388,7 @@ def _check_counts(samples) -> np.ndarray:
 
 _LGAM_A = (0.0008116141674705085, -0.0005950619042843014, 0.0007936503404577169,
            -0.002777777777300997, 0.08333333333333319)
+_LGAM_B = (0.0007936507936507937, -0.002777777777777778, 0.08333333333333333)  # from 1000 on
 _EXPM1_P = (0.00012617719307481058, 0.030299440770744195, 1.0)
 _EXPM1_Q = (3.0019850513866446e-06, 0.002524483403496841, 0.22726554820815503, 2.0)
 _ERF_T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051,
@@ -436,14 +437,10 @@ def _gammaln(x) -> np.ndarray:
 def _lgam(x: float) -> float:
     if x < 13.0:  # the log of the exact product (x - 1)(x - 2)...2
         return math.log(float(math.factorial(int(x) - 1)))
-    q = (x - 0.5) * math.log(x) - x + 0.9189385332046727  # Stirling's series; log(2 pi) / 2
-    if x > 1e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _polevl(p, _LGAM_A) / x
+    # Stirling's series, log(2 pi) / 2 its constant; past 1e8, where Cephes
+    # returns q alone, the sum is q too, its last term below half q's ulp
+    q = (x - 0.5) * math.log(x) - x + 0.9189385332046727
+    return q + _polevl(1.0 / (x * x), _LGAM_A if x < 1000.0 else _LGAM_B) / x
 
 
 def _expm1(x, exp) -> np.ndarray:
